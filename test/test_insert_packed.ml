@@ -4,11 +4,12 @@
    nearest-neighbor descent + slot-walk preliminary copy) and the original
    list-and-hashtable pipeline (Insert.Oracle.insert) drive two networks
    built from the same seed, metric and id/addr/gateway sequence through
-   identical insertion + voluntary-delete churn.  Every per-insertion
-   report (surrogate, shared prefix, multicast reach, pointer transfers,
-   descent trace, exact cost) and, at the end, every routing-table slot and
-   every mesh nearest-neighbor answer must agree exactly — across several
-   seeds and on both a uniform-square and a transit-stub metric. *)
+   identical insertion, voluntary-delete and fail-then-repair churn.  Every
+   per-insertion report (surrogate, shared prefix, multicast reach, pointer
+   transfers, descent trace, exact cost) and, at the end, every
+   routing-table slot, every level's backpointer set and every mesh
+   nearest-neighbor answer must agree exactly — across several seeds and
+   on both a uniform-square and a transit-stub metric. *)
 
 open Tapestry
 
@@ -64,7 +65,23 @@ let check_networks_agree ~ctx net_p net_o =
         (Printf.sprintf "%s: nearest neighbor of %s" ctx
            (Node_id.to_string np.Node.id))
         (nn net_o no) (nn net_p np))
-    (Network.alive_nodes net_p)
+    (Network.alive_nodes net_p);
+  (* backpointer sets are unordered: compare them sorted, on every
+     registered node (failed ones keep theirs until repaired) *)
+  let bps (n : Node.t) ~level =
+    Routing_table.backpointers n.Node.table ~level
+    |> List.map Node_id.to_string |> List.sort String.compare
+    |> String.concat ","
+  in
+  Network.iter_registered net_p (fun (np : Node.t) ->
+      let no = Network.find_exn net_o np.Node.id in
+      for level = 0 to Routing_table.levels np.Node.table - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "%s: node %s level-%d backpointers" ctx
+             (Node_id.to_string np.Node.id)
+             level)
+          (bps no ~level) (bps np ~level)
+      done)
 
 (* Build two identical single-bootstrap networks and run the same churn
    script through the packed pipeline on one and the oracle pipeline on the
@@ -110,6 +127,22 @@ let drive_pair ~ctx ~seed metric ~inserts =
         in
         ignore (Delete.voluntary net_p (Network.find_exn net_p victim));
         ignore (Delete.voluntary net_o (Network.find_exn net_o victim));
+        alive := List.filter (fun v -> not (Node_id.equal v victim)) !alive
+      end
+      else if i mod 7 = 0 && List.length !alive > 6 then begin
+        (* a silent failure, then every survivor runs the §5 repair for
+           the dead link (a no-op where it held none) *)
+        let victim =
+          Simnet.Rng.pick_list ext
+            (List.filter (fun v -> not (Node_id.equal v boot_id)) !alive)
+        in
+        List.iter
+          (fun net ->
+            Delete.fail net (Network.find_exn net victim);
+            List.iter
+              (fun owner -> Delete.on_dead_repair net ~owner ~dead:victim)
+              (Network.alive_nodes net))
+          [ net_p; net_o ];
         alive := List.filter (fun v -> not (Node_id.equal v victim)) !alive
       end
     end

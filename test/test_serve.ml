@@ -400,6 +400,37 @@ let test_serve_coop_churn_audit_clean () =
       "churned coop serve mesh not audit-clean (incl. hint coherence): %s"
       (Format.asprintf "%a" Audit.pp_report report)
 
+(* A pinned fingerprint of a churned run shaped like the benchmark's
+   serve-cold-churn workload: uniform popularity, 30%/10% writes, a
+   64-way cache with cooperative hints, and kills plus joins.  Every join
+   runs the full nearest-neighbour descent against a mesh holding dead
+   nodes, so a change to what a join builds -- slot order, backpointer
+   sets, message charges, the RNG draw sequence -- moves the signature
+   or the failed count.  Local speed-ups of the join path must leave
+   both untouched; re-pin only for a change meant to alter behaviour. *)
+let test_serve_cold_churn_pinned () =
+  let params =
+    {
+      serve_params with
+      Driver.requests = 8_000;
+      objects = 4_000;
+      zipf_s = 0.;
+      p_publish = 0.3;
+      p_unpublish = 0.1;
+      kill_rate = 150.;
+      join_rate = 150.;
+      cache_size = 64;
+      coop = true;
+    }
+  in
+  let _, r = run_serve ~params ~domains:1 () in
+  Alcotest.(check bool) "kills fired" true (r.Driver.kills >= 20);
+  Alcotest.(check bool) "joins fired" true (r.Driver.joins >= 20);
+  Alcotest.(check int) "failed pinned" 715 r.Driver.failed;
+  Alcotest.(check string) "signature digest pinned"
+    "8cc3d2d368690cf5ae09447462a83591"
+    (Digest.to_hex (Digest.string (Driver.signature r)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -432,6 +463,8 @@ let () =
             test_serve_churn_audit_clean;
           Alcotest.test_case "churned run domain-invariant" `Quick
             test_serve_churn_determinism;
+          Alcotest.test_case "cold churned run pinned" `Quick
+            test_serve_cold_churn_pinned;
         ] );
       ( "cache",
         [
