@@ -223,40 +223,48 @@ let select_k_closest (s : Scratch.t) ~k =
   done;
   !m
 
+(* Offer node [n] to one GETNEXTLIST step's candidate set: stamp-dedup it
+   under [vgen], keep it if it is alive, not the joiner and shares [level]
+   digits with it, and memoize its distance to the joiner under [dgen].
+   Top-level with every operand passed in, so the step builds no closure. *)
+let note net (s : Scratch.t) ~(new_node : Node.t) ~level ~vgen ~dgen
+    (n : Node.t) =
+  let h = n.Node.handle in
+  if s.Scratch.stamp.(h) <> vgen then begin
+    s.Scratch.stamp.(h) <- vgen;
+    if
+      Node.is_alive n
+      && (not (Node_id.equal n.Node.id new_node.Node.id))
+      && Node_id.common_prefix_len n.Node.id new_node.Node.id >= level
+    then begin
+      if s.Scratch.dist_stamp.(h) <> dgen then begin
+        s.Scratch.dist.(h) <- Network.dist net new_node n;
+        s.Scratch.dist_stamp.(h) <- dgen
+      end;
+      Scratch.push_cand s h
+    end
+  end
+
+(* [note] for a pointer read as (handle, id): the handle resolves through
+   the arena; a pointer stored without one (test injection) falls back to
+   the directory. *)
+let note_ptr net s ~new_node ~level ~vgen ~dgen h id =
+  if h >= 0 then
+    note net s ~new_node ~level ~vgen ~dgen (Network.node_of_handle net h)
+  else
+    match Network.find net id with
+    | Some m -> note net s ~new_node ~level ~vgen ~dgen m
+    | None -> ()
+
 (* One GETNEXTLIST step over the handles in [s.cur]: collect forward and
-   backward pointers at [level] (handle reads, directory fallback only for
-   entries injected without one), stamp-dedup, memoize distances under
-   [dgen], and leave the k closest in [s.sel] (ascending).  Returns the
-   selection size. *)
+   backward pointers at [level] (both read by index off the packed table),
+   stamp-dedup, memoize distances under [dgen], and leave the k closest in
+   [s.sel] (ascending).  Returns the selection size. *)
 let step net ~(new_node : Node.t) ~level ~update_tables ~k ~dgen =
   let s = net.Network.scratch in
   Scratch.ensure_handles s ~n:net.Network.arena_len;
   let vgen = Scratch.bump_visit s in
   s.Scratch.cand_len <- 0;
-  (* [@alloc_ok]: [note] and [note_bp] close over the step's stamps; two
-     closures per GETNEXTLIST step (one network round-trip each), not per
-     candidate. *)
-  let[@alloc_ok] note (n : Node.t) =
-    let h = n.Node.handle in
-    if s.Scratch.stamp.(h) <> vgen then begin
-      s.Scratch.stamp.(h) <- vgen;
-      if
-        Node.is_alive n
-        && (not (Node_id.equal n.Node.id new_node.Node.id))
-        && Node_id.common_prefix_len n.Node.id new_node.Node.id >= level
-      then begin
-        if s.Scratch.dist_stamp.(h) <> dgen then begin
-          s.Scratch.dist.(h) <- Network.dist net new_node n;
-          s.Scratch.dist_stamp.(h) <- dgen
-        end;
-        Scratch.push_cand s h
-      end
-    end
-  in
-  let[@alloc_ok] note_bp id h =
-    if h >= 0 then note (Network.node_of_handle net h)
-    else match Network.find net id with Some m -> note m | None -> ()
-  in
   for i = 0 to s.Scratch.cur_len - 1 do
     let n = Network.node_of_handle net s.Scratch.cur.(i) in
     (* round trip: ask n for its forward and backward pointers *)
@@ -264,21 +272,20 @@ let step net ~(new_node : Node.t) ~level ~update_tables ~k ~dgen =
     Network.charge_aside net n new_node;
     if update_tables then
       ignore (add_to_table_if_closer net ~contacted:n ~new_node);
-    note n;
+    note net s ~new_node ~level ~vgen ~dgen n;
     let table = n.Node.table in
     for digit = 0 to Routing_table.base table - 1 do
       for kk = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-        let h = Routing_table.slot_handle table ~level ~digit ~k:kk in
-        if h >= 0 then note (Network.node_of_handle net h)
-        else
-          match
-            Network.find net (Routing_table.slot_id table ~level ~digit ~k:kk)
-          with
-          | Some m -> note m
-          | None -> ()
+        note_ptr net s ~new_node ~level ~vgen ~dgen
+          (Routing_table.slot_handle table ~level ~digit ~k:kk)
+          (Routing_table.slot_id table ~level ~digit ~k:kk)
       done
     done;
-    Routing_table.iter_backpointers table ~level note_bp
+    for kk = 0 to Routing_table.backpointer_len table ~level - 1 do
+      note_ptr net s ~new_node ~level ~vgen ~dgen
+        (Routing_table.backpointer_handle table ~level ~k:kk)
+        (Routing_table.backpointer_id table ~level ~k:kk)
+    done
   done;
   select_k_closest s ~k
 

@@ -246,52 +246,56 @@ let fresh_id t =
 
 (* --- link maintenance --- *)
 
-(* The shared-prefix and liveness gates plus the table update, with the
-   metric distance supplied by the caller so a multi-level batch measures
-   it once (the simulated round trip is one probe however many levels it
-   fills). *)
-let offer_link_dist t ~(owner : Node.t) ~level ~(candidate : Node.t) ~d =
+(* The table update behind a link offer whose gates already passed: the
+   metric distance is supplied by the caller so a multi-level batch
+   measures it once (the simulated round trip is one probe however many
+   levels it fills). *)
+let link_at_level t ~(owner : Node.t) ~level ~(candidate : Node.t) ~d =
   let o = owner and c = candidate in
-  if Node_id.equal o.id c.id then false
-  else if Node_id.common_prefix_len o.id c.id < level then false
-  else if
-    (* nodes that announced departure (or died) take no new links: their
-       existing entries are marked "leaving" and serve only in-flight
-       traffic (Section 5.1) *)
-    match c.status with Node.Leaving | Node.Dead -> true | _ -> false
-  then false
-  else begin
-    match
-      Routing_table.consider ~handle:c.handle o.table ~level ~candidate:c.id
-        ~dist:d
-    with
-    | `Rejected | `Known -> false
-    | `Added evicted ->
-        Routing_table.add_backpointer c.table ~level ~handle:o.handle o.id;
-        (match evicted with
-        | Some old_id -> (
-            (* eviction is the rare branch: resolve through the directory,
-               the slot no longer holds the evicted handle *)
-            match find t old_id with
-            | Some old_node ->
-                Routing_table.remove_backpointer old_node.Node.table ~level o.id
-            | None -> ())
-        | None -> ());
-        true
-  end
+  match
+    Routing_table.consider o.table ~level ~candidate:c.id ~handle:c.handle
+      ~dist:d
+  with
+  | `Rejected | `Known -> false
+  | `Added evicted ->
+      Routing_table.add_backpointer c.table ~level ~handle:o.handle o.id;
+      (match evicted with
+      | Some old_id -> (
+          (* eviction is the rare branch: resolve through the directory,
+             the slot no longer holds the evicted handle *)
+          match find t old_id with
+          | Some old_node ->
+              Routing_table.remove_backpointer ~handle:o.handle
+                old_node.Node.table ~level o.id
+          | None -> ())
+      | None -> ());
+      true
+
+(* Nodes that announced departure (or died) take no new links: their
+   existing entries are marked "leaving" and serve only in-flight traffic
+   (Section 5.1). *)
+let accepts_links (c : Node.t) =
+  match c.status with Node.Leaving | Node.Dead -> false | _ -> true
 
 let offer_link t ~owner ~level ~candidate =
-  offer_link_dist t ~owner ~level ~candidate ~d:(dist t owner candidate)
+  let o = (owner : Node.t) and c = (candidate : Node.t) in
+  (not (Node_id.equal o.id c.id))
+  && Node_id.common_prefix_len o.id c.id >= level
+  && accepts_links c
+  && link_at_level t ~owner ~level ~candidate ~d:(dist t o c)
 
+(* The equality, liveness and shared-prefix gates hold for every level up
+   to the shared prefix at once, so they run once per candidate; only the
+   table update runs per level. *)
 let offer_link_all_levels t ~owner ~candidate =
   let o = (owner : Node.t) and c = (candidate : Node.t) in
-  let shared = Node_id.common_prefix_len o.id c.id in
-  if Node_id.equal o.id c.id then 0
+  if Node_id.equal o.id c.id || not (accepts_links c) then 0
   else begin
+    let shared = Node_id.common_prefix_len o.id c.id in
     let d = dist t o c in
     let added = ref 0 in
-    for level = 0 to min shared (t.config.id_digits - 1) do
-      if offer_link_dist t ~owner ~level ~candidate ~d then incr added
+    for level = 0 to Int.min shared (t.config.id_digits - 1) do
+      if link_at_level t ~owner ~level ~candidate ~d then incr added
     done;
     !added
   end

@@ -24,15 +24,20 @@ type t = {
       (* per level, bit [digit] set iff that slot is non-empty: digit scans
          in the routing hot path test one bit instead of reading [lens]
          (base <= 32, so a level's mask fits one immediate int) *)
-  backs : int Node_id.Tbl.t array;
-      (* backpointers per level: holder id -> its arena handle (-1 when the
-         writer had none), so backpointer walks resolve without hashing
-         into the directory *)
+  bp_ids : Node_id.t array array;
+  bp_handles : int array array;
+  bp_lens : int array;
+      (* backpointers per level: a growable vector of (holder id, holder
+         arena handle) pairs, the handle -1 when the writer had none.  The
+         live prefix [0, bp_lens.(level)) is kept in the order holders were
+         first recorded; removal shifts the tail down.  Levels start on
+         shared empty arrays and allocate on their first holder. *)
 }
 
 let cell t ~level ~digit = (level * t.base) + digit
 
-let create (cfg : Config.t) ~owner =
+(* [@alloc_ok]: one table per node, built once at registration. *)
+let[@alloc_ok] create (cfg : Config.t) ~owner =
   let levels = cfg.id_digits in
   let cells = levels * cfg.base in
   let t =
@@ -47,7 +52,9 @@ let create (cfg : Config.t) ~owner =
       dists = Array.make (cells * cfg.redundancy) 0.;
       lens = Array.make cells 0;
       filled = Array.make levels 0;
-      backs = Array.init levels (fun _ -> Node_id.Tbl.create 8);
+      bp_ids = Array.make levels [||];
+      bp_handles = Array.make levels [||];
+      bp_lens = Array.make levels 0;
     }
   in
   (* The owner fills its own digit slot at every level. *)
@@ -87,7 +94,9 @@ let slot_handle t ~level ~digit ~k =
 let slot_dist t ~level ~digit ~k =
   t.dists.((((level * t.base) + digit) * t.redundancy) + k)
 
-let slot t ~level ~digit =
+(* [@alloc_ok]: the list view is the API contract; hot paths read the
+   index accessors above instead. *)
+let[@alloc_ok] slot t ~level ~digit =
   let c = cell t ~level ~digit in
   let off = c * t.redundancy in
   let rec build k =
@@ -96,7 +105,8 @@ let slot t ~level ~digit =
   in
   build 0
 
-let primary t ~level ~digit =
+(* [@alloc_ok]: an option-of-record view for maintenance and tests. *)
+let[@alloc_ok] primary t ~level ~digit =
   let c = cell t ~level ~digit in
   if t.lens.(c) = 0 then None
   else
@@ -105,12 +115,23 @@ let primary t ~level ~digit =
 
 let is_hole t ~level ~digit = t.lens.((level * t.base) + digit) = 0
 
+(* The slot scans are top-level recursions over explicit operands (as in
+   [Route.scan]): a local closure over the table would be allocated on
+   every [consider], which runs once per level per candidate of a join. *)
+
 (* Insertion index matching the oracle's [insert_sorted] (strict [<]):
    the new entry lands after every entry with an equal or smaller
    distance, preserving arrival order among ties. *)
-let insertion_pos t ~off ~len dist =
-  let rec go k = if k < len && t.dists.(off + k) <= dist then go (k + 1) else k in
-  go 0
+let rec insertion_pos (dists : float array) ~off ~len (dist : float) k =
+  if k < len && dists.(off + k) <= dist then
+    insertion_pos dists ~off ~len dist (k + 1)
+  else k
+
+(* Index of [id] among cells [off+k .. off+len-1], or -1. *)
+let rec find_id (ids : Node_id.t array) ~off ~len id k =
+  if k >= len then -1
+  else if Node_id.equal ids.(off + k) id then k
+  else find_id ids ~off ~len id (k + 1)
 
 (* Shift [off+pos .. off+len-1] one cell right (the caller guarantees
    capacity) and write the new entry at [off+pos]. *)
@@ -133,39 +154,37 @@ let remove_at t ~off ~len ~pos =
   t.ids.(off + len - 1) <- t.owner;
   t.handles.(off + len - 1) <- -1
 
-let consider ?(handle = -1) t ~level ~candidate ~dist =
+(* The verdict of a non-evicting add, allocated once. *)
+let added_none = `Added None
+
+let consider t ~level ~candidate ~handle ~dist =
   if Node_id.equal candidate t.owner then `Known
   else begin
     let digit = Node_id.digit candidate level in
     let c = cell t ~level ~digit in
     let off = c * t.redundancy in
     let len = t.lens.(c) in
-    let rec find k =
-      if k >= len then -1
-      else if Node_id.equal t.ids.(off + k) candidate then k
-      else find (k + 1)
-    in
-    let found = find 0 in
+    let found = find_id t.ids ~off ~len candidate 0 in
     if found >= 0 then begin
       (* Refresh the recorded distance (it may have been estimated),
          keeping the stored handle when the caller has none. *)
       let handle = if handle >= 0 then handle else t.handles.(off + found) in
       remove_at t ~off ~len ~pos:found;
-      let pos = insertion_pos t ~off ~len:(len - 1) dist in
+      let pos = insertion_pos t.dists ~off ~len:(len - 1) dist 0 in
       insert_at t ~off ~len:(len - 1) ~pos ~id:candidate ~handle ~dist;
       `Known
     end
     else if len < t.redundancy then begin
-      let pos = insertion_pos t ~off ~len dist in
+      let pos = insertion_pos t.dists ~off ~len dist 0 in
       insert_at t ~off ~len ~pos ~id:candidate ~handle ~dist;
       t.lens.(c) <- len + 1;
       t.filled.(level) <- t.filled.(level) lor (1 lsl digit);
-      `Added None
+      added_none
     end
     else begin
       (* Full slot: the farthest entry is dropped; if that would be the
          candidate itself, reject without touching the slot. *)
-      let pos = insertion_pos t ~off ~len dist in
+      let pos = insertion_pos t.dists ~off ~len dist 0 in
       if pos >= t.redundancy then `Rejected
       else begin
         let evicted = t.ids.(off + len - 1) in
@@ -177,12 +196,15 @@ let consider ?(handle = -1) t ~level ~candidate ~dist =
         t.ids.(off + pos) <- candidate;
         t.handles.(off + pos) <- handle;
         t.dists.(off + pos) <- dist;
-        `Added (Some evicted)
+        (* [@alloc_ok]: one verdict block per displaced entry *)
+        (`Added (Some evicted) [@alloc_ok])
       end
     end
   end
 
-let update_distances t ~measure =
+(* [@alloc_ok]: the Section 6.4 re-measurement pass, run by maintenance
+   between joins, not inside one. *)
+let[@alloc_ok] update_distances t ~measure =
   let changed = ref 0 in
   for level = 0 to t.levels - 1 do
     for digit = 0 to t.base - 1 do
@@ -237,7 +259,9 @@ let update_distances t ~measure =
   done;
   !changed
 
-let remove t target =
+(* [@alloc_ok]: the found-levels list is the API contract; runs once per
+   dropped link (departure or dead-neighbour repair), not per candidate. *)
+let[@alloc_ok] remove t target =
   if Node_id.equal target t.owner then []
   else begin
     let found = ref [] in
@@ -247,12 +271,7 @@ let remove t target =
         let c = cell t ~level ~digit in
         let off = c * t.redundancy in
         let len = t.lens.(c) in
-        let rec find k =
-          if k >= len then -1
-          else if Node_id.equal t.ids.(off + k) target then k
-          else find (k + 1)
-        in
-        let pos = find 0 in
+        let pos = find_id t.ids ~off ~len target 0 in
         if pos >= 0 then begin
           remove_at t ~off ~len ~pos;
           t.lens.(c) <- len - 1;
@@ -265,25 +284,89 @@ let remove t target =
     List.rev !found
   end
 
-let add_backpointer ?(handle = -1) t ~level id =
-  if not (Node_id.equal id t.owner) then
-    Node_id.Tbl.replace t.backs.(level) id handle
+(* --- backpointers --- *)
 
-let remove_backpointer t ~level id = Node_id.Tbl.remove t.backs.(level) id
+(* Position of holder [id] in a level's vector, or -1.  With a handle the
+   match is one int compare per holder; the id is compared only against
+   holders recorded without a handle.  IDs and handles are both unique per
+   registered node, so either key finds the same holder. *)
+let rec find_holder (ids : Node_id.t array) (hs : int array) ~len id handle k =
+  if k >= len then -1
+  else
+    let h = hs.(k) in
+    if h = handle && handle >= 0 then k
+    else if (h < 0 || handle < 0) && Node_id.equal ids.(k) id then k
+    else find_holder ids hs ~len id handle (k + 1)
 
-let backpointers t ~level =
-  Node_id.Tbl.fold (fun id _ acc -> id :: acc) t.backs.(level) []
+let initial_bp_capacity = 4
 
-let iter_backpointers t ~level f = Node_id.Tbl.iter f t.backs.(level)
+(* [@alloc_ok]: amortized vector growth, O(log n) times per level over a
+   node's life. *)
+let[@alloc_ok] grow_backpointers t ~level id =
+  let ids = t.bp_ids.(level) and hs = t.bp_handles.(level) in
+  let len = t.bp_lens.(level) in
+  let cap = Int.max initial_bp_capacity (2 * Array.length ids) in
+  let ids' = Array.make cap id and hs' = Array.make cap (-1) in
+  Array.blit ids 0 ids' 0 len;
+  Array.blit hs 0 hs' 0 len;
+  t.bp_ids.(level) <- ids';
+  t.bp_handles.(level) <- hs'
 
-let all_backpointers t =
+let add_backpointer t ~level ~handle id =
+  if not (Node_id.equal id t.owner) then begin
+    let len = t.bp_lens.(level) in
+    let k = find_holder t.bp_ids.(level) t.bp_handles.(level) ~len id handle 0 in
+    if k >= 0 then begin
+      (* already recorded: learn the handle if the first writer had none *)
+      if handle >= 0 then t.bp_handles.(level).(k) <- handle
+    end
+    else begin
+      if len = Array.length t.bp_ids.(level) then grow_backpointers t ~level id;
+      t.bp_ids.(level).(len) <- id;
+      t.bp_handles.(level).(len) <- handle;
+      t.bp_lens.(level) <- len + 1
+    end
+  end
+
+let remove_backpointer ?(handle = -1) t ~level id =
+  let ids = t.bp_ids.(level) and hs = t.bp_handles.(level) in
+  let len = t.bp_lens.(level) in
+  let k = find_holder ids hs ~len id handle 0 in
+  if k >= 0 then begin
+    Array.blit ids (k + 1) ids k (len - k - 1);
+    Array.blit hs (k + 1) hs k (len - k - 1);
+    (* the vacated cell keeps a live ID; overwrite it with the owner's so
+       a removed holder is not retained *)
+    ids.(len - 1) <- t.owner;
+    hs.(len - 1) <- -1;
+    t.bp_lens.(level) <- len - 1
+  end
+
+let backpointer_len t ~level = t.bp_lens.(level)
+
+let backpointer_id t ~level ~k = t.bp_ids.(level).(k)
+
+let backpointer_handle t ~level ~k = t.bp_handles.(level).(k)
+
+(* [@alloc_ok]: list views for maintenance, the audit and tests; the
+   descent reads the index accessors above. *)
+let[@alloc_ok] backpointers t ~level =
+  List.init t.bp_lens.(level) (fun k -> t.bp_ids.(level).(k))
+
+(* Consed in (level, vector) order, so the list reads from the top level
+   down and newest holder first: the level order the per-level hashtables
+   gave, which Delete.voluntary's repairs depend on. *)
+let[@alloc_ok] all_backpointers t =
   let acc = ref [] in
-  Array.iteri
-    (fun l tbl -> Node_id.Tbl.iter (fun id _ -> acc := (l, id) :: !acc) tbl)
-    t.backs;
+  for level = 0 to t.levels - 1 do
+    for k = 0 to t.bp_lens.(level) - 1 do
+      acc := (level, t.bp_ids.(level).(k)) :: !acc
+    done
+  done;
   !acc
 
-let known_at_level t ~level =
+(* [@alloc_ok]: repair and optimizer query, outside the join path. *)
+let[@alloc_ok] known_at_level t ~level =
   let seen = Node_id.Tbl.create 16 in
   for digit = 0 to t.base - 1 do
     let c = cell t ~level ~digit in
@@ -295,7 +378,9 @@ let known_at_level t ~level =
   done;
   Node_id.Tbl.fold (fun id () acc -> id :: acc) seen []
 
-let iter_entries t f =
+(* [@alloc_ok]: snapshots each slot as a list; maintenance and audit
+   walks only. *)
+let[@alloc_ok] iter_entries t f =
   for level = 0 to t.levels - 1 do
     for digit = 0 to t.base - 1 do
       (* snapshot, so [f] may remove entries from the slot it is visiting *)
@@ -303,7 +388,8 @@ let iter_entries t f =
     done
   done
 
-let entry_count t =
+(* [@alloc_ok]: Table 1 space accounting, once per node per report. *)
+let[@alloc_ok] entry_count t =
   let c = ref 0 in
   iter_entries t (fun ~level:_ ~digit:_ e ->
       if not (Node_id.equal e.id t.owner) then incr c);
@@ -311,8 +397,8 @@ let entry_count t =
 
 (* Packed [entry_count]: read the parallel arrays directly instead of
    materializing per-slot lists — the scale-tier sweep calls this once per
-   node over 10^5..10^6 tables. *)
-let entry_count_packed t =
+   node over 10^5..10^6 tables.  [@alloc_ok]: one counter cell per table. *)
+let[@alloc_ok] entry_count_packed t =
   let c = ref 0 in
   for cell = 0 to (t.levels * t.base) - 1 do
     let off = cell * t.redundancy in
@@ -322,41 +408,42 @@ let entry_count_packed t =
   done;
   !c
 
-let backpointer_count t =
-  let c = ref 0 in
-  for level = 0 to t.levels - 1 do
-    c := !c + Node_id.Tbl.length t.backs.(level)
-  done;
-  !c
+let backpointer_count t = Array.fold_left ( + ) 0 t.bp_lens
 
 let word = 8
 
-(* Resident-size estimate of one table: the packed parallel arrays are
-   exact (capacity is fixed at creation); the per-level backpointer tables
-   are modeled as stdlib hashtables (5-word record + bucket array + 4-word
-   cons per binding).  IDs are shared with the owning nodes and counted
-   once, by {!Network.memory_footprint}, not here. *)
-let approx_bytes t =
+(* Resident-size estimate of one table: the packed slot arrays are exact
+   (capacity is fixed at creation), and so are the backpointer vectors (two
+   arrays of the level's current capacity; a level never written shares
+   the static empty array and costs nothing).  IDs are shared with the
+   owning nodes and counted once, by {!Network.memory_footprint}, not
+   here.  [@alloc_ok]: footprint accounting, once per node per report. *)
+let[@alloc_ok] approx_bytes t =
   let arr len = (len + 1) * word in
+  let vec len = if len = 0 then 0 else arr len in
   let fixed =
-    (11 * word)
+    (13 * word)
     + arr (Array.length t.ids)
     + arr (Array.length t.handles)
     + arr (Array.length t.dists)
     + arr (Array.length t.lens)
     + arr (Array.length t.filled)
-    + arr (Array.length t.backs)
+    + arr (Array.length t.bp_ids)
+    + arr (Array.length t.bp_handles)
+    + arr (Array.length t.bp_lens)
   in
-  let backs =
-    Array.fold_left
-      (fun acc tbl ->
-        let n = Node_id.Tbl.length tbl in
-        acc + ((5 + 1 + max 8 n) * word) + (n * 4 * word))
-      0 t.backs
-  in
-  fixed + backs
+  let backs = ref 0 in
+  for level = 0 to t.levels - 1 do
+    backs :=
+      !backs
+      + vec (Array.length t.bp_ids.(level))
+      + vec (Array.length t.bp_handles.(level))
+  done;
+  fixed + !backs
 
-let holes t =
+(* [@alloc_ok]: the hole list feeds the repair sweep, once per node per
+   sweep. *)
+let[@alloc_ok] holes t =
   let acc = ref [] in
   for level = t.levels - 1 downto 0 do
     for digit = t.base - 1 downto 0 do
@@ -366,7 +453,8 @@ let holes t =
   done;
   !acc
 
-let inject_slot_for_test t ~level ~digit entries =
+(* [@alloc_ok]: test fault injection only. *)
+let[@alloc_ok] inject_slot_for_test t ~level ~digit entries =
   if List.length entries > t.redundancy then
     invalid_arg "Routing_table.inject_slot_for_test: beyond slot capacity";
   let c = cell t ~level ~digit in
@@ -389,7 +477,8 @@ let inject_slot_for_test t ~level ~digit entries =
   | [] -> t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit)
   | _ :: _ -> t.filled.(level) <- t.filled.(level) lor (1 lsl digit))
 
-let pp ppf t =
+(* [@alloc_ok]: printing. *)
+let[@alloc_ok] pp ppf t =
   Format.fprintf ppf "@[<v>table of %s:@," (Node_id.to_string t.owner);
   for level = 0 to t.levels - 1 do
     let cells =

@@ -10,7 +10,8 @@
 
     The owner itself appears in its own slot at every level with distance 0,
     which makes routing and multicast uniform.  Backpointers record, per
-    level, which nodes hold this node in their table (Section 2.1).
+    level, which nodes hold this node in their table (Section 2.1), in
+    flat per-level vectors read by index like the slots.
 
     Slots are packed flat arrays of [(id, handle, dist)] triples sorted in
     place (capacity R), so the routing hot path reads entries by index and
@@ -67,15 +68,18 @@ val primary : t -> level:int -> digit:int -> entry option
 
 val is_hole : t -> level:int -> digit:int -> bool
 
-val consider : ?handle:int -> t -> level:int -> candidate:Node_id.t ->
+val consider : t -> level:int -> candidate:Node_id.t -> handle:int ->
   dist:float -> [ `Added of Node_id.t option | `Rejected | `Known ]
 (** Offer a candidate for the slot its digit selects at [level].  Keeps the
     R closest; on success returns the evicted entry (whose backpointer must
     be dropped), [`Known] if already present (distance refreshed), and
     [`Rejected] if the slot is full of closer nodes.  The caller must verify
     the candidate actually shares [level] digits with the owner.  [handle]
-    is the candidate's arena handle; omitted (tests), the entry falls back
-    to directory resolution on the hot path. *)
+    is the candidate's arena handle; [-1] (tests) makes the entry fall back
+    to directory resolution on the hot path, and a refresh with [-1] keeps
+    the stored handle.  (A required argument, not an optional one: an
+    optional argument is boxed at every call, and this runs per level per
+    candidate of every join.) *)
 
 val update_distances : t -> measure:(Node_id.t -> float option) -> int
 (** Re-measure every entry ([None] drops it) and re-sort each slot; returns
@@ -85,20 +89,47 @@ val update_distances : t -> measure:(Node_id.t -> float option) -> int
 val remove : t -> Node_id.t -> int list
 (** Remove a node everywhere it appears; returns the levels it was found at. *)
 
-val add_backpointer : ?handle:int -> t -> level:int -> Node_id.t -> unit
-(** Record that [id] holds the owner in its table at [level].  [handle] is
-    the holder's arena handle when the writer knows it (default [-1]:
-    walks fall back to directory resolution for that holder). *)
+(** {2 Backpointers}
 
-val remove_backpointer : t -> level:int -> Node_id.t -> unit
+    Each level keeps its holders in a flat vector of [(holder id, holder
+    arena handle)] pairs.  {b Order}: holders appear in the order they were
+    first recorded at that level; a repeated {!add_backpointer} keeps the
+    holder's position, and {!remove_backpointer} closes the gap keeping the
+    others' relative order.  The index accessors and {!backpointers} report
+    that order; {!all_backpointers} reports its reverse.  Walks over
+    holders (GETNEXTLIST, {!Delete.voluntary}) are therefore deterministic
+    functions of the link history. *)
+
+val add_backpointer : t -> level:int -> handle:int -> Node_id.t -> unit
+(** Record that [id] holds the owner in its table at [level] (the owner
+    itself is never recorded).  [handle] is the holder's arena handle, or
+    [-1] when the writer has none (walks then fall back to directory
+    resolution for that holder).  A holder already recorded — same handle,
+    or same id where either side has no handle — is not duplicated; it
+    learns the handle if it was stored without one. *)
+
+val remove_backpointer : ?handle:int -> t -> level:int -> Node_id.t -> unit
+(** Drop holder [id] from [level], matched by [handle] when given (and by
+    id for holders stored without one), otherwise by id.  No-op when
+    absent. *)
+
+val backpointer_len : t -> level:int -> int
+(** Number of holders recorded at [level], O(1). *)
+
+val backpointer_id : t -> level:int -> k:int -> Node_id.t
+(** ID of the [k]-th holder at [level] ([k < backpointer_len]), O(1). *)
+
+val backpointer_handle : t -> level:int -> k:int -> int
+(** Arena handle of the [k]-th holder, O(1); [-1] when the writer had
+    none, in which case resolution falls back to the directory. *)
 
 val backpointers : t -> level:int -> Node_id.t list
-
-val iter_backpointers : t -> level:int -> (Node_id.t -> int -> unit) -> unit
-(** Iterate the level's backpointers as [(holder id, holder handle)] with
-    no list allocation; the handle is [-1] when it was never recorded. *)
+(** The level's holders as a fresh list, in vector order. *)
 
 val all_backpointers : t -> (int * Node_id.t) list
+(** Every [(level, holder)] pair, from the top level down and, within a
+    level, newest holder first (reverse vector order).  This is the order
+    in which {!Delete.voluntary} notifies a leaver's holders. *)
 
 val known_at_level : t -> level:int -> Node_id.t list
 (** Every distinct node in any slot of [level] — i.e. all forward pointers
@@ -119,8 +150,9 @@ val backpointer_count : t -> int
 (** Total backpointers registered across all levels, O(levels). *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of this table (packed arrays + backpointer
-    tables; shared IDs excluded).  Feeds {!Network.memory_footprint}. *)
+(** Estimated resident bytes of this table (packed slot arrays + the
+    per-level backpointer vectors at their current capacity; shared IDs
+    excluded).  Feeds {!Network.memory_footprint}. *)
 
 val holes : t -> (int * int) list
 (** All empty slots as [(level, digit)] pairs. *)

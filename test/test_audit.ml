@@ -78,7 +78,8 @@ let test_dropped_backpointer_detected () =
       Alcotest.(check bool) "target" true (Node_id.equal t target.Node.id)
   | _ -> Alcotest.fail "unexpected violation payload");
   (* repairing the backpointer makes the audit clean again *)
-  Routing_table.add_backpointer target.Node.table ~level holder.Node.id;
+  Routing_table.add_backpointer target.Node.table ~level ~handle:(-1)
+    holder.Node.id;
   check_clean "after repair" (Audit.run net)
 
 let test_reordered_slot_detected () =

@@ -134,23 +134,23 @@ let test_table_consider_ordering () =
   (* three candidates for slot (1, digit of second position) with R=2 *)
   let c1 = id_of "ab11" and c2 = id_of "ab22" and c3 = id_of "ab33" in
   Alcotest.(check bool) "add far" true
-    (Routing_table.consider t ~level:1 ~candidate:c1 ~dist:5.0 = `Added None);
+    (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:(-1) ~dist:5.0 = `Added None);
   Alcotest.(check bool) "add close" true
-    (Routing_table.consider t ~level:1 ~candidate:c2 ~dist:1.0 = `Added None);
+    (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:(-1) ~dist:1.0 = `Added None);
   (match Routing_table.primary t ~level:1 ~digit:0xb with
   | Some e -> Alcotest.(check bool) "closest is primary" true (Node_id.equal e.Routing_table.id c2)
   | None -> Alcotest.fail "slot empty");
   (* closer third candidate evicts the farthest *)
-  (match Routing_table.consider t ~level:1 ~candidate:c3 ~dist:2.0 with
+  (match Routing_table.consider t ~level:1 ~candidate:c3 ~handle:(-1) ~dist:2.0 with
   | `Added (Some evicted) ->
       Alcotest.(check bool) "evicted farthest" true (Node_id.equal evicted c1)
   | _ -> Alcotest.fail "expected eviction");
   (* a far fourth candidate is rejected *)
   Alcotest.(check bool) "reject far" true
-    (Routing_table.consider t ~level:1 ~candidate:(id_of "ab44") ~dist:9.0 = `Rejected);
+    (Routing_table.consider t ~level:1 ~candidate:(id_of "ab44") ~handle:(-1) ~dist:9.0 = `Rejected);
   (* re-offering an existing one refreshes, not duplicates *)
   Alcotest.(check bool) "known" true
-    (Routing_table.consider t ~level:1 ~candidate:c2 ~dist:0.5 = `Known);
+    (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:(-1) ~dist:0.5 = `Known);
   Alcotest.(check int) "slot size" 2
     (List.length (Routing_table.slot t ~level:1 ~digit:0xb))
 
@@ -158,8 +158,8 @@ let test_table_remove_and_holes () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
   let c = id_of "ab11" in
-  ignore (Routing_table.consider t ~level:0 ~candidate:c ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:c ~dist:1.0);
+  ignore (Routing_table.consider t ~level:0 ~candidate:c ~handle:(-1) ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:c ~handle:(-1) ~dist:1.0);
   Alcotest.(check (list int)) "removed from both levels" [ 0; 1 ] (Routing_table.remove t c);
   Alcotest.(check bool) "hole back" true (Routing_table.is_hole t ~level:1 ~digit:0xb);
   Alcotest.(check bool) "holes listed" true
@@ -169,20 +169,91 @@ let test_table_backpointers () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
   let other = id_of "b000" in
-  Routing_table.add_backpointer t ~level:0 other;
+  Routing_table.add_backpointer t ~level:0 ~handle:(-1) other;
   Alcotest.(check int) "one bp" 1 (List.length (Routing_table.backpointers t ~level:0));
-  Routing_table.add_backpointer t ~level:0 other;
+  Routing_table.add_backpointer t ~level:0 ~handle:(-1) other;
   Alcotest.(check int) "no dup" 1 (List.length (Routing_table.backpointers t ~level:0));
-  Routing_table.add_backpointer t ~level:0 owner;
+  Routing_table.add_backpointer t ~level:0 ~handle:(-1) owner;
   Alcotest.(check int) "self skipped" 1 (List.length (Routing_table.backpointers t ~level:0));
   Routing_table.remove_backpointer t ~level:0 other;
-  Alcotest.(check int) "removed" 0 (List.length (Routing_table.backpointers t ~level:0))
+  Alcotest.(check int) "removed" 0 (List.length (Routing_table.backpointers t ~level:0));
+  (* the per-level vectors: holders [h0..], handle 100+i, at level 1 *)
+  let holders = List.init 11 (fun i -> id_of (Printf.sprintf "c%03x" i)) in
+  let strs ids = List.map Node_id.to_string ids in
+  let bps level = strs (Routing_table.backpointers t ~level) in
+  let at_index level =
+    List.init (Routing_table.backpointer_len t ~level) (fun k ->
+        Printf.sprintf "%s/%d"
+          (Node_id.to_string (Routing_table.backpointer_id t ~level ~k))
+          (Routing_table.backpointer_handle t ~level ~k))
+  in
+  (* growth: eleven holders overflow the initial capacity (and its first
+     doubling) and keep recording order *)
+  List.iteri
+    (fun i id -> Routing_table.add_backpointer t ~level:1 ~handle:(100 + i) id)
+    holders;
+  Alcotest.(check (list string)) "recording order survives growth" (strs holders)
+    (bps 1);
+  Alcotest.(check int) "len" 11 (Routing_table.backpointer_len t ~level:1);
+  Alcotest.(check (list string)) "index accessors agree with the list"
+    (List.mapi (fun i id -> Printf.sprintf "%s/%d" (Node_id.to_string id) (100 + i)) holders)
+    (at_index 1);
+  (* dedup by handle: a repeat keeps its position *)
+  Routing_table.add_backpointer t ~level:1 ~handle:103 (List.nth holders 3);
+  Alcotest.(check (list string)) "repeat by handle not duplicated" (strs holders)
+    (bps 1);
+  (* a holder stored with handle -1 is matched by id, and learns its
+     handle from a later writer *)
+  let anon = id_of "d000" in
+  Routing_table.add_backpointer t ~level:2 ~handle:(-1) anon;
+  Alcotest.(check (list string)) "stored without handle" [ "d000/-1" ] (at_index 2);
+  Routing_table.add_backpointer t ~level:2 ~handle:7 anon;
+  Alcotest.(check (list string)) "matched by id, handle learned" [ "d000/7" ]
+    (at_index 2);
+  Routing_table.add_backpointer t ~level:2 ~handle:(-1) anon;
+  Alcotest.(check (list string)) "handle kept on an anonymous repeat"
+    [ "d000/7" ] (at_index 2);
+  (* removal by handle and by id (a handle that names no holder removes
+     nothing, whatever the id); the others keep their relative order *)
+  Routing_table.remove_backpointer ~handle:100 t ~level:1 (List.hd holders);
+  Routing_table.remove_backpointer t ~level:1 (List.nth holders 5);
+  Routing_table.remove_backpointer ~handle:999 t ~level:1 (List.nth holders 7);
+  let kept =
+    List.filteri (fun i _ -> i <> 0 && i <> 5) holders |> strs
+  in
+  Alcotest.(check (list string)) "removed by handle and by id, order kept" kept
+    (bps 1);
+  Routing_table.add_backpointer t ~level:3 ~handle:(-1) anon;
+  Routing_table.remove_backpointer ~handle:42 t ~level:3 anon;
+  Alcotest.(check int) "handle-less holder removed by id" 0
+    (Routing_table.backpointer_len t ~level:3);
+  Routing_table.remove_backpointer t ~level:1 (id_of "eeee");
+  Alcotest.(check (list string)) "absent holder: no-op" kept (bps 1);
+  (* re-adding a removed holder appends it *)
+  Routing_table.add_backpointer t ~level:1 ~handle:100 (List.hd holders);
+  Alcotest.(check (list string)) "re-added at the end"
+    (kept @ [ Node_id.to_string (List.hd holders) ])
+    (bps 1);
+  Alcotest.(check int) "backpointer_count" (10 + 1)
+    (Routing_table.backpointer_count t);
+  (* all_backpointers: top level first, newest holder first *)
+  Routing_table.add_backpointer t ~level:0 ~handle:5 other;
+  let all =
+    Routing_table.all_backpointers t
+    |> List.map (fun (l, id) -> Printf.sprintf "%d:%s" l (Node_id.to_string id))
+  in
+  Alcotest.(check (list string)) "all_backpointers order"
+    (("2:d000" :: List.rev_map (fun s -> "1:" ^ s) (bps 1))
+    @ [ "0:" ^ Node_id.to_string other ])
+    all;
+  Alcotest.(check int) "backpointer_count matches" (List.length all)
+    (Routing_table.backpointer_count t)
 
 let test_table_known_at_level () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ab11") ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ac22") ~dist:2.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ab11") ~handle:(-1) ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ac22") ~handle:(-1) ~dist:2.0);
   let known =
     Routing_table.known_at_level t ~level:1
     |> List.map Node_id.to_string |> List.sort String.compare

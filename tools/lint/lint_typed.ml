@@ -20,9 +20,14 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    insertion pipeline (DESIGN.md "hot paths"); [Oracle] submodules are
    exempted inside Alloc_check itself.  The serve tier's drain/dispatch
    path (mailbox rings + actor loop) is hot too: it executes once per
-   delivered message, millions of times per campaign. *)
+   delivered message, millions of times per campaign.  The ID and
+   routing-table primitives are on the list because every hot path
+   above calls them per candidate or per hop: a closure in
+   [Node_id.equal] allocates wherever it is called. *)
 let hot_path_sources =
   [
+    "lib/tapestry/node_id.ml";
+    "lib/tapestry/routing_table.ml";
     "lib/tapestry/route.ml";
     "lib/tapestry/locate.ml";
     "lib/tapestry/nearest_neighbor.ml";
