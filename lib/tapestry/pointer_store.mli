@@ -4,7 +4,13 @@
     (Section 2.4), so records are keyed by [(guid, server)].  Each record
     carries the last-hop node that forwarded the publish (the "previous"
     pointer Figure 9 requires) and an expiry time; pointers not refreshed by
-    a republish disappear (Section 2.2, soft state). *)
+    a republish disappear (Section 2.2, soft state).
+
+    Layout: the records sit in one dense vector, each GUID's records are
+    chained newest first, and a small open-addressed index maps a GUID to
+    its chain (DESIGN.md section 8.9).  Costs below count [c], the number
+    of records the store holds for the GUID in question, and [n], all the
+    records it holds; index probes are O(1) expected. *)
 
 type record = {
   guid : Node_id.t;
@@ -18,51 +24,70 @@ type t
 
 val create : unit -> t
 (** A fresh, empty store.  Costs a couple of words until the first
-    {!store}: the internal tables are allocated lazily, so the 10^6 idle
+    {!store}: the vector and index are allocated lazily, so the 10^6 idle
     stores of a scale-tier mesh stay cheap. *)
 
 val store : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int ->
   previous:Node_id.t option -> expires:float ->
   [ `New | `Refreshed of Node_id.t option ]
 (** Insert or refresh; on refresh returns the old [previous] hop and
-    overwrites it with the new one. *)
+    overwrites it with the new one, and the expiry becomes the later of
+    the two.  A new record becomes the newest of its GUID.  O(c); amortized
+    O(1) growth of the vector and index. *)
 
 val find : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> record option
+(** O(c). *)
 
 val find_guid : t -> Node_id.t -> record list
-(** All live replica pointers for a GUID. *)
+(** Every record held for a GUID, expired ones included (expiry is only
+    applied by {!expire}; callers filter on [expires]).  Newest first, the
+    {!iter_guid} order.  O(c), allocating the list. *)
 
 val mem_guid : t -> Node_id.t -> bool
+(** Is any record held for this GUID?  O(1). *)
 
 val exists_guid_match : t -> Node_id.t -> f:(record -> bool) -> bool
 (** Is there a record for this GUID satisfying [f]?  Allocation-free with
-    early exit (and O(1) on an empty store) — the locate walk's per-hop
-    pointer probe, where {!find_guid}'s list build would dominate. *)
+    early exit, newest first; O(c) — the locate walk's per-hop pointer
+    probe, where {!find_guid}'s list build would dominate. *)
 
 val iter_guid : t -> Node_id.t -> f:(record -> unit) -> unit
-(** Visit every record of this GUID without building a list (secondary-
-    index order: latest stored first, deterministic for a deterministic
-    mutation history).  The serve tier's closest-usable-server scan. *)
+(** Visit every record of this GUID without building a list, newest
+    first (a refresh does not move a record; a removal keeps the order of
+    the rest), so the order is deterministic for a deterministic mutation
+    history.  Allocation-free, O(c).  The serve tier's
+    closest-usable-server scan. *)
 
 val remove : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> bool
+(** Drop one record; false if it was not held.  O(c) plus the relink of
+    the record that swap-remove moves into its place (O(length of that
+    record's chain)). *)
 
 val remove_guid : t -> Node_id.t -> int
+(** Drop every record of a GUID; returns how many.  O(c) removals. *)
 
 val guids : t -> Node_id.t list
-(** Distinct GUIDs with at least one record. *)
+(** Distinct GUIDs with at least one record, in index-slot order.  O(size
+    of the index), allocating the list. *)
 
 val records : t -> record list
+(** Every record, in dense-vector order: insertion order as perturbed by
+    swap-removes (a removal moves the last record into the hole).  O(n),
+    allocating the list. *)
 
 val size : t -> int
+(** O(1). *)
 
 val expire : t -> now:float -> int
-(** Drop records whose expiry passed; returns how many were dropped. *)
+(** Drop records whose expiry passed; returns how many were dropped.
+    O(n) scan plus one removal per dropped record. *)
 
 val clear : t -> unit
-(** Drop every record (the lazy inner tables revert to the unallocated
-    empty state).  Used by {!Network.clear_soft_state} to reuse a built
-    mesh across serve-bench rows without rebuilding routing state. *)
+(** Drop every record (the store reverts to the unallocated empty state).
+    O(1).  Used by {!Network.clear_soft_state} to reuse a built mesh
+    across serve-bench rows without rebuilding routing state. *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of this store (tables, records, index) — an
-    arithmetic model, not GC truth.  Feeds {!Network.memory_footprint}. *)
+(** Estimated resident bytes of this store (vectors, index, records) — an
+    arithmetic model, not GC truth.  O(1).  Feeds
+    {!Network.memory_footprint}. *)

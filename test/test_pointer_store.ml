@@ -6,7 +6,15 @@
      records (guid, server, root_idx, previous, expires) and the run's
      message totals are compared with values pinned before the store was
      repacked, so any change in which records exist, where they point or
-     what the protocols charged shows up phase by phase. *)
+     what the protocols charged shows up phase by phase.
+   - "differential": the packed store and the reference model (the earlier
+     two-hashtable store, Pointer_store_model) run the same random
+     operation sequences; after every operation their per-guid record
+     sets, refresh verdicts, sizes and guid sets must agree, and
+     [iter_guid]/[find_guid] must list each guid's records in the model's
+     newest-first order exactly.  The guid pools include groups whose
+     hashes share their low 12 bits, so they collide in every index size
+     the tests reach. *)
 
 open Tapestry
 
@@ -122,6 +130,194 @@ let test_pinned () =
         digest)
     got pinned
 
+(* ---- differential: packed store vs the reference model ---- *)
+
+module M = Pointer_store_model
+
+let random_id rng =
+  Node_id.random ~base:config.Config.base ~len:config.Config.id_digits rng
+
+(* [groups] sets of guids agreeing in their low 12 hash bits, largest
+   buckets first, plus [singles] unconstrained guids. *)
+let guid_pool ~groups ~singles rng =
+  let buckets = Hashtbl.create 4096 in
+  for _ = 1 to 20_000 do
+    let g = random_id rng in
+    let b = Node_id.hash g land 0xfff in
+    Hashtbl.replace buckets b
+      (g :: Option.value ~default:[] (Hashtbl.find_opt buckets b))
+  done;
+  let largest =
+    Hashtbl.fold (fun b gs acc -> (List.length gs, b, gs) :: acc) buckets []
+    |> List.sort (fun (n1, b1, _) (n2, b2, _) ->
+           match Int.compare n2 n1 with 0 -> Int.compare b1 b2 | c -> c)
+    |> List.filteri (fun i _ -> i < groups)
+    |> List.concat_map (fun (_, _, gs) -> gs)
+  in
+  Array.of_list (largest @ List.init singles (fun _ -> random_id rng))
+
+let verdict_str = function
+  | `New -> "new"
+  | `Refreshed None -> "refreshed -"
+  | `Refreshed (Some p) -> "refreshed " ^ id_str p
+
+let strs rs = List.map record_str rs
+let sorted rs = List.sort String.compare (strs rs)
+
+(* Both stores' observable state as parallel line lists, compared with
+   one check so a long random run stays cheap. *)
+let check_agree ~ctx ps m pool =
+  let exp = ref [] and got = ref [] in
+  let line e g = exp := e :: !exp; got := g :: !got in
+  let lines what e g =
+    line (what ^ " " ^ String.concat " " e) (what ^ " " ^ String.concat " " g)
+  in
+  line (string_of_int (M.size m)) (string_of_int (Pointer_store.size ps));
+  lines "guids"
+    (List.sort String.compare (List.map id_str (M.guids m)))
+    (List.sort String.compare (List.map id_str (Pointer_store.guids ps)));
+  lines "records" (sorted (M.records m)) (sorted (Pointer_store.records ps));
+  Array.iter
+    (fun g ->
+      let exp = strs (M.by_guid m g) in
+      let seen = ref [] in
+      Pointer_store.iter_guid ps g ~f:(fun r -> seen := r :: !seen);
+      lines ("iter_guid " ^ id_str g) exp (strs (List.rev !seen));
+      lines ("find_guid " ^ id_str g) exp (strs (Pointer_store.find_guid ps g));
+      let held = match exp with [] -> false | _ :: _ -> true in
+      line
+        (Printf.sprintf "mem %b %b" held held)
+        (Printf.sprintf "mem %b %b"
+           (Pointer_store.mem_guid ps g)
+           (Pointer_store.exists_guid_match ps g ~f:(fun _ -> true))))
+    pool;
+  Alcotest.(check (list string)) ctx (List.rev !exp) (List.rev !got)
+
+let store_both ~ctx ps m ~guid ~server ~root_idx ~previous ~expires =
+  Alcotest.(check string) (ctx ^ ": store verdict")
+    (verdict_str (M.store m ~guid ~server ~root_idx ~previous ~expires))
+    (verdict_str
+       (Pointer_store.store ps ~guid ~server ~root_idx ~previous ~expires))
+
+let remove_both ~ctx ps m ~guid ~server ~root_idx =
+  Alcotest.(check bool) (ctx ^ ": remove")
+    (M.remove m ~guid ~server ~root_idx)
+    (Pointer_store.remove ps ~guid ~server ~root_idx)
+
+(* Remove the record at [pos] (0 = head, newest) of [guid]'s chain. *)
+let remove_at ~ctx ps m guid pos =
+  match List.nth_opt (Pointer_store.find_guid ps guid) pos with
+  | Some r ->
+      remove_both ~ctx ps m ~guid ~server:r.Pointer_store.server
+        ~root_idx:r.Pointer_store.root_idx
+  | None -> ()
+
+let drive ~seed ~ops =
+  let rng = Simnet.Rng.create seed in
+  let pool = guid_pool ~groups:4 ~singles:24 rng in
+  let servers = Array.init 5 (fun _ -> random_id rng) in
+  let pick a = a.(Simnet.Rng.int rng (Array.length a)) in
+  let ps = Pointer_store.create () and m = M.create () in
+  let now = ref 0. in
+  for step = 1 to ops do
+    let ctx = Printf.sprintf "seed %d step %d" seed step in
+    let guid = pick pool and server = pick servers in
+    let root_idx = Simnet.Rng.int rng 2 in
+    let roll = Simnet.Rng.int rng 100 in
+    if roll < 55 then
+      store_both ~ctx ps m ~guid ~server ~root_idx
+        ~previous:(if Simnet.Rng.bool rng then Some (pick servers) else None)
+        ~expires:(!now +. Simnet.Rng.float rng 10.)
+    else if roll < 70 then remove_both ~ctx ps m ~guid ~server ~root_idx
+    else if roll < 85 then begin
+      (* head, middle or tail of the chain *)
+      let n = List.length (M.by_guid m guid) in
+      if n > 0 then
+        remove_at ~ctx ps m guid
+          (match Simnet.Rng.int rng 3 with 0 -> 0 | 1 -> n / 2 | _ -> n - 1)
+    end
+    else if roll < 89 then
+      Alcotest.(check int) (ctx ^ ": remove_guid") (M.remove_guid m guid)
+        (Pointer_store.remove_guid ps guid)
+    else if roll < 99 then begin
+      now := !now +. Simnet.Rng.float rng 1.5;
+      Alcotest.(check int) (ctx ^ ": expire") (M.expire m ~now:!now)
+        (Pointer_store.expire ps ~now:!now)
+    end
+    else begin
+      M.clear m;
+      Pointer_store.clear ps
+    end;
+    check_agree ~ctx ps m pool
+  done
+
+let test_random_sequences () =
+  List.iter (fun seed -> drive ~seed ~ops:2000) [ 1; 2; 3; 4; 5 ]
+
+(* Scripted chain surgery on one colliding pair: removal at the tail, in
+   the middle and at the head of a chain, and a swap-remove whose moved
+   record (the vector's last) belongs to the victim's own guid. *)
+let test_chain_positions () =
+  let rng = Simnet.Rng.create 99 in
+  let pool = guid_pool ~groups:1 ~singles:0 rng in
+  Alcotest.(check bool) "colliding group" true (Array.length pool >= 2);
+  let a = pool.(0) and b = pool.(1) in
+  let servers = Array.init 5 (fun _ -> random_id rng) in
+  let ps = Pointer_store.create () and m = M.create () in
+  let put guid k =
+    store_both ~ctx:"put" ps m ~guid ~server:servers.(k) ~root_idx:0
+      ~previous:None ~expires:1.
+  in
+  let check ctx = check_agree ~ctx ps m [| a; b |] in
+  (* vector: a0 a1 a2 a3; a's chain a3 a2 a1 a0 *)
+  List.iter (put a) [ 0; 1; 2; 3 ];
+  (* tail a0 sits at index 0; the last record a3 (same guid, the head)
+     moves into it *)
+  remove_at ~ctx:"tail" ps m a 3;
+  check "tail, moved record shares the guid";
+  List.iter (put b) [ 0; 1 ];
+  put a 4;
+  remove_at ~ctx:"middle" ps m a 1;
+  check "middle";
+  remove_at ~ctx:"head" ps m a 0;
+  check "head";
+  (* refresh keeps the chain order and returns the old hop *)
+  store_both ~ctx:"refresh" ps m ~guid:b ~server:servers.(0) ~root_idx:0
+    ~previous:(Some servers.(3)) ~expires:5.;
+  store_both ~ctx:"refresh again" ps m ~guid:b ~server:servers.(0) ~root_idx:0
+    ~previous:None ~expires:2.;
+  check "refresh";
+  Alcotest.(check int) "expire" (M.expire m ~now:3.) (Pointer_store.expire ps ~now:3.);
+  check "expire";
+  Alcotest.(check int) "remove_guid" (M.remove_guid m a)
+    (Pointer_store.remove_guid ps a);
+  check "remove_guid"
+
+(* Hundreds of distinct guids in one store: the index doubles from its
+   initial size several times, then drains back to empty. *)
+let test_index_growth () =
+  let rng = Simnet.Rng.create 7 in
+  let pool = guid_pool ~groups:8 ~singles:300 rng in
+  let server = random_id rng in
+  let ps = Pointer_store.create () and m = M.create () in
+  Array.iteri
+    (fun i guid ->
+      store_both ~ctx:"grow" ps m ~guid ~server ~root_idx:(i mod 2)
+        ~previous:None ~expires:(float_of_int i);
+      if i mod 17 = 0 then check_agree ~ctx:(Printf.sprintf "grow %d" i) ps m pool)
+    pool;
+  check_agree ~ctx:"grown" ps m pool;
+  Alcotest.(check bool) "past four doublings" true
+    (List.length (Pointer_store.guids ps) > 8 * 16);
+  Array.iteri
+    (fun i guid ->
+      Alcotest.(check int) "drain" (M.remove_guid m guid)
+        (Pointer_store.remove_guid ps guid);
+      if i mod 17 = 0 then check_agree ~ctx:(Printf.sprintf "drain %d" i) ps m pool)
+    pool;
+  check_agree ~ctx:"drained" ps m pool;
+  Alcotest.(check int) "empty" 0 (Pointer_store.size ps)
+
 let () =
   Alcotest.run "pointer_store"
     [
@@ -129,5 +325,13 @@ let () =
         [
           Alcotest.test_case "mesh records + message totals per phase" `Quick
             test_pinned;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "random sequences vs model" `Quick
+            test_random_sequences;
+          Alcotest.test_case "head, middle, tail and same-guid swap-remove"
+            `Quick test_chain_positions;
+          Alcotest.test_case "index growth and drain" `Quick test_index_growth;
         ] );
     ]

@@ -23,11 +23,13 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    delivered message, millions of times per campaign.  The ID and
    routing-table primitives are on the list because every hot path
    above calls them per candidate or per hop: a closure in
-   [Node_id.equal] allocates wherever it is called. *)
+   [Node_id.equal] allocates wherever it is called.  The pointer store
+   is probed at every locate hop and written at every publish hop. *)
 let hot_path_sources =
   [
     "lib/tapestry/node_id.ml";
     "lib/tapestry/routing_table.ml";
+    "lib/tapestry/pointer_store.ml";
     "lib/tapestry/route.ml";
     "lib/tapestry/locate.ml";
     "lib/tapestry/nearest_neighbor.ml";
