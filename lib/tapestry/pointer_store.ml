@@ -168,6 +168,11 @@ let rec chain_find (recs : record array) (next : int array) ~server ~root_idx i 
     if r.root_idx = root_idx && Node_id.equal r.server server then i
     else chain_find recs next ~server ~root_idx next.(i)
 
+(* The record for (server, root_idx) in the chain headed from slot [s]
+   (if [s] is a hit), or -1. *)
+let chain_at p s ~server ~root_idx =
+  if s < 0 then -1 else chain_find p.recs p.next ~server ~root_idx p.heads.(s)
+
 (* ---- operations ---- *)
 
 let push p (r : record) h =
@@ -182,10 +187,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
   let p = force t in
   let h = Node_id.hash guid in
   let s = find_slot p guid h in
-  let i =
-    if s >= 0 then chain_find p.recs p.next ~server ~root_idx p.heads.(s)
-    else -1
-  in
+  let i = chain_at p s ~server ~root_idx in
   if i >= 0 then begin
     let r = p.recs.(i) in
     let old = r.previous in
@@ -222,11 +224,10 @@ let find t ~guid ~server ~root_idx =
   match t.p with
   | None -> None
   | Some p ->
-      let s = find_slot p guid (Node_id.hash guid) in
-      if s < 0 then None
-      else
-        let i = chain_find p.recs p.next ~server ~root_idx p.heads.(s) in
-        if i < 0 then None else Some p.recs.(i)
+      let i =
+        chain_at p (find_slot p guid (Node_id.hash guid)) ~server ~root_idx
+      in
+      if i < 0 then None else Some p.recs.(i)
 
 let head_of t guid =
   match t.p with
@@ -237,15 +238,15 @@ let head_of t guid =
 
 let mem_guid t guid = head_of t guid >= 0
 
-(* [@alloc_ok]: builds {!find_guid}'s result, oldest first *)
-let[@alloc_ok] rec chain_rev (recs : record array) (next : int array) i acc =
-  if i < 0 then acc else chain_rev recs next next.(i) (recs.(i) :: acc)
+(* [@alloc_ok]: builds {!find_guid}'s result in chain order (not tail
+   recursive: a chain holds one object's copies at one node) *)
+let[@alloc_ok] rec chain_list (recs : record array) (next : int array) i =
+  if i < 0 then [] else recs.(i) :: chain_list recs next next.(i)
 
-(* [@alloc_ok]: the list is the result (built reversed, then flipped) *)
-let[@alloc_ok] find_guid t guid =
+let find_guid t guid =
   match t.p with
   | None -> []
-  | Some p -> List.rev (chain_rev p.recs p.next (head_of t guid) [])
+  | Some p -> chain_list p.recs p.next (head_of t guid)
 
 let rec chain_exists (recs : record array) (next : int array) ~f i =
   i >= 0 && (f recs.(i) || chain_exists recs next ~f next.(i))
@@ -271,10 +272,7 @@ let remove t ~guid ~server ~root_idx =
   | None -> false
   | Some p ->
       let s = find_slot p guid (Node_id.hash guid) in
-      let i =
-        if s >= 0 then chain_find p.recs p.next ~server ~root_idx p.heads.(s)
-        else -1
-      in
+      let i = chain_at p s ~server ~root_idx in
       if i >= 0 then unlink_and_drop p s i;
       i >= 0
 
