@@ -422,12 +422,6 @@ let serve_cmd =
              to the uncached engine).  A comma-separated list serves one \
              row per size, reusing the built mesh across zero-churn rows.")
   in
-  let policy_arg =
-    Arg.(
-      value & opt string "clock"
-      & info [ "cache-policy" ] ~docv:"P"
-          ~doc:"Cache eviction policy: $(b,clock) or $(b,2random).")
-  in
   let coop_arg =
     Arg.(
       value & opt string "0"
@@ -437,23 +431,9 @@ let serve_cmd =
              list crosses with --cache-size: one row per (size, coop) pair; \
              coop=1 is skipped for cache-size 0 (it needs a cache).")
   in
-  let hint_k_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "hint-k" ] ~docv:"K"
-          ~doc:"Top-k digest entries a shard offers per barrier (coop only).")
-  in
-  let hint_budget_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "hint-budget" ] ~docv:"B"
-          ~doc:
-            "Max hints one node accepts per exchange event, and the FETCH \
-             unwind's seeding cap (coop only).")
-  in
   let run seed domains n requests rate zipf objects publish unpublish service
       latency window mailbox_cap kill_rate join_rate json audit cache_sizes
-      cache_policy coop_list hint_k hint_budget =
+      coop_list =
     let open Tapestry in
     let int_list s =
       try
@@ -471,254 +451,236 @@ let serve_cmd =
     | _, [] -> Error (`Msg "serve: --coop expects a comma-separated 0/1 list")
     | _, cs when List.exists (fun c -> c <> 0 && c <> 1) cs ->
         Error (`Msg "serve: --coop entries must be 0 or 1")
-    | cache_sizes, coop_list -> (
-      match Obj_cache.policy_of_string cache_policy with
-      | None -> Error (`Msg "serve: --cache-policy expects clock or 2random")
-      | Some policy when hint_k <= 0 || hint_budget <= 0 ->
-          ignore policy;
-          Error (`Msg "serve: --hint-k and --hint-budget must be positive")
-      | Some policy ->
-          (* resolve here so build and serve agree and the JSON records the
-             actual fold width *)
-          let domains =
-            if domains = 0 then Simnet.Parallel.recommended () else domains
-          in
-          let rng = Simnet.Rng.create seed in
-          let metric =
-            Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng
-          in
-          (* soft state must outlive the run: locates past the TTL would find
-             an expired (auto-clean but empty) mesh *)
-          let duration_est = float_of_int requests /. rate in
-          let ttl =
-            Float.max Config.default.Config.pointer_ttl (4. *. duration_est)
-          in
-          let cfg = { Config.default with Config.pointer_ttl = ttl } in
-          let progress inserted total =
-            if inserted = total then
-              Printf.eprintf "[serve] built %d nodes\n%!" total
-          in
-          let build () =
-            let t0 = Unix.gettimeofday () in
-            let net, _ =
-              Static_build.build_streamed ~seed:(seed + 1) ~domains cfg metric
-                ~n
-                ~progress:(fun ~inserted ~total -> progress inserted total)
+    | cache_sizes, coop_list ->
+      (* resolve here so build and serve agree and the JSON records the
+         actual fold width *)
+      let domains =
+        if domains = 0 then Simnet.Parallel.recommended () else domains
+      in
+      let rng = Simnet.Rng.create seed in
+      let metric =
+        Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng
+      in
+      (* soft state must outlive the run: locates past the TTL would find
+         an expired (auto-clean but empty) mesh *)
+      let duration_est = float_of_int requests /. rate in
+      let ttl =
+        Float.max Config.default.Config.pointer_ttl (4. *. duration_est)
+      in
+      let cfg = { Config.default with Config.pointer_ttl = ttl } in
+      let progress inserted total =
+        if inserted = total then
+          Printf.eprintf "[serve] built %d nodes\n%!" total
+      in
+      let build () =
+        let t0 = Unix.gettimeofday () in
+        let net, _ =
+          Static_build.build_streamed ~seed:(seed + 1) ~domains cfg metric
+            ~n
+            ~progress:(fun ~inserted ~total -> progress inserted total)
+        in
+        let build_wall = Unix.gettimeofday () -. t0 in
+        Printf.eprintf "[serve] build took %.1fs\n%!" build_wall;
+        (net, build_wall)
+      in
+      let net0, build_wall0 = build () in
+      (* serve rows may reuse the mesh: the run only mutates soft state
+         (pointers, replicas, caches, clock) unless churn kills or joins
+         nodes, and the driver's RNG draws are restorable from a snapshot
+         — so a reset row replays exactly as a fresh build would *)
+      let rng_snap = Simnet.Rng.copy net0.Network.rng in
+      let churned = kill_rate > 0. || join_rate > 0. in
+      let cur = ref (Some (net0, build_wall0)) in
+      let next_mesh () =
+        match !cur with
+        | Some (net, bw) ->
+            cur := None;
+            (net, bw)
+        | None ->
+            if churned then build ()
+            else begin
+              let net = net0 in
+              Network.clear_soft_state net;
+              net.Network.rng <- Simnet.Rng.copy rng_snap;
+              (net, 0.)
+            end
+      in
+      let failures = ref [] in
+      (* row per (cache-size, coop) pair; coop needs a cache, so the
+         coop=1 column is skipped at cache-size 0 *)
+      let points =
+        List.concat_map
+          (fun cache_size ->
+            List.filter_map
+              (fun coop ->
+                if coop = 1 && cache_size <= 0 then None
+                else Some (cache_size, coop = 1))
+              coop_list)
+          cache_sizes
+      in
+      let rows =
+        List.map
+          (fun (cache_size, coop) ->
+            let net, build_wall = next_mesh () in
+            let params =
+              {
+                Serve.Driver.seed;
+                requests;
+                rate;
+                zipf_s = zipf;
+                objects;
+                p_publish = publish;
+                p_unpublish = unpublish;
+                latency;
+                service;
+                ttl;
+                window;
+                mailbox_cap;
+                kill_rate;
+                join_rate;
+                domains;
+                cache_size;
+                coop;
+              }
             in
-            let build_wall = Unix.gettimeofday () -. t0 in
-            Printf.eprintf "[serve] build took %.1fs\n%!" build_wall;
-            (net, build_wall)
+            let r = Serve.Driver.run ~net params ~now:Unix.gettimeofday in
+            let open Serve.Driver in
+            let qv p = Simnet.Stats.Hist.quantile r.hist_v p in
+            let qw p = Simnet.Stats.Hist.quantile r.hist_w p in
+            let throughput = float_of_int r.injected /. r.wall_s in
+            let tl = r.tally in
+            let lookups = Simnet.Stats.Tally.lookups tl in
+            let hit_rate = Simnet.Stats.Tally.hit_rate tl in
+            let dpr =
+              if r.injected = 0 then 0.
+              else float_of_int r.delivered /. float_of_int r.injected
+            in
+            Printf.printf
+              "served %d requests over n=%d in %.2fs wall (%.0f req/s, \
+               %d barriers, %.2f virtual s, cache=%d%s)\n"
+              r.injected n r.wall_s throughput r.barriers r.duration_v
+              cache_size
+              (if coop then ", coop" else "");
+            Printf.printf
+              "  completed %d, failed %d (dropped %d, dead-letter %d), \
+               delivered %d msgs (%.2f/req), churn %d kills / %d joins\n"
+              r.completed r.failed r.dropped r.dead_letter r.delivered dpr
+              r.kills r.joins;
+            if cache_size > 0 then
+              Printf.printf
+                "  cache: %d lookups, hit-rate %.3f (%d hits / %d miss / \
+                 %d stale), %d fills, %d evicts, %d recoveries\n"
+                lookups hit_rate tl.Simnet.Stats.Tally.hits
+                tl.Simnet.Stats.Tally.misses tl.Simnet.Stats.Tally.stale
+                tl.Simnet.Stats.Tally.fills tl.Simnet.Stats.Tally.evicts
+                tl.Simnet.Stats.Tally.recoveries;
+            if coop then
+              Printf.printf "  coop: %d hint fills, %d hint hits\n"
+                tl.Simnet.Stats.Tally.hint_fills
+                tl.Simnet.Stats.Tally.hint_hits;
+            Printf.printf
+              "  virtual latency p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
+              (qv 0.50) (qv 0.90) (qv 0.99) (qv 0.999);
+            Printf.printf
+              "  wall latency    p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
+              (qw 0.50) (qw 0.90) (qw 0.99) (qw 0.999);
+            let audit_violations =
+              if audit then begin
+                Serve.Shard.quiesce r.engine ~clock:(r.duration_v +. 1.);
+                let report = Audit.run net in
+                Format.printf "%a@." Audit.pp_report report;
+                let v = List.length report.Audit.violations in
+                if v > 0 then
+                  failures :=
+                    Printf.sprintf "cache=%d coop=%b: %d audit violations"
+                      cache_size coop v
+                    :: !failures;
+                Some v
+              end
+              else None
+            in
+            let open Simnet.Json in
+            Obj
+              [
+                ("n", Int n);
+                ("requests", Int requests);
+                ("rate", Float rate);
+                ("zipf_s", Float zipf);
+                ("objects", Int objects);
+                ("p_publish", Float publish);
+                ("p_unpublish", Float unpublish);
+                ("service", Float service);
+                ("latency", Float latency);
+                ("window", Float window);
+                ("mailbox_cap", Int mailbox_cap);
+                ("kill_rate", Float kill_rate);
+                ("join_rate", Float join_rate);
+                ("cache_size", Int cache_size);
+                ("coop", Int (if coop then 1 else 0));
+                ("build_wall_s", Float build_wall);
+                ("wall_s", Float r.wall_s);
+                ("duration_v", Float r.duration_v);
+                ("throughput_rps", Float throughput);
+                ("p50_virtual", Float (qv 0.50));
+                ("p90_virtual", Float (qv 0.90));
+                ("p99_virtual", Float (qv 0.99));
+                ("p999_virtual", Float (qv 0.999));
+                ("p50_wall", Float (qw 0.50));
+                ("p99_wall", Float (qw 0.99));
+                ("p999_wall", Float (qw 0.999));
+                ("injected", Int r.injected);
+                ("completed", Int r.completed);
+                ("failed", Int r.failed);
+                ("dropped", Int r.dropped);
+                ("dead_letter", Int r.dead_letter);
+                ("delivered", Int r.delivered);
+                ("delivered_per_request", Float dpr);
+                ("cache_hits", Int tl.Simnet.Stats.Tally.hits);
+                ("cache_misses", Int tl.Simnet.Stats.Tally.misses);
+                ("cache_stale", Int tl.Simnet.Stats.Tally.stale);
+                ("cache_fills", Int tl.Simnet.Stats.Tally.fills);
+                ("cache_evicts", Int tl.Simnet.Stats.Tally.evicts);
+                ("recovered", Int tl.Simnet.Stats.Tally.recoveries);
+                ("hint_fills", Int tl.Simnet.Stats.Tally.hint_fills);
+                ("hint_hits", Int tl.Simnet.Stats.Tally.hint_hits);
+                ("cache_hit_rate", Float hit_rate);
+                ("kills", Int r.kills);
+                ("joins", Int r.joins);
+                ("barriers", Int r.barriers);
+                ( "audit_violations",
+                  match audit_violations with Some v -> Int v | None -> Null
+                );
+              ])
+          points
+      in
+      (match json with
+      | None | Some "-" -> ()
+      | Some file ->
+          let open Simnet.Json in
+          let doc =
+            Obj
+              [
+                ("schema", String "tapestry-bench/1");
+                ("seed", Int seed);
+                ("domains", Int domains);
+                ("micro", List []);
+                ("tables", List []);
+                ("scale", List []);
+                ("serve", List rows);
+              ]
           in
-          let net0, build_wall0 = build () in
-          (* serve rows may reuse the mesh: the run only mutates soft state
-             (pointers, replicas, caches, clock) unless churn kills or joins
-             nodes, and the driver's RNG draws are restorable from a snapshot
-             — so a reset row replays exactly as a fresh build would *)
-          let rng_snap = Simnet.Rng.copy net0.Network.rng in
-          let churned = kill_rate > 0. || join_rate > 0. in
-          let cur = ref (Some (net0, build_wall0)) in
-          let next_mesh () =
-            match !cur with
-            | Some (net, bw) ->
-                cur := None;
-                (net, bw)
-            | None ->
-                if churned then build ()
-                else begin
-                  let net = net0 in
-                  Network.clear_soft_state net;
-                  net.Network.rng <- Simnet.Rng.copy rng_snap;
-                  (net, 0.)
-                end
-          in
-          let failures = ref [] in
-          (* row per (cache-size, coop) pair; coop needs a cache, so the
-             coop=1 column is skipped at cache-size 0 *)
-          let points =
-            List.concat_map
-              (fun cache_size ->
-                List.filter_map
-                  (fun coop ->
-                    if coop = 1 && cache_size <= 0 then None
-                    else Some (cache_size, coop = 1))
-                  coop_list)
-              cache_sizes
-          in
-          let rows =
-            List.map
-              (fun (cache_size, coop) ->
-                let net, build_wall = next_mesh () in
-                let params =
-                  {
-                    Serve.Driver.seed;
-                    requests;
-                    rate;
-                    zipf_s = zipf;
-                    objects;
-                    p_publish = publish;
-                    p_unpublish = unpublish;
-                    latency;
-                    service;
-                    ttl;
-                    window;
-                    mailbox_cap;
-                    kill_rate;
-                    join_rate;
-                    domains;
-                    cache_size;
-                    cache_policy = policy;
-                    coop;
-                    hint_k;
-                    hint_budget;
-                  }
-                in
-                let r = Serve.Driver.run ~net params ~now:Unix.gettimeofday in
-                let open Serve.Driver in
-                let qv p = Simnet.Stats.Hist.quantile r.hist_v p in
-                let qw p = Simnet.Stats.Hist.quantile r.hist_w p in
-                let throughput = float_of_int r.injected /. r.wall_s in
-                let tl = r.tally in
-                let lookups = Simnet.Stats.Tally.lookups tl in
-                let hit_rate = Simnet.Stats.Tally.hit_rate tl in
-                let dpr =
-                  if r.injected = 0 then 0.
-                  else float_of_int r.delivered /. float_of_int r.injected
-                in
-                Printf.printf
-                  "served %d requests over n=%d in %.2fs wall (%.0f req/s, \
-                   %d barriers, %.2f virtual s, cache=%d/%s%s)\n"
-                  r.injected n r.wall_s throughput r.barriers r.duration_v
-                  cache_size
-                  (Obj_cache.policy_to_string policy)
-                  (if coop then
-                     Printf.sprintf ", coop k=%d budget=%d" hint_k hint_budget
-                   else "");
-                Printf.printf
-                  "  completed %d, failed %d (dropped %d, dead-letter %d), \
-                   delivered %d msgs (%.2f/req), churn %d kills / %d joins\n"
-                  r.completed r.failed r.dropped r.dead_letter r.delivered dpr
-                  r.kills r.joins;
-                if cache_size > 0 then
-                  Printf.printf
-                    "  cache: %d lookups, hit-rate %.3f (%d hits / %d miss / \
-                     %d stale), %d fills, %d evicts, %d recoveries\n"
-                    lookups hit_rate tl.Simnet.Stats.Tally.hits
-                    tl.Simnet.Stats.Tally.misses tl.Simnet.Stats.Tally.stale
-                    tl.Simnet.Stats.Tally.fills tl.Simnet.Stats.Tally.evicts
-                    tl.Simnet.Stats.Tally.recoveries;
-                if coop then
-                  Printf.printf "  coop: %d hint fills, %d hint hits\n"
-                    tl.Simnet.Stats.Tally.hint_fills
-                    tl.Simnet.Stats.Tally.hint_hits;
-                Printf.printf
-                  "  virtual latency p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
-                  (qv 0.50) (qv 0.90) (qv 0.99) (qv 0.999);
-                Printf.printf
-                  "  wall latency    p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
-                  (qw 0.50) (qw 0.90) (qw 0.99) (qw 0.999);
-                let audit_violations =
-                  if audit then begin
-                    Serve.Shard.quiesce r.engine ~clock:(r.duration_v +. 1.);
-                    let report = Audit.run net in
-                    Format.printf "%a@." Audit.pp_report report;
-                    let v = List.length report.Audit.violations in
-                    if v > 0 then
-                      failures :=
-                        Printf.sprintf "cache=%d coop=%b: %d audit violations"
-                          cache_size coop v
-                        :: !failures;
-                    Some v
-                  end
-                  else None
-                in
-                let open Simnet.Json in
-                Obj
-                  [
-                    ("n", Int n);
-                    ("requests", Int requests);
-                    ("rate", Float rate);
-                    ("zipf_s", Float zipf);
-                    ("objects", Int objects);
-                    ("p_publish", Float publish);
-                    ("p_unpublish", Float unpublish);
-                    ("service", Float service);
-                    ("latency", Float latency);
-                    ("window", Float window);
-                    ("mailbox_cap", Int mailbox_cap);
-                    ("kill_rate", Float kill_rate);
-                    ("join_rate", Float join_rate);
-                    ("cache_size", Int cache_size);
-                    ( "cache_policy",
-                      if cache_size > 0 then
-                        String (Obj_cache.policy_to_string policy)
-                      else Null );
-                    ("coop", Int (if coop then 1 else 0));
-                    ("hint_k", if coop then Int hint_k else Null);
-                    ("hint_budget", if coop then Int hint_budget else Null);
-                    ("build_wall_s", Float build_wall);
-                    ("wall_s", Float r.wall_s);
-                    ("duration_v", Float r.duration_v);
-                    ("throughput_rps", Float throughput);
-                    ("p50_virtual", Float (qv 0.50));
-                    ("p90_virtual", Float (qv 0.90));
-                    ("p99_virtual", Float (qv 0.99));
-                    ("p999_virtual", Float (qv 0.999));
-                    ("p50_wall", Float (qw 0.50));
-                    ("p99_wall", Float (qw 0.99));
-                    ("p999_wall", Float (qw 0.999));
-                    ("injected", Int r.injected);
-                    ("completed", Int r.completed);
-                    ("failed", Int r.failed);
-                    ("dropped", Int r.dropped);
-                    ("dead_letter", Int r.dead_letter);
-                    ("delivered", Int r.delivered);
-                    ("delivered_per_request", Float dpr);
-                    ("cache_hits", Int tl.Simnet.Stats.Tally.hits);
-                    ("cache_misses", Int tl.Simnet.Stats.Tally.misses);
-                    ("cache_stale", Int tl.Simnet.Stats.Tally.stale);
-                    ("cache_fills", Int tl.Simnet.Stats.Tally.fills);
-                    ("cache_evicts", Int tl.Simnet.Stats.Tally.evicts);
-                    ("recovered", Int tl.Simnet.Stats.Tally.recoveries);
-                    ("hint_fills", Int tl.Simnet.Stats.Tally.hint_fills);
-                    ("hint_hits", Int tl.Simnet.Stats.Tally.hint_hits);
-                    ("cache_hit_rate", Float hit_rate);
-                    ("kills", Int r.kills);
-                    ("joins", Int r.joins);
-                    ("barriers", Int r.barriers);
-                    ( "audit_violations",
-                      match audit_violations with Some v -> Int v | None -> Null
-                    );
-                  ])
-              points
-          in
-          (match json with
-          | None | Some "-" -> ()
-          | Some file ->
-              let open Simnet.Json in
-              let doc =
-                Obj
-                  [
-                    ("schema", String "tapestry-bench/1");
-                    ("seed", Int seed);
-                    ("domains", Int domains);
-                    ("micro", List []);
-                    ("tables", List []);
-                    ("scale", List []);
-                    ("serve", List rows);
-                  ]
-              in
-              let oc = open_out file in
-              output_string oc (to_string doc);
-              close_out oc;
-              Printf.printf "wrote %s\n" file);
-          (match !failures with
-          | [] -> Ok ()
-          | fs ->
-              Error
-                (`Msg
-                  ("serve: audit found invariant violations ("
-                  ^ String.concat "; " (List.rev fs)
-                  ^ ")"))))
+          let oc = open_out file in
+          output_string oc (to_string doc);
+          close_out oc;
+          Printf.printf "wrote %s\n" file);
+      (match !failures with
+      | [] -> Ok ()
+      | fs ->
+          Error
+            (`Msg
+              ("serve: audit found invariant violations ("
+              ^ String.concat "; " (List.rev fs)
+              ^ ")")))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -731,8 +693,7 @@ let serve_cmd =
         (const run $ seed_arg $ domains_arg $ n_arg $ requests_arg $ rate_arg
        $ zipf_arg $ objects_arg $ publish_arg $ unpublish_arg $ service_arg
        $ latency_arg $ window_arg $ mailbox_arg $ kill_arg $ join_arg
-       $ json_arg $ audit_arg $ cache_arg $ policy_arg $ coop_arg $ hint_k_arg
-       $ hint_budget_arg))
+       $ json_arg $ audit_arg $ cache_arg $ coop_arg))
 
 let main =
   Cmd.group

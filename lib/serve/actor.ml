@@ -16,8 +16,7 @@
    stores the replica; 2 PUBLISH deposits a pointer per hop with the
    previous-hop backlink (Figure 2 / Figure 9's "previous"), completing
    at the root; 3 UNPUBLISH retracts along the same walk; 4 LOCATE_NC is
-   the cache-free locate a request falls back to after exhausting its
-   stale-redirect budget.
+   the cache-free locate a request's last redirects climb with.
 
    Object caching (PR 9, DESIGN.md section 10).  With [cache = Some _],
    every LOCATE hop records itself in the request's path slice and
@@ -30,19 +29,22 @@
    the server is authoritative for its own replica set, so an
    epoch-current cache entry can name a replica-less server only within
    the window of the racing unpublish (whose epoch bump lands at that
-   same barrier), never at a quiescent audit point.  A FETCH that
-   arrives after the replica left retracts the offending entry (evict
-   intent) and resumes the climb from the server with its redirect
-   count bumped; after [rc_max] such redirects it switches to LOCATE_NC.
-   LOCATE packs that redirect count into the level field's high bits —
-   zero at [--cache 0], keeping every message byte-identical to the
-   uncached engine.
+   same barrier), never at a quiescent audit point.
 
-   The same recovery makes zero-churn serving loss-free: the uncached
-   engine fails a request whose pointer-redirected FETCH races an
-   in-flight unpublish retraction (BENCH_serve.json's `failed` at
-   kill_rate=0); with caching on, that fetch re-climbs from the server
-   instead of failing.
+   Redirect budget.  A request recovers instead of failing in two
+   cases: a FETCH arrives after the replica left (the lying cache entry,
+   if any, is retracted by an evict intent and the climb resumes from
+   the server), or a cache-hit FETCH overflows its server's mailbox
+   while the entry's holder is alive (the climb resumes from the
+   holder).  Each recovery spends one unit of the request's redirect
+   count [rc]: stale re-climbs with [rc < rc_max] still probe caches,
+   overflow re-climbs and those with [rc >= rc_max] are cache-free
+   LOCATE_NC walks, and a request that would reach [rc > rc_max + 1]
+   fails.  LOCATE and LOCATE_NC pack [rc] into the level field's high
+   bits and FETCH carries it as its level.  Recovery needs a cache, so
+   at [--cache 0] [rc] stays 0 and every message is byte-identical to
+   the uncached engine; there a FETCH that races an unpublish
+   retraction fails (BENCH_serve.json's `failed` at kill_rate=0).
 
    Shard confinement: a dispatch only mutates state owned by the shard
    it runs on (the target node's pointer store / replica set — nodes are
@@ -111,11 +113,9 @@ type shared = {
          the barrier), so these disjoint-slice writes are race-free.
          Empty at --cache 0. *)
   req_plen : Bytes.t;  (* per request: hops recorded (saturates at path_cap) *)
-  (* ---- cooperative hint exchange (PR 10); every field below is inert
-     when [coop = false], keeping the engine byte-identical to PR 9 ---- *)
+  (* ---- cooperative hint exchange (DESIGN.md section 11); the fields
+     below are inert when [coop = false] ---- *)
   coop : bool;
-  hint_k : int;  (* top-k digest entries a shard offers its neighbors *)
-  hint_budget : int;  (* max hints one node line accepts per barrier *)
   mutable want_stamp : int array;
       (* per handle: window index of the node's last logged want; a
          node's dispatches run on its owner shard, so writes are
@@ -165,41 +165,31 @@ type ctx = {
   mutable ep_key : int array;  (* epoch bumps (unpublish origins) *)
   mutable ep_srv : int array;  (* ... of this retracting server *)
   mutable ep_len : int;
-  (* cooperative hint digest: per-window (key, srv, gen, epoch, count)
-     accumulator of this shard's cache hits, bounded at [digest_cap]
-     distinct pairs; the top [hint_k] by count are what neighbor shards
-     read at the barrier *)
+  (* cooperative hint digest: this window's cache hits as distinct
+     (key, srv, gen, epoch) rows in first-hit order, at most
+     [digest_cap]; the barrier buckets them by root-guid digits *)
   mutable hd_key : int array;
   mutable hd_srv : int array;
   mutable hd_gen : int array;
   mutable hd_epoch : int array;
-  mutable hd_cnt : int array;
   mutable hd_len : int;
   (* want ring: nodes of this shard that missed this window (one entry
-     per node per window via [want_stamp]) — the barrier offers each
-     the neighbor digests' hottest hints *)
+     per node per window via [want_stamp]) — the only nodes the barrier
+     offers bucket rows to *)
   mutable wt_h : int array;
   mutable wt_len : int;
-  (* proactive-sweep cursor: each barrier also offers the digests to a
-     rotating slice of the shard's own handles, so client-edge nodes go
-     warm for the global head BEFORE their first miss — at large n a
-     client injects so few requests that waiting for a miss to want
-     forfeits most of a hint's useful life *)
-  mutable sweep_cursor : int;
 }
 
 (* Distinct (key, server) pairs a shard's digest tracks per window.
-   Windows are short (tens of requests per shard), so collisions with
-   the cap are rare; overflow drops the coldest tail by construction —
-   entries are appended on first hit, and only the top [hint_k] are
-   ever exported. *)
+   Windows are short (tens of requests per shard), so the cap is rarely
+   reached; past it, later pairs are not logged. *)
 let digest_cap = 64
 
 (* [@alloc_ok]: one shared record per run. *)
 let[@alloc_ok] make_shared ~net ~mb ~shards ~guids ~roots ~ttl ~latency
-    ~service ~requests ~cache ~coop ~hint_k ~hint_budget =
+    ~service ~requests ~cache ~coop =
   let cfg = net.Network.config in
-  let coop = coop && Option.is_some cache && hint_k > 0 && hint_budget > 0 in
+  let coop = coop && Option.is_some cache in
   {
     net;
     mb;
@@ -224,8 +214,6 @@ let[@alloc_ok] make_shared ~net ~mb ~shards ~guids ~roots ~ttl ~latency
     req_plen =
       Bytes.make (match cache with Some _ -> max requests 1 | None -> 1) '\000';
     coop;
-    hint_k;
-    hint_budget;
     want_stamp =
       (if coop then Array.make (max net.Network.arena_len 1) (-1) else [||]);
     win = Array.make 1 0;
@@ -279,11 +267,9 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       hd_srv = [||];
       hd_gen = [||];
       hd_epoch = [||];
-      hd_cnt = [||];
       hd_len = 0;
       wt_h = [||];
       wt_len = 0;
-      sweep_cursor = 0;
     }
   in
   (ctx.sel <-
@@ -467,28 +453,24 @@ let push_epoch ctx ~key ~srv =
   ctx.ep_srv.(ctx.ep_len) <- srv;
   ctx.ep_len <- ctx.ep_len + 1
 
-(* Digest a cache hit: bump the (key, srv) pair's window count, or
-   append it while the window's table has room.  Linear scan over at
-   most [digest_cap] entries, shard-confined. *)
+(* Digest a cache hit: append the (key, srv) pair unless this window
+   already logged it or the digest is full.  Linear scan over at most
+   [digest_cap] entries, shard-confined. *)
 let rec digest_scan ctx ~key ~srv j =
   if j >= ctx.hd_len then -1
   else if ctx.hd_key.(j) = key && ctx.hd_srv.(j) = srv then j
   else digest_scan ctx ~key ~srv (j + 1)
 
 let log_digest ctx ~key ~srv ~gen ~epoch =
-  let j = digest_scan ctx ~key ~srv 0 in
-  if j >= 0 then ctx.hd_cnt.(j) <- ctx.hd_cnt.(j) + 1
-  else if ctx.hd_len < digest_cap then begin
+  if ctx.hd_len < digest_cap && digest_scan ctx ~key ~srv 0 < 0 then begin
     ctx.hd_key <- grow_int ctx.hd_key ctx.hd_len;
     ctx.hd_srv <- grow_int ctx.hd_srv ctx.hd_len;
     ctx.hd_gen <- grow_int ctx.hd_gen ctx.hd_len;
     ctx.hd_epoch <- grow_int ctx.hd_epoch ctx.hd_len;
-    ctx.hd_cnt <- grow_int ctx.hd_cnt ctx.hd_len;
     ctx.hd_key.(ctx.hd_len) <- key;
     ctx.hd_srv.(ctx.hd_len) <- srv;
     ctx.hd_gen.(ctx.hd_len) <- gen;
     ctx.hd_epoch.(ctx.hd_len) <- epoch;
-    ctx.hd_cnt.(ctx.hd_len) <- 1;
     ctx.hd_len <- ctx.hd_len + 1
   end
 
@@ -508,8 +490,8 @@ let log_want ctx (node : Node.t) =
 
 (* Pointer probe + surrogate climb, shared by LOCATE (after a cache miss)
    and LOCATE_NC.  [wl] is the walk level, [rc] the request's redirect
-   count (re-packed into outgoing locate levels; 0 when cache is off, so
-   the uncached message stream is untouched). *)
+   count, re-packed into the outgoing level (0 when cache is off, so the
+   uncached message stream is untouched). *)
 let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
   let sh = ctx.sh in
   (* a usable pointer redirects the walk to the closest live server *)
@@ -527,15 +509,7 @@ let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
       hop ctx node ~now ~h:ctx.scan_h
         ~kind:(if nc then op_locate_nc else op_locate)
         ~req ~oi
-        ~level:
-          (if nc then
-             (* cooperative mode threads the redirect count through
-                LOCATE_NC levels too, so the S1 retry (rc_max + 1) is
-                distinguishable from the first cache-free climb; with
-                coop off the high bits stay zero, as in PR 9 *)
-             if sh.coop then ctx.scan_level lor (rc lsl rc_shift)
-             else ctx.scan_level
-           else ctx.scan_level lor (rc lsl rc_shift))
+        ~level:(ctx.scan_level lor (rc lsl rc_shift))
         ~prev:(-1) ~src
     else
       (* reached the root without intersecting a publish path *)
@@ -617,10 +591,6 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           let ep = Obj_cache.epoch_of c ~key ~srv:self in
           let gen = Mailbox.generation sh.mb self in
           let plen = Char.code (Bytes.get sh.req_plen req) in
-          (* coop bounds the unwind to [hint_budget] deposits; keeping
-             the FIRST recorded hops prefers the client side of the
-             walk, whose warmth shortens the next climb the most *)
-          let plen = if sh.coop then min plen sh.hint_budget else plen in
           for k = 0 to plen - 1 do
             let tgt = sh.req_path.((req * path_cap) + k) in
             if tgt <> self then begin
@@ -632,10 +602,11 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     end
     else begin
       (* the replica left between redirect and arrival (cached shortcut
-         gone stale, or a pointer racing its unpublish retraction) *)
-      let rc = level in
+         gone stale, or a pointer racing its unpublish retraction):
+         spend one redirect and resume the search from this server *)
+      let rc = level + 1 in
       match sh.cache with
-      | Some _ when rc < rc_max ->
+      | Some _ when rc <= rc_max + 1 ->
           if prev >= 0 then begin
             (* retract the lying entry at its holder *)
             push_evict ctx ~h:prev ~key:(base_oi / sh.roots)
@@ -643,24 +614,10 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
             ctx.tally.stale <- ctx.tally.stale + 1;
             ctx.tally.evicts <- ctx.tally.evicts + 1
           end;
-          (* recover: resume the search from this server instead of
-             failing the request; after rc_max redirects, cache-free *)
           ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-          let rc = rc + 1 in
-          if rc >= rc_max then
-            dispatch ctx node ~now ~kind:op_locate_nc ~req ~oi ~level:0
-              ~prev:(-1) ~src
-          else
-            dispatch ctx node ~now ~kind:op_locate ~req ~oi
-              ~level:(rc lsl rc_shift) ~prev:(-1) ~src
-      | Some _ when sh.coop && rc = rc_max ->
-          (* S1: even the cache-free climb can land its FETCH just as
-             the replica's unpublish retraction passes it.  Retry the
-             surrogate climb once more from this server (rc_max + 1
-             marks the chain as already-retried) before giving up. *)
-          ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-          dispatch ctx node ~now ~kind:op_locate_nc ~req ~oi
-            ~level:((rc_max + 1) lsl rc_shift) ~prev:(-1) ~src
+          dispatch ctx node ~now
+            ~kind:(if rc >= rc_max then op_locate_nc else op_locate)
+            ~req ~oi ~level:(rc lsl rc_shift) ~prev:(-1) ~src
       | _ -> complete_failed ctx ~req
     end
   end
@@ -703,17 +660,11 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         ~level:ctx.scan_level ~prev:node.Node.handle ~src
     else complete_ok ctx ~now ~req
   end
-  else begin
-    (* op_locate_nc: the cache-free fallback climb.  Its FETCH carries
-       the redirect count ([rc_max], or [rc_max + 1] on the coop S1
-       retry), so a further stale arrival fails plainly.  With coop off
-       the level's high bits are always zero and this reduces to PR 9's
-       [~wl:level ~rc:rc_max]. *)
-    let rc = level lsr rc_shift in
+  else
+    (* op_locate_nc: the cache-free climb; its FETCH carries the
+       redirect count on, so the budget stays bounded *)
     locate_climb ctx node ~now ~req ~oi ~wl:(level land level_mask)
-      ~rc:(if rc > rc_max then rc else rc_max)
-      ~src ~base_guid ~nc:true
-  end
+      ~rc:(level lsr rc_shift) ~src ~base_guid ~nc:true
 
 (* The drain fiber: FIFO over the mailbox, [service] virtual seconds per
    message, until the ring is empty.  The generation is re-checked after
@@ -778,22 +729,22 @@ let[@alloc_ok] deliver ctx ~time =
   then begin
     let kind = tr.Mailbox.Transport.o_kind in
     let prev = tr.Mailbox.Transport.o_prev in
+    let rc = tr.Mailbox.Transport.o_level + 1 in
     if
-      sh.coop && kind = op_fetch && req >= 0
-      && tr.Mailbox.Transport.o_level <= rc_max
+      kind = op_fetch && req >= 0 && rc <= rc_max + 1
       && prev >= 0 && prev <> h
       && Node.is_alive (Network.node_of_handle sh.net prev)
     then begin
-      (* coop overflow relief: hint-hit FETCHes are issued at injection
-         time, so same-window injection bursts land on a hot server as
-         one batch and overflow its ring.  Instead of failing, re-climb
-         cache-free once from the hint's holder ([prev]) — the walk
-         spreads the retry over later windows.  The resulting FETCH
-         carries rc_max + 1, so a second overflow is terminal. *)
+      (* overflow relief: a cache-hit FETCH ([prev] is the entry's
+         holder) is issued at injection time, so a same-window burst
+         lands on a hot server as one batch and overflows its ring.
+         Instead of failing, spend one redirect and resume the climb
+         from the holder, which spreads the retry over later windows.
+         The climb is cache-free at any [rc]: a cached one would re-hit
+         the holder's entry and resend the FETCH to the same server. *)
       ctx.tally.recoveries <- ctx.tally.recoveries + 1;
       send ctx ~time ~h:prev ~kind:op_locate_nc ~req
-        ~oi:tr.Mailbox.Transport.o_oi
-        ~level:((rc_max + 1) lsl rc_shift) ~prev:(-1)
+        ~oi:tr.Mailbox.Transport.o_oi ~level:(rc lsl rc_shift) ~prev:(-1)
         ~src:tr.Mailbox.Transport.o_src
     end
     else begin

@@ -6,8 +6,8 @@
     closest-replica rule of Section 2.4); FETCH completes at the server
     iff it still stores the replica; PUBLISH deposits soft-state
     pointers along the walk with the previous-hop backlink; UNPUBLISH
-    retracts along the same walk; LOCATE_NC is the cache-free fallback
-    climb a request switches to after exhausting its redirect budget.
+    retracts along the same walk; LOCATE_NC is the cache-free climb a
+    request's last redirects use.
 
     With an {!Tapestry.Obj_cache} attached (PR 9, DESIGN.md section 10),
     LOCATE probes the hop's own cache line before the pointer store and
@@ -15,9 +15,16 @@
     mutations (fills from successful fetches, evicts of entries caught
     lying, epoch bumps at unpublish origins) are logged in per-shard
     intent buffers and applied at the barrier in shard order, keeping
-    the engine bit-identical for any [--domains].  At [cache = None]
-    every message is byte-identical to the uncached engine (redirect
-    counts pack into LOCATE's level high bits and are then always 0).
+    the engine bit-identical for any [--domains].
+
+    {b Redirect budget.}  A stale FETCH (the replica left) and an
+    overflowed cache-hit FETCH whose holder is alive each spend one
+    unit of the request's redirect count [rc] and resume the climb, at
+    the server or at the holder.  Overflow re-climbs and climbs with
+    [rc >= rc_max] are cache-free LOCATE_NC walks; a request that would
+    reach [rc > rc_max + 1] fails.  Recovery needs a cache, so at
+    [cache = None] [rc] stays 0 and every message is byte-identical to
+    the uncached engine.
 
     Every function here runs on the shard owning the target node and
     touches only that shard's state plus the partitioned per-node
@@ -35,9 +42,13 @@ val op_unpublish : int
 val op_locate_nc : int
 
 val rc_shift : int
-(** LOCATE packs [walk_level lor (redirect_count lsl rc_shift)]. *)
+(** LOCATE and LOCATE_NC pack [walk_level lor (rc lsl rc_shift)];
+    FETCH carries [rc] as its level. *)
 
 val rc_max : int
+(** Redirects after which climbs go cache-free; at most [rc_max + 1]
+    recoveries per request. *)
+
 val path_cap : int
 (** Recorded locate hops per request (fill-intent targets). *)
 
@@ -76,10 +87,8 @@ type shared = {
           writes are race-free.  Empty at [--cache 0]. *)
   req_plen : Bytes.t;  (** per request: hops recorded (saturates) *)
   coop : bool;
-      (** cooperative hint exchange on (PR 10, DESIGN.md section 11);
-          [false] keeps the engine byte-identical to PR 9 *)
-  hint_k : int;  (** top-k digest entries a shard offers its neighbors *)
-  hint_budget : int;  (** max hints one node line accepts per barrier *)
+      (** cooperative hint exchange on (DESIGN.md section 11): cache
+          hits are digested and misses join the want ring *)
   mutable want_stamp : int array;
       (** per handle: window of the last logged want (owner-shard
           written, so disjoint); empty when coop is off *)
@@ -130,19 +139,15 @@ type ctx = {
   mutable ep_len : int;
   mutable hd_key : int array;
       (** hint digest: this window's cache hits as (key, srv, gen,
-          epoch, count) rows, at most {!digest_cap} distinct pairs *)
+          epoch) rows, at most {!digest_cap} distinct pairs *)
   mutable hd_srv : int array;
   mutable hd_gen : int array;
   mutable hd_epoch : int array;
-  mutable hd_cnt : int array;
   mutable hd_len : int;
   mutable wt_h : int array;
       (** want ring: this shard's nodes that missed this window, one
           entry per node per window *)
   mutable wt_len : int;
-  mutable sweep_cursor : int;
-      (** rotating position of the barrier's proactive hint sweep over
-          this shard's handles *)
 }
 
 val digest_cap : int
@@ -151,10 +156,8 @@ val digest_cap : int
 val make_shared :
   net:Network.t -> mb:Mailbox.t -> shards:int -> guids:Node_id.t array ->
   roots:int -> ttl:float -> latency:float -> service:float ->
-  requests:int -> cache:Obj_cache.t option -> coop:bool -> hint_k:int ->
-  hint_budget:int -> shared
-(** [coop] is forced off when [cache = None] or either hint parameter
-    is [<= 0]. *)
+  requests:int -> cache:Obj_cache.t option -> coop:bool -> shared
+(** [coop] is forced off when [cache = None]. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
 

@@ -40,10 +40,7 @@ type params = {
   join_rate : float;  (* churn joins per virtual second *)
   domains : int;  (* <= 0: Parallel.recommended () *)
   cache_size : int;  (* object-cache ways per node; 0 disables *)
-  cache_policy : Obj_cache.policy;
   coop : bool;  (* cooperative hint exchange (needs cache_size > 0) *)
-  hint_k : int;  (* top-k digest entries offered per barrier *)
-  hint_budget : int;  (* max hints one node line accepts per exchange *)
 }
 
 let default =
@@ -64,10 +61,7 @@ let default =
     join_rate = 0.;
     domains = 0;
     cache_size = 0;
-    cache_policy = Obj_cache.Clock;
     coop = false;
-    hint_k = 16;
-    hint_budget = 12;
   }
 
 type result = {
@@ -109,10 +103,27 @@ let publog_push l ~srv ~obj =
   l.po.(l.plen) <- obj;
   l.plen <- l.plen + 1
 
+(* Object GUIDs: one [Network.fresh_id] draw per object, which avoids
+   node IDs but not earlier objects' GUIDs.  A repeat steps to the next
+   ID in radix order that is neither drawn nor registered, without
+   another draw, so the RNG sequence is the same with or without
+   collisions. *)
 let make_guids net ~objects ~roots =
+  let cfg = net.Network.config in
+  let base = cfg.Config.base and len = cfg.Config.id_digits in
+  let space = int_of_float (float_of_int base ** float_of_int len) in
+  if objects > space - Node_id.Tbl.length net.Network.nodes then
+    invalid_arg "Driver.run: more objects than unused IDs";
+  let drawn = Node_id.Tbl.create (max 16 objects) in
+  let rec unused g =
+    if Node_id.Tbl.mem drawn g || Node_id.Tbl.mem net.Network.nodes g then
+      unused (Node_id.of_int ~base ~len ((Node_id.to_int ~base g + 1) mod space))
+    else g
+  in
   let a = Array.make (objects * roots) (Network.fresh_id net) in
   for o = 0 to objects - 1 do
-    let g = Network.fresh_id net in
+    let g = unused (Network.fresh_id net) in
+    Node_id.Tbl.add drawn g ();
     for r = 0 to roots - 1 do
       a.((o * roots) + r) <- Network.salted net g r
     done
@@ -242,15 +253,11 @@ let run ~net params ~now =
     end
     else begin
       let c =
-        Obj_cache.create ~ways:params.cache_size ~policy:params.cache_policy
-          ~nodes:net.Network.arena_len
+        Obj_cache.create ~ways:params.cache_size ~nodes:net.Network.arena_len
       in
       for o = 0 to params.objects - 1 do
         ignore (Obj_cache.intern c guids.(o * roots) : int)
       done;
-      if params.coop then
-        Obj_cache.set_coop c ~hint_k:params.hint_k
-          ~hint_budget:params.hint_budget;
       net.Network.obj_cache <- Some c;
       Some c
     end
@@ -259,8 +266,7 @@ let run ~net params ~now =
     Shard.create ~net ~guids ~roots ~ttl:params.ttl ~latency:params.latency
       ~service:params.service ~requests:params.requests
       ~mailbox_cap:params.mailbox_cap ~seed:params.seed
-      ~window:params.window ~cache ~coop:params.coop ~hint_k:params.hint_k
-      ~hint_budget:params.hint_budget
+      ~window:params.window ~cache ~coop:params.coop
   in
   let z = Workload.zipf ~s:params.zipf_s ~n:params.objects in
   let per = params.requests / Shard.shard_count in
@@ -345,8 +351,8 @@ let signature r =
          tl.Simnet.Stats.Tally.stale tl.Simnet.Stats.Tally.fills
          tl.Simnet.Stats.Tally.evicts tl.Simnet.Stats.Tally.recoveries);
   (* hint counters follow the same pattern: only appended when the
-     cooperative layer actually moved hints, so coop-off signatures are
-     byte-identical to PR 9's *)
+     cooperative layer actually moved hints, so coop-off signatures
+     carry no hint fields *)
   if tl.Simnet.Stats.Tally.hint_fills + tl.Simnet.Stats.Tally.hint_hits > 0
   then
     Buffer.add_string b

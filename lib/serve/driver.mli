@@ -26,23 +26,16 @@ type params = {
   cache_size : int;
       (** {!Obj_cache} ways per node; [0] (the default) disables caching
           and reproduces the uncached engine's counters bit-identically *)
-  cache_policy : Obj_cache.policy;
   coop : bool;
-      (** cooperative hint exchange (PR 10, DESIGN.md section 11):
-          unwind seeding budget, per-window neighbor hint digests, and
-          the extra surrogate-climb retry before failing a fetch.
-          Requires [cache_size > 0]; [false] (the default) reproduces
-          PR 9's cached counters exactly *)
-  hint_k : int;  (** top-k digest entries a shard offers per barrier *)
-  hint_budget : int;
-      (** max hints one node line accepts per exchange event, and the
-          unwind's seeding cap under coop *)
+      (** cooperative hint exchange (DESIGN.md section 11): each
+          window's cache hits, bucketed by the first digits of the
+          object's root guids, are offered at the barrier to the nodes
+          that missed.  Requires [cache_size > 0] *)
 }
 
 val default : params
 (** seed 42, 10^5 requests at 5.10^4/s, Zipf 0.9 over 10^3 objects,
-    5% publish / 1% unpublish, no churn, coop off (hint_k 16 /
-    hint_budget 12 when enabled). *)
+    5% publish / 1% unpublish, no churn, no cache, coop off. *)
 
 type result = {
   engine : Shard.t;
@@ -69,7 +62,10 @@ val run : net:Network.t -> params -> now:(unit -> float) -> result
     duration, or the initial placement expires mid-run.  [now] supplies
     wall stamps (monotonic seconds); it is called only at barriers and
     never influences results.
-    @raise Invalid_argument on non-positive [objects] or [rate]. *)
+    Object GUIDs are distinct from each other and from every registered
+    node ID.
+    @raise Invalid_argument on non-positive [objects] or [rate], or when
+    the ID space has fewer unused IDs than [objects]. *)
 
 val signature : result -> string
 (** Deterministic fingerprint: counters plus the virtual histogram,

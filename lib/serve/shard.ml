@@ -23,19 +23,12 @@ module Transport = Mailbox.Transport
 let shard_count = 64
 let shard_of h = h mod shard_count
 
-(* Handles per shard the proactive hint sweep visits each barrier (see
-   [apply_hint_digest]): at n=65536 (1024 handles/shard, ~1081 barriers
-   per 10⁶ requests) every node is first visited within ~6% of the run
-   and revisited ~16 times after — a client injecting ~15 requests
-   total must hear about the hot head before most of them are spent.
-   Doubling the quota moves delivered/req by < 0.3% while costing ~30%
-   of the serve-phase wall rate: 16 is past the knee. *)
-let sweep_quota = 16
-
 (* Digit-bucket capacities: rows per first-digit bucket (b1) and per
-   two-digit bucket (b2).  See [apply_hint_digest]. *)
+   two-digit bucket (b2), and the most hints one node line imports per
+   barrier.  See [apply_hint_digest]. *)
 let b1_cap = 32
 let b2_cap = 16
+let import_budget = 12
 
 type t = {
   sh : Actor.shared;
@@ -49,14 +42,14 @@ type t = {
 }
 
 let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
-    ~seed ~window ~cache ~coop ~hint_k ~hint_budget =
+    ~seed ~window ~cache ~coop =
   if window <= 0. then invalid_arg "Shard.create: window <= 0";
   let mb =
     Mailbox.create ~cap:mailbox_cap ~handles:(max net.Network.arena_len 1)
   in
   let sh =
     Actor.make_shared ~net ~mb ~shards:shard_count ~guids ~roots ~ttl
-      ~latency ~service ~requests ~cache ~coop ~hint_k ~hint_budget
+      ~latency ~service ~requests ~cache ~coop
   in
   let ctxs =
     Array.init shard_count (fun s ->
@@ -64,16 +57,16 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
           ~rng:(Simnet.Parallel.task_rng ~seed ~task:s))
   in
   let base = sh.Actor.base in
-  let coop_on = sh.Actor.coop in
+  let coop = sh.Actor.coop in
   {
     sh;
     ctxs;
     window;
     barriers = 0;
-    b1_cnt = Array.make (if coop_on then base else 0) 0;
-    b1_rows = Array.make (if coop_on then base * b1_cap * 4 else 0) 0;
-    b2_cnt = Array.make (if coop_on then base * base else 0) 0;
-    b2_rows = Array.make (if coop_on then base * base * b2_cap * 4 else 0) 0;
+    b1_cnt = Array.make (if coop then base else 0) 0;
+    b1_rows = Array.make (if coop then base * b1_cap * 4 else 0) 0;
+    b2_cnt = Array.make (if coop then base * base else 0) 0;
+    b2_rows = Array.make (if coop then base * base * b2_cap * 4 else 0) 0;
   }
 
 (* Interleave the shard's two event sources by head time until both are
@@ -221,107 +214,74 @@ let apply_cache_intents t =
         ctx.Actor.fi_len <- 0
       done
 
-(* Cooperative hint exchange (PR 10, DESIGN.md section 11), running
-   after [apply_cache_intents] so every same-window epoch bump has
-   already landed.
+(* Cooperative hint exchange (DESIGN.md section 11), running after
+   [apply_cache_intents] so every same-window epoch bump has already
+   landed.
 
-   Step 1 reduces each shard's per-window hit digest to its top
-   [hint_k] rows in place (count descending, first-hit order on ties).
-   Step 2 walks the shards in index order and offers every node that
-   missed this window the digests of its own shard and its two ring
-   neighbors — own shard first, so local hotness wins the budget.  A
-   line accepts at most [hint_budget] imports, each doorkeeper-gated
-   and declined if the node already holds the key; a hint whose
-   (key, srv) epoch snapshot is no longer current is dropped here — a
-   hint racing its object's unpublish dies at the barrier instead of
-   occupying a way.  Every read and write is sequential in a fixed
-   order, so the exchange is bit-identical for any [--domains]. *)
-let select_top_hints ctx ~k =
-  let len = ctx.Actor.hd_len in
-  let keep = min k len in
-  let swap a i j =
-    let v = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- v
+   Every digest row whose (key, srv) epoch is still current goes into
+   digit buckets: one per first digit (b1) and one per first two digits
+   (b2) of each of its object's root guids.  A walk for guid g standing
+   at level l matches g's first l digits, so a hint for g is worth the
+   most at exactly the nodes whose OWN id shares g's leading digits —
+   they are the aggregation points every future climb for g funnels
+   through.  A row racing its object's unpublish dies here instead of
+   occupying a way.
+
+   Then every node on a want ring (it missed this window) is offered
+   its own b2 bucket, then its own b1 bucket, until [import_budget]
+   hints land.  A hint only fills an empty way, so a line with none is
+   skipped, and a bucket is abandoned after 4 offers in a row fail.
+   The digests and want rings then restart empty.  Every read and
+   write is sequential in shard order, so the exchange is
+   bit-identical for any [--domains]. *)
+let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv ~gen
+    ~epoch =
+  let n = cnt.(b) in
+  let o0 = b * cap * 4 in
+  let rec dup j =
+    j < n
+    && ((rows.(o0 + (j * 4)) = key && rows.(o0 + (j * 4) + 1) = srv)
+       || dup (j + 1))
   in
-  for i = 0 to keep - 1 do
-    let best = ref i in
-    for j = i + 1 to len - 1 do
-      if ctx.Actor.hd_cnt.(j) > ctx.Actor.hd_cnt.(!best) then best := j
-    done;
-    if !best <> i then begin
-      swap ctx.Actor.hd_key i !best;
-      swap ctx.Actor.hd_srv i !best;
-      swap ctx.Actor.hd_gen i !best;
-      swap ctx.Actor.hd_epoch i !best;
-      swap ctx.Actor.hd_cnt i !best
+  if n < cap && not (dup 0) then begin
+    let o = o0 + (n * 4) in
+    rows.(o) <- key;
+    rows.(o + 1) <- srv;
+    rows.(o + 2) <- gen;
+    rows.(o + 3) <- epoch;
+    cnt.(b) <- n + 1
+  end
+
+(* Offer node [h] the rows of bucket [b] while [budget] lasts; returns
+   the budget left. *)
+let offer_bucket c (tl : Simnet.Stats.Tally.t) ~h (cnt : int array)
+    (rows : int array) cap b budget =
+  let n = cnt.(b) in
+  let o0 = b * cap * 4 in
+  let rec go j budget misses =
+    if j >= n || budget <= 0 || misses >= 4 then budget
+    else begin
+      let o = o0 + (j * 4) in
+      if
+        Obj_cache.import_hint c ~h ~key:rows.(o) ~server:rows.(o + 1)
+          ~gen:rows.(o + 2) ~epoch:rows.(o + 3)
+      then begin
+        tl.hint_fills <- tl.hint_fills + 1;
+        tl.fills <- tl.fills + 1;
+        go (j + 1) (budget - 1) 0
+      end
+      else go (j + 1) budget (misses + 1)
     end
-  done
-  (* rows past [keep] stay in place: the generic offer loops only read
-     the sorted head, but the digit buckets and the cross-window carry
-     (below) work the full digest *)
+  in
+  go 0 budget 0
 
 let apply_hint_digest t =
   match t.sh.Actor.cache with
   | Some c when t.sh.Actor.coop ->
       let sh = t.sh in
-      for s = 0 to shard_count - 1 do
-        (* pair epochs are fixed for the rest of this barrier phase
-           (bumps already applied), so each row is validated once here
-           instead of per offer below *)
-        let ctx = t.ctxs.(s) in
-        let m = ref 0 in
-        for j = 0 to ctx.Actor.hd_len - 1 do
-          if
-            Obj_cache.epoch_of c ~key:ctx.Actor.hd_key.(j)
-              ~srv:ctx.Actor.hd_srv.(j)
-            = ctx.Actor.hd_epoch.(j)
-          then begin
-            if !m < j then begin
-              ctx.Actor.hd_key.(!m) <- ctx.Actor.hd_key.(j);
-              ctx.Actor.hd_srv.(!m) <- ctx.Actor.hd_srv.(j);
-              ctx.Actor.hd_gen.(!m) <- ctx.Actor.hd_gen.(j);
-              ctx.Actor.hd_epoch.(!m) <- ctx.Actor.hd_epoch.(j);
-              ctx.Actor.hd_cnt.(!m) <- ctx.Actor.hd_cnt.(j)
-            end;
-            incr m
-          end
-        done;
-        ctx.Actor.hd_len <- !m;
-        select_top_hints ctx ~k:sh.Actor.hint_k
-      done;
-      (* digit buckets: group every digest row by the first one and two
-         digits of its object's root guid.  A walk for guid g standing
-         at level l matches g's first l digits, so a hint for g is
-         worth the most at exactly the nodes whose OWN id shares g's
-         leading digits — they are the aggregation points every future
-         climb for g funnels through.  The generic digests spread the
-         global head; the buckets aim the mid-tail (whose hits enter
-         digests with low counts) at the few nodes fan-in actually
-         routes toward them. *)
       let base = sh.Actor.base in
       Array.fill t.b1_cnt 0 (Array.length t.b1_cnt) 0;
       Array.fill t.b2_cnt 0 (Array.length t.b2_cnt) 0;
-      let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv
-          ~gen ~epoch =
-        let n = cnt.(b) in
-        let o0 = b * cap * 4 in
-        let rec dup j =
-          if j >= n then false
-          else
-            rows.(o0 + (j * 4)) = key
-            && rows.(o0 + (j * 4) + 1) = srv
-            || dup (j + 1)
-        in
-        if n < cap && not (dup 0) then begin
-          let o = o0 + (n * 4) in
-          rows.(o) <- key;
-          rows.(o + 1) <- srv;
-          rows.(o + 2) <- gen;
-          rows.(o + 3) <- epoch;
-          cnt.(b) <- n + 1
-        end
-      in
       for s = 0 to shard_count - 1 do
         let ctx = t.ctxs.(s) in
         for j = 0 to ctx.Actor.hd_len - 1 do
@@ -329,166 +289,37 @@ let apply_hint_digest t =
           and srv = ctx.Actor.hd_srv.(j)
           and gen = ctx.Actor.hd_gen.(j)
           and epoch = ctx.Actor.hd_epoch.(j) in
-          for r = 0 to sh.Actor.roots - 1 do
-            let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
-            let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
-            bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~gen ~epoch;
-            bucket_add t.b2_cnt t.b2_rows b2_cap
-              ((d0 * base) + d1)
-              ~key ~srv ~gen ~epoch
-          done
-        done
+          if Obj_cache.epoch_of c ~key ~srv = epoch then
+            for r = 0 to sh.Actor.roots - 1 do
+              let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
+              let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
+              bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~gen ~epoch;
+              bucket_add t.b2_cnt t.b2_rows b2_cap
+                ((d0 * base) + d1)
+                ~key ~srv ~gen ~epoch
+            done
+        done;
+        ctx.Actor.hd_len <- 0
       done;
-      let offer_node s (tl : Simnet.Stats.Tally.t) h =
-        let node = Network.node_of_handle sh.Actor.net h in
-        if Node.is_alive node then begin
-          if Obj_cache.has_empty_way c ~h then begin
-          let budget = ref sh.Actor.hint_budget in
-          let offer_bucket cnt rows cap b =
-            let n = cnt.(b) in
-            let o0 = b * cap * 4 in
-            let misses = ref 0 in
-            let j = ref 0 in
-            while !j < n && !budget > 0 && !misses < 4 do
-              let o = o0 + (!j * 4) in
-              if
-                Obj_cache.import_hint c ~h ~key:rows.(o) ~server:rows.(o + 1)
-                  ~gen:rows.(o + 2) ~epoch:rows.(o + 3)
-              then begin
-                decr budget;
-                misses := 0;
-                tl.Simnet.Stats.Tally.hint_fills <- tl.hint_fills + 1;
-                tl.fills <- tl.fills + 1
-              end
-              else incr misses;
-              incr j
-            done
-          in
-          let offer d =
-            let dctx = t.ctxs.(d) in
-            (* digests are hottest-first: once a few leading offers
-               fail (already held or no spare way), the rest will
-               too, so bail instead of scanning the whole digest —
-               this caps the steady-state barrier cost once a node's
-               hint ways have converged on the hot set *)
-            let lim = min dctx.Actor.hd_len sh.Actor.hint_k in
-            let misses = ref 0 in
-            let j = ref 0 in
-            while !j < lim && !budget > 0 && !misses < 4 do
-              let key = dctx.Actor.hd_key.(!j)
-              and srv = dctx.Actor.hd_srv.(!j)
-              and gen = dctx.Actor.hd_gen.(!j)
-              and epoch = dctx.Actor.hd_epoch.(!j) in
-              if Obj_cache.import_hint c ~h ~key ~server:srv ~gen ~epoch
-              then begin
-                decr budget;
-                misses := 0;
-                tl.Simnet.Stats.Tally.hint_fills <- tl.hint_fills + 1;
-                tl.fills <- tl.fills + 1
-              end
-              else incr misses;
-              incr j
-            done
-          in
-          (* strongest geometry first: two-digit matches, then
-             one-digit, then the generic shard-neighborhood head *)
-          let v0 = Node_id.digit node.Node.id 0
-          and v1 = Node_id.digit node.Node.id 1 in
-          offer_bucket t.b2_cnt t.b2_rows b2_cap ((v0 * base) + v1);
-          offer_bucket t.b1_cnt t.b1_rows b1_cap v0;
-          offer s;
-          offer ((s + shard_count - 1) mod shard_count);
-          offer ((s + 1) mod shard_count)
-          end
-          else begin
-            (* full line: the early hints that filled the spare ways may
-               have gone stale in value as the observed head sharpened.
-               Recycle at most ONE idle hint (imported, never probe-hit)
-               per barrier for a two-digit bucket row — the strongest
-               geometric match — and only if the idle hint is not itself
-               a row of that bucket, so the steady state (spare ways
-               holding exactly this aggregation point's hot set) is a
-               fixed point, not a rotation. *)
-            let iw = Obj_cache.idle_hint_way c ~h in
-            if iw >= 0 then begin
-              let v0 = Node_id.digit node.Node.id 0
-              and v1 = Node_id.digit node.Node.id 1 in
-              let b = (v0 * base) + v1 in
-              let n = t.b2_cnt.(b) in
-              let o0 = b * b2_cap * 4 in
-              let vkey = Obj_cache.probe_key c iw in
-              let rec bucket_hot j =
-                j < n && (t.b2_rows.(o0 + (j * 4)) = vkey || bucket_hot (j + 1))
-              in
-              if not (bucket_hot 0) then begin
-                let rec go j =
-                  if j < n then begin
-                    let o = o0 + (j * 4) in
-                    let key = t.b2_rows.(o) in
-                    if Obj_cache.holds c ~h ~key then go (j + 1)
-                    else begin
-                      Obj_cache.set_hint_at c iw ~key
-                        ~server:t.b2_rows.(o + 1)
-                        ~gen:t.b2_rows.(o + 2) ~epoch:t.b2_rows.(o + 3);
-                      tl.Simnet.Stats.Tally.hint_fills <- tl.hint_fills + 1;
-                      tl.fills <- tl.fills + 1
-                    end
-                  end
-                in
-                go 0
-              end
-            end
-          end
-        end
-      in
       for s = 0 to shard_count - 1 do
         let ctx = t.ctxs.(s) in
-        let tl = ctx.Actor.tally in
         for w = 0 to ctx.Actor.wt_len - 1 do
-          offer_node s tl ctx.Actor.wt_h.(w)
-        done;
-        (* proactive sweep: also offer a rotating slice of the shard's
-           own handles, wants or not.  At large n a client injects a
-           handful of requests total — if it only hears about the hot
-           head after its own first miss, most of the hint's useful
-           life is already gone.  The slice bound keeps the barrier
-           cost flat; repeat visits refresh what epoch bumps and
-           organic replacement have consumed. *)
-        let n = sh.Actor.net.Network.arena_len in
-        let cnt = if n > s then 1 + ((n - 1 - s) / shard_count) else 0 in
-        if cnt > 0 then begin
-          let q = min sweep_quota cnt in
-          for j = 0 to q - 1 do
-            let idx = (ctx.Actor.sweep_cursor + j) mod cnt in
-            offer_node s tl (s + (idx * shard_count))
-          done;
-          ctx.Actor.sweep_cursor <- (ctx.Actor.sweep_cursor + q) mod cnt
-        end
-      done;
-      for s = 0 to shard_count - 1 do
-        (* carry the digest across windows under unit decay instead of
-           resetting it: one window's digest at large n is a ~dozen-row
-           sample of the head (a shard sees only a handful of hits per
-           window), far too noisy to rank by.  A row earns +1 per hit
-           and pays -1 per window, so persistently hot pairs accumulate
-           count and survive while one-window wonders drain and free
-           their slot — the exported top-k converges on the true head. *)
-        let ctx = t.ctxs.(s) in
-        let m = ref 0 in
-        for j = 0 to ctx.Actor.hd_len - 1 do
-          let cnt = ctx.Actor.hd_cnt.(j) - 1 in
-          if cnt > 0 then begin
-            if !m < j then begin
-              ctx.Actor.hd_key.(!m) <- ctx.Actor.hd_key.(j);
-              ctx.Actor.hd_srv.(!m) <- ctx.Actor.hd_srv.(j);
-              ctx.Actor.hd_gen.(!m) <- ctx.Actor.hd_gen.(j);
-              ctx.Actor.hd_epoch.(!m) <- ctx.Actor.hd_epoch.(j)
-            end;
-            ctx.Actor.hd_cnt.(!m) <- cnt;
-            incr m
+          let h = ctx.Actor.wt_h.(w) in
+          let node = Network.node_of_handle sh.Actor.net h in
+          if Node.is_alive node && Obj_cache.has_empty_way c ~h then begin
+            let v0 = Node_id.digit node.Node.id 0
+            and v1 = Node_id.digit node.Node.id 1 in
+            let left =
+              offer_bucket c ctx.Actor.tally ~h t.b2_cnt t.b2_rows b2_cap
+                ((v0 * base) + v1)
+                import_budget
+            in
+            ignore
+              (offer_bucket c ctx.Actor.tally ~h t.b1_cnt t.b1_rows b1_cap v0
+                 left
+                : int)
           end
         done;
-        ctx.Actor.hd_len <- !m;
         ctx.Actor.wt_len <- 0
       done;
       sh.Actor.win.(0) <- sh.Actor.win.(0) + 1

@@ -35,16 +35,16 @@ type t = {
 val create :
   net:Network.t -> guids:Node_id.t array -> roots:int -> ttl:float ->
   latency:float -> service:float -> requests:int -> mailbox_cap:int ->
-  seed:int -> window:float -> cache:Obj_cache.t option -> coop:bool ->
-  hint_k:int -> hint_budget:int -> t
+  seed:int -> window:float -> cache:Obj_cache.t option -> coop:bool -> t
 (** Build the engine: one mailbox arena sized to the network, one
     {!Actor.ctx} per shard with an independent [Parallel.task_rng]
     stream.  [cache] attaches the per-node object caches (fills, evicts
     and epoch bumps buffered per shard are applied at each barrier in
-    shard order, bumps first, then evicts, then fills).  [coop] (with
-    [hint_k]/[hint_budget], see DESIGN.md section 11) adds the
-    barrier-ordered neighbor hint exchange after the intent pass; it is
-    forced off without a cache.
+    shard order, bumps first, then evicts, then fills).  [coop] (see
+    DESIGN.md section 11) adds the barrier-ordered hint exchange after
+    the intent pass: the window's cache hits, bucketed by root-guid
+    digits, are offered to the nodes that missed.  It is forced off
+    without a cache.
     @raise Invalid_argument if [window <= 0]. *)
 
 val run :

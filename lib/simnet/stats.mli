@@ -66,11 +66,12 @@ module Tally : sig
     mutable evicts : int;
         (** entries removed by invalidation (not capacity replacement) *)
     mutable recoveries : int;
-        (** requests that survived a stale redirect by re-climbing *)
+        (** redirects spent: a stale or overflowed FETCH that re-climbed
+            instead of failing *)
     mutable hint_fills : int;
-        (** entries written by cooperative hint exchange (PR 10), a
-            subset of {!field-fills} accounting, kept separate so
-            [--coop off] signatures stay byte-identical to PR 9 *)
+        (** entries written by cooperative hint exchange, a subset of
+            {!field-fills}, kept separate so [--coop off] signatures
+            carry no hint fields *)
     mutable hint_hits : int;
         (** hits served from an entry the node imported as a hint
             rather than learned from its own fetch unwind *)

@@ -113,8 +113,6 @@ let[@alloc_ok] rec locate ?variant ?root_idx net ~client guid =
               let s = Network.node_of_handle net srv_h in
               if Node.is_alive s && Node.stores_replica s guid then begin
                 t.hits <- t.hits + 1;
-                if Obj_cache.probe_is_hint c i then
-                  t.hint_hits <- t.hint_hits + 1;
                 cache_srv := srv_h;
                 true
               end
@@ -143,25 +141,11 @@ let[@alloc_ok] rec locate ?variant ?root_idx net ~client guid =
     | Some c ->
         Obj_cache.ensure_nodes c net.Network.arena_len;
         let t : Simnet.Stats.Tally.t = c.Obj_cache.tally in
-        (* Cooperative mode bounds the unwind seeding to [hint_budget]
-           deposits, preferring the hops nearest the client ([rev_path]
-           is stop-node-first): early-hop warmth is what shortens the
-           next climb, and the cap keeps one popular fetch from
-           stamping its pointer across a 12-deep ancestor chain.  With
-           coop off every walked node is seeded, exactly as PR 9. *)
-        let skip =
-          if Obj_cache.coop_on c then
-            ref (List.length rev_path - c.Obj_cache.hint_budget)
-          else ref 0
-        in
         List.iter
           (fun (n : Node.t) ->
-            if !skip > 0 then decr skip
-            else begin
-              Obj_cache.insert c ~h:n.Node.handle ~key:cache_key ~server:srv_h
-                ~gen:0;
-              t.fills <- t.fills + 1
-            end)
+            Obj_cache.insert c ~h:n.Node.handle ~key:cache_key ~server:srv_h
+              ~gen:0;
+            t.fills <- t.fills + 1)
           rev_path
   in
   let finish (found : Node.t) rev_path redirects =

@@ -5,27 +5,17 @@
    arithmetic so the typed hot-path allocation lint covers this module
    (tools/lint/lint_typed.ml). *)
 
-type policy = Clock | Two_random
-
-let policy_of_string = function
-  | "clock" -> Some Clock
-  | "2random" | "two-random" -> Some Two_random
-  | _ -> None
-
-let policy_to_string = function Clock -> "clock" | Two_random -> "2random"
-
 type t = {
   ways : int;
-  policy : policy;
   mutable nodes : int;
   mutable e_key : int array;
   mutable e_srv : int array;
   mutable e_gen : int array;
   mutable e_epoch : int array;
-  mutable e_stamp : int array;
+  mutable e_stamp : int array;  (* clock reference bit *)
   mutable e_hits : int array;  (* frequency sketch: per-entry hit count *)
   mutable e_src : Bytes.t;  (* '\001' = imported hint, '\000' = learned *)
-  mutable hand : int array;
+  mutable hand : int array;  (* per node: clock hand *)
   mutable dk : Bytes.t;  (* doorkeeper bits: [ways] bytes per node *)
   mutable dk_fill : int array;  (* per node: fill attempts since reset *)
   ep_tbl : (int, int) Hashtbl.t;
@@ -33,12 +23,10 @@ type t = {
   mutable keys : int;
   key_tbl : int Node_id.Tbl.t;
   tally : Simnet.Stats.Tally.t;
-  mutable hint_k : int;  (* top-k entries exported per exchange; 0 = coop off *)
-  mutable hint_budget : int;  (* max hints one line accepts per exchange event *)
 }
 
-(* hit counts saturate: the sketch orders entries by warmth, it is not
-   an exact frequency *)
+(* hit counts saturate: the sketch ranks resident hints by warmth (see
+   [scan_weak_hint]), it is not an exact frequency *)
 let hit_cap = 255
 
 (* (key, server-handle) packed into one int: handles stay far below
@@ -46,13 +34,12 @@ let hit_cap = 255
 let pack_pair ~key ~srv = (key lsl 26) lor srv
 
 (* [@alloc_ok]: one structure per network / serve run. *)
-let[@alloc_ok] create ~ways ~policy ~nodes =
+let[@alloc_ok] create ~ways ~nodes =
   if ways <= 0 then invalid_arg "Obj_cache.create: ways must be positive";
   if nodes < 0 then invalid_arg "Obj_cache.create: negative nodes";
   let cells = nodes * ways in
   {
     ways;
-    policy;
     nodes;
     e_key = Array.make (max 1 cells) (-1);
     e_srv = Array.make (max 1 cells) 0;
@@ -69,16 +56,7 @@ let[@alloc_ok] create ~ways ~policy ~nodes =
     keys = 0;
     key_tbl = Node_id.Tbl.create 256;
     tally = Simnet.Stats.Tally.create ();
-    hint_k = 0;
-    hint_budget = 0;
   }
-
-let set_coop t ~hint_k ~hint_budget =
-  if hint_k < 0 || hint_budget < 0 then invalid_arg "Obj_cache.set_coop";
-  t.hint_k <- hint_k;
-  t.hint_budget <- hint_budget
-
-let coop_on t = t.hint_k > 0
 
 (* [@alloc_ok]: growth doubles, so this runs O(log n) times ever; the
    serve tier only calls it at barriers. *)
@@ -146,17 +124,8 @@ let[@alloc_ok] bump_epoch t ~key ~srv =
   let k = pack_pair ~key ~srv in
   Hashtbl.replace t.ep_tbl k (1 + (try Hashtbl.find t.ep_tbl k with Not_found -> 0))
 
-(* Touch an entry's replacement stamp: clock sets the reference bit,
-   2-random records a per-node monotone tick (the [hand] array doubles
-   as the tick counter under that policy). *)
-let touch t i =
-  match t.policy with
-  | Clock -> t.e_stamp.(i) <- 1
-  | Two_random ->
-      let h = i / t.ways in
-      let tick = t.hand.(h) in
-      t.hand.(h) <- tick + 1;
-      t.e_stamp.(i) <- tick
+(* Touch an entry: set its clock reference bit. *)
+let touch t i = t.e_stamp.(i) <- 1
 
 (* Way scans are tail-recursive over int indices: the probe/insert path
    must stay allocation-free (hot-path lint). *)
@@ -214,42 +183,11 @@ let probe_gen t i = t.e_gen.(i)
 let probe_epoch t i = t.e_epoch.(i)
 
 let probe_is_hint t i = Bytes.unsafe_get t.e_src i = '\001'
-let probe_key t i = t.e_key.(i)
-let holds t ~h ~key = h < t.nodes && scan_key t ~base:(h * t.ways) ~key 0 >= 0
 
-(* First never-hit hint way of node [h]'s line (imported at [hits = 1]
-   and not probe-hit since), or -1.  The barrier's digit-bucket offers
-   use it when the line is full: a hint nobody asked for in a whole
-   window is the one entry gossip may recycle for a row the bucket
-   knows is hot at this aggregation point. *)
-let rec scan_idle_hint t ~base w =
-  if w >= t.ways then -1
-  else
-    let i = base + w in
-    if Bytes.unsafe_get t.e_src i = '\001' && t.e_hits.(i) <= 1 then i
-    else scan_idle_hint t ~base (w + 1)
-
-let idle_hint_way t ~h =
-  if h >= t.nodes then -1 else scan_idle_hint t ~base:(h * t.ways) 0
-
-(* Overwrite way [i] with a hint entry: the bucket-offer replacement
-   path (see [idle_hint_way]).  The caller has already checked the
-   line does not hold [key] and that way [i] is a recyclable hint. *)
-let set_hint_at t i ~key ~server ~gen ~epoch =
-  t.e_key.(i) <- key;
-  t.e_srv.(i) <- server;
-  t.e_gen.(i) <- gen;
-  t.e_epoch.(i) <- epoch;
-  t.e_hits.(i) <- 1;
-  Bytes.unsafe_set t.e_src i '\001';
-  touch t i
-
-(* Deterministic way hash for the 2-random policy: a multiplicative mix
-   of the node handle and its draw counter.  No ambient randomness —
-   the sequence is a pure function of the insert order, which the
-   barrier discipline already makes domain-invariant. *)
-let mix h draw =
-  let x = (h * 0x9e3779b1) + (draw * 0x85ebca77) + 0x165667b1 in
+(* Deterministic hash of a node handle and a key (doorkeeper bit
+   selection): a multiplicative mix, no ambient randomness. *)
+let mix h key =
+  let x = (h * 0x9e3779b1) + (key * 0x85ebca77) + 0x165667b1 in
   let x = x lxor (x lsr 15) in
   (x * 0x27d4eb2f) land max_int
 
@@ -264,17 +202,9 @@ let rec clock_sweep t ~base pos spins =
 
 let victim_way t h =
   let base = h * t.ways in
-  match t.policy with
-  | Clock ->
-      let w = clock_sweep t ~base t.hand.(h) 0 in
-      t.hand.(h) <- (w + 1) mod t.ways;
-      base + w
-  | Two_random ->
-      let tick = t.hand.(h) in
-      t.hand.(h) <- tick + 1;
-      let w1 = base + (mix h (2 * tick) mod t.ways) in
-      let w2 = base + (mix h ((2 * tick) + 1) mod t.ways) in
-      if t.e_stamp.(w2) < t.e_stamp.(w1) then w2 else w1
+  let w = clock_sweep t ~base t.hand.(h) 0 in
+  t.hand.(h) <- (w + 1) mod t.ways;
+  base + w
 
 (* Doorkeeper admission (TinyLFU-style, but a plain deterministic bit
    array): evicting a resident entry for a first-touch key is what lets
@@ -323,10 +253,9 @@ let insert_snap t ~h ~key ~server ~gen ~epoch =
              earned, so no admission gate applies).  Without this, a
              hint-padded line makes organic fills pay the first-touch
              decline PR 9 never charged them, and coop-on loses
-             organic hits it should only ever add to. *)
-          let hw =
-            if coop_on t then scan_weak_hint t ~base 0 (-1) 0 else -1
-          in
+             organic hits it should only ever add to.  Without
+             cooperation no line holds a hint and the scan finds none. *)
+          let hw = scan_weak_hint t ~base 0 (-1) 0 in
           if hw >= 0 then hw
           else if dk_admit t ~h ~key then victim_way t h
           else -1
@@ -350,9 +279,8 @@ let insert t ~h ~key ~server ~gen =
   insert_snap t ~h ~key ~server ~gen ~epoch:(epoch_of t ~key ~srv:server)
 
 (* Hint import: never clobbers an entry the node already holds for the
-   key (the node's own learning wins), otherwise fills like
-   [insert_snap] — empty way first, then doorkeeper-gated eviction —
-   marking the entry hint-sourced.  Returns whether the hint landed. *)
+   key (the node's own learning wins), and only ever claims an empty
+   way, marking the entry hint-sourced.  Returns whether it landed. *)
 let import_hint t ~h ~key ~server ~gen ~epoch =
   if h >= t.nodes then false
   else begin
@@ -363,7 +291,7 @@ let import_hint t ~h ~key ~server ~gen ~epoch =
          earned by fetching, and never another hint.  Imported warmth
          displacing local learning trades organic hits for hinted ones
          instead of adding to them, and hint-for-hint replacement makes
-         cold hints cycle endlessly as digests rotate between windows.
+         cold hints cycle endlessly as buckets change between windows.
          Spare ways sit exactly where hints are worth the most: the
          client-edge path nodes the unwind rarely reaches. *)
       let i = scan_empty t ~base 0 in
@@ -379,47 +307,6 @@ let import_hint t ~h ~key ~server ~gen ~epoch =
         true
       end
     end
-  end
-
-(* Top-k hottest epoch-current entries of node [h]'s line, hottest
-   first.  Selection is k max-scans over the line with exported entries
-   marked by negating their hit count; the unmark pass halves the count
-   so an entry's recorded warmth decays as it is re-exported and must be
-   re-earned by fresh local hits.  One-hit entries (hits < 2) are never
-   exported: a hint should certify repeated demand, not a single touch.
-   Allocation-free: the max-scan threads its state through tail-call
-   arguments instead of ref cells. *)
-let rec hottest_way t ~base w bi bh =
-  if w >= t.ways then bi
-  else begin
-    let i = base + w in
-    let hv = t.e_hits.(i) in
-    if
-      hv > bh && t.e_key.(i) >= 0
-      && t.e_epoch.(i) = epoch_of t ~key:t.e_key.(i) ~srv:t.e_srv.(i)
-    then hottest_way t ~base (w + 1) i hv
-    else hottest_way t ~base (w + 1) bi bh
-  end
-
-let rec export_loop t ~base ~f left =
-  if left > 0 then begin
-    let i = hottest_way t ~base 0 (-1) 1 in
-    if i >= 0 then begin
-      f ~key:t.e_key.(i) ~server:t.e_srv.(i) ~gen:t.e_gen.(i)
-        ~epoch:t.e_epoch.(i);
-      t.e_hits.(i) <- -t.e_hits.(i);
-      export_loop t ~base ~f (left - 1)
-    end
-  end
-
-let export_hints t ~h ~k ~f =
-  if h < t.nodes && k > 0 then begin
-    let base = h * t.ways in
-    export_loop t ~base ~f k;
-    for w = 0 to t.ways - 1 do
-      let i = base + w in
-      if t.e_hits.(i) < 0 then t.e_hits.(i) <- max 1 (-t.e_hits.(i) / 2)
-    done
   end
 
 let evict_at t i =
@@ -439,7 +326,7 @@ let evict t ~h ~key ~server =
 (* [@alloc_ok]: mesh-reuse replay support, called between runs.  Clears
    every soft entry — lines, sketch, hint marks, doorkeeper, clock
    hands, pair epochs, tally — but keeps the GUID interning (a pure
-   identity assignment) and the coop configuration. *)
+   identity assignment). *)
 let[@alloc_ok] reset t =
   Array.fill t.e_key 0 (Array.length t.e_key) (-1);
   Array.fill t.e_srv 0 (Array.length t.e_srv) 0;

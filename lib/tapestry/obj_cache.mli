@@ -8,9 +8,9 @@
 
     {b Layout.}  One structure serves the whole network, in the arena
     style of the routing tables: node [h]'s cache is the slice
-    [h*ways .. h*ways+ways-1] of five parallel flat int arrays (key,
-    server handle, server generation, object-epoch snapshot, replacement
-    stamp).  Probing and inserting are plain int scans over [ways]
+    [h*ways .. h*ways+ways-1] of parallel flat int arrays (key, server
+    handle, server generation, object-epoch snapshot, clock reference
+    bit, hit count).  Probing and inserting are plain int scans over [ways]
     entries — no per-entry boxing, no allocation on the hot path.
 
     {b Keys.}  Object GUIDs are interned once (cold path) to dense int
@@ -39,34 +39,21 @@
     keeps per-shard {!Simnet.Stats.Tally.t} records and merges them in
     shard order. *)
 
-type policy =
-  | Clock  (** second-chance clock sweep per node line *)
-  | Two_random
-      (** power-of-two-choices LRU: evict the older-stamped of two
-          deterministically hashed ways *)
-
-val policy_of_string : string -> policy option
-(** ["clock"] / ["2random"] (also accepts ["two-random"]). *)
-
-val policy_to_string : policy -> string
-
 type t = private {
   ways : int;  (** associativity: entries per node, > 0 *)
-  policy : policy;
   mutable nodes : int;  (** arena-handle capacity *)
   mutable e_key : int array;  (** [nodes*ways]; -1 = empty way *)
   mutable e_srv : int array;  (** server arena handle *)
   mutable e_gen : int array;  (** server mailbox generation at fill (0 sync) *)
   mutable e_epoch : int array;  (** object epoch snapshot at fill *)
-  mutable e_stamp : int array;  (** clock ref bit / LRU tick *)
+  mutable e_stamp : int array;  (** clock reference bit *)
   mutable e_hits : int array;
-      (** frequency sketch: saturating per-entry hit count (PR 10);
-          orders a line's entries by warmth for {!export_hints} *)
+      (** frequency sketch: saturating per-entry hit count; a full
+          line's organic fill replaces its coldest hint first *)
   mutable e_src : Bytes.t;
       (** ['\001'] = entry arrived as a cooperative hint, ['\000'] =
           learned from the node's own fetch unwind *)
-  mutable hand : int array;
-      (** per node: clock hand position, or the LRU tick counter *)
+  mutable hand : int array;  (** per node: clock hand position *)
   mutable dk : Bytes.t;
       (** doorkeeper admission bits, [ways] bytes (= 8*ways bits) per
           node; see {!insert} *)
@@ -81,26 +68,10 @@ type t = private {
   mutable keys : int;  (** number of interned keys *)
   key_tbl : int Node_id.Tbl.t;
   tally : Simnet.Stats.Tally.t;  (** sync-path accounting only *)
-  mutable hint_k : int;
-      (** cooperative caching: top-k hottest entries exported per
-          exchange event; 0 (the default) disables cooperation *)
-  mutable hint_budget : int;
-      (** max hints a single line accepts from one exchange event
-          (publish hop, fetch unwind, or barrier digest) *)
 }
 
-val create : ways:int -> policy:policy -> nodes:int -> t
-(** @raise Invalid_argument if [ways <= 0] or [nodes < 0].  Created
-    with cooperation off ([hint_k = 0]); see {!set_coop}. *)
-
-val set_coop : t -> hint_k:int -> hint_budget:int -> unit
-(** Configure cooperative hint exchange (the record is private, so
-    this is the only way to flip it).  [hint_k = 0] turns every
-    cooperative path off, reproducing PR 9 behavior exactly.
-    @raise Invalid_argument on negative arguments. *)
-
-val coop_on : t -> bool
-(** [hint_k > 0]. *)
+val create : ways:int -> nodes:int -> t
+(** @raise Invalid_argument if [ways <= 0] or [nodes < 0]. *)
 
 val ensure_nodes : t -> int -> unit
 (** Grow the per-node lines to cover handles [< n] (amortized doubling;
@@ -147,29 +118,11 @@ val probe_is_hint : t -> int -> bool
 (** Whether entry [i] arrived via {!import_hint} rather than a learned
     fill (drives the [hint_hits] counter). *)
 
-val probe_key : t -> int -> int
-(** Object key of entry [i] ([-1] for an empty way). *)
-
-val holds : t -> h:int -> key:int -> bool
-(** Whether node [h]'s line holds [key] in any way (no touch, no
-    epoch check — a pure membership scan for the offer paths). *)
-
-val idle_hint_way : t -> h:int -> int
-(** First hint-sourced way of node [h]'s line that has never been
-    probe-hit since it was imported (sketch count still 1), or [-1].
-    The digit-bucket offer path may recycle exactly this entry when
-    the line has no empty way: see {!set_hint_at}. *)
-
-val set_hint_at : t -> int -> key:int -> server:int -> gen:int -> epoch:int -> unit
-(** Overwrite way [i] with a hint entry (cold sketch count, marked
-    hint-sourced).  Only the bucket-offer replacement path calls this,
-    with [i] from {!idle_hint_way} and after checking {!holds} is
-    [false] for the key — resident organic entries are never touched. *)
-
 val insert : t -> h:int -> key:int -> server:int -> gen:int -> unit
 (** Fill (or refresh) node [h]'s line with [key -> server], snapshotting
-    the pair's current epoch; evicts per {!policy} when the line is
-    full.  Eviction is doorkeeper-gated: a fill that would displace a
+    the pair's current epoch.  A full line first gives up its coldest
+    hint-sourced entry; failing that it evicts by a second-chance clock
+    sweep.  Eviction is doorkeeper-gated: a fill that would displace a
     resident entry is declined on the key's first touch (a per-node bit
     array remembers it) and admitted on the second, so the Zipf tail
     cannot thrash the hot head out of a line.  Refreshes and empty-way
@@ -195,21 +148,8 @@ val import_hint :
     learning always wins — or when no way is empty: a hint never
     displaces a resident entry (organic or hint), so cooperation adds
     to local learning instead of trading against it.  A landed hint is
-    marked hint-sourced and starts with a cold sketch count, so it must
-    earn local hits before the node re-exports it.  Deterministic and
-    allocation-free. *)
-
-val export_hints :
-  t ->
-  h:int ->
-  k:int ->
-  f:(key:int -> server:int -> gen:int -> epoch:int -> unit) ->
-  unit
-(** Visit the top-[k] hottest epoch-current entries of node [h]'s line,
-    hottest first.  Entries with fewer than 2 recorded hits are never
-    exported (a hint certifies repeated demand), and each export halves
-    the entry's sketch count so propagated warmth decays unless renewed
-    by fresh local hits.  Deterministic and allocation-free. *)
+    marked hint-sourced and starts with a cold sketch count.
+    Deterministic and allocation-free. *)
 
 val evict_at : t -> int -> unit
 (** Clear entry [i] (a [probe] result). *)
@@ -221,7 +161,7 @@ val evict : t -> h:int -> key:int -> server:int -> unit
 val reset : t -> unit
 (** Clear all soft state — lines, sketch, hint marks, doorkeeper,
     replacement state, pair epochs, and the sync tally — keeping the
-    GUID interning and coop configuration.  Called by
+    GUID interning.  Called by
     [Network.clear_soft_state] so multi-row sweeps replayed on a shared
     mesh stay independent. *)
 

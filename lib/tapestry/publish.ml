@@ -10,31 +10,6 @@ let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
     ~root_idx =
   let cfg = net.Network.config in
   let salted = Network.salted net guid root_idx in
-  (* Cooperative piggyback (PR 10): each publish/republish hop also
-     carries the previous node's top-k hottest cache entries, so hints
-     ride traffic the protocol already pays for — no extra messages,
-     no extra charge.  Budget-capped here, doorkeeper-gated at the
-     importer, and the exporter only offers epoch-current entries, so
-     a propagated hint is never fresher than the entry it came from. *)
-  let piggyback (prev : Node.t) (node : Node.t) =
-    match net.Network.obj_cache with
-    | Some c when Obj_cache.coop_on c && prev.Node.handle <> node.Node.handle ->
-        let bk = min c.Obj_cache.hint_k c.Obj_cache.hint_budget in
-        let budget = ref bk in
-        Obj_cache.export_hints c ~h:prev.Node.handle ~k:bk
-          ~f:(fun ~key ~server ~gen ~epoch ->
-            if
-              !budget > 0
-              && Obj_cache.import_hint c ~h:node.Node.handle ~key ~server ~gen
-                   ~epoch
-            then begin
-              decr budget;
-              let tl = c.Obj_cache.tally in
-              tl.Simnet.Stats.Tally.hint_fills <- tl.hint_fills + 1;
-              tl.fills <- tl.fills + 1
-            end)
-    | _ -> ()
-  in
   (* Fold along the root path, depositing a pointer at every node. *)
   let root, (_, hops), _ =
     Route.fold_path ?variant net ~from:server salted ~init:(None, 0)
@@ -43,7 +18,6 @@ let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
           ~previous:(match prev with
             | Some (p : Node.t) -> Some p.Node.id
             | None -> None);
-        (match prev with Some p -> piggyback p node | None -> ());
         if on_secondaries then begin
           (* PRR-style: the pointer also lands on the secondaries of the slot
              about to be crossed; approximate by offering to every secondary

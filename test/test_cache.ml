@@ -1,12 +1,14 @@
 (* Object-pointer cache tests (PR 9, DESIGN.md section 10):
 
-   - Obj_cache unit behavior: interning, clock second-chance and
-     2-random eviction, conditional evict, per-(object, server) epoch
-     staleness;
+   - Obj_cache unit behavior: interning, clock second-chance eviction,
+     conditional evict, per-(object, server) epoch staleness, hint
+     imports;
    - the synchronous locate path: warm hits shorten later locates
      without changing answers, a partial unpublish (one replica of two)
      leaves shortcuts to the surviving replica valid, and the audit's
      cache-coherence check accepts the quiescent state;
+   - planted hints naming a replica that is later retracted never
+     answer a locate;
    - a hand-corrupted entry (live server that never held the replica)
      is flagged Cache_incoherent by the audit;
    - driver mesh reuse: clearing soft state and restoring the RNG
@@ -31,8 +33,7 @@ let random_guid net =
 
 (* ---- Obj_cache units ---- *)
 
-let mk ?(ways = 2) ?(policy = Obj_cache.Clock) ?(nodes = 4) () =
-  Obj_cache.create ~ways ~policy ~nodes
+let mk ?(ways = 2) ?(nodes = 4) () = Obj_cache.create ~ways ~nodes
 
 let test_intern_roundtrip () =
   let c = mk () in
@@ -85,7 +86,7 @@ let test_doorkeeper_admission () =
   Alcotest.(check int) "line stays bounded" 2 (Obj_cache.entries c)
 
 let test_clock_second_chance () =
-  let c = mk ~ways:2 ~policy:Obj_cache.Clock () in
+  let c = mk ~ways:2 () in
   Obj_cache.insert c ~h:0 ~key:1 ~server:1 ~gen:0;
   Obj_cache.insert c ~h:0 ~key:2 ~server:2 ~gen:0;
   (* double-insert key 3 to pass the doorkeeper; both residents'
@@ -109,21 +110,6 @@ let test_clock_second_chance () =
     (Obj_cache.probe c ~h:0 ~key:4 >= 0);
   Alcotest.(check int) "line stays bounded" 2 (Obj_cache.entries c)
 
-let test_two_random_deterministic () =
-  let fill () =
-    let c = mk ~ways:4 ~policy:Obj_cache.Two_random ~nodes:2 () in
-    for k = 0 to 15 do
-      (* double-insert so overflow fills pass the doorkeeper *)
-      Obj_cache.insert c ~h:1 ~key:k ~server:(100 + k) ~gen:0;
-      Obj_cache.insert c ~h:1 ~key:k ~server:(100 + k) ~gen:0
-    done;
-    List.init 16 (fun k -> Obj_cache.probe c ~h:1 ~key:k >= 0)
-  in
-  Alcotest.(check (list bool)) "same insert order, same victims" (fill ())
-    (fill ());
-  Alcotest.(check int) "line stays bounded" 4
-    (List.length (List.filter Fun.id (fill ())))
-
 let test_pair_epoch_staleness () =
   let c = mk ~ways:2 () in
   Obj_cache.insert c ~h:0 ~key:5 ~server:3 ~gen:0;
@@ -142,38 +128,11 @@ let test_pair_epoch_staleness () =
   Alcotest.(check bool) "refill current again" true
     (Obj_cache.probe c ~h:0 ~key:5 >= 0)
 
-(* ---- cooperative hint sketch (PR 10) ---- *)
+(* ---- cooperative hint imports ---- *)
 
-let test_hint_export_import () =
+let test_hint_import () =
   let c = mk ~ways:4 ~nodes:4 () in
-  Obj_cache.set_coop c ~hint_k:4 ~hint_budget:4;
-  Alcotest.(check bool) "coop on" true (Obj_cache.coop_on c);
   Obj_cache.insert c ~h:0 ~key:1 ~server:11 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:2 ~server:12 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:3 ~server:13 ~gen:0;
-  (* key 1 earns two extra hits, key 2 one, key 3 none: export must
-     visit hottest-first and never export a one-touch entry *)
-  ignore (Obj_cache.probe c ~h:0 ~key:1 : int);
-  ignore (Obj_cache.probe c ~h:0 ~key:1 : int);
-  ignore (Obj_cache.probe c ~h:0 ~key:2 : int);
-  let order = ref [] in
-  Obj_cache.export_hints c ~h:0 ~k:4
-    ~f:(fun ~key ~server:_ ~gen:_ ~epoch:_ -> order := key :: !order);
-  Alcotest.(check (list int)) "hottest first, one-touch entries withheld"
-    [ 1; 2 ]
-    (List.rev !order);
-  (* export halves the recorded warmth: a second export finds nothing
-     until fresh local hits re-earn it *)
-  let again = ref 0 in
-  Obj_cache.export_hints c ~h:0 ~k:4
-    ~f:(fun ~key:_ ~server:_ ~gen:_ ~epoch:_ -> incr again);
-  Alcotest.(check int) "propagated warmth decays" 0 !again;
-  ignore (Obj_cache.probe c ~h:0 ~key:1 : int);
-  let re = ref 0 in
-  Obj_cache.export_hints c ~h:0 ~k:4
-    ~f:(fun ~key:_ ~server:_ ~gen:_ ~epoch:_ -> incr re);
-  Alcotest.(check int) "fresh hits re-earn exportability" 1 !re;
-  (* import into another node: lands cold, hint-marked, serves hits *)
   let epoch = Obj_cache.epoch_of c ~key:1 ~srv:11 in
   Alcotest.(check bool) "import lands in an empty way" true
     (Obj_cache.import_hint c ~h:1 ~key:1 ~server:11 ~gen:0 ~epoch);
@@ -181,15 +140,25 @@ let test_hint_export_import () =
   Alcotest.(check bool) "hint probes as a hit" true (i >= 0);
   Alcotest.(check bool) "entry is hint-sourced" true
     (Obj_cache.probe_is_hint c i);
-  Alcotest.(check int) "hint names the exporter's server" 11
+  Alcotest.(check int) "hint names the offered server" 11
     (Obj_cache.probe_srv c i);
+  Alcotest.(check bool) "learned entry is not hint-sourced" false
+    (Obj_cache.probe_is_hint c (Obj_cache.probe c ~h:0 ~key:1));
   Alcotest.(check bool) "own learning wins: held key declines re-import"
     false
-    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:99 ~gen:0 ~epoch)
+    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:99 ~gen:0 ~epoch);
+  (* a full line's organic fill replaces a hint before it evicts (or
+     asks the doorkeeper about) anything the node learned itself *)
+  Obj_cache.insert c ~h:1 ~key:2 ~server:12 ~gen:0;
+  Obj_cache.insert c ~h:1 ~key:3 ~server:13 ~gen:0;
+  Obj_cache.insert c ~h:1 ~key:4 ~server:14 ~gen:0;
+  Obj_cache.insert c ~h:1 ~key:5 ~server:15 ~gen:0;
+  Alcotest.(check int) "the hint made room" (-1) (Obj_cache.probe c ~h:1 ~key:1);
+  Alcotest.(check bool) "first-touch fill landed" true
+    (Obj_cache.probe c ~h:1 ~key:5 >= 0)
 
 let test_hint_import_never_displaces () =
   let c = mk ~ways:2 ~nodes:2 () in
-  Obj_cache.set_coop c ~hint_k:2 ~hint_budget:2;
   Obj_cache.insert c ~h:0 ~key:1 ~server:1 ~gen:0;
   Obj_cache.insert c ~h:0 ~key:2 ~server:2 ~gen:0;
   let ep3 = Obj_cache.epoch_of c ~key:3 ~srv:3 in
@@ -206,7 +175,6 @@ let test_hint_import_never_displaces () =
 
 let test_hint_staleness_self_evicts () =
   let c = mk ~ways:2 ~nodes:2 () in
-  Obj_cache.set_coop c ~hint_k:2 ~hint_budget:2;
   let ep = Obj_cache.epoch_of c ~key:7 ~srv:4 in
   Alcotest.(check bool) "hint lands" true
     (Obj_cache.import_hint c ~h:1 ~key:7 ~server:4 ~gen:0 ~epoch:ep);
@@ -221,7 +189,6 @@ let test_hint_staleness_self_evicts () =
 let test_reset_clears_soft_state () =
   let c = mk ~ways:2 ~nodes:2 () in
   let net = build ~n:8 () in
-  Obj_cache.set_coop c ~hint_k:2 ~hint_budget:2;
   let g = random_guid net in
   let key = Obj_cache.intern c g in
   Obj_cache.insert c ~h:0 ~key ~server:1 ~gen:0;
@@ -239,16 +206,13 @@ let test_reset_clears_soft_state () =
     (Simnet.Stats.Tally.lookups c.Obj_cache.tally);
   Alcotest.(check int) "pair epochs cleared" 0
     (Obj_cache.epoch_of c ~key ~srv:9);
-  Alcotest.(check bool) "coop config survives" true (Obj_cache.coop_on c);
+  Alcotest.(check int) "associativity survives" 2 c.Obj_cache.ways;
   Alcotest.(check int) "interning survives" key (Obj_cache.find_key c g)
 
 (* ---- synchronous locate path ---- *)
 
 let attach_cache ?(ways = 4) net =
-  let c =
-    Obj_cache.create ~ways ~policy:Obj_cache.Clock
-      ~nodes:net.Network.arena_len
-  in
+  let c = Obj_cache.create ~ways ~nodes:net.Network.arena_len in
   net.Network.obj_cache <- Some c;
   c
 
@@ -311,65 +275,14 @@ let test_sync_partial_unpublish () =
     Alcotest.failf "post-unpublish mesh not audit-clean: %s"
       (Format.asprintf "%a" Audit.pp_report report)
 
-(* Hints must travel on existing traffic: publishes and republishes
-   export each hop's hottest entries to the next hop.  Warm a mesh with
-   locate traffic over many objects, republish everything, and some
-   node must now hold — and later serve — an entry it never fetched. *)
-let test_sync_hint_propagation () =
-  let net = build ~n:150 ~seed:31 () in
-  let c = attach_cache ~ways:8 net in
-  Obj_cache.set_coop c ~hint_k:4 ~hint_budget:4;
-  let objects =
-    List.init 12 (fun _ ->
-        let server = Network.random_alive net in
-        let guid = random_guid net in
-        ignore (Publish.publish net ~server guid : Publish.outcome);
-        guid)
-  in
-  (* warm: repeated locates from many clients earn export-worthy hit
-     counts along the climb paths *)
-  for _ = 1 to 3 do
-    List.iter
-      (fun guid ->
-        for _ = 1 to 6 do
-          let client = Network.random_alive net in
-          ignore (Locate.locate net ~client guid : Locate.result)
-        done)
-      objects
-  done;
-  let tl = c.Obj_cache.tally in
-  Alcotest.(check int) "no hints before any republish" 0
-    tl.Simnet.Stats.Tally.hint_fills;
-  ignore (Maintenance.republish_all net : int);
-  Alcotest.(check bool) "republish traffic carried hints" true
-    (tl.Simnet.Stats.Tally.hint_fills > 0);
-  (* and the landed hints actually answer queries *)
-  for _ = 1 to 3 do
-    List.iter
-      (fun guid ->
-        for _ = 1 to 6 do
-          let client = Network.random_alive net in
-          match (Locate.locate net ~client guid).Locate.server with
-          | None -> Alcotest.fail "locate lost a published object"
-          | Some _ -> ()
-        done)
-      objects
-  done;
-  Alcotest.(check bool) "a node served a hint it never fetched" true
-    (tl.Simnet.Stats.Tally.hint_hits > 0);
-  let report = Audit.run net in
-  if not (Audit.is_clean report) then
-    Alcotest.failf "hinted mesh not audit-clean: %s"
-      (Format.asprintf "%a" Audit.pp_report report)
-
 (* Unpublish must retract propagated hints everywhere at once: the
    epoch bump stales every copy, a later hint-hit self-evicts and the
    climb resumes — no client may be answered with the retracted
-   replica. *)
+   replica.  Every node is offered a hint naming the replica that is
+   then retracted, the way the serve barrier offers digest rows. *)
 let test_sync_hint_staleness () =
   let net = build ~n:150 ~seed:23 () in
   let c = attach_cache ~ways:8 net in
-  Obj_cache.set_coop c ~hint_k:4 ~hint_budget:4;
   let s1 = Network.random_alive net in
   let s2 = Network.random_alive net in
   if Node_id.equal s1.Node.id s2.Node.id then
@@ -377,11 +290,20 @@ let test_sync_hint_staleness () =
   let guid = random_guid net in
   ignore (Publish.publish net ~server:s1 guid : Publish.outcome);
   ignore (Publish.publish net ~server:s2 guid : Publish.outcome);
-  for _ = 1 to 20 do
-    let client = Network.random_alive net in
-    ignore (Locate.locate net ~client guid : Locate.result)
-  done;
-  ignore (Maintenance.republish_all net : int);
+  let key = Obj_cache.intern c guid in
+  let epoch = Obj_cache.epoch_of c ~key ~srv:s1.Node.handle in
+  let landed = ref 0 in
+  Network.iter_alive net (fun n ->
+      if
+        Obj_cache.import_hint c ~h:n.Node.handle ~key ~server:s1.Node.handle
+          ~gen:0 ~epoch
+      then incr landed);
+  Alcotest.(check bool) "hints landed" true (!landed > 0);
+  let hits0 = c.Obj_cache.tally.Simnet.Stats.Tally.hits in
+  ignore (Locate.locate net ~client:(Network.random_alive net) guid
+    : Locate.result);
+  Alcotest.(check bool) "a hint answered before the retraction" true
+    (c.Obj_cache.tally.Simnet.Stats.Tally.hits > hits0);
   Publish.unpublish net ~server:s1 guid;
   for _ = 1 to 30 do
     let client = Network.random_alive net in
@@ -506,16 +428,14 @@ let () =
             `Quick test_doorkeeper_admission;
           Alcotest.test_case "clock second-chance spares recent hits" `Quick
             test_clock_second_chance;
-          Alcotest.test_case "2-random eviction is deterministic" `Quick
-            test_two_random_deterministic;
           Alcotest.test_case "epochs invalidate per (object, server) pair"
             `Quick test_pair_epoch_staleness;
         ] );
       ( "hints",
         [
           Alcotest.test_case
-            "export is hottest-first, thresholded, and decays" `Quick
-            test_hint_export_import;
+            "import lands hint-marked, yields to learning" `Quick
+            test_hint_import;
           Alcotest.test_case "imports never displace resident entries"
             `Quick test_hint_import_never_displaces;
           Alcotest.test_case "stale hint-hit self-evicts" `Quick
@@ -530,8 +450,6 @@ let () =
           Alcotest.test_case
             "partial unpublish keeps surviving-replica shortcuts" `Quick
             test_sync_partial_unpublish;
-          Alcotest.test_case "republish traffic propagates serving hints"
-            `Quick test_sync_hint_propagation;
           Alcotest.test_case "unpublish retracts propagated hints" `Quick
             test_sync_hint_staleness;
           Alcotest.test_case "audit flags a corrupt entry" `Quick

@@ -38,96 +38,69 @@
 # mesh passes the audit INCLUDING the hint-sketch coherence extension,
 # and the JSON must show positive hint_fills (the exchange actually
 # moved hints between nodes, not just compiled).
+#
+# The four smokes are rows of one table (`smokes` below) driven by one
+# runner; with several smoke flags only the first row in table order
+# runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One row per smoke stage, in the order they are tried:
+#   flag | exit code | tapestry_sim arguments | JSON field that must be
+#   positive (- for none) | committed file to gate against with
+#   bench_compare (- for none) | what the stage covers
+smokes=(
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
+  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
+  "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|scale smoke (n=32768 streamed build + JSON round-trip)"
+)
+
 advisory=""
-scale_smoke=0
-serve_smoke=0
-cache_smoke=0
-coop_smoke=0
+selected=" "
 for arg in "$@"; do
   case "$arg" in
     --advisory) advisory="--advisory" ;;
-    --scale-smoke) scale_smoke=1 ;;
-    --serve-smoke) serve_smoke=1 ;;
-    --cache-smoke) cache_smoke=1 ;;
-    --coop-smoke) coop_smoke=1 ;;
+    --scale-smoke|--serve-smoke|--cache-smoke|--coop-smoke) selected="$selected$arg " ;;
     *) echo "usage: tools/check.sh [--advisory] [--scale-smoke] [--serve-smoke] [--cache-smoke] [--coop-smoke]" >&2; exit 2 ;;
   esac
 done
 
-if [ "$coop_smoke" = 1 ]; then
-  dune build bin/tapestry_sim.exe bench/main.exe || exit 10
-  tmp_coop=$(mktemp /tmp/coop_smoke.XXXXXX.json)
-  trap 'rm -f "$tmp_coop"' EXIT
-  # --audit makes the run itself fail on any invariant violation,
-  # hint-sketch coherence included
-  dune exec bin/tapestry_sim.exe -- serve --size 4096 --requests 100000 \
-    --cache-size 32 --coop 1 --audit --json "$tmp_coop" || exit 19
-  dune exec bench/main.exe -- --check-json "$tmp_coop" || exit 19
-  # hints must actually travel: zero hint_fills means the digest/want
-  # exchange is dead even though nothing crashed
-  hf=$(grep -o '"hint_fills": *[0-9]*' "$tmp_coop" | head -1 | sed 's/.*: *//')
-  if [ "${hf:-0}" -le 0 ]; then
-    echo "check: coop smoke found no hint_fills (got '${hf:-missing}')" >&2
-    exit 19
-  fi
-  echo "check: coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence) clean"
-  exit 0
-fi
-
-if [ "$cache_smoke" = 1 ]; then
-  dune build bin/tapestry_sim.exe bench/main.exe || exit 10
-  tmp_cache=$(mktemp /tmp/cache_smoke.XXXXXX.json)
-  trap 'rm -f "$tmp_cache"' EXIT
-  # --audit makes the run itself fail on any invariant violation,
-  # cache coherence included
-  dune exec bin/tapestry_sim.exe -- serve --size 4096 --requests 100000 \
-    --cache-size 32 --audit --json "$tmp_cache" || exit 18
-  dune exec bench/main.exe -- --check-json "$tmp_cache" || exit 18
-  # the cache must actually serve traffic: a zero hit rate means the
-  # probe/fill plumbing is dead even though nothing crashed
-  hr=$(grep -o '"cache_hit_rate": *[0-9.eE+-]*' "$tmp_cache" | head -1 | sed 's/.*: *//')
-  awk -v h="${hr:-0}" 'BEGIN { exit (h > 0 ? 0 : 1) }' || {
-    echo "check: cache smoke found no positive cache_hit_rate (got '${hr:-missing}')" >&2
-    exit 18
-  }
-  echo "check: cache smoke (n=4096 serve, cache=32, audit incl. coherence) clean"
-  exit 0
-fi
-
-if [ "$serve_smoke" = 1 ]; then
+# Run one smoke row and exit: the run itself (--audit rows fail on any
+# invariant violation), the JSON round-trip through the bench parser,
+# the positive-field check (the stage's mechanism actually did work,
+# not just compiled), then the gate against the committed baseline.
+run_smoke() {
+  local code=$1 args=$2 field=$3 gate=$4 what=$5 v
   dune build bin/tapestry_sim.exe bench/main.exe \
     tools/bench_compare/bench_compare.exe || exit 10
-  tmp_serve=$(mktemp /tmp/serve_smoke.XXXXXX.json)
-  trap 'rm -f "$tmp_serve"' EXIT
-  dune exec bin/tapestry_sim.exe -- serve --size 4096 --requests 100000 \
-    --json "$tmp_serve" || exit 17
-  dune exec bench/main.exe -- --check-json "$tmp_serve" || exit 17
-  if [ -f BENCH_serve.json ]; then
-    dune exec tools/bench_compare/bench_compare.exe -- \
-      $advisory BENCH_serve.json "$tmp_serve" || exit 17
+  tmp_smoke=$(mktemp /tmp/smoke.XXXXXX.json)
+  trap 'rm -f "$tmp_smoke"' EXIT
+  # $args is a word list: split it
+  # shellcheck disable=SC2086
+  dune exec bin/tapestry_sim.exe -- $args --json "$tmp_smoke" || exit "$code"
+  dune exec bench/main.exe -- --check-json "$tmp_smoke" || exit "$code"
+  if [ "$field" != - ]; then
+    v=$(grep -o "\"$field\": *[0-9.eE+-]*" "$tmp_smoke" | head -1 | sed 's/.*: *//' || true)
+    awk -v v="${v:-0}" 'BEGIN { exit (v > 0 ? 0 : 1) }' || {
+      echo "check: $what found no positive $field (got '${v:-missing}')" >&2
+      exit "$code"
+    }
   fi
-  echo "check: serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip) clean"
+  if [ "$gate" != - ] && [ -f "$gate" ]; then
+    dune exec tools/bench_compare/bench_compare.exe -- \
+      $advisory "$gate" "$tmp_smoke" || exit "$code"
+  fi
+  echo "check: $what clean"
   exit 0
-fi
+}
 
-if [ "$scale_smoke" = 1 ]; then
-  dune build bin/tapestry_sim.exe bench/main.exe \
-    tools/bench_compare/bench_compare.exe || exit 10
-  tmp_scale=$(mktemp /tmp/scale_smoke.XXXXXX.json)
-  trap 'rm -f "$tmp_scale"' EXIT
-  dune exec bin/tapestry_sim.exe -- scale --sizes 32768 \
-    --objects 200 --queries 400 --json "$tmp_scale" || exit 16
-  dune exec bench/main.exe -- --check-json "$tmp_scale" || exit 16
-  if [ -f BENCH_scale.json ]; then
-    dune exec tools/bench_compare/bench_compare.exe -- \
-      $advisory BENCH_scale.json "$tmp_scale" || exit 16
-  fi
-  echo "check: scale smoke (n=32768 streamed build + JSON round-trip) clean"
-  exit 0
-fi
+for row in "${smokes[@]}"; do
+  IFS='|' read -r flag code args field gate what <<< "$row"
+  case "$selected" in
+    *" $flag "*) run_smoke "$code" "$args" "$field" "$gate" "$what" ;;
+  esac
+done
 
 dune build || exit 10
 dune runtest || exit 11
