@@ -8,24 +8,20 @@
 
    2. Bechamel microbenchmarks of the core operations (route, publish,
       locate, insert, multicast, Chord lookup, alive sampling, the
-      surrogate oracle) on a prebuilt network.  The "naive" entries
-      re-create the pre-index costs (alive-list rebuild per sample, core
-      trie rebuild per oracle call) so the win of the incremental
-      structures is visible in one run.
+      surrogate oracle) on a prebuilt network.
 
    Run `dune exec bench/main.exe` for the quick profile (CI-sized);
    `dune exec bench/main.exe -- --full` for paper-scale runs;
    `dune exec bench/main.exe -- --only table1,stretch` to select tables;
    `--no-micro` / `--no-tables` skip one half;
    `--domains D` spreads parallelizable tables over D cores (same output);
-   `--large` adds the n=4096 routing pair (slow mesh build, opt-in);
    `--json FILE` also writes machine-readable results;
    `--check-json FILE` parses a previously written FILE and exits. *)
 
 open Tapestry
 
 let usage =
-  "main.exe [--full] [--large] [--seed N] [--only a,b,c] [--no-micro]\n\
+  "main.exe [--full] [--seed N] [--only a,b,c] [--no-micro]\n\
   \        [--no-tables] [--domains D] [--quota SECONDS] [--json FILE]\n\
   \        [--check-json FILE]"
 
@@ -34,7 +30,6 @@ type options = {
   mutable seed : int;
   mutable only : string list;
   mutable micro : bool;
-  mutable large : bool;
   mutable tables : bool;
   mutable domains : int;
   mutable quota : float;
@@ -49,7 +44,6 @@ let parse_args () =
       seed = 42;
       only = [];
       micro = true;
-      large = false;
       tables = true;
       domains = 1;
       quota = 0.25;
@@ -61,9 +55,6 @@ let parse_args () =
     | [] -> ()
     | "--full" :: rest ->
         o.mode <- Evaluation.Experiment.Full;
-        go rest
-    | "--large" :: rest ->
-        o.large <- true;
         go rest
     | "--seed" :: v :: rest ->
         o.seed <- int_of_string v;
@@ -151,160 +142,17 @@ let micro_tests seed =
            let prefix = Node_id.digits anchor.Node.id in
            ignore (Multicast.run net ~start:anchor ~prefix ~len:1 ~apply:ignore)))
   in
-  (* The swap-remove alive array vs the old fold-then-pick: both draw a
-     uniform alive node, but the naive version pays O(n) per sample. *)
   let random_alive_test =
     Test.make ~name:"random_alive (n=256)"
       (Staged.stage (fun () -> ignore (Network.random_alive net)))
   in
-  let random_alive_naive_test =
-    Test.make ~name:"random_alive naive rebuild (n=256)"
-      (Staged.stage (fun () ->
-           let alive =
-             Node_id.Tbl.fold
-               (fun _ (nd : Node.t) acc -> if Node.is_alive nd then nd :: acc else acc)
-               net.Network.nodes []
-           in
-           ignore (Simnet.Rng.pick_list net.Network.rng alive)))
-  in
-  (* The incremental core trie vs rebuilding it per oracle call (what the
-     oracle had to do before the index became part of the network). *)
   let surrogate_test =
     Test.make ~name:"surrogate_oracle (n=256)"
       (Staged.stage (fun () ->
            ignore (Network.surrogate_oracle net (next_guid ()))))
   in
-  let surrogate_rebuild_test =
-    Test.make ~name:"surrogate_oracle + index rebuild (n=256)"
-      (Staged.stage (fun () ->
-           let idx = Id_index.create ~base:cfg.Config.base in
-           List.iter
-             (fun (nd : Node.t) -> Id_index.add idx nd.Node.id)
-             (Network.core_nodes net);
-           ignore (Network.surrogate_oracle net (next_guid ()))))
-  in
-  (* The packed-slot walk vs the pre-arena hot path: list slots plus a
-     directory lookup per entry.  The oracle tables mirror [net]'s routing
-     tables exactly (consider in slot order reproduces the same slots, since
-     packed slots are sorted by distance), so both sides route through the
-     same mesh — only the representation differs. *)
-  let oracle_tables = Node_id.Tbl.create 256 in
-  List.iter
-    (fun (nd : Node.t) ->
-      let table = nd.Node.table in
-      let o = Routing_table.Oracle.create cfg ~owner:nd.Node.id in
-      for level = 0 to Routing_table.levels table - 1 do
-        for digit = 0 to cfg.Config.base - 1 do
-          for k = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-            let id = Routing_table.slot_id table ~level ~digit ~k in
-            if not (Node_id.equal id nd.Node.id) then
-              ignore
-                (Routing_table.Oracle.consider o ~level ~candidate:id
-                   ~dist:(Routing_table.slot_dist table ~level ~digit ~k))
-          done
-        done
-      done;
-      Node_id.Tbl.replace oracle_tables nd.Node.id o)
-    (Network.alive_nodes net);
-  let oracle_first_alive o ~level ~digit =
-    let rec first = function
-      | [] -> None
-      | (e : Routing_table.Oracle.entry) :: rest -> (
-          match Network.find net e.Routing_table.Oracle.id with
-          | Some n when Node.is_alive n -> Some n
-          | _ -> first rest)
-    in
-    first (Routing_table.Oracle.slot o ~level ~digit)
-  in
-  let oracle_walk ~from ~stop guid =
-    let digits = cfg.Config.id_digits and base = cfg.Config.base in
-    let rec walk (node : Node.t) level =
-      if level >= digits || stop node then node
-      else begin
-        let o = Node_id.Tbl.find oracle_tables node.Node.id in
-        let want = Node_id.digit guid level in
-        let rec scan tries =
-          if tries = base then None
-          else
-            match oracle_first_alive o ~level ~digit:((want + tries) mod base) with
-            | Some n -> Some n
-            | None -> scan (tries + 1)
-        in
-        match scan 0 with
-        | None -> node
-        | Some next ->
-            if Node_id.equal next.Node.id node.Node.id then walk node (level + 1)
-            else begin
-              Network.charge net node next;
-              walk next (level + 1)
-            end
-      end
-    in
-    walk from 0
-  in
-  let route_oracle_test =
-    Test.make ~name:"route_to_root list-oracle (n=256)"
-      (Staged.stage (fun () ->
-           let from = Network.random_alive net in
-           ignore (oracle_walk ~from ~stop:(fun _ -> false) (next_guid ()))))
-  in
-  (* Pre-change locate: oracle walk, filter-then-fold over the full
-     [find_guid] record list at every hop, double pass at the stop node. *)
-  let usable_records (node : Node.t) guid =
-    Pointer_store.find_guid node.Node.pointers guid
-    |> List.filter (fun (r : Pointer_store.record) ->
-           r.Pointer_store.expires >= net.Network.clock
-           &&
-           match Network.find net r.Pointer_store.server with
-           | Some s -> Node.is_alive s && Node.stores_replica s guid
-           | None -> false)
-  in
-  let locate_oracle_test =
-    Test.make ~name:"locate list-oracle (n=256)"
-      (Staged.stage (fun () ->
-           let client = Network.random_alive net in
-           let guid = next_guid () in
-           let found =
-             oracle_walk ~from:client
-               ~stop:(fun node ->
-                 match usable_records node guid with
-                 | [] -> false
-                 | _ :: _ -> true)
-               guid
-           in
-           let records = usable_records found guid in
-           let server =
-             List.fold_left
-               (fun acc (r : Pointer_store.record) ->
-                 match Network.find net r.Pointer_store.server with
-                 | Some s -> (
-                     let d = Network.dist net found s in
-                     match acc with
-                     | Some (_, bd) when bd <= d -> acc
-                     | _ -> Some (s, d))
-                 | None -> acc)
-               None records
-             |> Option.map fst
-           in
-           match server with
-           | Some s when not (Node_id.equal s.Node.id found.Node.id) ->
-               ignore
-                 (oracle_walk ~from:found
-                    ~stop:(fun node -> Node_id.equal node.Node.id s.Node.id)
-                    s.Node.id)
-           | _ -> ()))
-  in
-  let multicast_oracle_test =
-    Test.make ~name:"multicast list-oracle len-1 prefix (n=256)"
-      (Staged.stage (fun () ->
-           let anchor = Network.random_alive net in
-           let prefix = Node_id.digits anchor.Node.id in
-           ignore
-             (Multicast.Oracle.run net ~start:anchor ~prefix ~len:1
-                ~apply:ignore)))
-  in
   (* The Figure 11 watch-list variant: every recipient scans the carried
-     hole bitmap.  Rows are refilled per op so both sides do the same
+     hole bitmap.  Rows are refilled per op so every op does the same
      certification work. *)
   let wl = Array.init 2 (fun _ -> Array.make cfg.Config.base true) in
   let reset_wl () =
@@ -321,16 +169,6 @@ let micro_tests seed =
              (Multicast.run ~on_watch_hit:no_hit ~watchlist:wl net
                 ~start:anchor ~prefix ~len:1 ~apply:ignore)))
   in
-  let multicast_watch_oracle_test =
-    Test.make ~name:"multicast watchlist list-oracle len-1 (n=256)"
-      (Staged.stage (fun () ->
-           reset_wl ();
-           let anchor = Network.random_alive net in
-           let prefix = Node_id.digits anchor.Node.id in
-           ignore
-             (Multicast.Oracle.run ~on_watch_hit:no_hit ~watchlist:wl net
-                ~start:anchor ~prefix ~len:1 ~apply:ignore)))
-  in
   (* insert+delete cycle on a side network so [net] stays stable *)
   let net2, _ =
     Insert.build_incremental ~seed:(seed + 7) Config.default metric
@@ -343,11 +181,9 @@ let micro_tests seed =
            let r = Insert.insert net2 ~gateway:gw ~addr:200 in
            ignore (Delete.voluntary net2 r.Insert.node)))
   in
-  (* Paired insertion-path benches at n=256, on their own network (metric
-     widened so the churn addr is a fresh point).  Each op inserts then
-     voluntarily deletes, so the node count is stable across the run; the
-     list-oracle twin drives the identical pipeline on the pre-packing
-     engines. *)
+  (* Insertion-path benches at n=256, on their own network (metric widened
+     so the churn addr is a fresh point).  Each op inserts then voluntarily
+     deletes, so the node count is stable across the run. *)
   let metric3 =
     Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:300 ~rng
   in
@@ -360,13 +196,6 @@ let micro_tests seed =
       (Staged.stage (fun () ->
            let gw = Network.random_alive net3 in
            let r = Insert.insert net3 ~gateway:gw ~addr:299 in
-           ignore (Delete.voluntary net3 r.Insert.node)))
-  in
-  let insert256_oracle_test =
-    Test.make ~name:"insert list-oracle (n=256)"
-      (Staged.stage (fun () ->
-           let gw = Network.random_alive net3 in
-           let r = Insert.Oracle.insert net3 ~gateway:gw ~addr:299 in
            ignore (Delete.voluntary net3 r.Insert.node)))
   in
   (* The descent alone, seeded by the surrogate as in a standalone run. *)
@@ -383,19 +212,6 @@ let micro_tests seed =
            Network.activate net3 probe;
            ignore (Delete.voluntary net3 probe)))
   in
-  let acquire_oracle_test =
-    Test.make ~name:"acquire_neighbor_table list-oracle (n=256)"
-      (Staged.stage (fun () ->
-           let id = Network.fresh_id net3 in
-           let probe = Node.create cfg ~id ~addr:299 in
-           Network.register net3 probe;
-           let surrogate = Network.surrogate_oracle net3 id in
-           ignore
-             (Nearest_neighbor.Oracle.acquire_neighbor_table net3
-                ~new_node:probe ~surrogate ~initial_list:[ surrogate ]);
-           Network.activate net3 probe;
-           ignore (Delete.voluntary net3 probe)))
-  in
   let ch = Baselines.Chord.create ~seed:(seed + 3) ~m:24 ~succ_list:4 metric in
   ignore (Baselines.Chord.bootstrap ch ~addr:0);
   for addr = 1 to n - 1 do
@@ -409,116 +225,14 @@ let micro_tests seed =
            ignore (Baselines.Chord.lookup ch ~from (!i * 7919 land 0xFFFFFF))))
   in
   [
-    route_test; route_oracle_test; locate_test; locate_oracle_test;
-    publish_test; multicast_test; multicast_oracle_test; multicast_watch_test;
-    multicast_watch_oracle_test; random_alive_test; random_alive_naive_test;
-    surrogate_test; surrogate_rebuild_test; insert_test; insert256_test;
-    insert256_oracle_test; acquire_test; acquire_oracle_test; chord_test;
+    route_test; locate_test; publish_test; multicast_test;
+    multicast_watch_test; random_alive_test; surrogate_test; insert_test;
+    insert256_test; acquire_test; chord_test;
   ]
 
-(* Larger-n routing pair (`--large`, EXPERIMENTS.md B1): same
-   packed-vs-list-oracle comparison as above but on an n=4096 mesh, where
-   routing tables are denser and walks are longer — the regime where the
-   packed layout's cache behaviour should dominate the list-and-hashtable
-   oracle.  Opt-in because building the mesh takes tens of seconds; the
-   check.sh bench gate never runs it. *)
-let large_route_tests seed =
+let run_micro ~quota seed =
   let open Bechamel in
-  let n = 4096 in
-  let rng = Simnet.Rng.create seed in
-  let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
-  let addrs = List.init n (fun i -> i) in
-  let net, _ =
-    Insert.build_incremental ~seed:(seed + 1) Config.default metric ~addrs
-  in
-  let cfg = net.Network.config in
-  let guids =
-    Array.init 64 (fun _ ->
-        let server = Network.random_alive net in
-        let guid =
-          Node_id.random ~base:cfg.Config.base ~len:cfg.Config.id_digits
-            net.Network.rng
-        in
-        ignore (Publish.publish net ~server guid);
-        guid)
-  in
-  let i = ref 0 in
-  let next_guid () =
-    incr i;
-    guids.(!i mod Array.length guids)
-  in
-  let oracle_tables = Node_id.Tbl.create n in
-  List.iter
-    (fun (nd : Node.t) ->
-      let table = nd.Node.table in
-      let o = Routing_table.Oracle.create cfg ~owner:nd.Node.id in
-      for level = 0 to Routing_table.levels table - 1 do
-        for digit = 0 to cfg.Config.base - 1 do
-          for k = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-            let id = Routing_table.slot_id table ~level ~digit ~k in
-            if not (Node_id.equal id nd.Node.id) then
-              ignore
-                (Routing_table.Oracle.consider o ~level ~candidate:id
-                   ~dist:(Routing_table.slot_dist table ~level ~digit ~k))
-          done
-        done
-      done;
-      Node_id.Tbl.replace oracle_tables nd.Node.id o)
-    (Network.alive_nodes net);
-  let oracle_first_alive o ~level ~digit =
-    let rec first = function
-      | [] -> None
-      | (e : Routing_table.Oracle.entry) :: rest -> (
-          match Network.find net e.Routing_table.Oracle.id with
-          | Some nd when Node.is_alive nd -> Some nd
-          | _ -> first rest)
-    in
-    first (Routing_table.Oracle.slot o ~level ~digit)
-  in
-  let oracle_walk ~from guid =
-    let digits = cfg.Config.id_digits and base = cfg.Config.base in
-    let rec walk (node : Node.t) level =
-      if level >= digits then node
-      else begin
-        let o = Node_id.Tbl.find oracle_tables node.Node.id in
-        let want = Node_id.digit guid level in
-        let rec scan tries =
-          if tries = base then None
-          else
-            match
-              oracle_first_alive o ~level ~digit:((want + tries) mod base)
-            with
-            | Some nd -> Some nd
-            | None -> scan (tries + 1)
-        in
-        match scan 0 with
-        | None -> node
-        | Some next ->
-            if Node_id.equal next.Node.id node.Node.id then walk node (level + 1)
-            else begin
-              Network.charge net node next;
-              walk next (level + 1)
-            end
-      end
-    in
-    walk from 0
-  in
-  [
-    Test.make ~name:"route_to_root (n=4096)"
-      (Staged.stage (fun () ->
-           let from = Network.random_alive net in
-           ignore (Route.route_to_root net ~from (next_guid ()))));
-    Test.make ~name:"route_to_root list-oracle (n=4096)"
-      (Staged.stage (fun () ->
-           let from = Network.random_alive net in
-           ignore (oracle_walk ~from (next_guid ()))));
-  ]
-
-let run_micro ~quota ~large seed =
-  let open Bechamel in
-  let tests =
-    micro_tests seed @ (if large then large_route_tests seed else [])
-  in
+  let tests = micro_tests seed in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -644,6 +358,6 @@ let () =
   | None ->
       let tables = if o.tables then run_tables o else [] in
       let micro =
-        if o.micro then run_micro ~quota:o.quota ~large:o.large o.seed else []
+        if o.micro then run_micro ~quota:o.quota o.seed else []
       in
       Option.iter (emit_json o ~micro ~tables) o.json

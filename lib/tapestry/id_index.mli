@@ -1,6 +1,6 @@
 (** Digit trie over identifiers.
 
-    Oracle-side index used by invariant checkers, the static builder and
+    Verification-side index used by invariant checkers, the static builder and
     experiment setup (never by protocol logic): answers "which digits extend
     prefix alpha among live nodes" and enumerates all IDs under a prefix in
     O(answer). *)

@@ -68,8 +68,7 @@ let link_and_xfer_root net ~(new_node : Node.t) ~staged (x : Node.t) =
    [staged] record, the per-stage measurement thunks, the watch list and
    the final report — all once per join; the traffic they drive runs on
    the allocation-checked route/multicast/nearest-neighbor paths. *)
-let[@alloc_ok] stage_surrogate_with ~copy_prelim ?id ?(adaptive = false) net
-    ~gateway ~addr =
+let[@alloc_ok] stage_surrogate ?id ?(adaptive = false) net ~gateway ~addr =
   let cfg = net.Network.config in
   if not (Node.is_alive gateway) then
     invalid_arg "Insert.stage_surrogate: dead gateway";
@@ -86,14 +85,14 @@ let[@alloc_ok] stage_surrogate_with ~copy_prelim ?id ?(adaptive = false) net
         new_node.Node.surrogate_hint <- Some surrogate.Node.id;
         let shared = Node_id.common_prefix_len id surrogate.Node.id in
         (* 2. Preliminary table. *)
-        copy_prelim net ~new_node ~surrogate;
+        copy_preliminary_table net ~new_node ~surrogate;
         (surrogate, shared))
   in
   let acc = Simnet.Cost.make () in
   Simnet.Cost.add acc cost;
   { new_node; surrogate; shared; acc; adaptive; reached = []; transferred = 0 }
 
-let[@alloc_ok] stage_multicast_with ~run_multicast net staged =
+let[@alloc_ok] stage_multicast net staged =
   let cfg = net.Network.config in
   let { new_node; surrogate; shared; _ } = staged in
   (* 3. Acknowledged multicast over alpha with LinkAndXferRoot and the
@@ -110,20 +109,21 @@ let[@alloc_ok] stage_multicast_with ~run_multicast net staged =
   let prefix = Node_id.digits new_node.Node.id in
   let mcast, cost =
     Network.measure net (fun () ->
-        run_multicast ~on_watch_hit ~watchlist net ~start:surrogate ~prefix
+        Multicast.run ~on_watch_hit ~watchlist net ~start:surrogate ~prefix
           ~len:shared
           ~apply:(link_and_xfer_root net ~new_node ~staged))
   in
   Simnet.Cost.add staged.acc cost;
   staged.reached <- mcast.Multicast.reached
 
-let[@alloc_ok] stage_acquire_with ~acquire net staged =
+let[@alloc_ok] stage_acquire net staged =
   let { new_node; surrogate; shared; acc; adaptive; reached; _ } = staged in
   (* 4. Optimize the table with the nearest-neighbor descent, seeded by the
      multicast's alpha list. *)
   let nn_trace, cost =
     Network.measure net (fun () ->
-        acquire ~adaptive net ~new_node ~surrogate ~initial_list:reached)
+        Nearest_neighbor.acquire_neighbor_table ~adaptive net ~new_node
+          ~surrogate ~initial_list:reached)
   in
   Simnet.Cost.add acc cost;
   Network.activate net new_node;
@@ -136,24 +136,6 @@ let[@alloc_ok] stage_acquire_with ~acquire net staged =
     nn_trace;
     cost = Simnet.Cost.snapshot acc;
   }
-
-let stage_surrogate ?id ?adaptive net ~gateway ~addr =
-  stage_surrogate_with ~copy_prelim:copy_preliminary_table ?id ?adaptive net
-    ~gateway ~addr
-
-let[@alloc_ok] stage_multicast net staged =
-  stage_multicast_with
-    ~run_multicast:(fun ~on_watch_hit ~watchlist net ~start ~prefix ~len
-                        ~apply ->
-      Multicast.run ~on_watch_hit ~watchlist net ~start ~prefix ~len ~apply)
-    net staged
-
-let[@alloc_ok] stage_acquire net staged =
-  stage_acquire_with
-    ~acquire:(fun ~adaptive net ~new_node ~surrogate ~initial_list ->
-      Nearest_neighbor.acquire_neighbor_table ~adaptive net ~new_node
-        ~surrogate ~initial_list)
-    net staged
 
 let insert ?id ?adaptive net ~gateway ~addr =
   let staged = stage_surrogate ?id ?adaptive net ~gateway ~addr in
@@ -179,46 +161,3 @@ let[@alloc_ok] build_incremental ?seed cfg metric ~addrs =
           rest
       in
       (net, reports)
-
-(* --- reference oracle: the insertion pipeline on the list engines --- *)
-
-module Oracle = struct
-  (* The original GetPrelimNeighborTable: resolve every surrogate entry
-     through the directory. *)
-  let copy_preliminary_table net ~(new_node : Node.t) ~(surrogate : Node.t) =
-    Network.charge net surrogate new_node;
-    ignore
-      (Network.offer_link_all_levels net ~owner:new_node ~candidate:surrogate);
-    Routing_table.iter_entries surrogate.Node.table
-      (fun ~level:_ ~digit:_ e ->
-        match Network.find net e.Routing_table.id with
-        | Some cand when Node.is_alive cand ->
-            ignore
-              (Network.offer_link_all_levels net ~owner:new_node
-                 ~candidate:cand)
-        | _ -> ())
-
-  let stage_surrogate ?id ?adaptive net ~gateway ~addr =
-    stage_surrogate_with ~copy_prelim:copy_preliminary_table ?id ?adaptive net
-      ~gateway ~addr
-
-  let stage_multicast net staged =
-    stage_multicast_with
-      ~run_multicast:(fun ~on_watch_hit ~watchlist net ~start ~prefix ~len
-                          ~apply ->
-        Multicast.Oracle.run ~on_watch_hit ~watchlist net ~start ~prefix ~len
-          ~apply)
-      net staged
-
-  let stage_acquire net staged =
-    stage_acquire_with
-      ~acquire:(fun ~adaptive net ~new_node ~surrogate ~initial_list ->
-        Nearest_neighbor.Oracle.acquire_neighbor_table ~adaptive net ~new_node
-          ~surrogate ~initial_list)
-      net staged
-
-  let insert ?id ?adaptive net ~gateway ~addr =
-    let staged = stage_surrogate ?id ?adaptive net ~gateway ~addr in
-    stage_multicast net staged;
-    stage_acquire net staged
-end

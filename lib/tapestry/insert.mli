@@ -60,22 +60,3 @@ val build_incremental :
     the final state should match a statically built network.  Successive
     insertions reuse the network's {!Scratch} buffers, so a bulk build does
     not reallocate per join. *)
-
-(** The insertion pipeline on the pre-packing list engines
-    ({!Multicast.Oracle}, {!Nearest_neighbor.Oracle} and the directory-based
-    preliminary-table copy).  Identical observable behavior — reports,
-    final tables, cost — to the packed pipeline; the differential churn
-    suite and the paired microbenchmarks rely on it. *)
-module Oracle : sig
-  val stage_surrogate :
-    ?id:Node_id.t -> ?adaptive:bool -> Network.t -> gateway:Node.t ->
-    addr:int -> staged
-
-  val stage_multicast : Network.t -> staged -> unit
-
-  val stage_acquire : Network.t -> staged -> report
-
-  val insert :
-    ?id:Node_id.t -> ?adaptive:bool -> Network.t -> gateway:Node.t ->
-    addr:int -> report
-end

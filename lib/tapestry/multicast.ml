@@ -145,95 +145,3 @@ let[@alloc_ok] run ?on_watch_hit ?watchlist net ~start ~prefix ~len ~apply =
     reached := Network.node_of_handle net s.Scratch.reached.(i) :: !reached
   done;
   { reached = !reached; tree_edges = !edges }
-
-(* --- reference oracle: the original list-and-hashtable descent --- *)
-
-module Oracle = struct
-  let run ?on_watch_hit ?watchlist net ~start ~prefix ~len ~apply =
-    if not (Node_id.has_prefix (start : Node.t).Node.id ~prefix ~len) then
-      invalid_arg "Multicast.run: start node lacks the prefix";
-    let cfg = net.Network.config in
-    let visited = Node_id.Tbl.create 32 in
-    let reached = ref [] in
-    let edges = ref 0 in
-    let check_watchlist (node : Node.t) =
-      match (watchlist, on_watch_hit) with
-      | Some wl, Some hit ->
-          Array.iteri
-            (fun level row ->
-              Array.iteri
-                (fun digit wanted ->
-                  if wanted then begin
-                    match
-                      Routing_table.primary node.Node.table ~level ~digit
-                    with
-                    | Some e
-                      when not (Node_id.equal e.Routing_table.id node.Node.id)
-                      -> (
-                        match Network.find net e.Routing_table.id with
-                        | Some filler when Node.is_alive filler ->
-                            row.(digit) <- false;
-                            hit ~level ~digit filler
-                        | _ -> ())
-                    | Some _ when Node.is_alive node ->
-                        row.(digit) <- false;
-                        hit ~level ~digit node
-                    | _ -> ()
-                  end)
-                row)
-            wl
-      | _ -> ()
-    in
-    let rec descend (node : Node.t) cur_prefix l =
-      if not (Node_id.Tbl.mem visited node.Node.id) then begin
-        Node_id.Tbl.replace visited node.Node.id ();
-        reached := node :: !reached;
-        check_watchlist node;
-        apply node
-      end;
-      if l < cfg.Config.id_digits then
-        for j = 0 to cfg.Config.base - 1 do
-          List.iter
-            (fun (next : Node.t) ->
-              if Node_id.equal next.Node.id node.Node.id then begin
-                let p = Array.copy cur_prefix in
-                p.(l) <- j;
-                descend node p (l + 1)
-              end
-              else if not (Node_id.Tbl.mem visited next.Node.id) then begin
-                incr edges;
-                Network.charge_aside net node next;
-                let p = Array.copy cur_prefix in
-                p.(l) <- j;
-                descend next p (l + 1)
-              end)
-            (pick_targets node ~level:l ~digit:j)
-        done
-    and pick_targets (node : Node.t) ~level ~digit =
-      let table = node.Node.table in
-      let live = ref [] in
-      for k = Routing_table.slot_len table ~level ~digit - 1 downto 0 do
-        let h = Routing_table.slot_handle table ~level ~digit ~k in
-        let n =
-          if h >= 0 then Some (Network.node_of_handle net h)
-          else Network.find net (Routing_table.slot_id table ~level ~digit ~k)
-        in
-        match n with
-        | Some n when Node.is_alive n -> live := n :: !live
-        | _ -> ()
-      done;
-      let live = !live in
-      let pinned = List.filter (fun (n : Node.t) -> not (Node.is_core n)) live in
-      match List.find_opt Node.is_core live with
-      | Some settled -> settled :: pinned
-      | None -> pinned
-    in
-    let buf = Array.make cfg.Config.id_digits 0 in
-    Array.blit prefix 0 buf 0 len;
-    descend start buf len;
-    (* Acknowledgments retrace every tree edge (Theorem 5's accounting). *)
-    for _ = 1 to !edges do
-      Simnet.Cost.message net.Network.cost ~dist:0.
-    done;
-    { reached = List.rev !reached; tree_edges = !edges }
-end

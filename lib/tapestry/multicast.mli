@@ -42,20 +42,3 @@ val run :
     ack to the insertion that caused it (totals are unchanged).
 
     @raise Invalid_argument if [start] does not carry the prefix. *)
-
-(** The pre-packing descent (hashtable visited set, per-edge prefix copies,
-    list-built target sets, acks charged in one batch after the walk), kept
-    as a reference oracle for the differential insertion suite and the
-    paired microbenchmarks.  Observable behavior — reached set and order,
-    tree edges, watch hits, total cost — is identical to {!run}. *)
-module Oracle : sig
-  val run :
-    ?on_watch_hit:(level:int -> digit:int -> Node.t -> unit) ->
-    ?watchlist:bool array array ->
-    Network.t ->
-    start:Node.t ->
-    prefix:int array ->
-    len:int ->
-    apply:(Node.t -> unit) ->
-    result
-end

@@ -10,152 +10,7 @@ type trace = {
 let add_to_table_if_closer net ~(contacted : Node.t) ~(new_node : Node.t) =
   Network.offer_link_all_levels net ~owner:contacted ~candidate:new_node > 0
 
-(* --- reference oracle: the original list-and-hashtable descent --- *)
-
-module Oracle = struct
-  let get_next_list ?(update_tables = true) net ~(new_node : Node.t) ~level
-      list ~k =
-    let candidates = Node_id.Tbl.create 64 in
-    let note (n : Node.t) =
-      if
-        Node.is_alive n
-        && (not (Node_id.equal n.Node.id new_node.Node.id))
-        && Node_id.common_prefix_len n.Node.id new_node.Node.id >= level
-      then Node_id.Tbl.replace candidates n.Node.id n
-    in
-    List.iter
-      (fun (n : Node.t) ->
-        (* round trip: ask n for its forward and backward pointers *)
-        Network.charge_aside net new_node n;
-        Network.charge_aside net n new_node;
-        if update_tables then
-          ignore (add_to_table_if_closer net ~contacted:n ~new_node);
-        note n;
-        Routing_table.known_at_level n.Node.table ~level
-        |> List.iter (fun id ->
-               match Network.find net id with Some m -> note m | None -> ());
-        Routing_table.backpointers n.Node.table ~level
-        |> List.iter (fun id ->
-               match Network.find net id with Some m -> note m | None -> ()))
-      list;
-    let all = Node_id.Tbl.fold (fun _ n acc -> n :: acc) candidates [] in
-    let keyed =
-      List.map (fun (n : Node.t) -> (Network.dist net new_node n, n)) all
-      |> List.sort (fun (d1, _) (d2, _) -> Float.compare d1 d2)
-    in
-    let rec take i = function
-      | [] -> []
-      | (_, n) :: rest -> if i = 0 then [] else n :: take (i - 1) rest
-    in
-    take k keyed
-
-  (* Lemma 2: fill table levels >= [level] from a level list. *)
-  let build_table_from_list net ~(new_node : Node.t) list =
-    List.iter
-      (fun (m : Node.t) ->
-        ignore (Network.offer_link_all_levels net ~owner:new_node ~candidate:m))
-      list
-
-  let fill_holes net ~(new_node : Node.t) ~(surrogate : Node.t) ~max_level =
-    let cfg = net.Network.config in
-    let filled = ref 0 in
-    for level = 0 to min max_level (cfg.Config.id_digits - 1) do
-      for digit = 0 to cfg.Config.base - 1 do
-        if Routing_table.is_hole new_node.Node.table ~level ~digit then begin
-          let target_digits = Node_id.digits new_node.Node.id in
-          target_digits.(level) <- digit;
-          let target = Node_id.make target_digits in
-          let info = Route.route_to_root net ~from:surrogate target in
-          let root = info.Route.root in
-          if
-            (not (Node_id.equal root.Node.id new_node.Node.id))
-            && Node_id.common_prefix_len root.Node.id target >= level + 1
-          then begin
-            if Network.offer_link net ~owner:new_node ~level ~candidate:root
-            then incr filled;
-            ignore (add_to_table_if_closer net ~contacted:root ~new_node)
-          end
-        end
-      done
-    done;
-    !filled
-
-  (* One complete descent at width [k]; returns the trace pieces and the
-     closest node of the final (level 0) list. *)
-  let run_descent net ~(new_node : Node.t) ~max_level ~initial_list ~k
-      ~contacted ~updated =
-    let list =
-      initial_list
-      |> List.filter (fun (m : Node.t) ->
-             Node.is_alive m && not (Node_id.equal m.Node.id new_node.Node.id))
-      |> List.map (fun (m : Node.t) -> (Network.dist net new_node m, m))
-      |> List.sort (fun (d1, _) (d2, _) -> Float.compare d1 d2)
-      |> List.filteri (fun i _ -> i < k)
-      |> List.map snd
-    in
-    build_table_from_list net ~new_node list;
-    List.iter
-      (fun m ->
-        if add_to_table_if_closer net ~contacted:m ~new_node then incr updated)
-      list;
-    let levels = ref 0 in
-    let current = ref list in
-    for level = max_level - 1 downto 0 do
-      incr levels;
-      let next = get_next_list net ~new_node ~level !current ~k in
-      contacted := !contacted + List.length !current;
-      List.iter
-        (fun m ->
-          if add_to_table_if_closer net ~contacted:m ~new_node then
-            incr updated)
-        next;
-      build_table_from_list net ~new_node next;
-      current := next
-    done;
-    (!levels, match !current with m :: _ -> Some m | [] -> None)
-
-  let acquire_neighbor_table ?(adaptive = false) net ~(new_node : Node.t)
-      ~(surrogate : Node.t) ~initial_list =
-    let n = Network.node_count net in
-    let base_k = Config.scaled_k net.Network.config ~n in
-    let max_level =
-      Node_id.common_prefix_len new_node.Node.id surrogate.Node.id
-    in
-    let contacted = ref 0 in
-    let updated = ref 0 in
-    let levels = ref 0 in
-    if not adaptive then begin
-      let l, _ =
-        run_descent net ~new_node ~max_level ~initial_list ~k:base_k ~contacted
-          ~updated
-      in
-      levels := l
-    end
-    else begin
-      let rec stabilize k prev tries =
-        let l, head =
-          run_descent net ~new_node ~max_level ~initial_list ~k ~contacted
-            ~updated
-        in
-        levels := !levels + l;
-        match (prev, head) with
-        | Some (a : Node.t), Some b when Node_id.equal a.Node.id b.Node.id -> ()
-        | _, head when tries > 0 && 2 * k <= Network.node_count net ->
-            stabilize (2 * k) head (tries - 1)
-        | _ -> ()
-      in
-      stabilize (max 4 (base_k / 4)) None 5
-    end;
-    let holes = fill_holes net ~new_node ~surrogate ~max_level in
-    {
-      levels_walked = !levels;
-      nodes_contacted = !contacted;
-      tables_updated = !updated;
-      holes_backfilled = holes;
-    }
-end
-
-(* --- packed descent: the same algorithm on the network scratch struct ---
+(* --- the descent on the network scratch struct ---
 
    All per-step state lives in Network.scratch (DESIGN.md §8.7): the
    candidate set is deduplicated with a generation stamp over arena handles
@@ -163,9 +18,9 @@ end
    for the whole descent, and the k closest are chosen by an in-place
    bounded max-heap over the candidate buffer instead of sorting a fresh
    keyed list.  Charge order, table-update order and the selected sets are
-   identical to [Oracle] (ties between exactly-equal distances may order
-   differently; distances are jittered floats, and the differential suite
-   checks equality empirically). *)
+   identical to the list-based reference in test/oracle (ties between
+   exactly-equal distances may order differently; distances are jittered
+   floats, and the differential suite checks equality empirically). *)
 
 (* Select the [k] candidates closest to the joiner from [s.cand], leaving
    them in ascending distance order in [s.sel]; returns how many.  Bounded
@@ -306,21 +161,16 @@ let[@alloc_ok] load_cur (s : Scratch.t) list =
    [load_cur] and the cons-out loop runs on scratch buffers. *)
 let[@alloc_ok] get_next_list ?(update_tables = true) net ~(new_node : Node.t)
     ~level list ~k =
-  if List.exists (fun (n : Node.t) -> n.Node.handle < 0) list then
-    (* unregistered nodes carry no handle to index the scratch by *)
-    Oracle.get_next_list ~update_tables net ~new_node ~level list ~k
-  else begin
-    let s = net.Network.scratch in
-    Scratch.ensure_handles s ~n:net.Network.arena_len;
-    load_cur s list;
-    let dgen = Scratch.bump_dist s in
-    let m = step net ~new_node ~level ~update_tables ~k ~dgen in
-    let res = ref [] in
-    for i = m - 1 downto 0 do
-      res := Network.node_of_handle net s.Scratch.sel.(i) :: !res
-    done;
-    !res
-  end
+  let s = net.Network.scratch in
+  Scratch.ensure_handles s ~n:net.Network.arena_len;
+  load_cur s list;
+  let dgen = Scratch.bump_dist s in
+  let m = step net ~new_node ~level ~update_tables ~k ~dgen in
+  let res = ref [] in
+  for i = m - 1 downto 0 do
+    res := Network.node_of_handle net s.Scratch.sel.(i) :: !res
+  done;
+  !res
 
 (* Deterministic backstop for Property 1: probe every still-empty slot at
    levels up to the surrogate prefix via surrogate routing, which finds a
@@ -424,52 +274,47 @@ let[@alloc_ok] run_descent net ~(new_node : Node.t) ~max_level ~initial_list ~k
    record, the adaptive-k driver's closure). *)
 let[@alloc_ok] acquire_neighbor_table ?(adaptive = false) net
     ~(new_node : Node.t) ~(surrogate : Node.t) ~initial_list =
-  if List.exists (fun (n : Node.t) -> n.Node.handle < 0) initial_list then
-    Oracle.acquire_neighbor_table ~adaptive net ~new_node ~surrogate
-      ~initial_list
-  else begin
-    let n = Network.node_count net in
-    let base_k = Config.scaled_k net.Network.config ~n in
-    let max_level =
-      Node_id.common_prefix_len new_node.Node.id surrogate.Node.id
+  let n = Network.node_count net in
+  let base_k = Config.scaled_k net.Network.config ~n in
+  let max_level =
+    Node_id.common_prefix_len new_node.Node.id surrogate.Node.id
+  in
+  let contacted = ref 0 in
+  let updated = ref 0 in
+  let levels = ref 0 in
+  if not adaptive then begin
+    let l, _ =
+      run_descent net ~new_node ~max_level ~initial_list ~k:base_k ~contacted
+        ~updated
     in
-    let contacted = ref 0 in
-    let updated = ref 0 in
-    let levels = ref 0 in
-    if not adaptive then begin
-      let l, _ =
-        run_descent net ~new_node ~max_level ~initial_list ~k:base_k ~contacted
+    levels := l
+  end
+  else begin
+    (* The dynamic-k variant the paper cites ([14], Section 6.2): start
+       narrow and double the width until the reported nearest neighbor is
+       stable across consecutive widths — robust when the expansion
+       constant is larger than b supports. *)
+    let rec stabilize k prev tries =
+      let l, head =
+        run_descent net ~new_node ~max_level ~initial_list ~k ~contacted
           ~updated
       in
-      levels := l
-    end
-    else begin
-      (* The dynamic-k variant the paper cites ([14], Section 6.2): start
-         narrow and double the width until the reported nearest neighbor is
-         stable across consecutive widths — robust when the expansion
-         constant is larger than b supports. *)
-      let rec stabilize k prev tries =
-        let l, head =
-          run_descent net ~new_node ~max_level ~initial_list ~k ~contacted
-            ~updated
-        in
-        levels := !levels + l;
-        match (prev, head) with
-        | Some (a : Node.t), Some b when Node_id.equal a.Node.id b.Node.id -> ()
-        | _, head when tries > 0 && 2 * k <= Network.node_count net ->
-            stabilize (2 * k) head (tries - 1)
-        | _ -> ()
-      in
-      stabilize (max 4 (base_k / 4)) None 5
-    end;
-    let holes = fill_holes net ~new_node ~surrogate ~max_level in
-    {
-      levels_walked = !levels;
-      nodes_contacted = !contacted;
-      tables_updated = !updated;
-      holes_backfilled = holes;
-    }
-  end
+      levels := !levels + l;
+      match (prev, head) with
+      | Some (a : Node.t), Some b when Node_id.equal a.Node.id b.Node.id -> ()
+      | _, head when tries > 0 && 2 * k <= Network.node_count net ->
+          stabilize (2 * k) head (tries - 1)
+      | _ -> ()
+    in
+    stabilize (max 4 (base_k / 4)) None 5
+  end;
+  let holes = fill_holes net ~new_node ~surrogate ~max_level in
+  {
+    levels_walked = !levels;
+    nodes_contacted = !contacted;
+    tables_updated = !updated;
+    holes_backfilled = holes;
+  }
 
 (* [@alloc_ok]: a maintenance-time query; one best-so-far cell and a pair
    per improvement. *)

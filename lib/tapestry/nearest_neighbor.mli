@@ -19,9 +19,9 @@
     candidate sets are deduplicated by generation stamps over arena handles,
     distances to the joiner are memoized per handle across the whole
     descent, and the k-closest trim is an in-place bounded heap — no
-    hashtable, no keyed-list sort, no per-level allocation.  The pre-packing
-    list implementation is kept as {!Oracle} and drives the differential
-    insertion suite. *)
+    hashtable, no keyed-list sort, no per-level allocation.  Every node
+    passed in ([initial_list], the [get_next_list] list) must be registered,
+    i.e. carry an arena handle. *)
 
 type trace = {
   levels_walked : int;  (** list-descent steps executed *)
@@ -57,25 +57,5 @@ val get_next_list :
 (** One descent step ([GetNextList]): from the level-(level+1) list, collect
     forward+backward pointers at [level], let every contacted node consider
     the new node, and keep the [k] closest level-[level] nodes.  Exposed for
-    tests and the E3 experiment.  Falls back to {!Oracle.get_next_list} when
-    a list element carries no arena handle (unregistered test probes). *)
-
-(** The pre-packing descent (hashtable candidate set, keyed-list sort per
-    trim, [Network.find] per pointer), kept as a reference oracle: the
-    differential insertion suite and the paired microbenchmarks drive both
-    implementations through identical churn and assert identical traces,
-    tables and chosen neighbors. *)
-module Oracle : sig
-  val acquire_neighbor_table :
-    ?adaptive:bool ->
-    Network.t ->
-    new_node:Node.t ->
-    surrogate:Node.t ->
-    initial_list:Node.t list ->
-    trace
-
-  val get_next_list :
-    ?update_tables:bool ->
-    Network.t -> new_node:Node.t -> level:int -> Node.t list -> k:int ->
-    Node.t list
-end
+    tests and the E3 experiment.  Precondition: every list element is
+    registered ({!Network.register}), so it carries an arena handle. *)

@@ -8,8 +8,7 @@ type entry = { id : Node_id.t; dist : float }
    handle next to its ID so the routing hot path resolves nodes through the
    O(1) arena with no hashing and no per-hop list allocation.  Vacant [ids]
    cells are filled with the owner's ID (an arbitrary non-null value, never
-   read).  The previous [entry list array array] implementation survives
-   verbatim as {!Oracle} for differential testing. *)
+   read). *)
 type t = {
   owner : Node_id.t;
   mutable owner_handle : int;
@@ -119,7 +118,7 @@ let is_hole t ~level ~digit = t.lens.((level * t.base) + digit) = 0
    [Route.scan]): a local closure over the table would be allocated on
    every [consider], which runs once per level per candidate of a join. *)
 
-(* Insertion index matching the oracle's [insert_sorted] (strict [<]):
+(* Insertion index matching the list reference's stable insert (strict [<]):
    the new entry lands after every entry with an equal or smaller
    distance, preserving arrival order among ties. *)
 let rec insertion_pos (dists : float array) ~off ~len (dist : float) k =
@@ -236,7 +235,7 @@ let[@alloc_ok] update_distances t ~measure =
         if !m = 0 then
           t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit);
         (* Stable insertion sort by distance (ties keep their order, the
-           same result as the oracle's [List.sort Float.compare]). *)
+           same result as the list reference's [List.sort Float.compare]). *)
         for k = 1 to !m - 1 do
           let id = t.ids.(off + k)
           and h = t.handles.(off + k)
@@ -491,128 +490,3 @@ let[@alloc_ok] pp ppf t =
         Format.fprintf ppf "  L%d: %s@," (level + 1) (String.concat " " cells)
   done;
   Format.fprintf ppf "@]"
-
-(* --- reference oracle: the original list-based slots --- *)
-
-module Oracle = struct
-  type nonrec entry = entry = { id : Node_id.t; dist : float }
-
-  type t = {
-    owner : Node_id.t;
-    redundancy : int;
-    base : int;
-    slots : entry list array array; (* slots.(level).(digit), ascending dist *)
-  }
-
-  let create (cfg : Config.t) ~owner =
-    let slots = Array.init cfg.id_digits (fun _ -> Array.make cfg.base []) in
-    for l = 0 to cfg.id_digits - 1 do
-      slots.(l).(Node_id.digit owner l) <- [ { id = owner; dist = 0. } ]
-    done;
-    { owner; redundancy = cfg.redundancy; base = cfg.base; slots }
-
-  let slot t ~level ~digit = t.slots.(level).(digit)
-
-  let primary t ~level ~digit =
-    match t.slots.(level).(digit) with [] -> None | e :: _ -> Some e
-
-  (* Single pass: drop any previous occurrence of [e.id] while inserting
-     [e] at its stable sorted position (after equal distances). *)
-  let refresh_insert e l =
-    let rec go inserted l =
-      match l with
-      | [] -> ((if inserted then [] else [ e ]), false)
-      | x :: rest ->
-          if Node_id.equal x.id e.id then
-            let tail, _ = go inserted rest in
-            (tail, true)
-          else if (not inserted) && e.dist < x.dist then
-            let tail, found = go true l in
-            (e :: tail, found)
-          else
-            let tail, found = go inserted rest in
-            (x :: tail, found)
-    in
-    go false l
-
-  let consider t ~level ~candidate ~dist =
-    if Node_id.equal candidate t.owner then `Known
-    else begin
-      let digit = Node_id.digit candidate level in
-      let cur = t.slots.(level).(digit) in
-      let updated, was_known = refresh_insert { id = candidate; dist } cur in
-      if was_known then begin
-        t.slots.(level).(digit) <- updated;
-        `Known
-      end
-      else if List.length updated <= t.redundancy then begin
-        t.slots.(level).(digit) <- updated;
-        `Added None
-      end
-      else begin
-        (* Drop the farthest; if that is the candidate itself, reject. *)
-        let rec split_last acc = function
-          | [ last ] -> (List.rev acc, last)
-          | x :: rest -> split_last (x :: acc) rest
-          | [] -> assert false
-        in
-        let kept, last = split_last [] updated in
-        if Node_id.equal last.id candidate then `Rejected
-        else begin
-          t.slots.(level).(digit) <- kept;
-          `Added (Some last.id)
-        end
-      end
-    end
-
-  let update_distances t ~measure =
-    let changed = ref 0 in
-    Array.iter
-      (fun row ->
-        Array.iteri
-          (fun digit entries ->
-            match entries with
-            | [] -> ()
-            | old_primary :: _ ->
-                let remeasured =
-                  List.filter_map
-                    (fun e ->
-                      if Node_id.equal e.id t.owner then Some { e with dist = 0. }
-                      else
-                        match measure e.id with
-                        | Some d -> Some { e with dist = d }
-                        | None -> None)
-                    entries
-                in
-                let sorted =
-                  List.sort (fun a b -> Float.compare a.dist b.dist) remeasured
-                in
-                row.(digit) <- sorted;
-                (match sorted with
-                | p :: _ when not (Node_id.equal p.id old_primary.id) ->
-                    incr changed
-                | [] -> incr changed
-                | _ -> ()))
-          row)
-      t.slots;
-    !changed
-
-  let remove t target =
-    if Node_id.equal target t.owner then []
-    else begin
-      let found = ref [] in
-      Array.iteri
-        (fun l row ->
-          let digit = Node_id.digit target l in
-          if digit < Array.length row then begin
-            let cur = row.(digit) in
-            if List.exists (fun e -> Node_id.equal e.id target) cur then begin
-              row.(digit) <-
-                List.filter (fun e -> not (Node_id.equal e.id target)) cur;
-              found := l :: !found
-            end
-          end)
-        t.slots;
-      List.rev !found
-    end
-end

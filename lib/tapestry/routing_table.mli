@@ -16,8 +16,7 @@
     Slots are packed flat arrays of [(id, handle, dist)] triples sorted in
     place (capacity R), so the routing hot path reads entries by index and
     resolves nodes through the network's O(1) handle arena — no hashing, no
-    per-hop allocation.  The original [entry list array array]
-    implementation is retained as {!Oracle} for differential testing. *)
+    per-hop allocation. *)
 
 type entry = { id : Node_id.t; dist : float }
 
@@ -163,26 +162,3 @@ val inject_slot_for_test : t -> level:int -> digit:int -> entry list -> unit
     protocol code — it deliberately lets tests corrupt the mesh. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** The pre-packing list-based slot implementation, kept as a reference
-    oracle: the differential property suite drives {!t} and {!Oracle.t}
-    through identical [consider]/[remove]/[update_distances] churn and
-    asserts identical slots and verdicts. *)
-module Oracle : sig
-  type nonrec entry = entry = { id : Node_id.t; dist : float }
-
-  type t
-
-  val create : Config.t -> owner:Node_id.t -> t
-
-  val slot : t -> level:int -> digit:int -> entry list
-
-  val primary : t -> level:int -> digit:int -> entry option
-
-  val consider : t -> level:int -> candidate:Node_id.t -> dist:float ->
-    [ `Added of Node_id.t option | `Rejected | `Known ]
-
-  val update_distances : t -> measure:(Node_id.t -> float option) -> int
-
-  val remove : t -> Node_id.t -> int list
-end

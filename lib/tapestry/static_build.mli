@@ -1,4 +1,4 @@
-(** Oracle construction of a perfect Tapestry network.
+(** Global-knowledge construction of a perfect Tapestry network.
 
     Builds, by global brute force, the network that the PRR preprocessing
     step would produce: every slot of every node holds exactly the R closest

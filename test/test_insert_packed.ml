@@ -2,7 +2,7 @@
 
    The scratch-based hot path (Insert.insert: packed multicast + packed
    nearest-neighbor descent + slot-walk preliminary copy) and the original
-   list-and-hashtable pipeline (Insert.Oracle.insert) drive two networks
+   list-and-hashtable pipeline (Oracle.Insert.insert) drive two networks
    built from the same seed, metric and id/addr/gateway sequence through
    identical insertion, voluntary-delete and fail-then-repair churn.  Every
    per-insertion report (surrogate, shared prefix, multicast reach, pointer
@@ -110,7 +110,7 @@ let drive_pair ~ctx ~seed metric ~inserts =
           ~addr:i
       in
       let ro =
-        Insert.Oracle.insert ~id ~adaptive net_o
+        Oracle.Insert.insert ~id ~adaptive net_o
           ~gateway:(Network.find_exn net_o gw_id)
           ~addr:i
       in

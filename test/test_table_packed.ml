@@ -1,7 +1,7 @@
 (* Differential tests for the packed routing table.
 
    The packed flat-array implementation (Routing_table.t) and the original
-   list-based one (Routing_table.Oracle.t) are driven through identical
+   list-based one (Oracle.Routing_table.t) are driven through identical
    randomized churn — consider / remove / update_distances — and must agree
    on every verdict and on every slot's exact contents and order.  A second
    suite pins the E1/E2 experiment tables at seed 42 to a committed golden
@@ -30,14 +30,14 @@ let check_tables_agree ~round packed oracle =
   for level = 0 to levels - 1 do
     for digit = 0 to config.Config.base - 1 do
       let p = Routing_table.slot packed ~level ~digit in
-      let o = Routing_table.Oracle.slot oracle ~level ~digit in
+      let o = Oracle.Routing_table.slot oracle ~level ~digit in
       Alcotest.(check string)
         (Printf.sprintf "round %d slot (%d,%d)" round level digit)
         (slot_str o) (slot_str p);
       let prim_str = function None -> "-" | Some e -> entry_str e in
       Alcotest.(check string)
         (Printf.sprintf "round %d primary (%d,%d)" round level digit)
-        (prim_str (Routing_table.Oracle.primary oracle ~level ~digit))
+        (prim_str (Oracle.Routing_table.primary oracle ~level ~digit))
         (prim_str (Routing_table.primary packed ~level ~digit))
     done
   done
@@ -54,7 +54,7 @@ let test_differential_churn () =
   let rng = Simnet.Rng.create 4242 in
   let owner = random_id rng in
   let packed = Routing_table.create config ~owner in
-  let oracle = Routing_table.Oracle.create config ~owner in
+  let oracle = Oracle.Routing_table.create config ~owner in
   (* a small id pool so removes and re-considers actually hit known nodes *)
   let pool = Array.init 48 (fun _ -> random_id rng) in
   for round = 1 to churn_rounds do
@@ -71,7 +71,7 @@ let test_differential_churn () =
               Routing_table.consider packed ~level ~candidate ~dist
                 ~handle:(Simnet.Rng.int rng 1000)
             in
-            let vo = Routing_table.Oracle.consider oracle ~level ~candidate ~dist in
+            let vo = Oracle.Routing_table.consider oracle ~level ~candidate ~dist in
             Alcotest.(check string)
               (Printf.sprintf "round %d consider verdict" round)
               (verdict_str vo) (verdict_str vp)
@@ -81,7 +81,7 @@ let test_differential_churn () =
     | 6 | 7 -> begin
         let victim = Simnet.Rng.pick rng pool in
         let lp = Routing_table.remove packed victim in
-        let lo = Routing_table.Oracle.remove oracle victim in
+        let lo = Oracle.Routing_table.remove oracle victim in
         Alcotest.(check (list int))
           (Printf.sprintf "round %d remove levels" round)
           lo lp
@@ -94,7 +94,7 @@ let test_differential_churn () =
           if h mod 13 = 0 then None else Some (float_of_int h /. 100.)
         in
         let cp = Routing_table.update_distances packed ~measure in
-        let co = Routing_table.Oracle.update_distances oracle ~measure in
+        let co = Oracle.Routing_table.update_distances oracle ~measure in
         Alcotest.(check int)
           (Printf.sprintf "round %d update_distances changed" round)
           co cp

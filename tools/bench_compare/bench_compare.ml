@@ -1,55 +1,66 @@
-(* Diff two bench JSON files (schema tapestry-bench/1) op by op.
+(* Diff two bench JSON files (schema tapestry-bench/1) against one gate
+   table.
 
-   Usage: bench_compare [--threshold PCT] [--scale-threshold PCT]
-   [--advisory] BASELINE.json CURRENT.json
+   Usage: bench_compare [--advisory] BASELINE.json CURRENT.json
 
-   Prints a per-op table of ns/op before/after and the ratio, flags ops
-   whose ns/op regressed by more than the threshold (default 25%), and
-   exits 1 if any op regressed past it — tools/check.sh wires this in
-   as a gate.
+   A file carries up to three arrays of points: "micro" (required; one
+   point per op, keyed by name, written by bench/main.exe), "scale"
+   (keyed by n, written by `tapestry_sim scale`) and "serve" (keyed by
+   the workload shape, written by `tapestry_sim serve`).  Points present
+   in both files are compared metric by metric along the rows of
+   [table]: each row names the tier it applies to, the metric, and either
+   the direction in which the metric gets worse with a threshold in
+   percent, or [Info] (reported, never gated — wall-clock fields measure
+   the machine, not the code).  A gated metric regresses when the worse
+   ratio (current/baseline when higher is worse, baseline/current when
+   lower is worse) exceeds 1 + threshold/100; it is compared only when
+   both sides carry it positive.
 
-   Files carrying a "scale" array (written by `tapestry_sim scale`) are
-   additionally compared point by point (keyed by n) on the
-   deterministic resource metrics — bytes_per_node, insert_fit_c — and
-   on peak_rss_kb, under the separate --scale-threshold (default 15%).
-   A scale-only regression exits 3, so a caller can tell "the hot path
-   got slower" (1) from "the mesh got bigger" (3).  Wall-clock fields
-   are reported but never gate: they measure the machine, not the code.
+   Tiers: [Micro] is every micro point, [Scale] every scale point,
+   [Serve] every serve point.  [Cache] is the serve points that ran with
+   a cache (cache_size > 0): hit rate is meaningless against an uncached
+   row.  [Coop] is the cooperative serve points (coop = 1), gated tighter
+   on the two metrics hint exchange exists to buy.  The serve key carries
+   the cache size and a " coop" suffix, so a cached, a cooperative and a
+   plain row of the same shape never alias.
 
-   Files carrying a "serve" array (written by `tapestry_sim serve`) are
-   compared point by point, keyed by the workload shape
-   (n / zipf_s / objects / churn rates / cache_size), under --serve-threshold
-   (default 20%).  Three metrics gate: throughput_rps (LOWER is worse),
-   p99_virtual (higher is worse) and delivered_per_request (higher is
-   worse — the paper's messages-per-request efficiency measure); the
-   remaining quantiles and counters are reported as info.  A serve-only
-   regression exits 4, so a caller can tell "the hot path got slower"
-   (1) from "the mesh got bigger" (3) from "the serving runtime
-   degraded" (4).
+   Exit codes: 0 clean, 1 any gated metric regressed, 2 configuration
+   error (bad arguments, an unreadable or mis-schema'd file, no micro
+   section).  [--advisory] keeps every report but exits 0 on
+   regressions: the escape hatch for noisy shared machines. *)
 
-   Serve points where BOTH sides ran with a cache (cache_size > 0) are
-   additionally gated on cache_hit_rate (LOWER is worse) under
-   --cache-threshold (default 20%); a cache-only regression exits 5.
-   Files predating the cache fields compare exactly as before.
+let usage = "bench_compare [--advisory] BASELINE.json CURRENT.json"
 
-   Cooperative rows (coop = 1) carry " coop" in the point key, so a
-   cached row and a cooperative row of the same shape never alias.
-   Points where BOTH sides ran cooperatively are further gated on
-   delivered_per_request and cache_hit_rate under the tighter
-   --coop-threshold (default 10%): hint exchange exists to buy those
-   two metrics, so they get less slack than the generic serve gate.  A
-   coop-only regression exits 6.
+type tier = Micro | Scale | Serve | Cache | Coop
+type rule = Higher_worse of float | Lower_worse of float | Info
 
-   [--advisory] keeps all reports but always exits 0: the escape hatch
-   for noisy shared machines, where a short run's jitter can cross any
-   reasonable threshold.  Exit 2 is reserved for configuration errors
-   (unreadable/mis-schema'd files), so a gating caller can tell "slow"
-   from "broken". *)
+let tier_name = function
+  | Micro -> "micro"
+  | Scale -> "scale"
+  | Serve -> "serve"
+  | Cache -> "cache"
+  | Coop -> "coop"
 
-let usage =
-  "bench_compare [--threshold PCT] [--scale-threshold PCT] \
-   [--serve-threshold PCT] [--cache-threshold PCT] [--coop-threshold PCT] \
-   [--advisory] BASELINE.json CURRENT.json"
+(* The gate table, in report order within each tier. *)
+let table =
+  [
+    (Micro, "ns_per_op", Higher_worse 25.);
+    (Scale, "bytes_per_node", Higher_worse 15.);
+    (Scale, "insert_fit_c", Higher_worse 15.);
+    (Scale, "peak_rss_kb", Higher_worse 15.);
+    (Scale, "locate_hops", Info);
+    (Scale, "stretch_mean", Info);
+    (Scale, "build_wall_s", Info);
+    (Serve, "throughput_rps", Lower_worse 20.);
+    (Serve, "p50_virtual", Info);
+    (Serve, "p99_virtual", Higher_worse 20.);
+    (Serve, "p999_virtual", Info);
+    (Serve, "delivered_per_request", Higher_worse 20.);
+    (Serve, "wall_s", Info);
+    (Cache, "cache_hit_rate", Lower_worse 20.);
+    (Coop, "delivered_per_request", Higher_worse 10.);
+    (Coop, "cache_hit_rate", Lower_worse 10.);
+  ]
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -65,349 +76,150 @@ let read_file path =
 let load path =
   match Simnet.Json.parse (read_file path) with
   | Error e -> fail "bench_compare: %s: %s" path e
-  | Ok j -> (
+  | Ok j ->
       (match Simnet.Json.member "schema" j with
       | Some (Simnet.Json.String "tapestry-bench/1") -> ()
       | _ -> fail "bench_compare: %s: not a tapestry-bench/1 file" path);
-      match Simnet.Json.member "micro" j with
-      | Some (Simnet.Json.List entries) ->
-          ( List.filter_map
-              (fun e ->
-                match
-                  ( Simnet.Json.member "name" e,
-                    Simnet.Json.member "ns_per_op" e )
-                with
-                | Some (Simnet.Json.String name), Some (Simnet.Json.Float v)
-                  ->
-                    Some (name, v)
-                | Some (Simnet.Json.String name), Some (Simnet.Json.Int v) ->
-                    Some (name, float_of_int v)
-                | _ -> None)
-              entries,
-            j )
-      | _ -> fail "bench_compare: %s: no micro section" path)
+      (match Simnet.Json.member "micro" j with
+      | Some (Simnet.Json.List _) -> ()
+      | _ -> fail "bench_compare: %s: no micro section" path);
+      j
 
-(* The "scale" array is optional (plain bench files don't carry it) and
-   schema-tolerant: per point only [n] is required, any numeric field
-   present in both files under the same name is comparable. *)
 let num = function
   | Simnet.Json.Float v -> Some v
   | Simnet.Json.Int v -> Some (float_of_int v)
   | _ -> None
 
-let scale_points j =
-  match Simnet.Json.member "scale" j with
-  | Some (Simnet.Json.List pts) ->
-      List.filter_map
-        (fun p ->
-          match Option.bind (Simnet.Json.member "n" p) num with
-          | Some n -> Some (int_of_float n, p)
-          | None -> None)
-        pts
-  | _ -> []
-
-(* metrics gated per scale point: deterministic mesh-size measures plus the
-   process peak RSS; higher is worse for all of them *)
-let scale_gated = [ "bytes_per_node"; "insert_fit_c"; "peak_rss_kb" ]
-let scale_reported = scale_gated @ [ "locate_hops"; "stretch_mean"; "build_wall_s" ]
-
-let compare_scale ~threshold base cur =
-  let bpts = scale_points base and cpts = scale_points cur in
-  if bpts = [] || cpts = [] then 0
-  else begin
-    let regressed = ref 0 in
-    Printf.printf "\n%-10s %-20s %12s %12s %8s\n" "scale n" "metric"
-      "baseline" "current" "ratio";
-    List.iter
-      (fun (n, bp) ->
-        match List.assoc_opt n cpts with
-        | None -> Printf.printf "%-10d %-20s %12s %12s %8s\n" n "-" "-" "-" "gone"
-        | Some cp ->
-            List.iter
-              (fun field ->
-                match
-                  ( Option.bind (Simnet.Json.member field bp) num,
-                    Option.bind (Simnet.Json.member field cp) num )
-                with
-                | Some b, Some c when b > 0. ->
-                    let ratio = c /. b in
-                    let gated = List.mem field scale_gated in
-                    let flag =
-                      if gated && ratio > 1. +. (threshold /. 100.) then begin
-                        incr regressed;
-                        "  REGRESSED"
-                      end
-                      else if not gated then "  (info)"
-                      else ""
-                    in
-                    Printf.printf "%-10d %-20s %12.1f %12.1f %7.2fx%s\n" n
-                      field b c ratio flag
-                | _ -> ())
-              scale_reported)
-      bpts;
-    !regressed
-  end
+let get p field = Option.bind (Simnet.Json.member field p) num
+let flag p field = Option.value (get p field) ~default:0. > 0.
 
 (* Serve points are keyed by workload shape: same n, Zipf exponent,
-   churn rates and cache size must describe the same experiment before
-   latency or throughput are comparable.  cache_size defaults to 0 when
-   the field is absent, so pre-cache files key exactly as before. *)
-let serve_points j =
-  match Simnet.Json.member "serve" j with
-  | Some (Simnet.Json.List pts) ->
+   object universe, churn rates, cache size and cooperation must describe
+   the same experiment before latency or throughput are comparable.
+   Absent axes key as before they existed. *)
+let serve_key p n =
+  Printf.sprintf "n=%d s=%g%s churn=%g/%g%s%s" (int_of_float n)
+    (Option.value (get p "zipf_s") ~default:0.)
+    (match get p "objects" with
+    | Some k -> Printf.sprintf " obj=%d" (int_of_float k)
+    | None -> "")
+    (Option.value (get p "kill_rate") ~default:0.)
+    (Option.value (get p "join_rate") ~default:0.)
+    (match get p "cache_size" with
+    | Some c when c > 0. -> Printf.sprintf " cache=%d" (int_of_float c)
+    | _ -> "")
+    (if flag p "coop" then " coop" else "")
+
+(* The tier's points of one file as (key, point). *)
+let points tier doc =
+  let array name =
+    match Simnet.Json.member name doc with
+    | Some (Simnet.Json.List pts) -> pts
+    | _ -> []
+  in
+  let serve keep =
+    List.filter_map
+      (fun p ->
+        match get p "n" with
+        | Some n when keep p -> Some (serve_key p n, p)
+        | _ -> None)
+      (array "serve")
+  in
+  match tier with
+  | Micro ->
       List.filter_map
         (fun p ->
-          let get f = Option.bind (Simnet.Json.member f p) num in
-          match get "n" with
-          | Some n ->
-              let cache = Option.value (get "cache_size") ~default:0. in
-              let key =
-                Printf.sprintf "n=%d s=%g%s churn=%g/%g%s" (int_of_float n)
-                  (Option.value (get "zipf_s") ~default:0.)
-                  (* the object-universe size is a workload axis (the
-                     cache campaign varies it); omit when absent so
-                     pre-campaign files key as before *)
-                  (match get "objects" with
-                  | Some k -> Printf.sprintf " obj=%d" (int_of_float k)
-                  | None -> "")
-                  (Option.value (get "kill_rate") ~default:0.)
-                  (Option.value (get "join_rate") ~default:0.)
-                  (if cache > 0. then
-                     Printf.sprintf " cache=%d" (int_of_float cache)
-                   else "")
-              in
-              (* cooperative rows get their own key: a cached and a
-                 cooperative run of the same shape are different
-                 experiments and must never alias *)
-              let key =
-                if Option.value (get "coop") ~default:0. > 0. then
-                  key ^ " coop"
-                else key
-              in
-              Some (key, p)
-          | None -> None)
-        pts
-  | _ -> []
+          match Simnet.Json.member "name" p with
+          | Some (Simnet.Json.String name) -> Some (name, p)
+          | _ -> None)
+        (array "micro")
+  | Scale ->
+      List.filter_map
+        (fun p ->
+          Option.map
+            (fun n -> (Printf.sprintf "n=%d" (int_of_float n), p))
+            (get p "n"))
+        (array "scale")
+  | Serve -> serve (fun _ -> true)
+  | Cache -> serve (fun p -> flag p "cache_size")
+  | Coop -> serve (fun p -> flag p "coop")
 
-(* gated serve metrics with their "worse" direction: throughput falling,
-   tail latency rising and message amplification rising are all
-   regressions *)
-let serve_gated =
-  [
-    ("throughput_rps", `Lower_worse);
-    ("p99_virtual", `Higher_worse);
-    ("delivered_per_request", `Higher_worse);
-  ]
-
-let serve_reported =
-  [
-    "throughput_rps"; "p50_virtual"; "p99_virtual"; "p999_virtual";
-    "delivered_per_request"; "wall_s";
-  ]
-
-(* hit rate gates only when both sides ran with a cache: comparing a
-   cached row against an uncached baseline (or a pre-cache file) is a
-   config difference, not a regression *)
-let cache_gated = [ ("cache_hit_rate", `Lower_worse) ]
-
-(* cooperative rows gate the two metrics hint exchange exists to buy,
-   under the tighter --coop-threshold; applies only when both sides ran
-   with coop = 1 *)
-let coop_gated =
-  [
-    ("delivered_per_request", `Higher_worse);
-    ("cache_hit_rate", `Lower_worse);
-  ]
-
-let compare_serve ~threshold ~cache_threshold ~coop_threshold base cur =
-  let bpts = serve_points base and cpts = serve_points cur in
-  if bpts = [] || cpts = [] then (0, 0, 0)
-  else begin
-    let regressed = ref 0
-    and cache_regressed = ref 0
-    and coop_regressed = ref 0 in
-    Printf.printf "\n%-38s %-22s %12s %12s %8s\n" "serve point" "metric"
-      "baseline" "current" "ratio";
+(* Compare one tier; returns how many gated metrics regressed. *)
+let compare_tier tier base cur =
+  let bpts = points tier base and cpts = points tier cur in
+  let rows = List.filter (fun (t, _, _) -> t = tier) table in
+  let regressed = ref 0 in
+  let both = match (bpts, cpts) with [], _ | _, [] -> false | _ -> true in
+  if both then begin
+    Printf.printf "\n%-5s %-48s %-22s %12s %12s %8s\n" (tier_name tier)
+      "point" "metric" "baseline" "current" "ratio";
+    let line key metric b c tail =
+      Printf.printf "%-5s %-48s %-22s %12s %12s %s\n" (tier_name tier) key
+        metric b c tail
+    in
     List.iter
       (fun (key, bp) ->
         match List.assoc_opt key cpts with
-        | None ->
-            Printf.printf "%-38s %-22s %12s %12s %8s\n" key "-" "-" "-" "gone"
+        | None -> line key "-" "-" "-" "    gone"
         | Some cp ->
-            let get side f = Option.bind (Simnet.Json.member f side) num in
-            let both_cached =
-              Option.value (get bp "cache_size") ~default:0. > 0.
-              && Option.value (get cp "cache_size") ~default:0. > 0.
-            in
-            let both_coop =
-              Option.value (get bp "coop") ~default:0. > 0.
-              && Option.value (get cp "coop") ~default:0. > 0.
-            in
-            let row (field, dir) ~gate ~threshold ~counter =
-              match (get bp field, get cp field) with
-              | Some b, Some c when b > 0. && c > 0. ->
-                  let ratio = c /. b in
-                  let flag =
-                    if not gate then "  (info)"
-                    else begin
-                      let worse =
-                        match dir with
-                        | `Higher_worse -> ratio
-                        | `Lower_worse -> b /. c
-                      in
-                      if worse > 1. +. (threshold /. 100.) then begin
-                        incr counter;
-                        "  REGRESSED"
-                      end
-                      else ""
-                    end
-                  in
-                  Printf.printf "%-38s %-22s %12.1f %12.1f %7.2fx%s\n" key
-                    field b c ratio flag
-              | _ -> ()
-            in
             List.iter
-              (fun field ->
-                let dir =
-                  List.assoc_opt field serve_gated
-                  |> Option.value ~default:`Higher_worse
-                in
-                row (field, dir)
-                  ~gate:(List.mem_assoc field serve_gated)
-                  ~threshold ~counter:regressed)
-              serve_reported;
-            if both_cached then
-              List.iter
-                (fun (field, dir) ->
-                  row (field, dir) ~gate:true ~threshold:cache_threshold
-                    ~counter:cache_regressed)
-                cache_gated;
-            if both_coop then
-              List.iter
-                (fun (field, dir) ->
-                  row (field, dir) ~gate:true ~threshold:coop_threshold
-                    ~counter:coop_regressed)
-                coop_gated)
+              (fun (_, metric, rule) ->
+                match (get bp metric, get cp metric) with
+                | Some b, Some c when b > 0. && c > 0. ->
+                    let over worse t = worse > 1. +. (t /. 100.) in
+                    let tag =
+                      match rule with
+                      | Info -> "  (info)"
+                      | Higher_worse t when over (c /. b) t -> "  REGRESSED"
+                      | Lower_worse t when over (b /. c) t -> "  REGRESSED"
+                      | Higher_worse _ | Lower_worse _ -> ""
+                    in
+                    if String.equal tag "  REGRESSED" then incr regressed;
+                    line key metric (Printf.sprintf "%.4g" b)
+                      (Printf.sprintf "%.4g" c)
+                      (Printf.sprintf "%7.2fx%s" (c /. b) tag)
+                | _ -> ())
+              rows)
       bpts;
-    (!regressed, !cache_regressed, !coop_regressed)
-  end
+    List.iter
+      (fun (key, _) ->
+        if not (List.mem_assoc key bpts) then line key "-" "-" "-" "     new")
+      cpts
+  end;
+  !regressed
 
 let () =
-  let threshold = ref 25.0 in
-  let serve_threshold = ref 20.0 in
-  let scale_threshold = ref 15.0 in
-  let cache_threshold = ref 20.0 in
-  let coop_threshold = ref 10.0 in
   let advisory = ref false in
   let files = ref [] in
-  let rec parse_args = function
-    | [] -> ()
-    | "--threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> threshold := t
-        | _ -> fail "bench_compare: bad threshold %S" v);
-        parse_args rest
-    | "--scale-threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> scale_threshold := t
-        | _ -> fail "bench_compare: bad scale threshold %S" v);
-        parse_args rest
-    | "--serve-threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> serve_threshold := t
-        | _ -> fail "bench_compare: bad serve threshold %S" v);
-        parse_args rest
-    | "--cache-threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> cache_threshold := t
-        | _ -> fail "bench_compare: bad cache threshold %S" v);
-        parse_args rest
-    | "--coop-threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some t when t >= 0. -> coop_threshold := t
-        | _ -> fail "bench_compare: bad coop threshold %S" v);
-        parse_args rest
-    | "--advisory" :: rest ->
-        advisory := true;
-        parse_args rest
-    | ("--help" | "-h") :: _ ->
-        print_endline usage;
-        exit 0
-    | a :: rest ->
-        files := a :: !files;
-        parse_args rest
-  in
-  parse_args (List.tl (Array.to_list Sys.argv));
+  List.iter
+    (function
+      | "--advisory" -> advisory := true
+      | "--help" | "-h" ->
+          print_endline usage;
+          exit 0
+      | a when String.length a > 1 && a.[0] = '-' ->
+          fail "bench_compare: unknown option %s\nusage: %s" a usage
+      | a -> files := a :: !files)
+    (List.tl (Array.to_list Sys.argv));
   let base_file, cur_file =
     match List.rev !files with
     | [ b; c ] -> (b, c)
     | _ -> fail "usage: %s" usage
   in
-  let base, base_doc = load base_file and cur, cur_doc = load cur_file in
-  let regressed = ref 0 in
-  Printf.printf "%-44s %12s %12s %8s\n" "benchmark" "baseline" "current" "ratio";
-  List.iter
-    (fun (name, b) ->
-      match List.assoc_opt name cur with
-      | None -> Printf.printf "%-44s %12.0f %12s %8s\n" name b "-" "gone"
-      | Some c ->
-          let ratio = c /. b in
-          let flag =
-            if ratio > 1. +. (!threshold /. 100.) then begin
-              incr regressed;
-              "  REGRESSED"
-            end
-            else ""
-          in
-          Printf.printf "%-44s %12.0f %12.0f %7.2fx%s\n" name b c ratio flag)
-    base;
-  List.iter
-    (fun (name, c) ->
-      if not (List.mem_assoc name base) then
-        Printf.printf "%-44s %12s %12.0f %8s\n" name "-" c "new")
-    cur;
-  let scale_regressed =
-    compare_scale ~threshold:!scale_threshold base_doc cur_doc
+  let base = load base_file and cur = load cur_file in
+  let regressed =
+    List.fold_left
+      (fun acc tier ->
+        let r = compare_tier tier base cur in
+        if r > 0 then
+          Printf.printf "%d %s metric(s) past their threshold vs %s\n" r
+            (tier_name tier) base_file;
+        acc + r)
+      0
+      [ Micro; Scale; Serve; Cache; Coop ]
   in
-  if !regressed > 0 then begin
-    Printf.printf "%d op(s) regressed more than %g%% vs %s\n" !regressed
-      !threshold base_file;
-    if !advisory then
-      print_endline "bench_compare: advisory mode, not failing the check"
-    else exit 1
-  end
-  else Printf.printf "no op regressed more than %g%% vs %s\n" !threshold base_file;
-  if scale_regressed > 0 then begin
-    Printf.printf
-      "%d scale metric(s) regressed more than %g%% vs %s\n" scale_regressed
-      !scale_threshold base_file;
-    if !advisory then
-      print_endline "bench_compare: advisory mode, not failing the check"
-    else exit 3
-  end;
-  let serve_regressed, serve_cache_regressed, serve_coop_regressed =
-    compare_serve ~threshold:!serve_threshold
-      ~cache_threshold:!cache_threshold ~coop_threshold:!coop_threshold
-      base_doc cur_doc
-  in
-  if serve_regressed > 0 then begin
-    Printf.printf "%d serve metric(s) regressed more than %g%% vs %s\n"
-      serve_regressed !serve_threshold base_file;
-    if !advisory then
-      print_endline "bench_compare: advisory mode, not failing the check"
-    else exit 4
-  end;
-  if serve_cache_regressed > 0 then begin
-    Printf.printf "%d cache metric(s) regressed more than %g%% vs %s\n"
-      serve_cache_regressed !cache_threshold base_file;
-    if !advisory then
-      print_endline "bench_compare: advisory mode, not failing the check"
-    else exit 5
-  end;
-  if serve_coop_regressed > 0 then begin
-    Printf.printf "%d cooperative metric(s) regressed more than %g%% vs %s\n"
-      serve_coop_regressed !coop_threshold base_file;
-    if !advisory then
-      print_endline "bench_compare: advisory mode, not failing the check"
-    else exit 6
-  end
+  if regressed = 0 then
+    Printf.printf "\nno gated metric regressed vs %s\n" base_file
+  else if !advisory then
+    print_endline "bench_compare: advisory mode, not failing the check"
+  else exit 1

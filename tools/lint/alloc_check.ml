@@ -36,8 +36,7 @@
    Escapes: [[@alloc_ok]] on an expression or a let-binding accepts the
    whole subtree (use it for per-operation setup that is provably not
    per-hop), and the typed allowlist accepts (rule, path-suffix) pairs
-   like the syntactic one.  [module Oracle = struct ... end] submodules
-   are exempt wholesale, as in the syntactic tier. *)
+   like the syntactic one.  Submodules are checked like top-level code. *)
 
 open Typedtree
 
@@ -216,10 +215,7 @@ let check ~file structure =
     | Tstr_module mb -> module_binding mb
     | Tstr_recmodule mbs -> List.iter module_binding mbs
     | _ -> ()
-  and module_binding (mb : module_binding) =
-    match mb.mb_name.txt with
-    | Some "Oracle" -> () (* differential references are never hot *)
-    | _ -> module_expr mb.mb_expr
+  and module_binding (mb : module_binding) = module_expr mb.mb_expr
   and module_expr me =
     match me.mod_desc with
     | Tmod_structure str -> List.iter structure_item str.str_items

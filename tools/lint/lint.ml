@@ -14,7 +14,7 @@ let determinism_exempt file = Filename.check_suffix file "lib/simnet/rng.ml"
 
 (* The per-message inner loops (DESIGN.md "hot paths"): routing, object
    location, and the insertion pipeline.  These carry the hot-path-alloc
-   rule; their [Oracle] submodules are exempt. *)
+   rule over the whole file. *)
 let hot_path file =
   List.exists
     (fun m -> Filename.check_suffix file ("lib/tapestry/" ^ m ^ ".ml"))

@@ -26,9 +26,8 @@
      and insertion inner loops) [List.sort] and [List.map] allocate a
      fresh list per call and [List.sort] boxes a closure per comparison;
      the packed table/scratch primitives exist precisely to avoid that.
-     [module Oracle = struct ... end] submodules are exempt — they keep
-     the original list-based implementations as differential-test
-     references and are never on the hot path.
+     The rule covers the whole file, submodules included: list-based
+     reference implementations live in test/oracle, outside lib/.
 
    The checks are syntactic approximations: a file that defines its own
    top-level [compare]/[equal] may refer to them unqualified, so such
@@ -202,7 +201,6 @@ let collect_toplevel_defs structure =
 
 let lint_structure ~file ~determinism_exempt ~hot_path structure =
   let violations = ref [] in
-  let in_oracle = ref false in
   let defined = collect_toplevel_defs structure in
   let add ~loc rule message =
     let pos = loc.Location.loc_start in
@@ -234,11 +232,11 @@ let lint_structure ~file ~determinism_exempt ~hot_path structure =
              "List.%s uses polymorphic equality; use List.exists/List.find_opt \
               with an explicit equal"
              f)
-    | [ "List"; (("sort" | "map") as f) ] when hot_path && not !in_oracle ->
+    | [ "List"; (("sort" | "map") as f) ] when hot_path ->
         add ~loc "hot-path-alloc"
           (Printf.sprintf
              "List.%s allocates on a hot-path file; use the packed \
-              table/scratch primitives (Oracle submodules are exempt)"
+              table/scratch primitives"
              f)
     | [ "Hashtbl"; f ] when is_hashtbl_hash f ->
         add ~loc "poly-eq-fn"
@@ -288,19 +286,7 @@ let lint_structure ~file ~determinism_exempt ~hot_path structure =
         check_ident ~loc:e.pexp_loc (flatten_lid txt)
     | _ -> default_iterator.expr iter e
   in
-  (* Oracle submodules keep the list-based reference implementations for
-     differential tests; only the allocation rule is suspended inside them
-     — every other rule still applies. *)
-  let module_binding iter (mb : Parsetree.module_binding) =
-    match mb.pmb_name.txt with
-    | Some "Oracle" when hot_path ->
-        let saved = !in_oracle in
-        in_oracle := true;
-        default_iterator.module_binding iter mb;
-        in_oracle := saved
-    | _ -> default_iterator.module_binding iter mb
-  in
-  let iter = { default_iterator with expr; module_binding } in
+  let iter = { default_iterator with expr } in
   iter.structure iter structure;
   List.rev !violations
 

@@ -11,9 +11,8 @@
       [Unix.time], [Sys.time] outside the sanctioned RNG module
       (deterministic replay, Section 4.4 / Theorem 6);
     - [hot-path-alloc]: [List.sort]/[List.map] on designated hot-path
-      files (routing, location and insertion inner loops); [Oracle]
-      submodules — the list-based differential-test references — are
-      exempt;
+      files (routing, location and insertion inner loops), submodules
+      included;
     - [missing-mli]: a library module without an interface;
     - [parse-error]: the file does not parse.
 
