@@ -584,6 +584,10 @@ let serve_cmd =
             Printf.printf
               "  wall latency    p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
               (qw 0.50) (qw 0.90) (qw 0.99) (qw 0.999);
+            (* the run's exact behaviour as one hash: equal across commits
+               iff every counter and virtual quantile is *)
+            Printf.printf "  signature md5 %s\n"
+              (Digest.to_hex (Digest.string (signature r)));
             let audit_violations =
               if audit then begin
                 Serve.Shard.quiesce r.engine ~clock:(r.duration_v +. 1.);

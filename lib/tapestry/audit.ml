@@ -34,6 +34,13 @@ type violation =
       target : Node_id.t;
     }
   | Stale_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
+  | Duplicate_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
+  | Handle_less_entry of {
+      node : Node_id.t;
+      level : int;
+      entry : Node_id.t;
+      backpointer : bool;
+    }
   | Missing_owner of { node : Node_id.t; level : int }
   | Expired_pointer of {
       node : Node_id.t;
@@ -64,6 +71,8 @@ let violation_code = function
   | Stale_handle _ -> "stale-handle"
   | Missing_backpointer _ -> "missing-backpointer"
   | Stale_backpointer _ -> "stale-backpointer"
+  | Duplicate_backpointer _ -> "duplicate-backpointer"
+  | Handle_less_entry _ -> "handle-less-entry"
   | Missing_owner _ -> "missing-owner"
   | Expired_pointer _ -> "expired-pointer"
   | Footprint_excess _ -> "footprint-excess"
@@ -108,6 +117,17 @@ let pp_violation ppf v =
         "stale-backpointer: %s has a level-%d backpointer from %s which no \
          longer holds it (Section 2.1)"
         (id node) (level + 1) (id source)
+  | Duplicate_backpointer { node; level; source } ->
+      Format.fprintf ppf
+        "duplicate-backpointer: %s records holder %s more than once at \
+         level %d"
+        (id node) (id source) (level + 1)
+  | Handle_less_entry { node; level; entry; backpointer } ->
+      Format.fprintf ppf
+        "handle-less-entry: %s %s %s at level %d carries no arena handle"
+        (id node)
+        (if backpointer then "backpointer from" else "slot entry")
+        (id entry) (level + 1)
   | Missing_owner { node; level } ->
       Format.fprintf ppf
         "missing-owner: %s is absent from its own digit slot at level %d"
@@ -226,6 +246,11 @@ let run net =
                 add (Misordered_slot { node = owner; level; digit });
               for k = 0 to len - 1 do
                 let eid = Routing_table.slot_id table ~level ~digit ~k in
+                let h = Routing_table.slot_handle table ~level ~digit ~k in
+                if h < 0 then
+                  add
+                    (Handle_less_entry
+                       { node = owner; level; entry = eid; backpointer = false });
                 if not (Node_id.equal eid owner) then begin
                   incr entries_checked;
                   if
@@ -237,7 +262,6 @@ let run net =
                          { node = owner; level; digit; entry = eid });
                   (* an entry's arena handle is immutable: resolving it must
                      yield the very node the entry names *)
-                  let h = Routing_table.slot_handle table ~level ~digit ~k in
                   if
                     h >= 0
                     && not
@@ -275,10 +299,18 @@ let run net =
             then add (Missing_owner { node = owner; level })
           done);
       (* Backpointer reverse direction: every backpointer's source still
-         holds the node. *)
+         holds the node, carries its handle, and is recorded once per
+         level — joins append without a scan, relying on symmetry.  Walked
+         top level down, newest holder first ([all_backpointers] order);
+         [mark.(h) = gen]: handle [h] already seen at this level. *)
+      let mark = Array.make net.Network.arena_len 0 and gen = ref 0 in
       Network.iter_alive net (fun (b : Node.t) ->
-          List.iter
-            (fun (level, src) ->
+          let table = b.Node.table in
+          for level = Routing_table.levels table - 1 downto 0 do
+            incr gen;
+            for k = Routing_table.backpointer_len table ~level - 1 downto 0 do
+              let src = Routing_table.backpointer_id table ~level ~k in
+              let h = Routing_table.backpointer_handle table ~level ~k in
               let holds =
                 match Network.find net src with
                 | Some a when Node.is_alive a ->
@@ -289,10 +321,17 @@ let run net =
                 | Some _ | None -> false
               in
               if not holds then
+                add (Stale_backpointer { node = b.Node.id; level; source = src });
+              if h < 0 then
                 add
-                  (Stale_backpointer
-                     { node = b.Node.id; level; source = src }))
-            (Routing_table.all_backpointers b.Node.table));
+                  (Handle_less_entry
+                     { node = b.Node.id; level; entry = src; backpointer = true })
+              else if h >= net.Network.arena_len then ()
+              else if mark.(h) = !gen then
+                add (Duplicate_backpointer { node = b.Node.id; level; source = src })
+              else mark.(h) <- !gen
+            done
+          done);
       (* Pointer-store expiry consistency: at a quiescent point no node may
          still hold a pointer past its expiry (soft state, Section 2.2). *)
       Network.iter_alive net (fun (n : Node.t) ->

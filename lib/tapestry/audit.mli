@@ -12,9 +12,9 @@
       has a level-l backpointer to A, in both directions;
     - {b owner presence}: every node fills its own digit slot at every
       level (routing and multicast rely on it);
-    - {b handle consistency}: every entry carrying an arena handle resolves
-      through {!Network.node_of_handle} to the node it names (the packed
-      hot path depends on it);
+    - {b handle consistency}: every slot entry and backpointer carries an
+      arena handle, and a slot entry's resolves to the node it names; no
+      holder is recorded twice at a level (joins append without a scan);
     - {b pointer expiry consistency} (Section 2.2 soft state): no node
       retains an object pointer past its expiry;
     - {b cache coherence} (PR 9): when an {!Obj_cache} is attached, every
@@ -65,6 +65,13 @@ type violation =
       node : Node_id.t;
       level : int;
       source : Node_id.t;  (** backpointer source that no longer holds [node] *)
+    }
+  | Duplicate_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
+  | Handle_less_entry of {
+      node : Node_id.t;
+      level : int;
+      entry : Node_id.t;
+      backpointer : bool;  (** a backpointer, not a slot entry *)
     }
   | Missing_owner of { node : Node_id.t; level : int }
   | Expired_pointer of {

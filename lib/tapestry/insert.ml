@@ -38,17 +38,13 @@ let copy_preliminary_table net ~(new_node : Node.t) ~(surrogate : Node.t) =
   for level = 0 to Routing_table.levels table - 1 do
     for digit = 0 to Routing_table.base table - 1 do
       for k = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-        let h = Routing_table.slot_handle table ~level ~digit ~k in
         let cand =
-          if h >= 0 then Some (Network.node_of_handle net h)
-          else Network.find net (Routing_table.slot_id table ~level ~digit ~k)
+          Network.node_of_handle net
+            (Routing_table.slot_handle table ~level ~digit ~k)
         in
-        match cand with
-        | Some cand when Node.is_alive cand ->
-            ignore
-              (Network.offer_link_all_levels net ~owner:new_node
-                 ~candidate:cand)
-        | _ -> ()
+        if Node.is_alive cand then
+          ignore
+            (Network.offer_link_all_levels net ~owner:new_node ~candidate:cand)
       done
     done
   done

@@ -2,8 +2,7 @@ type result = { reached : Node.t list; tree_edges : int }
 
 (* Watch-list handling (Figure 11): on arrival at a node, scan the watched
    holes it can certify filled and report the filler.  Fillers resolve
-   through the arena handle stored next to the entry; only entries injected
-   without one fall back to the directory. *)
+   through the arena handle stored next to the entry. *)
 (* [@alloc_ok]: the iteration closures here are built per visited node
    but only when a watch list is present (insertions), and the watch
    list itself is O(prefix * base) — join-time, not per-message. *)
@@ -14,28 +13,21 @@ let[@alloc_ok] check_watchlist net watchlist on_watch_hit (node : Node.t) =
         (fun level row ->
           Array.iteri
             (fun digit wanted ->
-              if wanted then begin
-                match Routing_table.primary node.Node.table ~level ~digit with
-                | Some e when not (Node_id.equal e.Routing_table.id node.Node.id)
-                  -> (
-                    let h =
-                      Routing_table.slot_handle node.Node.table ~level ~digit
-                        ~k:0
-                    in
-                    let filler =
-                      if h >= 0 then Some (Network.node_of_handle net h)
-                      else Network.find net e.Routing_table.id
-                    in
-                    match filler with
-                    | Some filler when Node.is_alive filler ->
-                        row.(digit) <- false;
-                        hit ~level ~digit filler
-                    | _ -> ())
-                | Some _ when Node.is_alive node ->
-                    (* the recipient itself fills the hole *)
-                    row.(digit) <- false;
-                    hit ~level ~digit node
-                | _ -> ()
+              if
+                wanted
+                && Routing_table.slot_len node.Node.table ~level ~digit > 0
+              then begin
+                let filler =
+                  Network.node_of_handle net
+                    (Routing_table.slot_handle node.Node.table ~level ~digit
+                       ~k:0)
+                in
+                (* the primary fills the hole; when the primary is the
+                   recipient itself, so does the recipient *)
+                if Node.is_alive filler then begin
+                  row.(digit) <- false;
+                  hit ~level ~digit filler
+                end
               end)
             row)
         wl
@@ -104,17 +96,13 @@ let[@alloc_ok] run ?on_watch_hit ?watchlist net ~start ~prefix ~len ~apply =
         let settled = ref (-1) in
         for k = 0 to Routing_table.slot_len table ~level:l ~digit:j - 1 do
           let h = Routing_table.slot_handle table ~level:l ~digit:j ~k in
-          let n =
-            if h >= 0 then Some (Network.node_of_handle net h)
-            else Network.find net (Routing_table.slot_id table ~level:l ~digit:j ~k)
-          in
-          match n with
-          | Some n when Node.is_alive n ->
-              if Node.is_core n then begin
-                if !settled < 0 then settled := n.Node.handle
-              end
-              else Scratch.push_stack s n.Node.handle
-          | _ -> ()
+          let n = Network.node_of_handle net h in
+          if Node.is_alive n then begin
+            if Node.is_core n then begin
+              if !settled < 0 then settled := h
+            end
+            else Scratch.push_stack s h
+          end
         done;
         let top = s.Scratch.sp in
         buf.(l) <- j;

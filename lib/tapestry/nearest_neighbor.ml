@@ -78,38 +78,33 @@ let select_k_closest (s : Scratch.t) ~k =
   done;
   !m
 
-(* Offer node [n] to one GETNEXTLIST step's candidate set: stamp-dedup it
-   under [vgen], keep it if it is alive, not the joiner and shares [level]
-   digits with it, and memoize its distance to the joiner under [dgen].
-   Top-level with every operand passed in, so the step builds no closure. *)
-let note net (s : Scratch.t) ~(new_node : Node.t) ~level ~vgen ~dgen
-    (n : Node.t) =
-  let h = n.Node.handle in
+(* Memoize the joiner's distance to [n] (arena handle [h]) for the
+   descent generation [dgen]. *)
+let memo_dist net (s : Scratch.t) ~(new_node : Node.t) ~dgen h n =
+  if s.Scratch.dist_stamp.(h) <> dgen then begin
+    s.Scratch.dist.(h) <- Network.dist net new_node n;
+    s.Scratch.dist_stamp.(h) <- dgen
+  end
+
+(* Offer the node with arena handle [h] to one GETNEXTLIST step's
+   candidate set: stamp-dedup it under [vgen] before loading its record
+   (most pointers a step reads name a node it has already seen), keep it
+   if it is alive, not the joiner and shares [level] digits with it, and
+   memoize its distance to the joiner under [dgen].  Top-level with every
+   operand passed in, so the step builds no closure. *)
+let note net (s : Scratch.t) ~(new_node : Node.t) ~level ~vgen ~dgen h =
   if s.Scratch.stamp.(h) <> vgen then begin
     s.Scratch.stamp.(h) <- vgen;
+    let n = Network.node_of_handle net h in
     if
       Node.is_alive n
-      && (not (Node_id.equal n.Node.id new_node.Node.id))
+      && h <> new_node.Node.handle
       && Node_id.common_prefix_len n.Node.id new_node.Node.id >= level
     then begin
-      if s.Scratch.dist_stamp.(h) <> dgen then begin
-        s.Scratch.dist.(h) <- Network.dist net new_node n;
-        s.Scratch.dist_stamp.(h) <- dgen
-      end;
+      memo_dist net s ~new_node ~dgen h n;
       Scratch.push_cand s h
     end
   end
-
-(* [note] for a pointer read as (handle, id): the handle resolves through
-   the arena; a pointer stored without one (test injection) falls back to
-   the directory. *)
-let note_ptr net s ~new_node ~level ~vgen ~dgen h id =
-  if h >= 0 then
-    note net s ~new_node ~level ~vgen ~dgen (Network.node_of_handle net h)
-  else
-    match Network.find net id with
-    | Some m -> note net s ~new_node ~level ~vgen ~dgen m
-    | None -> ()
 
 (* One GETNEXTLIST step over the handles in [s.cur]: collect forward and
    backward pointers at [level] (both read by index off the packed table),
@@ -121,25 +116,24 @@ let step net ~(new_node : Node.t) ~level ~update_tables ~k ~dgen =
   let vgen = Scratch.bump_visit s in
   s.Scratch.cand_len <- 0;
   for i = 0 to s.Scratch.cur_len - 1 do
-    let n = Network.node_of_handle net s.Scratch.cur.(i) in
+    let h = s.Scratch.cur.(i) in
+    let n = Network.node_of_handle net h in
     (* round trip: ask n for its forward and backward pointers *)
     Network.charge_aside net new_node n;
     Network.charge_aside net n new_node;
     if update_tables then
       ignore (add_to_table_if_closer net ~contacted:n ~new_node);
-    note net s ~new_node ~level ~vgen ~dgen n;
+    note net s ~new_node ~level ~vgen ~dgen h;
     let table = n.Node.table in
     for digit = 0 to Routing_table.base table - 1 do
       for kk = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-        note_ptr net s ~new_node ~level ~vgen ~dgen
+        note net s ~new_node ~level ~vgen ~dgen
           (Routing_table.slot_handle table ~level ~digit ~k:kk)
-          (Routing_table.slot_id table ~level ~digit ~k:kk)
       done
     done;
     for kk = 0 to Routing_table.backpointer_len table ~level - 1 do
-      note_ptr net s ~new_node ~level ~vgen ~dgen
+      note net s ~new_node ~level ~vgen ~dgen
         (Routing_table.backpointer_handle table ~level ~k:kk)
-        (Routing_table.backpointer_id table ~level ~k:kk)
     done
   done;
   select_k_closest s ~k
@@ -211,7 +205,11 @@ let fill_holes net ~(new_node : Node.t) ~(surrogate : Node.t) ~max_level =
 (* One complete descent at width [k]; returns the trace pieces and the
    closest node of the final (level 0) list.  The level list lives in
    [s.cur] between steps; the distance memo is valid for the whole descent
-   (one [dgen]) because the metric is static and the joiner is fixed. *)
+   (one [dgen]) because the metric is static and the joiner is fixed.
+   The steps run with [update_tables:false]: each level-list node was
+   offered the joiner just after its selection, and nothing in a descent
+   removes an entry or offers its table anything else, so a repeat is an
+   exact no-op ([known] in place, or [rejected]). *)
 (* [@alloc_ok]: per-descent seeding (one closure over the distance memo)
    and the trace pieces in the result; the level steps run on scratch. *)
 let[@alloc_ok] run_descent net ~(new_node : Node.t) ~max_level ~initial_list ~k
@@ -222,13 +220,9 @@ let[@alloc_ok] run_descent net ~(new_node : Node.t) ~max_level ~initial_list ~k
   s.Scratch.cand_len <- 0;
   List.iter
     (fun (m : Node.t) ->
-      if Node.is_alive m && not (Node_id.equal m.Node.id new_node.Node.id)
-      then begin
-        let h = m.Node.handle in
-        if s.Scratch.dist_stamp.(h) <> dgen then begin
-          s.Scratch.dist.(h) <- Network.dist net new_node m;
-          s.Scratch.dist_stamp.(h) <- dgen
-        end;
+      let h = m.Node.handle in
+      if Node.is_alive m && h <> new_node.Node.handle then begin
+        memo_dist net s ~new_node ~dgen h m;
         Scratch.push_cand s h
       end)
     initial_list;
@@ -249,7 +243,7 @@ let[@alloc_ok] run_descent net ~(new_node : Node.t) ~max_level ~initial_list ~k
   let levels = ref 0 in
   for level = max_level - 1 downto 0 do
     incr levels;
-    let m = step net ~new_node ~level ~update_tables:true ~k ~dgen in
+    let m = step net ~new_node ~level ~update_tables:false ~k ~dgen in
     contacted := !contacted + s.Scratch.cur_len;
     for i = 0 to m - 1 do
       if
@@ -325,20 +319,13 @@ let[@alloc_ok] nearest_neighbor net ~(from : Node.t) =
   let best = ref None in
   for digit = 0 to Routing_table.base table - 1 do
     for k = 0 to Routing_table.slot_len table ~level:0 ~digit - 1 do
-      let id = Routing_table.slot_id table ~level:0 ~digit ~k in
-      if not (Node_id.equal id from.Node.id) then begin
-        let h = Routing_table.slot_handle table ~level:0 ~digit ~k in
-        let n =
-          if h >= 0 then Some (Network.node_of_handle net h)
-          else Network.find net id
-        in
-        match n with
-        | Some n when Node.is_alive n -> (
-            let d = Network.dist net from n in
-            match !best with
-            | Some (_, bd) when bd <= d -> ()
-            | _ -> best := Some (n, d))
-        | _ -> ()
+      let h = Routing_table.slot_handle table ~level:0 ~digit ~k in
+      let n = Network.node_of_handle net h in
+      if h <> from.Node.handle && Node.is_alive n then begin
+        let d = Network.dist net from n in
+        match !best with
+        | Some (_, bd) when bd <= d -> ()
+        | _ -> best := Some (n, d)
       end
     done
   done;

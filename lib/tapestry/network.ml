@@ -252,24 +252,20 @@ let fresh_id t =
    levels it fills). *)
 let link_at_level t ~(owner : Node.t) ~level ~(candidate : Node.t) ~d =
   let o = owner and c = candidate in
-  match
+  let v =
     Routing_table.consider o.table ~level ~candidate:c.id ~handle:c.handle
       ~dist:d
-  with
-  | `Rejected | `Known -> false
-  | `Added evicted ->
-      Routing_table.add_backpointer c.table ~level ~handle:o.handle o.id;
-      (match evicted with
-      | Some old_id -> (
-          (* eviction is the rare branch: resolve through the directory,
-             the slot no longer holds the evicted handle *)
-          match find t old_id with
-          | Some old_node ->
-              Routing_table.remove_backpointer ~handle:o.handle
-                old_node.Node.table ~level o.id
-          | None -> ())
-      | None -> ());
-      true
+  in
+  if v = Routing_table.known || v = Routing_table.rejected then false
+  else begin
+    (* added: [c] was not in [o]'s slot, so by symmetry [o] is not among
+       [c]'s holders at [level] — append without a scan *)
+    Routing_table.add_backpointer c.table ~level ~handle:o.handle o.id;
+    if v >= 0 then
+      Routing_table.remove_backpointer ~handle:o.handle
+        (node_of_handle t v).Node.table ~level o.id;
+    true
+  end
 
 (* Nodes that announced departure (or died) take no new links: their
    existing entries are marked "leaving" and serve only in-flight traffic

@@ -26,19 +26,15 @@ let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
           let digit = Node_id.digit salted level in
           let table = node.Node.table in
           for k = 0 to Routing_table.slot_len table ~level ~digit - 1 do
-            let h = Routing_table.slot_handle table ~level ~digit ~k in
             let sec =
-              if h >= 0 then Some (Network.node_of_handle net h)
-              else Network.find net (Routing_table.slot_id table ~level ~digit ~k)
+              Network.node_of_handle net
+                (Routing_table.slot_handle table ~level ~digit ~k)
             in
-            match sec with
-            | Some sec
-              when Node.is_alive sec
-                   && not (Node_id.equal sec.Node.id node.Node.id) ->
-                Network.charge_aside net node sec;
-                deposit net sec ~guid ~server_id:server.Node.id ~root_idx
-                  ~previous:(Some node.Node.id)
-            | _ -> ()
+            if Node.is_alive sec && sec.Node.handle <> node.Node.handle then begin
+              Network.charge_aside net node sec;
+              deposit net sec ~guid ~server_id:server.Node.id ~root_idx
+                ~previous:(Some node.Node.id)
+            end
           done
         end;
         `Continue (Some node, hops + 1))

@@ -12,9 +12,8 @@ let default_on_dead net ~owner ~dead = Network.drop_link net ~owner ~target:dead
 (* Pick the first alive entry of a slot, lazily purging dead ones (each purge
    costs a probe message: the paper's timeout-based failure detection).
    Entries resolve through the network's handle arena — one array read, no
-   hashing, no slot-list allocation; only entries injected without a handle
-   (test fault injection) fall back to the directory.  The scan restarts
-   after a purge because [on_dead] may rewrite the slot arbitrarily. *)
+   hashing, no slot-list allocation.  The scan restarts after a purge
+   because [on_dead] may rewrite the slot arbitrarily. *)
 let rec first_alive net on_dead skip (owner : Node.t) ~level ~digit =
   scan net on_dead skip owner ~level ~digit
     ~len:(Routing_table.slot_len owner.Node.table ~level ~digit)
@@ -27,16 +26,11 @@ and scan net on_dead skip (owner : Node.t) ~level ~digit ~len ~k =
     let id = Routing_table.slot_id table ~level ~digit ~k in
     if skip id then scan net on_dead skip owner ~level ~digit ~len ~k:(k + 1)
     else begin
-      let h = Routing_table.slot_handle table ~level ~digit ~k in
-      if h >= 0 then begin
-        let n = Network.node_of_handle net h in
-        if Node.is_alive n then Some n
-        else purge net on_dead skip owner ~level ~digit ~dead:id
-      end
-      else
-        match Network.find net id with
-        | Some n when Node.is_alive n -> Some n
-        | _ -> purge net on_dead skip owner ~level ~digit ~dead:id
+      let n =
+        Network.node_of_handle net (Routing_table.slot_handle table ~level ~digit ~k)
+      in
+      if Node.is_alive n then Some n
+      else purge net on_dead skip owner ~level ~digit ~dead:id
     end
   end
 

@@ -132,6 +132,13 @@ let rec find_id (ids : Node_id.t array) ~off ~len id k =
   else if Node_id.equal ids.(off + k) id then k
   else find_id ids ~off ~len id (k + 1)
 
+(* Index of the entry with arena handle [h] among the same cells, or -1:
+   one int compare per cell where [find_id] chases an ID pointer. *)
+let rec find_handle (hs : int array) ~off ~len h k =
+  if k >= len then -1
+  else if hs.(off + k) = h then k
+  else find_handle hs ~off ~len h (k + 1)
+
 (* Shift [off+pos .. off+len-1] one cell right (the caller guarantees
    capacity) and write the new entry at [off+pos]. *)
 let insert_at t ~off ~len ~pos ~id ~handle ~dist =
@@ -153,40 +160,40 @@ let remove_at t ~off ~len ~pos =
   t.ids.(off + len - 1) <- t.owner;
   t.handles.(off + len - 1) <- -1
 
-(* The verdict of a non-evicting add, allocated once. *)
-let added_none = `Added None
+(* [consider]'s verdicts other than "added", below the -1 of an add into
+   a free cell (every handle is >= 0). *)
+let known = -2
+let rejected = -3
 
 let consider t ~level ~candidate ~handle ~dist =
-  if Node_id.equal candidate t.owner then `Known
+  if handle = t.owner_handle then known
   else begin
     let digit = Node_id.digit candidate level in
     let c = cell t ~level ~digit in
     let off = c * t.redundancy in
     let len = t.lens.(c) in
-    let found = find_id t.ids ~off ~len candidate 0 in
+    let found = find_handle t.handles ~off ~len handle 0 in
     if found >= 0 then begin
-      (* Refresh the recorded distance (it may have been estimated),
-         keeping the stored handle when the caller has none. *)
-      let handle = if handle >= 0 then handle else t.handles.(off + found) in
+      (* Refresh the recorded distance (it may have been estimated). *)
       remove_at t ~off ~len ~pos:found;
       let pos = insertion_pos t.dists ~off ~len:(len - 1) dist 0 in
       insert_at t ~off ~len:(len - 1) ~pos ~id:candidate ~handle ~dist;
-      `Known
+      known
     end
     else if len < t.redundancy then begin
       let pos = insertion_pos t.dists ~off ~len dist 0 in
       insert_at t ~off ~len ~pos ~id:candidate ~handle ~dist;
       t.lens.(c) <- len + 1;
       t.filled.(level) <- t.filled.(level) lor (1 lsl digit);
-      added_none
+      -1
     end
     else begin
       (* Full slot: the farthest entry is dropped; if that would be the
          candidate itself, reject without touching the slot. *)
       let pos = insertion_pos t.dists ~off ~len dist 0 in
-      if pos >= t.redundancy then `Rejected
+      if pos >= t.redundancy then rejected
       else begin
-        let evicted = t.ids.(off + len - 1) in
+        let evicted = t.handles.(off + len - 1) in
         for k = len - 2 downto pos do
           t.ids.(off + k + 1) <- t.ids.(off + k);
           t.handles.(off + k + 1) <- t.handles.(off + k);
@@ -195,8 +202,7 @@ let consider t ~level ~candidate ~handle ~dist =
         t.ids.(off + pos) <- candidate;
         t.handles.(off + pos) <- handle;
         t.dists.(off + pos) <- dist;
-        (* [@alloc_ok]: one verdict block per displaced entry *)
-        (`Added (Some evicted) [@alloc_ok])
+        evicted
       end
     end
   end
@@ -285,17 +291,17 @@ let[@alloc_ok] remove t target =
 
 (* --- backpointers --- *)
 
-(* Position of holder [id] in a level's vector, or -1.  With a handle the
-   match is one int compare per holder; the id is compared only against
-   holders recorded without a handle.  IDs and handles are both unique per
-   registered node, so either key finds the same holder. *)
+(* Position of holder [id] in a level's vector, or -1: matched by
+   [handle] (one int compare per holder) when the caller has one, by id
+   otherwise.  IDs and handles are both unique per registered node, so
+   either key finds the same holder. *)
 let rec find_holder (ids : Node_id.t array) (hs : int array) ~len id handle k =
   if k >= len then -1
-  else
-    let h = hs.(k) in
-    if h = handle && handle >= 0 then k
-    else if (h < 0 || handle < 0) && Node_id.equal ids.(k) id then k
-    else find_holder ids hs ~len id handle (k + 1)
+  else if
+    (handle >= 0 && hs.(k) = handle)
+    || (handle < 0 && Node_id.equal ids.(k) id)
+  then k
+  else find_holder ids hs ~len id handle (k + 1)
 
 let initial_bp_capacity = 4
 
@@ -312,19 +318,12 @@ let[@alloc_ok] grow_backpointers t ~level id =
   t.bp_handles.(level) <- hs'
 
 let add_backpointer t ~level ~handle id =
-  if not (Node_id.equal id t.owner) then begin
+  if handle <> t.owner_handle then begin
     let len = t.bp_lens.(level) in
-    let k = find_holder t.bp_ids.(level) t.bp_handles.(level) ~len id handle 0 in
-    if k >= 0 then begin
-      (* already recorded: learn the handle if the first writer had none *)
-      if handle >= 0 then t.bp_handles.(level).(k) <- handle
-    end
-    else begin
-      if len = Array.length t.bp_ids.(level) then grow_backpointers t ~level id;
-      t.bp_ids.(level).(len) <- id;
-      t.bp_handles.(level).(len) <- handle;
-      t.bp_lens.(level) <- len + 1
-    end
+    if len = Array.length t.bp_ids.(level) then grow_backpointers t ~level id;
+    t.bp_ids.(level).(len) <- id;
+    t.bp_handles.(level).(len) <- handle;
+    t.bp_lens.(level) <- len + 1
   end
 
 let remove_backpointer ?(handle = -1) t ~level id =
@@ -464,11 +463,9 @@ let[@alloc_ok] inject_slot_for_test t ~level ~digit entries =
     t.dists.(off + k) <- 0.
   done;
   List.iteri
-    (fun k e ->
+    (fun k (e, h) ->
       t.ids.(off + k) <- e.id;
-      (* injected entries carry no handle; resolution falls back to the
-         directory, preserving the pre-arena behavior for corrupted slots *)
-      t.handles.(off + k) <- (if Node_id.equal e.id t.owner then t.owner_handle else -1);
+      t.handles.(off + k) <- h;
       t.dists.(off + k) <- e.dist)
     entries;
   t.lens.(c) <- List.length entries;

@@ -56,9 +56,7 @@ val slot_id : t -> level:int -> digit:int -> k:int -> Node_id.t
 (** ID of the [k]-th closest entry ([k < slot_len]), O(1). *)
 
 val slot_handle : t -> level:int -> digit:int -> k:int -> int
-(** Arena handle of the [k]-th entry, O(1); [-1] when unknown (entries
-    injected by tests), in which case resolution must fall back to the
-    directory. *)
+(** Arena handle of the [k]-th entry, O(1); every entry carries one. *)
 
 val slot_dist : t -> level:int -> digit:int -> k:int -> float
 (** Recorded distance of the [k]-th entry, O(1). *)
@@ -68,17 +66,18 @@ val primary : t -> level:int -> digit:int -> entry option
 val is_hole : t -> level:int -> digit:int -> bool
 
 val consider : t -> level:int -> candidate:Node_id.t -> handle:int ->
-  dist:float -> [ `Added of Node_id.t option | `Rejected | `Known ]
-(** Offer a candidate for the slot its digit selects at [level].  Keeps the
-    R closest; on success returns the evicted entry (whose backpointer must
-    be dropped), [`Known] if already present (distance refreshed), and
-    [`Rejected] if the slot is full of closer nodes.  The caller must verify
-    the candidate actually shares [level] digits with the owner.  [handle]
-    is the candidate's arena handle; [-1] (tests) makes the entry fall back
-    to directory resolution on the hot path, and a refresh with [-1] keeps
-    the stored handle.  (A required argument, not an optional one: an
-    optional argument is boxed at every call, and this runs per level per
-    candidate of every join.) *)
+  dist:float -> int
+(** Offer a candidate, with arena handle [handle], for the slot its digit
+    selects at [level]; keeps the R closest, matching entries by handle.
+    The caller must verify the candidate shares [level] digits with the
+    owner.  Returns {!known} if present (distance refreshed), {!rejected}
+    if the slot is full of closer nodes, else the evicted entry's handle
+    (whose backpointer must be dropped) or [-1]: an int, so no verdict is
+    allocated. *)
+
+val known : int
+
+val rejected : int
 
 val update_distances : t -> measure:(Node_id.t -> float option) -> int
 (** Re-measure every entry ([None] drops it) and re-sort each slot; returns
@@ -92,25 +91,22 @@ val remove : t -> Node_id.t -> int list
 
     Each level keeps its holders in a flat vector of [(holder id, holder
     arena handle)] pairs.  {b Order}: holders appear in the order they were
-    first recorded at that level; a repeated {!add_backpointer} keeps the
-    holder's position, and {!remove_backpointer} closes the gap keeping the
-    others' relative order.  The index accessors and {!backpointers} report
+    recorded at that level, and {!remove_backpointer} closes the gap
+    keeping the others' order.  The index accessors and {!backpointers} report
     that order; {!all_backpointers} reports its reverse.  Walks over
     holders (GETNEXTLIST, {!Delete.voluntary}) are therefore deterministic
     functions of the link history. *)
 
 val add_backpointer : t -> level:int -> handle:int -> Node_id.t -> unit
-(** Record that [id] holds the owner in its table at [level] (the owner
-    itself is never recorded).  [handle] is the holder's arena handle, or
-    [-1] when the writer has none (walks then fall back to directory
-    resolution for that holder).  A holder already recorded — same handle,
-    or same id where either side has no handle — is not duplicated; it
-    learns the handle if it was stored without one. *)
+(** Append holder [id] (arena handle [handle]) to [level]'s vector with no
+    scan; the owner itself is never recorded.  {b Precondition}: [id] is
+    not recorded at [level] — true when {!consider} just added the owner
+    to [id]'s slot, by backpointer symmetry (audited both ways; a breach
+    shows as [duplicate-backpointer]). *)
 
 val remove_backpointer : ?handle:int -> t -> level:int -> Node_id.t -> unit
-(** Drop holder [id] from [level], matched by [handle] when given (and by
-    id for holders stored without one), otherwise by id.  No-op when
-    absent. *)
+(** Drop holder [id] from [level], matched by [handle] when given,
+    otherwise by id.  No-op when absent. *)
 
 val backpointer_len : t -> level:int -> int
 (** Number of holders recorded at [level], O(1). *)
@@ -119,8 +115,7 @@ val backpointer_id : t -> level:int -> k:int -> Node_id.t
 (** ID of the [k]-th holder at [level] ([k < backpointer_len]), O(1). *)
 
 val backpointer_handle : t -> level:int -> k:int -> int
-(** Arena handle of the [k]-th holder, O(1); [-1] when the writer had
-    none, in which case resolution falls back to the directory. *)
+(** Arena handle of the [k]-th holder, O(1). *)
 
 val backpointers : t -> level:int -> Node_id.t list
 (** The level's holders as a fresh list, in vector order. *)
@@ -156,9 +151,11 @@ val approx_bytes : t -> int
 val holes : t -> (int * int) list
 (** All empty slots as [(level, digit)] pairs. *)
 
-val inject_slot_for_test : t -> level:int -> digit:int -> entry list -> unit
-(** Fault injection for {!Audit} tests only: overwrite a slot verbatim,
-    bypassing ordering and backpointer bookkeeping.  Never call this from
-    protocol code — it deliberately lets tests corrupt the mesh. *)
+val inject_slot_for_test :
+  t -> level:int -> digit:int -> (entry * int) list -> unit
+(** Fault injection for {!Audit} tests only: overwrite a slot verbatim
+    with [(entry, handle)] pairs, bypassing ordering and backpointer
+    bookkeeping.  Never call this from protocol code — it deliberately
+    lets tests corrupt the mesh. *)
 
 val pp : Format.formatter -> t -> unit

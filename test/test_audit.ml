@@ -14,6 +14,23 @@ let build ?(n = 64) ?(seed = 7) () =
 
 let codes report = List.map Audit.violation_code report.Audit.violations
 
+(* A slot's entries paired with their registered nodes' arena handles, the
+   form [inject_slot_for_test] writes back. *)
+let with_handles net entries =
+  List.map
+    (fun (e : Routing_table.entry) ->
+      (e, (Network.find_exn net e.Routing_table.id).Node.handle))
+    entries
+
+let fast_path_codes = [ "duplicate-backpointer"; "handle-less-entry" ]
+
+let check_no_fast_path_violation name report =
+  Alcotest.(check (list string))
+    (name ^ ": no duplicate or handle-less entries") []
+    (List.filter
+       (fun c -> List.exists (String.equal c) fast_path_codes)
+       (codes report))
+
 let check_clean name report =
   Alcotest.(check (list string)) (name ^ " audits clean") [] (codes report)
 
@@ -45,6 +62,7 @@ let test_fresh_network_clean () =
     (report.Audit.entries_checked > 0);
   Alcotest.(check bool) "holes were certified" true
     (report.Audit.holes_certified > 0);
+  check_no_fast_path_violation "fresh 256-node network" report;
   check_clean "fresh 256-node network" report
 
 let test_clean_after_publishes () =
@@ -78,8 +96,8 @@ let test_dropped_backpointer_detected () =
       Alcotest.(check bool) "target" true (Node_id.equal t target.Node.id)
   | _ -> Alcotest.fail "unexpected violation payload");
   (* repairing the backpointer makes the audit clean again *)
-  Routing_table.add_backpointer target.Node.table ~level ~handle:(-1)
-    holder.Node.id;
+  Routing_table.add_backpointer target.Node.table ~level
+    ~handle:holder.Node.handle holder.Node.id;
   check_clean "after repair" (Audit.run net)
 
 let test_reordered_slot_detected () =
@@ -91,7 +109,7 @@ let test_reordered_slot_detected () =
   if Float.equal first.Routing_table.dist last.Routing_table.dist then
     Alcotest.fail "victim slot has tied distances; pick another seed";
   Routing_table.inject_slot_for_test node.Node.table ~level ~digit
-    (List.rev entries);
+    (with_handles net (List.rev entries));
   let report = Audit.run net in
   Alcotest.(check (list string)) "exactly one violation" [ "misordered-slot" ]
     (codes report);
@@ -148,10 +166,11 @@ let test_missing_owner_detected () =
   | None -> Alcotest.fail "no shared owner slot found; pick another seed"
   | Some (node, level, digit, entries) ->
       Routing_table.inject_slot_for_test node.Node.table ~level ~digit
-        (List.filter
-           (fun (e : Routing_table.entry) ->
-             not (Node_id.equal e.Routing_table.id node.Node.id))
-           entries);
+        (with_handles net
+           (List.filter
+              (fun (e : Routing_table.entry) ->
+                not (Node_id.equal e.Routing_table.id node.Node.id))
+              entries));
       let report = Audit.run net in
       Alcotest.(check (list string)) "exactly one violation"
         [ "missing-owner" ] (codes report);
@@ -160,6 +179,89 @@ let test_missing_owner_detected () =
           Alcotest.(check bool) "node" true (Node_id.equal n node.Node.id);
           Alcotest.(check int) "level" level l
       | _ -> Alcotest.fail "unexpected violation payload")
+
+let test_duplicate_backpointer_detected () =
+  let net, _ = build () in
+  let holder, level, digit = find_victim_slot net ~min_entries:1 in
+  let entry = List.hd (Routing_table.slot holder.Node.table ~level ~digit) in
+  let target = Network.find_exn net entry.Routing_table.id in
+  (* record the holder a second time, breaking the append's precondition *)
+  Routing_table.add_backpointer target.Node.table ~level
+    ~handle:holder.Node.handle holder.Node.id;
+  let report = Audit.run net in
+  Alcotest.(check (list string)) "exactly one violation"
+    [ "duplicate-backpointer" ] (codes report);
+  match report.Audit.violations with
+  | [ Audit.Duplicate_backpointer { node; level = l; source } ] ->
+      Alcotest.(check bool) "node" true (Node_id.equal node target.Node.id);
+      Alcotest.(check int) "level" level l;
+      Alcotest.(check bool) "source" true (Node_id.equal source holder.Node.id)
+  | _ -> Alcotest.fail "unexpected violation payload"
+
+let test_handle_less_entry_detected () =
+  let net, _ = build () in
+  let node, level, digit = find_victim_slot net ~min_entries:1 in
+  let entries = with_handles net (Routing_table.slot node.Node.table ~level ~digit) in
+  (* the slot's first entry loses its handle, nothing else changes *)
+  let first, _ = List.hd entries in
+  Routing_table.inject_slot_for_test node.Node.table ~level ~digit
+    ((first, -1) :: List.tl entries);
+  let report = Audit.run net in
+  Alcotest.(check (list string)) "slot entry: exactly one violation"
+    [ "handle-less-entry" ] (codes report);
+  (match report.Audit.violations with
+  | [ Audit.Handle_less_entry { node = n; level = l; entry; backpointer } ] ->
+      Alcotest.(check bool) "node" true (Node_id.equal n node.Node.id);
+      Alcotest.(check int) "level" level l;
+      Alcotest.(check bool) "entry" true
+        (Node_id.equal entry first.Routing_table.id);
+      Alcotest.(check bool) "in a slot" false backpointer
+  | _ -> Alcotest.fail "unexpected violation payload");
+  Routing_table.inject_slot_for_test node.Node.table ~level ~digit entries;
+  check_clean "slot restored" (Audit.run net);
+  (* the same defect in a backpointer vector *)
+  let target = Network.find_exn net first.Routing_table.id in
+  Routing_table.remove_backpointer target.Node.table ~level node.Node.id;
+  Routing_table.add_backpointer target.Node.table ~level ~handle:(-1)
+    node.Node.id;
+  let report = Audit.run net in
+  Alcotest.(check (list string)) "backpointer: exactly one violation"
+    [ "handle-less-entry" ] (codes report);
+  match report.Audit.violations with
+  | [ Audit.Handle_less_entry { node = n; entry; backpointer; _ } ] ->
+      Alcotest.(check bool) "node" true (Node_id.equal n target.Node.id);
+      Alcotest.(check bool) "holder" true (Node_id.equal entry node.Node.id);
+      Alcotest.(check bool) "in a backpointer vector" true backpointer
+  | _ -> Alcotest.fail "unexpected violation payload"
+
+(* Joins during a churned serve run take the append-only backpointer path;
+   after quiescing, the mesh holds neither of the defects it would leave. *)
+let test_churned_serve_no_fast_path_violation () =
+  let n = 256 and seed = 42 in
+  let rng = Simnet.Rng.create seed in
+  let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
+  let net, _ =
+    Static_build.build_streamed ~seed:(seed + 1) Config.default metric ~n
+  in
+  let params =
+    {
+      Serve.Driver.default with
+      Serve.Driver.requests = 4_000;
+      rate = 40_000.;
+      objects = 200;
+      window = 0.02;
+      kill_rate = 100.;
+      join_rate = 100.;
+    }
+  in
+  let clock = ref 0. in
+  let now () = clock := !clock +. 1.; !clock in
+  let r = Serve.Driver.run ~net params ~now in
+  Alcotest.(check bool) "churn fired" true
+    (r.Serve.Driver.kills > 0 && r.Serve.Driver.joins > 0);
+  Serve.Shard.quiesce r.Serve.Driver.engine
+    ~clock:(r.Serve.Driver.duration_v +. 1.);
+  check_no_fast_path_violation "churned serve run" (Audit.run net)
 
 let test_expired_pointer_detected () =
   let net, _ = build () in
@@ -224,6 +326,8 @@ let () =
           Alcotest.test_case "fresh 256-node network" `Quick
             test_fresh_network_clean;
           Alcotest.test_case "after publishes" `Quick test_clean_after_publishes;
+          Alcotest.test_case "churned serve run: no fast-path defects" `Quick
+            test_churned_serve_no_fast_path_violation;
         ] );
       ( "injected corruptions",
         [
@@ -234,6 +338,10 @@ let () =
           Alcotest.test_case "evicted owner" `Quick test_missing_owner_detected;
           Alcotest.test_case "expired pointer" `Quick
             test_expired_pointer_detected;
+          Alcotest.test_case "duplicate backpointer" `Quick
+            test_duplicate_backpointer_detected;
+          Alcotest.test_case "handle-less entry" `Quick
+            test_handle_less_entry_detected;
         ] );
       ( "verify regressions",
         [

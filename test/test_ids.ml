@@ -133,24 +133,25 @@ let test_table_consider_ordering () =
   let t = Routing_table.create cfg4 ~owner in
   (* three candidates for slot (1, digit of second position) with R=2 *)
   let c1 = id_of "ab11" and c2 = id_of "ab22" and c3 = id_of "ab33" in
-  Alcotest.(check bool) "add far" true
-    (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:(-1) ~dist:5.0 = `Added None);
-  Alcotest.(check bool) "add close" true
-    (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:(-1) ~dist:1.0 = `Added None);
+  (* a registered owner (handle 0); each candidate keeps one handle *)
+  Routing_table.set_owner_handle t 0;
+  let consider id handle dist =
+    Routing_table.consider t ~level:1 ~candidate:id ~handle ~dist
+  in
+  Alcotest.(check int) "add far" (-1) (consider c1 1 5.0);
+  Alcotest.(check int) "add close" (-1) (consider c2 2 1.0);
   (match Routing_table.primary t ~level:1 ~digit:0xb with
   | Some e -> Alcotest.(check bool) "closest is primary" true (Node_id.equal e.Routing_table.id c2)
   | None -> Alcotest.fail "slot empty");
-  (* closer third candidate evicts the farthest *)
-  (match Routing_table.consider t ~level:1 ~candidate:c3 ~handle:(-1) ~dist:2.0 with
-  | `Added (Some evicted) ->
-      Alcotest.(check bool) "evicted farthest" true (Node_id.equal evicted c1)
-  | _ -> Alcotest.fail "expected eviction");
+  (* closer third candidate evicts the farthest, reported by handle *)
+  Alcotest.(check int) "evicted farthest" 1 (consider c3 3 2.0);
   (* a far fourth candidate is rejected *)
-  Alcotest.(check bool) "reject far" true
-    (Routing_table.consider t ~level:1 ~candidate:(id_of "ab44") ~handle:(-1) ~dist:9.0 = `Rejected);
+  Alcotest.(check int) "reject far" Routing_table.rejected
+    (consider (id_of "ab44") 4 9.0);
   (* re-offering an existing one refreshes, not duplicates *)
-  Alcotest.(check bool) "known" true
-    (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:(-1) ~dist:0.5 = `Known);
+  Alcotest.(check int) "known" Routing_table.known (consider c2 2 0.5);
+  (* the owner, matched by its handle, is always known *)
+  Alcotest.(check int) "owner known" Routing_table.known (consider owner 0 0.);
   Alcotest.(check int) "slot size" 2
     (List.length (Routing_table.slot t ~level:1 ~digit:0xb))
 
@@ -158,8 +159,8 @@ let test_table_remove_and_holes () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
   let c = id_of "ab11" in
-  ignore (Routing_table.consider t ~level:0 ~candidate:c ~handle:(-1) ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:c ~handle:(-1) ~dist:1.0);
+  ignore (Routing_table.consider t ~level:0 ~candidate:c ~handle:1 ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:c ~handle:1 ~dist:1.0);
   Alcotest.(check (list int)) "removed from both levels" [ 0; 1 ] (Routing_table.remove t c);
   Alcotest.(check bool) "hole back" true (Routing_table.is_hole t ~level:1 ~digit:0xb);
   Alcotest.(check bool) "holes listed" true
@@ -169,11 +170,10 @@ let test_table_backpointers () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
   let other = id_of "b000" in
-  Routing_table.add_backpointer t ~level:0 ~handle:(-1) other;
+  Routing_table.set_owner_handle t 0;
+  Routing_table.add_backpointer t ~level:0 ~handle:5 other;
   Alcotest.(check int) "one bp" 1 (List.length (Routing_table.backpointers t ~level:0));
-  Routing_table.add_backpointer t ~level:0 ~handle:(-1) other;
-  Alcotest.(check int) "no dup" 1 (List.length (Routing_table.backpointers t ~level:0));
-  Routing_table.add_backpointer t ~level:0 ~handle:(-1) owner;
+  Routing_table.add_backpointer t ~level:0 ~handle:0 owner;
   Alcotest.(check int) "self skipped" 1 (List.length (Routing_table.backpointers t ~level:0));
   Routing_table.remove_backpointer t ~level:0 other;
   Alcotest.(check int) "removed" 0 (List.length (Routing_table.backpointers t ~level:0));
@@ -198,21 +198,10 @@ let test_table_backpointers () =
   Alcotest.(check (list string)) "index accessors agree with the list"
     (List.mapi (fun i id -> Printf.sprintf "%s/%d" (Node_id.to_string id) (100 + i)) holders)
     (at_index 1);
-  (* dedup by handle: a repeat keeps its position *)
-  Routing_table.add_backpointer t ~level:1 ~handle:103 (List.nth holders 3);
-  Alcotest.(check (list string)) "repeat by handle not duplicated" (strs holders)
-    (bps 1);
-  (* a holder stored with handle -1 is matched by id, and learns its
-     handle from a later writer *)
   let anon = id_of "d000" in
-  Routing_table.add_backpointer t ~level:2 ~handle:(-1) anon;
-  Alcotest.(check (list string)) "stored without handle" [ "d000/-1" ] (at_index 2);
   Routing_table.add_backpointer t ~level:2 ~handle:7 anon;
-  Alcotest.(check (list string)) "matched by id, handle learned" [ "d000/7" ]
+  Alcotest.(check (list string)) "stored with its handle" [ "d000/7" ]
     (at_index 2);
-  Routing_table.add_backpointer t ~level:2 ~handle:(-1) anon;
-  Alcotest.(check (list string)) "handle kept on an anonymous repeat"
-    [ "d000/7" ] (at_index 2);
   (* removal by handle and by id (a handle that names no holder removes
      nothing, whatever the id); the others keep their relative order *)
   Routing_table.remove_backpointer ~handle:100 t ~level:1 (List.hd holders);
@@ -223,10 +212,6 @@ let test_table_backpointers () =
   in
   Alcotest.(check (list string)) "removed by handle and by id, order kept" kept
     (bps 1);
-  Routing_table.add_backpointer t ~level:3 ~handle:(-1) anon;
-  Routing_table.remove_backpointer ~handle:42 t ~level:3 anon;
-  Alcotest.(check int) "handle-less holder removed by id" 0
-    (Routing_table.backpointer_len t ~level:3);
   Routing_table.remove_backpointer t ~level:1 (id_of "eeee");
   Alcotest.(check (list string)) "absent holder: no-op" kept (bps 1);
   (* re-adding a removed holder appends it *)
@@ -249,11 +234,32 @@ let test_table_backpointers () =
   Alcotest.(check int) "backpointer_count matches" (List.length all)
     (Routing_table.backpointer_count t)
 
+(* [add_backpointer] appends without a scan; it is link maintenance that
+   keeps a holder from being recorded twice: a repeated offer of the same
+   link is [known] and writes no backpointer. *)
+let test_link_repeat_no_duplicate_backpointer () =
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:2
+      ~rng:(Simnet.Rng.create 1)
+  in
+  let net = Network.create cfg4 metric in
+  let a = Node.create cfg4 ~id:(id_of "a000") ~addr:0 in
+  let b = Node.create cfg4 ~id:(id_of "b000") ~addr:1 in
+  Network.register net a;
+  Network.register net b;
+  Alcotest.(check bool) "first offer adds" true
+    (Network.offer_link net ~owner:a ~level:0 ~candidate:b);
+  Alcotest.(check bool) "repeat is known" false
+    (Network.offer_link net ~owner:a ~level:0 ~candidate:b);
+  Alcotest.(check int) "no dup" 1 (Routing_table.backpointer_len b.Node.table ~level:0);
+  Alcotest.(check int) "holder recorded by handle" a.Node.handle
+    (Routing_table.backpointer_handle b.Node.table ~level:0 ~k:0)
+
 let test_table_known_at_level () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ab11") ~handle:(-1) ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ac22") ~handle:(-1) ~dist:2.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ab11") ~handle:1 ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ac22") ~handle:2 ~dist:2.0);
   let known =
     Routing_table.known_at_level t ~level:1
     |> List.map Node_id.to_string |> List.sort String.compare
@@ -337,6 +343,8 @@ let () =
           Alcotest.test_case "remove & holes" `Quick test_table_remove_and_holes;
           Alcotest.test_case "backpointers" `Quick test_table_backpointers;
           Alcotest.test_case "known_at_level" `Quick test_table_known_at_level;
+          Alcotest.test_case "repeated link: one backpointer" `Quick
+            test_link_repeat_no_duplicate_backpointer;
         ] );
       ( "pointer_store",
         [

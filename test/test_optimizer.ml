@@ -61,8 +61,8 @@ let test_update_distances_resorts () =
   let t = Routing_table.create cfg ~owner in
   let c1 = Node_id.of_string ~base:16 "ab11" in
   let c2 = Node_id.of_string ~base:16 "ab22" in
-  ignore (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:(-1) ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:(-1) ~dist:2.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:1 ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:2 ~dist:2.0);
   (* distances flip: c2 is now closer *)
   let measure id = if Node_id.equal id c1 then Some 5.0 else Some 0.5 in
   let changed = Routing_table.update_distances t ~measure in
@@ -76,7 +76,7 @@ let test_update_distances_drops_unmeasurable () =
   let owner = Node_id.of_string ~base:16 "a000" in
   let t = Routing_table.create cfg ~owner in
   let c1 = Node_id.of_string ~base:16 "ab11" in
-  ignore (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:(-1) ~dist:1.0);
+  ignore (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:1 ~dist:1.0);
   ignore (Routing_table.update_distances t ~measure:(fun _ -> None));
   Alcotest.(check bool) "entry dropped" true (Routing_table.is_hole t ~level:1 ~digit:0xb)
 

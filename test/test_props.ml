@@ -132,7 +132,9 @@ let prop_table_keeps_r_closest =
           if (not (Node_id.equal id owner)) && not (Hashtbl.mem seen (Node_id.to_string id))
           then begin
             Hashtbl.replace seen (Node_id.to_string id) dist;
-            ignore (Routing_table.consider t ~level:0 ~candidate:id ~handle:(-1) ~dist)
+            (* distinct IDs, so the arrival index is a fixed per-ID handle *)
+            let handle = Hashtbl.length seen in
+            ignore (Routing_table.consider t ~level:0 ~candidate:id ~handle ~dist)
           end)
         candidates;
       (* per digit, slot = the 3 closest distinct candidates *)

@@ -154,6 +154,55 @@ let test_streamed_audit_clean () =
     true
     (per_node > 1024 && per_node < 65536)
 
+(* Pinned mesh: an MD5 over every registered node, in handle order, of
+   its id and handle, every slot entry (id, handle, IEEE bits of the
+   recorded distance) in slot order, and every level's backpointer vector
+   (holder id and handle) in vector order.  Unlike [mesh_signature] this
+   keeps backpointer order and handles, so an optimization of the join
+   path that claims to leave the mesh bit-identical is checked against a
+   digest recorded before the change, not argued. *)
+let mesh_digest net =
+  let b = Buffer.create (1 lsl 20) in
+  Network.iter_registered net (fun (n : Node.t) ->
+      let t = n.Node.table in
+      Printf.bprintf b "N%s#%d" (Node_id.to_string n.Node.id) n.Node.handle;
+      for level = 0 to Routing_table.levels t - 1 do
+        for digit = 0 to Routing_table.base t - 1 do
+          for k = 0 to Routing_table.slot_len t ~level ~digit - 1 do
+            Printf.bprintf b ";%d.%x:%s#%d/%Lx" level digit
+              (Node_id.to_string (Routing_table.slot_id t ~level ~digit ~k))
+              (Routing_table.slot_handle t ~level ~digit ~k)
+              (Int64.bits_of_float (Routing_table.slot_dist t ~level ~digit ~k))
+          done
+        done;
+        for k = 0 to Routing_table.backpointer_len t ~level - 1 do
+          Printf.bprintf b "^%d:%s#%d" level
+            (Node_id.to_string (Routing_table.backpointer_id t ~level ~k))
+            (Routing_table.backpointer_handle t ~level ~k)
+        done
+      done);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded on the commit before the handle-keyed join path.  The grid
+   lattice has exact distance ties, where the order of repeated link
+   offers decides slot order; uniform points have none. *)
+let pinned_mesh_digests =
+  [
+    (Topology.Uniform_square, "97625d892af28c886014a3114e0b1462");
+    (Topology.Grid, "a241c3eeb1c9b3f6d82e344ef2cef462");
+  ]
+
+let test_pinned_mesh_digest (kind, pinned) () =
+  let n = 1024 and seed = 42 in
+  let rng = Rng.create seed in
+  let metric = Topology.generate kind ~n ~rng in
+  let net, _ =
+    Static_build.build_streamed ~seed:(seed + 1) Config.default metric ~n
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "seed-42 n=1024 %s mesh digest" (Topology.kind_name kind))
+    pinned (mesh_digest net)
+
 let () =
   Alcotest.run "scale_build"
     [
@@ -175,4 +224,12 @@ let () =
           Alcotest.test_case "streamed mesh is audit-clean (incl. footprint)"
             `Quick test_streamed_audit_clean;
         ] );
+      ( "pinned",
+        List.map
+          (fun ((kind, _) as pin) ->
+            Alcotest.test_case
+              (Printf.sprintf "n=1024 seed=42 %s mesh digest"
+                 (Topology.kind_name kind))
+              `Quick (test_pinned_mesh_digest pin))
+          pinned_mesh_digests );
     ]

@@ -48,6 +48,13 @@ let verdict_str = function
   | `Rejected -> "rejected"
   | `Known -> "known"
 
+(* The packed verdict, with an evicted handle mapped back to its ID. *)
+let packed_verdict_str ~id_of_handle v =
+  if v = Routing_table.known then "known"
+  else if v = Routing_table.rejected then "rejected"
+  else if v < 0 then "added"
+  else "added evicting " ^ Node_id.to_string (id_of_handle v)
+
 let churn_rounds = 400
 
 let test_differential_churn () =
@@ -57,6 +64,13 @@ let test_differential_churn () =
   let oracle = Oracle.Routing_table.create config ~owner in
   (* a small id pool so removes and re-considers actually hit known nodes *)
   let pool = Array.init 48 (fun _ -> random_id rng) in
+  (* a node's handle is immutable: each pool ID keeps the index of its
+     first occurrence as its handle *)
+  let handle_of id =
+    let rec go i = if Node_id.equal pool.(i) id then i else go (i + 1) in
+    go 0
+  in
+  let id_of_handle h = pool.(h) in
   for round = 1 to churn_rounds do
     (match Simnet.Rng.int rng 10 with
     | 0 | 1 | 2 | 3 | 4 | 5 -> begin
@@ -69,12 +83,12 @@ let test_differential_churn () =
           for level = 0 to min cpl (Routing_table.levels packed - 1) do
             let vp =
               Routing_table.consider packed ~level ~candidate ~dist
-                ~handle:(Simnet.Rng.int rng 1000)
+                ~handle:(handle_of candidate)
             in
             let vo = Oracle.Routing_table.consider oracle ~level ~candidate ~dist in
             Alcotest.(check string)
               (Printf.sprintf "round %d consider verdict" round)
-              (verdict_str vo) (verdict_str vp)
+              (verdict_str vo) (packed_verdict_str ~id_of_handle vp)
           done
         end
       end
