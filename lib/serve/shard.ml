@@ -146,27 +146,13 @@ let flush_outboxes t ~barrier =
   done
 
 (* Lazy repair of one owner's dead routing entries, Section 5.2 style:
-   collect the distinct dead neighbors, then run the rich on_dead
-   handler for each (drop link, promote secondary, fill holes, re-push
-   pointers). *)
+   run the rich on_dead handler (drop link, promote secondary, fill
+   holes, re-push pointers) for each distinct dead neighbor. *)
 let repair_owner net (owner : Node.t) =
-  if Node.is_alive owner then begin
-    let dead = ref [] in
-    Routing_table.iter_entries owner.Node.table
-      (fun ~level:_ ~digit:_ (e : Routing_table.entry) ->
-        match Network.find net e.Routing_table.id with
-        | Some n when Node.is_alive n -> ()
-        | _ ->
-            if
-              not
-                (List.exists
-                   (fun d -> Node_id.equal d e.Routing_table.id)
-                   !dead)
-            then dead := e.Routing_table.id :: !dead);
+  if Node.is_alive owner then
     List.iter
-      (fun d -> Delete.on_dead_repair net ~owner ~dead:d)
-      (List.rev !dead)
-  end
+      (fun (d : Node.t) -> Delete.on_dead_repair net ~owner ~dead:d.Node.id)
+      (Delete.dead_neighbours net owner)
 
 let apply_repairs t =
   let net = t.sh.Actor.net in
@@ -409,10 +395,13 @@ let quiesce t ~clock =
   Network.iter_alive net (fun owner -> repair_owner net owner);
   ignore (Delete.repair_all_holes net : int);
   Network.iter_alive net (fun n ->
-      List.iter
-        (fun (level, src) ->
-          match Network.find net src with
-          | Some s when Node.is_alive s -> ()
-          | _ -> Routing_table.remove_backpointer n.Node.table ~level src)
-        (Routing_table.all_backpointers n.Node.table));
+      let t = n.Node.table in
+      for level = Routing_table.levels t - 1 downto 0 do
+        for k = Routing_table.backpointer_len t ~level - 1 downto 0 do
+          let h = Routing_table.backpointer_handle t ~level ~k in
+          if not (Node.is_alive (Network.node_of_handle net h)) then
+            Routing_table.remove_backpointer ~handle:h t ~level
+              (Routing_table.backpointer_id t ~level ~k)
+        done
+      done);
   ignore (Maintenance.expire_all net : int)

@@ -142,23 +142,24 @@ let heartbeat_daemon env ~period ~rounds =
     List.iter
       (fun (node : Node.t) ->
         if Node.is_alive node then begin
-          let stale = ref [] in
-          Routing_table.iter_entries node.Node.table (fun ~level:_ ~digit:_ e ->
-              match Network.find env.net e.Routing_table.id with
-              | Some peer when Node.is_alive peer ->
-                  (* beacon + ack *)
-                  Network.charge_aside env.net node peer;
-                  Network.charge_aside env.net peer node
-              | _ ->
-                  saw_failure := true;
-                  stale := e.Routing_table.id :: !stale);
+          Routing_table.iter_handles node.Node.table (fun ~level:_ h ->
+              let peer = Network.node_of_handle env.net h in
+              if Node.is_alive peer then begin
+                (* beacon + ack *)
+                Network.charge_aside env.net node peer;
+                Network.charge_aside env.net peer node
+              end);
           (* each node's timeouts run concurrently, so the sweep round
              costs one timeout of virtual time overall, not one per probe *)
-          List.iter
-            (fun dead ->
-              Simnet.Cost.message env.net.Network.cost ~dist:0.;
-              Delete.on_dead_repair env.net ~owner:node ~dead)
-            (List.sort_uniq Node_id.compare !stale)
+          match Delete.dead_neighbours env.net node with
+          | [] -> ()
+          | dead ->
+              saw_failure := true;
+              List.iter
+                (fun (d : Node.t) ->
+                  Simnet.Cost.message env.net.Network.cost ~dist:0.;
+                  Delete.on_dead_repair env.net ~owner:node ~dead:d.Node.id)
+                (List.sort (fun (a : Node.t) b -> Node_id.compare a.id b.Node.id) dead)
         end)
       (Network.alive_nodes env.net);
     if !saw_failure then begin

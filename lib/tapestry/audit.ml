@@ -16,6 +16,12 @@ type violation =
       digit : int;
       entry : Node_id.t;
     }
+  | Duplicate_entry of {
+      node : Node_id.t;
+      level : int;
+      digit : int;
+      entry : Node_id.t;
+    }
   | Dangling_entry of {
       node : Node_id.t;
       level : int;
@@ -67,6 +73,7 @@ let violation_code = function
   | Uncertified_hole _ -> "uncertified-hole"
   | Misordered_slot _ -> "misordered-slot"
   | Misplaced_entry _ -> "misplaced-entry"
+  | Duplicate_entry _ -> "duplicate-entry"
   | Dangling_entry _ -> "dangling-entry"
   | Stale_handle _ -> "stale-handle"
   | Missing_backpointer _ -> "missing-backpointer"
@@ -97,6 +104,10 @@ let pp_violation ppf v =
       Format.fprintf ppf
         "misplaced-entry: %s slot (L%d, %x) holds %s whose ID does not \
          select that slot"
+        (id node) (level + 1) digit (id entry)
+  | Duplicate_entry { node; level; digit; entry } ->
+      Format.fprintf ppf
+        "duplicate-entry: %s slot (L%d, %x) holds %s more than once"
         (id node) (level + 1) digit (id entry)
   | Dangling_entry { node; level; digit; entry } ->
       Format.fprintf ppf
@@ -247,6 +258,13 @@ let run net =
               for k = 0 to len - 1 do
                 let eid = Routing_table.slot_id table ~level ~digit ~k in
                 let h = Routing_table.slot_handle table ~level ~digit ~k in
+                let rec seen j =
+                  j < k
+                  && (Node_id.equal (Routing_table.slot_id table ~level ~digit ~k:j) eid
+                     || seen (j + 1))
+                in
+                if seen 0 then
+                  add (Duplicate_entry { node = owner; level; digit; entry = eid });
                 if h < 0 then
                   add
                     (Handle_less_entry

@@ -12,6 +12,8 @@
       has a level-l backpointer to A, in both directions;
     - {b owner presence}: every node fills its own digit slot at every
       level (routing and multicast rely on it);
+    - {b one cell per level}: an entry sits only in the slot its digit
+      selects, and only once there (level walks need no dedup);
     - {b handle consistency}: every slot entry and backpointer carries an
       arena handle, and a slot entry's resolves to the node it names; no
       holder is recorded twice at a level (joins append without a scan);
@@ -42,6 +44,12 @@ type violation =
       level : int;
       digit : int;
       entry : Node_id.t;  (** entry whose ID does not select this slot *)
+    }
+  | Duplicate_entry of {
+      node : Node_id.t;
+      level : int;
+      digit : int;
+      entry : Node_id.t;  (** entry recorded more than once in the slot *)
     }
   | Dangling_entry of {
       node : Node_id.t;

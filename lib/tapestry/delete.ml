@@ -8,22 +8,21 @@ let repair_hole net ~(owner : Node.t) ~level ~digit =
   if not (Routing_table.is_hole owner.Node.table ~level ~digit) then true
   else begin
     (* Local search: ask every remaining neighbor that shares [level] digits
-       for its own (prefix, digit) entries. *)
+       for its own (prefix, digit) entries.  The list is taken before the
+       offers start filling the hole. *)
     let offered = ref false in
-    Routing_table.known_at_level owner.Node.table ~level
-    |> List.iter (fun id ->
-           match Network.find net id with
-           | Some peer when Node.is_alive peer ->
-               Network.charge_aside net owner peer;
-               Network.charge_aside net peer owner;
-               Routing_table.slot peer.Node.table ~level ~digit
-               |> List.iter (fun (e : Routing_table.entry) ->
-                      match Network.find net e.id with
-                      | Some cand when Node.is_alive cand ->
-                          if Network.offer_link net ~owner ~level ~candidate:cand
-                          then offered := true
-                      | _ -> ())
-           | _ -> ());
+    List.iter
+      (fun (peer : Node.t) ->
+        Network.charge_aside net owner peer;
+        Network.charge_aside net peer owner;
+        let pt = peer.Node.table in
+        for k = 0 to Routing_table.slot_len pt ~level ~digit - 1 do
+          let cand =
+            Network.node_of_handle net (Routing_table.slot_handle pt ~level ~digit ~k)
+          in
+          if Network.offer_link net ~owner ~level ~candidate:cand then offered := true
+        done)
+      (Network.live_neighbours net owner ~level);
     if !offered then true
     else begin
       (* Routed probe: surrogate-route toward an ID with the wanted prefix;
@@ -41,35 +40,33 @@ let repair_hole net ~(owner : Node.t) ~level ~digit =
     end
   end
 
-(* Re-push every pointer record at [owner]; records whose path is unchanged
-   converge at the first hop, so this is cheap when nothing moved. *)
-let reoptimize_pointers net ~(owner : Node.t) =
-  let n = ref 0 in
-  Pointer_store.records owner.Node.pointers
-  |> List.iter (fun r ->
-         incr n;
-         Maintenance.optimize_object_ptrs net ~changed:owner r);
-  !n
-
-let on_dead_repair net ~owner ~dead =
-  let levels = Routing_table.remove owner.Node.table dead in
-  (match Network.find net dead with
-  | Some d ->
-      List.iter
-        (fun level -> Routing_table.remove_backpointer d.Node.table ~level owner.Node.id)
-        levels
-  | None -> ());
+let on_dead_repair net ~(owner : Node.t) ~dead =
   List.iter
     (fun level ->
-      let digit =
-        match Network.find net dead with
-        | Some (d : Node.t) -> Node_id.digit d.Node.id level
-        | None -> -1
-      in
-      if digit >= 0 && Routing_table.is_hole owner.Node.table ~level ~digit then
+      let digit = Node_id.digit dead level in
+      if Routing_table.is_hole owner.Node.table ~level ~digit then
         ignore (repair_hole net ~owner ~level ~digit))
-    levels;
-  ignore (reoptimize_pointers net ~owner)
+    (Network.drop_link net ~owner ~target:dead);
+  (* Re-push every pointer record at [owner]; records whose path is
+     unchanged converge at the first hop, so this is cheap when nothing
+     moved. *)
+  List.iter
+    (fun r -> Maintenance.optimize_object_ptrs net ~changed:owner r)
+    (Pointer_store.records owner.Node.pointers)
+
+(* Repeats (a node held at several levels) are skipped with the visit
+   stamps of the network's scratch. *)
+let dead_neighbours net (owner : Node.t) =
+  let s = net.Network.scratch and acc = ref [] in
+  Scratch.ensure_handles s ~n:net.Network.arena_len;
+  let gen = Scratch.bump_visit s in
+  Routing_table.iter_handles owner.Node.table (fun ~level:_ h ->
+      let n = Network.node_of_handle net h in
+      if (not (Node.is_alive n)) && s.Scratch.stamp.(h) <> gen then begin
+        s.Scratch.stamp.(h) <- gen;
+        acc := n :: !acc
+      end);
+  List.rev !acc
 
 let fail net node = Network.mark_dead net node
 
@@ -82,48 +79,56 @@ let voluntary net (node : Node.t) =
   (* The data leaves with the node: withdraw its replicas first. *)
   let replicas = Node_id.Tbl.fold (fun g () acc -> g :: acc) node.Node.replicas [] in
   List.iter (fun guid -> Publish.unpublish net ~server:node guid) replicas;
-  (* Phase 1: notify backpointer holders with per-level replacements. *)
+  (* Phase 1: notify backpointer holders with per-level replacements.  The
+     holders are taken up front, top level down and newest first: each
+     notification drops links, which closes gaps in these vectors. *)
+  let table = node.Node.table in
+  let holders = ref [] in
+  for level = 0 to Routing_table.levels table - 1 do
+    for k = 0 to Routing_table.backpointer_len table ~level - 1 do
+      let h = Routing_table.backpointer_handle table ~level ~k in
+      holders := (level, Network.node_of_handle net h) :: !holders
+    done
+  done;
   let notified = ref 0 in
   let rerouted = ref 0 in
   List.iter
-    (fun (level, holder_id) ->
-      match Network.find net holder_id with
-      | Some holder when Node.is_alive holder ->
-          incr notified;
-          Network.charge net node holder;
-          (* Records at the holder that route through the leaver must move;
-             capture them before the link goes away. *)
-          let moving =
-            Pointer_store.records holder.Node.pointers
-            |> List.filter (fun (r : Pointer_store.record) ->
-                   let salted =
-                     Network.salted net r.Pointer_store.guid
-                       r.Pointer_store.root_idx
-                   in
-                   match Route.peek_first_hop net holder salted with
-                   | Some hop -> Node_id.equal hop.Node.id node.Node.id
-                   | None -> false)
-          in
-          (* Replacement candidates: the leaver's own slot for its digit at
-             this level holds exactly the nodes that can stand in for it. *)
-          let digit = Node_id.digit node.Node.id level in
-          Routing_table.slot node.Node.table ~level ~digit
-          |> List.iter (fun (e : Routing_table.entry) ->
-                 if not (Node_id.equal e.id node.Node.id) then
-                   match Network.find net e.id with
-                   | Some cand when Node.is_alive cand ->
-                       ignore (Network.offer_link net ~owner:holder ~level ~candidate:cand)
-                   | _ -> ());
-          Network.drop_link net ~owner:holder ~target:node.Node.id;
-          if Routing_table.is_hole holder.Node.table ~level ~digit then
-            ignore (repair_hole net ~owner:holder ~level ~digit);
-          List.iter
-            (fun r ->
-              incr rerouted;
-              Maintenance.optimize_object_ptrs net ~changed:holder r)
-            moving
-      | _ -> ())
-    (Routing_table.all_backpointers node.Node.table);
+    (fun (level, (holder : Node.t)) ->
+      if Node.is_alive holder then begin
+        incr notified;
+        Network.charge net node holder;
+        (* Records at the holder that route through the leaver must move;
+           capture them before the link goes away. *)
+        let moving =
+          Pointer_store.records holder.Node.pointers
+          |> List.filter (fun (r : Pointer_store.record) ->
+                 let salted =
+                   Network.salted net r.Pointer_store.guid
+                     r.Pointer_store.root_idx
+                 in
+                 match Route.peek_first_hop net holder salted with
+                 | Some hop -> Node_id.equal hop.Node.id node.Node.id
+                 | None -> false)
+        in
+        (* Replacement candidates: the leaver's own slot for its digit at
+           this level holds exactly the nodes that can stand in for it
+           (offer_link refuses the leaver itself and dead nodes). *)
+        let digit = Node_id.digit node.Node.id level in
+        for k = 0 to Routing_table.slot_len table ~level ~digit - 1 do
+          let h = Routing_table.slot_handle table ~level ~digit ~k in
+          let cand = Network.node_of_handle net h in
+          ignore (Network.offer_link net ~owner:holder ~level ~candidate:cand)
+        done;
+        ignore (Network.drop_link net ~owner:holder ~target:node.Node.id);
+        if Routing_table.is_hole holder.Node.table ~level ~digit then
+          ignore (repair_hole net ~owner:holder ~level ~digit);
+        List.iter
+          (fun r ->
+            incr rerouted;
+            Maintenance.optimize_object_ptrs net ~changed:holder r)
+          moving
+      end)
+    !holders;
   (* Phase 2: re-root the objects this node is root for, with itself masked
      out of every lookup. *)
   let rerooted = ref 0 in
@@ -137,31 +142,27 @@ let voluntary net (node : Node.t) =
          if is_root then begin
            incr rerooted;
            let expires = net.Network.clock +. cfg.Config.pointer_ttl in
-           let _, _, _ =
-             Route.fold_path ~exclude:node.Node.id net ~from:node salted
-               ~init:node.Node.id
-               ~f:(fun sender hop ->
-                 if Node_id.equal hop.Node.id node.Node.id then
-                   `Continue hop.Node.id
-                 else begin
-                   ignore
-                     (Pointer_store.store hop.Node.pointers
-                        ~guid:r.Pointer_store.guid ~server:r.Pointer_store.server
-                        ~root_idx:r.Pointer_store.root_idx ~previous:(Some sender)
-                        ~expires);
-                   `Continue hop.Node.id
-                 end)
-           in
-           ()
+           ignore
+             (Route.fold_path ~exclude:node.Node.id net ~from:node salted
+                ~init:node.Node.id
+                ~f:(fun sender hop ->
+                  if not (Node_id.equal hop.Node.id node.Node.id) then
+                    ignore
+                      (Pointer_store.store hop.Node.pointers
+                         ~guid:r.Pointer_store.guid ~server:r.Pointer_store.server
+                         ~root_idx:r.Pointer_store.root_idx ~previous:(Some sender)
+                         ~expires);
+                  `Continue hop.Node.id))
          end);
   (* Final phase: sever remaining forward links and disconnect. *)
-  Routing_table.iter_entries node.Node.table (fun ~level ~digit:_ e ->
-      match Network.find net e.Routing_table.id with
-      | Some peer when not (Node_id.equal peer.Node.id node.Node.id) ->
-          Routing_table.remove_backpointer peer.Node.table ~level node.Node.id;
-          (* defensive: if the peer still lists us, drop that link too *)
-          Network.drop_link net ~owner:peer ~target:node.Node.id
-      | _ -> ());
+  Routing_table.iter_handles table (fun ~level h ->
+      if h <> node.Node.handle then begin
+        let peer = Network.node_of_handle net h in
+        Routing_table.remove_backpointer ~handle:node.Node.handle peer.Node.table
+          ~level node.Node.id;
+        (* defensive: if the peer still lists us, drop that link too *)
+        ignore (Network.drop_link net ~owner:peer ~target:node.Node.id)
+      end);
   Network.mark_dead net node;
   { notified = !notified; pointers_rerouted = !rerouted; objects_rerooted = !rerooted }
 
@@ -170,10 +171,9 @@ let repair_all_holes net =
   List.iter
     (fun (owner : Node.t) ->
       (* purge dead entries first so holes are visible *)
-      Routing_table.iter_entries owner.Node.table (fun ~level:_ ~digit:_ e ->
-          match Network.find net e.Routing_table.id with
-          | Some n when Node.is_alive n -> ()
-          | _ -> ignore (Routing_table.remove owner.Node.table e.Routing_table.id));
+      List.iter
+        (fun (d : Node.t) -> ignore (Routing_table.remove owner.Node.table d.Node.id))
+        (dead_neighbours net owner);
       List.iter
         (fun (level, digit) ->
           if repair_hole net ~owner ~level ~digit then incr filled)

@@ -33,6 +33,10 @@ val on_dead_repair : Network.t -> owner:Node.t -> dead:Node_id.t -> unit
 (** Rich [on_dead] handler for {!Route}: drop the link, repair any hole it
     opened, and re-optimize this node's object pointers. *)
 
+val dead_neighbours : Network.t -> Node.t -> Node.t list
+(** The distinct dead nodes in the node's table, in the order a walk by
+    level, digit and rank first meets them. *)
+
 val repair_hole : Network.t -> owner:Node.t -> level:int -> digit:int -> bool
 (** Find a replacement for an empty slot: ask the remaining level-[level]
     neighbors for their matching entries, then fall back to a routed

@@ -299,12 +299,24 @@ let offer_link_all_levels t ~owner ~candidate =
 let drop_link t ~owner ~target =
   let o = (owner : Node.t) in
   let levels = Routing_table.remove o.table target in
-  match find t target with
+  (match find t target with
   | Some tgt ->
       List.iter
         (fun level -> Routing_table.remove_backpointer tgt.Node.table ~level o.id)
         levels
-  | None -> ()
+  | None -> ());
+  levels
+
+(* Built back to front, so the list reads in (digit, rank) order. *)
+let live_neighbours t (owner : Node.t) ~level =
+  let table = owner.table and acc = ref [] in
+  for digit = Routing_table.base table - 1 downto 0 do
+    for k = Routing_table.slot_len table ~level ~digit - 1 downto 0 do
+      let n = node_of_handle t (Routing_table.slot_handle table ~level ~digit ~k) in
+      if n.handle <> owner.handle && Node.is_alive n then acc := n :: !acc
+    done
+  done;
+  !acc
 
 (* --- verification oracles --- *)
 

@@ -151,8 +151,13 @@ val offer_link : t -> owner:Node.t -> level:int -> candidate:Node.t -> bool
 val offer_link_all_levels : t -> owner:Node.t -> candidate:Node.t -> int
 (** Offer at every level the two IDs share; returns how many levels added. *)
 
-val drop_link : t -> owner:Node.t -> target:Node_id.t -> unit
-(** Remove [target] from [owner]'s table and fix backpointers. *)
+val drop_link : t -> owner:Node.t -> target:Node_id.t -> int list
+(** Remove [target] from [owner]'s table and fix backpointers; returns the
+    levels it was found at. *)
+
+val live_neighbours : t -> Node.t -> level:int -> Node.t list
+(** The alive nodes in the node's slots at [level], itself excluded, in
+    (digit, rank) order; each once, as an ID holds one cell per level. *)
 
 (** {2 Verification oracles (tests and experiments only)} *)
 

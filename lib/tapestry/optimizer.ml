@@ -15,14 +15,15 @@ let repoint net (node : Node.t) =
          incr moved);
   !moved
 
-let measure_entry net (owner : Node.t) id =
-  match Network.find net id with
-  | Some peer when Node.is_alive peer ->
-      (* a ping and its echo *)
-      Network.charge_aside net owner peer;
-      Network.charge_aside net peer owner;
-      Some (Network.dist net owner peer)
-  | _ -> None
+let measure_entry net (owner : Node.t) handle =
+  let peer = Network.node_of_handle net handle in
+  if Node.is_alive peer then begin
+    (* a ping and its echo *)
+    Network.charge_aside net owner peer;
+    Network.charge_aside net peer owner;
+    Some (Network.dist net owner peer)
+  end
+  else None
 
 let run_per_node net work =
   let touched = ref 0 and changed = ref 0 and moved = ref 0 in
@@ -57,24 +58,16 @@ let share_tables net =
       let improved = ref 0 in
       let levels = Routing_table.levels node.Node.table in
       for level = 0 to levels - 1 do
-        match Routing_table.known_at_level node.Node.table ~level with
-        | [] -> ()
-        | entries ->
-          List.iter
-            (fun peer_id ->
-              match Network.find net peer_id with
-              | Some peer when Node.is_alive peer ->
-                  Network.charge_aside net node peer;
-                  List.iter
-                    (fun cand_id ->
-                      match Network.find net cand_id with
-                      | Some cand when Node.is_alive cand ->
-                          if Network.offer_link net ~owner:peer ~level ~candidate:cand
-                          then incr improved
-                      | _ -> ())
-                    entries
-              | _ -> ())
-            entries
+        let peers = Network.live_neighbours net node ~level in
+        List.iter
+          (fun (peer : Node.t) ->
+            Network.charge_aside net node peer;
+            List.iter
+              (fun cand ->
+                if Network.offer_link net ~owner:peer ~level ~candidate:cand then
+                  incr improved)
+              peers)
+          peers
       done;
       (* refresh our own ordering too, so new offers take primary slots *)
       !improved
@@ -88,15 +81,10 @@ let rebuild_level net ~level =
         (* one GetNextList step: ask the level-(level+1)-ish contacts for
            their level-[level] pointers and merge the k closest *)
         let k = Config.scaled_k net.Network.config ~n:(Network.node_count net) in
-        let sources =
-          Routing_table.known_at_level node.Node.table ~level
-          |> List.filter_map (fun id ->
-                 match Network.find net id with
-                 | Some m when Node.is_alive m -> Some m
-                 | _ -> None)
-        in
         let found =
-          Nearest_neighbor.get_next_list net ~new_node:node ~level sources ~k
+          Nearest_neighbor.get_next_list net ~new_node:node ~level
+            (Network.live_neighbours net node ~level)
+            ~k
         in
         let before =
           Routing_table.update_distances node.Node.table

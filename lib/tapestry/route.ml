@@ -7,7 +7,8 @@ let equal_variant a b =
 
 type info = { root : Node.t; path : Node.t list; surrogate_hops : int }
 
-let default_on_dead net ~owner ~dead = Network.drop_link net ~owner ~target:dead
+let default_on_dead net ~owner ~dead =
+  ignore (Network.drop_link net ~owner ~target:dead)
 
 (* Pick the first alive entry of a slot, lazily purging dead ones (each purge
    costs a probe message: the paper's timeout-based failure detection).

@@ -223,7 +223,8 @@ let[@alloc_ok] update_distances t ~measure =
         for k = 0 to len - 1 do
           let id = t.ids.(off + k) in
           let d =
-            if Node_id.equal id t.owner then Some 0. else measure id
+            if Node_id.equal id t.owner then Some 0.
+            else measure t.handles.(off + k)
           in
           match d with
           | Some d ->
@@ -352,8 +353,8 @@ let[@alloc_ok] backpointers t ~level =
   List.init t.bp_lens.(level) (fun k -> t.bp_ids.(level).(k))
 
 (* Consed in (level, vector) order, so the list reads from the top level
-   down and newest holder first: the level order the per-level hashtables
-   gave, which Delete.voluntary's repairs depend on. *)
+   down and newest holder first: the order in which Delete.voluntary
+   notifies a leaver's holders. *)
 let[@alloc_ok] all_backpointers t =
   let acc = ref [] in
   for level = 0 to t.levels - 1 do
@@ -363,18 +364,12 @@ let[@alloc_ok] all_backpointers t =
   done;
   !acc
 
-(* [@alloc_ok]: repair and optimizer query, outside the join path. *)
-let[@alloc_ok] known_at_level t ~level =
-  let seen = Node_id.Tbl.create 16 in
-  for digit = 0 to t.base - 1 do
-    let c = cell t ~level ~digit in
-    let off = c * t.redundancy in
-    for k = 0 to t.lens.(c) - 1 do
-      let id = t.ids.(off + k) in
-      if not (Node_id.equal id t.owner) then Node_id.Tbl.replace seen id ()
+let iter_handles t f =
+  for cell = 0 to (t.levels * t.base) - 1 do
+    for k = 0 to t.lens.(cell) - 1 do
+      f ~level:(cell / t.base) t.handles.((cell * t.redundancy) + k)
     done
-  done;
-  Node_id.Tbl.fold (fun id () acc -> id :: acc) seen []
+  done
 
 (* [@alloc_ok]: snapshots each slot as a list; maintenance and audit
    walks only. *)
@@ -386,17 +381,10 @@ let[@alloc_ok] iter_entries t f =
     done
   done
 
-(* [@alloc_ok]: Table 1 space accounting, once per node per report. *)
+(* Read straight off the packed arrays (no per-slot list build): the
+   scale-tier sweep calls this once per node over 10^5..10^6 tables.
+   [@alloc_ok]: one counter cell per table. *)
 let[@alloc_ok] entry_count t =
-  let c = ref 0 in
-  iter_entries t (fun ~level:_ ~digit:_ e ->
-      if not (Node_id.equal e.id t.owner) then incr c);
-  !c
-
-(* Packed [entry_count]: read the parallel arrays directly instead of
-   materializing per-slot lists — the scale-tier sweep calls this once per
-   node over 10^5..10^6 tables.  [@alloc_ok]: one counter cell per table. *)
-let[@alloc_ok] entry_count_packed t =
   let c = ref 0 in
   for cell = 0 to (t.levels * t.base) - 1 do
     let off = cell * t.redundancy in
@@ -472,18 +460,3 @@ let[@alloc_ok] inject_slot_for_test t ~level ~digit entries =
   (match entries with
   | [] -> t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit)
   | _ :: _ -> t.filled.(level) <- t.filled.(level) lor (1 lsl digit))
-
-(* [@alloc_ok]: printing. *)
-let[@alloc_ok] pp ppf t =
-  Format.fprintf ppf "@[<v>table of %s:@," (Node_id.to_string t.owner);
-  for level = 0 to t.levels - 1 do
-    let cells =
-      List.init t.base (fun digit -> slot t ~level ~digit)
-      |> List.concat_map (fun es -> List.map (fun e -> Node_id.to_string e.id) es)
-    in
-    match cells with
-    | [] -> ()
-    | _ :: _ ->
-        Format.fprintf ppf "  L%d: %s@," (level + 1) (String.concat " " cells)
-  done;
-  Format.fprintf ppf "@]"

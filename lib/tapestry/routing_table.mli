@@ -16,7 +16,9 @@
     Slots are packed flat arrays of [(id, handle, dist)] triples sorted in
     place (capacity R), so the routing hot path reads entries by index and
     resolves nodes through the network's O(1) handle arena — no hashing, no
-    per-hop allocation. *)
+    per-hop allocation.  An ID occupies at most one cell per level (the
+    slot its digit selects, once; audited), so a walk over a level's
+    slots meets each neighbor once. *)
 
 type entry = { id : Node_id.t; dist : float }
 
@@ -79,8 +81,9 @@ val known : int
 
 val rejected : int
 
-val update_distances : t -> measure:(Node_id.t -> float option) -> int
-(** Re-measure every entry ([None] drops it) and re-sort each slot; returns
+val update_distances : t -> measure:(int -> float option) -> int
+(** Re-measure every entry other than the owner's self-entries through
+    its arena handle ([None] drops it) and re-sort each slot; returns
     the number of slots whose primary changed.  The mechanism behind the
     Section 6.4 primary-rotation heuristic. *)
 
@@ -125,20 +128,17 @@ val all_backpointers : t -> (int * Node_id.t) list
     level, newest holder first (reverse vector order).  This is the order
     in which {!Delete.voluntary} notifies a leaver's holders. *)
 
-val known_at_level : t -> level:int -> Node_id.t list
-(** Every distinct node in any slot of [level] — i.e. all forward pointers
-    to nodes sharing [level] digits (used by GETNEXTLIST together with
-    {!backpointers}).  Excludes the owner. *)
+val iter_handles : t -> (level:int -> int -> unit) -> unit
+(** [f ~level h] for every entry's arena handle, self-entries included,
+    by level, digit and rank.  [f] must not change this table's slots. *)
 
 val iter_entries : t -> (level:int -> digit:int -> entry -> unit) -> unit
+(** The same walk over list snapshots of each slot, so [f] may remove
+    entries. *)
 
 val entry_count : t -> int
 (** Total neighbor entries excluding the owner's self entries (space
-    accounting for Table 1). *)
-
-val entry_count_packed : t -> int
-(** Same count as {!entry_count}, read straight off the packed arrays with
-    no per-slot list build — the scale-tier per-node sweep. *)
+    accounting for Table 1), read straight off the packed arrays. *)
 
 val backpointer_count : t -> int
 (** Total backpointers registered across all levels, O(levels). *)
@@ -157,5 +157,3 @@ val inject_slot_for_test :
     with [(entry, handle)] pairs, bypassing ordering and backpointer
     bookkeeping.  Never call this from protocol code — it deliberately
     lets tests corrupt the mesh. *)
-
-val pp : Format.formatter -> t -> unit

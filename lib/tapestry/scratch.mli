@@ -5,10 +5,10 @@
     nearest-neighbor descent and the acknowledged multicast mark visited
     nodes with generation stamps indexed by arena handle, memoize joiner
     distances per descent, and keep their candidate / selection / worklist
-    buffers here instead of allocating per call.  Not reentrant — the
-    simulator guarantees a descent or multicast never runs inside another
-    one on the same network (fibers yield only at insertion stage
-    boundaries). *)
+    buffers here instead of allocating per call ({!Delete.dead_neighbours}
+    borrows the visit stamps).  Not reentrant — the simulator guarantees
+    none of these runs inside another on the same network (fibers yield
+    only at insertion stage boundaries). *)
 
 type t = {
   mutable stamp : int array;  (** per-handle visited mark vs [visit_gen] *)

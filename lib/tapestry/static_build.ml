@@ -87,7 +87,7 @@ let sweep_shard net ~lo ~hi =
     let node = Network.node_of_handle net h in
     if Node.is_alive node then begin
       incr cnt;
-      let e = Routing_table.entry_count_packed node.Node.table in
+      let e = Routing_table.entry_count node.Node.table in
       let b = Routing_table.backpointer_count node.Node.table in
       e_sum := !e_sum + e;
       e_sq := !e_sq + (e * e);

@@ -132,9 +132,13 @@ module Nearest_neighbor = struct
         Network.charge_aside net n new_node;
         ignore (add_to_table_if_closer net ~contacted:n ~new_node);
         note n;
-        Routing_table.known_at_level n.Node.table ~level
-        |> List.iter (fun id ->
-               match Network.find net id with Some m -> note m | None -> ());
+        for digit = 0 to Routing_table.base n.Node.table - 1 do
+          Routing_table.slot n.Node.table ~level ~digit
+          |> List.iter (fun (e : Routing_table.entry) ->
+                 match Network.find net e.Routing_table.id with
+                 | Some m -> note m
+                 | None -> ())
+        done;
         Routing_table.backpointers n.Node.table ~level
         |> List.iter (fun id ->
                match Network.find net id with Some m -> note m | None -> ()))

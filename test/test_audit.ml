@@ -22,7 +22,8 @@ let with_handles net entries =
       (e, (Network.find_exn net e.Routing_table.id).Node.handle))
     entries
 
-let fast_path_codes = [ "duplicate-backpointer"; "handle-less-entry" ]
+let fast_path_codes =
+  [ "duplicate-backpointer"; "duplicate-entry"; "handle-less-entry" ]
 
 let check_no_fast_path_violation name report =
   Alcotest.(check (list string))
@@ -198,6 +199,41 @@ let test_duplicate_backpointer_detected () =
       Alcotest.(check bool) "source" true (Node_id.equal source holder.Node.id)
   | _ -> Alcotest.fail "unexpected violation payload"
 
+let test_duplicate_entry_detected () =
+  let net, _ = build () in
+  (* a slot with room for one more entry, so the copy evicts nobody *)
+  let r = net.Network.config.Config.redundancy in
+  let found = ref None in
+  List.iter
+    (fun (n : Node.t) ->
+      Routing_table.iter_entries n.Node.table (fun ~level ~digit _ ->
+          let len = Routing_table.slot_len n.Node.table ~level ~digit in
+          if
+            Option.is_none !found
+            && digit <> Node_id.digit n.Node.id level
+            && len < r
+          then found := Some (n, level, digit)))
+    (Network.core_nodes net);
+  let node, level, digit =
+    match !found with
+    | Some v -> v
+    | None -> Alcotest.fail "no slot with spare room found"
+  in
+  let entries = with_handles net (Routing_table.slot node.Node.table ~level ~digit) in
+  Routing_table.inject_slot_for_test node.Node.table ~level ~digit
+    (List.hd entries :: entries);
+  let report = Audit.run net in
+  Alcotest.(check (list string)) "exactly one violation" [ "duplicate-entry" ]
+    (codes report);
+  match report.Audit.violations with
+  | [ Audit.Duplicate_entry { node = n; level = l; digit = d; entry } ] ->
+      Alcotest.(check bool) "node" true (Node_id.equal n node.Node.id);
+      Alcotest.(check int) "level" level l;
+      Alcotest.(check int) "digit" digit d;
+      Alcotest.(check bool) "entry" true
+        (Node_id.equal entry (fst (List.hd entries)).Routing_table.id)
+  | _ -> Alcotest.fail "unexpected violation payload"
+
 let test_handle_less_entry_detected () =
   let net, _ = build () in
   let node, level, digit = find_victim_slot net ~min_entries:1 in
@@ -340,6 +376,8 @@ let () =
             test_expired_pointer_detected;
           Alcotest.test_case "duplicate backpointer" `Quick
             test_duplicate_backpointer_detected;
+          Alcotest.test_case "duplicate entry" `Quick
+            test_duplicate_entry_detected;
           Alcotest.test_case "handle-less entry" `Quick
             test_handle_less_entry_detected;
         ] );

@@ -255,16 +255,58 @@ let test_link_repeat_no_duplicate_backpointer () =
   Alcotest.(check int) "holder recorded by handle" a.Node.handle
     (Routing_table.backpointer_handle b.Node.table ~level:0 ~k:0)
 
-let test_table_known_at_level () =
-  let owner = id_of "a000" in
-  let t = Routing_table.create cfg4 ~owner in
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ab11") ~handle:1 ~dist:1.0);
-  ignore (Routing_table.consider t ~level:1 ~candidate:(id_of "ac22") ~handle:2 ~dist:2.0);
-  let known =
-    Routing_table.known_at_level t ~level:1
-    |> List.map Node_id.to_string |> List.sort String.compare
+(* A level's neighbours, read off the slots by handle: each once, owner
+   and dead nodes excluded, in (digit, rank) order. *)
+let test_live_neighbours () =
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:4
+      ~rng:(Simnet.Rng.create 1)
   in
-  Alcotest.(check (list string)) "both digits, owner excluded" [ "ab11"; "ac22" ] known
+  let net = Network.create cfg4 metric in
+  let node i s =
+    let n = Node.create cfg4 ~id:(id_of s) ~addr:i in
+    Network.register net n;
+    n
+  in
+  let owner = node 0 "a000" in
+  let peers = [ node 1 "ad33"; node 2 "ab11"; node 3 "ac22" ] in
+  List.iter
+    (fun candidate -> ignore (Network.offer_link net ~owner ~level:1 ~candidate))
+    peers;
+  Delete.fail net (List.hd peers);
+  let live =
+    Network.live_neighbours net owner ~level:1
+    |> List.map (fun (n : Node.t) -> Node_id.to_string n.Node.id)
+  in
+  Alcotest.(check (list string)) "digit order, owner and dead excluded"
+    [ "ab11"; "ac22" ] live
+
+(* A dead node held at two levels is listed once, where the (level,
+   digit, rank) walk first meets it; live nodes are left out. *)
+let test_dead_neighbours () =
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:4
+      ~rng:(Simnet.Rng.create 1)
+  in
+  let net = Network.create cfg4 metric in
+  let node i s =
+    let n = Node.create cfg4 ~id:(id_of s) ~addr:i in
+    Network.register net n;
+    n
+  in
+  let owner = node 0 "a000" in
+  let twice = node 1 "a100" and once = node 2 "b000" and live = node 3 "c000" in
+  List.iter
+    (fun candidate -> ignore (Network.offer_link_all_levels net ~owner ~candidate))
+    [ once; twice; live ];
+  Delete.fail net twice;
+  Delete.fail net once;
+  let dead =
+    Delete.dead_neighbours net owner
+    |> List.map (fun (n : Node.t) -> Node_id.to_string n.Node.id)
+  in
+  Alcotest.(check (list string)) "each dead node once, in walk order"
+    [ "a100"; "b000" ] dead
 
 (* --- Pointer_store --- *)
 
@@ -342,7 +384,8 @@ let () =
           Alcotest.test_case "consider ordering" `Quick test_table_consider_ordering;
           Alcotest.test_case "remove & holes" `Quick test_table_remove_and_holes;
           Alcotest.test_case "backpointers" `Quick test_table_backpointers;
-          Alcotest.test_case "known_at_level" `Quick test_table_known_at_level;
+          Alcotest.test_case "live_neighbours" `Quick test_live_neighbours;
+          Alcotest.test_case "dead_neighbours" `Quick test_dead_neighbours;
           Alcotest.test_case "repeated link: one backpointer" `Quick
             test_link_repeat_no_duplicate_backpointer;
         ] );

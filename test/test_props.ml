@@ -169,6 +169,66 @@ let prop_table_keeps_r_closest =
                 the non-owner slots only *)
              if digit = Node_id.digit owner 0 then true else got = expected))
 
+(* --- Offer order does not decide a slot --- *)
+
+(* With distinct distances, a slot fed any sequence of offers (repeats
+   included) ends with the R closest offered candidates in ascending
+   order, and each of them records the owner as a holder exactly once.
+   Repair and maintenance walk a level in (digit, rank) order rather than
+   the order an earlier hashtable gave; this is why that is safe. *)
+let prop_offer_order_free =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 10_000) (int_range 2 8)
+        (list_size (int_range 1 30) (int_bound 63)))
+  in
+  QCheck.Test.make ~count ~name:"slot and backpointers independent of offer order"
+    (QCheck.make gen)
+    (fun (seed, k, offers) ->
+      let cfg = { Config.default with Config.id_digits = 4; redundancy = 3 } in
+      let metric =
+        Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:(k + 1)
+          ~rng:(Simnet.Rng.create seed)
+      in
+      let net = Network.create cfg metric in
+      let node addr digits =
+        let n = Node.create cfg ~id:(Node_id.make digits) ~addr in
+        Network.register net n;
+        n
+      in
+      let owner = node 0 [| 0; 0; 0; 0 |] in
+      (* all in the owner's slot (level 0, digit 1) *)
+      let cands = Array.init k (fun i -> node (i + 1) [| 1; i; 0; 0 |]) in
+      let offered = List.sort_uniq Int.compare (List.map (fun i -> i mod k) offers) in
+      List.iter
+        (fun i ->
+          ignore (Network.offer_link net ~owner ~level:0 ~candidate:cands.(i mod k)))
+        offers;
+      let dist i = Network.dist net owner cands.(i) in
+      let expected =
+        List.sort (fun a b -> Float.compare (dist a) (dist b)) offered
+        |> List.filteri (fun j _ -> j < 3)
+        |> List.map (fun i -> cands.(i).Node.handle)
+      in
+      let t = owner.Node.table in
+      let got =
+        List.init (Routing_table.slot_len t ~level:0 ~digit:1) (fun k ->
+            Routing_table.slot_handle t ~level:0 ~digit:1 ~k)
+      in
+      let holds (c : Node.t) =
+        let n = ref 0 in
+        for j = 0 to Routing_table.backpointer_len c.Node.table ~level:0 - 1 do
+          if Routing_table.backpointer_handle c.Node.table ~level:0 ~k:j = owner.Node.handle
+          then incr n
+        done;
+        !n
+      in
+      List.equal Int.equal expected got
+      && Array.for_all
+           (fun (c : Node.t) ->
+             holds c = if List.exists (Int.equal c.Node.handle) expected then 1 else 0)
+           cands)
+
 (* --- network-level properties --- *)
 
 let net_seed_gen = QCheck.Gen.int_range 1 10_000
@@ -307,6 +367,7 @@ let () =
           [
             prop_heap_sorts; prop_gini_bounded; prop_percentile_monotone;
             prop_index_models_set; prop_index_digits_after; prop_table_keeps_r_closest;
+            prop_offer_order_free;
           ] );
       ( "network invariants",
         List.map to_alcotest

@@ -127,7 +127,7 @@ let test_domain_invariance () =
   let total = ref 0 and cnt = ref 0 in
   Network.iter_alive net1 (fun (nd : Node.t) ->
       incr cnt;
-      total := !total + Routing_table.entry_count_packed nd.Node.table);
+      total := !total + Routing_table.entry_count nd.Node.table);
   Alcotest.(check (Alcotest.float 1e-9))
     "sweep entry mean = direct mean"
     (float_of_int !total /. float_of_int !cnt)

@@ -107,7 +107,10 @@ let test_differential_churn () =
           let h = (Node_id.hash id + (round * 7919)) land 0xFFFF in
           if h mod 13 = 0 then None else Some (float_of_int h /. 100.)
         in
-        let cp = Routing_table.update_distances packed ~measure in
+        let cp =
+          Routing_table.update_distances packed ~measure:(fun h ->
+              measure (id_of_handle h))
+        in
         let co = Oracle.Routing_table.update_distances oracle ~measure in
         Alcotest.(check int)
           (Printf.sprintf "round %d update_distances changed" round)
