@@ -64,9 +64,6 @@ val sync_capacity : t -> unit
 (** Barrier-only: grow the mailbox arena and dirty set after joins
     ({!run} calls it after every [on_barrier]). *)
 
-val next_work_time : t -> float
-(** Earliest pending event across all shards, [infinity] if idle. *)
-
 val quiesce : t -> clock:float -> unit
 (** Drive the mesh to an auditable quiescent point: set the virtual
     clock, repair dead links and holes, drop backpointers with dead

@@ -47,12 +47,7 @@ let on_dead_repair net ~(owner : Node.t) ~dead =
       if Routing_table.is_hole owner.Node.table ~level ~digit then
         ignore (repair_hole net ~owner ~level ~digit))
     (Network.drop_link net ~owner ~target:dead);
-  (* Re-push every pointer record at [owner]; records whose path is
-     unchanged converge at the first hop, so this is cheap when nothing
-     moved. *)
-  List.iter
-    (fun r -> Maintenance.optimize_object_ptrs net ~changed:owner r)
-    (Pointer_store.records owner.Node.pointers)
+  ignore (Maintenance.repoint net owner : int)
 
 (* Repeats (a node held at several levels) are skipped with the visit
    stamps of the network's scratch. *)
@@ -80,8 +75,10 @@ let voluntary net (node : Node.t) =
   let replicas = Node_id.Tbl.fold (fun g () acc -> g :: acc) node.Node.replicas [] in
   List.iter (fun guid -> Publish.unpublish net ~server:node guid) replicas;
   (* Phase 1: notify backpointer holders with per-level replacements.  The
-     holders are taken up front, top level down and newest first: each
-     notification drops links, which closes gaps in these vectors. *)
+     holders are taken up front, top level down and newest first (the
+     order [Routing_table.all_backpointers] lists by ID, which repair
+     outcomes follow): each notification drops links, which closes gaps
+     in these vectors. *)
   let table = node.Node.table in
   let holders = ref [] in
   for level = 0 to Routing_table.levels table - 1 do

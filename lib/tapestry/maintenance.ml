@@ -58,6 +58,11 @@ let optimize_object_ptrs ?variant net ~(changed : Node.t) (r : Pointer_store.rec
   in
   ()
 
+let repoint net (node : Node.t) =
+  let records = Pointer_store.records node.Node.pointers in
+  List.iter (fun r -> optimize_object_ptrs net ~changed:node r) records;
+  List.length records
+
 let optimize_through ?variant net ~(node : Node.t) ~next_hop =
   let moved = ref 0 in
   Pointer_store.records node.Node.pointers

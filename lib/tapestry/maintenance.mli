@@ -19,6 +19,11 @@ val optimize_object_ptrs :
     and prune the superseded branch backward from the convergence node
     (Figure 9's [OptimizeObjectPtrs] + [DeletePointersBackward]). *)
 
+val repoint : Network.t -> Node.t -> int
+(** {!optimize_object_ptrs} for every record at the node, after its
+    routing table changed; returns how many.  Cheap when nothing moved:
+    each walk converges at the first hop. *)
+
 val delete_pointers_backward :
   Network.t ->
   changed:Node_id.t ->

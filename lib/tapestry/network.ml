@@ -307,16 +307,24 @@ let drop_link t ~owner ~target =
   | None -> ());
   levels
 
-(* Built back to front, so the list reads in (digit, rank) order. *)
+(* In the fold order of the [Node_id.Tbl] this replaced (16 buckets,
+   doubled while the entries, dead ones too, outnumber twice the buckets):
+   [Node_id.hash] buckets high to low, slot order within one.  Float cost
+   totals and, after distance drift, share_tables' result follow it. *)
 let live_neighbours t (owner : Node.t) ~level =
   let table = owner.table and acc = ref [] in
   for digit = Routing_table.base table - 1 downto 0 do
     for k = Routing_table.slot_len table ~level ~digit - 1 downto 0 do
-      let n = node_of_handle t (Routing_table.slot_handle table ~level ~digit ~k) in
-      if n.handle <> owner.handle && Node.is_alive n then acc := n :: !acc
+      let m = node_of_handle t (Routing_table.slot_handle table ~level ~digit ~k) in
+      if m.handle <> owner.handle then acc := m :: !acc
     done
   done;
-  !acc
+  let n = List.length !acc in
+  let rec buckets b = if n > 2 * b then buckets (2 * b) else b in
+  let mask = buckets 16 - 1 in
+  let bucket (m : Node.t) = Node_id.hash m.id land mask in
+  List.stable_sort (fun a b -> Int.compare (bucket b) (bucket a)) !acc
+  |> List.filter Node.is_alive
 
 (* --- verification oracles --- *)
 

@@ -156,8 +156,9 @@ val drop_link : t -> owner:Node.t -> target:Node_id.t -> int list
     levels it was found at. *)
 
 val live_neighbours : t -> Node.t -> level:int -> Node.t list
-(** The alive nodes in the node's slots at [level], itself excluded, in
-    (digit, rank) order; each once, as an ID holds one cell per level. *)
+(** The alive nodes in the node's slots at [level], itself excluded; each
+    once, as an ID holds one cell per level.  In [Node_id.hash]-bucket
+    order, which repair and maintenance results depend on. *)
 
 (** {2 Verification oracles (tests and experiments only)} *)
 

@@ -5,16 +5,6 @@ type stats = {
   cost : Simnet.Cost.t;
 }
 
-(* Re-route the records at [node] whose next hop changed; idempotent and
-   cheap when nothing moved (the optimize walk converges at the first hop). *)
-let repoint net (node : Node.t) =
-  let moved = ref 0 in
-  Pointer_store.records node.Node.pointers
-  |> List.iter (fun (r : Pointer_store.record) ->
-         Maintenance.optimize_object_ptrs net ~changed:node r;
-         incr moved);
-  !moved
-
 let measure_entry net (owner : Node.t) handle =
   let peer = Network.node_of_handle net handle in
   if Node.is_alive peer then begin
@@ -35,7 +25,7 @@ let run_per_node net work =
             let c = work node in
             if c > 0 then begin
               changed := !changed + c;
-              moved := !moved + repoint net node
+              moved := !moved + Maintenance.repoint net node
             end)
           (Network.core_nodes net))
   in

@@ -69,9 +69,6 @@ val route_to_node :
 (** Mesh-route to an exact node-ID.  Returns [None] if the walk ends
     elsewhere (the node is unknown or unreachable), plus the path. *)
 
-val default_on_dead : Network.t -> owner:Node.t -> dead:Node_id.t -> unit
-(** Drop the stale link, nothing more. *)
-
 val peek_first_hop :
   ?variant:variant ->
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->

@@ -352,9 +352,9 @@ let backpointer_handle t ~level ~k = t.bp_handles.(level).(k)
 let[@alloc_ok] backpointers t ~level =
   List.init t.bp_lens.(level) (fun k -> t.bp_ids.(level).(k))
 
-(* Consed in (level, vector) order, so the list reads from the top level
-   down and newest holder first: the order in which Delete.voluntary
-   notifies a leaver's holders. *)
+(* Consed in (level, vector) order: top level down, newest holder first.
+   Kept for perfbench's join-leave probe and the tests; Delete.voluntary
+   reads the vectors by handle in this same order. *)
 let[@alloc_ok] all_backpointers t =
   let acc = ref [] in
   for level = 0 to t.levels - 1 do

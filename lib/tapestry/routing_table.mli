@@ -125,8 +125,9 @@ val backpointers : t -> level:int -> Node_id.t list
 
 val all_backpointers : t -> (int * Node_id.t) list
 (** Every [(level, holder)] pair, from the top level down and, within a
-    level, newest holder first (reverse vector order).  This is the order
-    in which {!Delete.voluntary} notifies a leaver's holders. *)
+    level, newest holder first (reverse vector order), by ID.
+    {!Delete.voluntary} notifies a leaver's holders in this order, reading
+    the vectors by handle instead of calling this. *)
 
 val iter_handles : t -> (level:int -> int -> unit) -> unit
 (** [f ~level h] for every entry's arena handle, self-entries included,

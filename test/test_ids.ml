@@ -255,31 +255,58 @@ let test_link_repeat_no_duplicate_backpointer () =
   Alcotest.(check int) "holder recorded by handle" a.Node.handle
     (Routing_table.backpointer_handle b.Node.table ~level:0 ~k:0)
 
+(* The gather [Network.live_neighbours] replaced: a [Node_id.Tbl] of the
+   level's slot IDs, folded.  Repair and maintenance results hang on its
+   order, so the replacement must keep it. *)
+let tbl_gather (t : Routing_table.t) ~level =
+  let seen = Node_id.Tbl.create 16 in
+  for digit = 0 to Routing_table.base t - 1 do
+    for k = 0 to Routing_table.slot_len t ~level ~digit - 1 do
+      let id = Routing_table.slot_id t ~level ~digit ~k in
+      if not (Node_id.equal id (Routing_table.owner t)) then
+        Node_id.Tbl.replace seen id ()
+    done
+  done;
+  Node_id.Tbl.fold (fun id () acc -> id :: acc) seen []
+
 (* A level's neighbours, read off the slots by handle: each once, owner
-   and dead nodes excluded, in (digit, rank) order. *)
+   and dead nodes excluded, in the table-fold order, on every level of
+   a 256-node mesh with 15% of it dead (level-0 gathers pass 32 entries,
+   so the bucket doubling is exercised). *)
 let test_live_neighbours () =
-  let metric =
-    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:4
-      ~rng:(Simnet.Rng.create 1)
-  in
-  let net = Network.create cfg4 metric in
-  let node i s =
-    let n = Node.create cfg4 ~id:(id_of s) ~addr:i in
-    Network.register net n;
-    n
-  in
-  let owner = node 0 "a000" in
-  let peers = [ node 1 "ad33"; node 2 "ab11"; node 3 "ac22" ] in
+  let n = 256 in
+  let rng = Simnet.Rng.create 7 in
+  let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
+  let net, _ = Static_build.build_streamed ~seed:8 Config.default metric ~n in
+  let nodes = Network.core_nodes net in
+  List.iteri (fun i node -> if i mod 7 = 0 then Delete.fail net node) nodes;
+  let widest = ref 0 and dead_seen = ref 0 in
   List.iter
-    (fun candidate -> ignore (Network.offer_link net ~owner ~level:1 ~candidate))
-    peers;
-  Delete.fail net (List.hd peers);
-  let live =
-    Network.live_neighbours net owner ~level:1
-    |> List.map (fun (n : Node.t) -> Node_id.to_string n.Node.id)
-  in
-  Alcotest.(check (list string)) "digit order, owner and dead excluded"
-    [ "ab11"; "ac22" ] live
+    (fun (node : Node.t) ->
+      let t = node.Node.table in
+      for level = 0 to Routing_table.levels t - 1 do
+        let all = tbl_gather t ~level in
+        widest := Int.max !widest (List.length all);
+        let expected =
+          List.filter
+            (fun id ->
+              match Network.find net id with
+              | Some m when Node.is_alive m -> true
+              | _ ->
+                  incr dead_seen;
+                  false)
+            all
+        in
+        let got =
+          Network.live_neighbours net node ~level
+          |> List.map (fun (m : Node.t) -> m.Node.id)
+        in
+        if not (List.equal Node_id.equal expected got) then
+          Alcotest.failf "node %s level %d" (Node_id.to_string node.Node.id) level
+      done)
+    (Network.core_nodes net);
+  Alcotest.(check bool) "a gather passed 32 entries" true (!widest > 32);
+  Alcotest.(check bool) "dead entries met" true (!dead_seen > 0)
 
 (* A dead node held at two levels is listed once, where the (level,
    digit, rank) walk first meets it; live nodes are left out. *)

@@ -174,8 +174,8 @@ let prop_table_keeps_r_closest =
 (* With distinct distances, a slot fed any sequence of offers (repeats
    included) ends with the R closest offered candidates in ascending
    order, and each of them records the owner as a holder exactly once.
-   Repair and maintenance walk a level in (digit, rank) order rather than
-   the order an earlier hashtable gave; this is why that is safe. *)
+   Repair's offers rest on this: while recorded distances are current,
+   the order a level's neighbours are walked in does not decide a slot. *)
 let prop_offer_order_free =
   let gen =
     QCheck.Gen.(

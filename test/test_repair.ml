@@ -101,10 +101,7 @@ let run_phases () =
   List.rev !observed
 
 (* Recorded on the commit before repair and maintenance moved onto arena
-   handles, except the backpointer digests of the last two phases:
-   [share_tables] now offers each peer the level's neighbours in (digit,
-   rank) order instead of hashtable order, so holders are appended to
-   backpointer vectors in a different order (parent: 7156b51d...). *)
+   handles. *)
 let pinned =
   [
     {
@@ -128,13 +125,13 @@ let pinned =
     {
       phase = "share_tables";
       slots = "b0cf600f261d7ddba68f2dc2b024674c";
-      backpointers = "2550ccb38a3e7113512726512c128605";
+      backpointers = "7156b51d271bd1107f4b75e342aec6fb";
       messages = 94624;
     };
     {
       phase = "rebuild_level";
       slots = "b0cf600f261d7ddba68f2dc2b024674c";
-      backpointers = "2550ccb38a3e7113512726512c128605";
+      backpointers = "7156b51d271bd1107f4b75e342aec6fb";
       messages = 126588;
     };
   ]
