@@ -543,7 +543,10 @@ let serve_cmd =
                 coop;
               }
             in
-            let r = Serve.Driver.run ~net params ~now:Unix.gettimeofday in
+            let r =
+              Serve.Driver.run ~clock:Unix.gettimeofday ~net params
+                ~now:Unix.gettimeofday
+            in
             let open Serve.Driver in
             let qv p = Simnet.Stats.Hist.quantile r.hist_v p in
             let qw p = Simnet.Stats.Hist.quantile r.hist_w p in
@@ -578,6 +581,17 @@ let serve_cmd =
               Printf.printf "  coop: %d hint fills, %d hint hits\n"
                 tl.Simnet.Stats.Tally.hint_fills
                 tl.Simnet.Stats.Tally.hint_hits;
+            (let l = r.engine.Serve.Shard.ledger in
+             let open Serve.Shard in
+             Printf.printf
+               "  wall ledger s: setup %.3f  drain %.3f  flush %.3f  repair \
+                %.3f  intents %.3f  digest %.3f  churn %.3f  collect %.3f  \
+                (sum %.3f of %.3f)\n"
+               l.setup l.drain l.flush l.repair l.intents l.digest l.churn
+               l.collect
+               (l.setup +. l.drain +. l.flush +. l.repair +. l.intents
+              +. l.digest +. l.churn +. l.collect)
+               r.wall_s);
             Printf.printf
               "  virtual latency p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
               (qv 0.50) (qv 0.90) (qv 0.99) (qv 0.999);

@@ -1,14 +1,16 @@
-(* Fiber-per-node actors: mailbox drain loops and the per-message
-   protocol state machine (DESIGN.md section 9).
+(* Per-node actors: mailbox drains and the per-message protocol state
+   machine (DESIGN.md section 9).
 
-   Each alive node is a latent actor: when a message lands in its
-   mailbox and no drain fiber is active, one is spawned on the owning
-   shard's scheduler.  The fiber pops messages FIFO, models [service]
-   virtual seconds of local processing per message, executes the hop
-   (pointer probe, deposit, removal, or replica check), and sends the
+   Each alive node is a latent actor.  When a message lands in its
+   mailbox and the actor is idle, a drain-start event goes on the
+   owning shard's timer heap.  The drain pops messages FIFO into the
+   node's in-service slot, models [service] virtual seconds of local
+   processing per message with a service-done event, then executes the
+   hop (pointer probe, deposit, removal, or replica check) and sends the
    follow-up message — so a request's hop sequence is real inter-actor
    traffic, each hop charged [latency * metric distance] like
-   [Async_ops.hop].
+   [Async_ops.hop].  A drain is two plain functions, [drain_head] and
+   [serve_done], with no continuation or closure per message.
 
    Opcodes: 0 LOCATE walks toward the object's root until a usable
    pointer redirects it (FETCH to the closest live server, Section 2.4's
@@ -60,7 +62,7 @@
    returns; scratch results travel through mutable ctx fields. *)
 
 open Tapestry
-module Fiber = Simnet.Fiber
+module Timer = Mailbox.Timer
 module Cost = Simnet.Cost
 module Hist = Simnet.Stats.Hist
 
@@ -86,6 +88,11 @@ let st_ok = '\001'
 let st_failed = '\002'
 let st_dropped = '\003'
 let st_dead_letter = '\004'
+
+(* timer event kinds *)
+let ev_drain = 0
+let ev_service = 1
+let ev_inject = 2
 
 type shared = {
   net : Network.t;
@@ -126,7 +133,7 @@ type shared = {
 type ctx = {
   sh : shared;
   shard : int;
-  sched : Fiber.t;
+  tm : Timer.tm;  (* drain, service and injector events; the shard clock *)
   tr : Mailbox.Transport.tr;
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;  (* injector stream; dispatch never draws from it *)
@@ -139,6 +146,8 @@ type ctx = {
   mutable dropped : int;
   mutable dead_letter : int;
   mutable delivered : int;
+  mutable inject : ctx -> unit;  (* injector step; set once by the driver *)
+  mutable inj_k : int;  (* requests the injector issued; -1 before its start *)
   mutable dirty_h : int array;  (* owners with dead table entries, barrier-drained *)
   mutable dirty_len : int;
   (* allocation-free scan scratch *)
@@ -227,7 +236,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
     {
       sh;
       shard;
-      sched = Fiber.create ();
+      tm = Timer.create ();
       tr = Mailbox.Transport.create ();
       out = Mailbox.Outbox.create ();
       rng;
@@ -240,6 +249,8 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       dropped = 0;
       dead_letter = 0;
       delivered = 0;
+      inject = (fun _ -> ());
+      inj_k = -1;
       dirty_h = Array.make 16 0;
       dirty_len = 0;
       scan_h = -1;
@@ -316,24 +327,11 @@ let[@alloc_ok] note_dirty ctx (owner : Node.t) =
 let rec slot_first_alive ctx (node : Node.t) ~level ~digit ~len k =
   if k >= len then -1
   else begin
-    let table = node.Node.table in
-    let h = Routing_table.slot_handle table ~level ~digit ~k in
-    if h >= 0 then begin
-      let n = Network.node_of_handle ctx.sh.net h in
-      if Node.is_alive n then h
-      else begin
-        note_dirty ctx node;
-        slot_first_alive ctx node ~level ~digit ~len (k + 1)
-      end
-    end
+    let h = Routing_table.slot_handle node.Node.table ~level ~digit ~k in
+    if Node.is_alive (Network.node_of_handle ctx.sh.net h) then h
     else begin
-      (* entries without a handle exist only in test-injected tables *)
-      let id = Routing_table.slot_id table ~level ~digit ~k in
-      match Network.find ctx.sh.net id with
-      | Some n when Node.is_alive n -> n.Node.handle
-      | _ ->
-          note_dirty ctx node;
-          slot_first_alive ctx node ~level ~digit ~len (k + 1)
+      note_dirty ctx node;
+      slot_first_alive ctx node ~level ~digit ~len (k + 1)
     end
   end
 
@@ -666,46 +664,65 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     locate_climb ctx node ~now ~req ~oi ~wl:(level land level_mask)
       ~rc:(level lsr rc_shift) ~src ~base_guid ~nc:true
 
-(* The drain fiber: FIFO over the mailbox, [service] virtual seconds per
-   message, until the ring is empty.  The generation is re-checked after
-   every sleep — the node may have been killed at a barrier while the
-   fiber slept; the message it popped dies with it. *)
-let rec drain_loop ctx h gen =
-  let sh = ctx.sh in
-  let mb = sh.mb in
+(* The drain: FIFO over the mailbox, [service] virtual seconds per
+   message, until the ring is empty.  [drain_head] pops the next message
+   into the in-service slot and schedules its service-done event;
+   [serve_done] re-checks the generation — the node may have been killed
+   at a barrier during service, and the message in hand dies with it —
+   then dispatches and loops.  With [service = 0] no event is scheduled
+   and the message is served at once. *)
+let rec drain_head ctx h gen =
+  let mb = ctx.sh.mb in
   if Mailbox.generation mb h <> gen then ()
   else if Mailbox.length mb h = 0 then Mailbox.set_busy mb h false
   else begin
-    let i = Mailbox.msg_index mb h in
-    let kind = mb.Mailbox.r_kind.(i)
-    and req = mb.Mailbox.r_req.(i)
-    and oi = mb.Mailbox.r_oi.(i)
-    and level = mb.Mailbox.r_level.(i)
-    and prev = mb.Mailbox.r_prev.(i)
-    and src = mb.Mailbox.r_src.(i) in
-    Mailbox.advance mb h;
-    if sh.service > 0. then Fiber.sleep ctx.sched sh.service;
-    if Mailbox.generation mb h <> gen then begin
-      (* killed mid-service: the in-hand message is a dead letter *)
-      ctx.dead_letter <- ctx.dead_letter + 1;
-      if req >= 0 then begin
-        Bytes.set sh.req_status req st_dead_letter;
-        ctx.failed <- ctx.failed + 1
-      end
-    end
-    else begin
-      let node = Network.node_of_handle sh.net h in
-      dispatch ctx node ~now:(Fiber.now ctx.sched) ~kind ~req ~oi ~level
-        ~prev ~src;
-      drain_loop ctx h gen
+    Mailbox.take mb h;
+    let service = ctx.sh.service in
+    if service > 0. then
+      Timer.push ctx.tm ~time:(ctx.tm.Timer.clock +. service) ~kind:ev_service
+        ~h ~g:gen
+    else serve_done ctx h gen
+  end
+
+and serve_done ctx h gen =
+  let sh = ctx.sh in
+  let mb = sh.mb in
+  let req = mb.Mailbox.s_req.(h) in
+  if Mailbox.generation mb h <> gen then begin
+    (* killed mid-service: the in-hand message is a dead letter *)
+    ctx.dead_letter <- ctx.dead_letter + 1;
+    if req >= 0 then begin
+      Bytes.set sh.req_status req st_dead_letter;
+      ctx.failed <- ctx.failed + 1
     end
   end
+  else begin
+    dispatch ctx
+      (Network.node_of_handle sh.net h)
+      ~now:ctx.tm.Timer.clock ~kind:mb.Mailbox.s_kind.(h) ~req
+      ~oi:mb.Mailbox.s_oi.(h) ~level:mb.Mailbox.s_level.(h)
+      ~prev:mb.Mailbox.s_prev.(h) ~src:mb.Mailbox.s_src.(h);
+    drain_head ctx h gen
+  end
+
+(* Run every timer event at or before [limit], including events pushed
+   meanwhile, then lift the shard clock to [limit]. *)
+let rec run_until ctx limit =
+  let tm = ctx.tm in
+  if Timer.peek_time tm <= limit then begin
+    ignore (Timer.pop_into tm : bool);
+    let kind = tm.Timer.o_kind in
+    if kind = ev_inject then ctx.inject ctx
+    else if kind = ev_service then serve_done ctx tm.Timer.o_h tm.Timer.o_g
+    else drain_head ctx tm.Timer.o_h tm.Timer.o_g;
+    run_until ctx limit
+  end
+  else Timer.lift tm limit
 
 (* Deliver one transport message (already popped into [tr.o_*]): dead
    letters and ring overflow are terminal for the request; otherwise
-   enqueue and make sure a drain fiber is up.  [@alloc_ok]: the spawn
-   closure is one allocation per actor busy-period, not per message. *)
-let[@alloc_ok] deliver ctx ~time =
+   enqueue and, if the actor is idle, schedule its drain start. *)
+let deliver ctx ~time =
   let sh = ctx.sh in
   let tr = ctx.tr in
   let h = tr.Mailbox.Transport.o_h in
@@ -758,6 +775,8 @@ let[@alloc_ok] deliver ctx ~time =
   end
   else if not (Mailbox.is_busy sh.mb h) then begin
     Mailbox.set_busy sh.mb h true;
-    let gen = Mailbox.generation sh.mb h in
-    Fiber.spawn_at ctx.sched time (fun () -> drain_loop ctx h gen)
+    let clock = ctx.tm.Timer.clock in
+    Timer.push ctx.tm
+      ~time:(if time > clock then time else clock)
+      ~kind:ev_drain ~h ~g:(Mailbox.generation sh.mb h)
   end

@@ -1,5 +1,8 @@
-(** Fiber-per-node actors: mailbox drain loops and the per-message
-    protocol state machine of the serving runtime (DESIGN.md section 9).
+(** Per-node actors: mailbox drains and the per-message protocol state
+    machine of the serving runtime (DESIGN.md section 9).  A drain is
+    driven by the shard's {!Mailbox.Timer} heap: a drain-start event
+    pops the next message into the node's in-service slot, and its
+    service-done event dispatches it and pops the next.
 
     Opcodes: LOCATE walks toward the object's root, redirecting to the
     closest live server as soon as it meets a usable pointer (the
@@ -32,7 +35,6 @@
     barrier, never purged in place. *)
 
 open Tapestry
-module Fiber = Simnet.Fiber
 module Hist = Simnet.Stats.Hist
 
 val op_locate : int
@@ -57,6 +59,11 @@ val st_ok : char
 val st_failed : char
 val st_dropped : char
 val st_dead_letter : char
+
+val ev_inject : int
+(** Timer event kind that runs the shard's injector step
+    ([ctx.inject]).  The other kinds, drain start and service done,
+    carry a handle and its mailbox generation and stay internal. *)
 
 (** Run-global immutable tables plus the few cross-shard cells written
     only at barriers ([wall], [dirty]) or at disjoint indices
@@ -95,13 +102,13 @@ type shared = {
   win : int array;  (** [win.(0)]: window counter, barrier-written *)
 }
 
-(** Per-shard private world: scheduler, transport, outbox, RNG, cost and
-    latency accounting, plus mutable scratch so the hot dispatch path
-    allocates nothing. *)
+(** Per-shard private world: timer heap (and clock), transport, outbox,
+    RNG, cost and latency accounting, plus mutable scratch so the hot
+    dispatch path allocates nothing. *)
 type ctx = {
   sh : shared;
   shard : int;
-  sched : Fiber.t;
+  tm : Mailbox.Timer.tm;
   tr : Mailbox.Transport.tr;
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;
@@ -114,6 +121,10 @@ type ctx = {
   mutable dropped : int;
   mutable dead_letter : int;
   mutable delivered : int;
+  mutable inject : ctx -> unit;
+      (** the injector's step, run on each {!ev_inject} event; a no-op
+          until the driver sets it *)
+  mutable inj_k : int;  (** requests injected so far; [-1] before the start event *)
   mutable dirty_h : int array;
   mutable dirty_len : int;
   mutable scan_h : int;
@@ -174,4 +185,10 @@ val deliver : ctx -> time:float -> unit
 (** Deliver the transport message just popped into [ctx.tr]'s out
     fields: generation mismatches and dead targets are dead letters,
     ring overflow drops the newcomer, otherwise the message is enqueued
-    and a drain fiber is spawned if none is active. *)
+    and, if the actor is idle, a drain-start event is pushed at
+    [max time clock]. *)
+
+val run_until : ctx -> float -> unit
+(** Run every timer event at or before the limit, including events
+    pushed meanwhile, in (time, push sequence) order; then lift the
+    shard clock to the limit. *)

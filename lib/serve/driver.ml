@@ -1,10 +1,11 @@
 (* Open-loop load generator for the serving runtime (DESIGN.md
    section 9).
 
-   Each shard owns an injector fiber drawing exponential inter-arrival
-   gaps at [rate / shard_count] from its private RNG stream, so the
-   aggregate arrival process is open-loop Poisson at [rate] and
-   injection is deterministic per shard regardless of the domain count.
+   Each shard owns an injector, a step function run from the shard's
+   timer heap, drawing exponential inter-arrival gaps at
+   [rate / shard_count] from its private RNG stream, so the aggregate
+   arrival process is open-loop Poisson at [rate] and injection is
+   deterministic per shard regardless of the domain count.
    Object popularity is Zipf(s): rank 0 is the hottest object, and with
    a hot enough head the per-actor service time turns the popular roots
    into real queueing bottlenecks — which is the point of the tier.
@@ -18,7 +19,7 @@
    no spare points), inserting through a random live gateway. *)
 
 open Tapestry
-module Fiber = Simnet.Fiber
+module Timer = Mailbox.Timer
 module Rng = Simnet.Rng
 module Hist = Simnet.Stats.Hist
 module Workload = Evaluation.Workload
@@ -130,62 +131,65 @@ let make_guids net ~objects ~roots =
   done;
   a
 
-let spawn_injector t params z ctx log ~reqbase ~count ~mean_gap =
-  let sh = t.Shard.sh in
+(* One chain per root; the request id rides chain 0, the others are
+   fire-and-forget so replica/pointer state stays root-symmetric. *)
+let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
+  for r = 0 to roots - 1 do
+    Actor.send ctx ~time:now ~h:srv_h ~kind
+      ~req:(if r = 0 then req else -1)
+      ~oi:((obj * roots) + r)
+      ~level:0 ~prev:(-1) ~src:srv_h
+  done
+
+(* The injector's step, run on each of its timer events: issue request
+   [inj_k] (none at the start event), then schedule the next event one
+   exponential gap later, [count] requests in all. *)
+let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
+  let sh = ctx.Actor.sh in
   let net = sh.Actor.net in
-  let sched = ctx.Actor.sched in
   let rng = ctx.Actor.rng in
   let roots = sh.Actor.roots in
-  let pick_alive () =
-    net.Network.alive_arr.(Rng.int rng net.Network.alive_len)
-  in
-  (* one chain per root; the request id rides chain 0, the others are
-     fire-and-forget so replica/pointer state stays root-symmetric *)
-  let send_chains ~now ~kind ~req ~obj ~srv_h =
-    for r = 0 to roots - 1 do
-      Actor.send ctx ~time:now ~h:srv_h ~kind
-        ~req:(if r = 0 then req else -1)
-        ~oi:((obj * roots) + r)
-        ~level:0 ~prev:(-1) ~src:srv_h
-    done
-  in
-  let rec loop k =
-    if k < count then begin
-      Fiber.sleep sched (Rng.exponential rng ~mean:mean_gap);
-      let now = Fiber.now sched in
-      let req = reqbase + k in
-      sh.Actor.req_t0.(req) <- now;
-      sh.Actor.req_w0.(req) <- sh.Actor.wall.(0);
-      ctx.Actor.injected <- ctx.Actor.injected + 1;
-      let u = Rng.float rng 1.0 in
-      let obj = Workload.zipf_sample z rng in
-      if u < params.p_publish then begin
-        let srv = pick_alive () in
-        publog_push log ~srv:srv.Node.handle ~obj;
-        send_chains ~now ~kind:Actor.op_publish ~req ~obj
-          ~srv_h:srv.Node.handle
-      end
-      else if u < params.p_publish +. params.p_unpublish && log.plen > 0
-      then begin
-        let i = Rng.int rng log.plen in
-        let srv_h = log.ps.(i) and obj' = log.po.(i) in
-        log.ps.(i) <- log.ps.(log.plen - 1);
-        log.po.(i) <- log.po.(log.plen - 1);
-        log.plen <- log.plen - 1;
-        send_chains ~now ~kind:Actor.op_unpublish ~req ~obj:obj' ~srv_h
-      end
-      else begin
-        let c = pick_alive () in
-        let r = if roots = 1 then 0 else Rng.int rng roots in
-        Actor.send ctx ~time:now ~h:c.Node.handle ~kind:Actor.op_locate
-          ~req
-          ~oi:((obj * roots) + r)
-          ~level:0 ~prev:(-1) ~src:c.Node.handle
-      end;
-      loop (k + 1)
+  let tm = ctx.Actor.tm in
+  let k = ctx.Actor.inj_k in
+  if k >= 0 then begin
+    let now = tm.Timer.clock in
+    let req = reqbase + k in
+    sh.Actor.req_t0.(req) <- now;
+    sh.Actor.req_w0.(req) <- sh.Actor.wall.(0);
+    ctx.Actor.injected <- ctx.Actor.injected + 1;
+    let u = Rng.float rng 1.0 in
+    let obj = Workload.zipf_sample z rng in
+    if u < params.p_publish then begin
+      let srv = net.Network.alive_arr.(Rng.int rng net.Network.alive_len) in
+      publog_push log ~srv:srv.Node.handle ~obj;
+      send_chains ctx ~roots ~now ~kind:Actor.op_publish ~req ~obj
+        ~srv_h:srv.Node.handle
     end
-  in
-  if count > 0 then Fiber.spawn sched (fun () -> loop 0)
+    else if u < params.p_publish +. params.p_unpublish && log.plen > 0
+    then begin
+      let i = Rng.int rng log.plen in
+      let srv_h = log.ps.(i) and obj' = log.po.(i) in
+      log.ps.(i) <- log.ps.(log.plen - 1);
+      log.po.(i) <- log.po.(log.plen - 1);
+      log.plen <- log.plen - 1;
+      send_chains ctx ~roots ~now ~kind:Actor.op_unpublish ~req ~obj:obj'
+        ~srv_h
+    end
+    else begin
+      let c = net.Network.alive_arr.(Rng.int rng net.Network.alive_len) in
+      let r = if roots = 1 then 0 else Rng.int rng roots in
+      Actor.send ctx ~time:now ~h:c.Node.handle ~kind:Actor.op_locate ~req
+        ~oi:((obj * roots) + r)
+        ~level:0 ~prev:(-1) ~src:c.Node.handle
+    end
+  end;
+  ctx.Actor.inj_k <- k + 1;
+  if k + 1 < count then begin
+    let gap = Rng.exponential rng ~mean:mean_gap in
+    Timer.push tm
+      ~time:(tm.Timer.clock +. (if gap > 0. then gap else 0.))
+      ~kind:Actor.ev_inject ~h:0 ~g:0
+  end
 
 (* Barrier-time churn bookkeeping (all driven by one dedicated RNG so
    the injector streams stay untouched by churn settings). *)
@@ -225,11 +229,12 @@ let churn_barrier params st t barrier =
         st.joins <- st.joins + 1
   done
 
-let run ~net params ~now =
+let run ?(clock = fun () -> 0.) ~net params ~now =
   if params.objects <= 0 then invalid_arg "Driver.run: objects <= 0";
   if params.rate <= 0. then invalid_arg "Driver.run: rate <= 0";
   if params.requests < 0 then invalid_arg "Driver.run: requests < 0";
   let wall0 = now () in
+  let c0 = clock () in
   let roots = net.Network.config.Config.root_set_size in
   let guids = make_guids net ~objects:params.objects ~roots in
   (* initial placement: every object published once from a random live
@@ -276,7 +281,11 @@ let run ~net params ~now =
     let count = per + (if s < extra then 1 else 0) in
     let reqbase = (s * per) + min s extra in
     let log = { ps = [||]; po = [||]; plen = 0 } in
-    spawn_injector t params z t.Shard.ctxs.(s) log ~reqbase ~count ~mean_gap
+    let ctx = t.Shard.ctxs.(s) in
+    ctx.Actor.inject <- inject_step params z log ~reqbase ~count ~mean_gap;
+    if count > 0 then
+      Timer.push ctx.Actor.tm ~time:ctx.Actor.tm.Timer.clock
+        ~kind:Actor.ev_inject ~h:0 ~g:0
   done;
   let st =
     {
@@ -293,7 +302,10 @@ let run ~net params ~now =
     if params.domains <= 0 then Simnet.Parallel.recommended ()
     else params.domains
   in
-  Shard.run t ~domains ~now ~on_barrier:(churn_barrier params st);
+  let ledger = t.Shard.ledger in
+  ledger.Shard.setup <- clock () -. c0;
+  Shard.run ~clock t ~domains ~now ~on_barrier:(churn_barrier params st);
+  let c1 = clock () in
   let hist_v = Hist.create () and hist_w = Hist.create () in
   let tally = Simnet.Stats.Tally.create () in
   let injected = ref 0
@@ -314,6 +326,7 @@ let run ~net params ~now =
       dead_letter := !dead_letter + ctx.Actor.dead_letter;
       delivered := !delivered + ctx.Actor.delivered)
     t.Shard.ctxs;
+  ledger.Shard.collect <- clock () -. c1;
   {
     engine = t;
     hist_v;

@@ -38,7 +38,7 @@ val default : params
     5% publish / 1% unpublish, no churn, no cache, coop off. *)
 
 type result = {
-  engine : Shard.t;
+  engine : Shard.t;  (** the engine; [engine.ledger] holds the run's wall phases *)
   hist_v : Hist.h;  (** merged virtual-latency histogram (completed) *)
   hist_w : Hist.h;  (** merged wall-latency histogram (info only) *)
   injected : int;
@@ -56,12 +56,18 @@ type result = {
       (** merged cache counters, all-zero at [cache_size = 0] *)
 }
 
-val run : net:Network.t -> params -> now:(unit -> float) -> result
+val run :
+  ?clock:(unit -> float) -> net:Network.t -> params -> now:(unit -> float) ->
+  result
 (** Serve [params.requests] over [net].  The network should be built
     with a [pointer_ttl] comfortably above the expected virtual
     duration, or the initial placement expires mid-run.  [now] supplies
-    wall stamps (monotonic seconds); it is called only at barriers and
-    never influences results.
+    wall stamps (monotonic seconds); it is called once at entry, once
+    when the engine starts, once per barrier and once at the end, and
+    never influences results.  [clock] (same units) times the wall
+    ledger [engine.ledger]: set-up, the engine phases of
+    {!Shard.run}, and the final collection, which together tile
+    [wall_s].  Without it the ledger stays 0.
     Object GUIDs are distinct from each other and from every registered
     node ID.
     @raise Invalid_argument on non-positive [objects] or [rate], or when

@@ -1,16 +1,20 @@
 (* Message plumbing for the actor runtime (DESIGN.md section 9).
 
-   Three flat, allocation-free structures:
+   Four flat, allocation-free structures:
 
    - [t]: the system-wide mailbox array — one bounded FIFO ring per
      arena handle over struct-of-arrays int payloads, generation-
      stamped like [Scratch] so a dead node's queue can be invalidated
      in O(1) and in-flight messages addressed to the old incarnation
-     are recognized as dead letters;
+     are recognized as dead letters — plus one in-service slot per
+     handle, holding the message an actor popped and is serving;
    - [Transport]: a per-shard binary min-heap of in-flight messages
      keyed by (delivery time, send sequence) — the stable tie-break
      that makes replay exact — with payloads parked in a free-listed
      side pool so sift swaps move three words, not ten;
+   - [Timer]: a per-shard binary min-heap of engine events (drain
+     start, service done, injector step) keyed by (virtual time, push
+     sequence), which also carries the shard's virtual clock;
    - [Outbox]: a per-shard append log of cross-shard sends, drained
      into the target shards' transports at window barriers.
 
@@ -22,11 +26,12 @@
    handle of the origin server).  Transport entries add the target
    handle and the target's mailbox generation at send time.
 
-   Results are read in place (ring slots via [msg_index], transport
-   heads via per-shard [o_*] scratch) rather than returned records, so
-   the per-message path allocates nothing (this file is on the typed
-   lint's hot-path list).  Scratch fields live only on per-shard
-   structures; the shared mailbox arena has none. *)
+   Results are read in place (ring slots via [msg_index], in-service
+   slots by handle, transport and timer heads via per-shard [o_*]
+   scratch) rather than returned records, so the per-message path
+   allocates nothing (this file is on the typed lint's hot-path list).
+   Scratch fields live only on per-shard structures; the shared
+   mailbox arena has none. *)
 
 type t = {
   cap : int;  (* ring capacity per handle; overflow drops the newcomer *)
@@ -42,7 +47,18 @@ type t = {
   mutable head : int array;
   mutable len : int array;
   mutable gen : int array;
-  mutable busy : int array;  (* 1 while a drain fiber is scheduled/running *)
+  mutable busy : int array;
+      (* 1 from the delivery that finds the actor idle until its drain
+         finds the ring empty: a drain-start or service-done timer event
+         is pending for the handle *)
+  (* in-service slots, indexed by handle: the message the actor popped
+     and is serving until its service-done event *)
+  mutable s_kind : int array;
+  mutable s_req : int array;
+  mutable s_oi : int array;
+  mutable s_level : int array;
+  mutable s_prev : int array;
+  mutable s_src : int array;
 }
 
 (* [@alloc_ok]: setup-time constructor, one allocation per run. *)
@@ -62,6 +78,12 @@ let[@alloc_ok] create ~cap ~handles =
     len = Array.make handles 0;
     gen = Array.make handles 0;
     busy = Array.make handles 0;
+    s_kind = Array.make handles 0;
+    s_req = Array.make handles 0;
+    s_oi = Array.make handles 0;
+    s_level = Array.make handles 0;
+    s_prev = Array.make handles 0;
+    s_src = Array.make handles 0;
   }
 
 (* [@alloc_ok]: barrier-only growth after churn joins; doubles so the
@@ -89,6 +111,12 @@ let[@alloc_ok] ensure t ~handles =
     t.len <- grow t.len 0;
     t.gen <- grow t.gen 0;
     t.busy <- grow t.busy 0;
+    t.s_kind <- grow t.s_kind 0;
+    t.s_req <- grow t.s_req 0;
+    t.s_oi <- grow t.s_oi 0;
+    t.s_level <- grow t.s_level 0;
+    t.s_prev <- grow t.s_prev 0;
+    t.s_src <- grow t.s_src 0;
     t.handles <- nh
   end
 
@@ -130,6 +158,19 @@ let advance t h =
   let k = t.head.(h) + 1 in
   t.head.(h) <- (if k >= t.cap then 0 else k);
   t.len.(h) <- t.len.(h) - 1
+
+(* Pop handle [h]'s FIFO head into its in-service slot, where the
+   message waits out its service time; only the owner shard's drain
+   touches either. *)
+let take t h =
+  let i = msg_index t h in
+  t.s_kind.(h) <- t.r_kind.(i);
+  t.s_req.(h) <- t.r_req.(i);
+  t.s_oi.(h) <- t.r_oi.(i);
+  t.s_level.(h) <- t.r_level.(i);
+  t.s_prev.(h) <- t.r_prev.(i);
+  t.s_src.(h) <- t.r_src.(i);
+  advance t h
 
 (* Invalidate a dead node's mailbox: queued requests are the caller's
    to account (iterate with [msg_index]/[advance] first), then the
@@ -327,6 +368,134 @@ module Transport = struct
       end;
       true
     end
+end
+
+(* Engine events of one shard, ordered by (time, push seq) exactly as
+   a generic stable heap would order them.  Each event is (kind,
+   handle, generation) in parallel arrays beside the key, so a sift
+   swap moves five words and nothing is boxed. *)
+module Timer = struct
+  type tm = {
+    mutable et : float array;  (* event time *)
+    mutable es : int array;  (* push sequence: stable ties *)
+    mutable ek : int array;  (* event kind *)
+    mutable eh : int array;  (* handle (drain events) *)
+    mutable eg : int array;  (* mailbox generation (drain events) *)
+    mutable elen : int;
+    mutable seq : int;
+    mutable clock : float;  (* the shard's virtual time *)
+    (* out-params of [pop_into] *)
+    mutable o_kind : int;
+    mutable o_h : int;
+    mutable o_g : int;
+  }
+
+  (* [@alloc_ok]: per-shard constructor, once per run. *)
+  let[@alloc_ok] create () =
+    let cap = 64 in
+    {
+      et = Array.make cap 0.;
+      es = Array.make cap 0;
+      ek = Array.make cap 0;
+      eh = Array.make cap 0;
+      eg = Array.make cap 0;
+      elen = 0;
+      seq = 0;
+      clock = 0.;
+      o_kind = 0;
+      o_h = 0;
+      o_g = 0;
+    }
+
+  let length t = t.elen
+
+  let peek_time t = if t.elen = 0 then infinity else t.et.(0)
+
+  (* [@alloc_ok]: amortized doubling, off the steady-state path. *)
+  let[@alloc_ok] grow t =
+    let cap = Array.length t.et * 2 in
+    let gi a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 t.elen;
+      b
+    in
+    let ft = Array.make cap 0. in
+    Array.blit t.et 0 ft 0 t.elen;
+    t.et <- ft;
+    t.es <- gi t.es;
+    t.ek <- gi t.ek;
+    t.eh <- gi t.eh;
+    t.eg <- gi t.eg
+
+  let before t i j =
+    t.et.(i) < t.et.(j) || (t.et.(i) = t.et.(j) && t.es.(i) < t.es.(j))
+
+  let swap t i j =
+    let f = t.et.(i) in
+    t.et.(i) <- t.et.(j);
+    t.et.(j) <- f;
+    let x = t.es.(i) in
+    t.es.(i) <- t.es.(j);
+    t.es.(j) <- x;
+    let x = t.ek.(i) in
+    t.ek.(i) <- t.ek.(j);
+    t.ek.(j) <- x;
+    let x = t.eh.(i) in
+    t.eh.(i) <- t.eh.(j);
+    t.eh.(j) <- x;
+    let x = t.eg.(i) in
+    t.eg.(i) <- t.eg.(j);
+    t.eg.(j) <- x
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if before t i parent then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 in
+    if l < t.elen then begin
+      let r = l + 1 in
+      let m = if r < t.elen && before t r l then r else l in
+      if before t m i then begin
+        swap t i m;
+        sift_down t m
+      end
+    end
+
+  let push t ~time ~kind ~h ~g =
+    if t.elen >= Array.length t.et then grow t;
+    let i = t.elen in
+    t.et.(i) <- time;
+    t.es.(i) <- t.seq;
+    t.ek.(i) <- kind;
+    t.eh.(i) <- h;
+    t.eg.(i) <- g;
+    t.seq <- t.seq + 1;
+    t.elen <- i + 1;
+    sift_up t i
+
+  let pop_into t =
+    if t.elen = 0 then false
+    else begin
+      let time = t.et.(0) in
+      if time > t.clock then t.clock <- time;
+      t.o_kind <- t.ek.(0);
+      t.o_h <- t.eh.(0);
+      t.o_g <- t.eg.(0);
+      t.elen <- t.elen - 1;
+      if t.elen > 0 then begin
+        swap t 0 t.elen;
+        sift_down t 0
+      end;
+      true
+    end
+
+  let lift t limit = if limit > t.clock then t.clock <- limit
 end
 
 (* Cross-shard sends buffered during a window, drained sequentially at

@@ -1,6 +1,7 @@
 (** Message plumbing for the actor runtime: bounded per-node mailbox
-    rings, the per-shard in-flight transport heap, and the cross-shard
-    outbox (DESIGN.md section 9).
+    rings with one in-service slot per node, the per-shard in-flight
+    transport heap, the per-shard engine timer heap, and the
+    cross-shard outbox (DESIGN.md section 9).
 
     A message is six ints — [kind] (Actor opcode), [req] (global request
     id, [-1] for fire-and-forget), [oi] (object x root index into the
@@ -36,6 +37,12 @@ type t = {
   mutable len : int array;
   mutable gen : int array;
   mutable busy : int array;
+  mutable s_kind : int array;
+  mutable s_req : int array;
+  mutable s_oi : int array;
+  mutable s_level : int array;
+  mutable s_prev : int array;
+  mutable s_src : int array;
 }
 
 val create : cap:int -> handles:int -> t
@@ -54,7 +61,8 @@ val generation : t -> int -> int
 val length : t -> int -> int
 
 val is_busy : t -> int -> bool
-(** Is a drain fiber scheduled or running for this handle? *)
+(** Is the actor draining: a drain-start or service-done timer event
+    pending, or its drain running? *)
 
 val set_busy : t -> int -> bool -> unit
 
@@ -72,6 +80,10 @@ val msg_index : t -> int -> int
 val advance : t -> int -> unit
 (** Consume handle [h]'s FIFO head (after reading it via {!msg_index}).
     Owner-shard only. *)
+
+val take : t -> int -> unit
+(** Pop handle [h]'s FIFO head into its in-service slot ([s_*.(h)]),
+    where it stays while the actor serves it.  Owner-shard only. *)
 
 val kill : t -> int -> unit
 (** Node death: clear the ring, reset busy, bump the generation (drain
@@ -122,6 +134,42 @@ module Transport : sig
 
   val pop_into : tr -> bool
   (** Pop the earliest message into the [o_*] fields. *)
+end
+
+(** Per-shard heap of engine events keyed by (virtual time, push
+    sequence), popped in the order a generic stable heap would pop
+    them.  An event is (kind, handle, generation); the heap also holds
+    the shard's virtual clock, which [pop_into] and [lift] advance. *)
+module Timer : sig
+  type tm = {
+    mutable et : float array;
+    mutable es : int array;
+    mutable ek : int array;
+    mutable eh : int array;
+    mutable eg : int array;
+    mutable elen : int;
+    mutable seq : int;
+    mutable clock : float;  (** virtual time of the last event run *)
+    mutable o_kind : int;  (** filled by {!pop_into} *)
+    mutable o_h : int;
+    mutable o_g : int;
+  }
+
+  val create : unit -> tm
+
+  val length : tm -> int
+
+  val peek_time : tm -> float
+  (** Earliest event time, [infinity] when empty. *)
+
+  val push : tm -> time:float -> kind:int -> h:int -> g:int -> unit
+
+  val pop_into : tm -> bool
+  (** Pop the earliest event into the [o_*] fields and raise [clock] to
+      its time; [false] when empty. *)
+
+  val lift : tm -> float -> unit
+  (** Raise [clock] to the given time if it is later. *)
 end
 
 (** Cross-shard sends buffered during a window; drained at the barrier

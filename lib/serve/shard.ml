@@ -8,7 +8,7 @@
 
    Virtual time advances in windows of width [window].  Within a window
    every shard runs independently: it pumps its private transport heap
-   and fiber scheduler (interleaved by head time) up to the barrier.
+   and timer heap (interleaved by head time) up to the barrier.
    Cross-shard messages buffered in outboxes during the window are
    exchanged sequentially at the barrier in shard index order, with
    delivery times floored to the barrier (a message may not land inside
@@ -17,7 +17,7 @@
    shared state is sequential and deterministically ordered. *)
 
 open Tapestry
-module Fiber = Simnet.Fiber
+module Timer = Mailbox.Timer
 module Transport = Mailbox.Transport
 
 let shard_count = 64
@@ -30,11 +30,26 @@ let b1_cap = 32
 let b2_cap = 16
 let import_budget = 12
 
+(* Wall seconds of a serve run by phase, read with the caller's clock
+   around whole phases only, never per message.  [run] fills the engine
+   phases; [setup] and [collect] are the driver's. *)
+type ledger = {
+  mutable setup : float;  (* driver: guids, placement, engine set-up *)
+  mutable drain : float;  (* shard windows: timer and transport pumps *)
+  mutable flush : float;  (* outbox exchange *)
+  mutable repair : float;  (* dead-entry repair *)
+  mutable intents : float;  (* cache intents *)
+  mutable digest : float;  (* hint digest *)
+  mutable churn : float;  (* on_barrier churn, capacity sync, next-work scan *)
+  mutable collect : float;  (* driver: merging the shards' counters *)
+}
+
 type t = {
   sh : Actor.shared;
   ctxs : Actor.ctx array;  (* length [shard_count] *)
   window : float;
   mutable barriers : int;  (* barriers executed so far *)
+  ledger : ledger;
   b1_cnt : int array;  (* digit buckets: digest rows grouped by the *)
   b1_rows : int array;  (* first 1 (b1) / 2 (b2) digits of the row's *)
   b2_cnt : int array;  (* object root guid; (key,srv,gen,epoch) *)
@@ -63,6 +78,17 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
     ctxs;
     window;
     barriers = 0;
+    ledger =
+      {
+        setup = 0.;
+        drain = 0.;
+        flush = 0.;
+        repair = 0.;
+        intents = 0.;
+        digest = 0.;
+        churn = 0.;
+        collect = 0.;
+      };
     b1_cnt = Array.make (if coop then base else 0) 0;
     b1_rows = Array.make (if coop then base * b1_cap * 4 else 0) 0;
     b2_cnt = Array.make (if coop then base * base else 0) 0;
@@ -70,13 +96,13 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
   }
 
 (* Interleave the shard's two event sources by head time until both are
-   past [limit]: fiber events first on ties (arbitrary but fixed). *)
+   past [limit]: timer events first on ties (arbitrary but fixed). *)
 let rec pump ctx ~limit =
-  let ft = Fiber.next_event_time ctx.Actor.sched in
+  let ft = Timer.peek_time ctx.Actor.tm in
   let tt = Transport.peek_time ctx.Actor.tr in
   if ft <= tt then begin
     if ft <= limit then begin
-      Fiber.run_until ctx.Actor.sched ft;
+      Actor.run_until ctx ft;
       pump ctx ~limit
     end
   end
@@ -89,13 +115,13 @@ let rec pump ctx ~limit =
 let run_shard_window ctx ~limit =
   pump ctx ~limit;
   (* no events remain at or before the barrier: normalize the clock *)
-  Fiber.run_until ctx.Actor.sched limit
+  Actor.run_until ctx limit
 
 (* The ONLY binding that touches [Domain]: everything transitively
    callable from here runs concurrently on sibling domains and must obey
    the shard-confinement discipline (see lint allowlist).  Shard [s]
-   always lands on domain [s / per], so a fiber suspended across a
-   barrier resumes on the domain that created it. *)
+   always lands on domain [s / per], so its timer heap and transport
+   are only ever run by one domain per window. *)
 let run_windows_parallel t ~domains ~limit =
   let nd =
     let d = min domains shard_count in
@@ -354,7 +380,7 @@ let next_work_time t =
   let e = ref infinity in
   for s = 0 to shard_count - 1 do
     let ctx = t.ctxs.(s) in
-    let ft = Fiber.next_event_time ctx.Actor.sched in
+    let ft = Timer.peek_time ctx.Actor.tm in
     let tt = Transport.peek_time ctx.Actor.tr in
     if ft < !e then e := ft;
     if tt < !e then e := tt
@@ -367,18 +393,33 @@ let next_barrier t e =
   let b = (k +. 1.) *. t.window in
   if b <= e then b +. t.window else b
 
-let run t ~domains ~now ~on_barrier =
+let run ?(clock = fun () -> 0.) t ~domains ~now ~on_barrier =
+  let l = t.ledger in
+  let mark = ref (clock ()) in
+  (* wall seconds since the previous lap *)
+  let lap () =
+    let c = clock () in
+    let d = c -. !mark in
+    mark := c;
+    d
+  in
   let rec loop barrier =
     run_windows_parallel t ~domains ~limit:barrier;
+    l.drain <- l.drain +. lap ();
     t.barriers <- t.barriers + 1;
     t.sh.Actor.wall.(0) <- now ();
     flush_outboxes t ~barrier;
+    l.flush <- l.flush +. lap ();
     apply_repairs t;
+    l.repair <- l.repair +. lap ();
     apply_cache_intents t;
+    l.intents <- l.intents +. lap ();
     apply_hint_digest t;
+    l.digest <- l.digest +. lap ();
     on_barrier t barrier;
     sync_capacity t;
     let e = next_work_time t in
+    l.churn <- l.churn +. lap ();
     if e < infinity then loop (next_barrier t e)
   in
   t.sh.Actor.wall.(0) <- now ();

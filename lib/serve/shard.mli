@@ -4,8 +4,8 @@
     Handles are partitioned over a fixed grid of {!shard_count} logical
     shards; the domain count only folds the grid onto OS domains, so a
     run's results are bit-identical for every [--domains] value.  Within
-    a window each shard pumps its private transport heap and fiber
-    scheduler independently; outbox exchange, churn and dead-entry
+    a window each shard pumps its private transport heap and timer heap
+    independently; outbox exchange, churn and dead-entry
     repair happen sequentially at the barriers, in shard index order. *)
 
 open Tapestry
@@ -16,11 +16,29 @@ val shard_count : int
 val shard_of : int -> int
 (** Owning shard of an arena handle. *)
 
+(** Wall seconds of one serve run by phase, read with a caller-supplied
+    clock around whole phases (a handful of readings per barrier, none
+    per message).  {!run} fills the engine phases; [setup] and
+    [collect] are filled by [Driver.run].  Without a clock every field
+    stays 0. *)
+type ledger = {
+  mutable setup : float;  (** driver: object guids, placement, engine set-up *)
+  mutable drain : float;  (** shard windows: timer and transport pumps *)
+  mutable flush : float;  (** barrier outbox exchange *)
+  mutable repair : float;  (** barrier dead-entry repair *)
+  mutable intents : float;  (** barrier cache intents *)
+  mutable digest : float;  (** barrier hint digest *)
+  mutable churn : float;
+      (** [on_barrier] (churn), capacity sync and the next-work scan *)
+  mutable collect : float;  (** driver: merging the shards' counters *)
+}
+
 type t = {
   sh : Actor.shared;
   ctxs : Actor.ctx array;  (** length {!shard_count} *)
   window : float;
   mutable barriers : int;  (** barriers executed so far *)
+  ledger : ledger;  (** this run's wall phases *)
   b1_cnt : int array;
       (** digit buckets (coop only, else empty): digest rows grouped by
           the first one ([b1]) / two ([b2]) digits of their object's
@@ -48,11 +66,15 @@ val create :
     @raise Invalid_argument if [window <= 0]. *)
 
 val run :
-  t -> domains:int -> now:(unit -> float) ->
+  ?clock:(unit -> float) -> t -> domains:int -> now:(unit -> float) ->
   on_barrier:(t -> float -> unit) -> unit
 (** Run windows until no shard has pending work.  [domains <= 1] runs
     the grid sequentially on the calling domain.  [now] supplies wall
-    stamps (written into [sh.wall.(0)] at each barrier, info only).
+    stamps (written into [sh.wall.(0)] at each barrier, info only), one
+    call at entry and one per barrier.  [clock] times the engine phases
+    into [t.ledger] (six readings per barrier); it is a separate
+    argument so that callers which treat each [now] call as a progress
+    stamp see the same stamps with or without the ledger.
     [on_barrier t barrier] runs sequentially at every barrier after
     outbox exchange and repair — churn injection goes here. *)
 

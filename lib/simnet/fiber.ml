@@ -80,11 +80,6 @@ let run_until sched limit =
   in
   loop ()
 
-let next_event_time sched =
-  match Heap.peek sched.queue with
-  | Some (time, _) -> time
-  | None -> infinity
-
 let stalled_fibers sched =
   sched.started - sched.finished - Heap.length sched.queue
 

@@ -7,7 +7,13 @@
     provides: fibers perform {!sleep} to model link latency and {!Ivar.read}
     to await replies, and the discrete-event loop advances a virtual clock.
 
-    Single-domain and deterministic: runs with equal seeds replay exactly. *)
+    Single-domain and deterministic: runs with equal seeds replay exactly.
+
+    The concurrency experiments and [Tapestry.Async_ops] use it.  The
+    serve engine does not: its drains and injectors only ever sleep a
+    fixed service time or a drawn gap, so they run as plain functions
+    on a flat per-shard timer heap ([Serve.Mailbox.Timer]) that pops
+    in the same (time, push sequence) order as this scheduler. *)
 
 type t
 (** A scheduler instance. *)
@@ -32,12 +38,8 @@ val run : t -> unit
     ivars at that point are stalled (see {!stalled_fibers}). *)
 
 val run_until : t -> float -> unit
-(** Run events scheduled strictly up to the given virtual time. *)
-
-val next_event_time : t -> float
-(** Virtual time of the earliest queued event, [infinity] when the queue
-    is empty.  The serve tier's shard pump interleaves fiber events with
-    its own transport heap by comparing heads, which needs this peek. *)
+(** Run every event at or before the given virtual time, including
+    events queued meanwhile, then lift the clock to it. *)
 
 val stalled_fibers : t -> int
 (** Number of fibers that started but neither finished nor are queued —

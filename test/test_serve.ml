@@ -575,6 +575,215 @@ let test_serve_cold_churn_pinned () =
     "94f926774d9ceb077a0f349e39557fad"
     (Digest.to_hex (Digest.string (Driver.signature r)))
 
+(* ---- timer heap: the engine's event order ---- *)
+
+module Timer = Serve.Mailbox.Timer
+module Fiber = Simnet.Fiber
+
+(* Times come from a coarse grid so equal times, and their push-order
+   tie-break, are common. *)
+let grid i = 0.25 *. float_of_int i
+
+(* Pushes and pops in any interleaving: the timer pops in the order the
+   generic stable [Simnet.Heap] does. *)
+let prop_timer_matches_heap =
+  QCheck.Test.make ~count:300 ~name:"timer pops in Simnet.Heap order"
+    QCheck.(make Gen.(list_size (int_range 0 80) (option (int_bound 12))))
+    (fun ops ->
+      let tm = Timer.create () in
+      let heap = Simnet.Heap.create ~cmp:Float.compare in
+      let next = ref 0 and clock = ref 0. in
+      List.for_all
+        (function
+          | Some i ->
+              Timer.push tm ~time:(grid i) ~kind:0 ~h:!next ~g:0;
+              Simnet.Heap.push heap (grid i) !next;
+              incr next;
+              true
+          | None -> (
+              match Simnet.Heap.pop heap with
+              | None -> not (Timer.pop_into tm)
+              | Some (time, id) ->
+                  clock := Float.max !clock time;
+                  Timer.pop_into tm
+                  && tm.Timer.o_h = id
+                  && Float.equal tm.Timer.clock !clock))
+        ops
+      && Timer.length tm = Simnet.Heap.length heap)
+
+(* Random programs of pushes and [run_until] calls, where every event
+   pushes follow-up events while it runs: [Actor.run_until] over the
+   timer runs the same events in the same order as [Fiber.run_until]
+   and leaves the same clock after every call.  A push at time [t]
+   lands at [max t clock], as [Fiber.spawn_at] places it. *)
+type timer_op =
+  | Push of int * int list  (* grid time, follow-up gaps in grid steps *)
+  | Run_until of int  (* grid limit *)
+
+let timer_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun i ks -> Push (i, ks)) (int_bound 12)
+              (list_size (int_bound 2) (int_bound 2)));
+        (1, map (fun i -> Run_until i) (int_bound 14));
+      ])
+
+let prop_timer_matches_fiber =
+  let ctx =
+    let t =
+      Serve.Shard.create ~net:(build_net 16 3) ~guids:[||] ~roots:1 ~ttl:1.
+        ~latency:1e-5 ~service:1e-4 ~requests:1 ~mailbox_cap:4 ~seed:1
+        ~window:0.02 ~cache:None ~coop:false
+    in
+    t.Serve.Shard.ctxs.(0)
+  in
+  QCheck.Test.make ~count:300 ~name:"run_until matches Simnet.Fiber"
+    QCheck.(make Gen.(list_size (int_range 0 40) timer_op_gen))
+    (fun ops ->
+      let ops = Array.of_list ops in
+      (* event ids: 3 * op index for a push, + 1 + j for its j-th
+         follow-up *)
+      let gaps id =
+        match ops.(id / 3) with Push (_, ks) -> ks | Run_until _ -> []
+      in
+      let sched = Fiber.create () in
+      let fiber_log = ref [] in
+      let rec fiber_event id () =
+        fiber_log := id :: !fiber_log;
+        if id mod 3 = 0 then
+          List.iteri
+            (fun j k ->
+              Fiber.spawn_at sched (Fiber.now sched +. grid k)
+                (fiber_event (id + 1 + j)))
+            (gaps id)
+      in
+      let tm = Timer.create () in
+      let push time id =
+        let c = tm.Timer.clock in
+        Timer.push tm ~time:(Float.max time c) ~kind:Serve.Actor.ev_inject
+          ~h:id ~g:0
+      in
+      let timer_log = ref [] in
+      let ctx = { ctx with Serve.Actor.tm } in
+      ctx.Serve.Actor.inject <-
+        (fun ctx ->
+          let id = ctx.Serve.Actor.tm.Timer.o_h in
+          timer_log := id :: !timer_log;
+          if id mod 3 = 0 then
+            List.iteri
+              (fun j k -> push (tm.Timer.clock +. grid k) (id + 1 + j))
+              (gaps id));
+      let same_clock () = Float.equal (Fiber.now sched) tm.Timer.clock in
+      let ok =
+        Array.to_list ops
+        |> List.mapi (fun i op -> (i, op))
+        |> List.for_all (fun (i, op) ->
+               match op with
+               | Push (t, _) ->
+                   Fiber.spawn_at sched (grid t) (fiber_event (3 * i));
+                   push (grid t) (3 * i);
+                   true
+               | Run_until l ->
+                   Fiber.run_until sched (grid l);
+                   Serve.Actor.run_until ctx (grid l);
+                   same_clock ())
+      in
+      Fiber.run_until sched 100.;
+      Serve.Actor.run_until ctx 100.;
+      ok && same_clock () && List.equal Int.equal !fiber_log !timer_log)
+
+(* ---- allocation in the measured phase ---- *)
+
+(* Minor words per delivered message from the engine's first wall stamp
+   to the driver's return ([now]'s second and last calls), at n=1024 in
+   the benchmark's two shapes.  The timer-driven engine reads 49.9
+   (hot) and 59.9 (cold churn); the fiber engine before it read 109.7
+   and 116.5, with a continuation, a closure and a heap entry per
+   drain start, service and injector gap.  The bounds leave about 3
+   words of margin, so a closure or boxed event per message coming back
+   fails here. *)
+let minor_words_per_message params =
+  let net = build_net 1024 7 in
+  let calls = ref 0 and w_start = ref 0. and w_end = ref 0. in
+  let now () =
+    incr calls;
+    let w = Gc.minor_words () in
+    if !calls = 2 then w_start := w;
+    w_end := w;
+    float_of_int !calls
+  in
+  let r = Driver.run ~net params ~now in
+  (!w_end -. !w_start) /. float_of_int r.Driver.delivered
+
+let alloc_params =
+  {
+    Driver.default with
+    Driver.requests = 20_000;
+    objects = 1_000;
+    cache_size = 64;
+    coop = true;
+    domains = 1;
+  }
+
+let test_alloc_hot () =
+  let w = minor_words_per_message alloc_params in
+  if w > 53. then
+    Alcotest.failf "hot shape: %.1f minor words per delivered message (bound 53)" w
+
+let test_alloc_cold_churn () =
+  let w =
+    minor_words_per_message
+      {
+        alloc_params with
+        Driver.objects = 20_000;
+        zipf_s = 0.;
+        p_publish = 0.3;
+        p_unpublish = 0.1;
+        kill_rate = 20.;
+        join_rate = 20.;
+      }
+  in
+  if w > 63. then
+    Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 63)" w
+
+(* ---- wall ledger ---- *)
+
+(* The ledger's phases tile the run.  [now] and [clock] share one
+   counter that ticks 1 per reading, so every wall quantity counts
+   readings: the phases cover every reading between the driver's first
+   and last ledger stamp, and miss exactly four (the two [now] calls
+   outside them, and the two hand-offs between the driver's stamps and
+   [Shard.run]'s). *)
+let test_ledger_tiles_wall () =
+  let ticks = ref 0. in
+  let tick () =
+    ticks := !ticks +. 1.;
+    !ticks
+  in
+  let net = build_net 256 42 in
+  let r =
+    Driver.run ~clock:tick ~net
+      { serve_params with Driver.kill_rate = 8.; join_rate = 4. }
+      ~now:tick
+  in
+  let l = r.Driver.engine.Serve.Shard.ledger in
+  let open Serve.Shard in
+  let sum =
+    l.setup +. l.drain +. l.flush +. l.repair +. l.intents +. l.digest
+    +. l.churn +. l.collect
+  in
+  Alcotest.(check (float 0.)) "phases + 4 readings = wall_s" r.Driver.wall_s
+    (sum +. 4.);
+  (* every barrier reads the clock once per engine phase and [now] once
+     inside the flush phase *)
+  let b = float_of_int r.Driver.barriers in
+  Alcotest.(check (float 0.)) "flush phase holds the barrier stamps"
+    (2. *. b) l.flush;
+  Alcotest.(check bool) "every phase read" true
+    (List.for_all (fun x -> x > 0.)
+       [ l.setup; l.drain; l.repair; l.intents; l.digest; l.churn; l.collect ])
+
 let () =
   Alcotest.run "serve"
     [
@@ -649,5 +858,20 @@ let () =
             `Quick test_redirect_budget_bounded;
           Alcotest.test_case "cache 0 signature pinned" `Quick
             test_cache_zero_signature_pinned;
+        ] );
+      ( "timer",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_timer_matches_heap; prop_timer_matches_fiber ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "hot shape minor words per message" `Quick
+            test_alloc_hot;
+          Alcotest.test_case "cold-churn shape minor words per message"
+            `Quick test_alloc_cold_churn;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "phases tile wall_s" `Quick
+            test_ledger_tiles_wall;
         ] );
     ]

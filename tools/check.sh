@@ -29,7 +29,11 @@
 # (<60s), JSON round-tripped through the bench parser and — when a
 # committed BENCH_serve.json has a matching workload point — gated by
 # bench_compare's serve, cache and coop rows (throughput down, p99 up,
-# messages per request up, hit rate down).
+# messages per request up, hit rate down).  The run's `signature md5`
+# (the hash of Driver.signature: every counter and the virtual-latency
+# histogram) must also equal the constant in its row, so an engine
+# change that moves serve behaviour at n=4096 fails here, not only in
+# the small unit pins.  A change meant to move behaviour re-pins it.
 #
 # ./tools/check.sh --cache-smoke runs ONLY the object-cache smoke: the
 # same n=4096 serve with a per-node cache attached and --audit, so the
@@ -51,12 +55,13 @@ cd "$(dirname "$0")/.."
 # One row per smoke stage, in the order they are tried:
 #   flag | exit code | tapestry_sim arguments | JSON field that must be
 #   positive (- for none) | committed file to gate against with
-#   bench_compare (- for none) | what the stage covers
+#   bench_compare (- for none) | expected `signature md5` of the run
+#   (- for none) | what the stage covers
 smokes=(
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
-  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
-  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
-  "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|scale smoke (n=32768 streamed build + JSON round-trip)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|-|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
+  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|50ef0071058074325bf0c8340ab07f3c|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
+  "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|scale smoke (n=32768 streamed build + JSON round-trip)"
 )
 
 advisory=""
@@ -72,17 +77,27 @@ done
 # Run one smoke row and exit: the run itself (--audit rows fail on any
 # invariant violation), the JSON round-trip through the bench parser,
 # the positive-field check (the stage's mechanism actually did work,
-# not just compiled), then the gate against the committed baseline.
+# not just compiled), the signature check, then the gate against the
+# committed baseline.
 run_smoke() {
-  local code=$1 args=$2 field=$3 gate=$4 what=$5 v
+  local code=$1 args=$2 field=$3 gate=$4 md5=$5 what=$6 v got
   dune build bin/tapestry_sim.exe bench/main.exe \
     tools/bench_compare/bench_compare.exe || exit 10
   tmp_smoke=$(mktemp /tmp/smoke.XXXXXX.json)
-  trap 'rm -f "$tmp_smoke"' EXIT
+  tmp_out=$(mktemp /tmp/smoke.XXXXXX.txt)
+  trap 'rm -f "$tmp_smoke" "$tmp_out"' EXIT
   # $args is a word list: split it
   # shellcheck disable=SC2086
-  dune exec bin/tapestry_sim.exe -- $args --json "$tmp_smoke" || exit "$code"
+  dune exec bin/tapestry_sim.exe -- $args --json "$tmp_smoke" \
+    | tee "$tmp_out" || exit "$code"
   dune exec bench/main.exe -- --check-json "$tmp_smoke" || exit "$code"
+  if [ "$md5" != - ]; then
+    got=$(grep -o 'signature md5 [0-9a-f]*' "$tmp_out" | head -1 | sed 's/.* //' || true)
+    [ "$got" = "$md5" ] || {
+      echo "check: $what signature md5 ${got:-missing}, expected $md5" >&2
+      exit "$code"
+    }
+  fi
   if [ "$field" != - ]; then
     v=$(grep -o "\"$field\": *[0-9.eE+-]*" "$tmp_smoke" | head -1 | sed 's/.*: *//' || true)
     awk -v v="${v:-0}" 'BEGIN { exit (v > 0 ? 0 : 1) }' || {
@@ -99,9 +114,9 @@ run_smoke() {
 }
 
 for row in "${smokes[@]}"; do
-  IFS='|' read -r flag code args field gate what <<< "$row"
+  IFS='|' read -r flag code args field gate md5 what <<< "$row"
   case "$selected" in
-    *" $flag "*) run_smoke "$code" "$args" "$field" "$gate" "$what" ;;
+    *" $flag "*) run_smoke "$code" "$args" "$field" "$gate" "$md5" "$what" ;;
   esac
 done
 
