@@ -211,11 +211,13 @@ let scale_cmd =
   let json_arg =
     Arg.(
       value
-      & opt (some string) (Some "BENCH_scale.json")
+      & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write machine-readable results (tapestry-bench/1 schema with a \
-             \"scale\" array); \"-\" disables.")
+            "Write machine-readable results to FILE (tapestry-bench/1 schema \
+             with a \"scale\" array).  Without it, or with \"-\", no file \
+             is written, so a plain run never overwrites the committed \
+             BENCH_scale.json baseline.")
   in
   let objects_arg =
     Arg.(
@@ -398,11 +400,13 @@ let serve_cmd =
   let json_arg =
     Arg.(
       value
-      & opt (some string) (Some "BENCH_serve.json")
+      & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Write machine-readable results (tapestry-bench/1 schema with a \
-             \"serve\" array); \"-\" disables.")
+            "Write machine-readable results to FILE (tapestry-bench/1 schema \
+             with a \"serve\" array).  Without it, or with \"-\", no file \
+             is written, so a plain run never overwrites the committed \
+             BENCH_serve.json baseline.")
   in
   let audit_arg =
     Arg.(

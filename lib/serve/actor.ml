@@ -3,7 +3,7 @@
 
    Each alive node is a latent actor.  When a message lands in its
    mailbox and the actor is idle, a drain-start event goes on the
-   owning shard's timer heap.  The drain pops messages FIFO into the
+   owning shard's event heap.  The drain pops messages FIFO into the
    node's in-service slot, models [service] virtual seconds of local
    processing per message with a service-done event, then executes the
    hop (pointer probe, deposit, removal, or replica check) and sends the
@@ -51,7 +51,7 @@
    Shard confinement: a dispatch only mutates state owned by the shard
    it runs on (the target node's pointer store / replica set — nodes are
    partitioned by handle), reads the frozen routing mesh, and writes its
-   own shard's counters, histograms, transport and outbox.  Dead
+   own shard's counters, histograms, event heap and outbox.  Dead
    neighbors noticed during digit scans are not purged mid-window (that
    would mutate shared tables and the global cost accumulator the way
    [Route.purge] does); the owner is recorded in the dirty set and the
@@ -62,7 +62,7 @@
    returns; scratch results travel through mutable ctx fields. *)
 
 open Tapestry
-module Timer = Mailbox.Timer
+module Events = Mailbox.Events
 module Cost = Simnet.Cost
 module Hist = Simnet.Stats.Hist
 
@@ -89,10 +89,10 @@ let st_failed = '\002'
 let st_dropped = '\003'
 let st_dead_letter = '\004'
 
-(* timer event kinds *)
-let ev_drain = 0
-let ev_service = 1
-let ev_inject = 2
+(* engine event kinds, negative so they never collide with an opcode *)
+let ev_drain = -1
+let ev_service = -2
+let ev_inject = -3
 
 type shared = {
   net : Network.t;
@@ -133,8 +133,7 @@ type shared = {
 type ctx = {
   sh : shared;
   shard : int;
-  tm : Timer.tm;  (* drain, service and injector events; the shard clock *)
-  tr : Mailbox.Transport.tr;
+  q : Events.q;  (* messages, drain, service and injector events; the clock *)
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;  (* injector stream; dispatch never draws from it *)
   cost : Cost.t;
@@ -236,8 +235,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
     {
       sh;
       shard;
-      tm = Timer.create ();
-      tr = Mailbox.Transport.create ();
+      q = Events.create ();
       out = Mailbox.Outbox.create ();
       rng;
       cost = Cost.make ();
@@ -376,7 +374,7 @@ let rec next_hop ctx (node : Node.t) guid level =
     end
   end
 
-(* Send: same-shard targets go straight into this shard's transport;
+(* Send: same-shard targets go straight into this shard's event heap;
    cross-shard targets are buffered in the outbox until the barrier.
    The target's mailbox generation is captured now — churn at a later
    barrier turns the message into a dead letter. *)
@@ -384,7 +382,7 @@ let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
   let sh = ctx.sh in
   let g = Mailbox.generation sh.mb h in
   if h mod sh.shards = ctx.shard then
-    Mailbox.Transport.push ctx.tr ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
+    Events.push ctx.q ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
   else Mailbox.Outbox.push ctx.out ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
 
 let complete_ok ctx ~now ~req =
@@ -679,8 +677,8 @@ let rec drain_head ctx h gen =
     Mailbox.take mb h;
     let service = ctx.sh.service in
     if service > 0. then
-      Timer.push ctx.tm ~time:(ctx.tm.Timer.clock +. service) ~kind:ev_service
-        ~h ~g:gen
+      Events.schedule ctx.q ~time:(ctx.q.Events.clock.(0) +. service)
+        ~kind:ev_service ~h ~g:gen
     else serve_done ctx h gen
   end
 
@@ -699,37 +697,24 @@ and serve_done ctx h gen =
   else begin
     dispatch ctx
       (Network.node_of_handle sh.net h)
-      ~now:ctx.tm.Timer.clock ~kind:mb.Mailbox.s_kind.(h) ~req
+      ~now:ctx.q.Events.clock.(0) ~kind:mb.Mailbox.s_kind.(h) ~req
       ~oi:mb.Mailbox.s_oi.(h) ~level:mb.Mailbox.s_level.(h)
       ~prev:mb.Mailbox.s_prev.(h) ~src:mb.Mailbox.s_src.(h);
     drain_head ctx h gen
   end
 
-(* Run every timer event at or before [limit], including events pushed
-   meanwhile, then lift the shard clock to [limit]. *)
-let rec run_until ctx limit =
-  let tm = ctx.tm in
-  if Timer.peek_time tm <= limit then begin
-    ignore (Timer.pop_into tm : bool);
-    let kind = tm.Timer.o_kind in
-    if kind = ev_inject then ctx.inject ctx
-    else if kind = ev_service then serve_done ctx tm.Timer.o_h tm.Timer.o_g
-    else drain_head ctx tm.Timer.o_h tm.Timer.o_g;
-    run_until ctx limit
-  end
-  else Timer.lift tm limit
-
-(* Deliver one transport message (already popped into [tr.o_*]): dead
-   letters and ring overflow are terminal for the request; otherwise
-   enqueue and, if the actor is idle, schedule its drain start. *)
-let deliver ctx ~time =
+(* Deliver the message just popped into [q.o_*] (the clock is at its
+   arrival time): dead letters and ring overflow are terminal for the
+   request; otherwise enqueue and, if the actor is idle, schedule its
+   drain start now. *)
+let deliver ctx =
   let sh = ctx.sh in
-  let tr = ctx.tr in
-  let h = tr.Mailbox.Transport.o_h in
-  let req = tr.Mailbox.Transport.o_req in
+  let q = ctx.q in
+  let h = q.Events.o_h in
+  let req = q.Events.o_req in
   ctx.delivered <- ctx.delivered + 1;
   if
-    Mailbox.generation sh.mb h <> tr.Mailbox.Transport.o_g
+    Mailbox.generation sh.mb h <> q.Events.o_g
     || not (Node.is_alive (Network.node_of_handle sh.net h))
   then begin
     ctx.dead_letter <- ctx.dead_letter + 1;
@@ -740,13 +725,12 @@ let deliver ctx ~time =
   end
   else if
     not
-      (Mailbox.push sh.mb h ~kind:tr.Mailbox.Transport.o_kind ~req
-         ~oi:tr.Mailbox.Transport.o_oi ~level:tr.Mailbox.Transport.o_level
-         ~prev:tr.Mailbox.Transport.o_prev ~src:tr.Mailbox.Transport.o_src)
+      (Mailbox.push sh.mb h ~kind:q.Events.o_kind ~req ~oi:q.Events.o_oi
+         ~level:q.Events.o_level ~prev:q.Events.o_prev ~src:q.Events.o_src)
   then begin
-    let kind = tr.Mailbox.Transport.o_kind in
-    let prev = tr.Mailbox.Transport.o_prev in
-    let rc = tr.Mailbox.Transport.o_level + 1 in
+    let kind = q.Events.o_kind in
+    let prev = q.Events.o_prev in
+    let rc = q.Events.o_level + 1 in
     if
       kind = op_fetch && req >= 0 && rc <= rc_max + 1
       && prev >= 0 && prev <> h
@@ -760,9 +744,9 @@ let deliver ctx ~time =
          The climb is cache-free at any [rc]: a cached one would re-hit
          the holder's entry and resend the FETCH to the same server. *)
       ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-      send ctx ~time ~h:prev ~kind:op_locate_nc ~req
-        ~oi:tr.Mailbox.Transport.o_oi ~level:(rc lsl rc_shift) ~prev:(-1)
-        ~src:tr.Mailbox.Transport.o_src
+      send ctx ~time:q.Events.clock.(0) ~h:prev ~kind:op_locate_nc ~req
+        ~oi:q.Events.o_oi ~level:(rc lsl rc_shift) ~prev:(-1)
+        ~src:q.Events.o_src
     end
     else begin
       (* bounded mailbox full: drop the newcomer (backpressure policy) *)
@@ -775,8 +759,22 @@ let deliver ctx ~time =
   end
   else if not (Mailbox.is_busy sh.mb h) then begin
     Mailbox.set_busy sh.mb h true;
-    let clock = ctx.tm.Timer.clock in
-    Timer.push ctx.tm
-      ~time:(if time > clock then time else clock)
-      ~kind:ev_drain ~h ~g:(Mailbox.generation sh.mb h)
+    Events.schedule q ~time:q.Events.clock.(0) ~kind:ev_drain ~h
+      ~g:(Mailbox.generation sh.mb h)
   end
+
+(* The shard's event loop: run every event at or before [limit],
+   including events pushed meanwhile, in heap order, then lift the
+   clock to [limit]. *)
+let rec run_until ctx limit =
+  let q = ctx.q in
+  if Events.peek_time q <= limit then begin
+    ignore (Events.pop_into q : bool);
+    let kind = q.Events.o_kind in
+    if kind >= 0 then deliver ctx
+    else if kind = ev_service then serve_done ctx q.Events.o_h q.Events.o_g
+    else if kind = ev_drain then drain_head ctx q.Events.o_h q.Events.o_g
+    else ctx.inject ctx;
+    run_until ctx limit
+  end
+  else Events.lift q limit

@@ -1,6 +1,6 @@
 (** Per-node actors: mailbox drains and the per-message protocol state
     machine of the serving runtime (DESIGN.md section 9).  A drain is
-    driven by the shard's {!Mailbox.Timer} heap: a drain-start event
+    driven by the shard's {!Mailbox.Events} heap: a drain-start event
     pops the next message into the node's in-service slot, and its
     service-done event dispatches it and pops the next.
 
@@ -61,9 +61,10 @@ val st_dropped : char
 val st_dead_letter : char
 
 val ev_inject : int
-(** Timer event kind that runs the shard's injector step
-    ([ctx.inject]).  The other kinds, drain start and service done,
-    carry a handle and its mailbox generation and stay internal. *)
+(** Engine event kind that runs the shard's injector step
+    ([ctx.inject]).  The other engine kinds, drain start and service
+    done, carry a handle and its mailbox generation and stay internal.
+    All three are negative, apart from every opcode. *)
 
 (** Run-global immutable tables plus the few cross-shard cells written
     only at barriers ([wall], [dirty]) or at disjoint indices
@@ -102,14 +103,13 @@ type shared = {
   win : int array;  (** [win.(0)]: window counter, barrier-written *)
 }
 
-(** Per-shard private world: timer heap (and clock), transport, outbox,
+(** Per-shard private world: event heap (and clock), outbox,
     RNG, cost and latency accounting, plus mutable scratch so the hot
     dispatch path allocates nothing. *)
 type ctx = {
   sh : shared;
   shard : int;
-  tm : Mailbox.Timer.tm;
-  tr : Mailbox.Transport.tr;
+  q : Mailbox.Events.q;
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;
   cost : Simnet.Cost.t;
@@ -176,19 +176,16 @@ val send :
   ctx -> time:float -> h:int -> kind:int -> req:int -> oi:int ->
   level:int -> prev:int -> src:int -> unit
 (** Route a message to handle [h]: same-shard straight into this shard's
-    transport, cross-shard into the outbox for the barrier.  Captures
+    event heap, cross-shard into the outbox for the barrier.  Captures
     the target's mailbox generation at send time. *)
 
 val complete_failed : ctx -> req:int -> unit
 
-val deliver : ctx -> time:float -> unit
-(** Deliver the transport message just popped into [ctx.tr]'s out
-    fields: generation mismatches and dead targets are dead letters,
-    ring overflow drops the newcomer, otherwise the message is enqueued
-    and, if the actor is idle, a drain-start event is pushed at
-    [max time clock]. *)
-
 val run_until : ctx -> float -> unit
-(** Run every timer event at or before the limit, including events
-    pushed meanwhile, in (time, push sequence) order; then lift the
-    shard clock to the limit. *)
+(** The shard's event loop: pop and run every event at or before the
+    limit, including events pushed meanwhile, in (time, class, push
+    sequence) order — a message is delivered (dead letter, ring
+    overflow, or enqueued with a drain start scheduled at once if the
+    actor is idle), a drain start or service done advances the node's
+    drain, an injector step runs [ctx.inject] — then lift the shard
+    clock to the limit. *)

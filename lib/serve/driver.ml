@@ -2,7 +2,7 @@
    section 9).
 
    Each shard owns an injector, a step function run from the shard's
-   timer heap, drawing exponential inter-arrival gaps at
+   event heap, drawing exponential inter-arrival gaps at
    [rate / shard_count] from its private RNG stream, so the aggregate
    arrival process is open-loop Poisson at [rate] and injection is
    deterministic per shard regardless of the domain count.
@@ -19,7 +19,7 @@
    no spare points), inserting through a random live gateway. *)
 
 open Tapestry
-module Timer = Mailbox.Timer
+module Events = Mailbox.Events
 module Rng = Simnet.Rng
 module Hist = Simnet.Stats.Hist
 module Workload = Evaluation.Workload
@@ -141,7 +141,7 @@ let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
       ~level:0 ~prev:(-1) ~src:srv_h
   done
 
-(* The injector's step, run on each of its timer events: issue request
+(* The injector's step, run on each of its events: issue request
    [inj_k] (none at the start event), then schedule the next event one
    exponential gap later, [count] requests in all. *)
 let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
@@ -149,10 +149,10 @@ let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
   let net = sh.Actor.net in
   let rng = ctx.Actor.rng in
   let roots = sh.Actor.roots in
-  let tm = ctx.Actor.tm in
+  let q = ctx.Actor.q in
   let k = ctx.Actor.inj_k in
   if k >= 0 then begin
-    let now = tm.Timer.clock in
+    let now = q.Events.clock.(0) in
     let req = reqbase + k in
     sh.Actor.req_t0.(req) <- now;
     sh.Actor.req_w0.(req) <- sh.Actor.wall.(0);
@@ -186,8 +186,8 @@ let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
   ctx.Actor.inj_k <- k + 1;
   if k + 1 < count then begin
     let gap = Rng.exponential rng ~mean:mean_gap in
-    Timer.push tm
-      ~time:(tm.Timer.clock +. (if gap > 0. then gap else 0.))
+    Events.schedule q
+      ~time:(q.Events.clock.(0) +. (if gap > 0. then gap else 0.))
       ~kind:Actor.ev_inject ~h:0 ~g:0
   end
 
@@ -284,7 +284,7 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
     let ctx = t.Shard.ctxs.(s) in
     ctx.Actor.inject <- inject_step params z log ~reqbase ~count ~mean_gap;
     if count > 0 then
-      Timer.push ctx.Actor.tm ~time:ctx.Actor.tm.Timer.clock
+      Events.schedule ctx.Actor.q ~time:ctx.Actor.q.Events.clock.(0)
         ~kind:Actor.ev_inject ~h:0 ~g:0
   done;
   let st =

@@ -1,6 +1,6 @@
 (* Message plumbing for the actor runtime (DESIGN.md section 9).
 
-   Four flat, allocation-free structures:
+   Three flat, allocation-free structures:
 
    - [t]: the system-wide mailbox array — one bounded FIFO ring per
      arena handle over struct-of-arrays int payloads, generation-
@@ -8,28 +8,27 @@
      in O(1) and in-flight messages addressed to the old incarnation
      are recognized as dead letters — plus one in-service slot per
      handle, holding the message an actor popped and is serving;
-   - [Transport]: a per-shard binary min-heap of in-flight messages
-     keyed by (delivery time, send sequence) — the stable tie-break
-     that makes replay exact — with payloads parked in a free-listed
-     side pool so sift swaps move three words, not ten;
-   - [Timer]: a per-shard binary min-heap of engine events (drain
-     start, service done, injector step) keyed by (virtual time, push
-     sequence), which also carries the shard's virtual clock;
+   - [Events]: a per-shard binary min-heap holding the shard's in-flight
+     messages and its engine events (drain start, service done,
+     injector step), keyed by (time, class, push sequence) — the stable
+     tie-break that makes replay exact — with payloads parked in a
+     free-listed side pool so sift swaps move three words, not ten; it
+     also carries the shard's virtual clock;
    - [Outbox]: a per-shard append log of cross-shard sends, drained
-     into the target shards' transports at window barriers.
+     into the target shards' event heaps at window barriers.
 
    A message is six ints: [kind] (the Actor opcode), [req] (global
    request id, -1 for fire-and-forget chains), [oi] (object x root_set
    index into the driver's salted-guid table), [level] (walk level,
    also carrying the root index for secondary chains), [prev] (arena
    handle of the previous publish hop, -1 at the server), [src] (arena
-   handle of the origin server).  Transport entries add the target
+   handle of the origin server).  In-flight entries add the target
    handle and the target's mailbox generation at send time.
 
    Results are read in place (ring slots via [msg_index], in-service
-   slots by handle, transport and timer heads via per-shard [o_*]
-   scratch) rather than returned records, so the per-message path
-   allocates nothing (this file is on the typed lint's hot-path list).
+   slots by handle, event heads via per-shard [o_*] scratch) rather
+   than returned records, so the per-message path allocates nothing
+   (this file is on the typed lint's hot-path list).
    Scratch fields live only on per-shard structures; the shared
    mailbox arena has none. *)
 
@@ -49,8 +48,8 @@ type t = {
   mutable gen : int array;
   mutable busy : int array;
       (* 1 from the delivery that finds the actor idle until its drain
-         finds the ring empty: a drain-start or service-done timer event
-         is pending for the handle *)
+         finds the ring empty: a drain-start or service-done event is
+         pending for the handle *)
   (* in-service slots, indexed by handle: the message the actor popped
      and is serving until its service-done event *)
   mutable s_kind : int array;
@@ -182,13 +181,19 @@ let kill t h =
   t.busy.(h) <- 0;
   t.gen.(h) <- t.gen.(h) + 1
 
-(* In-flight messages of one shard, ordered by (delivery time, send
-   seq).  The heap triple (time, seq, pool slot) lives in three parallel
-   arrays; payloads stay put in the pool while sifting. *)
-module Transport = struct
-  type tr = {
-    mutable tt : float array;  (* delivery time *)
-    mutable ts : int array;  (* send sequence: stable ties *)
+(* The event queue of one shard: in-flight messages and engine events
+   (drain start, service done, injector step) in one binary min-heap,
+   ordered by (time, class, push seq).  Engine events are class 0 and
+   messages class 1, so at equal times every engine event runs before
+   every message; the class rides the sequence word's bit 61 beside one
+   shared push counter, so [before] stays two compares.  The heap triple
+   (time, seq, pool slot) lives in three parallel arrays; payloads stay
+   put in a free-listed pool while sifting.  An engine event uses the
+   pool's kind (a negative code, below every Actor opcode), h and g. *)
+module Events = struct
+  type q = {
+    mutable tt : float array;  (* event time *)
+    mutable ts : int array;  (* class bit lor push sequence: stable ties *)
     mutable tp : int array;  (* payload pool slot *)
     mutable tlen : int;
     mutable seq : int;
@@ -204,8 +209,8 @@ module Transport = struct
     mutable free : int array;
     mutable free_len : int;
     mutable pcap : int;
+    clock : float array;  (* clock.(0): the shard's virtual time, unboxed *)
     (* out-params of [pop_into] *)
-    mutable o_time : float;
     mutable o_h : int;
     mutable o_g : int;
     mutable o_kind : int;
@@ -215,6 +220,8 @@ module Transport = struct
     mutable o_prev : int;
     mutable o_src : int;
   }
+
+  let message_class = 1 lsl 61
 
   (* [@alloc_ok]: per-shard constructor, once per run. *)
   let[@alloc_ok] create () =
@@ -236,7 +243,7 @@ module Transport = struct
       free = Array.make cap 0;
       free_len = 0;
       pcap = 0;
-      o_time = 0.;
+      clock = Array.make 1 0.;
       o_h = 0;
       o_g = 0;
       o_kind = 0;
@@ -246,8 +253,6 @@ module Transport = struct
       o_prev = 0;
       o_src = 0;
     }
-
-  let length t = t.tlen
 
   let peek_time t = if t.tlen = 0 then infinity else t.tt.(0)
 
@@ -314,8 +319,9 @@ module Transport = struct
       end
     end
 
-  let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
-    (* take a pool slot *)
+  (* Take a pool slot for an event of [kind] to handle [h] (mailbox
+     generation [g]), then heap-insert it at [time] in class [cls]. *)
+  let insert t ~time ~cls ~kind ~h ~g =
     let slot =
       if t.free_len > 0 then begin
         t.free_len <- t.free_len - 1;
@@ -331,25 +337,33 @@ module Transport = struct
     t.p_h.(slot) <- h;
     t.p_g.(slot) <- g;
     t.p_kind.(slot) <- kind;
+    if t.tlen >= Array.length t.tt then grow_heap t;
+    let i = t.tlen in
+    t.tt.(i) <- time;
+    t.ts.(i) <- cls lor t.seq;
+    t.tp.(i) <- slot;
+    t.seq <- t.seq + 1;
+    t.tlen <- i + 1;
+    sift_up t i;
+    slot
+
+  let schedule t ~time ~kind ~h ~g =
+    ignore (insert t ~time ~cls:0 ~kind ~h ~g : int)
+
+  let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
+    let slot = insert t ~time ~cls:message_class ~kind ~h ~g in
     t.p_req.(slot) <- req;
     t.p_oi.(slot) <- oi;
     t.p_level.(slot) <- level;
     t.p_prev.(slot) <- prev;
-    t.p_src.(slot) <- src;
-    if t.tlen >= Array.length t.tt then grow_heap t;
-    let i = t.tlen in
-    t.tt.(i) <- time;
-    t.ts.(i) <- t.seq;
-    t.tp.(i) <- slot;
-    t.seq <- t.seq + 1;
-    t.tlen <- t.tlen + 1;
-    sift_up t i
+    t.p_src.(slot) <- src
 
   let pop_into t =
     if t.tlen = 0 then false
     else begin
       let slot = t.tp.(0) in
-      t.o_time <- t.tt.(0);
+      let time = t.tt.(0) in
+      if time > t.clock.(0) then t.clock.(0) <- time;
       t.o_h <- t.p_h.(slot);
       t.o_g <- t.p_g.(slot);
       t.o_kind <- t.p_kind.(slot);
@@ -368,140 +382,14 @@ module Transport = struct
       end;
       true
     end
-end
 
-(* Engine events of one shard, ordered by (time, push seq) exactly as
-   a generic stable heap would order them.  Each event is (kind,
-   handle, generation) in parallel arrays beside the key, so a sift
-   swap moves five words and nothing is boxed. *)
-module Timer = struct
-  type tm = {
-    mutable et : float array;  (* event time *)
-    mutable es : int array;  (* push sequence: stable ties *)
-    mutable ek : int array;  (* event kind *)
-    mutable eh : int array;  (* handle (drain events) *)
-    mutable eg : int array;  (* mailbox generation (drain events) *)
-    mutable elen : int;
-    mutable seq : int;
-    mutable clock : float;  (* the shard's virtual time *)
-    (* out-params of [pop_into] *)
-    mutable o_kind : int;
-    mutable o_h : int;
-    mutable o_g : int;
-  }
-
-  (* [@alloc_ok]: per-shard constructor, once per run. *)
-  let[@alloc_ok] create () =
-    let cap = 64 in
-    {
-      et = Array.make cap 0.;
-      es = Array.make cap 0;
-      ek = Array.make cap 0;
-      eh = Array.make cap 0;
-      eg = Array.make cap 0;
-      elen = 0;
-      seq = 0;
-      clock = 0.;
-      o_kind = 0;
-      o_h = 0;
-      o_g = 0;
-    }
-
-  let length t = t.elen
-
-  let peek_time t = if t.elen = 0 then infinity else t.et.(0)
-
-  (* [@alloc_ok]: amortized doubling, off the steady-state path. *)
-  let[@alloc_ok] grow t =
-    let cap = Array.length t.et * 2 in
-    let gi a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 t.elen;
-      b
-    in
-    let ft = Array.make cap 0. in
-    Array.blit t.et 0 ft 0 t.elen;
-    t.et <- ft;
-    t.es <- gi t.es;
-    t.ek <- gi t.ek;
-    t.eh <- gi t.eh;
-    t.eg <- gi t.eg
-
-  let before t i j =
-    t.et.(i) < t.et.(j) || (t.et.(i) = t.et.(j) && t.es.(i) < t.es.(j))
-
-  let swap t i j =
-    let f = t.et.(i) in
-    t.et.(i) <- t.et.(j);
-    t.et.(j) <- f;
-    let x = t.es.(i) in
-    t.es.(i) <- t.es.(j);
-    t.es.(j) <- x;
-    let x = t.ek.(i) in
-    t.ek.(i) <- t.ek.(j);
-    t.ek.(j) <- x;
-    let x = t.eh.(i) in
-    t.eh.(i) <- t.eh.(j);
-    t.eh.(j) <- x;
-    let x = t.eg.(i) in
-    t.eg.(i) <- t.eg.(j);
-    t.eg.(j) <- x
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t i parent then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 in
-    if l < t.elen then begin
-      let r = l + 1 in
-      let m = if r < t.elen && before t r l then r else l in
-      if before t m i then begin
-        swap t i m;
-        sift_down t m
-      end
-    end
-
-  let push t ~time ~kind ~h ~g =
-    if t.elen >= Array.length t.et then grow t;
-    let i = t.elen in
-    t.et.(i) <- time;
-    t.es.(i) <- t.seq;
-    t.ek.(i) <- kind;
-    t.eh.(i) <- h;
-    t.eg.(i) <- g;
-    t.seq <- t.seq + 1;
-    t.elen <- i + 1;
-    sift_up t i
-
-  let pop_into t =
-    if t.elen = 0 then false
-    else begin
-      let time = t.et.(0) in
-      if time > t.clock then t.clock <- time;
-      t.o_kind <- t.ek.(0);
-      t.o_h <- t.eh.(0);
-      t.o_g <- t.eg.(0);
-      t.elen <- t.elen - 1;
-      if t.elen > 0 then begin
-        swap t 0 t.elen;
-        sift_down t 0
-      end;
-      true
-    end
-
-  let lift t limit = if limit > t.clock then t.clock <- limit
+  let lift t limit = if limit > t.clock.(0) then t.clock.(0) <- limit
 end
 
 (* Cross-shard sends buffered during a window, drained sequentially at
    the barrier.  Append order is the shard's deterministic execution
    order, and barriers drain shards in index order, so the target
-   transport's sequence assignment — and therefore same-time delivery
+   event heap's sequence assignment — and therefore same-time delivery
    order — is independent of the domain count. *)
 module Outbox = struct
   type ob = {
@@ -555,8 +443,6 @@ module Outbox = struct
     t.b_prev <- gi t.b_prev;
     t.b_src <- gi t.b_src
 
-  let length t = t.blen
-
   let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
     if t.blen >= Array.length t.b_h then grow t;
     let i = t.blen in
@@ -572,16 +458,4 @@ module Outbox = struct
     t.blen <- t.blen + 1
 
   let clear t = t.blen <- 0
-
-  (* Barrier-side drain: push entry [i] of [ob] into [tr], bumping the
-     delivery time to [floor] (the window barrier) when the natural
-     arrival would land inside the already-executed window. *)
-  let flush_into t (tr : Transport.tr) ~floor =
-    for i = 0 to t.blen - 1 do
-      let time = if t.b_time.(i) < floor then floor else t.b_time.(i) in
-      Transport.push tr ~time ~h:t.b_h.(i) ~g:t.b_g.(i) ~kind:t.b_kind.(i)
-        ~req:t.b_req.(i) ~oi:t.b_oi.(i) ~level:t.b_level.(i)
-        ~prev:t.b_prev.(i) ~src:t.b_src.(i)
-    done;
-    t.blen <- 0
 end

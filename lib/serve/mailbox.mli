@@ -1,14 +1,14 @@
 (** Message plumbing for the actor runtime: bounded per-node mailbox
-    rings with one in-service slot per node, the per-shard in-flight
-    transport heap, the per-shard engine timer heap, and the
-    cross-shard outbox (DESIGN.md section 9).
+    rings with one in-service slot per node, the per-shard event heap
+    (in-flight messages and engine events), and the cross-shard outbox
+    (DESIGN.md section 9).
 
     A message is six ints — [kind] (Actor opcode), [req] (global request
     id, [-1] for fire-and-forget), [oi] (object x root index into the
     driver's salted-guid table), [level] (walk level, packed with the
     root index for secondary chains), [prev] (previous publish hop's
     arena handle, [-1] at the server), [src] (origin server's handle).
-    Transport/outbox entries also carry the target handle and the
+    In-flight entries also carry the target handle and the
     target's mailbox generation captured at send time; a generation
     mismatch at delivery is a dead letter.
 
@@ -17,7 +17,7 @@
     nothing; the record types are exposed transparently for exactly
     that field access.  Concurrency: rings are partitioned by
     [handle mod shard count] and only ever touched by the owning shard
-    during a window; transports and outboxes are shard-private; growth
+    during a window; event heaps and outboxes are shard-private; growth
     and {!kill} happen only at barriers.  The shared mailbox arena
     deliberately has no out-param scratch — concurrent pops go through
     {!msg_index} + {!advance} so each shard reads only its own ring
@@ -61,7 +61,7 @@ val generation : t -> int -> int
 val length : t -> int -> int
 
 val is_busy : t -> int -> bool
-(** Is the actor draining: a drain-start or service-done timer event
+(** Is the actor draining: a drain-start or service-done event
     pending, or its drain running? *)
 
 val set_busy : t -> int -> bool -> unit
@@ -89,11 +89,17 @@ val kill : t -> int -> unit
 (** Node death: clear the ring, reset busy, bump the generation (drain
     any queued requests first — see the shard barrier's churn step). *)
 
-(** Per-shard heap of in-flight messages keyed by (delivery time, send
-    sequence) — the stable tie-break replay depends on.  Payloads live
-    in a free-listed pool so a sift swap moves three words. *)
-module Transport : sig
-  type tr = {
+(** The event queue of one shard: in-flight messages and engine events
+    in one heap, keyed by (time, class, push sequence) — the stable
+    tie-break replay depends on.  Engine events ({!schedule}) are class
+    0 and messages ({!push}) class 1, so at equal times every engine
+    event pops before every message, each class in push order.  An
+    engine event carries a negative kind (below every Actor opcode), a
+    handle and a generation.  Payloads live in a free-listed pool so a
+    sift swap moves three words.  The heap also holds the shard's
+    virtual clock, which {!pop_into} and {!lift} advance. *)
+module Events : sig
+  type q = {
     mutable tt : float array;
     mutable ts : int array;
     mutable tp : int array;
@@ -110,8 +116,10 @@ module Transport : sig
     mutable free : int array;
     mutable free_len : int;
     mutable pcap : int;
-    mutable o_time : float;  (** filled by {!pop_into} *)
-    mutable o_h : int;
+    clock : float array;
+        (** [clock.(0)]: time of the last event popped or limit lifted
+            to; a float array so that writing it allocates nothing *)
+    mutable o_h : int;  (** filled by {!pop_into} *)
     mutable o_g : int;
     mutable o_kind : int;
     mutable o_req : int;
@@ -121,55 +129,26 @@ module Transport : sig
     mutable o_src : int;
   }
 
-  val create : unit -> tr
+  val create : unit -> q
 
-  val length : tr -> int
-
-  val peek_time : tr -> float
-  (** Earliest delivery time, [infinity] when empty. *)
-
-  val push :
-    tr -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->
-    level:int -> prev:int -> src:int -> unit
-
-  val pop_into : tr -> bool
-  (** Pop the earliest message into the [o_*] fields. *)
-end
-
-(** Per-shard heap of engine events keyed by (virtual time, push
-    sequence), popped in the order a generic stable heap would pop
-    them.  An event is (kind, handle, generation); the heap also holds
-    the shard's virtual clock, which [pop_into] and [lift] advance. *)
-module Timer : sig
-  type tm = {
-    mutable et : float array;
-    mutable es : int array;
-    mutable ek : int array;
-    mutable eh : int array;
-    mutable eg : int array;
-    mutable elen : int;
-    mutable seq : int;
-    mutable clock : float;  (** virtual time of the last event run *)
-    mutable o_kind : int;  (** filled by {!pop_into} *)
-    mutable o_h : int;
-    mutable o_g : int;
-  }
-
-  val create : unit -> tm
-
-  val length : tm -> int
-
-  val peek_time : tm -> float
+  val peek_time : q -> float
   (** Earliest event time, [infinity] when empty. *)
 
-  val push : tm -> time:float -> kind:int -> h:int -> g:int -> unit
+  val schedule : q -> time:float -> kind:int -> h:int -> g:int -> unit
+  (** Push an engine event. *)
 
-  val pop_into : tm -> bool
-  (** Pop the earliest event into the [o_*] fields and raise [clock] to
-      its time; [false] when empty. *)
+  val push :
+    q -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->
+    level:int -> prev:int -> src:int -> unit
+  (** Push an in-flight message. *)
 
-  val lift : tm -> float -> unit
-  (** Raise [clock] to the given time if it is later. *)
+  val pop_into : q -> bool
+  (** Pop the earliest event into the [o_*] fields and raise the clock
+      to its time; [false] when empty.  An engine event leaves
+      [o_req .. o_src] meaningless. *)
+
+  val lift : q -> float -> unit
+  (** Raise the clock to the given time if it is later. *)
 end
 
 (** Cross-shard sends buffered during a window; drained at the barrier
@@ -191,16 +170,9 @@ module Outbox : sig
 
   val create : unit -> ob
 
-  val length : ob -> int
-
   val push :
     ob -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->
     level:int -> prev:int -> src:int -> unit
 
   val clear : ob -> unit
-
-  val flush_into : ob -> Transport.tr -> floor:float -> unit
-  (** Push every buffered entry into a transport, raising delivery times
-      below [floor] (the barrier) to [floor]: a cross-shard message may
-      not land inside a window the target already executed. *)
 end

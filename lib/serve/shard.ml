@@ -7,8 +7,8 @@
    bit-identical for every domain count.
 
    Virtual time advances in windows of width [window].  Within a window
-   every shard runs independently: it pumps its private transport heap
-   and timer heap (interleaved by head time) up to the barrier.
+   every shard runs independently: it pops its private event heap
+   (messages and engine events) up to the barrier.
    Cross-shard messages buffered in outboxes during the window are
    exchanged sequentially at the barrier in shard index order, with
    delivery times floored to the barrier (a message may not land inside
@@ -17,8 +17,7 @@
    shared state is sequential and deterministically ordered. *)
 
 open Tapestry
-module Timer = Mailbox.Timer
-module Transport = Mailbox.Transport
+module Events = Mailbox.Events
 
 let shard_count = 64
 let shard_of h = h mod shard_count
@@ -35,7 +34,7 @@ let import_budget = 12
    phases; [setup] and [collect] are the driver's. *)
 type ledger = {
   mutable setup : float;  (* driver: guids, placement, engine set-up *)
-  mutable drain : float;  (* shard windows: timer and transport pumps *)
+  mutable drain : float;  (* shard windows: the event loops *)
   mutable flush : float;  (* outbox exchange *)
   mutable repair : float;  (* dead-entry repair *)
   mutable intents : float;  (* cache intents *)
@@ -95,33 +94,11 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
     b2_rows = Array.make (if coop then base * base * b2_cap * 4 else 0) 0;
   }
 
-(* Interleave the shard's two event sources by head time until both are
-   past [limit]: timer events first on ties (arbitrary but fixed). *)
-let rec pump ctx ~limit =
-  let ft = Timer.peek_time ctx.Actor.tm in
-  let tt = Transport.peek_time ctx.Actor.tr in
-  if ft <= tt then begin
-    if ft <= limit then begin
-      Actor.run_until ctx ft;
-      pump ctx ~limit
-    end
-  end
-  else if tt <= limit then begin
-    ignore (Transport.pop_into ctx.Actor.tr : bool);
-    Actor.deliver ctx ~time:ctx.Actor.tr.Transport.o_time;
-    pump ctx ~limit
-  end
-
-let run_shard_window ctx ~limit =
-  pump ctx ~limit;
-  (* no events remain at or before the barrier: normalize the clock *)
-  Actor.run_until ctx limit
-
 (* The ONLY binding that touches [Domain]: everything transitively
    callable from here runs concurrently on sibling domains and must obey
    the shard-confinement discipline (see lint allowlist).  Shard [s]
-   always lands on domain [s / per], so its timer heap and transport
-   are only ever run by one domain per window. *)
+   always lands on domain [s / per], so its event heap is only ever
+   run by one domain per window. *)
 let run_windows_parallel t ~domains ~limit =
   let nd =
     let d = min domains shard_count in
@@ -129,7 +106,7 @@ let run_windows_parallel t ~domains ~limit =
   in
   if nd = 1 then
     for s = 0 to shard_count - 1 do
-      run_shard_window t.ctxs.(s) ~limit
+      Actor.run_until t.ctxs.(s) limit
     done
   else begin
     let per = (shard_count + nd - 1) / nd in
@@ -139,11 +116,11 @@ let run_windows_parallel t ~domains ~limit =
               let lo = (k + 1) * per in
               let hi = min shard_count ((k + 2) * per) - 1 in
               for s = lo to hi do
-                run_shard_window t.ctxs.(s) ~limit
+                Actor.run_until t.ctxs.(s) limit
               done))
     in
     for s = 0 to min shard_count per - 1 do
-      run_shard_window t.ctxs.(s) ~limit
+      Actor.run_until t.ctxs.(s) limit
     done;
     Array.iter Domain.join doms
   end
@@ -157,8 +134,8 @@ let flush_outboxes t ~barrier =
       let h = ob.Mailbox.Outbox.b_h.(i) in
       let time = ob.Mailbox.Outbox.b_time.(i) in
       let time = if time < barrier then barrier else time in
-      Transport.push
-        t.ctxs.(shard_of h).Actor.tr
+      Events.push
+        t.ctxs.(shard_of h).Actor.q
         ~time ~h
         ~g:ob.Mailbox.Outbox.b_g.(i)
         ~kind:ob.Mailbox.Outbox.b_kind.(i)
@@ -379,11 +356,8 @@ let kill_node t (node : Node.t) =
 let next_work_time t =
   let e = ref infinity in
   for s = 0 to shard_count - 1 do
-    let ctx = t.ctxs.(s) in
-    let ft = Timer.peek_time ctx.Actor.tm in
-    let tt = Transport.peek_time ctx.Actor.tr in
-    if ft < !e then e := ft;
-    if tt < !e then e := tt
+    let h = Events.peek_time t.ctxs.(s).Actor.q in
+    if h < !e then e := h
   done;
   !e
 

@@ -4,9 +4,9 @@
     Handles are partitioned over a fixed grid of {!shard_count} logical
     shards; the domain count only folds the grid onto OS domains, so a
     run's results are bit-identical for every [--domains] value.  Within
-    a window each shard pumps its private transport heap and timer heap
-    independently; outbox exchange, churn and dead-entry
-    repair happen sequentially at the barriers, in shard index order. *)
+    a window each shard runs its private event heap independently;
+    outbox exchange, churn and dead-entry repair happen sequentially at
+    the barriers, in shard index order. *)
 
 open Tapestry
 
@@ -23,7 +23,7 @@ val shard_of : int -> int
     stays 0. *)
 type ledger = {
   mutable setup : float;  (** driver: object guids, placement, engine set-up *)
-  mutable drain : float;  (** shard windows: timer and transport pumps *)
+  mutable drain : float;  (** shard windows: the event loops *)
   mutable flush : float;  (** barrier outbox exchange *)
   mutable repair : float;  (** barrier dead-entry repair *)
   mutable intents : float;  (** barrier cache intents *)

@@ -12,8 +12,8 @@
     The concurrency experiments and [Tapestry.Async_ops] use it.  The
     serve engine does not: its drains and injectors only ever sleep a
     fixed service time or a drawn gap, so they run as plain functions
-    on a flat per-shard timer heap ([Serve.Mailbox.Timer]) that pops
-    in the same (time, push sequence) order as this scheduler. *)
+    on the flat per-shard event heap ([Serve.Mailbox.Events]) that pops
+    them in the same (time, push sequence) order as this scheduler. *)
 
 type t
 (** A scheduler instance. *)

@@ -255,24 +255,20 @@ let test_link_repeat_no_duplicate_backpointer () =
   Alcotest.(check int) "holder recorded by handle" a.Node.handle
     (Routing_table.backpointer_handle b.Node.table ~level:0 ~k:0)
 
-(* The gather [Network.live_neighbours] replaced: a [Node_id.Tbl] of the
-   level's slot IDs, folded.  Repair and maintenance results hang on its
-   order, so the replacement must keep it. *)
-let tbl_gather (t : Routing_table.t) ~level =
-  let seen = Node_id.Tbl.create 16 in
+(* (digit, rank) of handle [h] in a level's slots, or None. *)
+let slot_position (t : Routing_table.t) ~level h =
+  let found = ref None in
   for digit = 0 to Routing_table.base t - 1 do
     for k = 0 to Routing_table.slot_len t ~level ~digit - 1 do
-      let id = Routing_table.slot_id t ~level ~digit ~k in
-      if not (Node_id.equal id (Routing_table.owner t)) then
-        Node_id.Tbl.replace seen id ()
+      if Routing_table.slot_handle t ~level ~digit ~k = h then
+        found := Some (digit, k)
     done
   done;
-  Node_id.Tbl.fold (fun id () acc -> id :: acc) seen []
+  !found
 
-(* A level's neighbours, read off the slots by handle: each once, owner
-   and dead nodes excluded, in the table-fold order, on every level of
-   a 256-node mesh with 15% of it dead (level-0 gathers pass 32 entries,
-   so the bucket doubling is exercised). *)
+(* A level's neighbours, read off the slots by handle: every alive slot
+   entry but the owner, each once, in (digit, rank) order, on every
+   level of a 256-node mesh with 15% of it dead. *)
 let test_live_neighbours () =
   let n = 256 in
   let rng = Simnet.Rng.create 7 in
@@ -280,32 +276,42 @@ let test_live_neighbours () =
   let net, _ = Static_build.build_streamed ~seed:8 Config.default metric ~n in
   let nodes = Network.core_nodes net in
   List.iteri (fun i node -> if i mod 7 = 0 then Delete.fail net node) nodes;
-  let widest = ref 0 and dead_seen = ref 0 in
+  let dead_seen = ref 0 in
   List.iter
     (fun (node : Node.t) ->
       let t = node.Node.table in
       for level = 0 to Routing_table.levels t - 1 do
-        let all = tbl_gather t ~level in
-        widest := Int.max !widest (List.length all);
-        let expected =
-          List.filter
-            (fun id ->
-              match Network.find net id with
-              | Some m when Node.is_alive m -> true
-              | _ ->
-                  incr dead_seen;
-                  false)
-            all
+        let fail what =
+          Alcotest.failf "node %s level %d: %s" (Node_id.to_string node.Node.id)
+            level what
         in
-        let got =
-          Network.live_neighbours net node ~level
-          |> List.map (fun (m : Node.t) -> m.Node.id)
-        in
-        if not (List.equal Node_id.equal expected got) then
-          Alcotest.failf "node %s level %d" (Node_id.to_string node.Node.id) level
+        let alive = ref 0 in
+        for digit = 0 to Routing_table.base t - 1 do
+          for k = 0 to Routing_table.slot_len t ~level ~digit - 1 do
+            let h = Routing_table.slot_handle t ~level ~digit ~k in
+            if h <> node.Node.handle then
+              if Node.is_alive (Network.node_of_handle net h) then incr alive
+              else incr dead_seen
+          done
+        done;
+        let got = Network.live_neighbours net node ~level in
+        if List.length got <> !alive then fail "not every alive entry";
+        ignore
+          (List.fold_left
+             (fun prev (m : Node.t) ->
+               if m.Node.handle = node.Node.handle then fail "owner listed";
+               if not (Node.is_alive m) then fail "dead entry listed";
+               match slot_position t ~level m.Node.handle with
+               | None -> fail "not a slot entry"
+               | Some ((d, k) as pos) ->
+                   let pd, pk = prev in
+                   if d < pd || (d = pd && k <= pk) then
+                     fail "out of (digit, rank) order";
+                   pos)
+             (-1, -1) got
+            : int * int)
       done)
     (Network.core_nodes net);
-  Alcotest.(check bool) "a gather passed 32 entries" true (!widest > 32);
   Alcotest.(check bool) "dead entries met" true (!dead_seen > 0)
 
 (* A dead node held at two levels is listed once, where the (level,

@@ -108,6 +108,12 @@ let run_phases () =
   phase "expire" (string_of_int expired);
   List.rev !out
 
+(* The fail, republish and expire digests were re-pinned when
+   [Network.live_neighbours] became a plain (digit, rank) walk: lazy
+   repair then charges its messages in another order, and the float
+   latency total drops by one ulp (0x1.4019d6aa5d494p+11 to
+   0x1.4019d6aa5d493p+11 after fail); every record and the message and
+   hop counts are unchanged. *)
 let pinned =
   [
     ("publish", "", "5d8e6c95f94b428c96a7584eb2587571");
@@ -115,9 +121,9 @@ let pinned =
     ( "voluntary",
       "45/4/1,63/3/0,71/3/0,35/11/11",
       "7b50c880f15471d17ee690b09187ff05" );
-    ("fail", "", "7f06fa50507a09b0913edcadb7bb80fc");
-    ("republish", "357", "f1f5010748d0d23e999d16e12e106056");
-    ("expire", "13", "56e20b53cdd74519c76824af057e6a16");
+    ("fail", "", "3d6ea1d66c83f8948029989048571ea4");
+    ("republish", "357", "c5ce365cbf1c4b9a4731d9573a662736");
+    ("expire", "13", "de8c1d02116dddfe982a367e7c4d2638");
   ]
 
 let test_pinned () =

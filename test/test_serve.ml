@@ -575,47 +575,94 @@ let test_serve_cold_churn_pinned () =
     "94f926774d9ceb077a0f349e39557fad"
     (Digest.to_hex (Digest.string (Driver.signature r)))
 
-(* ---- timer heap: the engine's event order ---- *)
+(* ---- event heap: the engine's event order ---- *)
 
-module Timer = Serve.Mailbox.Timer
+module Events = Serve.Mailbox.Events
 module Fiber = Simnet.Fiber
 
-(* Times come from a coarse grid so equal times, and their push-order
-   tie-break, are common. *)
+(* Times come from a coarse grid so equal times, and their tie-breaks,
+   are common. *)
 let grid i = 0.25 *. float_of_int i
 
-(* Pushes and pops in any interleaving: the timer pops in the order the
-   generic stable [Simnet.Heap] does. *)
-let prop_timer_matches_heap =
-  QCheck.Test.make ~count:300 ~name:"timer pops in Simnet.Heap order"
-    QCheck.(make Gen.(list_size (int_range 0 80) (option (int_bound 12))))
+type event_op =
+  | Schedule of int  (* engine event at a grid time *)
+  | Send of int  (* message at a grid time *)
+  | Pop
+  | Lift of int  (* raise the clock to a grid time *)
+
+let event_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun i -> Schedule i) (int_bound 12));
+        (3, map (fun i -> Send i) (int_bound 12));
+        (4, pure Pop);
+        (1, map (fun i -> Lift i) (int_bound 14));
+      ])
+
+(* The order the engine ran before engine events and messages shared a
+   heap: two stable [Simnet.Heap]s, one per class, merged by head time
+   with the engine event first on ties; every pop and lift raises the
+   clock.  The one heap pops the same events in the same order and
+   leaves the same clock after every step. *)
+let prop_events_match_two_heaps =
+  QCheck.Test.make ~count:500 ~name:"event heap pops in two-heap merge order"
+    QCheck.(make Gen.(list_size (int_range 0 100) event_op_gen))
     (fun ops ->
-      let tm = Timer.create () in
-      let heap = Simnet.Heap.create ~cmp:Float.compare in
+      let q = Events.create () in
+      let timers = Simnet.Heap.create ~cmp:Float.compare in
+      let msgs = Simnet.Heap.create ~cmp:Float.compare in
       let next = ref 0 and clock = ref 0. in
+      let head h =
+        match Simnet.Heap.peek h with Some (t, _) -> t | None -> infinity
+      in
+      let same_clock () = Float.equal q.Events.clock.(0) !clock in
       List.for_all
         (function
-          | Some i ->
-              Timer.push tm ~time:(grid i) ~kind:0 ~h:!next ~g:0;
-              Simnet.Heap.push heap (grid i) !next;
+          | Schedule i ->
+              Events.schedule q ~time:(grid i) ~kind:Serve.Actor.ev_inject
+                ~h:!next ~g:0;
+              Simnet.Heap.push timers (grid i) !next;
               incr next;
               true
-          | None -> (
-              match Simnet.Heap.pop heap with
-              | None -> not (Timer.pop_into tm)
-              | Some (time, id) ->
+          | Send i ->
+              Events.push q ~time:(grid i) ~h:!next ~g:0
+                ~kind:Serve.Actor.op_locate ~req:0 ~oi:0 ~level:0 ~prev:0
+                ~src:0;
+              Simnet.Heap.push msgs (grid i) !next;
+              incr next;
+              true
+          | Lift l ->
+              Events.lift q (grid l);
+              clock := Float.max !clock (grid l);
+              same_clock ()
+          | Pop -> (
+              let popped = Events.pop_into q in
+              let expect =
+                if head timers <= head msgs then
+                  Option.map
+                    (fun (t, id) -> (t, id, Serve.Actor.ev_inject))
+                    (Simnet.Heap.pop timers)
+                else
+                  Option.map
+                    (fun (t, id) -> (t, id, Serve.Actor.op_locate))
+                    (Simnet.Heap.pop msgs)
+              in
+              match expect with
+              | None -> not popped
+              | Some (time, id, kind) ->
                   clock := Float.max !clock time;
-                  Timer.pop_into tm
-                  && tm.Timer.o_h = id
-                  && Float.equal tm.Timer.clock !clock))
+                  popped && q.Events.o_h = id && q.Events.o_kind = kind
+                  && same_clock ()))
         ops
-      && Timer.length tm = Simnet.Heap.length heap)
+      && q.Events.tlen = Simnet.Heap.length timers + Simnet.Heap.length msgs)
 
 (* Random programs of pushes and [run_until] calls, where every event
-   pushes follow-up events while it runs: [Actor.run_until] over the
-   timer runs the same events in the same order as [Fiber.run_until]
-   and leaves the same clock after every call.  A push at time [t]
-   lands at [max t clock], as [Fiber.spawn_at] places it. *)
+   pushes follow-up events while it runs: the shard's event loop,
+   [Actor.run_until], runs the same events in the same order as
+   [Fiber.run_until] and leaves the same clock after every call.  A
+   push at time [t] lands at [max t clock], as [Fiber.spawn_at] places
+   it. *)
 type timer_op =
   | Push of int * int list  (* grid time, follow-up gaps in grid steps *)
   | Run_until of int  (* grid limit *)
@@ -658,23 +705,23 @@ let prop_timer_matches_fiber =
                 (fiber_event (id + 1 + j)))
             (gaps id)
       in
-      let tm = Timer.create () in
+      let q = Events.create () in
       let push time id =
-        let c = tm.Timer.clock in
-        Timer.push tm ~time:(Float.max time c) ~kind:Serve.Actor.ev_inject
+        let c = q.Events.clock.(0) in
+        Events.schedule q ~time:(Float.max time c) ~kind:Serve.Actor.ev_inject
           ~h:id ~g:0
       in
       let timer_log = ref [] in
-      let ctx = { ctx with Serve.Actor.tm } in
+      let ctx = { ctx with Serve.Actor.q } in
       ctx.Serve.Actor.inject <-
         (fun ctx ->
-          let id = ctx.Serve.Actor.tm.Timer.o_h in
+          let id = ctx.Serve.Actor.q.Events.o_h in
           timer_log := id :: !timer_log;
           if id mod 3 = 0 then
             List.iteri
-              (fun j k -> push (tm.Timer.clock +. grid k) (id + 1 + j))
+              (fun j k -> push (q.Events.clock.(0) +. grid k) (id + 1 + j))
               (gaps id));
-      let same_clock () = Float.equal (Fiber.now sched) tm.Timer.clock in
+      let same_clock () = Float.equal (Fiber.now sched) q.Events.clock.(0) in
       let ok =
         Array.to_list ops
         |> List.mapi (fun i op -> (i, op))
@@ -697,12 +744,14 @@ let prop_timer_matches_fiber =
 
 (* Minor words per delivered message from the engine's first wall stamp
    to the driver's return ([now]'s second and last calls), at n=1024 in
-   the benchmark's two shapes.  The timer-driven engine reads 49.9
-   (hot) and 59.9 (cold churn); the fiber engine before it read 109.7
-   and 116.5, with a continuation, a closure and a heap entry per
-   drain start, service and injector gap.  The bounds leave about 3
-   words of margin, so a closure or boxed event per message coming back
-   fails here. *)
+   the benchmark's two shapes.  The one-heap engine, with its clock in
+   a float array, reads 44.1 (hot) and 54.9 (cold churn); with the
+   clock and the popped message time in boxed record fields it read
+   49.9 and 59.9, and the fiber engine before that 109.7 and 116.5,
+   with a continuation, a closure and a heap entry per drain start,
+   service and injector gap.  The bounds leave about 3 words of
+   margin, so a closure or boxed float per message coming back fails
+   here. *)
 let minor_words_per_message params =
   let net = build_net 1024 7 in
   let calls = ref 0 and w_start = ref 0. and w_end = ref 0. in
@@ -728,8 +777,8 @@ let alloc_params =
 
 let test_alloc_hot () =
   let w = minor_words_per_message alloc_params in
-  if w > 53. then
-    Alcotest.failf "hot shape: %.1f minor words per delivered message (bound 53)" w
+  if w > 47. then
+    Alcotest.failf "hot shape: %.1f minor words per delivered message (bound 47)" w
 
 let test_alloc_cold_churn () =
   let w =
@@ -744,8 +793,8 @@ let test_alloc_cold_churn () =
         join_rate = 20.;
       }
   in
-  if w > 63. then
-    Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 63)" w
+  if w > 58. then
+    Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 58)" w
 
 (* ---- wall ledger ---- *)
 
@@ -861,7 +910,7 @@ let () =
         ] );
       ( "timer",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_timer_matches_heap; prop_timer_matches_fiber ] );
+          [ prop_events_match_two_heaps; prop_timer_matches_fiber ] );
       ( "alloc",
         [
           Alcotest.test_case "hot shape minor words per message" `Quick

@@ -39,12 +39,15 @@
 # same n=4096 serve with a per-node cache attached and --audit, so the
 # quiesced mesh passes the full invariant audit INCLUDING the cache
 # coherence check, and the JSON must show a positive cache_hit_rate.
+# Its `signature md5` is pinned like the serve smoke's, so an engine
+# change that moves the cache path fails here.
 #
 # ./tools/check.sh --coop-smoke runs ONLY the cooperative-cache smoke:
 # the cached n=4096 serve with --coop 1 and --audit, so the quiesced
 # mesh passes the audit INCLUDING the hint-sketch coherence extension,
 # and the JSON must show positive hint_fills (the exchange actually
-# moved hints between nodes, not just compiled).
+# moved hints between nodes, not just compiled).  Its `signature md5`
+# is pinned too, covering the hint exchange's order.
 #
 # The four smokes are rows of one table (`smokes` below) driven by one
 # runner; with several smoke flags only the first row in table order
@@ -58,8 +61,8 @@ cd "$(dirname "$0")/.."
 #   bench_compare (- for none) | expected `signature md5` of the run
 #   (- for none) | what the stage covers
 smokes=(
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|-|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
-  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|4130130ce915b4f6d0ad2ed7cca650fa|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
   "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|50ef0071058074325bf0c8340ab07f3c|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
   "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|scale smoke (n=32768 streamed build + JSON round-trip)"
 )
