@@ -596,6 +596,17 @@ let serve_cmd =
                (l.setup +. l.drain +. l.flush +. l.repair +. l.intents
               +. l.digest +. l.churn +. l.collect)
                r.wall_s);
+            (* estimated resident bytes by part; deterministic, so the
+               JSON's footprint_bytes is gated tightly *)
+            let ledger = memory_ledger r in
+            let footprint = List.fold_left (fun a (_, b) -> a + b) 0 ledger in
+            let mb b = float_of_int b /. 1e6 in
+            Printf.printf "  memory ledger MB:%s  (sum %.1f)\n"
+              (String.concat ""
+                 (List.map
+                    (fun (part, b) -> Printf.sprintf "  %s %.1f" part (mb b))
+                    ledger))
+              (mb footprint);
             Printf.printf
               "  virtual latency p50 %.6f  p90 %.6f  p99 %.6f  p999 %.6f\n"
               (qv 0.50) (qv 0.90) (qv 0.99) (qv 0.999);
@@ -669,6 +680,7 @@ let serve_cmd =
                 ("kills", Int r.kills);
                 ("joins", Int r.joins);
                 ("barriers", Int r.barriers);
+                ("footprint_bytes", Int footprint);
                 ( "audit_violations",
                   match audit_violations with Some v -> Int v | None -> Null
                 );

@@ -114,11 +114,12 @@ type shared = {
       (* per-node object caches; probes/touches are own-line (shard-
          confined), cross-node fills/evicts/epoch bumps ride the ctx
          intent buffers to the barrier *)
-  req_path : int array;
-      (* requests * path_cap recorded locate hops; a request's hops are
-         causally ordered across shards (cross-shard delivery waits for
-         the barrier), so these disjoint-slice writes are race-free.
-         Empty at --cache 0. *)
+  req_path : Bytes.t;
+      (* requests * path_cap recorded locate hops, each a 32-bit handle
+         (handles < 2^31) at byte [4 * (req * path_cap + k)]; a request's
+         hops are causally ordered across shards (cross-shard delivery
+         waits for the barrier), so these disjoint-slice writes are
+         race-free.  Empty at --cache 0. *)
   req_plen : Bytes.t;  (* per request: hops recorded (saturates at path_cap) *)
   (* ---- cooperative hint exchange (DESIGN.md section 11); the fields
      below are inert when [coop = false] ---- *)
@@ -153,8 +154,10 @@ type ctx = {
   mutable scan_h : int;
   mutable scan_level : int;
   mutable best_h : int;
-  mutable best_d : float;
-  mutable pred_now : float;
+  sel_f : float array;
+      (* [| best distance; probe time |] for [sel]: float-array cells,
+         so writing them allocates nothing (a mutable float field of
+         this mixed record would box every write) *)
   mutable cur : Node.t;  (* node whose dispatch is running *)
   mutable sel : Pointer_store.record -> unit;
       (* preallocated best-server folder; assigned once in [make_ctx] *)
@@ -217,8 +220,8 @@ let[@alloc_ok] make_shared ~net ~mb ~shards ~guids ~roots ~ttl ~latency
     cache;
     req_path =
       (match cache with
-      | Some _ -> Array.make (max requests 1 * path_cap) 0
-      | None -> [||]);
+      | Some _ -> Bytes.make (4 * max requests 1 * path_cap) '\000'
+      | None -> Bytes.empty);
     req_plen =
       Bytes.make (match cache with Some _ -> max requests 1 | None -> 1) '\000';
     coop;
@@ -226,6 +229,21 @@ let[@alloc_ok] make_shared ~net ~mb ~shards ~guids ~roots ~ttl ~latency
       (if coop then Array.make (max net.Network.arena_len 1) (-1) else [||]);
     win = Array.make 1 0;
   }
+
+(* [ctx.sel_f] cells *)
+let sel_best_d = 0
+let sel_pred_now = 1
+
+(* [@alloc_ok]: footprint accounting, once per report.  The per-request
+   arrays (injection stamps, status, recorded paths) and the per-handle
+   repair and want marks. *)
+let[@alloc_ok] request_bytes sh =
+  let word = 8 in
+  let floats a = (Array.length a + 1) * word
+  and bytes b = (((Bytes.length b + word) / word) + 1) * word in
+  floats sh.req_t0 + floats sh.req_w0 + bytes sh.req_status
+  + bytes sh.req_path + bytes sh.req_plen + bytes sh.dirty
+  + ((Array.length sh.want_stamp + 1) * word)
 
 (* [@alloc_ok]: one ctx record (plus its selector closure) per shard per
    run; the closure reads/writes only ctx scratch fields, so dispatches
@@ -254,8 +272,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       scan_h = -1;
       scan_level = 0;
       best_h = -1;
-      best_d = infinity;
-      pred_now = 0.;
+      sel_f = [| infinity; 0. |];
       cur = Network.node_of_handle sh.net 0;
       sel = (fun _ -> ());
       tally = Simnet.Stats.Tally.create ();
@@ -283,12 +300,12 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
   in
   (ctx.sel <-
      (fun (r : Pointer_store.record) ->
-       if r.Pointer_store.expires >= ctx.pred_now then begin
+       if r.Pointer_store.expires >= ctx.sel_f.(sel_pred_now) then begin
          match Network.find sh.net r.Pointer_store.server with
          | Some srv when Node.is_alive srv ->
              let d = Network.dist sh.net ctx.cur srv in
-             if d < ctx.best_d then begin
-               ctx.best_d <- d;
+             if d < ctx.sel_f.(sel_best_d) then begin
+               ctx.sel_f.(sel_best_d) <- d;
                ctx.best_h <- srv.Node.handle
              end
          | _ -> ()
@@ -491,10 +508,10 @@ let log_want ctx (node : Node.t) =
 let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
   let sh = ctx.sh in
   (* a usable pointer redirects the walk to the closest live server *)
-  ctx.pred_now <- now;
+  ctx.sel_f.(sel_pred_now) <- now;
   ctx.cur <- node;
   ctx.best_h <- -1;
-  ctx.best_d <- infinity;
+  ctx.sel_f.(sel_best_d) <- infinity;
   Pointer_store.iter_guid node.Node.pointers base_guid ~f:ctx.sel;
   if ctx.best_h >= 0 then
     hop ctx node ~now ~h:ctx.best_h ~kind:op_fetch ~req ~oi ~level:rc
@@ -526,7 +543,9 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         if req >= 0 then begin
           let plen = Char.code (Bytes.get sh.req_plen req) in
           if plen < path_cap then begin
-            sh.req_path.((req * path_cap) + plen) <- node.Node.handle;
+            Bytes.set_int32_ne sh.req_path
+              (4 * ((req * path_cap) + plen))
+              (Int32.of_int node.Node.handle);
             Bytes.set sh.req_plen req (Char.chr (plen + 1))
           end
         end;
@@ -588,7 +607,10 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           let gen = Mailbox.generation sh.mb self in
           let plen = Char.code (Bytes.get sh.req_plen req) in
           for k = 0 to plen - 1 do
-            let tgt = sh.req_path.((req * path_cap) + k) in
+            let tgt =
+              Int32.to_int
+                (Bytes.get_int32_ne sh.req_path (4 * ((req * path_cap) + k)))
+            in
             if tgt <> self then begin
               push_fill ctx ~h:tgt ~key ~srv:self ~gen ~epoch:ep;
               ctx.tally.fills <- ctx.tally.fills + 1

@@ -89,10 +89,11 @@ type shared = {
       (** per-node object caches; probes and touches stay own-line
           (shard-confined), cross-node mutations ride the ctx intent
           buffers to the barrier *)
-  req_path : int array;
-      (** [requests * path_cap] recorded locate hops; a request's hops
-          are causally ordered across shards, so the disjoint-slice
-          writes are race-free.  Empty at [--cache 0]. *)
+  req_path : Bytes.t;
+      (** [requests * path_cap] recorded locate hops, 32-bit native-endian
+          handles (4 bytes each); a request's hops are causally ordered
+          across shards, so the disjoint-slice writes are race-free.
+          Empty at [--cache 0]. *)
   req_plen : Bytes.t;  (** per request: hops recorded (saturates) *)
   coop : bool;
       (** cooperative hint exchange on (DESIGN.md section 11): cache
@@ -130,8 +131,10 @@ type ctx = {
   mutable scan_h : int;
   mutable scan_level : int;
   mutable best_h : int;
-  mutable best_d : float;
-  mutable pred_now : float;
+  sel_f : float array;
+      (** [sel_f.(0)]: the best server's distance so far, [sel_f.(1)]:
+          the probe's time; float-array cells, so writes allocate
+          nothing *)
   mutable cur : Node.t;
   mutable sel : Pointer_store.record -> unit;
   tally : Simnet.Stats.Tally.t;  (** cache hit/miss/stale/... counters *)
@@ -171,6 +174,10 @@ val make_shared :
 (** [coop] is forced off when [cache = None]. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
+
+val request_bytes : shared -> int
+(** Estimated resident bytes of the per-request arrays ([req_t0] ..
+    [req_plen]) and the per-handle [dirty] and [want_stamp] marks. *)
 
 val send :
   ctx -> time:float -> h:int -> kind:int -> req:int -> oi:int ->

@@ -345,6 +345,30 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
     tally;
   }
 
+(* Resident-size estimates of the run's state, from the [approx_bytes]
+   estimators.  The object cache is billed to the pointer bucket by
+   [Network.memory_footprint]; it is split out here. *)
+let memory_ledger r =
+  let sh = r.engine.Shard.sh in
+  let net = sh.Actor.net in
+  let fp = Network.memory_footprint net in
+  let cache =
+    match net.Network.obj_cache with
+    | Some c -> Obj_cache.approx_bytes c
+    | None -> 0
+  in
+  [
+    ("tables", fp.Network.table_bytes);
+    ("pointers", fp.Network.pointer_bytes - cache);
+    ("cache", cache);
+    ("mailbox", Mailbox.approx_bytes sh.Actor.mb);
+    ("requests", Actor.request_bytes sh);
+    ("index", fp.Network.index_bytes);
+    ( "rest",
+      fp.Network.node_bytes + fp.Network.directory_bytes
+      + fp.Network.metric_bytes + fp.Network.scratch_bytes );
+  ]
+
 (* Deterministic fingerprint of a run: merged virtual histogram plus the
    integer counters.  Excludes every wall-clock-derived quantity, so it
    must be bit-identical across domain counts.  Cache counters are

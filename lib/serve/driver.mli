@@ -73,6 +73,13 @@ val run :
     @raise Invalid_argument on non-positive [objects] or [rate], or when
     the ID space has fewer unused IDs than [objects]. *)
 
+val memory_ledger : result -> (string * int) list
+(** Estimated resident bytes after the run, by part: routing tables,
+    pointer stores, object cache, mailbox, request arrays, id index and
+    the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
+    directory, metric and scratch buckets).  Deterministic: a function of
+    the run's counters and sizes, not of the machine. *)
+
 val signature : result -> string
 (** Deterministic fingerprint: counters plus the virtual histogram,
     excluding every wall-derived quantity.  Equal strings across

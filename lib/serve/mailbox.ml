@@ -85,11 +85,13 @@ let[@alloc_ok] create ~cap ~handles =
     s_src = Array.make handles 0;
   }
 
-(* [@alloc_ok]: barrier-only growth after churn joins; doubles so the
-   amortized cost over a run is O(final size). *)
+(* [@alloc_ok]: barrier-only growth after churn joins.  Grows by an
+   eighth (or to [handles] if that is more): still geometric, so the
+   amortized copy cost over a run is O(final size), while a few churn
+   joins no longer double rings sized for the whole mesh. *)
 let[@alloc_ok] ensure t ~handles =
   if handles > t.handles then begin
-    let nh = max handles (t.handles * 2) in
+    let nh = max handles (t.handles + (t.handles / 8)) in
     let grow_ring old =
       let a = Array.make (nh * t.cap) 0 in
       Array.blit old 0 a 0 (t.handles * t.cap);
@@ -120,6 +122,14 @@ let[@alloc_ok] ensure t ~handles =
   end
 
 let capacity t = t.cap
+
+(* [@alloc_ok]: footprint accounting, once per report.  Six rings of
+   [handles * cap] ints and ten per-handle int arrays, with headers. *)
+let[@alloc_ok] approx_bytes t =
+  let word = 8 in
+  let ring = ((t.handles * t.cap) + 1) * word
+  and per_handle = (t.handles + 1) * word in
+  (19 * word) + (6 * ring) + (10 * per_handle)
 
 let generation t h = t.gen.(h)
 

@@ -50,10 +50,16 @@ val create : cap:int -> handles:int -> t
     @raise Invalid_argument if [cap <= 0]. *)
 
 val ensure : t -> handles:int -> unit
-(** Grow (amortized doubling) so [handles-1] is addressable.  Barrier
-    only: never call while shard windows are running. *)
+(** Grow so [handles-1] is addressable: to the larger of [handles] and
+    the current size plus an eighth (geometric, so amortized O(1) per
+    handle).  Ring contents and generations are kept.  Barrier only:
+    never call while shard windows are running. *)
 
 val capacity : t -> int
+
+val approx_bytes : t -> int
+(** Estimated resident bytes of the rings and per-handle arrays at their
+    current size (the per-shard event heaps are not counted). *)
 
 val generation : t -> int -> int
 (** Current generation stamp of a handle's mailbox. *)

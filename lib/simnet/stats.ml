@@ -220,22 +220,31 @@ module Hist = struct
   type h = {
     counts : int array;
     mutable total : int;
-    mutable sum : float;
-    mutable vmin : float;
-    mutable vmax : float;
+    acc : float array;
+        (* [| sum; min; max |]: float-array cells, so [add] stores
+           unboxed floats where mutable float fields of this mixed record
+           would box each write *)
   }
 
-  let create () =
-    { counts = Array.make buckets 0; total = 0; sum = 0.; vmin = infinity;
-      vmax = neg_infinity }
+  let i_sum = 0
+  let i_min = 1
+  let i_max = 2
 
+  let create () =
+    { counts = Array.make buckets 0; total = 0;
+      acc = [| 0.; infinity; neg_infinity |] }
+
+  (* Exponent and top [sub_bits] mantissa bits straight from the IEEE
+     bits: for a normal [v = 1.f * 2^(E-1023)], [Float.frexp] answers
+     [m = 1.f / 2] and [e = E - 1022], so [(m - 0.5) * 2 * sub] is the
+     top [sub_bits] bits of [f].  Subnormals have [E = 0], below [e_min],
+     and land in bucket 0 as before.  No tuple, no boxed float. *)
   let bucket_of v =
     if v <= 0. then 0
     else begin
-      let m, e = Float.frexp v in
-      (* m in [0.5, 1): 32 equal mantissa strips *)
-      let si = int_of_float ((m -. 0.5) *. float_of_int (2 * sub)) in
-      let si = if si >= sub then sub - 1 else if si < 0 then 0 else si in
+      let bits = Int64.to_int (Int64.bits_of_float v) in
+      let e = ((bits lsr 52) land 0x7ff) - 1022 in
+      let si = (bits lsr (52 - sub_bits)) land (sub - 1) in
       if e < e_min then 0
       else if e > e_max then buckets - 1
       else ((e - e_min) * sub) + si
@@ -250,26 +259,29 @@ module Hist = struct
     let b = bucket_of v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.total <- t.total + 1;
-    t.sum <- t.sum +. v;
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
+    let a = t.acc in
+    a.(i_sum) <- a.(i_sum) +. v;
+    if v < a.(i_min) then a.(i_min) <- v;
+    if v > a.(i_max) then a.(i_max) <- v
 
   let merge ~into t =
     for b = 0 to buckets - 1 do
       into.counts.(b) <- into.counts.(b) + t.counts.(b)
     done;
     into.total <- into.total + t.total;
-    into.sum <- into.sum +. t.sum;
-    if t.vmin < into.vmin then into.vmin <- t.vmin;
-    if t.vmax > into.vmax then into.vmax <- t.vmax
+    let a = into.acc in
+    a.(i_sum) <- a.(i_sum) +. t.acc.(i_sum);
+    if t.acc.(i_min) < a.(i_min) then a.(i_min) <- t.acc.(i_min);
+    if t.acc.(i_max) > a.(i_max) then a.(i_max) <- t.acc.(i_max)
 
   let total t = t.total
 
-  let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
+  let mean t =
+    if t.total = 0 then 0. else t.acc.(i_sum) /. float_of_int t.total
 
-  let min_value t = if t.total = 0 then 0. else t.vmin
+  let min_value t = if t.total = 0 then 0. else t.acc.(i_min)
 
-  let max_value t = if t.total = 0 then 0. else t.vmax
+  let max_value t = if t.total = 0 then 0. else t.acc.(i_max)
 
   (* nearest-rank on the cumulative bucket counts *)
   let quantile t p =
@@ -278,7 +290,7 @@ module Hist = struct
       let target = int_of_float (ceil (p *. float_of_int t.total)) in
       let target = if target < 1 then 1 else target in
       let rec walk b seen =
-        if b >= buckets then t.vmax
+        if b >= buckets then t.acc.(i_max)
         else
           let seen = seen + t.counts.(b) in
           if seen >= target then value_of b else walk (b + 1) seen

@@ -95,8 +95,10 @@ end
 (** HDR-style log-bucketed histogram for the serve tier's latency tails.
 
     Fixed 2048 int buckets (64 binary octaves x 32 mantissa strips), so
-    {!Hist.add} allocates nothing and any quantile is within 1/64
-    relative error.  {!Hist.merge} is element-wise addition — per-shard
+    any quantile is within 1/64 relative error.  {!Hist.add} allocates
+    nothing: the bucket comes from the sample's IEEE exponent and top
+    mantissa bits (no [Float.frexp] tuple), and the sum, minimum and
+    maximum live in a float-array cell (no boxed float field writes).  {!Hist.merge} is element-wise addition — per-shard
     histograms merged in a fixed order are bit-identical whatever the
     domain count — and {!Hist.counts} is the determinism signature the
     serve tests compare. *)

@@ -58,11 +58,13 @@ let[@alloc_ok] create ~ways ~nodes =
     tally = Simnet.Stats.Tally.create ();
   }
 
-(* [@alloc_ok]: growth doubles, so this runs O(log n) times ever; the
-   serve tier only calls it at barriers. *)
+(* [@alloc_ok]: growth is geometric (an eighth, or to [n] if that is
+   more), so this runs O(log n) times ever and a few churn joins do not
+   double lines sized for the whole mesh; the serve tier only calls it at
+   barriers. *)
 let[@alloc_ok] ensure_nodes t n =
   if n > t.nodes then begin
-    let nodes = max n (max 16 (2 * t.nodes)) in
+    let nodes = max n (max 16 (t.nodes + (t.nodes / 8))) in
     let cells = nodes * t.ways in
     let grow_cells old fill =
       let a = Array.make cells fill in

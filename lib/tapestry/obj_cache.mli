@@ -74,8 +74,9 @@ val create : ways:int -> nodes:int -> t
 (** @raise Invalid_argument if [ways <= 0] or [nodes < 0]. *)
 
 val ensure_nodes : t -> int -> unit
-(** Grow the per-node lines to cover handles [< n] (amortized doubling;
-    existing entries are preserved).  Serve tier: barrier-only. *)
+(** Grow the per-node lines to cover handles [< n]: to the larger of [n]
+    and the current size plus an eighth (at least 16), so the growth is
+    geometric; existing entries are preserved.  Serve tier: barrier-only. *)
 
 val intern : t -> Node_id.t -> int
 (** Dense key for a GUID, allocating one on first sight (cold path). *)

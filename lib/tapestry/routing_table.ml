@@ -1,27 +1,40 @@
 type entry = { id : Node_id.t; dist : float }
 
-(* Packed representation: the [levels * base] slots live in flat parallel
-   arrays of capacity [redundancy] each, sorted in place by distance.  A
-   slot (level, digit) occupies cells
-   [((level * base) + digit) * redundancy ..+ redundancy); [lens] holds the
-   live prefix length per slot.  Entries carry the neighbor's network
-   handle next to its ID so the routing hot path resolves nodes through the
-   O(1) arena with no hashing and no per-hop list allocation.  Vacant [ids]
-   cells are filled with the owner's ID (an arbitrary non-null value, never
-   read). *)
+(* Packed representation: each level keeps its [base] slots in one row of
+   flat parallel arrays, [redundancy] cells per slot, sorted in place by
+   distance.  Slot [digit] of a level occupies row cells
+   [digit * redundancy ..+ redundancy); the handles row carries, after its
+   [base * redundancy] cells, the live prefix length of each slot, so a
+   slot scan reads its length and its handles from one block.  Entries
+   carry the neighbor's network handle
+   next to its ID so the routing hot path resolves nodes through the O(1)
+   arena with no hashing and no per-hop list allocation.  Vacant [ids]
+   cells are filled with the owner's ID (an arbitrary non-null value,
+   never read).
+
+   A level's row is allocated by the first [consider] that offers the
+   level a node other than the owner (with R > 1 that offer always
+   lands); until then the level points at shared empty arrays and holds
+   only its implicit owner entry (in the owner's digit slot, handle
+   [owner_handle], distance 0), present iff the owner's [filled] bit is
+   set.  A mesh of n nodes fills about log_b n levels per table, so the
+   levels below stay row-less: the space Table 1 charges, not
+   [id_digits * base * redundancy] cells per node. *)
 type t = {
   owner : Node_id.t;
   mutable owner_handle : int;
   redundancy : int;
   base : int;
   levels : int;
-  ids : Node_id.t array;
-  handles : int array;
-  dists : float array;
-  lens : int array;
+  ids : Node_id.t array array;
+  handles : int array array;
+  dists : float array array;
+      (* per level: the row (base * redundancy cells, and for [handles]
+         then base slot lengths), or the shared empty arrays while the
+         level is row-less *)
   filled : int array;
       (* per level, bit [digit] set iff that slot is non-empty: digit scans
-         in the routing hot path test one bit instead of reading [lens]
+         in the routing hot path test one bit instead of a slot length
          (base <= 32, so a level's mask fits one immediate int) *)
   bp_ids : Node_id.t array array;
   bp_handles : int array array;
@@ -33,12 +46,10 @@ type t = {
          shared empty arrays and allocate on their first holder. *)
 }
 
-let cell t ~level ~digit = (level * t.base) + digit
-
-(* [@alloc_ok]: one table per node, built once at registration. *)
+(* [@alloc_ok]: one table per node, built once at registration; no level
+   row is allocated yet. *)
 let[@alloc_ok] create (cfg : Config.t) ~owner =
   let levels = cfg.id_digits in
-  let cells = levels * cfg.base in
   let t =
     {
       owner;
@@ -46,10 +57,9 @@ let[@alloc_ok] create (cfg : Config.t) ~owner =
       redundancy = cfg.redundancy;
       base = cfg.base;
       levels;
-      ids = Array.make (cells * cfg.redundancy) owner;
-      handles = Array.make (cells * cfg.redundancy) (-1);
-      dists = Array.make (cells * cfg.redundancy) 0.;
-      lens = Array.make cells 0;
+      ids = Array.make levels [||];
+      handles = Array.make levels [||];
+      dists = Array.make levels [||];
       filled = Array.make levels 0;
       bp_ids = Array.make levels [||];
       bp_handles = Array.make levels [||];
@@ -58,19 +68,44 @@ let[@alloc_ok] create (cfg : Config.t) ~owner =
   in
   (* The owner fills its own digit slot at every level. *)
   for l = 0 to levels - 1 do
-    let digit = Node_id.digit owner l in
-    t.lens.(cell t ~level:l ~digit) <- 1;
-    t.filled.(l) <- 1 lsl digit
+    t.filled.(l) <- 1 lsl Node_id.digit owner l
   done;
   t
+
+let has_row t level = Array.length t.handles.(level) > 0
+
+(* Index of slot [digit]'s length in a handles row. *)
+let len_at t digit = (t.base * t.redundancy) + digit
+
+(* [@alloc_ok]: at most [levels] times per table, on a level's first
+   non-owner entry.  The row starts with the owner entry if the level
+   holds it. *)
+let[@alloc_ok] alloc_row t level =
+  let cells = t.base * t.redundancy in
+  let ids = Array.make cells t.owner
+  and handles = Array.make (cells + t.base) (-1)
+  and dists = Array.make cells 0. in
+  Array.fill handles cells t.base 0;
+  let digit = Node_id.digit t.owner level in
+  if (t.filled.(level) lsr digit) land 1 = 1 then begin
+    handles.(len_at t digit) <- 1;
+    handles.(digit * t.redundancy) <- t.owner_handle
+  end;
+  t.ids.(level) <- ids;
+  t.handles.(level) <- handles;
+  t.dists.(level) <- dists
 
 let set_owner_handle t handle =
   t.owner_handle <- handle;
   for level = 0 to t.levels - 1 do
-    let off = cell t ~level ~digit:(Node_id.digit t.owner level) * t.redundancy in
-    for k = 0 to t.lens.(cell t ~level ~digit:(Node_id.digit t.owner level)) - 1 do
-      if Node_id.equal t.ids.(off + k) t.owner then t.handles.(off + k) <- handle
-    done
+    if has_row t level then begin
+      let digit = Node_id.digit t.owner level in
+      let ids = t.ids.(level) and off = digit * t.redundancy in
+      for k = 0 to t.handles.(level).(len_at t digit) - 1 do
+        if Node_id.equal ids.(off + k) t.owner then
+          t.handles.(level).(off + k) <- handle
+      done
+    end
   done
 
 let owner t = t.owner
@@ -81,38 +116,60 @@ let levels t = t.levels
 
 let base t = t.base
 
-let slot_len t ~level ~digit = t.lens.((level * t.base) + digit)
+let rec rows_from t level acc =
+  if level >= t.levels then acc
+  else rows_from t (level + 1) (if has_row t level then acc + 1 else acc)
+
+let allocated_rows t = rows_from t 0 0
+
+(* A row-less level's only entry is the owner's, so its slot length is the
+   owner's [filled] bit and [k] can only be 0 there. *)
+let slot_len t ~level ~digit =
+  let hs = t.handles.(level) in
+  if Array.length hs = 0 then (t.filled.(level) lsr digit) land 1
+  else hs.(len_at t digit)
 
 let filled_mask t ~level = t.filled.(level)
 
-let slot_id t ~level ~digit ~k = t.ids.((((level * t.base) + digit) * t.redundancy) + k)
+let slot_id t ~level ~digit ~k =
+  let ids = t.ids.(level) in
+  if Array.length ids = 0 then t.owner else ids.((digit * t.redundancy) + k)
 
+(* [owner_handle] is written once, by [Network.register] before the node
+   is reachable and outside any serve window, so serve windows read a
+   settled value here. *)
 let slot_handle t ~level ~digit ~k =
-  t.handles.((((level * t.base) + digit) * t.redundancy) + k)
+  let hs = t.handles.(level) in
+  if Array.length hs = 0 then (t.owner_handle [@race_ok])
+  else hs.((digit * t.redundancy) + k)
 
 let slot_dist t ~level ~digit ~k =
-  t.dists.((((level * t.base) + digit) * t.redundancy) + k)
+  let ds = t.dists.(level) in
+  if Array.length ds = 0 then 0. else ds.((digit * t.redundancy) + k)
 
 (* [@alloc_ok]: the list view is the API contract; hot paths read the
    index accessors above instead. *)
 let[@alloc_ok] slot t ~level ~digit =
-  let c = cell t ~level ~digit in
-  let off = c * t.redundancy in
+  let len = slot_len t ~level ~digit in
   let rec build k =
-    if k >= t.lens.(c) then []
-    else { id = t.ids.(off + k); dist = t.dists.(off + k) } :: build (k + 1)
+    if k >= len then []
+    else
+      { id = slot_id t ~level ~digit ~k; dist = slot_dist t ~level ~digit ~k }
+      :: build (k + 1)
   in
   build 0
 
 (* [@alloc_ok]: an option-of-record view for maintenance and tests. *)
 let[@alloc_ok] primary t ~level ~digit =
-  let c = cell t ~level ~digit in
-  if t.lens.(c) = 0 then None
+  if slot_len t ~level ~digit = 0 then None
   else
-    let off = c * t.redundancy in
-    Some { id = t.ids.(off); dist = t.dists.(off) }
+    Some
+      {
+        id = slot_id t ~level ~digit ~k:0;
+        dist = slot_dist t ~level ~digit ~k:0;
+      }
 
-let is_hole t ~level ~digit = t.lens.((level * t.base) + digit) = 0
+let is_hole t ~level ~digit = slot_len t ~level ~digit = 0
 
 (* The slot scans are top-level recursions over explicit operands (as in
    [Route.scan]): a local closure over the table would be allocated on
@@ -139,148 +196,156 @@ let rec find_handle (hs : int array) ~off ~len h k =
   else if hs.(off + k) = h then k
   else find_handle hs ~off ~len h (k + 1)
 
-(* Shift [off+pos .. off+len-1] one cell right (the caller guarantees
-   capacity) and write the new entry at [off+pos]. *)
-let insert_at t ~off ~len ~pos ~id ~handle ~dist =
+(* Shift row cells [off+pos .. off+len-1] one cell right (the caller
+   guarantees capacity) and write the new entry at [off+pos]. *)
+let insert_at (ids : Node_id.t array) (hs : int array) (ds : float array) ~off
+    ~len ~pos ~id ~handle ~dist =
   for k = len - 1 downto pos do
-    t.ids.(off + k + 1) <- t.ids.(off + k);
-    t.handles.(off + k + 1) <- t.handles.(off + k);
-    t.dists.(off + k + 1) <- t.dists.(off + k)
+    ids.(off + k + 1) <- ids.(off + k);
+    hs.(off + k + 1) <- hs.(off + k);
+    ds.(off + k + 1) <- ds.(off + k)
   done;
-  t.ids.(off + pos) <- id;
-  t.handles.(off + pos) <- handle;
-  t.dists.(off + pos) <- dist
+  ids.(off + pos) <- id;
+  hs.(off + pos) <- handle;
+  ds.(off + pos) <- dist
 
-let remove_at t ~off ~len ~pos =
+let remove_at t (ids : Node_id.t array) (hs : int array) (ds : float array)
+    ~off ~len ~pos =
   for k = pos to len - 2 do
-    t.ids.(off + k) <- t.ids.(off + k + 1);
-    t.handles.(off + k) <- t.handles.(off + k + 1);
-    t.dists.(off + k) <- t.dists.(off + k + 1)
+    ids.(off + k) <- ids.(off + k + 1);
+    hs.(off + k) <- hs.(off + k + 1);
+    ds.(off + k) <- ds.(off + k + 1)
   done;
-  t.ids.(off + len - 1) <- t.owner;
-  t.handles.(off + len - 1) <- -1
+  ids.(off + len - 1) <- t.owner;
+  hs.(off + len - 1) <- -1
 
 (* [consider]'s verdicts other than "added", below the -1 of an add into
    a free cell (every handle is >= 0). *)
 let known = -2
 let rejected = -3
 
+(* A row-less level gets its row here: for R > 1 every offer that reaches
+   it is added (the level holds at most the owner). *)
 let consider t ~level ~candidate ~handle ~dist =
   if handle = t.owner_handle then known
   else begin
     let digit = Node_id.digit candidate level in
-    let c = cell t ~level ~digit in
-    let off = c * t.redundancy in
-    let len = t.lens.(c) in
-    let found = find_handle t.handles ~off ~len handle 0 in
+    if not (has_row t level) then alloc_row t level;
+    let ids = t.ids.(level) and hs = t.handles.(level) and ds = t.dists.(level) in
+    let off = digit * t.redundancy in
+    let len = hs.(len_at t digit) in
+    let found = find_handle hs ~off ~len handle 0 in
     if found >= 0 then begin
       (* Refresh the recorded distance (it may have been estimated). *)
-      remove_at t ~off ~len ~pos:found;
-      let pos = insertion_pos t.dists ~off ~len:(len - 1) dist 0 in
-      insert_at t ~off ~len:(len - 1) ~pos ~id:candidate ~handle ~dist;
+      remove_at t ids hs ds ~off ~len ~pos:found;
+      let pos = insertion_pos ds ~off ~len:(len - 1) dist 0 in
+      insert_at ids hs ds ~off ~len:(len - 1) ~pos ~id:candidate ~handle ~dist;
       known
     end
     else if len < t.redundancy then begin
-      let pos = insertion_pos t.dists ~off ~len dist 0 in
-      insert_at t ~off ~len ~pos ~id:candidate ~handle ~dist;
-      t.lens.(c) <- len + 1;
+      let pos = insertion_pos ds ~off ~len dist 0 in
+      insert_at ids hs ds ~off ~len ~pos ~id:candidate ~handle ~dist;
+      hs.(len_at t digit) <- len + 1;
       t.filled.(level) <- t.filled.(level) lor (1 lsl digit);
       -1
     end
     else begin
       (* Full slot: the farthest entry is dropped; if that would be the
          candidate itself, reject without touching the slot. *)
-      let pos = insertion_pos t.dists ~off ~len dist 0 in
+      let pos = insertion_pos ds ~off ~len dist 0 in
       if pos >= t.redundancy then rejected
       else begin
-        let evicted = t.handles.(off + len - 1) in
+        let evicted = hs.(off + len - 1) in
         for k = len - 2 downto pos do
-          t.ids.(off + k + 1) <- t.ids.(off + k);
-          t.handles.(off + k + 1) <- t.handles.(off + k);
-          t.dists.(off + k + 1) <- t.dists.(off + k)
+          ids.(off + k + 1) <- ids.(off + k);
+          hs.(off + k + 1) <- hs.(off + k);
+          ds.(off + k + 1) <- ds.(off + k)
         done;
-        t.ids.(off + pos) <- candidate;
-        t.handles.(off + pos) <- handle;
-        t.dists.(off + pos) <- dist;
+        ids.(off + pos) <- candidate;
+        hs.(off + pos) <- handle;
+        ds.(off + pos) <- dist;
         evicted
       end
     end
   end
 
 (* [@alloc_ok]: the Section 6.4 re-measurement pass, run by maintenance
-   between joins, not inside one. *)
+   between joins, not inside one.  Row-less levels hold only the owner
+   entry, which re-measures to 0 and never moves. *)
 let[@alloc_ok] update_distances t ~measure =
   let changed = ref 0 in
   for level = 0 to t.levels - 1 do
-    for digit = 0 to t.base - 1 do
-      let c = cell t ~level ~digit in
-      let len = t.lens.(c) in
-      if len > 0 then begin
-        let off = c * t.redundancy in
-        let old_primary = t.ids.(off) in
-        (* Re-measure in place, compacting out dropped entries. *)
-        let m = ref 0 in
-        for k = 0 to len - 1 do
-          let id = t.ids.(off + k) in
-          let d =
-            if Node_id.equal id t.owner then Some 0.
-            else measure t.handles.(off + k)
-          in
-          match d with
-          | Some d ->
-              t.ids.(off + !m) <- id;
-              t.handles.(off + !m) <- t.handles.(off + k);
-              t.dists.(off + !m) <- d;
-              incr m
-          | None -> ()
-        done;
-        for k = !m to len - 1 do
-          t.ids.(off + k) <- t.owner;
-          t.handles.(off + k) <- -1
-        done;
-        t.lens.(c) <- !m;
-        if !m = 0 then
-          t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit);
-        (* Stable insertion sort by distance (ties keep their order, the
-           same result as the list reference's [List.sort Float.compare]). *)
-        for k = 1 to !m - 1 do
-          let id = t.ids.(off + k)
-          and h = t.handles.(off + k)
-          and d = t.dists.(off + k) in
-          let j = ref (k - 1) in
-          while !j >= 0 && t.dists.(off + !j) > d do
-            t.ids.(off + !j + 1) <- t.ids.(off + !j);
-            t.handles.(off + !j + 1) <- t.handles.(off + !j);
-            t.dists.(off + !j + 1) <- t.dists.(off + !j);
-            decr j
+    if has_row t level then begin
+      let ids = t.ids.(level)
+      and hs = t.handles.(level)
+      and ds = t.dists.(level) in
+      for digit = 0 to t.base - 1 do
+        let len = hs.(len_at t digit) in
+        if len > 0 then begin
+          let off = digit * t.redundancy in
+          let old_primary = ids.(off) in
+          (* Re-measure in place, compacting out dropped entries. *)
+          let m = ref 0 in
+          for k = 0 to len - 1 do
+            let id = ids.(off + k) in
+            let d =
+              if Node_id.equal id t.owner then Some 0. else measure hs.(off + k)
+            in
+            match d with
+            | Some d ->
+                ids.(off + !m) <- id;
+                hs.(off + !m) <- hs.(off + k);
+                ds.(off + !m) <- d;
+                incr m
+            | None -> ()
           done;
-          t.ids.(off + !j + 1) <- id;
-          t.handles.(off + !j + 1) <- h;
-          t.dists.(off + !j + 1) <- d
-        done;
-        if !m = 0 then incr changed
-        else if not (Node_id.equal t.ids.(off) old_primary) then incr changed
-      end
-    done
+          for k = !m to len - 1 do
+            ids.(off + k) <- t.owner;
+            hs.(off + k) <- -1
+          done;
+          hs.(len_at t digit) <- !m;
+          if !m = 0 then
+            t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit);
+          (* Stable insertion sort by distance (ties keep their order, the
+             same result as the list reference's [List.sort Float.compare]). *)
+          for k = 1 to !m - 1 do
+            let id = ids.(off + k) and h = hs.(off + k) and d = ds.(off + k) in
+            let j = ref (k - 1) in
+            while !j >= 0 && ds.(off + !j) > d do
+              ids.(off + !j + 1) <- ids.(off + !j);
+              hs.(off + !j + 1) <- hs.(off + !j);
+              ds.(off + !j + 1) <- ds.(off + !j);
+              decr j
+            done;
+            ids.(off + !j + 1) <- id;
+            hs.(off + !j + 1) <- h;
+            ds.(off + !j + 1) <- d
+          done;
+          if !m = 0 then incr changed
+          else if not (Node_id.equal ids.(off) old_primary) then incr changed
+        end
+      done
+    end
   done;
   !changed
 
 (* [@alloc_ok]: the found-levels list is the API contract; runs once per
-   dropped link (departure or dead-neighbour repair), not per candidate. *)
+   dropped link (departure or dead-neighbour repair), not per candidate.
+   A row-less level holds no node but the owner. *)
 let[@alloc_ok] remove t target =
   if Node_id.equal target t.owner then []
   else begin
     let found = ref [] in
     for level = 0 to t.levels - 1 do
       let digit = Node_id.digit target level in
-      if digit < t.base then begin
-        let c = cell t ~level ~digit in
-        let off = c * t.redundancy in
-        let len = t.lens.(c) in
-        let pos = find_id t.ids ~off ~len target 0 in
+      if digit < t.base && has_row t level then begin
+        let ids = t.ids.(level) and hs = t.handles.(level) in
+        let off = digit * t.redundancy in
+        let len = hs.(len_at t digit) in
+        let pos = find_id ids ~off ~len target 0 in
         if pos >= 0 then begin
-          remove_at t ~off ~len ~pos;
-          t.lens.(c) <- len - 1;
+          remove_at t ids hs t.dists.(level) ~off ~len ~pos;
+          hs.(len_at t digit) <- len - 1;
           if len = 1 then
             t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit);
           found := level :: !found
@@ -365,10 +430,17 @@ let[@alloc_ok] all_backpointers t =
   !acc
 
 let iter_handles t f =
-  for cell = 0 to (t.levels * t.base) - 1 do
-    for k = 0 to t.lens.(cell) - 1 do
-      f ~level:(cell / t.base) t.handles.((cell * t.redundancy) + k)
-    done
+  for level = 0 to t.levels - 1 do
+    let hs = t.handles.(level) in
+    if Array.length hs = 0 then begin
+      if t.filled.(level) <> 0 then f ~level t.owner_handle
+    end
+    else
+      for digit = 0 to t.base - 1 do
+        for k = 0 to hs.(len_at t digit) - 1 do
+          f ~level hs.((digit * t.redundancy) + k)
+        done
+      done
   done
 
 (* [@alloc_ok]: snapshots each slot as a list; maintenance and audit
@@ -381,16 +453,21 @@ let[@alloc_ok] iter_entries t f =
     done
   done
 
-(* Read straight off the packed arrays (no per-slot list build): the
+(* Read straight off the packed rows (no per-slot list build): the
    scale-tier sweep calls this once per node over 10^5..10^6 tables.
-   [@alloc_ok]: one counter cell per table. *)
+   Row-less levels hold only the owner.  [@alloc_ok]: one counter cell per
+   table. *)
 let[@alloc_ok] entry_count t =
   let c = ref 0 in
-  for cell = 0 to (t.levels * t.base) - 1 do
-    let off = cell * t.redundancy in
-    for k = 0 to t.lens.(cell) - 1 do
-      if not (Node_id.equal t.ids.(off + k) t.owner) then incr c
-    done
+  for level = 0 to t.levels - 1 do
+    let ids = t.ids.(level) and hs = t.handles.(level) in
+    if Array.length hs > 0 then
+      for digit = 0 to t.base - 1 do
+        let off = digit * t.redundancy in
+        for k = 0 to hs.(len_at t digit) - 1 do
+          if not (Node_id.equal ids.(off + k) t.owner) then incr c
+        done
+      done
   done;
   !c
 
@@ -398,34 +475,28 @@ let backpointer_count t = Array.fold_left ( + ) 0 t.bp_lens
 
 let word = 8
 
-(* Resident-size estimate of one table: the packed slot arrays are exact
-   (capacity is fixed at creation), and so are the backpointer vectors (two
-   arrays of the level's current capacity; a level never written shares
-   the static empty array and costs nothing).  IDs are shared with the
-   owning nodes and counted once, by {!Network.memory_footprint}, not
-   here.  [@alloc_ok]: footprint accounting, once per node per report. *)
+(* Resident-size estimate of one table: the record, its per-level row and
+   backpointer pointer arrays, each allocated row (three arrays, exact) and
+   each backpointer vector at its current capacity.  A level without a row
+   or without holders shares the static empty arrays and costs nothing
+   more.  IDs are shared with the owning nodes and counted once, by
+   {!Network.memory_footprint}, not here.  [@alloc_ok]: footprint
+   accounting, once per node per report. *)
 let[@alloc_ok] approx_bytes t =
   let arr len = (len + 1) * word in
   let vec len = if len = 0 then 0 else arr len in
-  let fixed =
-    (13 * word)
-    + arr (Array.length t.ids)
-    + arr (Array.length t.handles)
-    + arr (Array.length t.dists)
-    + arr (Array.length t.lens)
-    + arr (Array.length t.filled)
-    + arr (Array.length t.bp_ids)
-    + arr (Array.length t.bp_handles)
-    + arr (Array.length t.bp_lens)
-  in
-  let backs = ref 0 in
+  let fixed = (13 * word) + (7 * arr t.levels) in
+  let per_level = ref 0 in
   for level = 0 to t.levels - 1 do
-    backs :=
-      !backs
+    per_level :=
+      !per_level
+      + vec (Array.length t.ids.(level))
+      + vec (Array.length t.handles.(level))
+      + vec (Array.length t.dists.(level))
       + vec (Array.length t.bp_ids.(level))
       + vec (Array.length t.bp_handles.(level))
   done;
-  fixed + !backs
+  fixed + !per_level
 
 (* [@alloc_ok]: the hole list feeds the repair sweep, once per node per
    sweep. *)
@@ -433,30 +504,30 @@ let[@alloc_ok] holes t =
   let acc = ref [] in
   for level = t.levels - 1 downto 0 do
     for digit = t.base - 1 downto 0 do
-      if t.lens.((level * t.base) + digit) = 0 then
-        acc := (level, digit) :: !acc
+      if slot_len t ~level ~digit = 0 then acc := (level, digit) :: !acc
     done
   done;
   !acc
 
-(* [@alloc_ok]: test fault injection only. *)
+(* [@alloc_ok]: test fault injection only; always gives the level a row. *)
 let[@alloc_ok] inject_slot_for_test t ~level ~digit entries =
   if List.length entries > t.redundancy then
     invalid_arg "Routing_table.inject_slot_for_test: beyond slot capacity";
-  let c = cell t ~level ~digit in
-  let off = c * t.redundancy in
+  if not (has_row t level) then alloc_row t level;
+  let ids = t.ids.(level) and hs = t.handles.(level) and ds = t.dists.(level) in
+  let off = digit * t.redundancy in
   for k = 0 to t.redundancy - 1 do
-    t.ids.(off + k) <- t.owner;
-    t.handles.(off + k) <- -1;
-    t.dists.(off + k) <- 0.
+    ids.(off + k) <- t.owner;
+    hs.(off + k) <- -1;
+    ds.(off + k) <- 0.
   done;
   List.iteri
     (fun k (e, h) ->
-      t.ids.(off + k) <- e.id;
-      t.handles.(off + k) <- h;
-      t.dists.(off + k) <- e.dist)
+      ids.(off + k) <- e.id;
+      hs.(off + k) <- h;
+      ds.(off + k) <- e.dist)
     entries;
-  t.lens.(c) <- List.length entries;
-  (match entries with
+  hs.(len_at t digit) <- List.length entries;
+  match entries with
   | [] -> t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit)
-  | _ :: _ -> t.filled.(level) <- t.filled.(level) lor (1 lsl digit))
+  | _ :: _ -> t.filled.(level) <- t.filled.(level) lor (1 lsl digit)

@@ -16,7 +16,10 @@
     Slots are packed flat arrays of [(id, handle, dist)] triples sorted in
     place (capacity R), so the routing hot path reads entries by index and
     resolves nodes through the network's O(1) handle arena — no hashing, no
-    per-hop allocation.  An ID occupies at most one cell per level (the
+    per-hop allocation.  Each level keeps its slots in one row, allocated
+    when the level gets its first entry other than the owner; a level
+    without a row holds only the owner's self-entry, which every accessor
+    reports as a row would.  An ID occupies at most one cell per level (the
     slot its digit selects, once; audited), so a walk over a level's
     slots meets each neighbor once. *)
 
@@ -25,7 +28,7 @@ type entry = { id : Node_id.t; dist : float }
 type t
 
 val create : Config.t -> owner:Node_id.t -> t
-(** Fresh table containing only the owner itself. *)
+(** Fresh table containing only the owner itself; no level has a row. *)
 
 val owner : t -> Node_id.t
 
@@ -145,9 +148,12 @@ val backpointer_count : t -> int
 (** Total backpointers registered across all levels, O(levels). *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of this table (packed slot arrays + the
+(** Estimated resident bytes of this table (the allocated level rows + the
     per-level backpointer vectors at their current capacity; shared IDs
     excluded).  Feeds {!Network.memory_footprint}. *)
+
+val allocated_rows : t -> int
+(** Number of levels holding a slot row, O(levels). *)
 
 val holes : t -> (int * int) list
 (** All empty slots as [(level, digit)] pairs. *)

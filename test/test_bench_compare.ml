@@ -161,6 +161,26 @@ let test_tier (tier, t, tag, metric) () =
   Alcotest.(check int) (tag ^ ": both under the threshold exits 0") 0 code;
   Alcotest.(check (list string)) (tag ^ ": nothing flagged") [] flagged
 
+(* The estimated footprint is deterministic, so its serve gate is 5%:
+   6% more bytes fails on that row alone, 4% passes. *)
+let test_footprint_gate () =
+  let pt bytes =
+    ("footprint_bytes", bytes)
+    :: serve_point ~tput:1000. ~p99:0.1 ~dpr:3. ~hit:0. ~p50:0.05 ()
+  in
+  let base = doc ~serve:[ pt 1e8 ] () in
+  let code, flagged = run base (doc ~serve:[ pt (up 1e8 6.) ] ()) in
+  Alcotest.(check int) "6% more footprint exits 1" 1 code;
+  (match flagged with
+  | [ line ] ->
+      Alcotest.(check bool) "the flagged row is footprint_bytes" true
+        (contains line "footprint_bytes")
+  | _ ->
+      Alcotest.failf "expected one flagged row, got %d" (List.length flagged));
+  let code, flagged = run base (doc ~serve:[ pt (up 1e8 4.) ] ()) in
+  Alcotest.(check int) "4% more footprint exits 0" 0 code;
+  Alcotest.(check (list string)) "nothing flagged at 4%" [] flagged
+
 let test_info_never_gates () =
   let pt ~p50 ~wall =
     [
@@ -205,6 +225,8 @@ let () =
               (test_tier t))
           tiers
         @ [
+            Alcotest.test_case "serve footprint_bytes gate is 5%" `Quick
+              test_footprint_gate;
             Alcotest.test_case "info-only fields never gate" `Quick
               test_info_never_gates;
             Alcotest.test_case "configuration errors exit 2" `Quick

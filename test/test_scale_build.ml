@@ -185,14 +185,20 @@ let mesh_digest net =
 
 (* Recorded on the commit before the handle-keyed join path.  The grid
    lattice has exact distance ties, where the order of repeated link
-   offers decides slot order; uniform points have none. *)
+   offers decides slot order; uniform points have none.  The uniform mesh
+   also pins [Network.memory_footprint]'s [table_bytes] and [total_bytes]:
+   with depth-sized routing tables they read 7 328 720 and 10 047 448,
+   with every level's slot cells allocated up front 13 356 768 and
+   16 075 496. *)
 let pinned_mesh_digests =
   [
-    (Topology.Uniform_square, "97625d892af28c886014a3114e0b1462");
-    (Topology.Grid, "a241c3eeb1c9b3f6d82e344ef2cef462");
+    ( Topology.Uniform_square,
+      "97625d892af28c886014a3114e0b1462",
+      Some (7_328_720, 10_047_448) );
+    (Topology.Grid, "a241c3eeb1c9b3f6d82e344ef2cef462", None);
   ]
 
-let test_pinned_mesh_digest (kind, pinned) () =
+let test_pinned_mesh_digest (kind, pinned, footprint) () =
   let n = 1024 and seed = 42 in
   let rng = Rng.create seed in
   let metric = Topology.generate kind ~n ~rng in
@@ -201,7 +207,14 @@ let test_pinned_mesh_digest (kind, pinned) () =
   in
   Alcotest.(check string)
     (Printf.sprintf "seed-42 n=1024 %s mesh digest" (Topology.kind_name kind))
-    pinned (mesh_digest net)
+    pinned (mesh_digest net);
+  match footprint with
+  | None -> ()
+  | Some (table, total) ->
+      let fp = Network.memory_footprint net in
+      Alcotest.(check (pair int int))
+        "seed-42 n=1024 table_bytes, total_bytes" (table, total)
+        (fp.Network.table_bytes, fp.Network.total_bytes)
 
 let () =
   Alcotest.run "scale_build"
@@ -226,7 +239,7 @@ let () =
         ] );
       ( "pinned",
         List.map
-          (fun ((kind, _) as pin) ->
+          (fun ((kind, _, _) as pin) ->
             Alcotest.test_case
               (Printf.sprintf "n=1024 seed=42 %s mesh digest"
                  (Topology.kind_name kind))

@@ -357,9 +357,59 @@ let test_fiber_run_until () =
   Fiber.run sched;
   Alcotest.(check int) "all events" 3 !fired
 
+(* --- Hist --- *)
+
+(* The bucket lower edge [Hist.quantile] reports for one sample [v], by
+   the [Float.frexp] rule: 32 mantissa strips per binary octave, octaves
+   2^-32 .. 2^31, everything below in bucket 0. *)
+let frexp_edge v =
+  let edge e si = Float.ldexp (0.5 +. (float_of_int si /. 64.)) e in
+  let m, e = Float.frexp v in
+  if v <= 0. || e < -32 then edge (-32) 0
+  else if e > 31 then edge 31 31
+  else edge e (int_of_float ((m -. 0.5) *. 64.))
+
+let test_hist_buckets () =
+  let rng = Rng.create 5 in
+  let samples =
+    [ 1e-320; 4.9e-324; Float.min_float; 2.3e-10; 1e-4; 0.5; 1.; 3.; 2e9;
+      1e300 ]
+    @ List.init 2000 (fun _ ->
+          Float.ldexp (0.5 +. Rng.float rng 0.5) (Rng.int rng 100 - 50))
+  in
+  List.iter
+    (fun v ->
+      let h = Stats.Hist.create () in
+      Stats.Hist.add h v;
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "bucket edge of %h" v)
+        (frexp_edge v) (Stats.Hist.quantile h 0.5))
+    samples
+
+(* The samples are boxed up front (a float list), so the loop passes
+   existing boxes and any allocation measured is [add]'s own. *)
+let test_hist_add_allocates_nothing () =
+  let h = Stats.Hist.create () in
+  let samples = List.init 10_000 (fun i -> float_of_int (i + 1) *. 1e-5) in
+  let before = Gc.minor_words () in
+  List.iter (Stats.Hist.add h) samples;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then
+    Alcotest.failf "10 000 adds allocated %.0f minor words" words;
+  check_float "mean" (10_001. *. 1e-5 /. 2.) (Stats.Hist.mean h);
+  check_float "min" 1e-5 (Stats.Hist.min_value h);
+  check_float "max" 0.1 (Stats.Hist.max_value h)
+
 let () =
   Alcotest.run "simnet"
     [
+      ( "hist",
+        [
+          Alcotest.test_case "buckets match the frexp rule" `Quick
+            test_hist_buckets;
+          Alcotest.test_case "add allocates nothing" `Quick
+            test_hist_add_allocates_nothing;
+        ] );
       ( "heap",
         [
           Alcotest.test_case "order" `Quick test_heap_order;

@@ -57,6 +57,9 @@ let table =
     (Serve, "p999_virtual", Info);
     (Serve, "delivered_per_request", Higher_worse 20.);
     (Serve, "wall_s", Info);
+    (* estimated resident bytes (`memory ledger`): deterministic, so a
+       tight threshold gates memory without noise *)
+    (Serve, "footprint_bytes", Higher_worse 5.);
     (Cache, "cache_hit_rate", Lower_worse 20.);
     (Coop, "delivered_per_request", Higher_worse 10.);
     (Coop, "cache_hit_rate", Lower_worse 10.);
