@@ -701,7 +701,7 @@ let availability ?(seed = 42) mode =
   [ t ]
 
 (* ------------------------------------------------------------------ *)
-(* E8: simultaneous insertion on the fiber scheduler                   *)
+(* E8: simultaneous insertion on a virtual-time event heap            *)
 (* ------------------------------------------------------------------ *)
 
 let concurrent_insert ?(seed = 42) mode =
@@ -719,12 +719,11 @@ let concurrent_insert ?(seed = 42) mode =
         (Printf.sprintf
            "E8: simultaneous insertions, %d batches of %d interleaved at stage boundaries"
            batches batch_size)
-      ~columns:
-        [ "batch"; "joined"; "P1 violations after"; "stalled fibers"; "roots unique" ]
+      ~columns:[ "batch"; "joined"; "P1 violations after"; "roots unique" ]
   in
   let next_addr = ref n in
   for batch = 1 to batches do
-    let sched = Simnet.Fiber.create () in
+    let events = Simnet.Heap.create ~cmp:Float.compare in
     let batch_rng = Rng.create (seed + (batch * 31)) in
     for _ = 1 to batch_size do
       let addr = !next_addr in
@@ -732,16 +731,9 @@ let concurrent_insert ?(seed = 42) mode =
       let jitter0 = Rng.float batch_rng 1.0 in
       let jitter1 = Rng.float batch_rng 1.0 in
       let jitter2 = Rng.float batch_rng 1.0 in
-      Simnet.Fiber.spawn sched (fun () ->
-          Simnet.Fiber.sleep sched jitter0;
-          let gw = Network.random_alive net in
-          let staged = Insert.stage_surrogate net ~gateway:gw ~addr in
-          Simnet.Fiber.sleep sched jitter1;
-          Insert.stage_multicast net staged;
-          Simnet.Fiber.sleep sched jitter2;
-          ignore (Insert.stage_acquire net staged))
+      Insert.push_staged events net ~addr ~delays:(jitter0, jitter1, jitter2)
     done;
-    Simnet.Fiber.run sched;
+    Simnet.Heap.drain events;
     let v1 = Network.check_property1 net in
     let guid =
       Node_id.random ~base:Config.default.Config.base
@@ -750,9 +742,7 @@ let concurrent_insert ?(seed = 42) mode =
     let unique = Verify.roots_agree net guid ~samples:15 in
     Stats.Table.add_row t
       [ string_of_int batch; string_of_int batch_size;
-        string_of_int (List.length v1);
-        string_of_int (Simnet.Fiber.stalled_fibers sched);
-        string_of_bool unique ]
+        string_of_int (List.length v1); string_of_bool unique ]
   done;
   [ t ]
 
@@ -1311,7 +1301,7 @@ let redundancy ?(seed = 42) ?(domains = 1) mode =
 
 
 (* ------------------------------------------------------------------ *)
-(* E16: asynchronous failure recovery timeline                         *)
+(* E16: failure recovery timeline (timed closures on a Simnet.Heap)   *)
 (* ------------------------------------------------------------------ *)
 
 let async_recovery ?(seed = 42) mode =
@@ -1333,46 +1323,69 @@ let async_recovery ?(seed = 42) mode =
       objects
     |> List.fold_left (fun acc id -> Node_id.Set.add id acc) Node_id.Set.empty
   in
-  let sched = Simnet.Fiber.create () in
-  let env = Tapestry.Async_ops.make_env ~latency_scale:0.5 sched net in
-  (* the soft-state daemons of Sections 5.2/6.5 *)
-  Simnet.Fiber.spawn sched (fun () ->
-      Tapestry.Async_ops.heartbeat_daemon env ~period:8.0
-        ~rounds:(int_of_float (horizon /. 8.0)));
-  Simnet.Fiber.spawn sched (fun () ->
-      Tapestry.Async_ops.republish_daemon env ~period:12.0
-        ~rounds:(int_of_float (horizon /. 12.0)));
+  (* One timeline of timed closures.  The soft-state daemons of Sections
+     5.2/6.5 are steps that push their next step; only their steps (and
+     the end of the heartbeat's timeout) move the network clock that
+     soft-state expiry reads. *)
+  let events = Simnet.Heap.create ~cmp:Float.compare in
+  let rounds period = int_of_float (horizon /. period) in
+  let set_clock t = net.Network.clock <- t in
+  (* A sweep that met a dead neighbour waits out one probe timeout (the
+     nodes' timeouts run concurrently) before its period starts again. *)
+  let heartbeat_period = 8.0 and timeout = 2.0 in
+  let rec heartbeat round t =
+    set_clock t;
+    let dead = ref 0 in
+    Network.iter_alive net (fun owner ->
+        dead := !dead + Delete.repair_owner net owner);
+    let again t =
+      if round < rounds heartbeat_period then
+        Simnet.Heap.push events (t +. heartbeat_period) (heartbeat (round + 1))
+    in
+    if !dead = 0 then again t
+    else
+      Simnet.Heap.push events (t +. timeout) (fun t ->
+          set_clock t;
+          again t)
+  in
+  Simnet.Heap.push events heartbeat_period (heartbeat 1);
+  let republish_period = 12.0 in
+  let rec republish round t =
+    set_clock t;
+    ignore (Maintenance.expire_all net : int);
+    ignore (Maintenance.republish_all net : int);
+    if round < rounds republish_period then
+      Simnet.Heap.push events (t +. republish_period) (republish (round + 1))
+  in
+  Simnet.Heap.push events republish_period (republish 1);
   (* mass silent failure at kill_at *)
-  Simnet.Fiber.spawn_at sched kill_at (fun () ->
+  Simnet.Heap.push events kill_at (fun _ ->
       let victims =
         Network.alive_nodes net
         |> List.filter (fun (v : Node.t) -> not (Node_id.Set.mem v.Node.id server_ids))
         |> List.filteri (fun i _ -> i mod 6 = 0)
       in
-      List.iter (fun v -> Tapestry.Delete.fail net v) victims);
-  (* probing fiber: instantaneous availability once per virtual second *)
+      List.iter (Delete.fail net) victims);
+  (* instantaneous availability at each virtual second 0 .. horizon-1 *)
   let buckets = int_of_float (horizon /. bucket_len) in
   let hits = Array.make buckets 0 and totals = Array.make buckets 0 in
-  Simnet.Fiber.spawn sched (fun () ->
-      let prng = Rng.create (seed + 5) in
-      for tick = 0 to int_of_float horizon - 1 do
-        Simnet.Fiber.sleep sched 1.0;
-        let b = min (buckets - 1) (tick / int_of_float bucket_len) in
-        Network.without_charging net (fun () ->
-            for _ = 1 to probes_per_tick do
-              totals.(b) <- totals.(b) + 1;
-              let client = Network.random_alive net in
-              let guid = Rng.pick_list prng guids in
-              (* probe with plain routing: no repair side effects, so the
-                 daemons alone drive recovery *)
-              let res =
-                Locate.locate
-                  ~variant:Route.Native net ~client guid
-              in
-              if Option.is_some res.Locate.server then hits.(b) <- hits.(b) + 1
-            done)
-      done);
-  Simnet.Fiber.run sched;
+  let prng = Rng.create (seed + 5) in
+  let rec probe t =
+    let b = min (buckets - 1) (int_of_float (t /. bucket_len)) in
+    Network.without_charging net (fun () ->
+        for _ = 1 to probes_per_tick do
+          totals.(b) <- totals.(b) + 1;
+          let client = Network.random_alive net in
+          let guid = Rng.pick_list prng guids in
+          (* probe with plain routing: no repair side effects, so the
+             daemons alone drive recovery *)
+          let res = Locate.locate ~variant:Route.Native net ~client guid in
+          if Option.is_some res.Locate.server then hits.(b) <- hits.(b) + 1
+        done);
+    if t +. 1.0 < horizon then Simnet.Heap.push events (t +. 1.0) probe
+  in
+  Simnet.Heap.push events 0.0 probe;
+  Simnet.Heap.drain events;
   let t =
     Stats.Table.create
       ~title:

@@ -42,8 +42,9 @@ val availability : ?seed:int -> mode -> Simnet.Stats.Table.t list
     failures) with lazy repair and periodic republish. *)
 
 val concurrent_insert : ?seed:int -> mode -> Simnet.Stats.Table.t list
-(** E8 — Theorem 6: batches of simultaneous insertions interleaved on the
-    fiber scheduler keep Property 1. *)
+(** E8 — Theorem 6: batches of simultaneous insertions, run as timed
+    closures on a {!Simnet.Heap} timeline that interleave at insertion
+    stage boundaries, keep Property 1. *)
 
 val prr_v0 : ?seed:int -> ?domains:int -> mode -> Simnet.Stats.Table.t list
 (** E9 — Theorem 7: PRR v.0 stretch and space on general (expansion-free)
@@ -74,9 +75,11 @@ val redundancy : ?seed:int -> ?domains:int -> mode -> Simnet.Stats.Table.t list
     (Observation 1): availability through silent mass failure. *)
 
 val async_recovery : ?seed:int -> mode -> Simnet.Stats.Table.t list
-(** E16 — fully asynchronous timeline: mass silent failure under running
-    heartbeat and republish daemons (Sections 5.2/6.5); availability per
-    virtual-time bucket shows the dip and the soft-state recovery. *)
+(** E16 — recovery timeline: mass silent failure under running heartbeat
+    and republish daemons (Sections 5.2/6.5), run as timed closures on a
+    {!Simnet.Heap} timeline that interleave at whole-operation boundaries;
+    availability per virtual-time bucket shows the dip and the soft-state
+    recovery. *)
 
 val all : ?seed:int -> ?domains:int -> mode -> (string * Simnet.Stats.Table.t list) list
 (** Every experiment in paper order, tagged with its id.  Runs everything —

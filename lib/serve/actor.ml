@@ -8,8 +8,9 @@
    processing per message with a service-done event, then executes the
    hop (pointer probe, deposit, removal, or replica check) and sends the
    follow-up message — so a request's hop sequence is real inter-actor
-   traffic, each hop charged [latency * metric distance] like
-   [Async_ops.hop].  A drain is two plain functions, [drain_head] and
+   traffic: [hop] charges the shard's cost counters one message of the
+   metric distance and delivers it [latency * distance] virtual seconds
+   later.  A drain is two plain functions, [drain_head] and
    [serve_done], with no continuation or closure per message.
 
    Opcodes: 0 LOCATE walks toward the object's root until a usable

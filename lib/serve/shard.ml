@@ -148,15 +148,6 @@ let flush_outboxes t ~barrier =
     Mailbox.Outbox.clear ob
   done
 
-(* Lazy repair of one owner's dead routing entries, Section 5.2 style:
-   run the rich on_dead handler (drop link, promote secondary, fill
-   holes, re-push pointers) for each distinct dead neighbor. *)
-let repair_owner net (owner : Node.t) =
-  if Node.is_alive owner then
-    List.iter
-      (fun (d : Node.t) -> Delete.on_dead_repair net ~owner ~dead:d.Node.id)
-      (Delete.dead_neighbours net owner)
-
 let apply_repairs t =
   let net = t.sh.Actor.net in
   for s = 0 to shard_count - 1 do
@@ -164,7 +155,7 @@ let apply_repairs t =
     for i = 0 to ctx.Actor.dirty_len - 1 do
       let h = ctx.Actor.dirty_h.(i) in
       Bytes.set t.sh.Actor.dirty h '\000';
-      repair_owner net (Network.node_of_handle net h)
+      ignore (Delete.repair_owner net (Network.node_of_handle net h) : int)
     done;
     ctx.Actor.dirty_len <- 0
   done
@@ -407,7 +398,7 @@ let run ?(clock = fun () -> 0.) t ~domains ~now ~on_barrier =
 let quiesce t ~clock =
   let net = t.sh.Actor.net in
   net.Network.clock <- clock;
-  Network.iter_alive net (fun owner -> repair_owner net owner);
+  Network.iter_alive net (fun owner -> ignore (Delete.repair_owner net owner : int));
   ignore (Delete.repair_all_holes net : int);
   Network.iter_alive net (fun n ->
       let t = n.Node.table in

@@ -78,6 +78,13 @@ let pop_exn h =
   | Some kv -> kv
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
+let rec drain h =
+  match pop h with
+  | None -> ()
+  | Some (time, f) ->
+      f time;
+      drain h
+
 let clear h =
   h.size <- 0;
   h.data <- [||]

@@ -63,6 +63,17 @@ let dead_neighbours net (owner : Node.t) =
       end);
   List.rev !acc
 
+(* Lazy repair of one owner's dead routing entries, Section 5.2 style:
+   the rich on_dead handler (drop link, promote secondary, fill holes,
+   re-push pointers) for each distinct dead neighbour. *)
+let repair_owner net (owner : Node.t) =
+  if not (Node.is_alive owner) then 0
+  else begin
+    let dead = dead_neighbours net owner in
+    List.iter (fun (d : Node.t) -> on_dead_repair net ~owner ~dead:d.Node.id) dead;
+    List.length dead
+  end
+
 let fail net node = Network.mark_dead net node
 
 let voluntary net (node : Node.t) =

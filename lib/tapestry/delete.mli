@@ -37,6 +37,12 @@ val dead_neighbours : Network.t -> Node.t -> Node.t list
 (** The distinct dead nodes in the node's table, in the order a walk by
     level, digit and rank first meets them. *)
 
+val repair_owner : Network.t -> Node.t -> int
+(** Lazy repair at one node: {!on_dead_repair} for each of its
+    {!dead_neighbours} in that order; returns how many there were (0 for
+    a dead owner, which is left alone).  The serve engine's repair
+    barrier and the heartbeat sweep of experiment E16 both run it. *)
+
 val repair_hole : Network.t -> owner:Node.t -> level:int -> digit:int -> bool
 (** Find a replacement for an empty slot: ask the remaining level-[level]
     neighbors for their matching entries, then fall back to a routed

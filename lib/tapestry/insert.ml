@@ -138,6 +138,17 @@ let insert ?id ?adaptive net ~gateway ~addr =
   stage_multicast net staged;
   stage_acquire net staged
 
+(* [@alloc_ok]: cold; allocates the three stage closures. *)
+let[@alloc_ok] push_staged events net ~addr ~delays =
+  let d0, d1, d2 = delays in
+  Simnet.Heap.push events d0 (fun t ->
+      let gateway = Network.random_alive net in
+      let staged = stage_surrogate net ~gateway ~addr in
+      Simnet.Heap.push events (t +. d1) (fun t ->
+          stage_multicast net staged;
+          Simnet.Heap.push events (t +. d2) (fun _ ->
+              ignore (stage_acquire net staged))))
+
 (* [@alloc_ok]: network construction; allocates the report list. *)
 let[@alloc_ok] build_incremental ?seed cfg metric ~addrs =
   let net = Network.create ?seed cfg metric in

@@ -15,8 +15,8 @@
     other (Theorem 6).
 
     The three stages are exposed separately so concurrency experiments can
-    interleave insertions at stage boundaries on the fiber scheduler;
-    {!insert} runs them back to back. *)
+    interleave insertions at stage boundaries on a virtual-time event heap
+    ({!push_staged}); {!insert} runs them back to back. *)
 
 type report = {
   node : Node.t;
@@ -46,6 +46,19 @@ val stage_acquire : Network.t -> staged -> report
     backfill, and activation. *)
 
 val staged_node : staged -> Node.t
+
+val push_staged :
+  (float, float -> unit) Simnet.Heap.t ->
+  Network.t ->
+  addr:int ->
+  delays:float * float * float ->
+  unit
+(** Queue one staged insertion on a timeline run by {!Simnet.Heap.drain}:
+    with [delays = (d0, d1, d2)], {!stage_surrogate} runs at virtual time
+    [d0] through a random alive gateway, {!stage_multicast} [d1] later and
+    {!stage_acquire} [d2] after that; the report is dropped.
+    Insertions queued on one heap interleave at stage boundaries
+    (Section 4.4, Theorem 6). *)
 
 val insert :
   ?id:Node_id.t -> ?adaptive:bool -> Network.t -> gateway:Node.t -> addr:int -> report

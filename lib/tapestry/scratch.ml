@@ -4,8 +4,9 @@
    across insertions costs one integer increment instead of clearing or
    reallocating; every array is indexed by (or holds) arena handles, never
    IDs, so the hot path does no hashing.  Single-threaded by construction:
-   one scratch per network, and the simulator never yields inside a descent
-   or a multicast (fibers interleave only at insertion stage boundaries). *)
+   one scratch per network, and every timed closure on a timeline runs a
+   whole stage, so a descent or a multicast never starts inside another
+   (joins interleave only at insertion stage boundaries). *)
 
 type t = {
   mutable stamp : int array;

@@ -7,8 +7,8 @@
     distances per descent, and keep their candidate / selection / worklist
     buffers here instead of allocating per call ({!Delete.dead_neighbours}
     borrows the visit stamps).  Not reentrant — the simulator guarantees
-    none of these runs inside another on the same network (fibers yield
-    only at insertion stage boundaries). *)
+    none of these runs inside another on the same network (timed closures
+    on a timeline run whole insertion stages). *)
 
 type t = {
   mutable stamp : int array;  (** per-handle visited mark vs [visit_gen] *)

@@ -1,4 +1,4 @@
-(* Concurrency tests on the fiber scheduler: simultaneous insertions
+(* Concurrency tests on a virtual-time event heap: simultaneous insertions
    (Section 4.4, Theorem 6) including engineered same-hole collisions, and
    availability across interleaved joins (Section 4.3, Figure 10). *)
 
@@ -10,29 +10,31 @@ let build ?(n = 100) ?(seed = 51) ?(extra = 16) () =
   let addrs = List.init n (fun i -> i) in
   Insert.build_incremental ~seed:(seed + 1) Config.default metric ~addrs
 
-let staged_insert sched net ~addr ?id ~delays () =
+let timeline () = Simnet.Heap.create ~cmp:Float.compare
+
+(* [Insert.push_staged] with a fixed id and the report handed back, which
+   the collision and cost cases need. *)
+let push_joiner ?id ?(on_report = ignore) events net ~addr ~delays =
   let d0, d1, d2 = delays in
-  Simnet.Fiber.spawn sched (fun () ->
-      Simnet.Fiber.sleep sched d0;
-      let gw = Network.random_alive net in
-      let staged = Insert.stage_surrogate ?id net ~gateway:gw ~addr in
-      Simnet.Fiber.sleep sched d1;
-      Insert.stage_multicast net staged;
-      Simnet.Fiber.sleep sched d2;
-      ignore (Insert.stage_acquire net staged))
+  Simnet.Heap.push events d0 (fun t ->
+      let gateway = Network.random_alive net in
+      let staged = Insert.stage_surrogate ?id net ~gateway ~addr in
+      Simnet.Heap.push events (t +. d1) (fun t ->
+          Insert.stage_multicast net staged;
+          Simnet.Heap.push events (t +. d2) (fun _ ->
+              on_report (Insert.stage_acquire net staged))))
 
 let test_concurrent_batch_keeps_p1 () =
   let net, _ = build () in
-  let sched = Simnet.Fiber.create () in
+  let events = timeline () in
   let rng = Simnet.Rng.create 99 in
   for i = 0 to 9 do
     let delays =
       (Simnet.Rng.float rng 1., Simnet.Rng.float rng 1., Simnet.Rng.float rng 1.)
     in
-    staged_insert sched net ~addr:(100 + i) ~delays ()
+    Insert.push_staged events net ~addr:(100 + i) ~delays
   done;
-  Simnet.Fiber.run sched;
-  Alcotest.(check int) "no stalls" 0 (Simnet.Fiber.stalled_fibers sched);
+  Simnet.Heap.drain events;
   Alcotest.(check int) "all joined" 110 (List.length (Network.alive_nodes net));
   Alcotest.(check int) "P1 after concurrent batch" 0
     (List.length (Network.check_property1 net))
@@ -70,13 +72,12 @@ let test_same_hole_collision () =
   in
   let id_a = make_id 1001 and id_b = make_id 2002 in
   Alcotest.(check bool) "distinct ids" false (Node_id.equal id_a id_b);
-  let sched = Simnet.Fiber.create () in
+  let events = timeline () in
   (* interleave tightly: A's multicast runs between B's surrogate step and
      B's multicast, and vice versa on a second schedule *)
-  staged_insert sched net ~addr:80 ~id:id_a ~delays:(0.0, 0.2, 0.5) ();
-  staged_insert sched net ~addr:81 ~id:id_b ~delays:(0.1, 0.3, 0.4) ();
-  Simnet.Fiber.run sched;
-  Alcotest.(check int) "no stalls" 0 (Simnet.Fiber.stalled_fibers sched);
+  push_joiner events net ~addr:80 ~id:id_a ~delays:(0.0, 0.2, 0.5);
+  push_joiner events net ~addr:81 ~id:id_b ~delays:(0.1, 0.3, 0.4);
+  Simnet.Heap.drain events;
   Alcotest.(check int) "P1 holds after same-hole collision" 0
     (List.length (Network.check_property1 net));
   (* in particular, A and B must know each other (they share prefix.(0), j) *)
@@ -107,17 +108,17 @@ let test_objects_available_during_churny_joins () =
         ignore (Publish.publish net ~server guid);
         guid)
   in
-  let sched = Simnet.Fiber.create () in
+  let events = timeline () in
   let failures = ref 0 and probes = ref 0 in
-  (* a probing fiber runs between every insertion stage *)
-  Simnet.Fiber.spawn sched (fun () ->
-      for _ = 1 to 40 do
-        Simnet.Fiber.sleep sched 0.1;
-        incr probes;
-        let client = Network.random_alive net in
-        let guid = Simnet.Rng.pick_list net.Network.rng guids in
-        if (Locate.locate net ~client guid).Locate.server = None then incr failures
-      done);
+  (* a probe runs every 0.1 s, between the insertion stages *)
+  let rec probe t =
+    incr probes;
+    let client = Network.random_alive net in
+    let guid = Simnet.Rng.pick_list net.Network.rng guids in
+    if (Locate.locate net ~client guid).Locate.server = None then incr failures;
+    if !probes < 40 then Simnet.Heap.push events (t +. 0.1) probe
+  in
+  Simnet.Heap.push events 0.1 probe;
   let rng = Simnet.Rng.create 72 in
   for i = 0 to 11 do
     let delays =
@@ -125,9 +126,9 @@ let test_objects_available_during_churny_joins () =
         0.05 +. Simnet.Rng.float rng 0.3,
         0.05 +. Simnet.Rng.float rng 0.3 )
     in
-    staged_insert sched net ~addr:(100 + i) ~delays ()
+    Insert.push_staged events net ~addr:(100 + i) ~delays
   done;
-  Simnet.Fiber.run sched;
+  Simnet.Heap.drain events;
   Alcotest.(check int) "40 probes ran" 40 !probes;
   Alcotest.(check int) "objects never unavailable during joins" 0 !failures
 
@@ -140,15 +141,15 @@ let test_sequentialized_equals_concurrent_p1 () =
     ignore (Insert.insert net_seq ~gateway:gw ~addr:(60 + i))
   done;
   let net_con, _ = build ~n:60 ~seed:81 () in
-  let sched = Simnet.Fiber.create () in
+  let events = timeline () in
   let rng = Simnet.Rng.create 82 in
   for i = 0 to 7 do
     let delays =
       (Simnet.Rng.float rng 1., Simnet.Rng.float rng 1., Simnet.Rng.float rng 1.)
     in
-    staged_insert sched net_con ~addr:(60 + i) ~delays ()
+    Insert.push_staged events net_con ~addr:(60 + i) ~delays
   done;
-  Simnet.Fiber.run sched;
+  Simnet.Heap.drain events;
   Alcotest.(check int) "seq P1" 0 (List.length (Network.check_property1 net_seq));
   Alcotest.(check int) "con P1" 0 (List.length (Network.check_property1 net_con));
   Alcotest.(check int) "same population" (Network.node_count net_seq)
@@ -157,7 +158,7 @@ let test_sequentialized_equals_concurrent_p1 () =
 let test_interleaved_cost_attribution () =
   (* Each stage of a staged insertion accumulates only its own charges
      (Insert runs every stage under Network.measure), so two inserts whose
-     stages interleave on the scheduler must report costs that partition the
+     stages interleave on the event heap must report costs that partition the
      network's total exactly — in particular, the multicast acknowledgments
      charged as each tree edge unwinds land in the insertion that sent them,
      not in whichever insertion happened to snapshot last.  Messages and
@@ -165,24 +166,13 @@ let test_interleaved_cost_attribution () =
      begin/end snapshot accounting the first report absorbed the second
      insertion's interleaved charges and these numbers shifted. *)
   let net, _ = build ~n:60 ~seed:81 () in
-  let sched = Simnet.Fiber.create () in
+  let events = timeline () in
   let reports = ref [] in
-  let spawn ~addr ~delays =
-    let d0, d1, d2 = delays in
-    Simnet.Fiber.spawn sched (fun () ->
-        Simnet.Fiber.sleep sched d0;
-        let gw = Network.random_alive net in
-        let staged = Insert.stage_surrogate net ~gateway:gw ~addr in
-        Simnet.Fiber.sleep sched d1;
-        Insert.stage_multicast net staged;
-        Simnet.Fiber.sleep sched d2;
-        reports := Insert.stage_acquire net staged :: !reports)
-  in
+  let on_report r = reports := r :: !reports in
   let before = Simnet.Cost.snapshot net.Network.cost in
-  spawn ~addr:60 ~delays:(0.0, 0.2, 0.5);
-  spawn ~addr:61 ~delays:(0.1, 0.3, 0.4);
-  Simnet.Fiber.run sched;
-  Alcotest.(check int) "no stalls" 0 (Simnet.Fiber.stalled_fibers sched);
+  push_joiner events net ~addr:60 ~on_report ~delays:(0.0, 0.2, 0.5);
+  push_joiner events net ~addr:61 ~on_report ~delays:(0.1, 0.3, 0.4);
+  Simnet.Heap.drain events;
   let total = Simnet.Cost.diff (Simnet.Cost.snapshot net.Network.cost) before in
   match List.rev !reports with
   | [ r1; r2 ] ->

@@ -1,6 +1,6 @@
 (* Deterministic replay: the same simultaneous-insertion scenario run twice
-   with equal seeds through Simnet.Fiber must produce identical event
-   traces, identical final meshes, and zero stalled fibers.  This is the
+   with equal seeds on a Simnet.Heap timeline must produce identical event
+   traces and identical final meshes.  This is the
    property that makes the Theorem 6 concurrency tests reproducible at
    all — any ambient randomness or time source would break it, which is
    exactly what the lint pass bans outside lib/simnet/rng.ml. *)
@@ -30,30 +30,27 @@ let run_scenario seed =
   let net, _ =
     Insert.build_incremental ~seed:(seed + 1) Config.default metric ~addrs
   in
-  let sched = Simnet.Fiber.create () in
+  let events = Simnet.Heap.create ~cmp:Float.compare in
   let trace = ref [] in
-  let record stage addr =
-    trace := { at = Simnet.Fiber.now sched; stage; addr } :: !trace
-  in
+  let record at stage addr = trace := { at; stage; addr } :: !trace in
   let delays = Simnet.Rng.create (seed + 2) in
   for i = 0 to 7 do
     let addr = 64 + i in
     let d0 = Simnet.Rng.float delays 1. in
     let d1 = 0.05 +. Simnet.Rng.float delays 0.5 in
     let d2 = 0.05 +. Simnet.Rng.float delays 0.5 in
-    Simnet.Fiber.spawn sched (fun () ->
-        Simnet.Fiber.sleep sched d0;
+    Simnet.Heap.push events d0 (fun t ->
         let gw = Network.random_alive net in
-        record "surrogate" addr;
+        record t "surrogate" addr;
         let staged = Insert.stage_surrogate net ~gateway:gw ~addr in
-        Simnet.Fiber.sleep sched d1;
-        record "multicast" addr;
-        Insert.stage_multicast net staged;
-        Simnet.Fiber.sleep sched d2;
-        record "acquire" addr;
-        ignore (Insert.stage_acquire net staged))
+        Simnet.Heap.push events (t +. d1) (fun t ->
+            record t "multicast" addr;
+            Insert.stage_multicast net staged;
+            Simnet.Heap.push events (t +. d2) (fun t ->
+                record t "acquire" addr;
+                ignore (Insert.stage_acquire net staged))))
   done;
-  Simnet.Fiber.run sched;
+  Simnet.Heap.drain events;
   (* a content signature of the final mesh: per node, its table size and
      pointer count, sorted by ID *)
   let signature =
@@ -64,22 +61,39 @@ let run_scenario seed =
              Pointer_store.size n.Node.pointers ))
     |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
-  (List.rev !trace, Simnet.Fiber.stalled_fibers sched, signature)
+  (List.rev !trace, signature)
 
 let test_equal_seeds_replay () =
-  let trace1, stalled1, sig1 = run_scenario 2024 in
-  let trace2, stalled2, sig2 = run_scenario 2024 in
-  Alcotest.(check int) "run 1 has no stalled fibers" 0 stalled1;
-  Alcotest.(check int) "run 2 has no stalled fibers" 0 stalled2;
+  let trace1, sig1 = run_scenario 2024 in
+  let trace2, sig2 = run_scenario 2024 in
   Alcotest.(check int) "all 24 stage events traced" 24 (List.length trace1);
   Alcotest.(check (list event_testable)) "identical event traces" trace1 trace2;
   Alcotest.(check (list (triple string int int)))
     "identical final meshes" sig1 sig2
 
+(* The seed-2024 schedule and final mesh, pinned: the digest covers
+   every stage event's exact time (hex float), stage and address, then
+   every node's (ID, table entries, pointer records). *)
+let scenario_digest (trace, signature) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e -> Buffer.add_string b (Printf.sprintf "%h %s %d\n" e.at e.stage e.addr))
+    trace;
+  List.iter
+    (fun (id, entries, ptrs) ->
+      Buffer.add_string b (Printf.sprintf "%s %d %d\n" id entries ptrs))
+    signature;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_schedule_pinned () =
+  Alcotest.(check string) "seed-2024 trace and mesh digest"
+    "792ebf943e9516c0d483d75c08007578"
+    (scenario_digest (run_scenario 2024))
+
 let test_traces_are_time_ordered () =
-  (* sanity on the harness itself: the scheduler delivers events in
+  (* sanity on the harness itself: the heap delivers events in
      non-decreasing virtual time, so the trace is a real schedule *)
-  let trace, _, _ = run_scenario 7 in
+  let trace, _ = run_scenario 7 in
   let rec ordered = function
     | a :: (b :: _ as rest) -> a.at <= b.at && ordered rest
     | [ _ ] | [] -> true
@@ -96,5 +110,7 @@ let () =
             test_equal_seeds_replay;
           Alcotest.test_case "traces are time-ordered" `Quick
             test_traces_are_time_ordered;
+          Alcotest.test_case "seed-2024 schedule pinned" `Quick
+            test_schedule_pinned;
         ] );
     ]

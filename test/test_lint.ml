@@ -51,6 +51,18 @@ let test_ambient_sources () =
   Alcotest.(check (list string)) "exempt module may use ambient sources" []
     (rules_of ~determinism_exempt:true "let f () = Random.int 10 + int_of_float (Sys.time ())")
 
+let test_effect_handler () =
+  check_rules "Effect.perform" [ "effect-handler" ] "let f e = Effect.perform e";
+  check_rules "open Effect" [ "effect-handler"; "effect-handler" ]
+    "open Effect\nopen Effect.Deep";
+  check_rules "let open" [ "effect-handler" ] "let f () = let open Effect in ()";
+  check_rules "effect declaration: extended type and result type"
+    [ "effect-handler"; "effect-handler" ]
+    "type _ Effect.t += Sleep : float -> unit Effect.t";
+  check_rules "Stdlib.Effect" [ "effect-handler" ]
+    "let f k = Stdlib.Effect.Deep.continue k ()";
+  check_rules "other modules named alike are fine" [] "let f = Effects.run"
+
 let test_hot_path_alloc () =
   let rules_hot src =
     Lint_core.lint_string ~file:"lib/tapestry/route.ml" ~hot_path:true src
@@ -122,7 +134,8 @@ let test_seeded_fixture () =
   let vs = Lint_core.lint_string ~file:"tools/lint/fixtures/seeded.ml" src in
   let fired = List.sort_uniq String.compare (List.map (fun v -> v.Lint_core.rule) vs) in
   Alcotest.(check (list string)) "fixture covers every expression rule"
-    [ "ambient-rng"; "ambient-time"; "eq-empty-list"; "poly-compare"; "poly-eq-fn" ]
+    [ "ambient-rng"; "ambient-time"; "effect-handler"; "eq-empty-list";
+      "poly-compare"; "poly-eq-fn" ]
     fired;
   Alcotest.(check bool) "fixture seeds many violations" true (List.length vs >= 10)
 
@@ -283,6 +296,7 @@ let () =
           Alcotest.test_case "poly-eq functions" `Quick test_poly_eq_functions;
           Alcotest.test_case "eq-empty-list" `Quick test_eq_empty_list;
           Alcotest.test_case "ambient rng/time" `Quick test_ambient_sources;
+          Alcotest.test_case "effect handlers" `Quick test_effect_handler;
           Alcotest.test_case "hot-path alloc" `Quick test_hot_path_alloc;
           Alcotest.test_case "parse error" `Quick test_parse_error;
         ] );

@@ -148,6 +148,34 @@ let test_pinned () =
       Alcotest.(check int) (p.phase ^ " messages") p.messages o.messages)
     pinned observed
 
+(* The heartbeat sweep (Section 6.5): after silent kills, one
+   [Delete.repair_owner] pass over the alive nodes leaves no alive
+   node's table naming a dead node, and a second pass finds nothing. *)
+let test_heartbeat_sweep () =
+  let n = 100 and seed = 121 in
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng:(Rng.create seed)
+  in
+  let net, _ =
+    Insert.build_incremental ~seed:(seed + 1) Config.default metric
+      ~addrs:(List.init n Fun.id)
+  in
+  Network.alive_nodes net
+  |> List.filteri (fun i _ -> i mod 8 = 0)
+  |> List.iter (Delete.fail net);
+  let sweep () =
+    let dead = ref 0 in
+    Network.iter_alive net (fun owner -> dead := !dead + Delete.repair_owner net owner);
+    !dead
+  in
+  Alcotest.(check bool) "first sweep meets dead links" true (sweep () > 0);
+  Network.iter_alive net (fun (node : Node.t) ->
+      Routing_table.iter_handles node.Node.table (fun ~level:_ h ->
+          if not (Node.is_alive (Network.node_of_handle net h)) then
+            Alcotest.fail "stale entry survived the heartbeat sweep"));
+  Alcotest.(check int) "second sweep finds none" 0 (sweep ());
+  Alcotest.(check int) "Property 1" 0 (List.length (Network.check_property1 net))
+
 let () =
   Alcotest.run "repair"
     [
@@ -155,4 +183,6 @@ let () =
         [
           Alcotest.test_case "seed-42 n=256 repair phases" `Quick test_pinned;
         ] );
+      ( "repair_owner",
+        [ Alcotest.test_case "heartbeat sweep repairs tables" `Quick test_heartbeat_sweep ] );
     ]

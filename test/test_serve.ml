@@ -640,7 +640,6 @@ let test_serve_cold_churn_pinned () =
 (* ---- event heap: the engine's event order ---- *)
 
 module Events = Serve.Mailbox.Events
-module Fiber = Simnet.Fiber
 
 (* Times come from a coarse grid so equal times, and their tie-breaks,
    are common. *)
@@ -719,12 +718,28 @@ let prop_events_match_two_heaps =
         ops
       && q.Events.tlen = Simnet.Heap.length timers + Simnet.Heap.length msgs)
 
+(* The reference timeline: a stable [Simnet.Heap] of closures and a
+   clock.  A push at time [t] lands at [max t clock]; [run_until l]
+   runs every event at or before [l], including those pushed
+   meanwhile, raising the clock to each event's time, then lifts the
+   clock to [l]. *)
+type model = { heap : (float, unit -> unit) Simnet.Heap.t; mutable now : float }
+
+let model_push m t f = Simnet.Heap.push m.heap (Float.max t m.now) f
+
+let rec model_run_until m limit =
+  match Simnet.Heap.peek m.heap with
+  | Some (t, _) when t <= limit ->
+      let t, f = Simnet.Heap.pop_exn m.heap in
+      m.now <- Float.max m.now t;
+      f ();
+      model_run_until m limit
+  | _ -> m.now <- Float.max m.now limit
+
 (* Random programs of pushes and [run_until] calls, where every event
    pushes follow-up events while it runs: the shard's event loop,
-   [Actor.run_until], runs the same events in the same order as
-   [Fiber.run_until] and leaves the same clock after every call.  A
-   push at time [t] lands at [max t clock], as [Fiber.spawn_at] places
-   it. *)
+   [Actor.run_until], runs the same events in the same order as the
+   reference timeline and leaves the same clock after every call. *)
 type timer_op =
   | Push of int * int list  (* grid time, follow-up gaps in grid steps *)
   | Run_until of int  (* grid limit *)
@@ -738,7 +753,7 @@ let timer_op_gen =
         (1, map (fun i -> Run_until i) (int_bound 14));
       ])
 
-let prop_timer_matches_fiber =
+let prop_timer_matches_model =
   let ctx =
     let t =
       Serve.Shard.create ~net:(build_net 16 3) ~guids:[||] ~roots:1 ~ttl:1.
@@ -747,7 +762,7 @@ let prop_timer_matches_fiber =
     in
     t.Serve.Shard.ctxs.(0)
   in
-  QCheck.Test.make ~count:300 ~name:"run_until matches Simnet.Fiber"
+  QCheck.Test.make ~count:300 ~name:"run_until matches the reference timeline"
     QCheck.(make Gen.(list_size (int_range 0 40) timer_op_gen))
     (fun ops ->
       let ops = Array.of_list ops in
@@ -756,15 +771,13 @@ let prop_timer_matches_fiber =
       let gaps id =
         match ops.(id / 3) with Push (_, ks) -> ks | Run_until _ -> []
       in
-      let sched = Fiber.create () in
-      let fiber_log = ref [] in
-      let rec fiber_event id () =
-        fiber_log := id :: !fiber_log;
+      let m = { heap = Simnet.Heap.create ~cmp:Float.compare; now = 0. } in
+      let model_log = ref [] in
+      let rec model_event id () =
+        model_log := id :: !model_log;
         if id mod 3 = 0 then
           List.iteri
-            (fun j k ->
-              Fiber.spawn_at sched (Fiber.now sched +. grid k)
-                (fiber_event (id + 1 + j)))
+            (fun j k -> model_push m (m.now +. grid k) (model_event (id + 1 + j)))
             (gaps id)
       in
       let q = Events.create () in
@@ -783,24 +796,24 @@ let prop_timer_matches_fiber =
             List.iteri
               (fun j k -> push (q.Events.clock.(0) +. grid k) (id + 1 + j))
               (gaps id));
-      let same_clock () = Float.equal (Fiber.now sched) q.Events.clock.(0) in
+      let same_clock () = Float.equal m.now q.Events.clock.(0) in
       let ok =
         Array.to_list ops
         |> List.mapi (fun i op -> (i, op))
         |> List.for_all (fun (i, op) ->
                match op with
                | Push (t, _) ->
-                   Fiber.spawn_at sched (grid t) (fiber_event (3 * i));
+                   model_push m (grid t) (model_event (3 * i));
                    push (grid t) (3 * i);
                    true
                | Run_until l ->
-                   Fiber.run_until sched (grid l);
+                   model_run_until m (grid l);
                    Serve.Actor.run_until ctx (grid l);
                    same_clock ())
       in
-      Fiber.run_until sched 100.;
+      model_run_until m 100.;
       Serve.Actor.run_until ctx 100.;
-      ok && same_clock () && List.equal Int.equal !fiber_log !timer_log)
+      ok && same_clock () && List.equal Int.equal !model_log !timer_log)
 
 (* ---- allocation in the measured phase ---- *)
 
@@ -976,7 +989,7 @@ let () =
         ] );
       ( "timer",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_events_match_two_heaps; prop_timer_matches_fiber ] );
+          [ prop_events_match_two_heaps; prop_timer_matches_model ] );
       ( "alloc",
         [
           Alcotest.test_case "hot shape minor words per message" `Quick

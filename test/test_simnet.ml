@@ -306,56 +306,50 @@ let test_cost_accounting () =
   Cost.zero c;
   Alcotest.(check int) "zeroed" 0 c.Cost.messages
 
-(* --- Fiber --- *)
+(* --- Heap.drain: a timeline of timed closures --- *)
 
-let test_fiber_ordering () =
-  let sched = Fiber.create () in
-  let log = ref [] in
-  Fiber.spawn sched (fun () ->
-      Fiber.sleep sched 2.0;
-      log := "b" :: !log);
-  Fiber.spawn sched (fun () ->
-      Fiber.sleep sched 1.0;
-      log := "a" :: !log;
-      Fiber.sleep sched 2.0;
-      log := "c" :: !log);
-  Fiber.run sched;
+let timeline () = Heap.create ~cmp:Float.compare
+
+let test_drain_ordering () =
+  let h = timeline () in
+  let log = ref [] and last = ref 0. in
+  let run name t =
+    log := name :: !log;
+    last := t
+  in
+  Heap.push h 2.0 (run "b");
+  Heap.push h 1.0 (fun t ->
+      run "a" t;
+      Heap.push h (t +. 2.0) (run "c"));
+  Heap.drain h;
   Alcotest.(check (list string)) "virtual-time order" [ "c"; "b"; "a" ] !log;
-  check_float "clock at last event" 3.0 (Fiber.now sched);
-  Alcotest.(check int) "no stalls" 0 (Fiber.stalled_fibers sched)
+  check_float "time of last event" 3.0 !last;
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
-let test_fiber_ivar () =
-  let sched = Fiber.create () in
-  let iv = Fiber.Ivar.create sched in
-  let got = ref 0 in
-  Fiber.spawn sched (fun () -> got := Fiber.Ivar.read iv);
-  Fiber.spawn sched (fun () ->
-      Fiber.sleep sched 5.0;
-      Fiber.Ivar.fill iv 42);
-  Fiber.run sched;
-  Alcotest.(check int) "ivar value" 42 !got;
-  Alcotest.(check bool) "full" true (Fiber.Ivar.is_full iv);
-  Alcotest.check_raises "double fill"
-    (Invalid_argument "Fiber.Ivar.fill: already filled") (fun () ->
-      Fiber.Ivar.fill iv 1)
+let test_drain_ties () =
+  let h = timeline () in
+  let log = ref [] in
+  let run name _ = log := name :: !log in
+  Heap.push h 1.0 (run "x");
+  Heap.push h 0.5 (fun t -> Heap.push h (t +. 0.5) (run "z"));
+  Heap.push h 1.0 (run "y");
+  Heap.drain h;
+  Alcotest.(check (list string)) "equal times run in push order"
+    [ "x"; "y"; "z" ] (List.rev !log)
 
-let test_fiber_stalled () =
-  let sched = Fiber.create () in
-  let iv : int Fiber.Ivar.ivar = Fiber.Ivar.create sched in
-  Fiber.spawn sched (fun () -> ignore (Fiber.Ivar.read iv));
-  Fiber.run sched;
-  Alcotest.(check int) "one stalled fiber" 1 (Fiber.stalled_fibers sched)
-
-let test_fiber_run_until () =
-  let sched = Fiber.create () in
-  let fired = ref 0 in
-  List.iter
-    (fun t -> Fiber.spawn_at sched t (fun () -> incr fired))
-    [ 1.0; 2.0; 3.0 ];
-  Fiber.run_until sched 2.5;
-  Alcotest.(check int) "two events by t=2.5" 2 !fired;
-  Fiber.run sched;
-  Alcotest.(check int) "all events" 3 !fired
+let test_drain_same_time_push () =
+  let h = timeline () in
+  let log = ref [] in
+  let run name _ = log := name :: !log in
+  Heap.push h 1.0 (fun t ->
+      run "x" t;
+      Heap.push h t (run "w"));
+  Heap.push h 1.0 (run "y");
+  Heap.push h 2.0 (run "later");
+  Heap.drain h;
+  Alcotest.(check (list string))
+    "a push for the current time runs after the events queued for it"
+    [ "x"; "y"; "w"; "later" ] (List.rev !log)
 
 (* --- Hist --- *)
 
@@ -463,11 +457,11 @@ let () =
           Alcotest.test_case "latency separation" `Quick test_transit_stub_latency_separation;
         ] );
       ("cost", [ Alcotest.test_case "accounting" `Quick test_cost_accounting ]);
-      ( "fiber",
+      ( "drain",
         [
-          Alcotest.test_case "virtual-time ordering" `Quick test_fiber_ordering;
-          Alcotest.test_case "ivar" `Quick test_fiber_ivar;
-          Alcotest.test_case "stalled detection" `Quick test_fiber_stalled;
-          Alcotest.test_case "run_until" `Quick test_fiber_run_until;
+          Alcotest.test_case "virtual-time ordering" `Quick test_drain_ordering;
+          Alcotest.test_case "ties run in push order" `Quick test_drain_ties;
+          Alcotest.test_case "same-time push runs last" `Quick
+            test_drain_same_time_push;
         ] );
     ]

@@ -140,7 +140,7 @@ let test_experiments_produce_tables () =
     (fun name ->
       match name with
       | "table1" | "stretch" | "insert_scaling" | "availability"
-      | "async_recovery" | "nn_vs_kr" | "continual_optimization" | "redundancy" ->
+      | "nn_vs_kr" | "continual_optimization" | "redundancy" ->
           () (* heavyweight even in quick mode; covered by bench runs *)
       | name ->
           let tables = Evaluation.Experiment.by_name Evaluation.Experiment.Quick name in
@@ -154,6 +154,43 @@ let test_experiments_produce_tables () =
                 (String.length (Simnet.Stats.Table.render t) > 0))
             tables)
     Evaluation.Experiment.names
+
+(* E8 and E16 place their events on a virtual timeline; their rendered
+   tables are pinned in both modes, so a change to the event order (or
+   to the join stages and soft-state sweeps they interleave) shows here. *)
+let tables_md5 tables =
+  Digest.to_hex
+    (Digest.string (String.concat "" (List.map Simnet.Stats.Table.render tables)))
+
+let test_timeline_tables_pinned () =
+  let module E = Evaluation.Experiment in
+  List.iter
+    (fun (label, tables, expect) ->
+      Alcotest.(check string) label expect (tables_md5 tables))
+    [
+      ("E8 quick", E.concurrent_insert E.Quick, "3ed10f50f489cce14cb27c0951b0e54c");
+      ("E8 full", E.concurrent_insert E.Full, "f277b490f3b4496bd30992db3208b161");
+      ("E16 quick", E.async_recovery E.Quick, "eeeb930bf00b0c3b9e1b03f12064f1a2");
+      ("E16 full", E.async_recovery E.Full, "60a7b5d6bfa1f21537cc180f5981a881");
+    ]
+
+(* E16's first bucket holds only the probes before the kill at t=10:
+   every object is still reachable there. *)
+let test_recovery_first_bucket () =
+  let module E = Evaluation.Experiment in
+  List.iter
+    (fun mode ->
+      let csv =
+        String.concat "" (List.map Simnet.Stats.Table.to_csv (E.async_recovery mode))
+      in
+      let row =
+        List.find_opt
+          (String.starts_with ~prefix:"\"[0, 10)\",")
+          (String.split_on_char '\n' csv)
+      in
+      Alcotest.(check (option string)) "[0, 10) availability"
+        (Some "\"[0, 10)\",1.0000,-") row)
+    [ E.Quick; E.Full ]
 
 let test_experiment_unknown_name () =
   Alcotest.check_raises "unknown experiment"
@@ -184,6 +221,9 @@ let () =
       ( "experiment harness",
         [
           Alcotest.test_case "quick tables render" `Quick test_experiments_produce_tables;
+          Alcotest.test_case "E8/E16 tables pinned" `Quick test_timeline_tables_pinned;
+          Alcotest.test_case "E16 availability before the kill" `Quick
+            test_recovery_first_bucket;
           Alcotest.test_case "unknown name" `Quick test_experiment_unknown_name;
         ] );
     ]

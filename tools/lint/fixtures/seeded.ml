@@ -25,3 +25,5 @@ let _roll = Random.int 6 (* ambient-rng *)
 let _cpu = Sys.time () (* ambient-time *)
 
 let _wall = Unix.gettimeofday () (* ambient-time *)
+
+let _effect = Effect.perform (* effect-handler *)

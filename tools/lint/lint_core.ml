@@ -16,9 +16,14 @@
      expression ever changes; pattern match instead.
    - ambient-rng / ambient-time: [Stdlib.Random], [Unix.gettimeofday],
      [Unix.time] and [Sys.time] break deterministic replay (Section 4.4,
-     Theorem 6 relies on the fiber scheduler seeing identical event orders
-     for identical seeds).  All randomness must flow through Simnet.Rng and
-     all time through the simulated clock.
+     Theorem 6 relies on a virtual-time event heap running identical event
+     orders for identical seeds).  All randomness must flow through
+     Simnet.Rng and all time through the simulated clock.
+   - effect-handler: any [Effect] path ([Effect.perform], [open Effect],
+     [Effect.Deep.match_with], [type _ Effect.t += ...]).  The
+     simulator has one runtime: timed closures on a [Simnet.Heap]
+     timeline (and the serve engine's event heap); coroutines over
+     effect handlers are a second scheduler to keep in step with it.
    - missing-mli: every lib/ module must have an interface so that its
      abstract types stay abstract (otherwise polymorphic equality on them
      typechecks everywhere).
@@ -48,6 +53,7 @@ let rule_ids =
     "eq-empty-list";
     "ambient-rng";
     "ambient-time";
+    "effect-handler";
     "hot-path-alloc";
     "missing-mli";
     "parse-error";
@@ -199,6 +205,10 @@ let collect_toplevel_defs structure =
   iter.structure iter structure;
   defined
 
+let effect_message =
+  "effect handlers; schedule timed closures on a Simnet.Heap timeline \
+   instead"
+
 let lint_structure ~file ~determinism_exempt ~hot_path structure =
   let violations = ref [] in
   let defined = collect_toplevel_defs structure in
@@ -213,6 +223,11 @@ let lint_structure ~file ~determinism_exempt ~hot_path structure =
         message;
       }
       :: !violations
+  in
+  let flag_effect_path ~loc lid =
+    match normalize (flatten_lid lid) with
+    | "Effect" :: _ -> add ~loc "effect-handler" effect_message
+    | _ -> ()
   in
   let check_ident ~loc raw =
     let unqualified = match raw with [ _ ] -> true | _ -> false in
@@ -252,7 +267,8 @@ let lint_structure ~file ~determinism_exempt ~hot_path structure =
         if not determinism_exempt then
           add ~loc "ambient-time"
             "wall-clock time breaks deterministic replay; use the simulated \
-             clock (Network.clock / Fiber.now)"
+             clock (Network.clock, or the time a timeline passes its event)"
+    | "Effect" :: _ -> add ~loc "effect-handler" effect_message
     | _ -> ()
   in
   let is_nil (e : Parsetree.expression) =
@@ -286,7 +302,25 @@ let lint_structure ~file ~determinism_exempt ~hot_path structure =
         check_ident ~loc:e.pexp_loc (flatten_lid txt)
     | _ -> default_iterator.expr iter e
   in
-  let iter = { default_iterator with expr } in
+  (* [open Effect], [let open Effect.Deep in], [module E = Effect] *)
+  let module_expr iter (m : Parsetree.module_expr) =
+    (match m.pmod_desc with
+    | Pmod_ident { txt; loc } -> flag_effect_path ~loc txt
+    | _ -> ());
+    default_iterator.module_expr iter m
+  in
+  (* [_ Effect.t] in a signature and [type _ Effect.t += ...] *)
+  let typ iter (t : Parsetree.core_type) =
+    (match t.ptyp_desc with
+    | Ptyp_constr ({ txt; loc }, _) -> flag_effect_path ~loc txt
+    | _ -> ());
+    default_iterator.typ iter t
+  in
+  let type_extension iter (te : Parsetree.type_extension) =
+    flag_effect_path ~loc:te.ptyext_path.loc te.ptyext_path.txt;
+    default_iterator.type_extension iter te
+  in
+  let iter = { default_iterator with expr; module_expr; typ; type_extension } in
   iter.structure iter structure;
   List.rev !violations
 

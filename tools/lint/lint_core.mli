@@ -10,6 +10,9 @@
     - [ambient-rng] / [ambient-time]: [Stdlib.Random], [Unix.gettimeofday],
       [Unix.time], [Sys.time] outside the sanctioned RNG module
       (deterministic replay, Section 4.4 / Theorem 6);
+    - [effect-handler]: any [Effect] path or [open Effect] (the
+      simulator's one runtime is a [Simnet.Heap] timeline of timed
+      closures);
     - [hot-path-alloc]: [List.sort]/[List.map] on designated hot-path
       files (routing, location and insertion inner loops), submodules
       included;
