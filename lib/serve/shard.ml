@@ -187,7 +187,7 @@ let apply_cache_intents t =
       for s = 0 to shard_count - 1 do
         let ctx = t.ctxs.(s) in
         for i = 0 to ctx.Actor.fi_len - 1 do
-          Obj_cache.insert_snap c ~h:ctx.Actor.fi_h.(i)
+          Obj_cache.insert c ~h:ctx.Actor.fi_h.(i)
             ~key:ctx.Actor.fi_key.(i) ~server:ctx.Actor.fi_srv.(i)
             ~gen:ctx.Actor.fi_gen.(i) ~epoch:ctx.Actor.fi_epoch.(i)
         done;

@@ -234,13 +234,6 @@ let rescale_index m =
 
 (* --- brute-force oracles (also the fallback for non-point metrics) --- *)
 
-let ball_brute m p r =
-  let acc = ref [] in
-  for q = m.size - 1 downto 0 do
-    if m.dist p q <= r then acc := q :: !acc
-  done;
-  !acc
-
 let ball_count_brute m p r =
   let c = ref 0 in
   for q = 0 to m.size - 1 do
@@ -262,30 +255,7 @@ let nearest_other_brute m p =
   done;
   !best
 
-let k_closest m p ~k ~candidates =
-  let arr = Array.of_list candidates in
-  let keyed = Array.map (fun q -> (m.dist p q, q)) arr in
-  Array.sort
-    (fun (d1, q1) (d2, q2) ->
-      match Float.compare d1 d2 with 0 -> Int.compare q1 q2 | c -> c)
-    keyed;
-  let n = min k (Array.length keyed) in
-  Array.to_list (Array.map snd (Array.sub keyed 0 n))
-
-let k_nearest_brute m p ~k =
-  k_closest m p ~k ~candidates:(List.init m.size (fun q -> q))
-
 (* --- grid-accelerated queries --- *)
-
-let ball m p r =
-  match m.spatial with
-  | None -> ball_brute m p r
-  | Some s ->
-      let acc = ref [] in
-      iter_candidates s p r (fun q -> if m.dist p q <= r then acc := q :: !acc);
-      (* candidates are unique (one cell per point); sort for the
-         ascending-order contract *)
-      List.sort Int.compare !acc
 
 let ball_count m p r =
   match m.spatial with
@@ -323,23 +293,6 @@ let nearest_other m p =
           else match pick r with Some q -> Some q | None -> go (2. *. r)
         in
         go (0.5 *. min s.cellw s.cellh)
-      end
-
-let k_nearest m p ~k =
-  match m.spatial with
-  | None -> k_nearest_brute m p ~k
-  | Some s ->
-      if k <= 0 then []
-      else begin
-        let want = min k m.size in
-        let rec grow r =
-          let within = ball m p r in
-          if List.length within >= want || r >= s.cover then within
-          else grow (2. *. r)
-        in
-        (* a ball holding >= k points contains the k nearest, so sorting the
-           candidates matches the full-space oracle exactly *)
-        k_closest m p ~k ~candidates:(grow (min s.cellw s.cellh))
       end
 
 let diameter m ~sample ~rng =

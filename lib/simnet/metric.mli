@@ -7,10 +7,11 @@
     depending on the generator; {!expansion_estimate} measures it.
 
     Point-based constructors ({!of_points}, {!of_points_torus}) additionally
-    build a uniform-grid spatial index, making {!ball}, {!ball_count},
-    {!nearest_other} and {!k_nearest} cost O(|answer|) rather than O(size).
-    The [*_brute] variants are the always-available full scans, kept as
-    oracles; grid and brute paths agree exactly, including tie-breaks. *)
+    build a uniform-grid spatial index, making {!ball_count} (which
+    {!expansion_estimate} samples) and {!nearest_other} cost O(|answer|)
+    rather than O(size).  The [*_brute] variants are the always-available
+    full scans, kept as oracles; grid and brute paths agree exactly,
+    including tie-breaks. *)
 
 type t
 
@@ -55,32 +56,16 @@ val rescale_index : t -> bool
     exact either way; an oversized cell population only costs time.  Not
     safe concurrently with queries (it swaps the index in place). *)
 
-val ball : t -> int -> float -> int list
-(** [ball m p r] is every point within distance [r] of [p] (including [p]),
-    in ascending index order.  O(|ball|) on indexed metrics, O(size)
-    otherwise. *)
-
 val ball_count : t -> int -> float -> int
-
-val k_closest : t -> int -> k:int -> candidates:int list -> int list
-(** The [k] candidates closest to the given point, ascending by distance
-    (ties by index).  O(|candidates| log |candidates|). *)
-
-val k_nearest : t -> int -> k:int -> int list
-(** The [k] points of the whole space closest to the given point (itself
-    included, at distance 0), ascending by distance with ties by index —
-    exactly [k_closest] over every point, but O(|answer|)-ish on indexed
-    metrics. *)
+(** [ball_count m p r] is the number of points within distance [r] of
+    [p] (including [p]).  O(|ball|) on indexed metrics, O(size)
+    otherwise. *)
 
 val nearest_other : t -> int -> int option
 (** Closest point distinct from the argument (lowest index on ties). *)
 
-val ball_brute : t -> int -> float -> int list
-(** Full-scan oracle for {!ball}; always O(size). *)
-
 val ball_count_brute : t -> int -> float -> int
-
-val k_nearest_brute : t -> int -> k:int -> int list
+(** Full-scan oracle for {!ball_count}; always O(size). *)
 
 val nearest_other_brute : t -> int -> int option
 

@@ -173,16 +173,6 @@ module Tally = struct
     { hits = 0; misses = 0; stale = 0; fills = 0; evicts = 0; recoveries = 0;
       hint_fills = 0; hint_hits = 0 }
 
-  let reset t =
-    t.hits <- 0;
-    t.misses <- 0;
-    t.stale <- 0;
-    t.fills <- 0;
-    t.evicts <- 0;
-    t.recoveries <- 0;
-    t.hint_fills <- 0;
-    t.hint_hits <- 0
-
   let merge ~into t =
     into.hits <- into.hits + t.hits;
     into.misses <- into.misses + t.misses;

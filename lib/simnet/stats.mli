@@ -79,9 +79,6 @@ module Tally : sig
 
   val create : unit -> t
 
-  val reset : t -> unit
-  (** Zero every counter in place (mesh-reuse replay support). *)
-
   val merge : into:t -> t -> unit
   (** Element-wise addition. *)
 

@@ -30,39 +30,18 @@ let locate net ~same_stub ~(client : Node.t) guid =
   let skip id = not (in_stub net ~same_stub ~anchor:client id) in
   (* Stub-confined walk: stop at the first local pointer whose server is in
      reach; the walk dead-ends at the stub-local root. *)
-  let usable node =
-    Pointer_store.find_guid (node : Node.t).Node.pointers guid
-    |> List.filter (fun (r : Pointer_store.record) ->
-           r.Pointer_store.expires >= net.Network.clock
-           &&
-           match Network.find net r.Pointer_store.server with
-           | Some s -> Node.is_alive s && Node.stores_replica s guid
-           | None -> false)
-  in
-  let final, found, stopped =
+  let usable = Locate.usable net guid in
+  let _, found, _ =
     Route.fold_path ~skip net ~from:client guid ~init:None ~f:(fun _ node ->
-        match usable node with
-        | [] -> `Continue None
-        | records -> `Stop (Some (node, records)))
+        if Pointer_store.exists_guid_match node.Node.pointers guid ~f:usable
+        then `Stop (Some node)
+        else `Continue None)
   in
-  ignore final;
-  match (stopped, found) with
-  | true, Some (pointer_node, records) -> (
-      let best =
-        List.fold_left
-          (fun acc (r : Pointer_store.record) ->
-            match Network.find net r.Pointer_store.server with
-            | None -> acc
-            | Some s -> (
-                let d = Network.dist net pointer_node s in
-                match acc with
-                | Some (_, bd) when bd <= d -> acc
-                | _ -> Some (s, d)))
-          None records
-      in
-      match best with
+  match found with
+  | Some pointer_node -> (
+      match Locate.closest_usable_server net pointer_node guid with
       | None -> Locate.locate net ~client guid
-      | Some (server, _) ->
+      | Some server ->
           let reached, _ =
             if Node_id.equal server.Node.id pointer_node.Node.id then
               (Some server, [])
@@ -74,6 +53,6 @@ let locate net ~same_stub ~(client : Node.t) guid =
             walk = [];
             redirects = 0;
           })
-  | _ ->
+  | None ->
       (* Nothing in the stub: resume ordinary wide-area location. *)
       Locate.locate net ~client guid

@@ -15,6 +15,15 @@ type result = {
   redirects : int;  (** Figure 10 insertion bounces taken *)
 }
 
+val usable : Network.t -> Node_id.t -> Pointer_store.record -> bool
+(** [usable net guid r]: the pointer [r] is unexpired and its server is
+    alive and still holds a replica of [guid]. *)
+
+val closest_usable_server : Network.t -> Node.t -> Node_id.t -> Node.t option
+(** The closest server, by distance from the given node, among the node's
+    {!usable} pointers for the GUID; the newest record wins distance
+    ties.  [None] when no pointer there is usable. *)
+
 val locate :
   ?variant:Route.variant ->
   ?root_idx:int ->

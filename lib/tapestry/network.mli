@@ -50,10 +50,12 @@ type t = {
   cost : Simnet.Cost.t;  (** ambient accumulator charged by protocol code *)
   mutable clock : float;  (** virtual time for soft-state expiry *)
   mutable obj_cache : Obj_cache.t option;
-      (** opt-in per-node object-pointer caches (PR 9): [None] (the
-          default) leaves every locate path byte-identical to the
-          uncached code; attach with {!Obj_cache.create} sized to
-          [arena_len] to let {!Locate} probe and fill *)
+      (** the serve engine's per-node object-pointer caches (DESIGN.md §10),
+          [None] by default.  The serve driver attaches its cache here
+          so that {!clear_soft_state}, {!memory_footprint}, [Audit.run]
+          and the sync [Publish.unpublish] (which retracts entries
+          naming the unpublished server) see it; no sync locate path
+          reads it *)
 }
 
 val create : ?seed:int -> Config.t -> Simnet.Metric.t -> t

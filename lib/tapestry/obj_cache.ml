@@ -22,7 +22,6 @@ type t = {
   mutable guid_of : Node_id.t array;
   mutable keys : int;
   key_tbl : int Node_id.Tbl.t;
-  tally : Simnet.Stats.Tally.t;
 }
 
 (* hit counts saturate: the sketch ranks resident hints by warmth (see
@@ -55,7 +54,6 @@ let[@alloc_ok] create ~ways ~nodes =
     guid_of = [||];
     keys = 0;
     key_tbl = Node_id.Tbl.create 256;
-    tally = Simnet.Stats.Tally.create ();
   }
 
 (* [@alloc_ok]: growth is geometric (an eighth, or to [n] if that is
@@ -149,7 +147,7 @@ let has_empty_way t ~h =
 
 (* Weakest hint-sourced way of a line (lowest sketch count), or -1.
    Organic fills use it so resident hints can never crowd out local
-   learning: see [insert_snap]. *)
+   learning: see [insert]. *)
 let rec scan_weak_hint t ~base w bi bh =
   if w >= t.ways then bi
   else
@@ -238,7 +236,7 @@ let dk_admit t ~h ~key =
     false
   end
 
-let insert_snap t ~h ~key ~server ~gen ~epoch =
+let insert t ~h ~key ~server ~gen ~epoch =
   if h < t.nodes then begin
     let base = h * t.ways in
     (* refresh an existing entry or claim an empty way before evicting *)
@@ -276,9 +274,6 @@ let insert_snap t ~h ~key ~server ~gen ~epoch =
       touch t i
     end
   end
-
-let insert t ~h ~key ~server ~gen =
-  insert_snap t ~h ~key ~server ~gen ~epoch:(epoch_of t ~key ~srv:server)
 
 (* Hint import: never clobbers an entry the node already holds for the
    key (the node's own learning wins), and only ever claims an empty
@@ -327,7 +322,7 @@ let evict t ~h ~key ~server =
 
 (* [@alloc_ok]: mesh-reuse replay support, called between runs.  Clears
    every soft entry — lines, sketch, hint marks, doorkeeper, clock
-   hands, pair epochs, tally — but keeps the GUID interning (a pure
+   hands, pair epochs — but keeps the GUID interning (a pure
    identity assignment). *)
 let[@alloc_ok] reset t =
   Array.fill t.e_key 0 (Array.length t.e_key) (-1);
@@ -340,8 +335,7 @@ let[@alloc_ok] reset t =
   Array.fill t.hand 0 (Array.length t.hand) 0;
   Bytes.fill t.dk 0 (Bytes.length t.dk) '\000';
   Array.fill t.dk_fill 0 (Array.length t.dk_fill) 0;
-  Hashtbl.reset t.ep_tbl;
-  Simnet.Stats.Tally.reset t.tally
+  Hashtbl.reset t.ep_tbl
 
 let rec count_filled t i acc =
   if i >= t.nodes * t.ways then acc

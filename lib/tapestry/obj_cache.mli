@@ -3,8 +3,13 @@
     Under Zipf traffic every locate for a popular object re-pays nearly
     the full surrogate climb.  This module gives each node a small
     set-associative cache of [object -> server] mappings, learned as
-    successful locates unwind: later requests that pass through a warm
-    node jump straight to the server instead of climbing on.
+    successful serve-tier fetches unwind: later requests that pass
+    through a warm node jump straight to the server instead of climbing
+    on.  Only the serve engine ([lib/serve]) probes and fills the
+    caches; the synchronous tier's [Locate] never reads them.  Attached
+    to a network, they are also seen by the sync [Publish.unpublish]
+    (which retracts entries, see below), by [Audit.run] and by
+    [Network.clear_soft_state].
 
     {b Layout.}  One structure serves the whole network, in the arena
     style of the routing tables: node [h]'s cache is the slice
@@ -14,9 +19,8 @@
     entries — no per-entry boxing, no allocation on the hot path.
 
     {b Keys.}  Object GUIDs are interned once (cold path) to dense int
-    keys; the serve driver interns its object universe up front, the
-    sync locate path interns on first touch.  Key [-1] marks an empty
-    way.
+    keys; the serve driver interns its object universe up front.  Key
+    [-1] marks an empty way.
 
     {b Invalidation} is epoch-based and deterministic, at
     [(object, server)] granularity: unpublishing one replica bumps the
@@ -26,25 +30,24 @@
     every retraction, capping the hit rate under Zipf traffic.)  An
     entry snapshots its pair's epoch at fill time and a probe whose
     snapshot mismatches self-evicts and reports stale.  Entries also
-    carry the server's mailbox generation (serve tier) so a server
-    killed and resurrected by churn is detected without any global
-    flush.  A stale hit therefore degrades to a redirect-and-reclimb,
-    never a wrong answer — see DESIGN.md §10.
+    carry the server's mailbox generation so a server killed and
+    resurrected by churn is detected without any global flush.  A stale
+    hit therefore degrades to a redirect-and-reclimb, never a wrong
+    answer — see DESIGN.md §10.
 
     {b Concurrency.}  In the serve engine all mutation happens either
     shard-confined (a node probing/filling its own cache line) or at
     barriers in fixed shard order (cross-node fill/evict intents, epoch
     bumps), so results are bit-identical for any [--domains].  The
-    embedded {!tally} is for the synchronous path only; the serve tier
-    keeps per-shard {!Simnet.Stats.Tally.t} records and merges them in
-    shard order. *)
+    serve tier counts hits, misses and fills in per-shard
+    {!Simnet.Stats.Tally.t} records and merges them in shard order. *)
 
 type t = private {
   ways : int;  (** associativity: entries per node, > 0 *)
   mutable nodes : int;  (** arena-handle capacity *)
   mutable e_key : int array;  (** [nodes*ways]; -1 = empty way *)
   mutable e_srv : int array;  (** server arena handle *)
-  mutable e_gen : int array;  (** server mailbox generation at fill (0 sync) *)
+  mutable e_gen : int array;  (** server mailbox generation at fill *)
   mutable e_epoch : int array;  (** object epoch snapshot at fill *)
   mutable e_stamp : int array;  (** clock reference bit *)
   mutable e_hits : int array;
@@ -67,7 +70,6 @@ type t = private {
   mutable guid_of : Node_id.t array;  (** key -> GUID (audit / tests) *)
   mutable keys : int;  (** number of interned keys *)
   key_tbl : int Node_id.Tbl.t;
-  tally : Simnet.Stats.Tally.t;  (** sync-path accounting only *)
 }
 
 val create : ways:int -> nodes:int -> t
@@ -119,22 +121,19 @@ val probe_is_hint : t -> int -> bool
 (** Whether entry [i] arrived via {!import_hint} rather than a learned
     fill (drives the [hint_hits] counter). *)
 
-val insert : t -> h:int -> key:int -> server:int -> gen:int -> unit
-(** Fill (or refresh) node [h]'s line with [key -> server], snapshotting
-    the pair's current epoch.  A full line first gives up its coldest
+val insert :
+  t -> h:int -> key:int -> server:int -> gen:int -> epoch:int -> unit
+(** Fill (or refresh) node [h]'s line with [key -> server], recording
+    the server generation [gen] and the pair epoch snapshot [epoch].
+    The serve tier takes the snapshot when the fill intent is logged, so
+    a fill racing an unpublish in the same window lands already-stale
+    instead of masking the bump.  A full line first gives up its coldest
     hint-sourced entry; failing that it evicts by a second-chance clock
     sweep.  Eviction is doorkeeper-gated: a fill that would displace a
     resident entry is declined on the key's first touch (a per-node bit
     array remembers it) and admitted on the second, so the Zipf tail
     cannot thrash the hot head out of a line.  Refreshes and empty-way
     fills always land.  Deterministic and allocation-free. *)
-
-val insert_snap :
-  t -> h:int -> key:int -> server:int -> gen:int -> epoch:int -> unit
-(** {!insert} with an explicit epoch snapshot — the serve tier records
-    the epoch when the fill intent is logged, so a fill racing an
-    unpublish in the same window lands already-stale instead of masking
-    the bump. *)
 
 val has_empty_way : t -> h:int -> bool
 (** Whether node [h]'s line has a free way.  {!import_hint} only ever
@@ -161,8 +160,7 @@ val evict : t -> h:int -> key:int -> server:int -> unit
 
 val reset : t -> unit
 (** Clear all soft state — lines, sketch, hint marks, doorkeeper,
-    replacement state, pair epochs, and the sync tally — keeping the
-    GUID interning.  Called by
+    replacement state and pair epochs — keeping the GUID interning.  Called by
     [Network.clear_soft_state] so multi-row sweeps replayed on a shared
     mesh stay independent. *)
 

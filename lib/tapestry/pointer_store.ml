@@ -238,16 +238,6 @@ let head_of t guid =
 
 let mem_guid t guid = head_of t guid >= 0
 
-(* [@alloc_ok]: builds {!find_guid}'s result in chain order (not tail
-   recursive: a chain holds one object's copies at one node) *)
-let[@alloc_ok] rec chain_list (recs : record array) (next : int array) i =
-  if i < 0 then [] else recs.(i) :: chain_list recs next next.(i)
-
-let find_guid t guid =
-  match t.p with
-  | None -> []
-  | Some p -> chain_list p.recs p.next (head_of t guid)
-
 let rec chain_exists (recs : record array) (next : int array) ~f i =
   i >= 0 && (f recs.(i) || chain_exists recs next ~f next.(i))
 
@@ -275,33 +265,6 @@ let remove t ~guid ~server ~root_idx =
       let i = chain_at p s ~server ~root_idx in
       if i >= 0 then unlink_and_drop p s i;
       i >= 0
-
-(* Drop chain heads until the GUID is gone; each drop is O(1) plus the
-   swap-remove's relink. *)
-let rec remove_heads p guid h n =
-  let s = find_slot p guid h in
-  if s < 0 then n
-  else begin
-    unlink_and_drop p s p.heads.(s);
-    remove_heads p guid h (n + 1)
-  end
-
-let remove_guid t guid =
-  match t.p with
-  | None -> 0
-  | Some p -> remove_heads p guid (Node_id.hash guid) 0
-
-(* [@alloc_ok]: the list is the result; index-slot order *)
-let[@alloc_ok] guids t =
-  match t.p with
-  | None -> []
-  | Some p ->
-      let acc = ref [] in
-      for s = Array.length p.heads - 1 downto 0 do
-        let i = p.heads.(s) in
-        if i >= 0 then acc := p.recs.(i).guid :: !acc
-      done;
-      !acc
 
 (* [@alloc_ok]: the list is the result, in vector order *)
 let[@alloc_ok] records t =

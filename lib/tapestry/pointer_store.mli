@@ -38,37 +38,25 @@ val store : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int ->
 val find : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> record option
 (** O(c). *)
 
-val find_guid : t -> Node_id.t -> record list
-(** Every record held for a GUID, expired ones included (expiry is only
-    applied by {!expire}; callers filter on [expires]).  Newest first, the
-    {!iter_guid} order.  O(c), allocating the list. *)
-
 val mem_guid : t -> Node_id.t -> bool
 (** Is any record held for this GUID?  O(1). *)
 
 val exists_guid_match : t -> Node_id.t -> f:(record -> bool) -> bool
 (** Is there a record for this GUID satisfying [f]?  Allocation-free with
     early exit, newest first; O(c) — the locate walk's per-hop pointer
-    probe, where {!find_guid}'s list build would dominate. *)
+    probe. *)
 
 val iter_guid : t -> Node_id.t -> f:(record -> unit) -> unit
 (** Visit every record of this GUID without building a list, newest
     first (a refresh does not move a record; a removal keeps the order of
     the rest), so the order is deterministic for a deterministic mutation
-    history.  Allocation-free, O(c).  The serve tier's
-    closest-usable-server scan. *)
+    history.  Allocation-free, O(c).  The closest-usable-server scans of
+    [Locate] and the serve tier. *)
 
 val remove : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> bool
 (** Drop one record; false if it was not held.  O(c) plus the relink of
     the record that swap-remove moves into its place (O(length of that
     record's chain)). *)
-
-val remove_guid : t -> Node_id.t -> int
-(** Drop every record of a GUID; returns how many.  O(c) removals. *)
-
-val guids : t -> Node_id.t list
-(** Distinct GUIDs with at least one record, in index-slot order.  O(size
-    of the index), allocating the list. *)
 
 val records : t -> record list
 (** Every record, in dense-vector order: insertion order as perturbed by

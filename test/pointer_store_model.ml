@@ -76,12 +76,7 @@ let remove_where t victim =
     keys;
   List.length keys
 
-let remove_guid t guid =
-  remove_where t (fun r -> Node_id.equal r.guid guid)
-
 let expire t ~now = remove_where t (fun r -> r.expires < now)
-
-let guids t = Node_id.Tbl.fold (fun g _ acc -> g :: acc) t.by_guid []
 
 let records t = Tbl.fold (fun _ r acc -> r :: acc) t.recs []
 

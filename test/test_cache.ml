@@ -3,16 +3,17 @@
    - Obj_cache unit behavior: interning, clock second-chance eviction,
      conditional evict, per-(object, server) epoch staleness, hint
      imports;
-   - the synchronous locate path: warm hits shorten later locates
-     without changing answers, a partial unpublish (one replica of two)
-     leaves shortcuts to the surviving replica valid, and the audit's
-     cache-coherence check accepts the quiescent state;
-   - planted hints naming a replica that is later retracted never
-     answer a locate;
+   - a cache attached to a sync mesh: [Publish.unpublish] of one replica
+     of two stales the entries naming it and leaves the entries naming
+     the surviving replica valid, and the audit's cache-coherence check
+     accepts the result;
    - a hand-corrupted entry (live server that never held the replica)
      is flagged Cache_incoherent by the audit;
    - driver mesh reuse: clearing soft state and restoring the RNG
-     replays a serve run bit-identically (the bench row fast path). *)
+     replays a serve run bit-identically (the bench row fast path).
+
+   Reads and fills by served locates, and the retraction of planted
+   entries through a served UNPUBLISH, are tested in test_serve. *)
 
 open Tapestry
 module Rng = Simnet.Rng
@@ -35,6 +36,11 @@ let random_guid net =
 
 let mk ?(ways = 2) ?(nodes = 4) () = Obj_cache.create ~ways ~nodes
 
+(* A learned fill snapshotting the pair's current epoch. *)
+let fill c ~h ~key ~server =
+  Obj_cache.insert c ~h ~key ~server ~gen:0
+    ~epoch:(Obj_cache.epoch_of c ~key ~srv:server)
+
 let test_intern_roundtrip () =
   let c = mk () in
   let net = build ~n:8 () in
@@ -51,13 +57,13 @@ let test_intern_roundtrip () =
 
 let test_insert_probe_evict () =
   let c = mk ~ways:2 () in
-  Obj_cache.insert c ~h:1 ~key:0 ~server:7 ~gen:0;
+  fill c ~h:1 ~key:0 ~server:7;
   let i = Obj_cache.probe c ~h:1 ~key:0 in
   Alcotest.(check bool) "hit" true (i >= 0);
   Alcotest.(check int) "server" 7 (Obj_cache.probe_srv c i);
   Alcotest.(check int) "other line misses" (-1) (Obj_cache.probe c ~h:2 ~key:0);
   (* refresh in place: same key re-inserted names the new server *)
-  Obj_cache.insert c ~h:1 ~key:0 ~server:9 ~gen:0;
+  fill c ~h:1 ~key:0 ~server:9;
   Alcotest.(check int) "refreshed" 9
     (Obj_cache.probe_srv c (Obj_cache.probe c ~h:1 ~key:0));
   Alcotest.(check int) "one entry, not two" 1 (Obj_cache.entries c);
@@ -70,38 +76,38 @@ let test_insert_probe_evict () =
 
 let test_doorkeeper_admission () =
   let c = mk ~ways:2 () in
-  Obj_cache.insert c ~h:0 ~key:1 ~server:1 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:2 ~server:2 ~gen:0;
+  fill c ~h:0 ~key:1 ~server:1;
+  fill c ~h:0 ~key:2 ~server:2;
   (* a full line declines a first-touch key instead of evicting ... *)
-  Obj_cache.insert c ~h:0 ~key:3 ~server:3 ~gen:0;
+  fill c ~h:0 ~key:3 ~server:3;
   Alcotest.(check int) "first touch declined" (-1)
     (Obj_cache.probe c ~h:0 ~key:3);
   Alcotest.(check bool) "residents untouched" true
     (Obj_cache.probe c ~h:0 ~key:1 >= 0
     && Obj_cache.probe c ~h:0 ~key:2 >= 0);
   (* ... and admits the second touch (now a proven repeater) *)
-  Obj_cache.insert c ~h:0 ~key:3 ~server:3 ~gen:0;
+  fill c ~h:0 ~key:3 ~server:3;
   Alcotest.(check bool) "second touch admitted" true
     (Obj_cache.probe c ~h:0 ~key:3 >= 0);
   Alcotest.(check int) "line stays bounded" 2 (Obj_cache.entries c)
 
 let test_clock_second_chance () =
   let c = mk ~ways:2 () in
-  Obj_cache.insert c ~h:0 ~key:1 ~server:1 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:2 ~server:2 ~gen:0;
+  fill c ~h:0 ~key:1 ~server:1;
+  fill c ~h:0 ~key:2 ~server:2;
   (* double-insert key 3 to pass the doorkeeper; both residents'
      reference bits are set at fill, so the overflow sweeps them clear
      and evicts at the hand (key 1) *)
-  Obj_cache.insert c ~h:0 ~key:3 ~server:3 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:3 ~server:3 ~gen:0;
+  fill c ~h:0 ~key:3 ~server:3;
+  fill c ~h:0 ~key:3 ~server:3;
   Alcotest.(check int) "hand victim evicted" (-1)
     (Obj_cache.probe c ~h:0 ~key:1);
   (* now key 3's bit is set (fill + probe), key 2's is clear: the next
      admitted overflow must spare the referenced entry and victimize
      key 2 *)
   ignore (Obj_cache.probe c ~h:0 ~key:3 : int);
-  Obj_cache.insert c ~h:0 ~key:4 ~server:4 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:4 ~server:4 ~gen:0;
+  fill c ~h:0 ~key:4 ~server:4;
+  fill c ~h:0 ~key:4 ~server:4;
   Alcotest.(check bool) "referenced entry survives" true
     (Obj_cache.probe c ~h:0 ~key:3 >= 0);
   Alcotest.(check int) "unreferenced entry victimized" (-1)
@@ -112,7 +118,7 @@ let test_clock_second_chance () =
 
 let test_pair_epoch_staleness () =
   let c = mk ~ways:2 () in
-  Obj_cache.insert c ~h:0 ~key:5 ~server:3 ~gen:0;
+  fill c ~h:0 ~key:5 ~server:3;
   (* retracting the SAME object from a DIFFERENT server must not touch
      this entry — that is the point of pair granularity *)
   Obj_cache.bump_epoch c ~key:5 ~srv:8;
@@ -124,7 +130,7 @@ let test_pair_epoch_staleness () =
   Alcotest.(check int) "stale probe self-evicted" (-1)
     (Obj_cache.probe c ~h:0 ~key:5);
   (* a refill snapshots the bumped epoch and is valid again *)
-  Obj_cache.insert c ~h:0 ~key:5 ~server:3 ~gen:0;
+  fill c ~h:0 ~key:5 ~server:3;
   Alcotest.(check bool) "refill current again" true
     (Obj_cache.probe c ~h:0 ~key:5 >= 0)
 
@@ -132,7 +138,7 @@ let test_pair_epoch_staleness () =
 
 let test_hint_import () =
   let c = mk ~ways:4 ~nodes:4 () in
-  Obj_cache.insert c ~h:0 ~key:1 ~server:11 ~gen:0;
+  fill c ~h:0 ~key:1 ~server:11;
   let epoch = Obj_cache.epoch_of c ~key:1 ~srv:11 in
   Alcotest.(check bool) "import lands in an empty way" true
     (Obj_cache.import_hint c ~h:1 ~key:1 ~server:11 ~gen:0 ~epoch);
@@ -149,18 +155,18 @@ let test_hint_import () =
     (Obj_cache.import_hint c ~h:1 ~key:1 ~server:99 ~gen:0 ~epoch);
   (* a full line's organic fill replaces a hint before it evicts (or
      asks the doorkeeper about) anything the node learned itself *)
-  Obj_cache.insert c ~h:1 ~key:2 ~server:12 ~gen:0;
-  Obj_cache.insert c ~h:1 ~key:3 ~server:13 ~gen:0;
-  Obj_cache.insert c ~h:1 ~key:4 ~server:14 ~gen:0;
-  Obj_cache.insert c ~h:1 ~key:5 ~server:15 ~gen:0;
+  fill c ~h:1 ~key:2 ~server:12;
+  fill c ~h:1 ~key:3 ~server:13;
+  fill c ~h:1 ~key:4 ~server:14;
+  fill c ~h:1 ~key:5 ~server:15;
   Alcotest.(check int) "the hint made room" (-1) (Obj_cache.probe c ~h:1 ~key:1);
   Alcotest.(check bool) "first-touch fill landed" true
     (Obj_cache.probe c ~h:1 ~key:5 >= 0)
 
 let test_hint_import_never_displaces () =
   let c = mk ~ways:2 ~nodes:2 () in
-  Obj_cache.insert c ~h:0 ~key:1 ~server:1 ~gen:0;
-  Obj_cache.insert c ~h:0 ~key:2 ~server:2 ~gen:0;
+  fill c ~h:0 ~key:1 ~server:1;
+  fill c ~h:0 ~key:2 ~server:2;
   let ep3 = Obj_cache.epoch_of c ~key:3 ~srv:3 in
   Alcotest.(check bool) "full line declines a hint" false
     (Obj_cache.import_hint c ~h:0 ~key:3 ~server:3 ~gen:0 ~epoch:ep3);
@@ -191,7 +197,7 @@ let test_reset_clears_soft_state () =
   let net = build ~n:8 () in
   let g = random_guid net in
   let key = Obj_cache.intern c g in
-  Obj_cache.insert c ~h:0 ~key ~server:1 ~gen:0;
+  fill c ~h:0 ~key ~server:1;
   ignore (Obj_cache.probe c ~h:0 ~key : int);
   ignore
     (Obj_cache.import_hint c ~h:1 ~key:5 ~server:2 ~gen:0
@@ -202,87 +208,31 @@ let test_reset_clears_soft_state () =
   Alcotest.(check int) "no entries survive reset" 0 (Obj_cache.entries c);
   Alcotest.(check int) "probe misses" (-1) (Obj_cache.probe c ~h:0 ~key);
   Alcotest.(check int) "hint gone" (-1) (Obj_cache.probe c ~h:1 ~key:5);
-  Alcotest.(check int) "tally cleared" 0
-    (Simnet.Stats.Tally.lookups c.Obj_cache.tally);
   Alcotest.(check int) "pair epochs cleared" 0
     (Obj_cache.epoch_of c ~key ~srv:9);
   Alcotest.(check int) "associativity survives" 2 c.Obj_cache.ways;
   Alcotest.(check int) "interning survives" key (Obj_cache.find_key c g)
 
-(* ---- synchronous locate path ---- *)
+(* ---- a cache attached to a sync mesh ---- *)
 
-let attach_cache ?(ways = 4) net =
-  let c = Obj_cache.create ~ways ~nodes:net.Network.arena_len in
+let attach_cache net =
+  let c = Obj_cache.create ~ways:4 ~nodes:net.Network.arena_len in
   net.Network.obj_cache <- Some c;
   c
 
-let test_sync_warm_hits () =
-  let net = build () in
-  let c = attach_cache net in
-  let server = Network.random_alive net in
-  let guid = random_guid net in
-  ignore (Publish.publish net ~server guid);
-  let client = Network.random_alive net in
-  let r1 = Locate.locate net ~client guid in
-  Alcotest.(check bool) "cold locate finds" true (r1.Locate.server <> None);
-  Alcotest.(check bool) "unwind filled the path" true
-    (c.Obj_cache.tally.Simnet.Stats.Tally.fills > 0);
-  let hits0 = c.Obj_cache.tally.Simnet.Stats.Tally.hits in
-  let r2 = Locate.locate net ~client guid in
-  Alcotest.(check bool) "warm locate finds" true (r2.Locate.server <> None);
-  Alcotest.(check bool) "warm locate hit the cache" true
-    (c.Obj_cache.tally.Simnet.Stats.Tally.hits > hits0);
-  Alcotest.(check bool) "warm walk no longer than cold" true
-    (List.length r2.Locate.walk <= List.length r1.Locate.walk);
-  (match (r1.Locate.server, r2.Locate.server) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "same answer" true
-        (Node_id.equal a.Node.id b.Node.id)
-  | _ -> ());
+let assert_audit_clean what net =
   let report = Audit.run net in
   if not (Audit.is_clean report) then
-    Alcotest.failf "warm mesh not audit-clean: %s"
+    Alcotest.failf "%s not audit-clean: %s" what
       (Format.asprintf "%a" Audit.pp_report report)
 
+(* Retracting one replica of two through the sync [Publish.unpublish]
+   bumps that (object, server) pair's epoch only: entries naming the
+   retracted server go stale and self-evict on their next probe, entries
+   naming the surviving server stay valid. *)
 let test_sync_partial_unpublish () =
   let net = build ~n:150 ~seed:23 () in
-  ignore (attach_cache net);
-  let s1 = Network.random_alive net in
-  let s2 = Network.random_alive net in
-  if Node_id.equal s1.Node.id s2.Node.id then
-    Alcotest.fail "test needs two distinct servers (reseed)";
-  let guid = random_guid net in
-  ignore (Publish.publish net ~server:s1 guid);
-  ignore (Publish.publish net ~server:s2 guid);
-  (* warm caches from several clients, then retract ONE replica *)
-  for _ = 1 to 10 do
-    let client = Network.random_alive net in
-    ignore (Locate.locate net ~client guid)
-  done;
-  Publish.unpublish net ~server:s1 guid;
-  (* every locate must still resolve — a shortcut naming s1 is now
-     epoch-stale (degrades to the climb), one naming s2 is still valid *)
-  for _ = 1 to 20 do
-    let client = Network.random_alive net in
-    match (Locate.locate net ~client guid).Locate.server with
-    | None -> Alcotest.fail "locate lost the surviving replica"
-    | Some s ->
-        Alcotest.(check bool) "answers the surviving server" true
-          (Node_id.equal s.Node.id s2.Node.id)
-  done;
-  let report = Audit.run net in
-  if not (Audit.is_clean report) then
-    Alcotest.failf "post-unpublish mesh not audit-clean: %s"
-      (Format.asprintf "%a" Audit.pp_report report)
-
-(* Unpublish must retract propagated hints everywhere at once: the
-   epoch bump stales every copy, a later hint-hit self-evicts and the
-   climb resumes — no client may be answered with the retracted
-   replica.  Every node is offered a hint naming the replica that is
-   then retracted, the way the serve barrier offers digest rows. *)
-let test_sync_hint_staleness () =
-  let net = build ~n:150 ~seed:23 () in
-  let c = attach_cache ~ways:8 net in
+  let c = attach_cache net in
   let s1 = Network.random_alive net in
   let s2 = Network.random_alive net in
   if Node_id.equal s1.Node.id s2.Node.id then
@@ -291,32 +241,26 @@ let test_sync_hint_staleness () =
   ignore (Publish.publish net ~server:s1 guid : Publish.outcome);
   ignore (Publish.publish net ~server:s2 guid : Publish.outcome);
   let key = Obj_cache.intern c guid in
-  let epoch = Obj_cache.epoch_of c ~key ~srv:s1.Node.handle in
-  let landed = ref 0 in
+  (* even handles name s1, odd handles s2 *)
+  let names_s1 h = h mod 2 = 0 in
   Network.iter_alive net (fun n ->
-      if
-        Obj_cache.import_hint c ~h:n.Node.handle ~key ~server:s1.Node.handle
-          ~gen:0 ~epoch
-      then incr landed);
-  Alcotest.(check bool) "hints landed" true (!landed > 0);
-  let hits0 = c.Obj_cache.tally.Simnet.Stats.Tally.hits in
-  ignore (Locate.locate net ~client:(Network.random_alive net) guid
-    : Locate.result);
-  Alcotest.(check bool) "a hint answered before the retraction" true
-    (c.Obj_cache.tally.Simnet.Stats.Tally.hits > hits0);
+      let h = n.Node.handle in
+      fill c ~h ~key
+        ~server:(if names_s1 h then s1.Node.handle else s2.Node.handle));
+  assert_audit_clean "planted mesh" net;
   Publish.unpublish net ~server:s1 guid;
-  for _ = 1 to 30 do
-    let client = Network.random_alive net in
-    match (Locate.locate net ~client guid).Locate.server with
-    | None -> Alcotest.fail "locate lost the surviving replica"
-    | Some s ->
-        Alcotest.(check bool) "never answers the retracted replica" true
-          (Node_id.equal s.Node.id s2.Node.id)
-  done;
-  let report = Audit.run net in
-  if not (Audit.is_clean report) then
-    Alcotest.failf "post-unpublish hinted mesh not audit-clean: %s"
-      (Format.asprintf "%a" Audit.pp_report report)
+  Network.iter_alive net (fun n ->
+      let h = n.Node.handle in
+      if names_s1 h then
+        Alcotest.(check int) "entry naming s1 is stale" (-2)
+          (Obj_cache.probe c ~h ~key)
+      else begin
+        let i = Obj_cache.probe c ~h ~key in
+        Alcotest.(check bool) "entry naming s2 still hits" true (i >= 0);
+        Alcotest.(check int) "and names s2" s2.Node.handle
+          (Obj_cache.probe_srv c i)
+      end);
+  assert_audit_clean "post-unpublish mesh" net
 
 let test_audit_flags_corruption () =
   let net = build () in
@@ -335,7 +279,7 @@ let test_audit_flags_corruption () =
   in
   let key = Obj_cache.intern c guid in
   Obj_cache.ensure_nodes c net.Network.arena_len;
-  Obj_cache.insert c ~h:0 ~key ~server:impostor.Node.handle ~gen:0;
+  fill c ~h:0 ~key ~server:impostor.Node.handle;
   let report = Audit.run net in
   let flagged =
     List.exists
@@ -445,13 +389,9 @@ let () =
         ] );
       ( "sync",
         [
-          Alcotest.test_case "warm hits shorten locates, same answers"
-            `Quick test_sync_warm_hits;
           Alcotest.test_case
             "partial unpublish keeps surviving-replica shortcuts" `Quick
             test_sync_partial_unpublish;
-          Alcotest.test_case "unpublish retracts propagated hints" `Quick
-            test_sync_hint_staleness;
           Alcotest.test_case "audit flags a corrupt entry" `Quick
             test_audit_flags_corruption;
         ] );

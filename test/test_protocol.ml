@@ -312,11 +312,10 @@ let test_multi_replica_all_pointers_kept () =
   let servers = List.init 3 (fun _ -> Network.random_alive net) in
   List.iter (fun s -> ignore (Publish.publish net ~server:s guid)) servers;
   let root = (Route.route_to_root net ~from:(List.hd servers) guid).Route.root in
-  let recs = Pointer_store.find_guid root.Node.pointers guid in
-  let distinct =
-    List.sort_uniq String.compare
-      (List.map (fun (r : Pointer_store.record) -> Node_id.to_string r.Pointer_store.server) recs)
-  in
+  let servers_seen = ref [] in
+  Pointer_store.iter_guid root.Node.pointers guid ~f:(fun r ->
+      servers_seen := Node_id.to_string r.Pointer_store.server :: !servers_seen);
+  let distinct = List.sort_uniq String.compare !servers_seen in
   Alcotest.(check int) "root holds all copies"
     (List.length
        (List.sort_uniq String.compare

@@ -574,7 +574,8 @@ let test_redirect_budget_bounded () =
   let liar_h = liar.Node.handle in
   Network.iter_alive net (fun n ->
       Obj_cache.insert c ~h:n.Node.handle ~key ~server:liar_h
-        ~gen:(Mailbox.generation mb liar_h));
+        ~gen:(Mailbox.generation mb liar_h)
+        ~epoch:(Obj_cache.epoch_of c ~key ~srv:liar_h));
   let rec pick () =
     let n = Network.random_alive net in
     if n.Node.handle = liar_h then pick () else n
@@ -588,6 +589,78 @@ let test_redirect_budget_bounded () =
     (Serve.Actor.rc_max + 1) (sum_recoveries t);
   Alcotest.(check char) "then fails" Serve.Actor.st_failed
     (Bytes.get t.Serve.Shard.sh.Serve.Actor.req_status 0)
+
+(* A served UNPUBLISH retracts cached entries naming its server, and
+   only those: one object has replicas on s1 and s2, every node's cache
+   holds an epoch-current entry naming one of them, and s1 is retracted
+   through the serve path.  The barrier's epoch bump makes every entry
+   naming s1 self-evict on its next probe (stale), so no FETCH ever
+   reaches s1 (no recovery), while the entries naming s2 keep answering
+   (hits) and every locate completes. *)
+let test_unpublish_retracts_cached_entries () =
+  let net = build_net 256 42 in
+  let roots = net.Network.config.Config.root_set_size in
+  let g = Network.fresh_id net in
+  let guids = Array.init roots (fun r -> Network.salted net g r) in
+  let s1 = Network.random_alive net in
+  let rec other () =
+    let n = Network.random_alive net in
+    if n.Node.handle = s1.Node.handle then other () else n
+  in
+  let s2 = other () in
+  List.iter
+    (fun server ->
+      ignore (Publish.publish net ~server guids.(0) : Publish.outcome))
+    [ s1; s2 ];
+  let locates = 40 in
+  let c = Obj_cache.create ~ways:4 ~nodes:net.Network.arena_len in
+  let key = Obj_cache.intern c guids.(0) in
+  let t =
+    Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
+      ~service:1e-4 ~requests:(1 + locates) ~mailbox_cap:64 ~seed:1
+      ~window:0.02 ~cache:(Some c) ~coop:false
+  in
+  let mb = t.Serve.Shard.sh.Serve.Actor.mb in
+  (* even handles name s1, odd handles s2 *)
+  Network.iter_alive net (fun n ->
+      let h = n.Node.handle in
+      let srv = if h mod 2 = 0 then s1.Node.handle else s2.Node.handle in
+      Obj_cache.insert c ~h ~key ~server:srv ~gen:(Mailbox.generation mb srv)
+        ~epoch:(Obj_cache.epoch_of c ~key ~srv));
+  let send ~time ~h ~kind ~req ~oi =
+    Serve.Actor.send
+      t.Serve.Shard.ctxs.(Serve.Shard.shard_of h)
+      ~time ~h ~kind ~req ~oi ~level:0 ~prev:(-1) ~src:h
+  in
+  (* request 0 retracts s1 on every root; the locates start well after
+     the barrier that applies its epoch bump *)
+  for r = 0 to roots - 1 do
+    send ~time:0. ~h:s1.Node.handle ~kind:Serve.Actor.op_unpublish
+      ~req:(if r = 0 then 0 else -1)
+      ~oi:r
+  done;
+  for req = 1 to locates do
+    send ~time:1. ~h:(Network.random_alive net).Node.handle
+      ~kind:Serve.Actor.op_locate ~req ~oi:(req mod roots)
+  done;
+  Serve.Shard.run t ~domains:1 ~now:(fun () -> 0.) ~on_barrier:(fun _ _ -> ());
+  for req = 0 to locates do
+    Alcotest.(check char)
+      (Printf.sprintf "request %d completes" req)
+      Serve.Actor.st_ok
+      (Bytes.get t.Serve.Shard.sh.Serve.Actor.req_status req)
+  done;
+  let tl = Simnet.Stats.Tally.create () in
+  Array.iter
+    (fun (ctx : Serve.Actor.ctx) ->
+      Simnet.Stats.Tally.merge ~into:tl ctx.Serve.Actor.tally)
+    t.Serve.Shard.ctxs;
+  Alcotest.(check bool) "entries naming s1 went stale" true
+    (tl.Simnet.Stats.Tally.stale > 0);
+  Alcotest.(check bool) "entries naming s2 still hit" true
+    (tl.Simnet.Stats.Tally.hits > 0);
+  Alcotest.(check int) "no FETCH reached the retracted server" 0
+    tl.Simnet.Stats.Tally.recoveries
 
 let test_cache_zero_signature_pinned () =
   (* with no cache attached nothing recovers, so the uncached engine's
@@ -986,6 +1059,8 @@ let () =
             `Quick test_redirect_budget_bounded;
           Alcotest.test_case "cache 0 signature pinned" `Quick
             test_cache_zero_signature_pinned;
+          Alcotest.test_case "served unpublish retracts cached entries"
+            `Quick test_unpublish_retracts_cached_entries;
         ] );
       ( "timer",
         List.map QCheck_alcotest.to_alcotest

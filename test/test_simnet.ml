@@ -143,13 +143,8 @@ let test_metric_torus_wrap () =
 
 let test_metric_ball () =
   let m = Metric.of_points [| (0., 0.); (1., 0.); (2., 0.); (5., 0.) |] in
-  Alcotest.(check (list int)) "ball r=2" [ 0; 1; 2 ] (Metric.ball m 0 2.0);
-  Alcotest.(check int) "ball count" 3 (Metric.ball_count m 0 2.0)
-
-let test_metric_k_closest () =
-  let m = Metric.of_points [| (0., 0.); (1., 0.); (2., 0.); (3., 0.) |] in
-  Alcotest.(check (list int)) "two closest to 0" [ 1; 2 ]
-    (Metric.k_closest m 0 ~k:2 ~candidates:[ 3; 2; 1 ])
+  Alcotest.(check int) "ball count" 3 (Metric.ball_count m 0 2.0);
+  Alcotest.(check int) "ball count brute" 3 (Metric.ball_count_brute m 0 2.0)
 
 let test_metric_nearest_other () =
   let m = Metric.of_points [| (0., 0.); (10., 0.); (1., 0.) |] in
@@ -434,7 +429,6 @@ let () =
           Alcotest.test_case "euclidean" `Quick test_metric_euclidean;
           Alcotest.test_case "torus wrap" `Quick test_metric_torus_wrap;
           Alcotest.test_case "ball" `Quick test_metric_ball;
-          Alcotest.test_case "k-closest" `Quick test_metric_k_closest;
           Alcotest.test_case "nearest other" `Quick test_metric_nearest_other;
           Alcotest.test_case "random-metric triangle" `Quick test_metric_triangle_random;
           Alcotest.test_case "expansion estimates" `Quick test_expansion_estimates;

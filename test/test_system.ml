@@ -174,6 +174,25 @@ let test_timeline_tables_pinned () =
       ("E16 full", E.async_recovery E.Full, "60a7b5d6bfa1f21537cc180f5981a881");
     ]
 
+(* The quick tables of the experiments that run [Locate], [Locality] or
+   [Verify.availability] (E1 table1, E2 stretch, E7 availability, E10
+   stub_locality, E12 table_quality, E15 redundancy), pinned so that a
+   rewrite of the sync locate path that claims unchanged behaviour is
+   checked here. *)
+let test_locate_tables_pinned () =
+  let module E = Evaluation.Experiment in
+  List.iter
+    (fun (label, tables, expect) ->
+      Alcotest.(check string) label expect (tables_md5 tables))
+    [
+      ("E1 quick", E.table1 E.Quick, "121e78cb57120121d82edae8b2627ab6");
+      ("E2 quick", E.stretch E.Quick, "b8b78e648ede60a84559fdce4bc3fca8");
+      ("E7 quick", E.availability E.Quick, "8a785fa652a2128e2ab4e44246b18d3b");
+      ("E10 quick", E.stub_locality E.Quick, "1ad5535f680bd7d8526c818aed8354a6");
+      ("E12 quick", E.table_quality E.Quick, "e52ed0de65765cfc8b8d8eafffc422c5");
+      ("E15 quick", E.redundancy E.Quick, "09fa0bce2122170328892dfbaf342707");
+    ]
+
 (* E16's first bucket holds only the probes before the kill at t=10:
    every object is still reachable there. *)
 let test_recovery_first_bucket () =
@@ -222,6 +241,7 @@ let () =
         [
           Alcotest.test_case "quick tables render" `Quick test_experiments_produce_tables;
           Alcotest.test_case "E8/E16 tables pinned" `Quick test_timeline_tables_pinned;
+          Alcotest.test_case "locate tables pinned" `Quick test_locate_tables_pinned;
           Alcotest.test_case "E16 availability before the kill" `Quick
             test_recovery_first_bucket;
           Alcotest.test_case "unknown name" `Quick test_experiment_unknown_name;
