@@ -19,7 +19,9 @@
    stores the replica; 2 PUBLISH deposits a pointer per hop with the
    previous-hop backlink (Figure 2 / Figure 9's "previous"), completing
    at the root; 3 UNPUBLISH retracts along the same walk; 4 LOCATE_NC is
-   the cache-free locate a request's last redirects climb with.
+   the cache-free locate a request's last redirects climb with.  Pointer
+   records name the server and the previous hop by the arena handles a
+   message carries as [src] and [prev], so no hop looks up an ID.
 
    Object caching (PR 9, DESIGN.md section 10).  With [cache = Some _],
    every LOCATE hop records itself in the request's path slice and
@@ -59,8 +61,8 @@
    shard barrier runs [Delete.on_dead_repair] sequentially.
 
    This file is on the typed lint's hot-path list: the per-message path
-   allocates nothing but the option values the pointer-store API
-   returns; scratch results travel through mutable ctx fields. *)
+   allocates nothing but a new pointer record and its boxed expiry;
+   scratch results travel through mutable ctx fields. *)
 
 open Tapestry
 module Events = Mailbox.Events
@@ -302,14 +304,14 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
   (ctx.sel <-
      (fun (r : Pointer_store.record) ->
        if r.Pointer_store.expires >= ctx.sel_f.(sel_pred_now) then begin
-         match Network.find sh.net r.Pointer_store.server with
-         | Some srv when Node.is_alive srv ->
-             let d = Network.dist sh.net ctx.cur srv in
-             if d < ctx.sel_f.(sel_best_d) then begin
-               ctx.sel_f.(sel_best_d) <- d;
-               ctx.best_h <- srv.Node.handle
-             end
-         | _ -> ()
+         let srv = Network.node_of_handle sh.net r.Pointer_store.server in
+         if Node.is_alive srv then begin
+           let d = Network.dist sh.net ctx.cur srv in
+           if d < ctx.sel_f.(sel_best_d) then begin
+             ctx.sel_f.(sel_best_d) <- d;
+             ctx.best_h <- srv.Node.handle
+           end
+         end
        end));
   ctx
 
@@ -642,15 +644,9 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
   end
   else if kind = op_publish then begin
     if prev < 0 then Node.add_replica node base_guid;
-    let server_id = (Network.node_of_handle sh.net src).Node.id in
-    let previous =
-      if prev < 0 then None
-      else Some (Network.node_of_handle sh.net prev).Node.id
-    in
     ignore
-      (Pointer_store.store node.Node.pointers ~guid:base_guid
-         ~server:server_id ~root_idx:(oi - base_oi) ~previous
-         ~expires:(now +. sh.ttl));
+      (Pointer_store.store node.Node.pointers ~guid:base_guid ~server:src
+         ~root_idx:(oi - base_oi) ~previous:prev ~expires:(now +. sh.ttl));
     next_hop ctx node sh.guids.(oi) level;
     if ctx.scan_h >= 0 then
       hop ctx node ~now ~h:ctx.scan_h ~kind:op_publish ~req ~oi
@@ -669,10 +665,9 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           push_epoch ctx ~key:(base_oi / sh.roots) ~srv:node.Node.handle
       | _ -> ()
     end;
-    let server_id = (Network.node_of_handle sh.net src).Node.id in
     ignore
-      (Pointer_store.remove node.Node.pointers ~guid:base_guid
-         ~server:server_id ~root_idx:(oi - base_oi));
+      (Pointer_store.remove node.Node.pointers ~guid:base_guid ~server:src
+         ~root_idx:(oi - base_oi));
     next_hop ctx node sh.guids.(oi) level;
     if ctx.scan_h >= 0 then
       hop ctx node ~now ~h:ctx.scan_h ~kind:op_unpublish ~req ~oi

@@ -361,7 +361,9 @@ let run net =
                      {
                        node = n.Node.id;
                        guid = r.Pointer_store.guid;
-                       server = r.Pointer_store.server;
+                       server =
+                         (Network.node_of_handle net r.Pointer_store.server)
+                           .Node.id;
                        root_idx = r.Pointer_store.root_idx;
                        expires = r.Pointer_store.expires;
                      }))

@@ -151,16 +151,16 @@ let voluntary net (node : Node.t) =
            incr rerooted;
            let expires = net.Network.clock +. cfg.Config.pointer_ttl in
            ignore
-             (Route.fold_path ~exclude:node.Node.id net ~from:node salted
-                ~init:node.Node.id
+             (Route.fold_path ~exclude:node.Node.handle net ~from:node salted
+                ~init:node.Node.handle
                 ~f:(fun sender hop ->
-                  if not (Node_id.equal hop.Node.id node.Node.id) then
+                  if hop.Node.handle <> node.Node.handle then
                     ignore
                       (Pointer_store.store hop.Node.pointers
                          ~guid:r.Pointer_store.guid ~server:r.Pointer_store.server
-                         ~root_idx:r.Pointer_store.root_idx ~previous:(Some sender)
+                         ~root_idx:r.Pointer_store.root_idx ~previous:sender
                          ~expires);
-                  `Continue hop.Node.id))
+                  `Continue hop.Node.handle))
          end);
   (* Final phase: sever remaining forward links and disconnect. *)
   Routing_table.iter_handles table (fun ~level h ->

@@ -57,7 +57,7 @@ let link_and_xfer_root net ~(new_node : Node.t) ~staged (x : Node.t) =
     ignore (Network.offer_link_all_levels net ~owner:x ~candidate:new_node);
     staged.transferred <-
       staged.transferred
-      + Maintenance.optimize_through net ~node:x ~next_hop:new_node.Node.id
+      + Maintenance.optimize_through net ~node:x ~next_hop:new_node.Node.handle
   end
 
 (* [@alloc_ok] on the staging pipeline below: an insertion allocates its
@@ -78,7 +78,7 @@ let[@alloc_ok] stage_surrogate ?id ?(adaptive = false) net ~gateway ~addr =
         Network.charge net new_node gateway;
         let info = Route.route_to_root net ~from:gateway id in
         let surrogate = info.Route.root in
-        new_node.Node.surrogate_hint <- Some surrogate.Node.id;
+        new_node.Node.surrogate_hint <- surrogate.Node.handle;
         let shared = Node_id.common_prefix_len id surrogate.Node.id in
         (* 2. Preliminary table. *)
         copy_preliminary_table net ~new_node ~surrogate;

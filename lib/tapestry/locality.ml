@@ -1,22 +1,22 @@
 let local_root_idx = 1_000_000
 
-let in_stub net ~same_stub ~(anchor : Node.t) id =
-  match Network.find net id with
-  | Some n -> same_stub anchor.Node.addr n.Node.addr
-  | None -> false
+let outside_stub net ~same_stub ~(anchor : Node.t) h =
+  not (same_stub anchor.Node.addr (Network.node_of_handle net h).Node.addr)
 
 (* Deposit local-branch pointers from [start] to the stub-local surrogate
    root (routing that never considers out-of-stub entries). *)
 let publish_local_branch net ~same_stub ~(server : Node.t) ~(start : Node.t) guid =
   let cfg = net.Network.config in
   let expires = net.Network.clock +. cfg.Config.pointer_ttl in
-  let skip id = not (in_stub net ~same_stub ~anchor:start id) in
+  let skip = outside_stub net ~same_stub ~anchor:start in
   let _, _, _ =
-    Route.fold_path ~skip net ~from:start guid ~init:None ~f:(fun prev node ->
+    Route.fold_path ~skip net ~from:start guid ~init:Node.no_handle
+      ~f:(fun prev node ->
         ignore
-          (Pointer_store.store node.Node.pointers ~guid ~server:server.Node.id
-             ~root_idx:local_root_idx ~previous:prev ~expires);
-        `Continue (Some node.Node.id))
+          (Pointer_store.store node.Node.pointers ~guid
+             ~server:server.Node.handle ~root_idx:local_root_idx
+             ~previous:prev ~expires);
+        `Continue node.Node.handle)
   in
   ()
 
@@ -27,7 +27,7 @@ let publish net ~same_stub ~server guid =
   publish_local_branch net ~same_stub ~server ~start:server guid
 
 let locate net ~same_stub ~(client : Node.t) guid =
-  let skip id = not (in_stub net ~same_stub ~anchor:client id) in
+  let skip = outside_stub net ~same_stub ~anchor:client in
   (* Stub-confined walk: stop at the first local pointer whose server is in
      reach; the walk dead-ends at the stub-local root. *)
   let usable = Locate.usable net guid in

@@ -9,9 +9,8 @@ type result = {
 let usable net guid (r : Pointer_store.record) =
   r.expires >= net.Network.clock
   &&
-  match Network.find net r.server with
-  | Some s -> Node.is_alive s && Node.stores_replica s guid
-  | None -> false
+  let s = Network.node_of_handle net r.server in
+  Node.is_alive s && Node.stores_replica s guid
 
 (* One pass over the node's records of the GUID, newest first: keep the
    closest usable server, first-seen winning distance ties. *)
@@ -20,15 +19,14 @@ let usable net guid (r : Pointer_store.record) =
 let[@alloc_ok] closest_usable_server net (node : Node.t) guid =
   let best = ref None and best_d = ref infinity in
   Pointer_store.iter_guid node.Node.pointers guid ~f:(fun r ->
-      if usable net guid r then
-        match Network.find net r.Pointer_store.server with
-        | Some s ->
-            let d = Network.dist net node s in
-            if Option.is_none !best || d < !best_d then begin
-              best := Some s;
-              best_d := d
-            end
-        | None -> ());
+      if usable net guid r then begin
+        let s = Network.node_of_handle net r.Pointer_store.server in
+        let d = Network.dist net node s in
+        if Option.is_none !best || d < !best_d then begin
+          best := Some s;
+          best_d := d
+        end
+      end);
   !best
 
 (* The walk only needs to know whether a usable pointer exists at each hop;
@@ -115,21 +113,21 @@ let[@alloc_ok] rec locate ?variant ?root_idx net ~client guid =
   in
   if stopped then finish final rev_path 0
   else
-    match (final.Node.status, final.Node.surrogate_hint) with
-    | Node.Inserting, Some hint_id -> (
+    let h = final.Node.surrogate_hint in
+    match final.Node.status with
+    | Node.Inserting
+      when h <> Node.no_handle && Node.is_alive (Network.node_of_handle net h) ->
         (* Figure 10: the inserting node bounces the request to its
            pre-insertion surrogate, which routes as if the new node were
            absent. *)
-        match Network.find net hint_id with
-        | Some hint when Node.is_alive hint ->
-            Network.charge net final hint;
-            let final2, rev2, stopped2 =
-              walk_toward_root ?variant ~exclude:final.Node.id net ~from:hint
-                salted guid
-            in
-            let rev_path = rev2 @ rev_path in
-            if stopped2 then finish final2 rev_path 1 else miss rev_path 1
-        | _ -> miss rev_path 0)
+        let hint = Network.node_of_handle net h in
+        Network.charge net final hint;
+        let final2, rev2, stopped2 =
+          walk_toward_root ?variant ~exclude:final.Node.handle net ~from:hint
+            salted guid
+        in
+        let rev_path = rev2 @ rev_path in
+        if stopped2 then finish final2 rev_path 1 else miss rev_path 1
     | _ -> miss rev_path 0
 
 let exists net ~client guid = Option.is_some (locate net ~client guid).server

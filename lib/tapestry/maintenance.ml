@@ -1,97 +1,91 @@
 let salted_of net (r : Pointer_store.record) =
   Network.salted net r.guid r.root_idx
 
-let rec delete_backward_from net ~changed ~guid ~server ~root_idx (node : Node.t) =
-  match Pointer_store.find node.Node.pointers ~guid ~server ~root_idx with
-  | None -> ()
-  | Some r ->
-      let prev = r.previous in
-      ignore (Pointer_store.remove node.Node.pointers ~guid ~server ~root_idx);
-      (match prev with
-      | Some p when not (Node_id.equal p changed) -> (
-          match Network.find net p with
-          | Some pnode when Node.is_alive pnode ->
-              Network.charge net node pnode;
-              delete_backward_from net ~changed ~guid ~server ~root_idx pnode
-          | _ -> ())
-      | _ -> ())
+let rec delete_pointers_backward net ~changed ~guid ~server ~root_idx ~from =
+  let node = Network.node_of_handle net from in
+  if Node.is_alive node then
+    match Pointer_store.find node.Node.pointers ~guid ~server ~root_idx with
+    | None -> ()
+    | Some r ->
+        let prev = r.previous in
+        ignore (Pointer_store.remove node.Node.pointers ~guid ~server ~root_idx);
+        if prev >= 0 && prev <> changed then begin
+          let pnode = Network.node_of_handle net prev in
+          if Node.is_alive pnode then Network.charge net node pnode;
+          delete_pointers_backward net ~changed ~guid ~server ~root_idx
+            ~from:prev
+        end
 
-let delete_pointers_backward net ~changed ~guid ~server ~root_idx ~from =
-  match Network.find net from with
-  | Some node when Node.is_alive node ->
-      delete_backward_from net ~changed ~guid ~server ~root_idx node
-  | _ -> ()
-
-let optimize_object_ptrs ?variant net ~(changed : Node.t) (r : Pointer_store.record) =
+(* [@alloc_ok]: the fold callback, once per re-walked record. *)
+let[@alloc_ok] optimize_object_ptrs ?variant net ~(changed : Node.t)
+    (r : Pointer_store.record) =
   let salted = salted_of net r in
   let guid = r.guid and server = r.server and root_idx = r.root_idx in
   let expires = net.Network.clock +. net.Network.config.Config.pointer_ttl in
+  let me = changed.Node.handle in
   (* Walk the new path from the changed node; each visited node refreshes its
      record with the new last hop.  The first node that already held the
      record is the convergence point: the path above it is unchanged, and the
      old branch hanging off its previous pointer is deleted backward. *)
   let _, _, _ =
-    Route.fold_path ?variant net ~from:changed salted ~init:changed.Node.id
+    Route.fold_path ?variant net ~from:changed salted ~init:me
       ~f:(fun sender node ->
-        if Node_id.equal node.Node.id changed.Node.id then `Continue node.Node.id
+        let h = node.Node.handle in
+        if h = me then `Continue h
         else begin
-          let previous = Some sender in
-          match
+          let old =
             Pointer_store.store node.Node.pointers ~guid ~server ~root_idx
-              ~previous ~expires
-          with
-          | `New -> `Continue node.Node.id
-          | `Refreshed old -> (
-              match old with
-              | Some old_prev
-                when (not (Node_id.equal old_prev sender))
-                     && not (Node_id.equal old_prev changed.Node.id) ->
-                  (match Network.find net old_prev with
-                  | Some pnode when Node.is_alive pnode ->
-                      Network.charge net node pnode
-                  | _ -> ());
-                  delete_pointers_backward net ~changed:changed.Node.id ~guid
-                    ~server ~root_idx ~from:old_prev;
-                  `Stop node.Node.id
-              | _ -> `Stop node.Node.id)
+              ~previous:sender ~expires
+          in
+          if old = Pointer_store.fresh then `Continue h
+          else begin
+            if old >= 0 && old <> sender && old <> me then begin
+              let pnode = Network.node_of_handle net old in
+              if Node.is_alive pnode then Network.charge net node pnode;
+              delete_pointers_backward net ~changed:me ~guid ~server ~root_idx
+                ~from:old
+            end;
+            `Stop h
+          end
         end)
   in
   ()
 
-let repoint net (node : Node.t) =
+(* [@alloc_ok]: the records snapshot (the walks below rewrite the store)
+   and its iteration closure, once per repointed node. *)
+let[@alloc_ok] repoint net (node : Node.t) =
   let records = Pointer_store.records node.Node.pointers in
   List.iter (fun r -> optimize_object_ptrs net ~changed:node r) records;
   List.length records
 
-let optimize_through ?variant net ~(node : Node.t) ~next_hop =
-  let moved = ref 0 in
-  Pointer_store.records node.Node.pointers
-  |> List.iter (fun (r : Pointer_store.record) ->
-         let salted = salted_of net r in
-         match Route.peek_first_hop ?variant net node salted with
-         | Some hop when Node_id.equal hop.Node.id next_hop ->
-             incr moved;
-             optimize_object_ptrs ?variant net ~changed:node r
-         | _ -> ());
-  !moved
+(* [@alloc_ok]: as [repoint], once per node an insertion multicast reaches. *)
+let[@alloc_ok] optimize_through ?variant net ~(node : Node.t) ~next_hop =
+  List.fold_left
+    (fun moved (r : Pointer_store.record) ->
+      match Route.peek_first_hop ?variant net node (salted_of net r) with
+      | Some hop when hop.Node.handle = next_hop ->
+          optimize_object_ptrs ?variant net ~changed:node r;
+          moved + 1
+      | _ -> moved)
+    0
+    (Pointer_store.records node.Node.pointers)
 
-let expire_all net =
+(* [@alloc_ok] on the soft-state sweeps below: the alive list and the
+   fold callbacks, once per network-wide sweep. *)
+let[@alloc_ok] expire_all net =
   List.fold_left
     (fun acc (n : Node.t) ->
       acc + Pointer_store.expire n.Node.pointers ~now:net.Network.clock)
     0
     (Network.alive_nodes net)
 
-let republish_all net =
+let[@alloc_ok] republish_all net =
   List.fold_left
     (fun acc (n : Node.t) ->
-      let count = ref 0 in
       Node_id.Tbl.iter
-        (fun guid () ->
-          incr count;
-          ignore (Publish.republish net ~server:n guid))
+        (fun guid () -> ignore (Publish.republish net ~server:n guid))
         n.Node.replicas;
-      acc + !count)
+      acc + Node_id.Tbl.length n.Node.replicas)
     0
     (Network.alive_nodes net)
 

@@ -26,20 +26,22 @@ val repoint : Network.t -> Node.t -> int
 
 val delete_pointers_backward :
   Network.t ->
-  changed:Node_id.t ->
+  changed:int ->
   guid:Node_id.t ->
-  server:Node_id.t ->
+  server:int ->
   root_idx:int ->
-  from:Node_id.t ->
+  from:int ->
   unit
 (** Walk last-hop pointers from [from] toward [changed], deleting the record
-    at every node strictly before [changed]. *)
+    at every alive node strictly before [changed].  [changed], [server] and
+    [from] are arena handles, as the records' server and previous are. *)
 
 val optimize_through :
-  ?variant:Route.variant -> Network.t -> node:Node.t -> next_hop:Node_id.t -> int
+  ?variant:Route.variant -> Network.t -> node:Node.t -> next_hop:int -> int
 (** Run {!optimize_object_ptrs} for every record at [node] whose current
-    first hop is [next_hop] (used after a slot's primary changes: only paths
-    through the changed entry moved).  Returns how many records moved. *)
+    first hop is the node with arena handle [next_hop] (used after a slot's
+    primary changes: only paths through the changed entry moved).  Returns
+    how many records moved. *)
 
 val expire_all : Network.t -> int
 (** Drop expired pointers network-wide; returns the count. *)

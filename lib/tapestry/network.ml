@@ -423,8 +423,7 @@ let memory_footprint t =
       node_bytes :=
         !node_bytes
         + ((9 + id_words) * word)
-        + tbl_bytes ~len:replicas ~binding_words:0
-        + (match n.surrogate_hint with Some _ -> 2 * word | None -> 0);
+        + tbl_bytes ~len:replicas ~binding_words:0;
       table_bytes := !table_bytes + Routing_table.approx_bytes n.table;
       pointer_bytes := !pointer_bytes + Pointer_store.approx_bytes n.pointers);
   (* the object cache holds pointer replicas: bill it to the pointer

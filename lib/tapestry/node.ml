@@ -8,7 +8,7 @@ type t = {
   pointers : Pointer_store.t;
   replicas : unit Node_id.Tbl.t;
   mutable status : status;
-  mutable surrogate_hint : Node_id.t option;
+  mutable surrogate_hint : int;
 }
 
 let no_handle = -1
@@ -22,7 +22,7 @@ let create cfg ~id ~addr =
     pointers = Pointer_store.create ();
     replicas = Node_id.Tbl.create 4;
     status = Inserting;
-    surrogate_hint = None;
+    surrogate_hint = no_handle;
   }
 
 let is_alive t =

@@ -19,9 +19,10 @@ type t = {
   pointers : Pointer_store.t;
   replicas : unit Node_id.Tbl.t;  (** GUIDs whose data this node stores *)
   mutable status : status;
-  mutable surrogate_hint : Node_id.t option;
-      (** while inserting: the pre-insertion surrogate used to keep objects
-          available (Figure 10) *)
+  mutable surrogate_hint : int;
+      (** while inserting: the arena handle of the pre-insertion surrogate
+          used to keep objects available (Figure 10); [no_handle] when
+          unset *)
 }
 
 val no_handle : int

@@ -95,7 +95,7 @@ let full_rebuild net =
       (* rerun the acquisition exactly as a fresh join would: find the
          current surrogate (self masked out), multicast for the alpha list,
          then the Section 3 descent *)
-      let info = Route.route_to_root ~exclude:node.Node.id net ~from:node node.Node.id in
+      let info = Route.route_to_root ~exclude:node.Node.handle net ~from:node node.Node.id in
       let surrogate = info.Route.root in
       if Node_id.equal surrogate.Node.id node.Node.id then changed
       else begin

@@ -1,8 +1,8 @@
 type record = {
   guid : Node_id.t;
-  server : Node_id.t;
+  server : int;
   root_idx : int;
-  mutable previous : Node_id.t option;
+  mutable previous : int;
   mutable expires : float;
 }
 
@@ -42,9 +42,9 @@ let initial_slots = 8
 let vacant =
   {
     guid = Node_id.make [||];
-    server = Node_id.make [||];
+    server = -1;
     root_idx = -1;
-    previous = None;
+    previous = -1;
     expires = 0.;
   }
 
@@ -165,7 +165,7 @@ let rec chain_find (recs : record array) (next : int array) ~server ~root_idx i 
   if i < 0 then -1
   else
     let r = recs.(i) in
-    if r.root_idx = root_idx && Node_id.equal r.server server then i
+    if r.root_idx = root_idx && r.server = server then i
     else chain_find recs next ~server ~root_idx next.(i)
 
 (* The record for (server, root_idx) in the chain headed from slot [s]
@@ -183,6 +183,9 @@ let push p (r : record) h =
   p.len <- i + 1;
   i
 
+(* below the -1 a refresh returns when the record had no previous hop *)
+let fresh = -2
+
 let store t ~guid ~server ~root_idx ~previous ~expires =
   let p = force t in
   let h = Node_id.hash guid in
@@ -193,8 +196,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
     let old = r.previous in
     r.previous <- previous;
     if expires > r.expires then r.expires <- expires;
-    (* [@alloc_ok]: the old hop is the interface's refresh verdict *)
-    (`Refreshed old [@alloc_ok])
+    old
   end
   else begin
     (* [@alloc_ok]: the stored record itself *)
@@ -217,7 +219,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
       p.heads.(s) <- i;
       p.nguids <- p.nguids + 1
     end;
-    `New
+    fresh
   end
 
 let find t ~guid ~server ~root_idx =
@@ -300,13 +302,13 @@ let word = 8
 (* Resident-size estimate.  The handle and its option box (2 + 2 words),
    the packed record (7), three record-capacity vectors (recs, next,
    ghash) and the index, each with a header word; per record the
-   payload: the 6-word record, its boxed expiry (2) and the [Some]
-   holding [previous] (2).  An estimate, not an accounting — used by
+   payload: the 6-word record (server and previous are unboxed ints)
+   and its boxed expiry (2).  An estimate, not an accounting — used by
    {!Network.memory_footprint} and the scale-tier bytes-per-node gauge. *)
 let approx_bytes t =
   match t.p with
   | None -> 2 * word
   | Some p ->
       let cap = Array.length p.recs in
-      (4 + 7 + (3 * (1 + cap)) + 1 + Array.length p.heads + (p.len * 10))
+      (4 + 7 + (3 * (1 + cap)) + 1 + Array.length p.heads + (p.len * 8))
       * word

@@ -4,7 +4,10 @@
     (Section 2.4), so records are keyed by [(guid, server)].  Each record
     carries the last-hop node that forwarded the publish (the "previous"
     pointer Figure 9 requires) and an expiry time; pointers not refreshed by
-    a republish disappear (Section 2.2, soft state).
+    a republish disappear (Section 2.2, soft state).  The server and the
+    previous hop are arena handles ([Node.handle]), as routing-table
+    entries are: a record boxes nothing but its expiry, and
+    [Network.node_of_handle] resolves them with one array read.
 
     Layout: the records sit in one dense vector, each GUID's records are
     chained newest first, and a small open-addressed index maps a GUID to
@@ -14,9 +17,11 @@
 
 type record = {
   guid : Node_id.t;
-  server : Node_id.t;
+  server : int;  (** arena handle of the replica's server *)
   root_idx : int;  (** which member of the root set this path serves (Observation 2) *)
-  mutable previous : Node_id.t option;  (** last hop toward the server; [None] at the server itself *)
+  mutable previous : int;
+      (** arena handle of the last hop toward the server; [-1] at the
+          server itself *)
   mutable expires : float;
 }
 
@@ -27,15 +32,18 @@ val create : unit -> t
     {!store}: the vector and index are allocated lazily, so the 10^6 idle
     stores of a scale-tier mesh stay cheap. *)
 
-val store : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int ->
-  previous:Node_id.t option -> expires:float ->
-  [ `New | `Refreshed of Node_id.t option ]
-(** Insert or refresh; on refresh returns the old [previous] hop and
-    overwrites it with the new one, and the expiry becomes the later of
-    the two.  A new record becomes the newest of its GUID.  O(c); amortized
-    O(1) growth of the vector and index. *)
+val store : t -> guid:Node_id.t -> server:int -> root_idx:int ->
+  previous:int -> expires:float -> int
+(** Insert or refresh.  A new record becomes the newest of its GUID and
+    the verdict is {!fresh}.  A refresh returns the old [previous] hop
+    ([-1] if none) and overwrites it, and the expiry becomes the later of
+    the two; it allocates nothing.  O(c); amortized O(1) growth of the
+    vector and index. *)
 
-val find : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> record option
+val fresh : int
+(** {!store}'s verdict for a new record ([-2]: no handle or [-1]). *)
+
+val find : t -> guid:Node_id.t -> server:int -> root_idx:int -> record option
 (** O(c). *)
 
 val mem_guid : t -> Node_id.t -> bool
@@ -53,7 +61,7 @@ val iter_guid : t -> Node_id.t -> f:(record -> unit) -> unit
     history.  Allocation-free, O(c).  The closest-usable-server scans of
     [Locate] and the serve tier. *)
 
-val remove : t -> guid:Node_id.t -> server:Node_id.t -> root_idx:int -> bool
+val remove : t -> guid:Node_id.t -> server:int -> root_idx:int -> bool
 (** Drop one record; false if it was not held.  O(c) plus the relink of
     the record that swap-remove moves into its place (O(length of that
     record's chain)). *)
@@ -77,5 +85,5 @@ val clear : t -> unit
 
 val approx_bytes : t -> int
 (** Estimated resident bytes of this store (vectors, index, records) — an
-    arithmetic model, not GC truth.  O(1).  Feeds
-    {!Network.memory_footprint}. *)
+    arithmetic model, not GC truth: 8 words per record (the 6-word record
+    and its boxed expiry).  O(1).  Feeds {!Network.memory_footprint}. *)

@@ -1,23 +1,21 @@
 type outcome = { roots : Node.t list; path_lengths : int list }
 
-let deposit net (node : Node.t) ~guid ~server_id ~root_idx ~previous =
+let deposit net (node : Node.t) ~guid ~server ~root_idx ~previous =
   let expires = net.Network.clock +. net.Network.config.Config.pointer_ttl in
   ignore
-    (Pointer_store.store node.Node.pointers ~guid ~server:server_id ~root_idx
-       ~previous ~expires)
+    (Pointer_store.store node.Node.pointers ~guid ~server ~root_idx ~previous
+       ~expires)
 
 let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
     ~root_idx =
   let cfg = net.Network.config in
   let salted = Network.salted net guid root_idx in
+  let srv = server.Node.handle in
   (* Fold along the root path, depositing a pointer at every node. *)
   let root, (_, hops), _ =
-    Route.fold_path ?variant net ~from:server salted ~init:(None, 0)
+    Route.fold_path ?variant net ~from:server salted ~init:(Node.no_handle, 0)
       ~f:(fun (prev, hops) node ->
-        deposit net node ~guid ~server_id:server.Node.id ~root_idx
-          ~previous:(match prev with
-            | Some (p : Node.t) -> Some p.Node.id
-            | None -> None);
+        deposit net node ~guid ~server:srv ~root_idx ~previous:prev;
         if on_secondaries then begin
           (* PRR-style: the pointer also lands on the secondaries of the slot
              about to be crossed; approximate by offering to every secondary
@@ -32,12 +30,12 @@ let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
             in
             if Node.is_alive sec && sec.Node.handle <> node.Node.handle then begin
               Network.charge_aside net node sec;
-              deposit net sec ~guid ~server_id:server.Node.id ~root_idx
-                ~previous:(Some node.Node.id)
+              deposit net sec ~guid ~server:srv ~root_idx
+                ~previous:node.Node.handle
             end
           done
         end;
-        `Continue (Some node, hops + 1))
+        `Continue (node.Node.handle, hops + 1))
   in
   (root, hops - 1)
 
@@ -77,8 +75,8 @@ let unpublish ?variant net ~(server : Node.t) guid =
       Route.fold_path ?variant net ~from:server salted ~init:()
         ~f:(fun () node ->
           ignore
-            (Pointer_store.remove node.Node.pointers ~guid ~server:server.Node.id
-               ~root_idx);
+            (Pointer_store.remove node.Node.pointers ~guid
+               ~server:server.Node.handle ~root_idx);
           `Continue ())
     in
     ()

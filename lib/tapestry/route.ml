@@ -23,15 +23,12 @@ let rec first_alive net on_dead skip (owner : Node.t) ~level ~digit =
 and scan net on_dead skip (owner : Node.t) ~level ~digit ~len ~k =
   if k >= len then None
   else begin
-    let table = owner.Node.table in
-    let id = Routing_table.slot_id table ~level ~digit ~k in
-    if skip id then scan net on_dead skip owner ~level ~digit ~len ~k:(k + 1)
+    let h = Routing_table.slot_handle owner.Node.table ~level ~digit ~k in
+    if skip h then scan net on_dead skip owner ~level ~digit ~len ~k:(k + 1)
     else begin
-      let n =
-        Network.node_of_handle net (Routing_table.slot_handle table ~level ~digit ~k)
-      in
+      let n = Network.node_of_handle net h in
       if Node.is_alive n then Some n
-      else purge net on_dead skip owner ~level ~digit ~dead:id
+      else purge net on_dead skip owner ~level ~digit ~dead:n.Node.id
     end
   end
 
@@ -190,10 +187,10 @@ let[@alloc_ok] walk_internal variant on_dead skip net ~from guid ~init ~f =
    [route_to_node] allocate the path list their callers asked for. *)
 let[@alloc_ok] resolve_skip exclude skip =
   match (exclude, skip) with
-  | Some x, None -> fun id -> Node_id.equal x id
+  | Some x, None -> fun h -> Int.equal h x
   | None, Some p -> p
   | None, None -> fun _ -> false
-  | Some x, Some p -> fun id -> Node_id.equal x id || p id
+  | Some x, Some p -> fun h -> Int.equal h x || p h
 
 let[@alloc_ok] fold_path ?(variant = Native) ?(on_dead = default_on_dead)
     ?exclude ?skip net ~from guid ~init ~f =

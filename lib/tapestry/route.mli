@@ -16,11 +16,12 @@
     stale entry is dropped (with backpointer cleanup), and an optional
     [on_dead] callback lets {!Delete} install richer repair (Section 5.2).
 
-    The [exclude] parameter makes every table lookup skip one node without
-    mutating any state: Figure 10's "route as if the new node had not yet
-    entered the network".  [skip] generalizes it to a predicate, which the
-    Section 6.3 locality optimization uses to confine a walk to one stub
-    domain. *)
+    The [exclude] parameter makes every table lookup skip one node, named
+    by its arena handle, without mutating any state: Figure 10's "route as
+    if the new node had not yet entered the network".  [skip] generalizes
+    it to a predicate over entry handles, which the Section 6.3 locality
+    optimization uses to confine a walk to one stub domain.  Either is
+    tested before the entry's node is read. *)
 
 type variant = Native | Prr_like
 
@@ -35,8 +36,8 @@ type info = {
 val fold_path :
   ?variant:variant ->
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:Node_id.t ->
-  ?skip:(Node_id.t -> bool) ->
+  ?exclude:int ->
+  ?skip:(int -> bool) ->
   Network.t ->
   from:Node.t ->
   Node_id.t ->
@@ -50,8 +51,8 @@ val fold_path :
 val route_to_root :
   ?variant:variant ->
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:Node_id.t ->
-  ?skip:(Node_id.t -> bool) ->
+  ?exclude:int ->
+  ?skip:(int -> bool) ->
   Network.t ->
   from:Node.t ->
   Node_id.t ->
@@ -60,8 +61,8 @@ val route_to_root :
 
 val route_to_node :
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:Node_id.t ->
-  ?skip:(Node_id.t -> bool) ->
+  ?exclude:int ->
+  ?skip:(int -> bool) ->
   Network.t ->
   from:Node.t ->
   Node_id.t ->
@@ -72,8 +73,8 @@ val route_to_node :
 val peek_first_hop :
   ?variant:variant ->
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:Node_id.t ->
-  ?skip:(Node_id.t -> bool) ->
+  ?exclude:int ->
+  ?skip:(int -> bool) ->
   Network.t ->
   Node.t ->
   Node_id.t ->

@@ -19,7 +19,7 @@ let check_property4 net =
                     ~f:(fun () hop ->
                       (match
                          Pointer_store.find hop.Node.pointers ~guid
-                           ~server:server.Node.id ~root_idx
+                           ~server:server.Node.handle ~root_idx
                        with
                       | Some r when r.Pointer_store.expires >= net.Network.clock -> ()
                       | _ ->

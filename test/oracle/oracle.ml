@@ -282,7 +282,7 @@ module Insert = struct
       ignore (Network.offer_link_all_levels net ~owner:x ~candidate:new_node);
       transferred :=
         !transferred
-        + Maintenance.optimize_through net ~node:x ~next_hop:new_node.Node.id
+        + Maintenance.optimize_through net ~node:x ~next_hop:new_node.Node.handle
     end
 
   (* The three stages of [Tapestry.Insert], each charged under its own
@@ -301,7 +301,7 @@ module Insert = struct
           Network.charge net new_node gateway;
           let info = Route.route_to_root net ~from:gateway id in
           let surrogate = info.Route.root in
-          new_node.Node.surrogate_hint <- Some surrogate.Node.id;
+          new_node.Node.surrogate_hint <- surrogate.Node.handle;
           copy_preliminary_table net ~new_node ~surrogate;
           (surrogate, Node_id.common_prefix_len id surrogate.Node.id))
     in

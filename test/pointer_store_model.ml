@@ -9,19 +9,19 @@ open Tapestry
 
 type record = Pointer_store.record = {
   guid : Node_id.t;
-  server : Node_id.t;
+  server : int;
   root_idx : int;
-  mutable previous : Node_id.t option;
+  mutable previous : int;
   mutable expires : float;
 }
 
 module Key = struct
-  type t = Node_id.t * Node_id.t * int
+  type t = Node_id.t * int * int
 
   let equal ((g1, s1, r1) : t) ((g2, s2, r2) : t) =
-    r1 = r2 && Node_id.equal g1 g2 && Node_id.equal s1 s2
+    r1 = r2 && s1 = s2 && Node_id.equal g1 g2
 
-  let hash (g, s, r) = (((Node_id.hash g * 31) + Node_id.hash s) * 31) + r
+  let hash (g, s, r) = (((Node_id.hash g * 31) + s) * 31) + r
 end
 
 module Tbl = Hashtbl.Make (Key)
@@ -37,7 +37,7 @@ let index_remove t ~guid ~server ~root_idx =
   match
     List.filter
       (fun (r : record) ->
-        not (r.root_idx = root_idx && Node_id.equal r.server server))
+        not (r.root_idx = root_idx && r.server = server))
       (by_guid t guid)
   with
   | [] -> Node_id.Tbl.remove t.by_guid guid
@@ -49,12 +49,12 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
       let old = r.previous in
       r.previous <- previous;
       r.expires <- max r.expires expires;
-      `Refreshed old
+      old
   | None ->
       let r = { guid; server; root_idx; previous; expires } in
       Tbl.replace t.recs (guid, server, root_idx) r;
       Node_id.Tbl.replace t.by_guid guid (r :: by_guid t guid);
-      `New
+      Pointer_store.fresh
 
 let remove t ~guid ~server ~root_idx =
   Tbl.mem t.recs (guid, server, root_idx)

@@ -312,7 +312,7 @@ let test_expired_pointer_detected () =
   let root = Network.surrogate_oracle net guid in
   let record =
     match
-      Pointer_store.find root.Node.pointers ~guid ~server:server.Node.id
+      Pointer_store.find root.Node.pointers ~guid ~server:server.Node.handle
         ~root_idx:0
     with
     | Some r -> r
@@ -342,7 +342,7 @@ let test_property4_finds_deleted_pointer () =
     (List.length (Verify.check_property4 net));
   let root = Network.surrogate_oracle net guid in
   Alcotest.(check bool) "pointer removed" true
-    (Pointer_store.remove root.Node.pointers ~guid ~server:server.Node.id
+    (Pointer_store.remove root.Node.pointers ~guid ~server:server.Node.handle
        ~root_idx:0);
   match Verify.check_property4 net with
   | [ gap ] ->

@@ -345,22 +345,21 @@ let test_dead_neighbours () =
 
 let test_pointer_store_roundtrip () =
   let ps = Pointer_store.create () in
-  let guid = id_of "dead" and server = id_of "beef" in
-  Alcotest.(check bool) "new" true
-    (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:None ~expires:10. = `New);
-  (match Pointer_store.store ps ~guid ~server ~root_idx:0
-           ~previous:(Some (id_of "aaaa")) ~expires:20. with
-  | `Refreshed None -> ()
-  | _ -> Alcotest.fail "expected refresh returning old previous");
+  let guid = id_of "dead" and server = 7 in
+  Alcotest.(check int) "new" Pointer_store.fresh
+    (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:(-1) ~expires:10.);
+  Alcotest.(check int) "refresh returns the old previous" (-1)
+    (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:3 ~expires:20.);
   Alcotest.(check int) "size" 1 (Pointer_store.size ps);
   (match Pointer_store.find ps ~guid ~server ~root_idx:0 with
   | Some r ->
-      Alcotest.(check bool) "previous updated" true
-        (r.Pointer_store.previous = Some (id_of "aaaa"));
+      Alcotest.(check int) "previous updated" 3 r.Pointer_store.previous;
       Alcotest.(check bool) "expiry extended" true (r.Pointer_store.expires >= 20.)
   | None -> Alcotest.fail "record missing");
+  Alcotest.(check int) "second refresh returns the first's hop" 3
+    (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:(-1) ~expires:1.);
   (* same guid+server, different root: distinct record *)
-  ignore (Pointer_store.store ps ~guid ~server ~root_idx:1 ~previous:None ~expires:10.);
+  ignore (Pointer_store.store ps ~guid ~server ~root_idx:1 ~previous:(-1) ~expires:10.);
   Alcotest.(check int) "roots distinct" 2 (Pointer_store.size ps);
   let seen = ref 0 in
   Pointer_store.iter_guid ps guid ~f:(fun _ -> incr seen);
@@ -369,8 +368,8 @@ let test_pointer_store_roundtrip () =
 let test_pointer_store_expiry () =
   let ps = Pointer_store.create () in
   let guid = id_of "dead" in
-  ignore (Pointer_store.store ps ~guid ~server:(id_of "b001") ~root_idx:0 ~previous:None ~expires:5.);
-  ignore (Pointer_store.store ps ~guid ~server:(id_of "b002") ~root_idx:0 ~previous:None ~expires:50.);
+  ignore (Pointer_store.store ps ~guid ~server:1 ~root_idx:0 ~previous:(-1) ~expires:5.);
+  ignore (Pointer_store.store ps ~guid ~server:2 ~root_idx:0 ~previous:(-1) ~expires:50.);
   Alcotest.(check int) "one expired" 1 (Pointer_store.expire ps ~now:10.);
   Alcotest.(check int) "one left" 1 (Pointer_store.size ps);
   Alcotest.(check bool) "guid still known" true (Pointer_store.mem_guid ps guid)
@@ -378,15 +377,15 @@ let test_pointer_store_expiry () =
 let test_pointer_store_remove () =
   let ps = Pointer_store.create () in
   let g1 = id_of "aaaa" and g2 = id_of "bbbb" in
-  ignore (Pointer_store.store ps ~guid:g1 ~server:(id_of "0001") ~root_idx:0 ~previous:None ~expires:5.);
-  ignore (Pointer_store.store ps ~guid:g1 ~server:(id_of "0002") ~root_idx:0 ~previous:None ~expires:5.);
-  ignore (Pointer_store.store ps ~guid:g2 ~server:(id_of "0001") ~root_idx:0 ~previous:None ~expires:5.);
+  ignore (Pointer_store.store ps ~guid:g1 ~server:1 ~root_idx:0 ~previous:(-1) ~expires:5.);
+  ignore (Pointer_store.store ps ~guid:g1 ~server:2 ~root_idx:0 ~previous:(-1) ~expires:5.);
+  ignore (Pointer_store.store ps ~guid:g2 ~server:1 ~root_idx:0 ~previous:(-1) ~expires:5.);
   Alcotest.(check bool) "remove one" true
-    (Pointer_store.remove ps ~guid:g1 ~server:(id_of "0001") ~root_idx:0);
+    (Pointer_store.remove ps ~guid:g1 ~server:1 ~root_idx:0);
   Alcotest.(check bool) "already gone" false
-    (Pointer_store.remove ps ~guid:g1 ~server:(id_of "0001") ~root_idx:0);
+    (Pointer_store.remove ps ~guid:g1 ~server:1 ~root_idx:0);
   Alcotest.(check bool) "remove the last of g1" true
-    (Pointer_store.remove ps ~guid:g1 ~server:(id_of "0002") ~root_idx:0);
+    (Pointer_store.remove ps ~guid:g1 ~server:2 ~root_idx:0);
   Alcotest.(check bool) "g1 gone" false (Pointer_store.mem_guid ps g1);
   Alcotest.(check int) "g2 untouched" 1 (Pointer_store.size ps);
   Alcotest.(check bool) "g2 still held" true (Pointer_store.mem_guid ps g2)

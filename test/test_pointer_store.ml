@@ -16,7 +16,9 @@
      record with [remove], so chain unlinks and backward-shift index
      deletion are exercised at every chain position.  The guid pools
      include groups whose hashes share their low 12 bits, so they collide
-     in every index size the tests reach. *)
+     in every index size the tests reach.
+   - "alloc": [store] allocates only the record on a new record and
+     nothing on a refresh. *)
 
 open Tapestry
 
@@ -24,22 +26,26 @@ let config = { Config.default with Config.root_set_size = 2 }
 
 let id_str = Node_id.to_string
 
-let record_str (r : Pointer_store.record) =
+(* [name] renders the server and previous-hop handles. *)
+let record_str name (r : Pointer_store.record) =
   Printf.sprintf "%s/%s/%d/%s/%h" (id_str r.Pointer_store.guid)
-    (id_str r.Pointer_store.server)
+    (name r.Pointer_store.server)
     r.Pointer_store.root_idx
-    (match r.Pointer_store.previous with Some p -> id_str p | None -> "-")
+    (if r.Pointer_store.previous < 0 then "-" else name r.Pointer_store.previous)
     r.Pointer_store.expires
 
 (* Every registered node (arena order), its records sorted, then the
-   ambient cost totals. *)
+   ambient cost totals.  Handles print as the node IDs they resolve to
+   through the arena, so the pins do not depend on how a record names
+   a node. *)
 let mesh_digest net =
+  let name h = id_str (Network.node_of_handle net h).Node.id in
   let b = Buffer.create 65536 in
   Network.iter_registered net (fun (n : Node.t) ->
       Buffer.add_string b (id_str n.Node.id);
       Buffer.add_char b ':';
       Pointer_store.records n.Node.pointers
-      |> List.map record_str |> List.sort String.compare
+      |> List.map (record_str name) |> List.sort String.compare
       |> List.iter (fun s ->
              Buffer.add_string b s;
              Buffer.add_char b ';');
@@ -164,12 +170,12 @@ let guid_pool ~groups ~singles rng =
   in
   Array.of_list (largest @ List.init singles (fun _ -> random_id rng))
 
-let verdict_str = function
-  | `New -> "new"
-  | `Refreshed None -> "refreshed -"
-  | `Refreshed (Some p) -> "refreshed " ^ id_str p
+let verdict_str v =
+  if v = Pointer_store.fresh then "new"
+  else if v < 0 then "refreshed -"
+  else "refreshed " ^ string_of_int v
 
-let strs rs = List.map record_str rs
+let strs rs = List.map (record_str string_of_int) rs
 let sorted rs = List.sort String.compare (strs rs)
 
 (* [guid]'s records in chain order (newest first). *)
@@ -231,7 +237,7 @@ let drain_both ~ctx ps m guid =
 let drive ~seed ~ops =
   let rng = Simnet.Rng.create seed in
   let pool = guid_pool ~groups:4 ~singles:24 rng in
-  let servers = Array.init 5 (fun _ -> random_id rng) in
+  let servers = Array.init 5 Fun.id in
   let pick a = a.(Simnet.Rng.int rng (Array.length a)) in
   let ps = Pointer_store.create () and m = M.create () in
   let now = ref 0. in
@@ -242,7 +248,7 @@ let drive ~seed ~ops =
     let roll = Simnet.Rng.int rng 100 in
     if roll < 55 then
       store_both ~ctx ps m ~guid ~server ~root_idx
-        ~previous:(if Simnet.Rng.bool rng then Some (pick servers) else None)
+        ~previous:(if Simnet.Rng.bool rng then pick servers else -1)
         ~expires:(!now +. Simnet.Rng.float rng 10.)
     else if roll < 70 then remove_both ~ctx ps m ~guid ~server ~root_idx
     else if roll < 85 then begin
@@ -276,11 +282,11 @@ let test_chain_positions () =
   let pool = guid_pool ~groups:1 ~singles:0 rng in
   Alcotest.(check bool) "colliding group" true (Array.length pool >= 2);
   let a = pool.(0) and b = pool.(1) in
-  let servers = Array.init 5 (fun _ -> random_id rng) in
+  let servers = Array.init 5 Fun.id in
   let ps = Pointer_store.create () and m = M.create () in
   let put guid k =
     store_both ~ctx:"put" ps m ~guid ~server:servers.(k) ~root_idx:0
-      ~previous:None ~expires:1.
+      ~previous:(-1) ~expires:1.
   in
   let check ctx = check_agree ~ctx ps m [| a; b |] in
   (* vector: a0 a1 a2 a3; a's chain a3 a2 a1 a0 *)
@@ -297,9 +303,9 @@ let test_chain_positions () =
   check "head";
   (* refresh keeps the chain order and returns the old hop *)
   store_both ~ctx:"refresh" ps m ~guid:b ~server:servers.(0) ~root_idx:0
-    ~previous:(Some servers.(3)) ~expires:5.;
+    ~previous:servers.(3) ~expires:5.;
   store_both ~ctx:"refresh again" ps m ~guid:b ~server:servers.(0) ~root_idx:0
-    ~previous:None ~expires:2.;
+    ~previous:(-1) ~expires:2.;
   check "refresh";
   Alcotest.(check int) "expire" (M.expire m ~now:3.) (Pointer_store.expire ps ~now:3.);
   check "expire";
@@ -311,12 +317,12 @@ let test_chain_positions () =
 let test_index_growth () =
   let rng = Simnet.Rng.create 7 in
   let pool = guid_pool ~groups:8 ~singles:300 rng in
-  let server = random_id rng in
+  let server = 0 in
   let ps = Pointer_store.create () and m = M.create () in
   Array.iteri
     (fun i guid ->
       store_both ~ctx:"grow" ps m ~guid ~server ~root_idx:(i mod 2)
-        ~previous:None ~expires:(float_of_int i);
+        ~previous:(-1) ~expires:(float_of_int i);
       if i mod 17 = 0 then check_agree ~ctx:(Printf.sprintf "grow %d" i) ps m pool)
     pool;
   check_agree ~ctx:"grown" ps m pool;
@@ -333,6 +339,38 @@ let test_index_growth () =
   check_agree ~ctx:"drained" ps m pool;
   Alcotest.(check int) "empty" 0 (Pointer_store.size ps)
 
+(* ---- allocation ---- *)
+
+(* A new record allocates the record's 6 words and nothing more: server
+   and previous are unboxed handles, the expiry literal is a static box,
+   and the vector and index have room.  A refresh allocates nothing: its
+   verdict is the old previous hop, an int. *)
+let test_store_allocation () =
+  let rng = Simnet.Rng.create 3 in
+  let guid = random_id rng in
+  let ps = Pointer_store.create () in
+  ignore (Pointer_store.store ps ~guid ~server:0 ~root_idx:0 ~previous:(-1)
+            ~expires:1.);
+  let words f =
+    let before = Gc.minor_words () in
+    let v = f () in
+    (Gc.minor_words () -. before, v)
+  in
+  let fresh_words, v =
+    words (fun () ->
+        Pointer_store.store ps ~guid ~server:1 ~root_idx:0 ~previous:0
+          ~expires:2.)
+  in
+  Alcotest.(check int) "new record verdict" Pointer_store.fresh v;
+  Alcotest.(check (float 0.)) "new record allocates the record" 6. fresh_words;
+  let refresh_words, v =
+    words (fun () ->
+        Pointer_store.store ps ~guid ~server:1 ~root_idx:0 ~previous:2
+          ~expires:3.)
+  in
+  Alcotest.(check int) "refresh verdict is the old hop" 0 v;
+  Alcotest.(check (float 0.)) "refresh allocates nothing" 0. refresh_words
+
 let () =
   Alcotest.run "pointer_store"
     [
@@ -348,5 +386,10 @@ let () =
           Alcotest.test_case "head, middle, tail and same-guid swap-remove"
             `Quick test_chain_positions;
           Alcotest.test_case "index growth and drain" `Quick test_index_growth;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "store: record words on new, none on refresh"
+            `Quick test_store_allocation;
         ] );
     ]

@@ -96,7 +96,7 @@ let test_route_skip_excluded () =
   let guid = random_guid net in
   let from = Network.random_alive net in
   let root = (Route.route_to_root net ~from guid).Route.root in
-  let info2 = Route.route_to_root ~exclude:root.Node.id net ~from guid in
+  let info2 = Route.route_to_root ~exclude:root.Node.handle net ~from guid in
   if Node_id.equal from.Node.id root.Node.id then ()
   else
     Alcotest.(check bool) "excluded node never visited" false
@@ -209,13 +209,12 @@ let test_optimize_through_moves_only_affected () =
   match info.Route.path with
   | _ :: (second : Node.t) :: _ ->
       (* records at the server whose first hop is NOT [second] never move *)
-      let unrelated = random_guid net in
       let moved =
-        Maintenance.optimize_through net ~node:server ~next_hop:unrelated
+        Maintenance.optimize_through net ~node:server ~next_hop:Node.no_handle
       in
       Alcotest.(check int) "unrelated next hop moves nothing" 0 moved;
       let moved2 =
-        Maintenance.optimize_through net ~node:server ~next_hop:second.Node.id
+        Maintenance.optimize_through net ~node:server ~next_hop:second.Node.handle
       in
       Alcotest.(check bool) "real next hop moves the record" true (moved2 >= 1);
       Alcotest.(check int) "property 4 intact" 0 (List.length (Verify.check_property4 net))
@@ -249,7 +248,7 @@ let test_publish_deposits_along_path () =
     (Node_id.equal root.Node.id info.Route.root.Node.id);
   List.iter
     (fun (hop : Node.t) ->
-      match Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.id ~root_idx:0 with
+      match Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0 with
       | Some _ -> ()
       | None -> Alcotest.fail "missing pointer on publish path")
     info.Route.path;
@@ -314,7 +313,8 @@ let test_multi_replica_all_pointers_kept () =
   let root = (Route.route_to_root net ~from:(List.hd servers) guid).Route.root in
   let servers_seen = ref [] in
   Pointer_store.iter_guid root.Node.pointers guid ~f:(fun r ->
-      servers_seen := Node_id.to_string r.Pointer_store.server :: !servers_seen);
+      let s = Network.node_of_handle net r.Pointer_store.server in
+      servers_seen := Node_id.to_string s.Node.id :: !servers_seen);
   let distinct = List.sort_uniq String.compare !servers_seen in
   Alcotest.(check int) "root holds all copies"
     (List.length
@@ -370,11 +370,12 @@ let test_delete_pointers_backward () =
   let info = Route.route_to_root net ~from:server guid in
   match List.rev info.Route.path with
   | root :: _ when List.length info.Route.path >= 3 -> (
-      match Pointer_store.find root.Node.pointers ~guid ~server:server.Node.id ~root_idx:0 with
+      match Pointer_store.find root.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0 with
       | Some r ->
-          let from = Option.get r.Pointer_store.previous in
-          Maintenance.delete_pointers_backward net ~changed:server.Node.id ~guid
-            ~server:server.Node.id ~root_idx:0 ~from;
+          let from = r.Pointer_store.previous in
+          Alcotest.(check bool) "root has a previous hop" true (from >= 0);
+          Maintenance.delete_pointers_backward net ~changed:server.Node.handle ~guid
+            ~server:server.Node.handle ~root_idx:0 ~from;
           List.iter
             (fun (hop : Node.t) ->
               if
@@ -382,7 +383,7 @@ let test_delete_pointers_backward () =
                 && not (Node_id.equal hop.Node.id root.Node.id)
               then
                 Alcotest.(check bool) "intermediate pointer deleted" true
-                  (Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.id
+                  (Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.handle
                      ~root_idx:0
                   = None))
             info.Route.path

@@ -3,6 +3,8 @@
    - the dense swap-remove alive array in Network (O(1) sampling) must track
      the true alive set exactly through arbitrary churn, and stay uniform;
    - the incremental core trie must match a trie rebuilt from scratch;
+   - arena handles and node IDs must stay a bijection through churn, dead
+     nodes included, since per-node state names nodes by handle;
    - the grid spatial index in Metric must agree with the brute-force scans
      bit-for-bit, tie-breaks included, on plane and torus point sets;
    - Parallel.map must produce identical results whatever the domain count,
@@ -90,6 +92,71 @@ let test_alive_set_churn () =
   Alcotest.(check (list string))
     "core_nodes reads the incremental index" (dump rebuilt)
     (sorted_ids (Network.core_nodes net))
+
+(* --- handle <-> ID bijection under churn --- *)
+
+(* Pointer records, surrogate hints and route exclusion name nodes by
+   arena handle, so they resolve to the node an ID lookup returns only
+   while handles and IDs stay a bijection: [register] refuses a
+   duplicate ID, dead nodes stay in the directory and handles are never
+   reused.  A mesh in a 256-ID space is churned by joins, voluntary
+   leaves and silent failures; then every registered handle, dead ones
+   included, must round-trip through its ID, and [fresh_id] — whose
+   draws collide often in so small a space — must never return a dead
+   node's ID. *)
+let test_handle_id_bijection () =
+  let cfg = { Config.default with Config.base = 4; id_digits = 4 } in
+  let rng = Rng.create 5 in
+  let metric = Topology.generate Topology.Uniform_square ~n:120 ~rng in
+  let net = Static_build.build ~seed:6 cfg metric ~addrs:(List.init 60 Fun.id) in
+  let churn = Rng.create 17 in
+  let next_addr = ref 60 and left = ref [] and failed = ref [] in
+  for _ = 1 to 80 do
+    match Rng.int churn 4 with
+    | 0 | 1 when !next_addr < 120 ->
+        ignore
+          (Insert.insert net ~gateway:(Network.random_alive net)
+             ~addr:!next_addr);
+        incr next_addr
+    | 2 ->
+        let v = Network.random_alive net in
+        ignore (Delete.voluntary net v);
+        left := v.Node.id :: !left
+    | _ ->
+        let v = Network.random_alive net in
+        Delete.fail net v;
+        failed := v.Node.id :: !failed
+  done;
+  let dead = !left @ !failed in
+  Alcotest.(check bool) "churn joined, left and failed nodes" true
+    (List.length !left > 0 && List.length !failed > 0 && !next_addr > 80);
+  let registered = ref 0 in
+  Network.iter_registered net (fun (n : Node.t) ->
+      let h = !registered in
+      incr registered;
+      let m = Network.node_of_handle net h in
+      if m != n || n.Node.handle <> h then
+        Alcotest.failf "handle %d does not name its arena node" h;
+      match Network.find net n.Node.id with
+      | Some found when found == n -> ()
+      | _ ->
+          Alcotest.failf "handle %d (%s, %s) does not round-trip through its ID"
+            h (Node_id.to_string n.Node.id)
+            (if Node.is_alive n then "alive" else "dead"));
+  Alcotest.(check int) "one handle per address used" !next_addr !registered;
+  List.iter
+    (fun id ->
+      match Network.find net id with
+      | Some n when not (Node.is_alive n) -> ()
+      | _ -> Alcotest.failf "dead %s left the directory" (Node_id.to_string id))
+    dead;
+  for _ = 1 to 500 do
+    let id = Network.fresh_id net in
+    if List.exists (Node_id.equal id) dead then
+      Alcotest.failf "fresh_id returned dead %s" (Node_id.to_string id);
+    if Option.is_some (Network.find net id) then
+      Alcotest.failf "fresh_id returned registered %s" (Node_id.to_string id)
+  done
 
 let test_random_alive_uniform () =
   let n = 24 in
@@ -256,6 +323,8 @@ let () =
         [
           Alcotest.test_case "exact under churn" `Quick test_alive_set_churn;
           Alcotest.test_case "uniform sampling" `Quick test_random_alive_uniform;
+          Alcotest.test_case "handle-ID bijection under churn" `Quick
+            test_handle_id_bijection;
         ] );
       ( "spatial index",
         [

@@ -894,9 +894,13 @@ let prop_timer_matches_model =
    to the driver's return ([now]'s second and last calls), at n=1024 in
    the benchmark's two shapes.  With the histogram accumulators and
    the pointer selector's best distance and probe time in float-array
-   cells, and the histogram bucket read off the IEEE bits, it reads
-   39.9 (hot) and 51.0 (cold churn); with those in boxed float fields
-   and [Float.frexp]'s tuple it read 44.1 and 54.5.  With the clock and
+   cells, the histogram bucket read off the IEEE bits, and pointer
+   records naming servers and previous hops by arena handle, it reads
+   39.7 (hot) and 49.8 (cold churn).  With ID-keyed records, where the
+   selector resolved each record's server through a hash lookup that
+   returned an option and a PUBLISH hop boxed [Some previous] and a
+   refresh its verdict, it read 39.9 and 51.0; with the float cells
+   above in boxed float fields and [Float.frexp]'s tuple, 44.1 and 54.5.  With the clock and
    the popped message time in boxed record fields it read 49.9 and
    59.9, and the fiber engine before that 109.7 and 116.5, with a
    continuation, a closure and a heap entry per drain start, service
@@ -943,8 +947,8 @@ let test_alloc_cold_churn () =
         join_rate = 20.;
       }
   in
-  if w > 54. then
-    Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 54)" w
+  if w > 53. then
+    Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 53)" w
 
 (* ---- wall ledger ---- *)
 

@@ -126,10 +126,10 @@ let test_locality_pointer_namespace () =
   Locality.publish net ~same_stub ~server guid;
   (* server itself holds both the root_idx 0 record and the local one *)
   Alcotest.(check bool) "wide-area record" true
-    (Pointer_store.find server.Node.pointers ~guid ~server:server.Node.id ~root_idx:0
+    (Pointer_store.find server.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0
     <> None);
   Alcotest.(check bool) "local record" true
-    (Pointer_store.find server.Node.pointers ~guid ~server:server.Node.id
+    (Pointer_store.find server.Node.pointers ~guid ~server:server.Node.handle
        ~root_idx:Locality.local_root_idx
     <> None)
 

@@ -23,12 +23,15 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    routing-table primitives are on the list because every hot path
    above calls them per candidate or per hop: a closure in
    [Node_id.equal] allocates wherever it is called.  The pointer store
-   is probed at every locate hop and written at every publish hop. *)
+   is probed at every locate hop and written at every publish hop, and
+   pointer maintenance re-walks records at every node a join's
+   multicast reaches. *)
 let hot_path_sources =
   [
     "lib/tapestry/node_id.ml";
     "lib/tapestry/routing_table.ml";
     "lib/tapestry/pointer_store.ml";
+    "lib/tapestry/maintenance.ml";
     "lib/tapestry/route.ml";
     "lib/tapestry/locate.ml";
     "lib/tapestry/nearest_neighbor.ml";
