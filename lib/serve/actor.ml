@@ -162,7 +162,7 @@ type ctx = {
          so writing them allocates nothing (a mutable float field of
          this mixed record would box every write) *)
   mutable cur : Node.t;  (* node whose dispatch is running *)
-  mutable sel : Pointer_store.record -> unit;
+  mutable sel : Pointer_store.cols -> int -> unit;
       (* preallocated best-server folder; assigned once in [make_ctx] *)
   tally : Simnet.Stats.Tally.t;  (* cache hit/miss/stale/... counters *)
   (* barrier-applied cache intent buffers (parallel arrays) *)
@@ -277,7 +277,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       best_h = -1;
       sel_f = [| infinity; 0. |];
       cur = Network.node_of_handle sh.net 0;
-      sel = (fun _ -> ());
+      sel = (fun _ _ -> ());
       tally = Simnet.Stats.Tally.create ();
       fi_h = [||];
       fi_key = [||];
@@ -302,9 +302,9 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
     }
   in
   (ctx.sel <-
-     (fun (r : Pointer_store.record) ->
-       if r.Pointer_store.expires >= ctx.sel_f.(sel_pred_now) then begin
-         let srv = Network.node_of_handle sh.net r.Pointer_store.server in
+     (fun (c : Pointer_store.cols) i ->
+       if c.expires.(i) >= ctx.sel_f.(sel_pred_now) then begin
+         let srv = Network.node_of_handle sh.net c.server.(i) in
          if Node.is_alive srv then begin
            let d = Network.dist sh.net ctx.cur srv in
            if d < ctx.sel_f.(sel_best_d) then begin
@@ -314,16 +314,6 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
          end
        end));
   ctx
-
-(* Count trailing zeros of a non-zero mask, de Bruijn multiply — same
-   table as Route's digit scan (not exported there; 32 small ints). *)
-let ntz_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
-
-let ntz x = ntz_table.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
 (* [@alloc_ok]: the dirty list doubles rarely; everything else is int
    stores. *)
@@ -353,28 +343,18 @@ let rec slot_first_alive ctx (node : Node.t) ~level ~digit ~len k =
     end
   end
 
-(* Wrap-order digit scan over the filled mask — [Route.native_scan]'s
-   order exactly, minus purging. *)
+(* Wrap-order digit scan — [Route.native_scan]'s order exactly, minus
+   purging. *)
 let rec scan_digit ctx (node : Node.t) ~level ~want tries =
-  let base = ctx.sh.base in
-  if tries >= base then -1
+  let tries = Routing_table.next_filled node.Node.table ~level ~want ~tries in
+  if tries < 0 then -1
   else begin
-    let m = Routing_table.filled_mask node.Node.table ~level in
-    let start = want + tries in
-    let start = if start >= base then start - base else start in
-    let m = ((m lsr start) lor (m lsl (base - start))) land ((1 lsl base) - 1) in
-    if m = 0 then -1
-    else begin
-      let tries = tries + ntz m in
-      if tries >= base then -1
-      else begin
-        let j = want + tries in
-        let j = if j >= base then j - base else j in
-        let len = Routing_table.slot_len node.Node.table ~level ~digit:j in
-        let h = slot_first_alive ctx node ~level ~digit:j ~len 0 in
-        if h >= 0 then h else scan_digit ctx node ~level ~want (tries + 1)
-      end
-    end
+    let base = ctx.sh.base in
+    let j = want + tries in
+    let j = if j >= base then j - base else j in
+    let len = Routing_table.slot_len node.Node.table ~level ~digit:j in
+    let h = slot_first_alive ctx node ~level ~digit:j ~len 0 in
+    if h >= 0 then h else scan_digit ctx node ~level ~want (tries + 1)
   end
 
 (* Next hop of the walk toward [guid] starting at [level]: sets

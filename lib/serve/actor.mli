@@ -136,7 +136,7 @@ type ctx = {
           the probe's time; float-array cells, so writes allocate
           nothing *)
   mutable cur : Node.t;
-  mutable sel : Pointer_store.record -> unit;
+  mutable sel : Pointer_store.cols -> int -> unit;
   tally : Simnet.Stats.Tally.t;  (** cache hit/miss/stale/... counters *)
   mutable fi_h : int array;  (** fill intents: target cache line *)
   mutable fi_key : int array;

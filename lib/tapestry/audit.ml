@@ -353,21 +353,19 @@ let run net =
       (* Pointer-store expiry consistency: at a quiescent point no node may
          still hold a pointer past its expiry (soft state, Section 2.2). *)
       Network.iter_alive net (fun (n : Node.t) ->
-          List.iter
-            (fun (r : Pointer_store.record) ->
-              if r.Pointer_store.expires < net.Network.clock then
-                add
-                  (Expired_pointer
-                     {
-                       node = n.Node.id;
-                       guid = r.Pointer_store.guid;
-                       server =
-                         (Network.node_of_handle net r.Pointer_store.server)
-                           .Node.id;
-                       root_idx = r.Pointer_store.root_idx;
-                       expires = r.Pointer_store.expires;
-                     }))
-            (Pointer_store.records n.Node.pointers));
+          let c = Pointer_store.cols n.Node.pointers in
+          for i = 0 to Pointer_store.size n.Node.pointers - 1 do
+            if c.expires.(i) < net.Network.clock then
+              add
+                (Expired_pointer
+                   {
+                     node = n.Node.id;
+                     guid = c.guid.(i);
+                     server = (Network.node_of_handle net c.server.(i)).Node.id;
+                     root_idx = c.root_idx.(i);
+                     expires = c.expires.(i);
+                   })
+          done);
       (* Cache coherence (PR 9): every cached entry is valid — a
          registered, live, epoch-current server still holding the
          replica — or provably redirectable: epoch behind (a probe

@@ -4,7 +4,9 @@ type stats = {
   objects_rerooted : int;
 }
 
-let repair_hole net ~(owner : Node.t) ~level ~digit =
+(* [@alloc_ok]: the neighbour list, its iteration closure and the
+   offered cell, once per repaired hole. *)
+let[@alloc_ok] repair_hole net ~(owner : Node.t) ~level ~digit =
   if not (Routing_table.is_hole owner.Node.table ~level ~digit) then true
   else begin
     (* Local search: ask every remaining neighbor that shares [level] digits
@@ -24,23 +26,16 @@ let repair_hole net ~(owner : Node.t) ~level ~digit =
         done)
       (Network.live_neighbours net owner ~level);
     if !offered then true
-    else begin
-      (* Routed probe: surrogate-route toward an ID with the wanted prefix;
-         the maximal-prefix property of the root answers existence exactly. *)
-      let target_digits = Node_id.digits owner.Node.id in
-      target_digits.(level) <- digit;
-      let target = Node_id.make target_digits in
-      let info = Route.route_to_root net ~from:owner target in
-      let root = info.Route.root in
-      if
-        (not (Node_id.equal root.Node.id owner.Node.id))
-        && Node_id.common_prefix_len root.Node.id target >= level + 1
-      then Network.offer_link net ~owner ~level ~candidate:root
-      else false
-    end
+    else
+      (* Routed probe: surrogate-route toward an ID with the wanted prefix. *)
+      match Route.probe_hole net ~from:owner ~owner ~level ~digit with
+      | Some root -> Network.offer_link net ~owner ~level ~candidate:root
+      | None -> false
   end
 
-let on_dead_repair net ~(owner : Node.t) ~dead =
+(* [@alloc_ok]: the dropped-level list and its closure, once per dead
+   link repaired. *)
+let[@alloc_ok] on_dead_repair net ~(owner : Node.t) ~dead =
   List.iter
     (fun level ->
       let digit = Node_id.digit dead level in
@@ -51,7 +46,9 @@ let on_dead_repair net ~(owner : Node.t) ~dead =
 
 (* Repeats (a node held at several levels) are skipped with the visit
    stamps of the network's scratch. *)
-let dead_neighbours net (owner : Node.t) =
+(* [@alloc_ok]: the result list and the table walk's closure, once per
+   repaired owner. *)
+let[@alloc_ok] dead_neighbours net (owner : Node.t) =
   let s = net.Network.scratch and acc = ref [] in
   Scratch.ensure_handles s ~n:net.Network.arena_len;
   let gen = Scratch.bump_visit s in
@@ -66,7 +63,8 @@ let dead_neighbours net (owner : Node.t) =
 (* Lazy repair of one owner's dead routing entries, Section 5.2 style:
    the rich on_dead handler (drop link, promote secondary, fill holes,
    re-push pointers) for each distinct dead neighbour. *)
-let repair_owner net (owner : Node.t) =
+(* [@alloc_ok]: the iteration closure, once per repaired owner. *)
+let[@alloc_ok] repair_owner net (owner : Node.t) =
   if not (Node.is_alive owner) then 0
   else begin
     let dead = dead_neighbours net owner in
@@ -76,12 +74,16 @@ let repair_owner net (owner : Node.t) =
 
 let fail net node = Network.mark_dead net node
 
-let voluntary net (node : Node.t) =
+(* [@alloc_ok]: per departure — the replica and holder lists, each
+   holder's moving-index list, the iteration closures, the re-root fold
+   callbacks and the stats record. *)
+let[@alloc_ok] voluntary net (node : Node.t) =
   (match node.Node.status with
   | Node.Active -> ()
   | _ -> invalid_arg "Delete.voluntary: node is not active");
   Network.begin_leaving net node;
   let cfg = net.Network.config in
+  let me = node.Node.handle in
   (* The data leaves with the node: withdraw its replicas first. *)
   let replicas = Node_id.Tbl.fold (fun g () acc -> g :: acc) node.Node.replicas [] in
   List.iter (fun guid -> Publish.unpublish net ~server:node guid) replicas;
@@ -106,18 +108,20 @@ let voluntary net (node : Node.t) =
         incr notified;
         Network.charge net node holder;
         (* Records at the holder that route through the leaver must move;
-           capture them before the link goes away. *)
-        let moving =
-          Pointer_store.records holder.Node.pointers
-          |> List.filter (fun (r : Pointer_store.record) ->
-                 let salted =
-                   Network.salted net r.Pointer_store.guid
-                     r.Pointer_store.root_idx
-                 in
-                 match Route.peek_first_hop net holder salted with
-                 | Some hop -> Node_id.equal hop.Node.id node.Node.id
-                 | None -> false)
-        in
+           capture their indices before the link goes away.  Nothing until
+           their re-walks writes the holder's store, and no re-walk does,
+           so the indices stay valid. *)
+        let ps = holder.Node.pointers in
+        let moving = ref [] in
+        for i = 0 to Pointer_store.size ps - 1 do
+          let c = Pointer_store.cols ps in
+          match
+            Route.peek_first_hop net holder
+              (Network.salted net c.guid.(i) c.root_idx.(i))
+          with
+          | Some hop when hop.Node.handle = me -> moving := i :: !moving
+          | _ -> ()
+        done;
         (* Replacement candidates: the leaver's own slot for its digit at
            this level holds exactly the nodes that can stand in for it
            (offer_link refuses the leaver itself and dead nodes). *)
@@ -131,50 +135,49 @@ let voluntary net (node : Node.t) =
         if Routing_table.is_hole holder.Node.table ~level ~digit then
           ignore (repair_hole net ~owner:holder ~level ~digit);
         List.iter
-          (fun r ->
+          (fun i ->
             incr rerouted;
-            Maintenance.optimize_object_ptrs net ~changed:holder r)
-          moving
+            Maintenance.optimize_object_ptrs net ~changed:holder i)
+          (List.rev !moving)
       end)
     !holders;
   (* Phase 2: re-root the objects this node is root for, with itself masked
-     out of every lookup. *)
+     out of every lookup.  The walks store only at hops other than this
+     node, so its indices stay valid. *)
   let rerooted = ref 0 in
-  Pointer_store.records node.Node.pointers
-  |> List.iter (fun (r : Pointer_store.record) ->
-         let salted =
-           Network.salted net r.Pointer_store.guid
-             r.Pointer_store.root_idx
-         in
-         let is_root = Option.is_none (Route.peek_first_hop net node salted) in
-         if is_root then begin
-           incr rerooted;
-           let expires = net.Network.clock +. cfg.Config.pointer_ttl in
-           ignore
-             (Route.fold_path ~exclude:node.Node.handle net ~from:node salted
-                ~init:node.Node.handle
-                ~f:(fun sender hop ->
-                  if hop.Node.handle <> node.Node.handle then
-                    ignore
-                      (Pointer_store.store hop.Node.pointers
-                         ~guid:r.Pointer_store.guid ~server:r.Pointer_store.server
-                         ~root_idx:r.Pointer_store.root_idx ~previous:sender
-                         ~expires);
-                  `Continue hop.Node.handle))
-         end);
+  let ps = node.Node.pointers in
+  for i = 0 to Pointer_store.size ps - 1 do
+    let c = Pointer_store.cols ps in
+    let guid = c.guid.(i) and server = c.server.(i) and root_idx = c.root_idx.(i) in
+    let salted = Network.salted net guid root_idx in
+    if Option.is_none (Route.peek_first_hop net node salted) then begin
+      incr rerooted;
+      let expires = net.Network.clock +. cfg.Config.pointer_ttl in
+      ignore
+        (Route.fold_path ~exclude:me net ~from:node salted ~init:me
+           ~f:(fun sender hop ->
+             if hop.Node.handle <> me then
+               ignore
+                 (Pointer_store.store hop.Node.pointers ~guid ~server ~root_idx
+                    ~previous:sender ~expires);
+             `Continue hop.Node.handle))
+    end
+  done;
   (* Final phase: sever remaining forward links and disconnect. *)
   Routing_table.iter_handles table (fun ~level h ->
-      if h <> node.Node.handle then begin
+      if h <> me then begin
         let peer = Network.node_of_handle net h in
-        Routing_table.remove_backpointer ~handle:node.Node.handle peer.Node.table
-          ~level node.Node.id;
+        Routing_table.remove_backpointer ~handle:me peer.Node.table ~level
+          node.Node.id;
         (* defensive: if the peer still lists us, drop that link too *)
         ignore (Network.drop_link net ~owner:peer ~target:node.Node.id)
       end);
   Network.mark_dead net node;
   { notified = !notified; pointers_rerouted = !rerouted; objects_rerooted = !rerooted }
 
-let repair_all_holes net =
+(* [@alloc_ok]: the core-node, dead-neighbour and hole lists and their
+   closures, once per network-wide sweep. *)
+let[@alloc_ok] repair_all_holes net =
   let filled = ref 0 in
   List.iter
     (fun (owner : Node.t) ->

@@ -6,10 +6,10 @@ type result = {
 }
 
 (* A pointer is usable if unexpired and its server still serves the object. *)
-let usable net guid (r : Pointer_store.record) =
-  r.expires >= net.Network.clock
+let usable net guid (c : Pointer_store.cols) i =
+  c.expires.(i) >= net.Network.clock
   &&
-  let s = Network.node_of_handle net r.server in
+  let s = Network.node_of_handle net c.server.(i) in
   Node.is_alive s && Node.stores_replica s guid
 
 (* One pass over the node's records of the GUID, newest first: keep the
@@ -18,9 +18,9 @@ let usable net guid (r : Pointer_store.record) =
    this runs once per query, after the walk has stopped. *)
 let[@alloc_ok] closest_usable_server net (node : Node.t) guid =
   let best = ref None and best_d = ref infinity in
-  Pointer_store.iter_guid node.Node.pointers guid ~f:(fun r ->
-      if usable net guid r then begin
-        let s = Network.node_of_handle net r.Pointer_store.server in
+  Pointer_store.iter_guid node.Node.pointers guid ~f:(fun c i ->
+      if usable net guid c i then begin
+        let s = Network.node_of_handle net c.Pointer_store.server.(i) in
         let d = Network.dist net node s in
         if Option.is_none !best || d < !best_d then begin
           best := Some s;

@@ -15,9 +15,11 @@ type result = {
   redirects : int;  (** Figure 10 insertion bounces taken *)
 }
 
-val usable : Network.t -> Node_id.t -> Pointer_store.record -> bool
-(** [usable net guid r]: the pointer [r] is unexpired and its server is
-    alive and still holds a replica of [guid]. *)
+val usable : Network.t -> Node_id.t -> Pointer_store.cols -> int -> bool
+(** [usable net guid c i]: the pointer at index [i] of the columns [c] is
+    unexpired and its server is alive and still holds a replica of
+    [guid].  Partially applied to [net] and [guid], it is the predicate
+    {!Pointer_store.exists_guid_match} takes. *)
 
 val closest_usable_server : Network.t -> Node.t -> Node_id.t -> Node.t option
 (** The closest server, by distance from the given node, among the node's

@@ -1,34 +1,35 @@
-let salted_of net (r : Pointer_store.record) =
-  Network.salted net r.guid r.root_idx
-
 let rec delete_pointers_backward net ~changed ~guid ~server ~root_idx ~from =
   let node = Network.node_of_handle net from in
-  if Node.is_alive node then
-    match Pointer_store.find node.Node.pointers ~guid ~server ~root_idx with
-    | None -> ()
-    | Some r ->
-        let prev = r.previous in
-        ignore (Pointer_store.remove node.Node.pointers ~guid ~server ~root_idx);
-        if prev >= 0 && prev <> changed then begin
-          let pnode = Network.node_of_handle net prev in
-          if Node.is_alive pnode then Network.charge net node pnode;
-          delete_pointers_backward net ~changed ~guid ~server ~root_idx
-            ~from:prev
-        end
+  if Node.is_alive node then begin
+    let ps = node.Node.pointers in
+    let i = Pointer_store.find ps ~guid ~server ~root_idx in
+    if i >= 0 then begin
+      let prev = (Pointer_store.cols ps).previous.(i) in
+      ignore (Pointer_store.remove ps ~guid ~server ~root_idx);
+      if prev >= 0 && prev <> changed then begin
+        let pnode = Network.node_of_handle net prev in
+        if Node.is_alive pnode then Network.charge net node pnode;
+        delete_pointers_backward net ~changed ~guid ~server ~root_idx
+          ~from:prev
+      end
+    end
+  end
 
 (* [@alloc_ok]: the fold callback, once per re-walked record. *)
-let[@alloc_ok] optimize_object_ptrs ?variant net ~(changed : Node.t)
-    (r : Pointer_store.record) =
-  let salted = salted_of net r in
-  let guid = r.guid and server = r.server and root_idx = r.root_idx in
+let[@alloc_ok] optimize_object_ptrs net ~(changed : Node.t) i =
+  let c = Pointer_store.cols changed.Node.pointers in
+  let guid = c.guid.(i) and server = c.server.(i) and root_idx = c.root_idx.(i) in
+  let salted = Network.salted net guid root_idx in
   let expires = net.Network.clock +. net.Network.config.Config.pointer_ttl in
   let me = changed.Node.handle in
   (* Walk the new path from the changed node; each visited node refreshes its
      record with the new last hop.  The first node that already held the
      record is the convergence point: the path above it is unchanged, and the
-     old branch hanging off its previous pointer is deleted backward. *)
+     old branch hanging off its previous pointer is deleted backward.  The
+     walk never writes the changed node's own store: it skips [me], and the
+     backward delete stops before [me]. *)
   let _, _, _ =
-    Route.fold_path ?variant net ~from:changed salted ~init:me
+    Route.fold_path net ~from:changed salted ~init:me
       ~f:(fun sender node ->
         let h = node.Node.handle in
         if h = me then `Continue h
@@ -51,24 +52,30 @@ let[@alloc_ok] optimize_object_ptrs ?variant net ~(changed : Node.t)
   in
   ()
 
-(* [@alloc_ok]: the records snapshot (the walks below rewrite the store)
-   and its iteration closure, once per repointed node. *)
-let[@alloc_ok] repoint net (node : Node.t) =
-  let records = Pointer_store.records node.Node.pointers in
-  List.iter (fun r -> optimize_object_ptrs net ~changed:node r) records;
-  List.length records
+(* Index loops: no walk [optimize_object_ptrs] starts writes the store
+   being walked, so every index stays put. *)
+let repoint net (node : Node.t) =
+  let n = Pointer_store.size node.Node.pointers in
+  for i = 0 to n - 1 do
+    optimize_object_ptrs net ~changed:node i
+  done;
+  n
 
-(* [@alloc_ok]: as [repoint], once per node an insertion multicast reaches. *)
-let[@alloc_ok] optimize_through ?variant net ~(node : Node.t) ~next_hop =
-  List.fold_left
-    (fun moved (r : Pointer_store.record) ->
-      match Route.peek_first_hop ?variant net node (salted_of net r) with
-      | Some hop when hop.Node.handle = next_hop ->
-          optimize_object_ptrs ?variant net ~changed:node r;
-          moved + 1
-      | _ -> moved)
-    0
-    (Pointer_store.records node.Node.pointers)
+let rec optimize_from net (node : Node.t) ~next_hop i n moved =
+  if i >= n then moved
+  else begin
+    let c = Pointer_store.cols node.Node.pointers in
+    match
+      Route.peek_first_hop net node (Network.salted net c.guid.(i) c.root_idx.(i))
+    with
+    | Some hop when hop.Node.handle = next_hop ->
+        optimize_object_ptrs net ~changed:node i;
+        optimize_from net node ~next_hop (i + 1) n (moved + 1)
+    | _ -> optimize_from net node ~next_hop (i + 1) n moved
+  end
+
+let optimize_through net ~(node : Node.t) ~next_hop =
+  optimize_from net node ~next_hop 0 (Pointer_store.size node.Node.pointers) 0
 
 (* [@alloc_ok] on the soft-state sweeps below: the alive list and the
    fold callbacks, once per network-wide sweep. *)

@@ -12,12 +12,13 @@
     refreshes every replica's paths — together they implement the paper's
     timeout/republish safety net that makes all maintenance advisory. *)
 
-val optimize_object_ptrs :
-  ?variant:Route.variant -> Network.t -> changed:Node.t -> Pointer_store.record -> unit
-(** The forward route for this record changed at [changed]: re-walk the path
-    toward the record's root from [changed], depositing/refreshing pointers,
-    and prune the superseded branch backward from the convergence node
-    (Figure 9's [OptimizeObjectPtrs] + [DeletePointersBackward]). *)
+val optimize_object_ptrs : Network.t -> changed:Node.t -> int -> unit
+(** The forward route for the record at this index of [changed]'s store
+    changed at [changed]: re-walk the path toward the record's root from
+    [changed], depositing/refreshing pointers, and prune the superseded
+    branch backward from the convergence node (Figure 9's
+    [OptimizeObjectPtrs] + [DeletePointersBackward]).  Never writes
+    [changed]'s own store, so a loop over its indices stays valid. *)
 
 val repoint : Network.t -> Node.t -> int
 (** {!optimize_object_ptrs} for every record at the node, after its
@@ -36,8 +37,7 @@ val delete_pointers_backward :
     at every alive node strictly before [changed].  [changed], [server] and
     [from] are arena handles, as the records' server and previous are. *)
 
-val optimize_through :
-  ?variant:Route.variant -> Network.t -> node:Node.t -> next_hop:int -> int
+val optimize_through : Network.t -> node:Node.t -> next_hop:int -> int
 (** Run {!optimize_object_ptrs} for every record at [node] whose current
     first hop is the node with arena handle [next_hop] (used after a slot's
     primary changes: only paths through the changed entry moved).  Returns

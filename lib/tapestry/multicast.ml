@@ -33,14 +33,6 @@ let[@alloc_ok] check_watchlist net watchlist on_watch_hit (node : Node.t) =
         wl
   | _ -> ()
 
-let ntz_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
-
-let ntz x = ntz_table.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
-
 (* The recursive descent of Figure 8 on the packed representation: visited
    marking is a generation stamp indexed by arena handle, the per-digit
    "pinned" target sets are snapshotted as segments of one shared handle
@@ -81,7 +73,7 @@ let[@alloc_ok] run ?on_watch_hit ?watchlist net ~start ~prefix ~len ~apply =
       let table = node.Node.table in
       let mask = ref (Routing_table.filled_mask table ~level:l) in
       while !mask <> 0 do
-        let j = ntz !mask in
+        let j = Routing_table.ntz !mask in
         mask := !mask land (!mask - 1);
         (* Snapshot this digit's target set: one settled ("unpinned") entry
            AND every inserting ("pinned") entry (Section 4.4, Lemma 4), in

@@ -168,36 +168,23 @@ let[@alloc_ok] get_next_list ?(update_tables = true) net ~(new_node : Node.t)
 
 (* Deterministic backstop for Property 1: probe every still-empty slot at
    levels up to the surrogate prefix via surrogate routing, which finds a
-   matching node iff one exists (Theorem 2's maximal-prefix property).
-   [Route.fold_path] with a unit accumulator keeps the probe's charges
-   identical to a full walk without materializing the path. *)
-(* The probe's fold callback and its `Continue are static: a hole probe
-   walks the mesh without allocating per hop. *)
-let probe_continue = `Continue ()
-let probe_step () _ = probe_continue
-
+   matching node iff one exists (Theorem 2's maximal-prefix property):
+   [Route.probe_hole], started at the surrogate. *)
 let fill_holes net ~(new_node : Node.t) ~(surrogate : Node.t) ~max_level =
   let cfg = net.Network.config in
   (* [@alloc_ok]: one counter cell per backstop pass *)
   let[@alloc_ok] filled = ref 0 in
   for level = 0 to min max_level (cfg.Config.id_digits - 1) do
     for digit = 0 to cfg.Config.base - 1 do
-      if Routing_table.is_hole new_node.Node.table ~level ~digit then begin
-        let target_digits = Node_id.digits new_node.Node.id in
-        target_digits.(level) <- digit;
-        let target = Node_id.make target_digits in
-        let root, (), _ =
-          Route.fold_path net ~from:surrogate target ~init:() ~f:probe_step
-        in
-        if
-          (not (Node_id.equal root.Node.id new_node.Node.id))
-          && Node_id.common_prefix_len root.Node.id target >= level + 1
-        then begin
-          if Network.offer_link net ~owner:new_node ~level ~candidate:root then
-            incr filled;
-          ignore (add_to_table_if_closer net ~contacted:root ~new_node)
-        end
-      end
+      if Routing_table.is_hole new_node.Node.table ~level ~digit then
+        match
+          Route.probe_hole net ~from:surrogate ~owner:new_node ~level ~digit
+        with
+        | Some root ->
+            if Network.offer_link net ~owner:new_node ~level ~candidate:root then
+              incr filled;
+            ignore (add_to_table_if_closer net ~contacted:root ~new_node)
+        | None -> ()
     done
   done;
   !filled

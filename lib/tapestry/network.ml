@@ -13,7 +13,6 @@ type t = {
   config : Config.t;
   metric : Simnet.Metric.t;
   nodes : Node.t Node_id.Tbl.t;
-  index : Id_index.t;
   core_index : Id_index.t;
   mutable arena : Node.t array;
   mutable arena_len : int;
@@ -40,7 +39,6 @@ let create ?(seed = 42) config metric =
     config = Config.normalize config;
     metric;
     nodes = Node_id.Tbl.create cap;
-    index = Id_index.create ~base:config.base;
     core_index = Id_index.create ~base:config.base;
     arena = [||];
     arena_len = 0;
@@ -152,7 +150,6 @@ let register t (node : Node.t) =
   if not (Node.is_alive node) then
     invalid_arg "Network.register: node is already dead";
   Node_id.Tbl.replace t.nodes node.id node;
-  Id_index.add t.index node.id;
   push_arena t node;
   push_alive t node;
   if Node.is_core node then Id_index.add t.core_index node.id
@@ -161,7 +158,6 @@ let mark_dead t (node : Node.t) =
   if Node.is_alive node then begin
     if Node.is_core node then Id_index.remove t.core_index node.id;
     node.status <- Dead;
-    Id_index.remove t.index node.id;
     remove_alive t node
   end
 
@@ -202,7 +198,7 @@ let iter_registered t f =
 
 (* Reset the soft state (pointer stores, replica sets, virtual clock,
    any attached object cache) while keeping the expensively built hard
-   state: routing tables, indices, metric, arena.  With [rng] restored
+   state: routing tables, core index, metric, arena.  With [rng] restored
    by the caller to a matching snapshot, a deterministic campaign
    replayed on the cleared mesh is bit-identical to one on a fresh
    build — the serve bench reuses one n=65536 mesh across its rows this
@@ -438,9 +434,7 @@ let memory_footprint t =
     + ((Array.length t.alive_arr + 1) * word)
     + tbl_bytes ~len:(Salt_tbl.length t.salts) ~binding_words:(3 + id_words)
   in
-  let index_bytes =
-    Id_index.approx_bytes t.index + Id_index.approx_bytes t.core_index
-  in
+  let index_bytes = Id_index.approx_bytes t.core_index in
   let metric_bytes = Simnet.Metric.approx_bytes t.metric in
   let scratch_bytes = Scratch.approx_bytes t.scratch in
   let total_bytes =

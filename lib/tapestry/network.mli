@@ -4,7 +4,7 @@
     Protocol modules ({!Route}, {!Publish}, {!Insert}, ...) act on this
     container but make decisions only from per-node state (routing tables and
     pointer stores), charging every simulated message to the ambient
-    {!Simnet.Cost.t}.  Global views (the node directory, the trie indices,
+    {!Simnet.Cost.t}.  Global views (the node directory, the core trie,
     the dense alive array) are reserved for verification oracles, experiment
     setup and the invariant checkers at the bottom of this interface.
 
@@ -22,7 +22,6 @@ type t = {
           {!create}: derived fields are always consistent *)
   metric : Simnet.Metric.t;
   nodes : Node.t Node_id.Tbl.t;
-  index : Id_index.t;  (** oracle: trie over ids of nodes that are not Dead *)
   core_index : Id_index.t;
       (** oracle: trie over core ([Active]/[Leaving]) ids, maintained
           incrementally by {!register}, {!activate} and {!mark_dead} *)
@@ -63,7 +62,7 @@ val create : ?seed:int -> Config.t -> Simnet.Metric.t -> t
 val clear_soft_state : t -> unit
 (** Drop all soft state — pointer stores, replica sets, the virtual
     clock, any attached object cache — while keeping routing tables,
-    indices and the metric.  Together with restoring an [rng] snapshot
+    the core index and the metric.  Together with restoring an [rng] snapshot
     this lets a deterministic campaign replay on a reused mesh
     bit-identically to a fresh build (serve bench row reuse). *)
 
@@ -96,13 +95,13 @@ val salted : t -> Node_id.t -> int -> Node_id.t
     [i = 0] is the identity and bypasses the cache. *)
 
 val register : t -> Node.t -> unit
-(** Add a node to the directory, the oracle indices and the alive array (it
-    is not yet linked into anyone's routing table).  If the node is already
-    core ([Active]) it also enters [core_index].
+(** Add a node to the directory, the arena and the alive array (it is not
+    yet linked into anyone's routing table).  If the node is already core
+    ([Active]) it also enters [core_index].
     @raise Invalid_argument on duplicate id, bad addr or a dead node. *)
 
 val mark_dead : t -> Node.t -> unit
-(** Flip status to [Dead] and drop from the oracle indices and the alive
+(** Flip status to [Dead] and drop from [core_index] and the alive
     array.  Routing-table cleanup is the protocols' business ({!Delete}). *)
 
 val activate : t -> Node.t -> unit
@@ -187,7 +186,7 @@ type footprint = {
   table_bytes : int;  (** packed routing tables + backpointer tables *)
   pointer_bytes : int;  (** per-node pointer stores *)
   directory_bytes : int;  (** directory/alive tables, arena, salt cache *)
-  index_bytes : int;  (** the two id tries *)
+  index_bytes : int;  (** the core id trie *)
   metric_bytes : int;  (** coordinates + spatial index (or matrix) *)
   scratch_bytes : int;  (** reusable insertion buffers *)
   total_bytes : int;

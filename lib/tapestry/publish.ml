@@ -6,14 +6,14 @@ let deposit net (node : Node.t) ~guid ~server ~root_idx ~previous =
     (Pointer_store.store node.Node.pointers ~guid ~server ~root_idx ~previous
        ~expires)
 
-let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
+let walk_one_root ?(on_secondaries = false) net ~(server : Node.t) guid
     ~root_idx =
   let cfg = net.Network.config in
   let salted = Network.salted net guid root_idx in
   let srv = server.Node.handle in
   (* Fold along the root path, depositing a pointer at every node. *)
   let root, (_, hops), _ =
-    Route.fold_path ?variant net ~from:server salted ~init:(Node.no_handle, 0)
+    Route.fold_path net ~from:server salted ~init:(Node.no_handle, 0)
       ~f:(fun (prev, hops) node ->
         deposit net node ~guid ~server:srv ~root_idx ~previous:prev;
         if on_secondaries then begin
@@ -39,24 +39,20 @@ let walk_one_root ?variant ?(on_secondaries = false) net ~(server : Node.t) guid
   in
   (root, hops - 1)
 
-let publish ?variant ?on_secondaries net ~server guid =
+let walk_all ?on_secondaries net ~server guid =
+  let results =
+    List.init net.Network.config.Config.root_set_size (fun root_idx ->
+        walk_one_root ?on_secondaries net ~server guid ~root_idx)
+  in
+  { roots = List.map fst results; path_lengths = List.map snd results }
+
+let publish ?on_secondaries net ~server guid =
   Node.add_replica server guid;
-  let cfg = net.Network.config in
-  let results =
-    List.init cfg.Config.root_set_size (fun root_idx ->
-        walk_one_root ?variant ?on_secondaries net ~server guid ~root_idx)
-  in
-  { roots = List.map fst results; path_lengths = List.map snd results }
+  walk_all ?on_secondaries net ~server guid
 
-let republish ?variant net ~server guid =
-  let cfg = net.Network.config in
-  let results =
-    List.init cfg.Config.root_set_size (fun root_idx ->
-        walk_one_root ?variant net ~server guid ~root_idx)
-  in
-  { roots = List.map fst results; path_lengths = List.map snd results }
+let republish net ~server guid = walk_all net ~server guid
 
-let unpublish ?variant net ~(server : Node.t) guid =
+let unpublish net ~(server : Node.t) guid =
   let cfg = net.Network.config in
   Node.remove_replica server guid;
   (* Retract cached shortcuts: bumping the (object, server) pair epoch
@@ -72,7 +68,7 @@ let unpublish ?variant net ~(server : Node.t) guid =
   for root_idx = 0 to cfg.Config.root_set_size - 1 do
     let salted = Network.salted net guid root_idx in
     let _, _, _ =
-      Route.fold_path ?variant net ~from:server salted ~init:()
+      Route.fold_path net ~from:server salted ~init:()
         ~f:(fun () node ->
           ignore
             (Pointer_store.remove node.Node.pointers ~guid

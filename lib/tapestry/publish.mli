@@ -13,7 +13,6 @@ type outcome = {
 }
 
 val publish :
-  ?variant:Route.variant ->
   ?on_secondaries:bool ->
   Network.t ->
   server:Node.t ->
@@ -24,11 +23,10 @@ val publish :
     deployment of Section 2.4), each hop also deposits the pointer on the
     secondary neighbors of the slot it traverses, at extra message cost. *)
 
-val republish :
-  ?variant:Route.variant -> Network.t -> server:Node.t -> Node_id.t -> outcome
+val republish : Network.t -> server:Node.t -> Node_id.t -> outcome
 (** Re-walk the publish paths, refreshing expiry and last-hop pointers.
     Identical mechanics to {!publish} minus the replica registration. *)
 
-val unpublish : ?variant:Route.variant -> Network.t -> server:Node.t -> Node_id.t -> unit
+val unpublish : Network.t -> server:Node.t -> Node_id.t -> unit
 (** Delete this server's pointers along its current publish paths and drop
     the replica. *)

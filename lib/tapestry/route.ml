@@ -51,48 +51,26 @@ let msb_agreement ~bits a b = msb_agree a b (bits - 1) 0
 
 type walk_state = { mutable hole_seen : bool; mutable surrogate_hops : int }
 
-(* Count trailing zeros of a non-zero mask (< 2^32: base <= 32), de Bruijn
-   multiply — branch-free, the digit scan's inner step. *)
-let ntz_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
-
-let ntz x = ntz_table.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
-
-(* The digit scans below consult {!Routing_table.filled_mask} instead of
-   probing every slot: the next filled digit in wrap order comes from one
-   rotate + count-trailing-zeros, so holes — most of every level past the
-   resolvable prefix — cost nothing.  The mask is re-read after every failed
-   probe because [on_dead] repair may rewrite slots mid-scan (skipping
-   between probes is pure, so batching the skip is observationally
-   identical to the per-digit scan).  These are top-level functions (not
-   closures inside [choose_next]) so a walk allocates nothing per level. *)
+(* The native scan asks {!Routing_table.next_filled} for the next filled
+   digit in wrap order instead of probing every slot, so holes — most of
+   every level past the resolvable prefix — cost nothing.  The mask is
+   re-read after every failed probe because [on_dead] repair may rewrite
+   slots mid-scan (skipping between probes is pure, so batching the skip
+   is observationally identical to the per-digit scan).  These are
+   top-level functions (not closures inside [choose_next]) so a walk
+   allocates nothing per level. *)
 let rec native_scan net on_dead skip state (node : Node.t) ~level ~want ~base
     tries =
-  if tries >= base then None
+  let tries = Routing_table.next_filled node.Node.table ~level ~want ~tries in
+  if tries < 0 then None
   else begin
-    let m = Routing_table.filled_mask node.Node.table ~level in
-    let start = want + tries in
-    let start = if start >= base then start - base else start in
-    (* rotate so bit 0 is digit [start]; the low [base] bits survive *)
-    let m = ((m lsr start) lor (m lsl (base - start))) land ((1 lsl base) - 1) in
-    if m = 0 then None
-    else begin
-      let tries = tries + ntz m in
-      if tries >= base then None
-      else begin
-        let j = want + tries in
-        let j = if j >= base then j - base else j in
-        match first_alive net on_dead skip node ~level ~digit:j with
-        | Some n ->
-            if tries > 0 then state.hole_seen <- true;
-            Some n
-        | None ->
-            native_scan net on_dead skip state node ~level ~want ~base (tries + 1)
-      end
-    end
+    let j = want + tries in
+    let j = if j >= base then j - base else j in
+    match first_alive net on_dead skip node ~level ~digit:j with
+    | Some n ->
+        if tries > 0 then state.hole_seen <- true;
+        Some n
+    | None -> native_scan net on_dead skip state node ~level ~want ~base (tries + 1)
   end
 
 (* At the first hole (PRR-like): the filled digit with the best
@@ -185,11 +163,13 @@ let[@alloc_ok] walk_internal variant on_dead skip net ~from guid ~init ~f =
 (* [@alloc_ok] below: the public entry points build their skip predicate
    and fold callback once per operation, and [route_to_root] /
    [route_to_node] allocate the path list their callers asked for. *)
+let no_skip _ = false
+
 let[@alloc_ok] resolve_skip exclude skip =
   match (exclude, skip) with
   | Some x, None -> fun h -> Int.equal h x
   | None, Some p -> p
-  | None, None -> fun _ -> false
+  | None, None -> no_skip
   | Some x, Some p -> fun h -> Int.equal h x || p h
 
 let[@alloc_ok] fold_path ?(variant = Native) ?(on_dead = default_on_dead)
@@ -200,34 +180,51 @@ let[@alloc_ok] fold_path ?(variant = Native) ?(on_dead = default_on_dead)
   (node, acc, stopped)
 
 let[@alloc_ok] route_to_root ?(variant = Native) ?(on_dead = default_on_dead)
-    ?exclude ?skip net ~from guid =
+    ?exclude net ~from guid =
   let root, rev_path, _, surrogate_hops =
-    walk_internal variant on_dead (resolve_skip exclude skip) net ~from guid
+    walk_internal variant on_dead (resolve_skip exclude None) net ~from guid
       ~init:[] ~f:(fun path node -> `Continue (node :: path))
   in
   { root; path = List.rev rev_path; surrogate_hops }
 
-let[@alloc_ok] route_to_node ?on_dead ?exclude ?skip net ~from target_id =
+let[@alloc_ok] route_to_node net ~from target_id =
   let final, rev_path, _ =
-    fold_path ?on_dead ?exclude ?skip net ~from target_id ~init:[]
-      ~f:(fun path node ->
+    fold_path net ~from target_id ~init:[] ~f:(fun path node ->
         let path = node :: path in
         if Node_id.equal node.Node.id target_id then `Stop path else `Continue path)
   in
   let path = List.rev rev_path in
   if Node_id.equal final.Node.id target_id then (Some final, path) else (None, path)
 
-let[@alloc_ok] peek_first_hop ?(variant = Native) ?(on_dead = default_on_dead)
-    ?exclude ?skip net (node : Node.t) guid =
+let[@alloc_ok] peek_first_hop net (node : Node.t) guid =
   let digits = net.Network.config.Config.id_digits in
   let state = { hole_seen = false; surrogate_hops = 0 } in
-  let skip = resolve_skip exclude skip in
   let rec go level =
     if level >= digits then None
     else
-      match choose_next net on_dead skip variant state node guid ~level with
+      match
+        choose_next net default_on_dead no_skip Native state node guid ~level
+      with
       | None -> None
       | Some next ->
           if next.Node.handle = node.Node.handle then go (level + 1) else Some next
   in
   go 0
+
+(* The probe's fold callback and its `Continue are static, and a unit
+   accumulator keeps the probe's charges identical to a full walk's
+   without materializing the path. *)
+let probe_continue = `Continue ()
+let probe_step () _ = probe_continue
+
+(* [@alloc_ok]: the target ID and the verdict, once per probed hole. *)
+let[@alloc_ok] probe_hole net ~from ~(owner : Node.t) ~level ~digit =
+  let target_digits = Node_id.digits owner.Node.id in
+  target_digits.(level) <- digit;
+  let target = Node_id.make target_digits in
+  let root, (), _ = fold_path net ~from target ~init:() ~f:probe_step in
+  if
+    (not (Node_id.equal root.Node.id owner.Node.id))
+    && Node_id.common_prefix_len root.Node.id target >= level + 1
+  then Some root
+  else None

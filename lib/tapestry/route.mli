@@ -52,33 +52,26 @@ val route_to_root :
   ?variant:variant ->
   ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
   ?exclude:int ->
-  ?skip:(int -> bool) ->
   Network.t ->
   from:Node.t ->
   Node_id.t ->
   info
 (** Full walk to the surrogate root. *)
 
-val route_to_node :
-  ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:int ->
-  ?skip:(int -> bool) ->
-  Network.t ->
-  from:Node.t ->
-  Node_id.t ->
-  Node.t option * Node.t list
+val route_to_node : Network.t -> from:Node.t -> Node_id.t -> Node.t option * Node.t list
 (** Mesh-route to an exact node-ID.  Returns [None] if the walk ends
     elsewhere (the node is unknown or unreachable), plus the path. *)
 
-val peek_first_hop :
-  ?variant:variant ->
-  ?on_dead:(Network.t -> owner:Node.t -> dead:Node_id.t -> unit) ->
-  ?exclude:int ->
-  ?skip:(int -> bool) ->
-  Network.t ->
-  Node.t ->
-  Node_id.t ->
-  Node.t option
-(** The node the next routing step from here would forward to, without
-    charging a message (used by pointer maintenance to detect path changes).
-    [None] when this node is the root. *)
+val peek_first_hop : Network.t -> Node.t -> Node_id.t -> Node.t option
+(** The node the next {!Native} routing step from here would forward to,
+    without charging a message (used by pointer maintenance to detect
+    path changes).  Dead entries it meets are purged as a walk purges
+    them.  [None] when this node is the root. *)
+
+val probe_hole :
+  Network.t -> from:Node.t -> owner:Node.t -> level:int -> digit:int -> Node.t option
+(** The routed probe for an empty slot [(level, digit)] of [owner]'s
+    table: route from [from] toward [owner]'s ID with [digit] at [level].
+    By the maximal-prefix property the root answers existence exactly, so
+    the result is that root when it is not [owner] and shares the slot's
+    prefix ([level + 1] digits), else [None].  Charges the walk. *)

@@ -131,6 +131,31 @@ let slot_len t ~level ~digit =
 
 let filled_mask t ~level = t.filled.(level)
 
+(* Count trailing zeros of a non-zero mask (< 2^32: base <= 32), de Bruijn
+   multiply — branch-free, the digit scan's inner step. *)
+let ntz_table =
+  [|
+    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
+    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
+  |]
+
+let ntz x = ntz_table.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+let next_filled t ~level ~want ~tries =
+  let base = t.base in
+  if tries >= base then -1
+  else begin
+    let start = want + tries in
+    let start = if start >= base then start - base else start in
+    (* rotate so bit 0 is digit [start]; the low [base] bits survive *)
+    let m = t.filled.(level) in
+    let m = ((m lsr start) lor (m lsl (base - start))) land ((1 lsl base) - 1) in
+    if m = 0 then -1
+    else
+      let tries = tries + ntz m in
+      if tries >= base then -1 else tries
+  end
+
 let slot_id t ~level ~digit ~k =
   let ids = t.ids.(level) in
   if Array.length ids = 0 then t.owner else ids.((digit * t.redundancy) + k)

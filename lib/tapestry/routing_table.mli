@@ -57,6 +57,16 @@ val filled_mask : t -> level:int -> int
     [slot_len] read (requires [base <= Sys.int_size - 1], which
     {!Node_id}'s radix-32 alphabet already guarantees). *)
 
+val ntz : int -> int
+(** Trailing zeros of a non-zero {!filled_mask}: its lowest filled digit.
+    Branch-free (de Bruijn multiply). *)
+
+val next_filled : t -> level:int -> want:int -> tries:int -> int
+(** The wrap-order digit scan's step: the least [tries' >= tries] below
+    [base] whose digit [(want + tries') mod base] has a non-empty slot
+    at [level], or [-1].  One rotate of {!filled_mask} and a
+    count-trailing-zeros, so holes cost nothing. *)
+
 val slot_id : t -> level:int -> digit:int -> k:int -> Node_id.t
 (** ID of the [k]-th closest entry ([k < slot_len]), O(1). *)
 

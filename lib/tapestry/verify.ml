@@ -17,15 +17,14 @@ let check_property4 net =
                 let _, _, _ =
                   Route.fold_path net ~from:server salted ~init:()
                     ~f:(fun () hop ->
-                      (match
-                         Pointer_store.find hop.Node.pointers ~guid
-                           ~server:server.Node.handle ~root_idx
-                       with
-                      | Some r when r.Pointer_store.expires >= net.Network.clock -> ()
-                      | _ ->
-                          gaps :=
-                            { guid; server = server.Node.id; missing_at = hop.Node.id }
-                            :: !gaps);
+                      let ps = hop.Node.pointers in
+                      let srv = server.Node.handle in
+                      let i = Pointer_store.find ps ~guid ~server:srv ~root_idx in
+                      if i < 0 || (Pointer_store.cols ps).expires.(i) < net.Network.clock
+                      then
+                        gaps :=
+                          { guid; server = server.Node.id; missing_at = hop.Node.id }
+                          :: !gaps;
                       `Continue ())
                 in
                 ()

@@ -1,19 +1,35 @@
-(* Reference model for Pointer_store: the earlier two-hashtable store,
-   kept as the oracle for the packed one.  A primary table keyed by
-   (guid, server, root_idx) holds the records; a secondary table maps each
-   guid to its records, newest first (a new record is consed on, a removal
-   filters the list, a refresh leaves it in place).  Every operation here
-   is the obvious one, which is the point. *)
+(* Reference model for Pointer_store: the earlier two-hashtable store of
+   boxed records, kept as the oracle for the column store.  A primary
+   table keyed by (guid, server, root_idx) holds the records; a secondary
+   table maps each guid to its records, newest first (a new record is
+   consed on, a removal filters the list, a refresh leaves it in place).
+   Every operation here is the obvious one, which is the point.
+   [of_cols] copies one record out of the store's columns, so both sides
+   compare as records. *)
 
 open Tapestry
 
-type record = Pointer_store.record = {
+type record = {
   guid : Node_id.t;
   server : int;
   root_idx : int;
   mutable previous : int;
   mutable expires : float;
 }
+
+let of_cols (c : Pointer_store.cols) i =
+  {
+    guid = c.guid.(i);
+    server = c.server.(i);
+    root_idx = c.root_idx.(i);
+    previous = c.previous.(i);
+    expires = c.expires.(i);
+  }
+
+(* Every record of a column store, in index order. *)
+let of_store ps =
+  let c = Pointer_store.cols ps in
+  List.init (Pointer_store.size ps) (of_cols c)
 
 module Key = struct
   type t = Node_id.t * int * int

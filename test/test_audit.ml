@@ -310,15 +310,13 @@ let test_expired_pointer_detected () =
   ignore (Publish.publish net ~server guid);
   check_clean "before corruption" (Audit.run net);
   let root = Network.surrogate_oracle net guid in
-  let record =
-    match
-      Pointer_store.find root.Node.pointers ~guid ~server:server.Node.handle
-        ~root_idx:0
-    with
-    | Some r -> r
-    | None -> Alcotest.fail "root lost the pointer it was published"
+  let ps = root.Node.pointers in
+  let i =
+    Pointer_store.find ps ~guid ~server:server.Node.handle ~root_idx:0
   in
-  record.Pointer_store.expires <- net.Network.clock -. 1.;
+  if i < 0 then Alcotest.fail "root lost the pointer it was published";
+  (* a deliberate corruption: the columns are read-only to lib code *)
+  (Pointer_store.cols ps).expires.(i) <- net.Network.clock -. 1.;
   let report = Audit.run net in
   Alcotest.(check (list string)) "exactly one violation"
     [ "expired-pointer" ] (codes report);

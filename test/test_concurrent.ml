@@ -46,7 +46,7 @@ let test_same_hole_collision () =
   let cfg = net.Network.config in
   (* find a prefix alpha of length 1 with nodes, and a digit j such that no
      (alpha, j) node exists; both new IDs start alpha . j *)
-  let index = net.Network.index in
+  let index = net.Network.core_index in
   let rec find_hole tries =
     if tries = 0 then Alcotest.fail "no engineered hole found"
     else begin

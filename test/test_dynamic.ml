@@ -248,7 +248,7 @@ let test_repair_hole_certifies_absence () =
     List.find_opt
       (fun (level, digit) ->
         let prefix = Node_id.digits node.Node.id in
-        not (Id_index.exists_extension net.Network.index ~prefix ~len:level ~digit))
+        not (Id_index.exists_extension net.Network.core_index ~prefix ~len:level ~digit))
       holes
   with
   | Some (level, digit) ->

@@ -352,17 +352,18 @@ let test_pointer_store_roundtrip () =
     (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:3 ~expires:20.);
   Alcotest.(check int) "size" 1 (Pointer_store.size ps);
   (match Pointer_store.find ps ~guid ~server ~root_idx:0 with
-  | Some r ->
-      Alcotest.(check int) "previous updated" 3 r.Pointer_store.previous;
-      Alcotest.(check bool) "expiry extended" true (r.Pointer_store.expires >= 20.)
-  | None -> Alcotest.fail "record missing");
+  | -1 -> Alcotest.fail "record missing"
+  | i ->
+      let c = Pointer_store.cols ps in
+      Alcotest.(check int) "previous updated" 3 c.previous.(i);
+      Alcotest.(check bool) "expiry extended" true (c.expires.(i) >= 20.));
   Alcotest.(check int) "second refresh returns the first's hop" 3
     (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:(-1) ~expires:1.);
   (* same guid+server, different root: distinct record *)
   ignore (Pointer_store.store ps ~guid ~server ~root_idx:1 ~previous:(-1) ~expires:10.);
   Alcotest.(check int) "roots distinct" 2 (Pointer_store.size ps);
   let seen = ref 0 in
-  Pointer_store.iter_guid ps guid ~f:(fun _ -> incr seen);
+  Pointer_store.iter_guid ps guid ~f:(fun _ _ -> incr seen);
   Alcotest.(check int) "iter_guid sees both" 2 !seen
 
 let test_pointer_store_expiry () =

@@ -7,7 +7,10 @@
      message totals are compared with values pinned before the store was
      repacked, so any change in which records exist, where they point or
      what the protocols charged shows up phase by phase.
-   - "differential": the packed store and the reference model (the earlier
+   - "walks": the walks started by the index loops of
+     [Maintenance.repoint], [optimize_through] and [Delete.voluntary]
+     never write the store being walked (see the case's comment).
+   - "differential": the column store and the reference model (the earlier
      two-hashtable store, Pointer_store_model) run the same random
      operation sequences; after every operation their per-guid record
      sets, refresh verdicts, sizes and guid membership must agree, and
@@ -17,22 +20,22 @@
      deletion are exercised at every chain position.  The guid pools
      include groups whose hashes share their low 12 bits, so they collide
      in every index size the tests reach.
-   - "alloc": [store] allocates only the record on a new record and
-     nothing on a refresh. *)
+   - "alloc": [store] allocates nothing, on a new record (with room) or
+     on a refresh. *)
 
 open Tapestry
+module M = Pointer_store_model
 
 let config = { Config.default with Config.root_set_size = 2 }
 
 let id_str = Node_id.to_string
 
 (* [name] renders the server and previous-hop handles. *)
-let record_str name (r : Pointer_store.record) =
-  Printf.sprintf "%s/%s/%d/%s/%h" (id_str r.Pointer_store.guid)
-    (name r.Pointer_store.server)
-    r.Pointer_store.root_idx
-    (if r.Pointer_store.previous < 0 then "-" else name r.Pointer_store.previous)
-    r.Pointer_store.expires
+let record_str name (r : M.record) =
+  Printf.sprintf "%s/%s/%d/%s/%h" (id_str r.M.guid) (name r.M.server)
+    r.M.root_idx
+    (if r.M.previous < 0 then "-" else name r.M.previous)
+    r.M.expires
 
 (* Every registered node (arena order), its records sorted, then the
    ambient cost totals.  Handles print as the node IDs they resolve to
@@ -44,7 +47,7 @@ let mesh_digest net =
   Network.iter_registered net (fun (n : Node.t) ->
       Buffer.add_string b (id_str n.Node.id);
       Buffer.add_char b ':';
-      Pointer_store.records n.Node.pointers
+      M.of_store n.Node.pointers
       |> List.map (record_str name) |> List.sort String.compare
       |> List.iter (fun s ->
              Buffer.add_string b s;
@@ -144,9 +147,75 @@ let test_pinned () =
         digest)
     got pinned
 
-(* ---- differential: packed store vs the reference model ---- *)
+(* ---- walks: the index loops' invariant ---- *)
 
-module M = Pointer_store_model
+(* [Maintenance.repoint], [optimize_through] and both phases of
+   [Delete.voluntary] loop over a store's indices while the walks they
+   start write other stores; that is sound only if no such walk writes
+   the store being walked.  On a churned mesh (objects published, some
+   nodes failed and lazily repaired, some left gracefully), check every
+   walk those loops start against every alive node's columns: each
+   [optimize_object_ptrs] (the walk of [repoint], [optimize_through] and
+   voluntary's phase 1) and each whole [repoint] and [optimize_through]
+   call leaves the node's columns exactly as they were, in index order;
+   and voluntary's phase-2 re-root walk, routed with the leaver excluded,
+   meets the leaver only where it starts. *)
+let test_walks_keep_walked_store () =
+  let net = build_mesh () in
+  let ext = Simnet.Rng.create 91 in
+  let pick () = Simnet.Rng.pick_list ext (Network.alive_nodes net) in
+  for _ = 1 to 150 do
+    let g = Node_id.random ~base:config.Config.base ~len:config.Config.id_digits ext in
+    ignore (Publish.publish net ~server:(pick ()) g)
+  done;
+  for _ = 1 to 20 do
+    Delete.fail net (pick ())
+  done;
+  Network.iter_alive net (fun n -> ignore (Delete.repair_owner net n));
+  for _ = 1 to 5 do
+    ignore (Delete.voluntary net (pick ()))
+  done;
+  let name h = string_of_int h in
+  let snap (n : Node.t) = List.map (record_str name) (M.of_store n.Node.pointers) in
+  let keeps what (n : Node.t) f =
+    let before = snap n in
+    f ();
+    Alcotest.(check (list string)) (what ^ " at " ^ id_str n.Node.id) before (snap n)
+  in
+  let walked = ref 0 in
+  List.iter
+    (fun (n : Node.t) ->
+      for i = 0 to Pointer_store.size n.Node.pointers - 1 do
+        incr walked;
+        keeps "optimize_object_ptrs" n (fun () ->
+            Maintenance.optimize_object_ptrs net ~changed:n i)
+      done;
+      keeps "repoint" n (fun () -> ignore (Maintenance.repoint net n));
+      let t = n.Node.table in
+      for level = 0 to Routing_table.levels t - 1 do
+        for digit = 0 to Routing_table.base t - 1 do
+          if Routing_table.slot_len t ~level ~digit > 0 then
+            let next_hop = Routing_table.slot_handle t ~level ~digit ~k:0 in
+            keeps "optimize_through" n (fun () ->
+                ignore (Maintenance.optimize_through net ~node:n ~next_hop))
+        done
+      done;
+      let c = Pointer_store.cols n.Node.pointers in
+      for i = 0 to Pointer_store.size n.Node.pointers - 1 do
+        let salted = Network.salted net c.guid.(i) c.root_idx.(i) in
+        let me = n.Node.handle in
+        let _, meets, _ =
+          Route.fold_path ~exclude:me net ~from:n salted ~init:(-1)
+            ~f:(fun meets hop ->
+              `Continue (if hop.Node.handle = me then meets + 1 else meets))
+        in
+        Alcotest.(check int) "re-root walk meets the leaver once" 0 meets
+      done)
+    (Network.alive_nodes net);
+  Alcotest.(check bool) (Printf.sprintf "walked %d records" !walked) true
+    (!walked > 500)
+
+(* ---- differential: column store vs the reference model ---- *)
 
 let random_id rng =
   Node_id.random ~base:config.Config.base ~len:config.Config.id_digits rng
@@ -181,7 +250,7 @@ let sorted rs = List.sort String.compare (strs rs)
 (* [guid]'s records in chain order (newest first). *)
 let chain ps guid =
   let seen = ref [] in
-  Pointer_store.iter_guid ps guid ~f:(fun r -> seen := r :: !seen);
+  Pointer_store.iter_guid ps guid ~f:(fun c i -> seen := M.of_cols c i :: !seen);
   List.rev !seen
 
 (* Both stores' observable state as parallel line lists, compared with
@@ -193,7 +262,7 @@ let check_agree ~ctx ps m pool =
     line (what ^ " " ^ String.concat " " e) (what ^ " " ^ String.concat " " g)
   in
   line (string_of_int (M.size m)) (string_of_int (Pointer_store.size ps));
-  lines "records" (sorted (M.records m)) (sorted (Pointer_store.records ps));
+  lines "records" (sorted (M.records m)) (sorted (M.of_store ps));
   Array.iter
     (fun g ->
       let exp = strs (M.by_guid m g) in
@@ -203,7 +272,7 @@ let check_agree ~ctx ps m pool =
         (Printf.sprintf "mem %b %b" held held)
         (Printf.sprintf "mem %b %b"
            (Pointer_store.mem_guid ps g)
-           (Pointer_store.exists_guid_match ps g ~f:(fun _ -> true))))
+           (Pointer_store.exists_guid_match ps g ~f:(fun _ _ -> true))))
     pool;
   Alcotest.(check (list string)) ctx (List.rev !exp) (List.rev !got)
 
@@ -222,16 +291,14 @@ let remove_both ~ctx ps m ~guid ~server ~root_idx =
 let remove_at ~ctx ps m guid pos =
   match List.nth_opt (chain ps guid) pos with
   | Some r ->
-      remove_both ~ctx ps m ~guid ~server:r.Pointer_store.server
-        ~root_idx:r.Pointer_store.root_idx
+      remove_both ~ctx ps m ~guid ~server:r.M.server ~root_idx:r.M.root_idx
   | None -> ()
 
 (* Remove every record of [guid], head first. *)
 let drain_both ~ctx ps m guid =
   List.iter
-    (fun (r : Pointer_store.record) ->
-      remove_both ~ctx ps m ~guid ~server:r.Pointer_store.server
-        ~root_idx:r.Pointer_store.root_idx)
+    (fun (r : M.record) ->
+      remove_both ~ctx ps m ~guid ~server:r.M.server ~root_idx:r.M.root_idx)
     (chain ps guid)
 
 let drive ~seed ~ops =
@@ -341,10 +408,11 @@ let test_index_growth () =
 
 (* ---- allocation ---- *)
 
-(* A new record allocates the record's 6 words and nothing more: server
-   and previous are unboxed handles, the expiry literal is a static box,
-   and the vector and index have room.  A refresh allocates nothing: its
-   verdict is the old previous hop, an int. *)
+(* A new record allocates nothing when the columns and index have room:
+   a record is one cell of each column (the expiry lands unboxed in a
+   float array, and the literal passed here is a static box).  A refresh
+   allocates nothing either: its verdict is the old previous hop, an
+   int. *)
 let test_store_allocation () =
   let rng = Simnet.Rng.create 3 in
   let guid = random_id rng in
@@ -362,7 +430,7 @@ let test_store_allocation () =
           ~expires:2.)
   in
   Alcotest.(check int) "new record verdict" Pointer_store.fresh v;
-  Alcotest.(check (float 0.)) "new record allocates the record" 6. fresh_words;
+  Alcotest.(check (float 0.)) "new record allocates nothing" 0. fresh_words;
   let refresh_words, v =
     words (fun () ->
         Pointer_store.store ps ~guid ~server:1 ~root_idx:0 ~previous:2
@@ -379,6 +447,11 @@ let () =
           Alcotest.test_case "mesh records + message totals per phase" `Quick
             test_pinned;
         ] );
+      ( "walks",
+        [
+          Alcotest.test_case "loops never write the walked store" `Quick
+            test_walks_keep_walked_store;
+        ] );
       ( "differential",
         [
           Alcotest.test_case "random sequences vs model" `Quick
@@ -389,7 +462,7 @@ let () =
         ] );
       ( "alloc",
         [
-          Alcotest.test_case "store: record words on new, none on refresh"
-            `Quick test_store_allocation;
+          Alcotest.test_case "store: no words on new or refresh" `Quick
+            test_store_allocation;
         ] );
     ]

@@ -164,7 +164,7 @@ let test_multicast_watchlist_reports_fillers () =
   let prefix = Node_id.digits anchor.Node.id in
   (* watch every digit at level 1: recipients must report one filler per
      digit that actually has nodes, and none for genuine holes *)
-  let index = net.Network.index in
+  let index = net.Network.core_index in
   let hits = Array.make 16 0 in
   let wl = [| Array.make 16 true |] in
   (* only level-0 row watched here: level-1 certification needs prefix len 1;
@@ -248,9 +248,8 @@ let test_publish_deposits_along_path () =
     (Node_id.equal root.Node.id info.Route.root.Node.id);
   List.iter
     (fun (hop : Node.t) ->
-      match Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0 with
-      | Some _ -> ()
-      | None -> Alcotest.fail "missing pointer on publish path")
+      if Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0 < 0
+      then Alcotest.fail "missing pointer on publish path")
     info.Route.path;
   Alcotest.(check int) "no property-4 gaps" 0 (List.length (Verify.check_property4 net))
 
@@ -312,8 +311,8 @@ let test_multi_replica_all_pointers_kept () =
   List.iter (fun s -> ignore (Publish.publish net ~server:s guid)) servers;
   let root = (Route.route_to_root net ~from:(List.hd servers) guid).Route.root in
   let servers_seen = ref [] in
-  Pointer_store.iter_guid root.Node.pointers guid ~f:(fun r ->
-      let s = Network.node_of_handle net r.Pointer_store.server in
+  Pointer_store.iter_guid root.Node.pointers guid ~f:(fun c i ->
+      let s = Network.node_of_handle net c.Pointer_store.server.(i) in
       servers_seen := Node_id.to_string s.Node.id :: !servers_seen);
   let distinct = List.sort_uniq String.compare !servers_seen in
   Alcotest.(check int) "root holds all copies"
@@ -356,10 +355,9 @@ let test_optimize_object_ptrs_converges () =
   let server = Network.random_alive net in
   let guid = random_guid net in
   ignore (Publish.publish net ~server guid);
-  List.iter
-    (fun (r : Pointer_store.record) ->
-      Maintenance.optimize_object_ptrs net ~changed:server r)
-    (Pointer_store.records server.Node.pointers);
+  for i = 0 to Pointer_store.size server.Node.pointers - 1 do
+    Maintenance.optimize_object_ptrs net ~changed:server i
+  done;
   Alcotest.(check int) "P4 intact" 0 (List.length (Verify.check_property4 net))
 
 let test_delete_pointers_backward () =
@@ -370,9 +368,11 @@ let test_delete_pointers_backward () =
   let info = Route.route_to_root net ~from:server guid in
   match List.rev info.Route.path with
   | root :: _ when List.length info.Route.path >= 3 -> (
-      match Pointer_store.find root.Node.pointers ~guid ~server:server.Node.handle ~root_idx:0 with
-      | Some r ->
-          let from = r.Pointer_store.previous in
+      let ps = root.Node.pointers in
+      match Pointer_store.find ps ~guid ~server:server.Node.handle ~root_idx:0 with
+      | -1 -> Alcotest.fail "root pointer missing"
+      | i ->
+          let from = (Pointer_store.cols ps).previous.(i) in
           Alcotest.(check bool) "root has a previous hop" true (from >= 0);
           Maintenance.delete_pointers_backward net ~changed:server.Node.handle ~guid
             ~server:server.Node.handle ~root_idx:0 ~from;
@@ -385,9 +385,8 @@ let test_delete_pointers_backward () =
                 Alcotest.(check bool) "intermediate pointer deleted" true
                   (Pointer_store.find hop.Node.pointers ~guid ~server:server.Node.handle
                      ~root_idx:0
-                  = None))
-            info.Route.path
-      | None -> Alcotest.fail "root pointer missing")
+                  < 0))
+            info.Route.path)
   | _ -> ()
 
 (* --- locality (Section 6.3) --- *)

@@ -32,6 +32,7 @@ let hot_path_sources =
     "lib/tapestry/routing_table.ml";
     "lib/tapestry/pointer_store.ml";
     "lib/tapestry/maintenance.ml";
+    "lib/tapestry/delete.ml";
     "lib/tapestry/route.ml";
     "lib/tapestry/locate.ml";
     "lib/tapestry/nearest_neighbor.ml";
