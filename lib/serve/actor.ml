@@ -99,7 +99,9 @@ let ev_inject = -3
 
 type shared = {
   net : Network.t;
-  mb : Mailbox.t;
+  mbs : Mailbox.t array;
+      (* per shard: the message store of its handles, whose pool also
+         backs the shard's event heap *)
   shards : int;  (* fixed partition count, independent of --domains *)
   guids : Node_id.t array;  (* oi = obj * roots + r -> salted guid psi_r *)
   roots : int;  (* config root_set_size *)
@@ -200,13 +202,13 @@ type ctx = {
 let digest_cap = 64
 
 (* [@alloc_ok]: one shared record per run. *)
-let[@alloc_ok] make_shared ~net ~mb ~shards ~guids ~roots ~ttl ~latency
+let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
     ~service ~requests ~cache ~coop =
   let cfg = net.Network.config in
   let coop = coop && Option.is_some cache in
   {
     net;
-    mb;
+    mbs;
     shards;
     guids;
     roots;
@@ -256,7 +258,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
     {
       sh;
       shard;
-      q = Events.create ();
+      q = Events.create sh.mbs.(shard);
       out = Mailbox.Outbox.create ();
       rng;
       cost = Cost.make ();
@@ -374,13 +376,17 @@ let rec next_hop ctx (node : Node.t) guid level =
     end
   end
 
+(* Any handle's mailbox generation, from its owner shard's store; a
+   cross-shard read is safe because generations move only at barriers. *)
+let generation sh h = Mailbox.generation sh.mbs.(h mod sh.shards) h
+
 (* Send: same-shard targets go straight into this shard's event heap;
    cross-shard targets are buffered in the outbox until the barrier.
    The target's mailbox generation is captured now — churn at a later
    barrier turns the message into a dead letter. *)
 let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
   let sh = ctx.sh in
-  let g = Mailbox.generation sh.mb h in
+  let g = generation sh h in
   if h mod sh.shards = ctx.shard then
     Events.push ctx.q ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
   else Mailbox.Outbox.push ctx.out ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
@@ -537,7 +543,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         if i >= 0 then begin
           let srv = Obj_cache.probe_srv c i in
           if
-            Mailbox.generation sh.mb srv = Obj_cache.probe_gen c i
+            generation sh srv = Obj_cache.probe_gen c i
             && Node.is_alive (Network.node_of_handle sh.net srv)
           then begin
             (* epoch, generation and liveness all current: redirect.
@@ -587,7 +593,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           let key = base_oi / sh.roots in
           let self = node.Node.handle in
           let ep = Obj_cache.epoch_of c ~key ~srv:self in
-          let gen = Mailbox.generation sh.mb self in
+          let gen = generation sh self in
           let plen = Char.code (Bytes.get sh.req_plen req) in
           for k = 0 to plen - 1 do
             let tgt =
@@ -661,14 +667,16 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
       ~rc:(level lsr rc_shift) ~src ~base_guid ~nc:true
 
 (* The drain: FIFO over the mailbox, [service] virtual seconds per
-   message, until the ring is empty.  [drain_head] pops the next message
-   into the in-service slot and schedules its service-done event;
-   [serve_done] re-checks the generation — the node may have been killed
-   at a barrier during service, and the message in hand dies with it —
-   then dispatches and loops.  With [service = 0] no event is scheduled
-   and the message is served at once. *)
+   message, until the queue is empty.  [drain_head] hands the head's
+   pool slot to the in-service index and schedules its service-done
+   event; [serve_done] re-checks the generation — the node may have
+   been killed at a barrier during service, and the message in hand
+   dies with it — then dispatches, releases the slot and loops.  With
+   [service = 0] no event is scheduled and the message is served at
+   once.  A node's messages all live in its owner shard's store, the
+   one behind [ctx.q]. *)
 let rec drain_head ctx h gen =
-  let mb = ctx.sh.mb in
+  let mb = ctx.q.Events.mb in
   if Mailbox.generation mb h <> gen then ()
   else if Mailbox.length mb h = 0 then Mailbox.set_busy mb h false
   else begin
@@ -682,10 +690,12 @@ let rec drain_head ctx h gen =
 
 and serve_done ctx h gen =
   let sh = ctx.sh in
-  let mb = sh.mb in
-  let req = mb.Mailbox.s_req.(h) in
+  let mb = ctx.q.Events.mb in
+  let slot = Mailbox.in_service mb h in
+  let req = mb.Mailbox.r_req.(slot) in
   if Mailbox.generation mb h <> gen then begin
     (* killed mid-service: the in-hand message is a dead letter *)
+    Mailbox.release mb slot;
     ctx.dead_letter <- ctx.dead_letter + 1;
     if req >= 0 then begin
       Bytes.set sh.req_status req st_dead_letter;
@@ -695,40 +705,44 @@ and serve_done ctx h gen =
   else begin
     dispatch ctx
       (Network.node_of_handle sh.net h)
-      ~now:ctx.q.Events.clock.(0) ~kind:mb.Mailbox.s_kind.(h) ~req
-      ~oi:mb.Mailbox.s_oi.(h) ~level:mb.Mailbox.s_level.(h)
-      ~prev:mb.Mailbox.s_prev.(h) ~src:mb.Mailbox.s_src.(h);
+      ~now:ctx.q.Events.clock.(0) ~kind:mb.Mailbox.r_kind.(slot) ~req
+      ~oi:mb.Mailbox.r_oi.(slot) ~level:mb.Mailbox.r_level.(slot)
+      ~prev:mb.Mailbox.r_prev.(slot) ~src:mb.Mailbox.r_src.(slot);
+    Mailbox.release mb slot;
     drain_head ctx h gen
   end
 
-(* Deliver the message just popped into [q.o_*] (the clock is at its
-   arrival time): dead letters and ring overflow are terminal for the
-   request; otherwise enqueue and, if the actor is idle, schedule its
-   drain start now. *)
+(* Deliver the message just popped (the clock is at its arrival time;
+   its pool slot is [q.o_slot]): dead letters and mailbox overflow are
+   terminal for the request and release the slot; otherwise the slot
+   joins the node's FIFO and, if the actor is idle, its drain start is
+   scheduled now. *)
 let deliver ctx =
   let sh = ctx.sh in
   let q = ctx.q in
+  let mb = q.Events.mb in
   let h = q.Events.o_h in
-  let req = q.Events.o_req in
+  let slot = q.Events.o_slot in
+  let req = mb.Mailbox.r_req.(slot) in
   ctx.delivered <- ctx.delivered + 1;
   if
-    Mailbox.generation sh.mb h <> q.Events.o_g
+    Mailbox.generation mb h <> q.Events.o_g
     || not (Node.is_alive (Network.node_of_handle sh.net h))
   then begin
+    Mailbox.release mb slot;
     ctx.dead_letter <- ctx.dead_letter + 1;
     if req >= 0 then begin
       Bytes.set sh.req_status req st_dead_letter;
       ctx.failed <- ctx.failed + 1
     end
   end
-  else if
-    not
-      (Mailbox.push sh.mb h ~kind:q.Events.o_kind ~req ~oi:q.Events.o_oi
-         ~level:q.Events.o_level ~prev:q.Events.o_prev ~src:q.Events.o_src)
-  then begin
+  else if not (Mailbox.enqueue mb h slot) then begin
     let kind = q.Events.o_kind in
-    let prev = q.Events.o_prev in
-    let rc = q.Events.o_level + 1 in
+    let prev = mb.Mailbox.r_prev.(slot) in
+    let oi = mb.Mailbox.r_oi.(slot) in
+    let src = mb.Mailbox.r_src.(slot) in
+    let rc = mb.Mailbox.r_level.(slot) + 1 in
+    Mailbox.release mb slot;
     if
       kind = op_fetch && req >= 0 && rc <= rc_max + 1
       && prev >= 0 && prev <> h
@@ -736,15 +750,14 @@ let deliver ctx =
     then begin
       (* overflow relief: a cache-hit FETCH ([prev] is the entry's
          holder) is issued at injection time, so a same-window burst
-         lands on a hot server as one batch and overflows its ring.
+         lands on a hot server as one batch and overflows its mailbox.
          Instead of failing, spend one redirect and resume the climb
          from the holder, which spreads the retry over later windows.
          The climb is cache-free at any [rc]: a cached one would re-hit
          the holder's entry and resend the FETCH to the same server. *)
       ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-      send ctx ~time:q.Events.clock.(0) ~h:prev ~kind:op_locate_nc ~req
-        ~oi:q.Events.o_oi ~level:(rc lsl rc_shift) ~prev:(-1)
-        ~src:q.Events.o_src
+      send ctx ~time:q.Events.clock.(0) ~h:prev ~kind:op_locate_nc ~req ~oi
+        ~level:(rc lsl rc_shift) ~prev:(-1) ~src
     end
     else begin
       (* bounded mailbox full: drop the newcomer (backpressure policy) *)
@@ -755,10 +768,10 @@ let deliver ctx =
       end
     end
   end
-  else if not (Mailbox.is_busy sh.mb h) then begin
-    Mailbox.set_busy sh.mb h true;
+  else if not (Mailbox.is_busy mb h) then begin
+    Mailbox.set_busy mb h true;
     Events.schedule q ~time:q.Events.clock.(0) ~kind:ev_drain ~h
-      ~g:(Mailbox.generation sh.mb h)
+      ~g:(Mailbox.generation mb h)
   end
 
 (* The shard's event loop: run every event at or before [limit],

@@ -71,7 +71,9 @@ val ev_inject : int
     ([req_*], partitioned by per-shard request-id ranges). *)
 type shared = {
   net : Network.t;
-  mb : Mailbox.t;
+  mbs : Mailbox.t array;
+      (** per shard: the message store of the handles [h] with
+          [h mod shards = s]; its pool backs shard [s]'s event heap *)
   shards : int;  (** fixed partition count, independent of [--domains] *)
   guids : Node_id.t array;  (** [oi = obj * roots + r] -> salted guid *)
   roots : int;
@@ -168,12 +170,17 @@ val digest_cap : int
 (** Distinct (key, server) pairs a shard's per-window digest tracks. *)
 
 val make_shared :
-  net:Network.t -> mb:Mailbox.t -> shards:int -> guids:Node_id.t array ->
+  net:Network.t -> mbs:Mailbox.t array -> shards:int -> guids:Node_id.t array ->
   roots:int -> ttl:float -> latency:float -> service:float ->
   requests:int -> cache:Obj_cache.t option -> coop:bool -> shared
 (** [coop] is forced off when [cache = None]. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
+(** The ctx's event heap parks payloads in [mbs.(shard)]'s pool. *)
+
+val generation : shared -> int -> int
+(** Mailbox generation of any handle, read from its owner shard's
+    store (generations move only at barriers). *)
 
 val request_bytes : shared -> int
 (** Estimated resident bytes of the per-request arrays ([req_t0] ..
@@ -191,7 +198,7 @@ val complete_failed : ctx -> req:int -> unit
 val run_until : ctx -> float -> unit
 (** The shard's event loop: pop and run every event at or before the
     limit, including events pushed meanwhile, in (time, class, push
-    sequence) order — a message is delivered (dead letter, ring
+    sequence) order — a message is delivered (dead letter, mailbox
     overflow, or enqueued with a drain start scheduled at once if the
     actor is idle), a drain start or service done advances the node's
     drain, an injector step runs [ctx.inject] — then lift the shard

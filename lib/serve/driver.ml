@@ -345,6 +345,20 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
     tally;
   }
 
+(* Every shard's message store (payload pool and per-handle cells),
+   event heap and outbox: where queued and in-flight messages live. *)
+let mailbox_bytes (t : Shard.t) =
+  let sum = ref 0 in
+  Array.iteri
+    (fun s mb ->
+      let ctx = t.Shard.ctxs.(s) in
+      sum :=
+        !sum + Mailbox.approx_bytes mb
+        + Mailbox.Events.approx_bytes ctx.Actor.q
+        + Mailbox.Outbox.approx_bytes ctx.Actor.out)
+    t.Shard.sh.Actor.mbs;
+  !sum
+
 (* Resident-size estimates of the run's state, from the [approx_bytes]
    estimators.  The object cache is billed to the pointer bucket by
    [Network.memory_footprint]; it is split out here. *)
@@ -361,7 +375,7 @@ let memory_ledger r =
     ("tables", fp.Network.table_bytes);
     ("pointers", fp.Network.pointer_bytes - cache);
     ("cache", cache);
-    ("mailbox", Mailbox.approx_bytes sh.Actor.mb);
+    ("mailbox", mailbox_bytes r.engine);
     ("requests", Actor.request_bytes sh);
     ("index", fp.Network.index_bytes);
     ( "rest",

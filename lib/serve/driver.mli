@@ -75,7 +75,9 @@ val run :
 
 val memory_ledger : result -> (string * int) list
 (** Estimated resident bytes after the run, by part: routing tables,
-    pointer stores, object cache, mailbox, request arrays, id index and
+    pointer stores, object cache, mailbox (every shard's message pool,
+    per-handle FIFO cells, event heap and outbox), request arrays, id
+    index and
     the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
     directory, metric and scratch buckets).  Deterministic: a function of
     the run's counters and sizes, not of the machine. *)

@@ -1,19 +1,21 @@
 (* Message plumbing for the actor runtime (DESIGN.md section 9).
 
-   Three flat, allocation-free structures:
+   Three flat, allocation-free structures, all per shard:
 
-   - [t]: the system-wide mailbox array — one bounded FIFO ring per
-     arena handle over struct-of-arrays int payloads, generation-
-     stamped like [Scratch] so a dead node's queue can be invalidated
-     in O(1) and in-flight messages addressed to the old incarnation
-     are recognized as dead letters — plus one in-service slot per
-     handle, holding the message an actor popped and is serving;
-   - [Events]: a per-shard binary min-heap holding the shard's in-flight
-     messages and its engine events (drain start, service done,
-     injector step), keyed by (time, class, push sequence) — the stable
-     tie-break that makes replay exact — with payloads parked in a
-     free-listed side pool so sift swaps move three words, not ten; it
-     also carries the shard's virtual clock;
+   - [t]: the shard's message store — a free-listed payload pool with
+     one slot per message in flight to, or queued at, one of the
+     shard's handles, and per handle a bounded FIFO chained through
+     the pool's [r_next] column, generation-stamped like [Scratch] so a
+     dead node's queue can be invalidated at once and in-flight
+     messages addressed to the old incarnation are recognized as dead
+     letters, plus the in-service slot: the pool slot of the message
+     the actor took and is serving;
+   - [Events]: a binary min-heap over the store's pool holding the
+     shard's in-flight messages and its engine events (drain start,
+     service done, injector step), keyed by (time, class, push
+     sequence) — the stable tie-break that makes replay exact — so sift
+     swaps move three words, not ten; it also carries the shard's
+     virtual clock;
    - [Outbox]: a per-shard append log of cross-shard sends, drained
      into the target shards' event heaps at window barriers.
 
@@ -22,174 +24,216 @@
    index into the driver's salted-guid table), [level] (walk level,
    also carrying the root index for secondary chains), [prev] (arena
    handle of the previous publish hop, -1 at the server), [src] (arena
-   handle of the origin server).  In-flight entries add the target
-   handle and the target's mailbox generation at send time.
+   handle of the origin server).  A pool slot adds the target handle
+   and the target's mailbox generation at send time.  A message keeps
+   its slot from send to the end of its service: delivery links the
+   slot into the target's FIFO, [take] moves it to the in-service
+   index, and nothing is copied on the way.
 
-   Results are read in place (ring slots via [msg_index], in-service
-   slots by handle, event heads via per-shard [o_*] scratch) rather
-   than returned records, so the per-message path allocates nothing
-   (this file is on the typed lint's hot-path list).
-   Scratch fields live only on per-shard structures; the shared
-   mailbox arena has none. *)
+   Results are read in place (pool slots via [msg_index] and
+   [in_service], event heads via the heap's [o_*] scratch) rather than
+   returned records, so the per-message path allocates nothing (this
+   file is on the typed lint's hot-path list). *)
 
 type t = {
-  cap : int;  (* ring capacity per handle; overflow drops the newcomer *)
-  mutable handles : int;  (* handles covered by the arrays below *)
-  (* rings, indexed [h * cap + k] *)
+  cap : int;  (* queued messages per handle; one more drops the newcomer *)
+  stride : int;  (* handle [h]'s cells sit at [h / stride] *)
+  mutable cells : int;  (* entries of the per-handle arrays below *)
+  (* payload pool, indexed by slot *)
+  mutable r_h : int array;
+  mutable r_g : int array;
   mutable r_kind : int array;
   mutable r_req : int array;
   mutable r_oi : int array;
   mutable r_level : int array;
   mutable r_prev : int array;
   mutable r_src : int array;
-  (* per-handle ring state *)
-  mutable head : int array;
+  mutable r_next : int array;
+      (* FIFO successor of a queued slot, next free slot of a free one;
+         -1 ends either chain *)
+  mutable free : int;  (* first free slot, -1 when none *)
+  mutable used : int;  (* slots ever handed out: the pool's high-water mark *)
+  (* per-handle FIFO state, indexed [h / stride] *)
+  mutable head : int array;  (* first queued slot, -1 when empty *)
+  mutable tail : int array;  (* last queued slot *)
   mutable len : int array;
   mutable gen : int array;
   mutable busy : int array;
       (* 1 from the delivery that finds the actor idle until its drain
-         finds the ring empty: a drain-start or service-done event is
+         finds the FIFO empty: a drain-start or service-done event is
          pending for the handle *)
-  (* in-service slots, indexed by handle: the message the actor popped
-     and is serving until its service-done event *)
-  mutable s_kind : int array;
-  mutable s_req : int array;
-  mutable s_oi : int array;
-  mutable s_level : int array;
-  mutable s_prev : int array;
-  mutable s_src : int array;
+  mutable serving : int array;
+      (* pool slot of the message the actor took and is serving until
+         its service-done event *)
 }
 
-(* [@alloc_ok]: setup-time constructor, one allocation per run. *)
-let[@alloc_ok] create ~cap ~handles =
+let pool_cap0 = 64
+
+(* [@alloc_ok]: setup-time constructor, one allocation per shard. *)
+let[@alloc_ok] create_strided ~stride ~cap ~handles =
   if cap <= 0 then invalid_arg "Mailbox.create: cap must be positive";
-  let handles = max handles 1 in
+  if stride <= 0 then invalid_arg "Mailbox.create: stride must be positive";
+  let cells = max 1 ((handles + stride - 1) / stride) in
   {
     cap;
-    handles;
-    r_kind = Array.make (handles * cap) 0;
-    r_req = Array.make (handles * cap) 0;
-    r_oi = Array.make (handles * cap) 0;
-    r_level = Array.make (handles * cap) 0;
-    r_prev = Array.make (handles * cap) 0;
-    r_src = Array.make (handles * cap) 0;
-    head = Array.make handles 0;
-    len = Array.make handles 0;
-    gen = Array.make handles 0;
-    busy = Array.make handles 0;
-    s_kind = Array.make handles 0;
-    s_req = Array.make handles 0;
-    s_oi = Array.make handles 0;
-    s_level = Array.make handles 0;
-    s_prev = Array.make handles 0;
-    s_src = Array.make handles 0;
+    stride;
+    cells;
+    r_h = Array.make pool_cap0 0;
+    r_g = Array.make pool_cap0 0;
+    r_kind = Array.make pool_cap0 0;
+    r_req = Array.make pool_cap0 0;
+    r_oi = Array.make pool_cap0 0;
+    r_level = Array.make pool_cap0 0;
+    r_prev = Array.make pool_cap0 0;
+    r_src = Array.make pool_cap0 0;
+    r_next = Array.make pool_cap0 (-1);
+    free = -1;
+    used = 0;
+    head = Array.make cells (-1);
+    tail = Array.make cells (-1);
+    len = Array.make cells 0;
+    gen = Array.make cells 0;
+    busy = Array.make cells 0;
+    serving = Array.make cells (-1);
   }
 
+let create ~cap ~handles = create_strided ~stride:1 ~cap ~handles
+
 (* [@alloc_ok]: barrier-only growth after churn joins.  Grows by an
-   eighth (or to [handles] if that is more): still geometric, so the
-   amortized copy cost over a run is O(final size), while a few churn
-   joins no longer double rings sized for the whole mesh. *)
+   eighth (or to what is needed if that is more): still geometric, so
+   the amortized copy cost over a run is O(final size). *)
 let[@alloc_ok] ensure t ~handles =
-  if handles > t.handles then begin
-    let nh = max handles (t.handles + (t.handles / 8)) in
-    let grow_ring old =
-      let a = Array.make (nh * t.cap) 0 in
-      Array.blit old 0 a 0 (t.handles * t.cap);
-      a
-    in
+  let need = (handles + t.stride - 1) / t.stride in
+  if need > t.cells then begin
+    let nh = max need (t.cells + (t.cells / 8)) in
     let grow old fill =
       let a = Array.make nh fill in
-      Array.blit old 0 a 0 t.handles;
+      Array.blit old 0 a 0 t.cells;
       a
     in
-    t.r_kind <- grow_ring t.r_kind;
-    t.r_req <- grow_ring t.r_req;
-    t.r_oi <- grow_ring t.r_oi;
-    t.r_level <- grow_ring t.r_level;
-    t.r_prev <- grow_ring t.r_prev;
-    t.r_src <- grow_ring t.r_src;
-    t.head <- grow t.head 0;
+    t.head <- grow t.head (-1);
+    t.tail <- grow t.tail (-1);
     t.len <- grow t.len 0;
     t.gen <- grow t.gen 0;
     t.busy <- grow t.busy 0;
-    t.s_kind <- grow t.s_kind 0;
-    t.s_req <- grow t.s_req 0;
-    t.s_oi <- grow t.s_oi 0;
-    t.s_level <- grow t.s_level 0;
-    t.s_prev <- grow t.s_prev 0;
-    t.s_src <- grow t.s_src 0;
-    t.handles <- nh
+    t.serving <- grow t.serving (-1);
+    t.cells <- nh
   end
 
 let capacity t = t.cap
 
-(* [@alloc_ok]: footprint accounting, once per report.  Six rings of
-   [handles * cap] ints and ten per-handle int arrays, with headers. *)
-let[@alloc_ok] approx_bytes t =
+let pool_capacity t = Array.length t.r_h
+
+(* Footprint accounting: nine pool columns and six per-handle int
+   arrays, with headers. *)
+let approx_bytes t =
   let word = 8 in
-  let ring = ((t.handles * t.cap) + 1) * word
-  and per_handle = (t.handles + 1) * word in
-  (19 * word) + (6 * ring) + (10 * per_handle)
+  (21 * word)
+  + (9 * (pool_capacity t + 1) * word)
+  + (6 * (t.cells + 1) * word)
 
-let generation t h = t.gen.(h)
+(* [@alloc_ok]: amortized doubling of the pool, off the steady-state
+   path.  New slots are not on the free chain: [alloc] hands them out
+   past [used]. *)
+let[@alloc_ok] grow_pool t =
+  let cap = pool_capacity t * 2 in
+  let gi a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.r_h <- gi t.r_h 0;
+  t.r_g <- gi t.r_g 0;
+  t.r_kind <- gi t.r_kind 0;
+  t.r_req <- gi t.r_req 0;
+  t.r_oi <- gi t.r_oi 0;
+  t.r_level <- gi t.r_level 0;
+  t.r_prev <- gi t.r_prev 0;
+  t.r_src <- gi t.r_src 0;
+  t.r_next <- gi t.r_next (-1)
 
-let length t h = t.len.(h)
-
-let is_busy t h = t.busy.(h) <> 0
-
-let set_busy t h b = t.busy.(h) <- (if b then 1 else 0)
-
-let push t h ~kind ~req ~oi ~level ~prev ~src =
-  if t.len.(h) >= t.cap then false
+let alloc t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- t.r_next.(s);
+    s
+  end
   else begin
-    let k = t.head.(h) + t.len.(h) in
-    let k = if k >= t.cap then k - t.cap else k in
-    let i = (h * t.cap) + k in
-    t.r_kind.(i) <- kind;
-    t.r_req.(i) <- req;
-    t.r_oi.(i) <- oi;
-    t.r_level.(i) <- level;
-    t.r_prev.(i) <- prev;
-    t.r_src.(i) <- src;
-    t.len.(h) <- t.len.(h) + 1;
+    if t.used >= pool_capacity t then grow_pool t;
+    let s = t.used in
+    t.used <- s + 1;
+    s
+  end
+
+let release t slot =
+  t.r_next.(slot) <- t.free;
+  t.free <- slot
+
+let generation t h = t.gen.(h / t.stride)
+
+let length t h = t.len.(h / t.stride)
+
+let is_busy t h = t.busy.(h / t.stride) <> 0
+
+let set_busy t h b = t.busy.(h / t.stride) <- (if b then 1 else 0)
+
+let enqueue t h slot =
+  let c = h / t.stride in
+  if t.len.(c) >= t.cap then false
+  else begin
+    t.r_next.(slot) <- -1;
+    if t.len.(c) = 0 then t.head.(c) <- slot
+    else t.r_next.(t.tail.(c)) <- slot;
+    t.tail.(c) <- slot;
+    t.len.(c) <- t.len.(c) + 1;
     true
   end
 
-(* Readers consume the FIFO head in place — [msg_index] to locate the
-   slot, direct [r_*] reads, then [advance].  The mailbox arena is
-   shared by every shard, so there is deliberately NO out-param scratch
-   on [t]: shard-local reads of the owner's ring slots are the only
-   race-free way to pop concurrently (a shared scratch field would be a
-   cross-domain write on every pop). *)
-let msg_index t h = (h * t.cap) + t.head.(h)
+let push t h ~kind ~req ~oi ~level ~prev ~src =
+  if t.len.(h / t.stride) >= t.cap then false
+  else begin
+    let s = alloc t in
+    t.r_h.(s) <- h;
+    t.r_g.(s) <- generation t h;
+    t.r_kind.(s) <- kind;
+    t.r_req.(s) <- req;
+    t.r_oi.(s) <- oi;
+    t.r_level.(s) <- level;
+    t.r_prev.(s) <- prev;
+    t.r_src.(s) <- src;
+    enqueue t h s
+  end
 
-let advance t h =
-  let k = t.head.(h) + 1 in
-  t.head.(h) <- (if k >= t.cap then 0 else k);
-  t.len.(h) <- t.len.(h) - 1
+let msg_index t h = t.head.(h / t.stride)
 
-(* Pop handle [h]'s FIFO head into its in-service slot, where the
-   message waits out its service time; only the owner shard's drain
-   touches either. *)
-let take t h =
-  let i = msg_index t h in
-  t.s_kind.(h) <- t.r_kind.(i);
-  t.s_req.(h) <- t.r_req.(i);
-  t.s_oi.(h) <- t.r_oi.(i);
-  t.s_level.(h) <- t.r_level.(i);
-  t.s_prev.(h) <- t.r_prev.(i);
-  t.s_src.(h) <- t.r_src.(i);
-  advance t h
+(* Unlink handle [h]'s FIFO head and return its slot. *)
+let unlink t h =
+  let c = h / t.stride in
+  let s = t.head.(c) in
+  t.head.(c) <- t.r_next.(s);
+  t.len.(c) <- t.len.(c) - 1;
+  if t.len.(c) = 0 then t.tail.(c) <- -1;
+  s
 
-(* Invalidate a dead node's mailbox: queued requests are the caller's
-   to account (iterate with [msg_index]/[advance] first), then the
-   generation bump turns any message still in flight toward the old
-   incarnation into a recognizable dead letter. *)
+let advance t h = release t (unlink t h)
+
+let take t h = t.serving.(h / t.stride) <- unlink t h
+
+let in_service t h = t.serving.(h / t.stride)
+
+(* Invalidate a dead node's mailbox: queued messages are the caller's
+   to account first (read them with [msg_index] and [advance]); any
+   left go back to the pool here.  The generation bump turns any message
+   still in flight toward the old incarnation into a recognizable dead
+   letter.  A message in service keeps its slot until its service-done
+   event finds the generation moved. *)
 let kill t h =
-  t.head.(h) <- 0;
-  t.len.(h) <- 0;
-  t.busy.(h) <- 0;
-  t.gen.(h) <- t.gen.(h) + 1
+  while length t h > 0 do
+    advance t h
+  done;
+  let c = h / t.stride in
+  t.busy.(c) <- 0;
+  t.gen.(c) <- t.gen.(c) + 1
 
 (* The event queue of one shard: in-flight messages and engine events
    (drain start, service done, injector step) in one binary min-heap,
@@ -198,71 +242,50 @@ let kill t h =
    every message; the class rides the sequence word's bit 61 beside one
    shared push counter, so [before] stays two compares.  The heap triple
    (time, seq, pool slot) lives in three parallel arrays; payloads stay
-   put in a free-listed pool while sifting.  An engine event uses the
-   pool's kind (a negative code, below every Actor opcode), h and g. *)
+   put in the shard's mailbox pool while sifting.  An engine event uses
+   the slot's kind (a negative code, below every Actor opcode), h and
+   g, and frees the slot when popped; a popped message's slot is the
+   caller's. *)
 module Events = struct
   type q = {
+    mb : t;  (* the shard's mailbox, whose pool holds every payload *)
     mutable tt : float array;  (* event time *)
     mutable ts : int array;  (* class bit lor push sequence: stable ties *)
     mutable tp : int array;  (* payload pool slot *)
     mutable tlen : int;
     mutable seq : int;
-    (* payload pool + free list *)
-    mutable p_h : int array;
-    mutable p_g : int array;
-    mutable p_kind : int array;
-    mutable p_req : int array;
-    mutable p_oi : int array;
-    mutable p_level : int array;
-    mutable p_prev : int array;
-    mutable p_src : int array;
-    mutable free : int array;
-    mutable free_len : int;
-    mutable pcap : int;
     clock : float array;  (* clock.(0): the shard's virtual time, unboxed *)
     (* out-params of [pop_into] *)
     mutable o_h : int;
     mutable o_g : int;
     mutable o_kind : int;
-    mutable o_req : int;
-    mutable o_oi : int;
-    mutable o_level : int;
-    mutable o_prev : int;
-    mutable o_src : int;
+    mutable o_slot : int;
   }
 
   let message_class = 1 lsl 61
 
   (* [@alloc_ok]: per-shard constructor, once per run. *)
-  let[@alloc_ok] create () =
+  let[@alloc_ok] create mb =
     let cap = 64 in
     {
+      mb;
       tt = Array.make cap 0.;
       ts = Array.make cap 0;
       tp = Array.make cap 0;
       tlen = 0;
       seq = 0;
-      p_h = Array.make cap 0;
-      p_g = Array.make cap 0;
-      p_kind = Array.make cap 0;
-      p_req = Array.make cap 0;
-      p_oi = Array.make cap 0;
-      p_level = Array.make cap 0;
-      p_prev = Array.make cap 0;
-      p_src = Array.make cap 0;
-      free = Array.make cap 0;
-      free_len = 0;
-      pcap = 0;
       clock = Array.make 1 0.;
       o_h = 0;
       o_g = 0;
       o_kind = 0;
-      o_req = 0;
-      o_oi = 0;
-      o_level = 0;
-      o_prev = 0;
-      o_src = 0;
+      o_slot = -1;
     }
+
+  (* Footprint accounting: the heap's three columns and the clock cell;
+     the pool is the mailbox's. *)
+  let approx_bytes t =
+    let word = 8 in
+    (12 * word) + (3 * (Array.length t.tt + 1) * word) + (2 * word)
 
   let peek_time t = if t.tlen = 0 then infinity else t.tt.(0)
 
@@ -277,23 +300,6 @@ module Events = struct
     t.tt <- gf t.tt 0.;
     t.ts <- gf t.ts 0;
     t.tp <- gf t.tp 0
-
-  let[@alloc_ok] grow_pool t =
-    let cap = Array.length t.p_h * 2 in
-    let gi a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.p_h <- gi t.p_h;
-    t.p_g <- gi t.p_g;
-    t.p_kind <- gi t.p_kind;
-    t.p_req <- gi t.p_req;
-    t.p_oi <- gi t.p_oi;
-    t.p_level <- gi t.p_level;
-    t.p_prev <- gi t.p_prev;
-    t.p_src <- gi t.p_src;
-    t.free <- gi t.free
 
   let before t i j =
     t.tt.(i) < t.tt.(j) || (t.tt.(i) = t.tt.(j) && t.ts.(i) < t.ts.(j))
@@ -332,21 +338,11 @@ module Events = struct
   (* Take a pool slot for an event of [kind] to handle [h] (mailbox
      generation [g]), then heap-insert it at [time] in class [cls]. *)
   let insert t ~time ~cls ~kind ~h ~g =
-    let slot =
-      if t.free_len > 0 then begin
-        t.free_len <- t.free_len - 1;
-        t.free.(t.free_len)
-      end
-      else begin
-        if t.pcap >= Array.length t.p_h then grow_pool t;
-        let s = t.pcap in
-        t.pcap <- t.pcap + 1;
-        s
-      end
-    in
-    t.p_h.(slot) <- h;
-    t.p_g.(slot) <- g;
-    t.p_kind.(slot) <- kind;
+    let mb = t.mb in
+    let slot = alloc mb in
+    mb.r_h.(slot) <- h;
+    mb.r_g.(slot) <- g;
+    mb.r_kind.(slot) <- kind;
     if t.tlen >= Array.length t.tt then grow_heap t;
     let i = t.tlen in
     t.tt.(i) <- time;
@@ -362,28 +358,25 @@ module Events = struct
 
   let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
     let slot = insert t ~time ~cls:message_class ~kind ~h ~g in
-    t.p_req.(slot) <- req;
-    t.p_oi.(slot) <- oi;
-    t.p_level.(slot) <- level;
-    t.p_prev.(slot) <- prev;
-    t.p_src.(slot) <- src
+    let mb = t.mb in
+    mb.r_req.(slot) <- req;
+    mb.r_oi.(slot) <- oi;
+    mb.r_level.(slot) <- level;
+    mb.r_prev.(slot) <- prev;
+    mb.r_src.(slot) <- src
 
   let pop_into t =
     if t.tlen = 0 then false
     else begin
+      let mb = t.mb in
       let slot = t.tp.(0) in
       let time = t.tt.(0) in
       if time > t.clock.(0) then t.clock.(0) <- time;
-      t.o_h <- t.p_h.(slot);
-      t.o_g <- t.p_g.(slot);
-      t.o_kind <- t.p_kind.(slot);
-      t.o_req <- t.p_req.(slot);
-      t.o_oi <- t.p_oi.(slot);
-      t.o_level <- t.p_level.(slot);
-      t.o_prev <- t.p_prev.(slot);
-      t.o_src <- t.p_src.(slot);
-      t.free.(t.free_len) <- slot;
-      t.free_len <- t.free_len + 1;
+      t.o_h <- mb.r_h.(slot);
+      t.o_g <- mb.r_g.(slot);
+      t.o_kind <- mb.r_kind.(slot);
+      t.o_slot <- slot;
+      if t.ts.(0) land message_class = 0 then release mb slot;
       t.tlen <- t.tlen - 1;
       if t.tlen > 0 then begin
         swap t 0 t.tlen;
@@ -430,6 +423,11 @@ module Outbox = struct
       b_src = Array.make cap 0;
       blen = 0;
     }
+
+  (* Footprint accounting: nine columns with headers. *)
+  let approx_bytes t =
+    let word = 8 in
+    (11 * word) + (9 * (Array.length t.b_h + 1) * word)
 
   let[@alloc_ok] grow t =
     let cap = Array.length t.b_h * 2 in

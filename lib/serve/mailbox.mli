@@ -1,65 +1,92 @@
-(** Message plumbing for the actor runtime: bounded per-node mailbox
-    rings with one in-service slot per node, the per-shard event heap
-    (in-flight messages and engine events), and the cross-shard outbox
-    (DESIGN.md section 9).
+(** Message plumbing for the actor runtime, all of it per shard: the
+    shard's message store (a free-listed payload pool plus, per handle,
+    a bounded FIFO chained through the pool and one in-service slot),
+    the shard's event heap over that pool (in-flight messages and
+    engine events), and the cross-shard outbox (DESIGN.md section 9).
 
     A message is six ints — [kind] (Actor opcode), [req] (global request
     id, [-1] for fire-and-forget), [oi] (object x root index into the
     driver's salted-guid table), [level] (walk level, packed with the
     root index for secondary chains), [prev] (previous publish hop's
     arena handle, [-1] at the server), [src] (origin server's handle).
-    In-flight entries also carry the target handle and the
-    target's mailbox generation captured at send time; a generation
-    mismatch at delivery is a dead letter.
+    Its pool slot also carries the target handle and the target's
+    mailbox generation captured at send time; a generation mismatch at
+    delivery is a dead letter.  A message keeps one slot from send to
+    the end of its service: delivery links it into the target's FIFO
+    ({!enqueue}), {!take} hands it to the in-service index, and it goes
+    back to the free list at service end, on an overflow drop, on a dead
+    letter, or at {!kill}.  Memory follows the traffic: the pool holds
+    only messages in flight or queued, never [cap] cells per handle.
 
     All structures are struct-of-arrays read in place instead of
     through returned records, so steady-state operations allocate
     nothing; the record types are exposed transparently for exactly
-    that field access.  Concurrency: rings are partitioned by
-    [handle mod shard count] and only ever touched by the owning shard
-    during a window; event heaps and outboxes are shard-private; growth
-    and {!kill} happen only at barriers.  The shared mailbox arena
-    deliberately has no out-param scratch — concurrent pops go through
-    {!msg_index} + {!advance} so each shard reads only its own ring
-    slots (a shared scratch field would be a cross-domain data race,
-    and was: see DESIGN.md section 9.5). *)
+    that field access.  Concurrency: a shard's store serves the handles
+    [h] with [h mod stride] fixed and is only touched by that shard
+    during a window, except for {!generation} reads (generations change
+    only at barriers); growth and {!kill} happen only at barriers.  The
+    stores carry no out-param scratch: pops go through {!msg_index} or
+    {!in_service} and direct pool reads (DESIGN.md section 9.5). *)
 
 type t = {
   cap : int;
-  mutable handles : int;
+  stride : int;
+  mutable cells : int;
+  mutable r_h : int array;
+  mutable r_g : int array;
   mutable r_kind : int array;
   mutable r_req : int array;
   mutable r_oi : int array;
   mutable r_level : int array;
   mutable r_prev : int array;
   mutable r_src : int array;
+  mutable r_next : int array;
+  mutable free : int;
+  mutable used : int;
   mutable head : int array;
+  mutable tail : int array;
   mutable len : int array;
   mutable gen : int array;
   mutable busy : int array;
-  mutable s_kind : int array;
-  mutable s_req : int array;
-  mutable s_oi : int array;
-  mutable s_level : int array;
-  mutable s_prev : int array;
-  mutable s_src : int array;
+  mutable serving : int array;
 }
+(** Pool columns [r_*] are indexed by slot; [r_next] chains a queued
+    slot to its FIFO successor and a free slot to the next free one
+    ([-1] ends either), [free] is the first free slot and [used] the
+    slots ever handed out (the pool's high-water mark).  Per-handle
+    arrays are indexed [h / stride] and hold [cells] entries; [head]
+    and [serving] are [-1] when empty. *)
 
 val create : cap:int -> handles:int -> t
-(** Rings of capacity [cap] for handles [0 .. handles-1].
+(** One store for handles [0 .. handles-1] ([stride] 1), each FIFO
+    bounded at [cap] queued messages.
     @raise Invalid_argument if [cap <= 0]. *)
 
+val create_strided : stride:int -> cap:int -> handles:int -> t
+(** The store of one shard of [stride]: per-handle cells for the
+    handles below [handles] whose index is [h mod stride].
+    @raise Invalid_argument if [cap <= 0] or [stride <= 0]. *)
+
 val ensure : t -> handles:int -> unit
-(** Grow so [handles-1] is addressable: to the larger of [handles] and
-    the current size plus an eighth (geometric, so amortized O(1) per
-    handle).  Ring contents and generations are kept.  Barrier only:
-    never call while shard windows are running. *)
+(** Grow the per-handle cells so [handles-1] is addressable: to the
+    larger of what is needed and the current size plus an eighth
+    (geometric, so amortized O(1) per handle).  Queues, in-service
+    slots and generations are kept.  Barrier only: never call while
+    shard windows are running. *)
 
 val capacity : t -> int
+(** [cap]. *)
+
+val pool_capacity : t -> int
+(** Slots the pool columns currently hold (doubling growth). *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of the rings and per-handle arrays at their
-    current size (the per-shard event heaps are not counted). *)
+(** Estimated resident bytes of the pool columns and per-handle arrays
+    at their current size ([cap] does not enter: nothing is allocated
+    per queue position). *)
+
+val release : t -> int -> unit
+(** Return a slot to the free list. *)
 
 val generation : t -> int -> int
 (** Current generation stamp of a handle's mailbox. *)
@@ -72,28 +99,40 @@ val is_busy : t -> int -> bool
 
 val set_busy : t -> int -> bool -> unit
 
+val enqueue : t -> int -> int -> bool
+(** [enqueue t h slot]: FIFO-append the message in pool slot [slot];
+    [false] when [cap] messages are already queued (bounded
+    backpressure: the newcomer is dropped, its slot stays the caller's
+    to release). *)
+
 val push :
   t -> int -> kind:int -> req:int -> oi:int -> level:int -> prev:int ->
   src:int -> bool
-(** FIFO append; [false] when the ring is full (bounded backpressure:
-    the newcomer is dropped and the caller accounts it). *)
+(** Write a message into a fresh slot and {!enqueue} it; [false] (and
+    nothing allocated) when [cap] messages are queued. *)
 
 val msg_index : t -> int -> int
-(** Flat index of handle [h]'s FIFO head in the [r_*] rings (only
-    meaningful while [length t h > 0]).  Read the message fields
-    directly, then {!advance} — pops never touch shared scratch. *)
+(** Pool slot of handle [h]'s FIFO head ([-1] when empty).  Read the
+    message fields directly, then {!advance}; [r_next] walks the rest
+    of the queue. *)
 
 val advance : t -> int -> unit
-(** Consume handle [h]'s FIFO head (after reading it via {!msg_index}).
-    Owner-shard only. *)
+(** Drop handle [h]'s FIFO head and release its slot (after reading it
+    via {!msg_index}).  Owner-shard only. *)
 
 val take : t -> int -> unit
-(** Pop handle [h]'s FIFO head into its in-service slot ([s_*.(h)]),
-    where it stays while the actor serves it.  Owner-shard only. *)
+(** Unlink handle [h]'s FIFO head into its in-service index, where it
+    stays while the actor serves it; the server releases the slot.
+    Owner-shard only. *)
+
+val in_service : t -> int -> int
+(** Pool slot of the message handle [h] took last. *)
 
 val kill : t -> int -> unit
-(** Node death: clear the ring, reset busy, bump the generation (drain
-    any queued requests first — see the shard barrier's churn step). *)
+(** Node death: drop the queue, releasing its slots, reset busy, bump
+    the generation (account queued requests first — see the shard
+    barrier's churn step).  A message in service keeps its slot until
+    its service-done event. *)
 
 (** The event queue of one shard: in-flight messages and engine events
     in one heap, keyed by (time, class, push sequence) — the stable
@@ -101,41 +140,32 @@ val kill : t -> int -> unit
     0 and messages ({!push}) class 1, so at equal times every engine
     event pops before every message, each class in push order.  An
     engine event carries a negative kind (below every Actor opcode), a
-    handle and a generation.  Payloads live in a free-listed pool so a
-    sift swap moves three words.  The heap also holds the shard's
+    handle and a generation.  Payloads live in the shard mailbox's pool
+    so a sift swap moves three words.  The heap also holds the shard's
     virtual clock, which {!pop_into} and {!lift} advance. *)
 module Events : sig
   type q = {
+    mb : t;  (** the shard's mailbox; its pool holds every payload *)
     mutable tt : float array;
     mutable ts : int array;
     mutable tp : int array;
     mutable tlen : int;
     mutable seq : int;
-    mutable p_h : int array;
-    mutable p_g : int array;
-    mutable p_kind : int array;
-    mutable p_req : int array;
-    mutable p_oi : int array;
-    mutable p_level : int array;
-    mutable p_prev : int array;
-    mutable p_src : int array;
-    mutable free : int array;
-    mutable free_len : int;
-    mutable pcap : int;
     clock : float array;
         (** [clock.(0)]: time of the last event popped or limit lifted
             to; a float array so that writing it allocates nothing *)
     mutable o_h : int;  (** filled by {!pop_into} *)
     mutable o_g : int;
     mutable o_kind : int;
-    mutable o_req : int;
-    mutable o_oi : int;
-    mutable o_level : int;
-    mutable o_prev : int;
-    mutable o_src : int;
+    mutable o_slot : int;
   }
 
-  val create : unit -> q
+  val create : t -> q
+  (** An empty heap parking its payloads in the given mailbox's pool. *)
+
+  val approx_bytes : q -> int
+  (** Estimated resident bytes of the heap columns (the pool is the
+      mailbox's, counted by its [approx_bytes]). *)
 
   val peek_time : q -> float
   (** Earliest event time, [infinity] when empty. *)
@@ -150,8 +180,9 @@ module Events : sig
 
   val pop_into : q -> bool
   (** Pop the earliest event into the [o_*] fields and raise the clock
-      to its time; [false] when empty.  An engine event leaves
-      [o_req .. o_src] meaningless. *)
+      to its time; [false] when empty.  An engine event's slot goes
+      back to the pool at once; a message's slot, [o_slot], is the
+      caller's: it must {!enqueue} or {!release} it. *)
 
   val lift : q -> float -> unit
   (** Raise the clock to the given time if it is later. *)
@@ -175,6 +206,9 @@ module Outbox : sig
   }
 
   val create : unit -> ob
+
+  val approx_bytes : ob -> int
+  (** Estimated resident bytes of the log's columns. *)
 
   val push :
     ob -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->

@@ -58,11 +58,13 @@ type t = {
 let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
     ~seed ~window ~cache ~coop =
   if window <= 0. then invalid_arg "Shard.create: window <= 0";
-  let mb =
-    Mailbox.create ~cap:mailbox_cap ~handles:(max net.Network.arena_len 1)
+  let mbs =
+    Array.init shard_count (fun _ ->
+        Mailbox.create_strided ~stride:shard_count ~cap:mailbox_cap
+          ~handles:net.Network.arena_len)
   in
   let sh =
-    Actor.make_shared ~net ~mb ~shards:shard_count ~guids ~roots ~ttl
+    Actor.make_shared ~net ~mbs ~shards:shard_count ~guids ~roots ~ttl
       ~latency ~service ~requests ~cache ~coop
   in
   let ctxs =
@@ -309,7 +311,7 @@ let apply_hint_digest t =
 let sync_capacity t =
   let sh = t.sh in
   let n = sh.Actor.net.Network.arena_len in
-  Mailbox.ensure sh.Actor.mb ~handles:n;
+  Array.iter (fun mb -> Mailbox.ensure mb ~handles:n) sh.Actor.mbs;
   (match sh.Actor.cache with
   | Some c -> Obj_cache.ensure_nodes c n
   | None -> ());
@@ -324,14 +326,15 @@ let sync_capacity t =
     sh.Actor.dirty <- b
   end
 
-(* Node failure at a barrier: queued requests die with the mailbox, the
-   generation bump turns in-flight messages into dead letters, then the
-   node silently fails (repair stays lazy). *)
+(* Node failure at a barrier: queued requests die with the mailbox (their
+   slots go back to the owner shard's pool), the generation bump turns
+   in-flight messages into dead letters, then the node silently fails
+   (repair stays lazy). *)
 let kill_node t (node : Node.t) =
   let sh = t.sh in
   let h = node.Node.handle in
   let ctx = t.ctxs.(shard_of h) in
-  let mb = sh.Actor.mb in
+  let mb = sh.Actor.mbs.(shard_of h) in
   while Mailbox.length mb h > 0 do
     let req = mb.Mailbox.r_req.(Mailbox.msg_index mb h) in
     Mailbox.advance mb h;

@@ -54,8 +54,9 @@ val create :
   net:Network.t -> guids:Node_id.t array -> roots:int -> ttl:float ->
   latency:float -> service:float -> requests:int -> mailbox_cap:int ->
   seed:int -> window:float -> cache:Obj_cache.t option -> coop:bool -> t
-(** Build the engine: one mailbox arena sized to the network, one
-    {!Actor.ctx} per shard with an independent [Parallel.task_rng]
+(** Build the engine: per shard one mailbox (payload pool plus the
+    per-handle FIFO cells of its handles, sized to the network) and one
+    {!Actor.ctx} with an independent [Parallel.task_rng]
     stream.  [cache] attaches the per-node object caches (fills, evicts
     and epoch bumps buffered per shard are applied at each barrier in
     shard order, bumps first, then evicts, then fills).  [coop] (see
@@ -80,10 +81,12 @@ val run :
 
 val kill_node : t -> Node.t -> unit
 (** Barrier-only node failure: dead-letter the queued requests, clear
-    the mailbox, bump its generation, then [Delete.fail]. *)
+    the mailbox (its slots return to the owner shard's pool), bump its
+    generation, then [Delete.fail]. *)
 
 val sync_capacity : t -> unit
-(** Barrier-only: grow the mailbox arena and dirty set after joins
+(** Barrier-only: grow every shard's per-handle mailbox cells, the
+    object cache lines and the dirty set after joins
     ({!run} calls it after every [on_barrier]). *)
 
 val quiesce : t -> clock:float -> unit

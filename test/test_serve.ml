@@ -2,8 +2,9 @@
 
    - the Zipf sampler's empirical rank frequencies match the harmonic
      weights at 1e5 draws;
-   - mailbox ring semantics: bounded overflow, FIFO order through
-     msg_index/advance, generation reuse after kill, growth;
+   - mailbox semantics: bounded overflow, FIFO order through
+     msg_index/advance across pool-slot reuse, kill returning its slots
+     under a new generation, growth, memory independent of the bound;
    - the serve engine is bit-identical for every domain count (the
      fixed-64-shard argument, mirroring test_scale_build);
    - a churned run quiesces to an audit-clean mesh;
@@ -72,10 +73,12 @@ let test_zipf_deterministic () =
   in
   Alcotest.(check (list int)) "same seed, same stream" (draw 9) (draw 9)
 
-(* ---- mailbox rings ---- *)
+(* ---- mailboxes: FIFO chains through the payload pool ---- *)
 
 let push_req mb h req =
   Mailbox.push mb h ~kind:0 ~req ~oi:0 ~level:0 ~prev:(-1) ~src:0
+
+let head_req mb h = mb.Mailbox.r_req.(Mailbox.msg_index mb h)
 
 let test_mailbox_bounded_fifo () =
   let cap = 4 in
@@ -85,51 +88,83 @@ let test_mailbox_bounded_fifo () =
   done;
   Alcotest.(check bool) "overflow rejected" false (push_req mb 1 999);
   Alcotest.(check int) "full" cap (Mailbox.length mb 1);
-  (* FIFO order through msg_index/advance, wrapping across the ring *)
+  Alcotest.(check int) "overflow takes no slot" cap mb.Mailbox.used;
+  (* FIFO order through msg_index/advance; each refill lands in the
+     slot the pop before it released, at the tail of the queue *)
   for r = 0 to cap - 1 do
-    let i = Mailbox.msg_index mb 1 in
-    Alcotest.(check int) "fifo order" (100 + r) mb.Mailbox.r_req.(i);
+    Alcotest.(check int) "fifo order" (100 + r) (head_req mb 1);
     Mailbox.advance mb 1;
-    (* interleave a push so head wraps past the ring boundary *)
     if r < 2 then
       Alcotest.(check bool) "refill accepted" true (push_req mb 1 (200 + r))
   done;
-  Alcotest.(check int) "wrapped refills" 200 mb.Mailbox.r_req.(Mailbox.msg_index mb 1);
+  Alcotest.(check int) "refills reuse released slots" cap mb.Mailbox.used;
+  Alcotest.(check int) "fifo across slot reuse" 200 (head_req mb 1);
   Mailbox.advance mb 1;
-  Alcotest.(check int) "wrapped refills" 201 mb.Mailbox.r_req.(Mailbox.msg_index mb 1);
+  Alcotest.(check int) "fifo across slot reuse" 201 (head_req mb 1);
   Mailbox.advance mb 1;
   Alcotest.(check int) "drained" 0 (Mailbox.length mb 1);
   (* handle 0 was never touched *)
-  Alcotest.(check int) "other ring untouched" 0 (Mailbox.length mb 0)
+  Alcotest.(check int) "other queue untouched" 0 (Mailbox.length mb 0)
 
 let test_mailbox_generation () =
   let mb = Mailbox.create ~cap:4 ~handles:3 in
   let g0 = Mailbox.generation mb 2 in
   ignore (push_req mb 2 7 : bool);
+  ignore (push_req mb 2 9 : bool);
   Mailbox.set_busy mb 2 true;
   Alcotest.(check bool) "busy" true (Mailbox.is_busy mb 2);
+  let high_water = mb.Mailbox.used in
   Mailbox.kill mb 2;
-  Alcotest.(check int) "ring cleared" 0 (Mailbox.length mb 2);
+  Alcotest.(check int) "queue cleared" 0 (Mailbox.length mb 2);
   Alcotest.(check bool) "busy reset" false (Mailbox.is_busy mb 2);
   Alcotest.(check bool) "generation bumped" true (Mailbox.generation mb 2 > g0);
-  (* the slot is reusable by a churn join under the new generation *)
+  (* the handle is reusable under the new generation, in the slots the
+     kill returned *)
   Alcotest.(check bool) "reuse accepted" true (push_req mb 2 8);
-  Alcotest.(check int) "reused head" 8 mb.Mailbox.r_req.(Mailbox.msg_index mb 2)
+  Alcotest.(check bool) "reuse accepted" true (push_req mb 2 10);
+  Alcotest.(check int) "kill returned its slots" high_water mb.Mailbox.used;
+  Alcotest.(check int) "reused head" 8 (head_req mb 2)
 
 let test_mailbox_growth () =
-  let mb = Mailbox.create ~cap:4 ~handles:2 in
-  ignore (push_req mb 0 1 : bool);
-  ignore (push_req mb 1 2 : bool);
-  let g1 = Mailbox.generation mb 1 in
-  Mailbox.ensure mb ~handles:50;
-  Alcotest.(check bool) "grew" true (mb.Mailbox.handles >= 50);
-  Alcotest.(check int) "contents preserved (h0)" 1
-    mb.Mailbox.r_req.(Mailbox.msg_index mb 0);
-  Alcotest.(check int) "contents preserved (h1)" 2
-    mb.Mailbox.r_req.(Mailbox.msg_index mb 1);
-  Alcotest.(check int) "generation preserved" g1 (Mailbox.generation mb 1);
-  Alcotest.(check int) "new ring empty" 0 (Mailbox.length mb 49);
-  Alcotest.(check bool) "new ring usable" true (push_req mb 49 3)
+  let check_growth mb ~stride =
+    let h0 = 0 and h1 = stride and h2 = 2 * stride in
+    ignore (push_req mb h0 1 : bool);
+    ignore (push_req mb h1 2 : bool);
+    ignore (push_req mb h1 3 : bool);
+    ignore (push_req mb h2 4 : bool);
+    Mailbox.take mb h2;
+    let served = Mailbox.in_service mb h2 in
+    Mailbox.kill mb h1;
+    ignore (push_req mb h1 5 : bool);
+    Mailbox.set_busy mb h1 true;
+    let g1 = Mailbox.generation mb h1 in
+    Mailbox.ensure mb ~handles:(50 * stride);
+    Alcotest.(check bool) "grew" true (mb.Mailbox.cells >= 50);
+    Alcotest.(check int) "queue kept (h0)" 1 (head_req mb h0);
+    Alcotest.(check int) "queue kept (h1)" 5 (head_req mb h1);
+    Alcotest.(check int) "length kept" 1 (Mailbox.length mb h1);
+    Alcotest.(check bool) "busy kept" true (Mailbox.is_busy mb h1);
+    Alcotest.(check int) "generation kept" g1 (Mailbox.generation mb h1);
+    Alcotest.(check int) "in-service slot kept" served
+      (Mailbox.in_service mb h2);
+    Alcotest.(check int) "in-service message kept" 4
+      mb.Mailbox.r_req.(Mailbox.in_service mb h2);
+    let last = 49 * stride in
+    Alcotest.(check int) "new queue empty" 0 (Mailbox.length mb last);
+    Alcotest.(check bool) "new queue usable" true (push_req mb last 6);
+    Alcotest.(check int) "new queue head" 6 (head_req mb last)
+  in
+  check_growth (Mailbox.create ~cap:4 ~handles:3) ~stride:1;
+  (* shard 0's store of a 4-way grid: handles 0, 4, 8, ... *)
+  let mb = Mailbox.create_strided ~stride:4 ~cap:4 ~handles:12 in
+  Alcotest.(check int) "one cell per owned handle" 3 mb.Mailbox.cells;
+  check_growth mb ~stride:4
+
+(* Nothing in a mailbox is sized by [cap]: the pool holds only messages
+   in flight or queued, so 4096 handles cost the same at any bound. *)
+let test_mailbox_bytes_independent_of_cap () =
+  let bytes cap = Mailbox.approx_bytes (Mailbox.create ~cap ~handles:4096) in
+  Alcotest.(check int) "cap 64 = cap 4096" (bytes 64) (bytes 4096)
 
 (* ---- serve engine ---- *)
 
@@ -234,11 +269,12 @@ let test_serve_churn_determinism () =
   Alcotest.(check string) "churned run domain-invariant"
     (Driver.signature r1) (Driver.signature r5)
 
-(* Churn joins grow the mailbox and the cache lines by an eighth, not
-   by doubling: after a churned n=256 run, each covers every handle and
-   is at most max(needed, 9/8 of a size below needed).  One more growth
-   step on the engine's own structures keeps every ring, in-service
-   slot, generation and cache entry, and lands exactly on +1/8. *)
+(* Churn joins grow the mailboxes' per-handle cells and the cache lines
+   by an eighth, not by doubling: after a churned n=256 run, each covers
+   every handle and is at most max(needed, 9/8 of a size below needed).
+   One more growth step on the engine's own structures keeps every
+   queue, in-service slot, generation and cache entry, and lands
+   exactly on the larger of +1/8 and what is needed. *)
 let test_serve_churn_growth () =
   let params =
     { serve_params with Driver.kill_rate = 8.; join_rate = 150.; cache_size = 8 }
@@ -247,40 +283,52 @@ let test_serve_churn_growth () =
   let needed = net.Network.arena_len in
   Alcotest.(check bool) "churn joined nodes" true
     (r.Driver.joins > 0 && needed > 256);
-  let mb = r.Driver.engine.Serve.Shard.sh.Serve.Actor.mb in
+  let sh = r.Driver.engine.Serve.Shard.sh in
+  let mbs = sh.Serve.Actor.mbs in
+  let shards = sh.Serve.Actor.shards in
+  let mb_of h = mbs.(h mod shards) in
   let cache = Option.get net.Network.obj_cache in
-  let bound = max needed ((needed - 1) + ((needed - 1) / 8)) in
-  List.iter
-    (fun (what, size) ->
-      if size < needed || size > bound then
-        Alcotest.failf "%s covers %d handles: want %d..%d" what size needed
-          bound)
-    [ ("mailbox", mb.Mailbox.handles); ("cache", cache.Obj_cache.nodes) ];
-  (* queue a message at a few handles so the rings carry contents *)
+  let within what size needed =
+    let bound = max needed ((needed - 1) + ((needed - 1) / 8)) in
+    if size < needed || size > bound then
+      Alcotest.failf "%s covers %d: want %d..%d" what size needed bound
+  in
+  Array.iter
+    (fun mb ->
+      within "mailbox cells" mb.Mailbox.cells
+        ((needed + shards - 1) / shards))
+    mbs;
+  within "cache lines" cache.Obj_cache.nodes needed;
+  (* queue a message at a few handles so the FIFOs carry contents *)
   let probes = [ 0; 7; needed / 2; needed - 1 ] in
-  List.iter (fun h -> ignore (push_req mb h (1000 + h) : bool)) probes;
-  let ring_state h =
+  List.iter (fun h -> ignore (push_req (mb_of h) h (1000 + h) : bool)) probes;
+  let queue_state h =
+    let mb = mb_of h in
     ( Mailbox.generation mb h,
       Mailbox.length mb h,
-      (if Mailbox.length mb h > 0 then
-         mb.Mailbox.r_req.(Mailbox.msg_index mb h)
-       else -1),
-      mb.Mailbox.s_req.(h) )
+      (if Mailbox.length mb h > 0 then head_req mb h else -1),
+      Mailbox.in_service mb h )
   in
-  let handles = List.init mb.Mailbox.handles Fun.id in
-  let before = List.map ring_state handles in
+  let handles = List.init needed Fun.id in
+  let before = List.map queue_state handles in
   Alcotest.(check bool) "kills bumped some generation" true
     (List.exists (fun (g, _, _, _) -> g > 0) before);
-  let prev = mb.Mailbox.handles in
-  Mailbox.ensure mb ~handles:(prev + 1);
-  Alcotest.(check int) "mailbox grows by an eighth" (prev + (prev / 8))
-    mb.Mailbox.handles;
-  Alcotest.(check bool) "rings, in-service slots and generations kept" true
+  Alcotest.(check bool) "some actor served a message" true
+    (List.exists (fun (_, _, _, s) -> s >= 0) before);
+  Array.iter
+    (fun mb ->
+      let prev = mb.Mailbox.cells in
+      Mailbox.ensure mb ~handles:((prev * shards) + 1);
+      Alcotest.(check int) "mailbox cells grow by an eighth"
+        (max (prev + 1) (prev + (prev / 8)))
+        mb.Mailbox.cells)
+    mbs;
+  Alcotest.(check bool) "queues, in-service slots and generations kept" true
     (List.equal
        (fun (g, l, q, s) (g', l', q', s') ->
          g = g' && l = l' && q = q' && s = s')
        before
-       (List.map ring_state handles));
+       (List.map queue_state handles));
   let snapshot () =
     let acc = ref [] in
     Obj_cache.iter cache ~f:(fun ~h ~key ~server ~gen ~epoch ->
@@ -340,7 +388,7 @@ let test_serve_cache_helps () =
      recovery re-climbs past unpublish races the uncached walk loses)
      and a strictly smaller delivered-message volume.  mailbox_cap is
      raised because at this tiny scale the cache's direct FETCHes
-     concentrate on the few hot servers and a 64-deep ring drops the
+     concentrate on the few hot servers and a 64-message mailbox drops the
      overflow, which would conflate backpressure with correctness *)
   let params = { serve_params with Driver.mailbox_cap = 1024 } in
   let _, r_off = run_serve ~params ~domains:3 () in
@@ -570,11 +618,11 @@ let test_redirect_budget_bounded () =
       ~service:1e-4 ~requests:1 ~mailbox_cap:64 ~seed:1 ~window:0.02
       ~cache:(Some c) ~coop:false
   in
-  let mb = t.Serve.Shard.sh.Serve.Actor.mb in
+  let sh = t.Serve.Shard.sh in
   let liar_h = liar.Node.handle in
   Network.iter_alive net (fun n ->
       Obj_cache.insert c ~h:n.Node.handle ~key ~server:liar_h
-        ~gen:(Mailbox.generation mb liar_h)
+        ~gen:(Serve.Actor.generation sh liar_h)
         ~epoch:(Obj_cache.epoch_of c ~key ~srv:liar_h));
   let rec pick () =
     let n = Network.random_alive net in
@@ -620,12 +668,13 @@ let test_unpublish_retracts_cached_entries () =
       ~service:1e-4 ~requests:(1 + locates) ~mailbox_cap:64 ~seed:1
       ~window:0.02 ~cache:(Some c) ~coop:false
   in
-  let mb = t.Serve.Shard.sh.Serve.Actor.mb in
+  let sh = t.Serve.Shard.sh in
   (* even handles name s1, odd handles s2 *)
   Network.iter_alive net (fun n ->
       let h = n.Node.handle in
       let srv = if h mod 2 = 0 then s1.Node.handle else s2.Node.handle in
-      Obj_cache.insert c ~h ~key ~server:srv ~gen:(Mailbox.generation mb srv)
+      Obj_cache.insert c ~h ~key ~server:srv
+        ~gen:(Serve.Actor.generation sh srv)
         ~epoch:(Obj_cache.epoch_of c ~key ~srv));
   let send ~time ~h ~kind ~req ~oi =
     Serve.Actor.send
@@ -743,7 +792,7 @@ let prop_events_match_two_heaps =
   QCheck.Test.make ~count:500 ~name:"event heap pops in two-heap merge order"
     QCheck.(make Gen.(list_size (int_range 0 100) event_op_gen))
     (fun ops ->
-      let q = Events.create () in
+      let q = Events.create (Mailbox.create ~cap:1 ~handles:1) in
       let timers = Simnet.Heap.create ~cmp:Float.compare in
       let msgs = Simnet.Heap.create ~cmp:Float.compare in
       let next = ref 0 and clock = ref 0. in
@@ -853,7 +902,7 @@ let prop_timer_matches_model =
             (fun j k -> model_push m (m.now +. grid k) (model_event (id + 1 + j)))
             (gaps id)
       in
-      let q = Events.create () in
+      let q = Events.create (Mailbox.create ~cap:1 ~handles:1) in
       let push time id =
         let c = q.Events.clock.(0) in
         Events.schedule q ~time:(Float.max time c) ~kind:Serve.Actor.ev_inject
@@ -951,6 +1000,81 @@ let test_alloc_cold_churn () =
   if w > 52. then
     Alcotest.failf "cold-churn shape: %.1f minor words per delivered message (bound 52)" w
 
+(* ---- memory ledger ---- *)
+
+(* Queued and in-flight messages live in each shard's mailbox pool, and
+   the ledger's mailbox line counts every shard's store (pool and
+   per-handle cells), event heap and outbox.  On the n=4096 serve smoke
+   (1e5 Zipf requests) that is about 2.1 MB, most of it the pools'
+   payload columns (about 135 live messages per shard at the peak) and
+   the outboxes; the rings it replaced were 12.6 MB on their own. *)
+let test_ledger_mailbox_line () =
+  let net = build_net 4096 42 in
+  let r =
+    Driver.run ~net
+      { Driver.default with Driver.objects = 10_000; domains = 1 }
+      ~now:(fake_clock ())
+  in
+  let t = r.Driver.engine in
+  let parts = ref 0 in
+  Array.iteri
+    (fun s mb ->
+      let ctx = t.Serve.Shard.ctxs.(s) in
+      parts :=
+        !parts + Mailbox.approx_bytes mb
+        + Mailbox.Events.approx_bytes ctx.Serve.Actor.q
+        + Mailbox.Outbox.approx_bytes ctx.Serve.Actor.out)
+    t.Serve.Shard.sh.Serve.Actor.mbs;
+  let line =
+    match
+      List.find_opt (fun (k, _) -> String.equal k "mailbox")
+        (Driver.memory_ledger r)
+    with
+    | Some (_, b) -> b
+    | None -> Alcotest.fail "no mailbox line"
+  in
+  Alcotest.(check int) "stores + heaps + outboxes" !parts line;
+  if line >= 3_000_000 then
+    Alcotest.failf "mailbox line %d bytes: want under 3 MB" line
+
+(* Pools grow by doubling from 64 slots as traffic needs them, so after
+   a churned n=1024 run each shard's pool holds at most twice the most
+   slots it ever had in use.  Once the run has drained, every slot a
+   message or engine event took is back on the free list: delivery,
+   service end, drops, dead letters and kills all release theirs. *)
+let test_pool_follows_high_water () =
+  let net = build_net 1024 7 in
+  let r =
+    Driver.run ~net
+      {
+        Driver.default with
+        Driver.requests = 20_000;
+        objects = 20_000;
+        zipf_s = 0.;
+        p_publish = 0.3;
+        p_unpublish = 0.1;
+        kill_rate = 20.;
+        join_rate = 20.;
+        domains = 2;
+      }
+      ~now:(fake_clock ())
+  in
+  Alcotest.(check bool) "churned" true (r.Driver.kills > 0 && r.Driver.joins > 0);
+  Array.iteri
+    (fun s mb ->
+      let cap = Mailbox.pool_capacity mb and used = mb.Mailbox.used in
+      if cap > 2 * used then
+        Alcotest.failf "shard %d: pool of %d slots, high-water mark %d" s cap
+          used;
+      let rec free_slots slot k =
+        if slot < 0 then k else free_slots mb.Mailbox.r_next.(slot) (k + 1)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "shard %d: every slot released" s)
+        used
+        (free_slots mb.Mailbox.free 0))
+    r.Driver.engine.Serve.Shard.sh.Serve.Actor.mbs
+
 (* ---- wall ledger ---- *)
 
 (* The ledger's phases tile the run.  [now] and [clock] share one
@@ -1007,6 +1131,8 @@ let () =
             test_mailbox_generation;
           Alcotest.test_case "ensure-growth preserves contents" `Quick
             test_mailbox_growth;
+          Alcotest.test_case "mailbox memory independent of cap" `Quick
+            test_mailbox_bytes_independent_of_cap;
         ] );
       ( "engine",
         [
@@ -1024,6 +1150,8 @@ let () =
             test_serve_cold_churn_pinned;
           Alcotest.test_case "churn joins grow mailbox and cache by 1/8"
             `Quick test_serve_churn_growth;
+          Alcotest.test_case "churned run: pools sized and released"
+            `Quick test_pool_follows_high_water;
         ] );
       ( "cache",
         [
@@ -1081,5 +1209,7 @@ let () =
         [
           Alcotest.test_case "phases tile wall_s" `Quick
             test_ledger_tiles_wall;
+          Alcotest.test_case "mailbox line sums stores, heaps and outboxes"
+            `Quick test_ledger_mailbox_line;
         ] );
     ]

@@ -18,7 +18,7 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
 
 (* The per-message inner loops plus the insertion pipeline (DESIGN.md
    "hot paths").  The serve tier's drain/dispatch
-   path (mailbox rings + actor loop) is hot too: it executes once per
+   path (mailbox FIFOs + actor loop) is hot too: it executes once per
    delivered message, millions of times per campaign.  The ID and
    routing-table primitives are on the list because every hot path
    above calls them per candidate or per hop: a closure in
