@@ -54,15 +54,18 @@
    Shard confinement: a dispatch only mutates state owned by the shard
    it runs on (the target node's pointer store / replica set — nodes are
    partitioned by handle), reads the frozen routing mesh, and writes its
-   own shard's counters, histograms, event heap and outbox.  Dead
-   neighbors noticed during digit scans are not purged mid-window (that
-   would mutate shared tables and the global cost accumulator the way
-   [Route.purge] does); the owner is recorded in the dirty set and the
-   shard barrier runs [Delete.on_dead_repair] sequentially.
+   own shard's counters, histograms, event heap and outbox.  Every hop
+   is one [Route.step], the sync walks' own routing step.  Dead
+   neighbors it meets are not purged mid-window (that would mutate
+   shared tables and the global cost accumulator the way the sync
+   tier's purge hook does): the actor's hook records the owner in the
+   dirty set and leaves the slot alone, and the shard barrier runs
+   [Delete.on_dead_repair] sequentially.
 
    This file is on the typed lint's hot-path list: the per-message path
-   allocates nothing but a new pointer record and its boxed expiry;
-   scratch results travel through mutable ctx fields. *)
+   allocates nothing (pointer records are column cells, a step's answer
+   is an immediate int, and the best-server scan reports through
+   mutable ctx fields). *)
 
 open Tapestry
 module Events = Mailbox.Events
@@ -82,7 +85,7 @@ let level_mask = (1 lsl rc_shift) - 1
 let rc_max = 2
 
 (* Recorded locate hops per request (fill-intent targets).  Walks are
-   O(log n) = [digits]; the slack covers recovery re-climbs. *)
+   O(log n) = [id_digits]; the slack covers recovery re-climbs. *)
 let path_cap = 12
 
 (* request_status values (one byte per request) *)
@@ -108,7 +111,6 @@ type shared = {
   ttl : float;  (* pointer expiry horizon for serve-time deposits *)
   latency : float;  (* virtual seconds per unit of metric distance *)
   service : float;  (* virtual seconds an actor spends per message *)
-  digits : int;
   base : int;
   req_t0 : float array;  (* per request: virtual injection time *)
   req_w0 : float array;  (* per request: wall stamp of injection window *)
@@ -155,9 +157,9 @@ type ctx = {
   mutable inj_k : int;  (* requests the injector issued; -1 before its start *)
   mutable dirty_h : int array;  (* owners with dead table entries, barrier-drained *)
   mutable dirty_len : int;
-  (* allocation-free scan scratch *)
-  mutable scan_h : int;
-  mutable scan_level : int;
+  mutable dead : Node.t -> int -> bool;
+      (* [Route.step]'s dead-entry hook: queue the owner for barrier
+         repair, slot unchanged; assigned once in [make_ctx] *)
   mutable best_h : int;
   sel_f : float array;
       (* [| best distance; probe time |] for [sel]: float-array cells,
@@ -215,7 +217,6 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
     ttl;
     latency;
     service;
-    digits = cfg.Config.id_digits;
     base = cfg.Config.base;
     req_t0 = Array.make (max requests 1) 0.;
     req_w0 = Array.make (max requests 1) 0.;
@@ -250,9 +251,24 @@ let[@alloc_ok] request_bytes sh =
   + bytes sh.req_path + bytes sh.req_plen + bytes sh.dirty
   + ((Array.length sh.want_stamp + 1) * word)
 
-(* [@alloc_ok]: one ctx record (plus its selector closure) per shard per
-   run; the closure reads/writes only ctx scratch fields, so dispatches
-   reuse it without allocating. *)
+(* [@alloc_ok]: the dirty list doubles rarely; everything else is int
+   stores. *)
+let[@alloc_ok] note_dirty ctx (owner : Node.t) =
+  let h = owner.Node.handle in
+  if h >= 0 && Bytes.get ctx.sh.dirty h = '\000' then begin
+    Bytes.set ctx.sh.dirty h '\001';
+    if ctx.dirty_len >= Array.length ctx.dirty_h then begin
+      let a = Array.make (Array.length ctx.dirty_h * 2) 0 in
+      Array.blit ctx.dirty_h 0 a 0 ctx.dirty_len;
+      ctx.dirty_h <- a
+    end;
+    ctx.dirty_h.(ctx.dirty_len) <- h;
+    ctx.dirty_len <- ctx.dirty_len + 1
+  end
+
+(* [@alloc_ok]: one ctx record (plus its selector and dead-entry
+   closures) per shard per run; the closures read and write only ctx
+   fields, so dispatches reuse them without allocating. *)
 let[@alloc_ok] make_ctx sh ~shard ~rng =
   let ctx =
     {
@@ -274,8 +290,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       inj_k = -1;
       dirty_h = Array.make 16 0;
       dirty_len = 0;
-      scan_h = -1;
-      scan_level = 0;
+      dead = (fun _ _ -> false);
       best_h = -1;
       sel_f = [| infinity; 0. |];
       cur = Network.node_of_handle sh.net 0;
@@ -315,66 +330,11 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
            end
          end
        end));
+  (ctx.dead <-
+     (fun owner _ ->
+       note_dirty ctx owner;
+       false));
   ctx
-
-(* [@alloc_ok]: the dirty list doubles rarely; everything else is int
-   stores. *)
-let[@alloc_ok] note_dirty ctx (owner : Node.t) =
-  let h = owner.Node.handle in
-  if h >= 0 && Bytes.get ctx.sh.dirty h = '\000' then begin
-    Bytes.set ctx.sh.dirty h '\001';
-    if ctx.dirty_len >= Array.length ctx.dirty_h then begin
-      let a = Array.make (Array.length ctx.dirty_h * 2) 0 in
-      Array.blit ctx.dirty_h 0 a 0 ctx.dirty_len;
-      ctx.dirty_h <- a
-    end;
-    ctx.dirty_h.(ctx.dirty_len) <- h;
-    ctx.dirty_len <- ctx.dirty_len + 1
-  end
-
-(* First alive entry of a slot, read-only: dead entries are skipped (and
-   the owner queued for barrier repair) instead of purged in place. *)
-let rec slot_first_alive ctx (node : Node.t) ~level ~digit ~len k =
-  if k >= len then -1
-  else begin
-    let h = Routing_table.slot_handle node.Node.table ~level ~digit ~k in
-    if Node.is_alive (Network.node_of_handle ctx.sh.net h) then h
-    else begin
-      note_dirty ctx node;
-      slot_first_alive ctx node ~level ~digit ~len (k + 1)
-    end
-  end
-
-(* Wrap-order digit scan — [Route.native_scan]'s order exactly, minus
-   purging. *)
-let rec scan_digit ctx (node : Node.t) ~level ~want tries =
-  let tries = Routing_table.next_filled node.Node.table ~level ~want ~tries in
-  if tries < 0 then -1
-  else begin
-    let base = ctx.sh.base in
-    let j = want + tries in
-    let j = if j >= base then j - base else j in
-    let len = Routing_table.slot_len node.Node.table ~level ~digit:j in
-    let h = slot_first_alive ctx node ~level ~digit:j ~len 0 in
-    if h >= 0 then h else scan_digit ctx node ~level ~want (tries + 1)
-  end
-
-(* Next hop of the walk toward [guid] starting at [level]: sets
-   [scan_h] to the next node's handle and [scan_level] to the level the
-   walk resumes at there, or [scan_h = -1] when [node] is the walk's
-   endpoint (its surrogate root). *)
-let rec next_hop ctx (node : Node.t) guid level =
-  if level >= ctx.sh.digits then ctx.scan_h <- -1
-  else begin
-    let want = Node_id.digit guid level in
-    let h = scan_digit ctx node ~level ~want 0 in
-    if h < 0 then ctx.scan_h <- -1
-    else if h = node.Node.handle then next_hop ctx node guid (level + 1)
-    else begin
-      ctx.scan_h <- h;
-      ctx.scan_level <- level + 1
-    end
-  end
 
 (* Any handle's mailbox generation, from its owner shard's store; a
    cross-shard read is safe because generations move only at barriers. *)
@@ -400,11 +360,17 @@ let complete_ok ctx ~now ~req =
     ctx.completed <- ctx.completed + 1
   end
 
-let complete_failed ctx ~req =
+let fail_req ctx ~req st =
   if req >= 0 then begin
-    Bytes.set ctx.sh.req_status req st_failed;
+    Bytes.set ctx.sh.req_status req st;
     ctx.failed <- ctx.failed + 1
   end
+
+let complete_failed ctx ~req = fail_req ctx ~req st_failed
+
+let count_dead_letter ctx ~req =
+  ctx.dead_letter <- ctx.dead_letter + 1;
+  fail_req ctx ~req st_dead_letter
 
 (* One hop of distance [d] from [node] to handle [h]: charge the shard
    cost and schedule delivery after the virtual link latency. *)
@@ -490,12 +456,17 @@ let log_want ctx (node : Node.t) =
     ctx.wt_len <- ctx.wt_len + 1
   end
 
+(* The next hop of [node]'s walk toward [oi]'s root, resolved [level]
+   digits so far: one [Route.step] (-1 at the root). *)
+let step ctx (node : Node.t) ~oi ~level =
+  Route.step ctx.sh.net ~skip:Route.no_skip ~dead:ctx.dead node
+    ctx.sh.guids.(oi) ~level
+
 (* Pointer probe + surrogate climb, shared by LOCATE (after a cache miss)
    and LOCATE_NC.  [wl] is the walk level, [rc] the request's redirect
    count, re-packed into the outgoing level (0 when cache is off, so the
    uncached message stream is untouched). *)
 let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
-  let sh = ctx.sh in
   (* a usable pointer redirects the walk to the closest live server *)
   ctx.sel_f.(sel_pred_now) <- now;
   ctx.cur <- node;
@@ -506,17 +477,27 @@ let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
     hop ctx node ~now ~h:ctx.best_h ~kind:op_fetch ~req ~oi ~level:rc
       ~prev:(-1) ~src:ctx.best_h
   else begin
-    next_hop ctx node sh.guids.(oi) wl;
-    if ctx.scan_h >= 0 then
-      hop ctx node ~now ~h:ctx.scan_h
+    let r = step ctx node ~oi ~level:wl in
+    if r >= 0 then
+      hop ctx node ~now ~h:(Route.step_handle r)
         ~kind:(if nc then op_locate_nc else op_locate)
         ~req ~oi
-        ~level:(ctx.scan_level lor (rc lsl rc_shift))
+        ~level:(Route.step_level r lor (rc lsl rc_shift))
         ~prev:(-1) ~src
     else
       (* reached the root without intersecting a publish path *)
       complete_failed ctx ~req
   end
+
+(* The tail of a PUBLISH or UNPUBLISH hop, after its store write:
+   forward the message with this node as the previous hop, or complete
+   at the root. *)
+let walk_on ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~src =
+  let r = step ctx node ~oi ~level in
+  if r >= 0 then
+    hop ctx node ~now ~h:(Route.step_handle r) ~kind ~req ~oi
+      ~level:(Route.step_level r) ~prev:node.Node.handle ~src
+  else complete_ok ctx ~now ~req
 
 let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
   let sh = ctx.sh in
@@ -540,43 +521,35 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         end;
         let key = base_oi / sh.roots in
         let i = Obj_cache.probe c ~h:node.Node.handle ~key in
-        if i >= 0 then begin
-          let srv = Obj_cache.probe_srv c i in
-          if
-            generation sh srv = Obj_cache.probe_gen c i
-            && Node.is_alive (Network.node_of_handle sh.net srv)
-          then begin
-            (* epoch, generation and liveness all current: redirect.
-               [prev] carries this holder so a lying entry can be
-               retracted by the fetch. *)
-            ctx.tally.hits <- ctx.tally.hits + 1;
-            if sh.coop then begin
-              if Obj_cache.probe_is_hint c i then
-                ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
-              log_digest ctx ~key ~srv ~gen:(Obj_cache.probe_gen c i)
-                ~epoch:(Obj_cache.probe_epoch c i)
-            end;
-            hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
-              ~prev:node.Node.handle ~src:srv
-          end
-          else begin
-            (* the server died (handles are never reused, so a
-               generation mismatch means the same): own-line evict *)
-            Obj_cache.evict_at c i;
-            ctx.tally.stale <- ctx.tally.stale + 1;
-            ctx.tally.evicts <- ctx.tally.evicts + 1;
-            if sh.coop then log_want ctx node;
-            locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid
-              ~nc:false
-          end
+        let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
+        if
+          i >= 0
+          && generation sh srv = Obj_cache.probe_gen c i
+          && Node.is_alive (Network.node_of_handle sh.net srv)
+        then begin
+          (* epoch, generation and liveness all current: redirect.
+             [prev] carries this holder so a lying entry can be
+             retracted by the fetch. *)
+          ctx.tally.hits <- ctx.tally.hits + 1;
+          if sh.coop then begin
+            if Obj_cache.probe_is_hint c i then
+              ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
+            log_digest ctx ~key ~srv ~gen:(Obj_cache.probe_gen c i)
+              ~epoch:(Obj_cache.probe_epoch c i)
+          end;
+          hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
+            ~prev:node.Node.handle ~src:srv
         end
         else begin
-          if i = -2 then begin
-            (* epoch-stale entry self-evicted by the probe *)
+          if i = -1 then ctx.tally.misses <- ctx.tally.misses + 1
+          else begin
+            (* an epoch-stale entry the probe self-evicted (-2), or a
+               dead server (handles are never reused, so a generation
+               mismatch means the same): own-line evict *)
+            if i >= 0 then Obj_cache.evict_at c i;
             ctx.tally.stale <- ctx.tally.stale + 1;
             ctx.tally.evicts <- ctx.tally.evicts + 1
-          end
-          else ctx.tally.misses <- ctx.tally.misses + 1;
+          end;
           if sh.coop then log_want ctx node;
           locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
         end
@@ -633,11 +606,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     ignore
       (Pointer_store.store node.Node.pointers ~guid:base_guid ~server:src
          ~root_idx:(oi - base_oi) ~previous:prev ~expires:(now +. sh.ttl));
-    next_hop ctx node sh.guids.(oi) level;
-    if ctx.scan_h >= 0 then
-      hop ctx node ~now ~h:ctx.scan_h ~kind:op_publish ~req ~oi
-        ~level:ctx.scan_level ~prev:node.Node.handle ~src
-    else complete_ok ctx ~now ~req
+    walk_on ctx node ~now ~kind ~req ~oi ~level ~src
   end
   else if kind = op_unpublish then begin
     if prev < 0 then begin
@@ -654,11 +623,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     ignore
       (Pointer_store.remove node.Node.pointers ~guid:base_guid ~server:src
          ~root_idx:(oi - base_oi));
-    next_hop ctx node sh.guids.(oi) level;
-    if ctx.scan_h >= 0 then
-      hop ctx node ~now ~h:ctx.scan_h ~kind:op_unpublish ~req ~oi
-        ~level:ctx.scan_level ~prev:node.Node.handle ~src
-    else complete_ok ctx ~now ~req
+    walk_on ctx node ~now ~kind ~req ~oi ~level ~src
   end
   else
     (* op_locate_nc: the cache-free climb; its FETCH carries the
@@ -696,11 +661,7 @@ and serve_done ctx h gen =
   if Mailbox.generation mb h <> gen then begin
     (* killed mid-service: the in-hand message is a dead letter *)
     Mailbox.release mb slot;
-    ctx.dead_letter <- ctx.dead_letter + 1;
-    if req >= 0 then begin
-      Bytes.set sh.req_status req st_dead_letter;
-      ctx.failed <- ctx.failed + 1
-    end
+    count_dead_letter ctx ~req
   end
   else begin
     dispatch ctx
@@ -730,11 +691,7 @@ let deliver ctx =
     || not (Node.is_alive (Network.node_of_handle sh.net h))
   then begin
     Mailbox.release mb slot;
-    ctx.dead_letter <- ctx.dead_letter + 1;
-    if req >= 0 then begin
-      Bytes.set sh.req_status req st_dead_letter;
-      ctx.failed <- ctx.failed + 1
-    end
+    count_dead_letter ctx ~req
   end
   else if not (Mailbox.enqueue mb h slot) then begin
     let kind = q.Events.o_kind in
@@ -762,10 +719,7 @@ let deliver ctx =
     else begin
       (* bounded mailbox full: drop the newcomer (backpressure policy) *)
       ctx.dropped <- ctx.dropped + 1;
-      if req >= 0 then begin
-        Bytes.set sh.req_status req st_dropped;
-        ctx.failed <- ctx.failed + 1
-      end
+      fail_req ctx ~req st_dropped
     end
   end
   else if not (Mailbox.is_busy mb h) then begin

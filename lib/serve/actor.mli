@@ -29,10 +29,11 @@
     [cache = None] [rc] stays 0 and every message is byte-identical to
     the uncached engine.
 
-    Every function here runs on the shard owning the target node and
-    touches only that shard's state plus the partitioned per-node
-    stores; dead routing entries seen mid-scan are queued for the
-    barrier, never purged in place. *)
+    Every hop is one {!Tapestry.Route.step}, the sync walks' own
+    routing step.  Every function here runs on the shard owning the
+    target node and touches only that shard's state plus the
+    partitioned per-node stores; dead routing entries the step meets
+    are queued for the barrier, never purged in place. *)
 
 open Tapestry
 module Hist = Simnet.Stats.Hist
@@ -80,7 +81,6 @@ type shared = {
   ttl : float;  (** expiry horizon of serve-time pointer deposits *)
   latency : float;  (** virtual seconds per unit of metric distance *)
   service : float;  (** virtual seconds an actor spends per message *)
-  digits : int;
   base : int;
   req_t0 : float array;  (** per request: virtual injection time *)
   req_w0 : float array;  (** per request: wall stamp of injection window *)
@@ -130,8 +130,10 @@ type ctx = {
   mutable inj_k : int;  (** requests injected so far; [-1] before the start event *)
   mutable dirty_h : int array;
   mutable dirty_len : int;
-  mutable scan_h : int;
-  mutable scan_level : int;
+  mutable dead : Node.t -> int -> bool;
+      (** the dead-entry hook this shard's {!Tapestry.Route.step} calls:
+          it queues the owner for barrier repair and leaves the slot
+          alone *)
   mutable best_h : int;
   sel_f : float array;
       (** [sel_f.(0)]: the best server's distance so far, [sel_f.(1)]:
@@ -194,6 +196,9 @@ val send :
     the target's mailbox generation at send time. *)
 
 val complete_failed : ctx -> req:int -> unit
+
+val count_dead_letter : ctx -> req:int -> unit
+(** A message whose target died: count it and fail its request. *)
 
 val run_until : ctx -> float -> unit
 (** The shard's event loop: pop and run every event at or before the

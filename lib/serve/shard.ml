@@ -338,11 +338,7 @@ let kill_node t (node : Node.t) =
   while Mailbox.length mb h > 0 do
     let req = mb.Mailbox.r_req.(Mailbox.msg_index mb h) in
     Mailbox.advance mb h;
-    ctx.Actor.dead_letter <- ctx.Actor.dead_letter + 1;
-    if req >= 0 then begin
-      Bytes.set sh.Actor.req_status req Actor.st_dead_letter;
-      ctx.Actor.failed <- ctx.Actor.failed + 1
-    end
+    Actor.count_dead_letter ctx ~req
   done;
   Mailbox.kill mb h;
   Delete.fail sh.Actor.net node

@@ -15,7 +15,9 @@ let measure_entry net (owner : Node.t) handle =
   end
   else None
 
-let run_per_node net work =
+(* [@alloc_ok]: per sweep: counters, the closure [Network.measure]
+   runs, the node list and the stats. *)
+let[@alloc_ok] run_per_node net work =
   let touched = ref 0 and changed = ref 0 and moved = ref 0 in
   let (), cost =
     Network.measure net (fun () ->
@@ -36,12 +38,15 @@ let run_per_node net work =
     cost;
   }
 
-let rotate_primaries net =
+(* [@alloc_ok]: per node, the [measure_entry] closure. *)
+let[@alloc_ok] rotate_primaries net =
   run_per_node net (fun node ->
       Routing_table.update_distances node.Node.table
         ~measure:(measure_entry net node))
 
-let share_tables net =
+(* [@alloc_ok]: per node, a counter and the measure closure; per level,
+   the neighbour list and the closures offering each peer the others. *)
+let[@alloc_ok] share_tables net =
   run_per_node net (fun node ->
       (* ship each level's entries to the level's known neighbors; the
          receivers re-measure and keep whatever is closer *)
@@ -64,7 +69,9 @@ let share_tables net =
       + Routing_table.update_distances node.Node.table
           ~measure:(measure_entry net node))
 
-let rebuild_level net ~level =
+(* [@alloc_ok]: per node, the neighbour and GetNextList lists and the
+   closures that measure and offer. *)
+let[@alloc_ok] rebuild_level net ~level =
   run_per_node net (fun node ->
       if level >= Routing_table.levels node.Node.table then 0
       else begin
@@ -86,7 +93,9 @@ let rebuild_level net ~level =
         before
       end)
 
-let full_rebuild net =
+(* [@alloc_ok]: per node, a whole re-join: measure closure, surrogate
+   path, multicast list and table acquisition. *)
+let[@alloc_ok] full_rebuild net =
   run_per_node net (fun node ->
       let changed =
         Routing_table.update_distances node.Node.table

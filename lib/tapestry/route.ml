@@ -10,34 +10,64 @@ type info = { root : Node.t; path : Node.t list; surrogate_hops : int }
 let default_on_dead net ~owner ~dead =
   ignore (Network.drop_link net ~owner ~target:dead)
 
-(* Pick the first alive entry of a slot, lazily purging dead ones (each purge
-   costs a probe message: the paper's timeout-based failure detection).
-   Entries resolve through the network's handle arena — one array read, no
-   hashing, no slot-list allocation.  The scan restarts after a purge
-   because [on_dead] may rewrite the slot arbitrarily. *)
-let rec first_alive net on_dead skip (owner : Node.t) ~level ~digit =
-  scan net on_dead skip owner ~level ~digit
-    ~len:(Routing_table.slot_len owner.Node.table ~level ~digit)
-    ~k:0
+let no_skip _ = false
 
-and scan net on_dead skip (owner : Node.t) ~level ~digit ~len ~k =
-  if k >= len then None
+(* A step's answer is one immediate int, so a hop allocates nothing:
+   the next node's handle in the low 31 bits (handles stay below 2^31),
+   the hole flag above it, and the level to resume at above that.  [-1]
+   is the endpoint. *)
+let handle_mask = (1 lsl 31) - 1
+let hole_bit = 1 lsl 31
+let level_shift = 32
+let step_handle r = r land handle_mask
+let step_level r = r lsr level_shift
+
+(* The first live entry of a slot, as a handle, or [-1].  [skip] is
+   asked before an entry's node is read.  A dead entry goes to [dead];
+   when it answers that the slot changed, the scan restarts from the
+   slot's new first entry, else it moves past the dead one.  Entries
+   resolve through the handle arena: one array read, no hashing. *)
+let rec slot_scan net skip dead (owner : Node.t) ~level ~digit ~len k =
+  if k >= len then -1
   else begin
     let h = Routing_table.slot_handle owner.Node.table ~level ~digit ~k in
-    if skip h then scan net on_dead skip owner ~level ~digit ~len ~k:(k + 1)
-    else begin
-      let n = Network.node_of_handle net h in
-      if Node.is_alive n then Some n
-      else purge net on_dead skip owner ~level ~digit ~dead:n.Node.id
-    end
+    if skip h then slot_scan net skip dead owner ~level ~digit ~len (k + 1)
+    else if Node.is_alive (Network.node_of_handle net h) then h
+    else if dead owner h then first_alive net skip dead owner ~level ~digit
+    else slot_scan net skip dead owner ~level ~digit ~len (k + 1)
   end
 
-and purge net on_dead skip (owner : Node.t) ~level ~digit ~dead =
+and first_alive net skip dead (owner : Node.t) ~level ~digit =
+  slot_scan net skip dead owner ~level ~digit
+    ~len:(Routing_table.slot_len owner.Node.table ~level ~digit)
+    0
+
+(* The sync tier's dead-entry hook: the paper's timeout-based failure
+   detection costs a probe message, [on_dead] may repair the slot, and
+   the entry is dropped in any case (so the scan always progresses). *)
+let purge net on_dead (owner : Node.t) h =
   Simnet.Cost.message net.Network.cost ~dist:0.;
+  let dead = (Network.node_of_handle net h).Node.id in
   on_dead net ~owner ~dead;
-  (* ensure progress even if on_dead did not remove the entry *)
   ignore (Routing_table.remove owner.Node.table dead);
-  first_alive net on_dead skip owner ~level ~digit
+  true
+
+(* Native, at one level: the first live entry in wrap order from the
+   wanted digit, with the hole bit when it is not in the wanted slot.
+   {!Routing_table.next_filled} skips holes without probing them; the
+   mask is re-read after every failed slot, since [dead] may rewrite
+   slots mid-scan. *)
+let rec native_scan net skip dead (node : Node.t) ~level ~want ~base tries =
+  let tries = Routing_table.next_filled node.Node.table ~level ~want ~tries in
+  if tries < 0 then -1
+  else begin
+    let j = want + tries in
+    let j = if j >= base then j - base else j in
+    let h = first_alive net skip dead node ~level ~digit:j in
+    if h < 0 then native_scan net skip dead node ~level ~want ~base (tries + 1)
+    else if tries > 0 then h lor hole_bit
+    else h
+  end
 
 (* Most-significant-bit agreement between two digits, used by the PRR-like
    variant's first-hole rule.  [bits] is the digit width, precomputed in
@@ -49,122 +79,112 @@ let rec msb_agree a b i acc =
 
 let msb_agreement ~bits a b = msb_agree a b (bits - 1) 0
 
-type walk_state = { mutable hole_seen : bool; mutable surrogate_hops : int }
-
-(* The native scan asks {!Routing_table.next_filled} for the next filled
-   digit in wrap order instead of probing every slot, so holes — most of
-   every level past the resolvable prefix — cost nothing.  The mask is
-   re-read after every failed probe because [on_dead] repair may rewrite
-   slots mid-scan (skipping between probes is pure, so batching the skip
-   is observationally identical to the per-digit scan).  These are
-   top-level functions (not closures inside [choose_next]) so a walk
-   allocates nothing per level. *)
-let rec native_scan net on_dead skip state (node : Node.t) ~level ~want ~base
-    tries =
-  let tries = Routing_table.next_filled node.Node.table ~level ~want ~tries in
-  if tries < 0 then None
-  else begin
-    let j = want + tries in
-    let j = if j >= base then j - base else j in
-    match first_alive net on_dead skip node ~level ~digit:j with
-    | Some n ->
-        if tries > 0 then state.hole_seen <- true;
-        Some n
-    | None -> native_scan net on_dead skip state node ~level ~want ~base (tries + 1)
-  end
-
 (* At the first hole (PRR-like): the filled digit with the best
    most-significant-bit agreement with the wanted digit, ties to the
-   numerically higher digit.  Int accumulators and an exempt [Some], so
-   even this rare branch allocates nothing. *)
-let rec first_hole_best net on_dead skip (node : Node.t) ~level ~want ~bits
-    ~base j ~best_s ~best_j ~best =
+   numerically higher digit (digits rise, so [>=] keeps the later). *)
+let rec first_hole_best net skip dead (node : Node.t) ~level ~want ~bits ~base
+    j ~best_s ~best =
   if j >= base then best
-  else
-    let cand =
+  else begin
+    let h =
       if Routing_table.filled_mask node.Node.table ~level land (1 lsl j) <> 0
-      then first_alive net on_dead skip node ~level ~digit:j
-      else None
+      then first_alive net skip dead node ~level ~digit:j
+      else -1
     in
-    match cand with
-    | Some _ ->
-        let s = msb_agreement ~bits want j in
-        if s > best_s || (s = best_s && j > best_j) then
-          first_hole_best net on_dead skip node ~level ~want ~bits ~base (j + 1)
-            ~best_s:s ~best_j:j ~best:cand
-        else
-          first_hole_best net on_dead skip node ~level ~want ~bits ~base (j + 1)
-            ~best_s ~best_j ~best
-    | None ->
-        first_hole_best net on_dead skip node ~level ~want ~bits ~base (j + 1)
-          ~best_s ~best_j ~best
+    let s = if h >= 0 then msb_agreement ~bits want j else -1 in
+    if h >= 0 && s >= best_s then
+      first_hole_best net skip dead node ~level ~want ~bits ~base (j + 1)
+        ~best_s:s ~best:h
+    else
+      first_hole_best net skip dead node ~level ~want ~bits ~base (j + 1)
+        ~best_s ~best
+  end
 
 (* After the first hole (PRR-like): numerically highest filled digit. *)
-let rec prr_down net on_dead skip (node : Node.t) ~level j =
-  if j < 0 then None
+let rec prr_down net skip dead (node : Node.t) ~level j =
+  if j < 0 then -1
   else if Routing_table.filled_mask node.Node.table ~level land (1 lsl j) = 0
-  then prr_down net on_dead skip node ~level (j - 1)
+  then prr_down net skip dead node ~level (j - 1)
   else
-    match first_alive net on_dead skip node ~level ~digit:j with
-    | Some n -> Some n
-    | None -> prr_down net on_dead skip node ~level (j - 1)
+    let h = first_alive net skip dead node ~level ~digit:j in
+    if h >= 0 then h else prr_down net skip dead node ~level (j - 1)
 
-(* Choose the next node at [level]; None means every slot at this level is
-   empty of alive nodes (impossible while the owner is alive, since it
-   occupies its own slot). *)
-let choose_next net on_dead skip variant state (node : Node.t) guid ~level =
+(* PRR-like, at one level: its own digit rule over the shared slot
+   scan.  The walk's hole flag is its "first hole seen" state. *)
+let prr_choose net skip dead (node : Node.t) ~level ~want ~hole_seen =
   let base = Routing_table.base node.Node.table in
-  let want = Node_id.digit guid level in
-  match variant with
-  | Native -> native_scan net on_dead skip state node ~level ~want ~base 0
-  | Prr_like ->
-      let hit =
-        if state.hole_seen then None
-        else if
-          Routing_table.filled_mask node.Node.table ~level land (1 lsl want) = 0
-        then None
-        else first_alive net on_dead skip node ~level ~digit:want
-      in
-      (match hit with
-      | Some n -> Some n
-      | None when not state.hole_seen ->
-          state.hole_seen <- true;
-          let bits = net.Network.config.Config.digit_bits in
-          first_hole_best net on_dead skip node ~level ~want ~bits ~base 0
-            ~best_s:(-1) ~best_j:(-1) ~best:None
-      | None -> prr_down net on_dead skip node ~level (base - 1))
+  let exact =
+    if
+      hole_seen
+      || Routing_table.filled_mask node.Node.table ~level land (1 lsl want) = 0
+    then -1
+    else first_alive net skip dead node ~level ~digit:want
+  in
+  if exact >= 0 then exact
+  else
+    let h =
+      if hole_seen then prr_down net skip dead node ~level (base - 1)
+      else
+        first_hole_best net skip dead node ~level ~want
+          ~bits:net.Network.config.Config.digit_bits ~base 0 ~best_s:(-1)
+          ~best:(-1)
+    in
+    if h >= 0 then h lor hole_bit else -1
 
-(* [@alloc_ok]: one walk allocates its [walk_state] record, the [walk]
-   closure over it and the result tuple — a fixed handful of words per
-   routed message.  The per-hop digit scans above allocate nothing. *)
+(* One step from [level] on, passing over the levels where [node] is
+   its own surrogate; [hole] is the walk's hole flag so far. *)
+let rec step_from net skip dead variant (node : Node.t) guid ~level hole =
+  if level >= net.Network.config.Config.id_digits then -1
+  else begin
+    let want = Node_id.digit guid level in
+    let r =
+      match variant with
+      | Native ->
+          native_scan net skip dead node ~level ~want
+            ~base:(Routing_table.base node.Node.table) 0
+      | Prr_like ->
+          prr_choose net skip dead node ~level ~want ~hole_seen:(hole <> 0)
+    in
+    if r < 0 then -1
+    else begin
+      let hole = hole lor (r land hole_bit) in
+      let h = r land handle_mask in
+      (* a handle is written once, when its node registers, before any
+         serve window can reach the node *)
+      if h = (node.Node.handle [@race_ok]) then
+        step_from net skip dead variant node guid ~level:(level + 1) hole
+      else ((level + 1) lsl level_shift) lor hole lor h
+    end
+  end
+
+let step net ~skip ~dead node guid ~level =
+  step_from net skip dead Native node guid ~level 0
+
+(* [@alloc_ok]: one walk allocates the purge hook and [walk] closures
+   and the result tuple — a fixed handful of words per routed message.
+   The per-hop steps allocate nothing. *)
 let[@alloc_ok] walk_internal variant on_dead skip net ~from guid ~init ~f =
-  let digits = net.Network.config.Config.id_digits in
-  let state = { hole_seen = false; surrogate_hops = 0 } in
-  let rec walk (node : Node.t) level acc =
-    if level >= digits then (node, acc, false, state.surrogate_hops)
-    else
-      match choose_next net on_dead skip variant state node guid ~level with
-      | None -> (node, acc, false, state.surrogate_hops)
-      | Some next ->
-          if next.Node.handle = node.Node.handle then walk node (level + 1) acc
-          else begin
-            Network.charge net node next;
-            if state.hole_seen then
-              state.surrogate_hops <- state.surrogate_hops + 1;
-            match f acc next with
-            | `Stop acc -> (next, acc, true, state.surrogate_hops)
-            | `Continue acc -> walk next (level + 1) acc
-          end
+  let dead = purge net on_dead in
+  let rec walk (node : Node.t) level hole hops acc =
+    let r = step_from net skip dead variant node guid ~level hole in
+    if r < 0 then (node, acc, false, hops)
+    else begin
+      let next = Network.node_of_handle net (step_handle r) in
+      Network.charge net node next;
+      let hole = r land hole_bit in
+      let hops = if hole <> 0 then hops + 1 else hops in
+      match f acc next with
+      | `Stop acc -> (next, acc, true, hops)
+      | `Continue acc -> walk next (step_level r) hole hops acc
+    end
   in
   match f init from with
   | `Stop acc -> (from, acc, true, 0)
-  | `Continue acc -> walk from 0 acc
+  | `Continue acc -> walk from 0 0 0 acc
 
 (* [@alloc_ok] below: the public entry points build their skip predicate
    and fold callback once per operation, and [route_to_root] /
    [route_to_node] allocate the path list their callers asked for. *)
-let no_skip _ = false
-
 let[@alloc_ok] resolve_skip exclude skip =
   match (exclude, skip) with
   | Some x, None -> fun h -> Int.equal h x
@@ -197,19 +217,8 @@ let[@alloc_ok] route_to_node net ~from target_id =
   if Node_id.equal final.Node.id target_id then (Some final, path) else (None, path)
 
 let[@alloc_ok] peek_first_hop net (node : Node.t) guid =
-  let digits = net.Network.config.Config.id_digits in
-  let state = { hole_seen = false; surrogate_hops = 0 } in
-  let rec go level =
-    if level >= digits then None
-    else
-      match
-        choose_next net default_on_dead no_skip Native state node guid ~level
-      with
-      | None -> None
-      | Some next ->
-          if next.Node.handle = node.Node.handle then go (level + 1) else Some next
-  in
-  go 0
+  let r = step net ~skip:no_skip ~dead:(purge net default_on_dead) node guid ~level:0 in
+  if r < 0 then None else Some (Network.node_of_handle net (step_handle r))
 
 (* The probe's fold callback and its `Continue are static, and a unit
    accumulator keeps the probe's charges identical to a full walk's

@@ -12,9 +12,14 @@
       (ties to the numerically higher digit); after it always take the
       numerically highest filled digit.
 
-    Dead neighbors are detected lazily: a probe message is charged, the
-    stale entry is dropped (with backpointer cleanup), and an optional
-    [on_dead] callback lets {!Delete} install richer repair (Section 5.2).
+    Both variants read slots through one scan, and {!Native} advances
+    by {!step}, which the serving actors share.  A dead entry the scan
+    meets goes to a caller hook.  The walks below pass the purge hook
+    (lazy, timeout-based failure detection, Section 5.2): it charges a
+    probe message, runs the optional [on_dead] callback (which lets
+    {!Delete} install richer repair), drops the entry and re-scans the
+    slot.  The actors' hook only notes the owner for barrier repair, so
+    the scan moves past the entry; both pick the same next hop.
 
     The [exclude] parameter makes every table lookup skip one node, named
     by its arena handle, without mutating any state: Figure 10's "route as
@@ -26,6 +31,23 @@
 type variant = Native | Prr_like
 
 val equal_variant : variant -> variant -> bool
+
+val step :
+  Network.t -> skip:(int -> bool) -> dead:(Node.t -> int -> bool) ->
+  Node.t -> Node_id.t -> level:int -> int
+(** One {!Native} step of the walk toward the GUID that has resolved
+    [level] digits at the node, passing over levels where the node is
+    its own surrogate.  Answers [-1] at the walk's endpoint (the
+    surrogate root), else one int holding the next hop's handle, the
+    level to resume at there, and whether a hole was crossed on the way
+    (a surrogate hop).  [skip] is asked before an entry's node is read;
+    [dead owner h] is called on each dead entry and answers whether the
+    slot changed (then it is re-scanned).  Allocates nothing. *)
+
+val step_handle : int -> int
+val step_level : int -> int
+
+val no_skip : int -> bool
 
 type info = {
   root : Node.t;
@@ -65,8 +87,8 @@ val route_to_node : Network.t -> from:Node.t -> Node_id.t -> Node.t option * Nod
 val peek_first_hop : Network.t -> Node.t -> Node_id.t -> Node.t option
 (** The node the next {!Native} routing step from here would forward to,
     without charging a message (used by pointer maintenance to detect
-    path changes).  Dead entries it meets are purged as a walk purges
-    them.  [None] when this node is the root. *)
+    path changes): one {!step} with the purge hook.  [None] when this
+    node is the root. *)
 
 val probe_hole :
   Network.t -> from:Node.t -> owner:Node.t -> level:int -> digit:int -> Node.t option

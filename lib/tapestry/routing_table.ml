@@ -197,7 +197,7 @@ let[@alloc_ok] primary t ~level ~digit =
 let is_hole t ~level ~digit = slot_len t ~level ~digit = 0
 
 (* The slot scans are top-level recursions over explicit operands (as in
-   [Route.scan]): a local closure over the table would be allocated on
+   [Route.slot_scan]): a local closure over the table would be allocated on
    every [consider], which runs once per level per candidate of a join. *)
 
 (* Insertion index matching the list reference's stable insert (strict [<]):

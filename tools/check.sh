@@ -34,6 +34,10 @@
 # histogram) must also equal the constant in its row, so an engine
 # change that moves serve behaviour at n=4096 fails here, not only in
 # the small unit pins.  A change meant to move behaviour re-pins it.
+# The run is then repeated with --domains 2 (the first uses the CLI's
+# default of one domain), and that run must print the same pinned
+# signature: a serve run's results may not depend on the domain count.
+# The cache and coop smokes below repeat their runs the same way.
 #
 # ./tools/check.sh --cache-smoke runs ONLY the object-cache smoke: the
 # same n=4096 serve with a per-node cache attached and --audit, so the
@@ -77,11 +81,16 @@ for arg in "$@"; do
   esac
 done
 
+# The `signature md5` a run printed (empty if none).
+signature() {
+  grep -o 'signature md5 [0-9a-f]*' "$1" | head -1 | sed 's/.* //' || true
+}
+
 # Run one smoke row and exit: the run itself (--audit rows fail on any
 # invariant violation), the JSON round-trip through the bench parser,
 # the positive-field check (the stage's mechanism actually did work,
-# not just compiled), the signature check, then the gate against the
-# committed baseline.
+# not just compiled), the signature check at one domain and at two,
+# then the gate against the committed baseline.
 run_smoke() {
   local code=$1 args=$2 field=$3 gate=$4 md5=$5 what=$6 v got
   dune build bin/tapestry_sim.exe bench/main.exe \
@@ -95,9 +104,17 @@ run_smoke() {
     | tee "$tmp_out" || exit "$code"
   dune exec bench/main.exe -- --check-json "$tmp_smoke" || exit "$code"
   if [ "$md5" != - ]; then
-    got=$(grep -o 'signature md5 [0-9a-f]*' "$tmp_out" | head -1 | sed 's/.* //' || true)
+    got=$(signature "$tmp_out")
     [ "$got" = "$md5" ] || {
       echo "check: $what signature md5 ${got:-missing}, expected $md5" >&2
+      exit "$code"
+    }
+    # shellcheck disable=SC2086
+    dune exec bin/tapestry_sim.exe -- $args --domains 2 --json - \
+      > "$tmp_out" || exit "$code"
+    got=$(signature "$tmp_out")
+    [ "$got" = "$md5" ] || {
+      echo "check: $what signature md5 at --domains 2 ${got:-missing}, expected $md5" >&2
       exit "$code"
     }
   fi

@@ -25,7 +25,9 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    [Node_id.equal] allocates wherever it is called.  The pointer store
    is probed at every locate hop and written at every publish hop, and
    pointer maintenance re-walks records at every node a join's
-   multicast reaches. *)
+   multicast reaches.  The repair and optimization sweeps ([delete.ml],
+   [optimizer.ml]) visit every node of the mesh, so their per-node
+   allocations are annotated with what they buy. *)
 let hot_path_sources =
   [
     "lib/tapestry/node_id.ml";
@@ -33,6 +35,7 @@ let hot_path_sources =
     "lib/tapestry/pointer_store.ml";
     "lib/tapestry/maintenance.ml";
     "lib/tapestry/delete.ml";
+    "lib/tapestry/optimizer.ml";
     "lib/tapestry/route.ml";
     "lib/tapestry/locate.ml";
     "lib/tapestry/nearest_neighbor.ml";
