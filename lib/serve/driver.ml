@@ -238,13 +238,14 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   let roots = net.Network.config.Config.root_set_size in
   let guids = make_guids net ~objects:params.objects ~roots in
   (* initial placement: every object published once from a random live
-     server, sequentially, so locates have something to find *)
+     server, in object order, so locates have something to find *)
   let srng = Rng.create ((params.seed * 2) + 1) in
-  for o = 0 to params.objects - 1 do
-    let server = net.Network.alive_arr.(Rng.int srng net.Network.alive_len) in
-    ignore
-      (Publish.publish net ~server guids.(o * roots) : Publish.outcome)
-  done;
+  let servers =
+    Array.init params.objects (fun _ ->
+        net.Network.alive_arr.(Rng.int srng net.Network.alive_len))
+  in
+  Publish.place net ~servers
+    (Array.init params.objects (fun o -> guids.(o * roots)));
   (* object cache (PR 9): keys are interned in object order up front, so
      key o = oi / roots for every message and no hot-path interning is
      needed; the cache is attached to the network so the quiescent-point

@@ -413,17 +413,14 @@ let run net =
              certify the sketch itself: an empty way carries no hit
              count and no hint mark, an occupied way's count is at
              least 1 (every fill and import starts it there). *)
-          for i = 0 to (c.Obj_cache.nodes * c.Obj_cache.ways) - 1 do
-            let occupied = c.Obj_cache.e_key.(i) >= 0 in
-            let hits = c.Obj_cache.e_hits.(i) in
-            let src = Bytes.get c.Obj_cache.e_src i in
+          Obj_cache.iter_ways c ~f:(fun ~h ~key ~hits ~hint ~i:_ ->
+            let occupied = key >= 0 in
             let holder =
-              let h = i / c.Obj_cache.ways in
               if h < net.Network.arena_len then
                 Some (Network.node_of_handle net h).Node.id
               else None
             in
-            if (not occupied) && (hits <> 0 || src <> '\000') then
+            if (not occupied) && (hits <> 0 || hint) then
               add
                 (Cache_incoherent
                    {
@@ -442,10 +439,9 @@ let run net =
                 (Cache_incoherent
                    {
                      holder;
-                     guid = Obj_cache.guid_of_key c c.Obj_cache.e_key.(i);
+                     guid = Obj_cache.guid_of_key c key;
                      reason = "occupied way with a zero sketch count";
-                   })
-          done);
+                   })));
       (* Space bound: estimated residency within the O(n log n) budget. *)
       let fp = Network.memory_footprint net in
       let budget = footprint_budget net in

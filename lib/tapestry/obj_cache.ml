@@ -1,23 +1,40 @@
 (* Packed per-node object-pointer caches; see the interface and
    DESIGN.md §10 for the invalidation protocol and determinism
-   argument.  Node [h]'s line is the slice [h*ways ..] of the parallel
-   entry arrays; everything on the probe/insert path is int-array
+   argument.  Node [h]'s line is line [h mod 64] of segment [h / 64],
+   the slice [(h mod 64) * ways ..] of that segment's parallel entry
+   arrays.  Growth appends segments and never copies a line.  An
+   entry index packs the segment number above the index within the
+   segment.  Everything on the probe/insert path is int-array
    arithmetic so the typed hot-path allocation lint covers this module
    (tools/lint/lint_typed.ml). *)
+
+let seg_bits = 6
+let seg_handles = 1 lsl seg_bits
+let seg_mask = seg_handles - 1
+
+(* An entry index is [(segment lsl cell_bits) lor cell]: a segment's
+   [64 * ways] cells stay below 2^32 for any associativity a cache
+   could be built with. *)
+let cell_bits = 32
+let cell_mask = (1 lsl cell_bits) - 1
+
+type segment = {
+  e_key : int array;
+  e_srv : int array;
+  e_gen : int array;
+  e_epoch : int array;
+  e_stamp : int array;  (* clock reference bit *)
+  e_hits : int array;  (* frequency sketch: per-entry hit count *)
+  e_src : Bytes.t;  (* '\001' = imported hint, '\000' = learned *)
+  hand : int array;  (* per line: clock hand *)
+  dk : Bytes.t;  (* doorkeeper bits: [ways] bytes per line *)
+  dk_fill : int array;  (* per line: fill attempts since reset *)
+}
 
 type t = {
   ways : int;
   mutable nodes : int;
-  mutable e_key : int array;
-  mutable e_srv : int array;
-  mutable e_gen : int array;
-  mutable e_epoch : int array;
-  mutable e_stamp : int array;  (* clock reference bit *)
-  mutable e_hits : int array;  (* frequency sketch: per-entry hit count *)
-  mutable e_src : Bytes.t;  (* '\001' = imported hint, '\000' = learned *)
-  mutable hand : int array;  (* per node: clock hand *)
-  mutable dk : Bytes.t;  (* doorkeeper bits: [ways] bytes per node *)
-  mutable dk_fill : int array;  (* per node: fill attempts since reset *)
+  mutable segs : segment array;
   ep_tbl : (int, int) Hashtbl.t;
   mutable guid_of : Node_id.t array;
   mutable keys : int;
@@ -32,62 +49,76 @@ let hit_cap = 255
    2^26 (the 1e6-node scale tier uses 2^20) and keys below 2^36. *)
 let pack_pair ~key ~srv = (key lsl 26) lor srv
 
-(* [@alloc_ok]: one structure per network / serve run. *)
+let seg_lines (g : segment) = Array.length g.hand
+
+(* [@alloc_ok]: a segment's arrays, once per 64 handles ever (twice for
+   a partial last segment: see [ensure_nodes]) *)
+let[@alloc_ok] make_segment ~ways lines =
+  let cells = lines * ways in
+  {
+    e_key = Array.make cells (-1);
+    e_srv = Array.make cells 0;
+    e_gen = Array.make cells 0;
+    e_epoch = Array.make cells 0;
+    e_stamp = Array.make cells 0;
+    e_hits = Array.make cells 0;
+    e_src = Bytes.make cells '\000';
+    hand = Array.make lines 0;
+    dk = Bytes.make cells '\000';
+    dk_fill = Array.make lines 0;
+  }
+
+(* [@alloc_ok]: one structure per network / serve run.  The last
+   segment holds only the lines [nodes] needs, so a small cache stays
+   small. *)
 let[@alloc_ok] create ~ways ~nodes =
   if ways <= 0 then invalid_arg "Obj_cache.create: ways must be positive";
   if nodes < 0 then invalid_arg "Obj_cache.create: negative nodes";
-  let cells = nodes * ways in
   {
     ways;
     nodes;
-    e_key = Array.make (max 1 cells) (-1);
-    e_srv = Array.make (max 1 cells) 0;
-    e_gen = Array.make (max 1 cells) 0;
-    e_epoch = Array.make (max 1 cells) 0;
-    e_stamp = Array.make (max 1 cells) 0;
-    e_hits = Array.make (max 1 cells) 0;
-    e_src = Bytes.make (max 1 cells) '\000';
-    hand = Array.make (max 1 nodes) 0;
-    dk = Bytes.make (max 1 cells) '\000';
-    dk_fill = Array.make (max 1 nodes) 0;
+    segs =
+      Array.init
+        ((nodes + seg_mask) / seg_handles)
+        (fun k -> make_segment ~ways (min seg_handles (nodes - (k * seg_handles))));
     ep_tbl = Hashtbl.create 256;
     guid_of = [||];
     keys = 0;
     key_tbl = Node_id.Tbl.create 256;
   }
 
-(* [@alloc_ok]: growth is geometric (an eighth, or to [n] if that is
-   more), so this runs O(log n) times ever and a few churn joins do not
-   double lines sized for the whole mesh; the serve tier only calls it at
-   barriers. *)
+(* [old] filled out to a whole segment, its entries kept. *)
+let fill_out ~ways (old : segment) =
+  let g = make_segment ~ways seg_handles in
+  let lines = seg_lines old in
+  let cells = lines * ways in
+  Array.blit old.e_key 0 g.e_key 0 cells;
+  Array.blit old.e_srv 0 g.e_srv 0 cells;
+  Array.blit old.e_gen 0 g.e_gen 0 cells;
+  Array.blit old.e_epoch 0 g.e_epoch 0 cells;
+  Array.blit old.e_stamp 0 g.e_stamp 0 cells;
+  Array.blit old.e_hits 0 g.e_hits 0 cells;
+  Bytes.blit old.e_src 0 g.e_src 0 cells;
+  Array.blit old.hand 0 g.hand 0 lines;
+  Bytes.blit old.dk 0 g.dk 0 cells;
+  Array.blit old.dk_fill 0 g.dk_fill 0 lines;
+  g
+
+(* [@alloc_ok]: growth appends whole segments of 64 lines (and the
+   segment spine, one word per 64 handles), so no line is ever copied
+   except those of a partial last segment from [create], once; the
+   serve tier only calls this at barriers. *)
 let[@alloc_ok] ensure_nodes t n =
   if n > t.nodes then begin
-    let nodes = max n (max 16 (t.nodes + (t.nodes / 8))) in
-    let cells = nodes * t.ways in
-    let grow_cells old fill =
-      let a = Array.make cells fill in
-      Array.blit old 0 a 0 (t.nodes * t.ways);
-      a
-    in
-    t.e_key <- grow_cells t.e_key (-1);
-    t.e_srv <- grow_cells t.e_srv 0;
-    t.e_gen <- grow_cells t.e_gen 0;
-    t.e_epoch <- grow_cells t.e_epoch 0;
-    t.e_stamp <- grow_cells t.e_stamp 0;
-    t.e_hits <- grow_cells t.e_hits 0;
-    let src = Bytes.make cells '\000' in
-    Bytes.blit t.e_src 0 src 0 (t.nodes * t.ways);
-    t.e_src <- src;
-    let dk = Bytes.make cells '\000' in
-    Bytes.blit t.dk 0 dk 0 (t.nodes * t.ways);
-    t.dk <- dk;
-    let hand = Array.make nodes 0 in
-    Array.blit t.hand 0 hand 0 t.nodes;
-    t.hand <- hand;
-    let dk_fill = Array.make nodes 0 in
-    Array.blit t.dk_fill 0 dk_fill 0 t.nodes;
-    t.dk_fill <- dk_fill;
-    t.nodes <- nodes
+    let have = Array.length t.segs in
+    if have > 0 && seg_lines t.segs.(have - 1) < seg_handles then
+      t.segs.(have - 1) <- fill_out ~ways:t.ways t.segs.(have - 1);
+    let want = (n + seg_mask) / seg_handles in
+    if want > have then
+      t.segs <-
+        Array.append t.segs
+          (Array.init (want - have) (fun _ -> make_segment ~ways:t.ways seg_handles));
+    t.nodes <- n
   end
 
 (* [@alloc_ok]: interning is cold — once per object GUID ever. *)
@@ -124,65 +155,72 @@ let[@alloc_ok] bump_epoch t ~key ~srv =
   let k = pack_pair ~key ~srv in
   Hashtbl.replace t.ep_tbl k (1 + (try Hashtbl.find t.ep_tbl k with Not_found -> 0))
 
-(* Touch an entry: set its clock reference bit. *)
-let touch t i = t.e_stamp.(i) <- 1
+(* Entry index of cell [j] of segment [k], as the probe returns it. *)
+let entry k j = (k lsl cell_bits) lor j
 
-(* Way scans are tail-recursive over int indices: the probe/insert path
-   must stay allocation-free (hot-path lint). *)
-let rec scan_key t ~base ~key w =
-  if w >= t.ways then -1
-  else if t.e_key.(base + w) = key then base + w
-  else scan_key t ~base ~key (w + 1)
+let seg_of t i = t.segs.(i lsr cell_bits)
 
-let rec scan_empty t ~base w =
-  if w >= t.ways then -1
-  else if t.e_key.(base + w) = -1 then base + w
-  else scan_empty t ~base (w + 1)
+let cell_of i = i land cell_mask
+
+(* Way scans are tail-recursive over the cells [j .. stop-1] of one
+   line: the probe/insert path must stay allocation-free (hot-path
+   lint). *)
+let rec scan_key (keys : int array) ~key j stop =
+  if j >= stop then -1
+  else if keys.(j) = key then j
+  else scan_key keys ~key (j + 1) stop
+
+let rec scan_empty (keys : int array) j stop =
+  if j >= stop then -1 else if keys.(j) = -1 then j else scan_empty keys (j + 1) stop
 
 (* Cheap pre-check for hint offers: a full line cannot accept any hint
    (imports never displace resident entries), so the caller can skip a
    whole digest pass with one scan. *)
 let has_empty_way t ~h =
-  h < t.nodes && scan_empty t ~base:(h * t.ways) 0 >= 0
+  h < t.nodes
+  &&
+  let base = (h land seg_mask) * t.ways in
+  scan_empty t.segs.(h lsr seg_bits).e_key base (base + t.ways) >= 0
 
 (* Weakest hint-sourced way of a line (lowest sketch count), or -1.
    Organic fills use it so resident hints can never crowd out local
    learning: see [insert]. *)
-let rec scan_weak_hint t ~base w bi bh =
-  if w >= t.ways then bi
-  else
-    let i = base + w in
-    if Bytes.unsafe_get t.e_src i = '\001' && (bi < 0 || t.e_hits.(i) < bh)
-    then scan_weak_hint t ~base (w + 1) i t.e_hits.(i)
-    else scan_weak_hint t ~base (w + 1) bi bh
+let rec scan_weak_hint (st : segment) j stop bi bh =
+  if j >= stop then bi
+  else if Bytes.unsafe_get st.e_src j = '\001' && (bi < 0 || st.e_hits.(j) < bh)
+  then scan_weak_hint st (j + 1) stop j st.e_hits.(j)
+  else scan_weak_hint st (j + 1) stop bi bh
 
 let probe t ~h ~key =
   if h >= t.nodes then -1
   else begin
-    let i = scan_key t ~base:(h * t.ways) ~key 0 in
-    if i < 0 then -1
-    else if t.e_epoch.(i) = epoch_of t ~key ~srv:t.e_srv.(i) then begin
-      touch t i;
-      let hv = t.e_hits.(i) in
-      if hv < hit_cap then t.e_hits.(i) <- hv + 1;
-      i
+    let k = h lsr seg_bits in
+    let st = t.segs.(k) in
+    let base = (h land seg_mask) * t.ways in
+    let j = scan_key st.e_key ~key base (base + t.ways) in
+    if j < 0 then -1
+    else if st.e_epoch.(j) = epoch_of t ~key ~srv:st.e_srv.(j) then begin
+      st.e_stamp.(j) <- 1;
+      let hv = st.e_hits.(j) in
+      if hv < hit_cap then st.e_hits.(j) <- hv + 1;
+      entry k j
     end
     else begin
       (* epoch-stale: self-evict so the way frees up immediately *)
-      t.e_key.(i) <- -1;
-      t.e_hits.(i) <- 0;
-      Bytes.unsafe_set t.e_src i '\000';
+      st.e_key.(j) <- -1;
+      st.e_hits.(j) <- 0;
+      Bytes.unsafe_set st.e_src j '\000';
       -2
     end
   end
 
-let probe_srv t i = t.e_srv.(i)
+let probe_srv t i = (seg_of t i).e_srv.(cell_of i)
 
-let probe_gen t i = t.e_gen.(i)
+let probe_gen t i = (seg_of t i).e_gen.(cell_of i)
 
-let probe_epoch t i = t.e_epoch.(i)
+let probe_epoch t i = (seg_of t i).e_epoch.(cell_of i)
 
-let probe_is_hint t i = Bytes.unsafe_get t.e_src i = '\001'
+let probe_is_hint t i = Bytes.unsafe_get (seg_of t i).e_src (cell_of i) = '\001'
 
 (* Deterministic hash of a node handle and a key (doorkeeper bit
    selection): a multiplicative mix, no ambient randomness. *)
@@ -192,18 +230,18 @@ let mix h key =
   (x * 0x27d4eb2f) land max_int
 
 (* second chance: clear reference bits until one is already clear *)
-let rec clock_sweep t ~base pos spins =
+let rec clock_sweep t (st : segment) ~base pos spins =
   let w = pos mod t.ways in
-  if spins >= t.ways || t.e_stamp.(base + w) <> 1 then w
+  if spins >= t.ways || st.e_stamp.(base + w) <> 1 then w
   else begin
-    t.e_stamp.(base + w) <- 0;
-    clock_sweep t ~base (pos + 1) (spins + 1)
+    st.e_stamp.(base + w) <- 0;
+    clock_sweep t st ~base (pos + 1) (spins + 1)
   end
 
-let victim_way t h =
-  let base = h * t.ways in
-  let w = clock_sweep t ~base t.hand.(h) 0 in
-  t.hand.(h) <- (w + 1) mod t.ways;
+let victim_way t (st : segment) ~line =
+  let base = line * t.ways in
+  let w = clock_sweep t st ~base st.hand.(line) 0 in
+  st.hand.(line) <- (w + 1) mod t.ways;
   base + w
 
 (* Doorkeeper admission (TinyLFU-style, but a plain deterministic bit
@@ -219,32 +257,33 @@ let dk_bit t ~h ~key =
   let x = mix h key land max_int in
   x mod (8 * t.ways)
 
-let dk_admit t ~h ~key =
+let dk_admit t (st : segment) ~h ~line ~key =
   let bit = dk_bit t ~h ~key in
-  let byte = (h * t.ways) + (bit lsr 3) in
+  let byte = (line * t.ways) + (bit lsr 3) in
   let mask = 1 lsl (bit land 7) in
-  let cur = Char.code (Bytes.unsafe_get t.dk byte) in
+  let cur = Char.code (Bytes.unsafe_get st.dk byte) in
   if cur land mask <> 0 then true
   else begin
-    Bytes.unsafe_set t.dk byte (Char.unsafe_chr (cur lor mask));
-    let fills = t.dk_fill.(h) + 1 in
+    Bytes.unsafe_set st.dk byte (Char.unsafe_chr (cur lor mask));
+    let fills = st.dk_fill.(line) + 1 in
     if fills >= 8 * t.ways then begin
-      Bytes.fill t.dk (h * t.ways) t.ways '\000';
-      t.dk_fill.(h) <- 0
+      Bytes.fill st.dk (line * t.ways) t.ways '\000';
+      st.dk_fill.(line) <- 0
     end
-    else t.dk_fill.(h) <- fills;
+    else st.dk_fill.(line) <- fills;
     false
   end
 
 let insert t ~h ~key ~server ~gen ~epoch =
   if h < t.nodes then begin
-    let base = h * t.ways in
+    let st = t.segs.(h lsr seg_bits) and line = h land seg_mask in
+    let base = line * t.ways in
     (* refresh an existing entry or claim an empty way before evicting *)
-    let i =
-      let s = scan_key t ~base ~key 0 in
+    let j =
+      let s = scan_key st.e_key ~key base (base + t.ways) in
       if s >= 0 then s
       else begin
-        let e = scan_empty t ~base 0 in
+        let e = scan_empty st.e_key base (base + t.ways) in
         if e >= 0 then e
         else begin
           (* resident hints never block local learning: a full line
@@ -255,23 +294,23 @@ let insert t ~h ~key ~server ~gen ~epoch =
              decline PR 9 never charged them, and coop-on loses
              organic hits it should only ever add to.  Without
              cooperation no line holds a hint and the scan finds none. *)
-          let hw = scan_weak_hint t ~base 0 (-1) 0 in
+          let hw = scan_weak_hint st base (base + t.ways) (-1) 0 in
           if hw >= 0 then hw
-          else if dk_admit t ~h ~key then victim_way t h
+          else if dk_admit t st ~h ~line ~key then victim_way t st ~line
           else -1
         end
       end
     in
-    if i >= 0 then begin
+    if j >= 0 then begin
       (* a learned fill of a new key (re)starts the sketch at 1 and
          clears any hint mark; a refresh keeps the accumulated count *)
-      if t.e_key.(i) <> key then t.e_hits.(i) <- 1;
-      Bytes.unsafe_set t.e_src i '\000';
-      t.e_key.(i) <- key;
-      t.e_srv.(i) <- server;
-      t.e_gen.(i) <- gen;
-      t.e_epoch.(i) <- epoch;
-      touch t i
+      if st.e_key.(j) <> key then st.e_hits.(j) <- 1;
+      Bytes.unsafe_set st.e_src j '\000';
+      st.e_key.(j) <- key;
+      st.e_srv.(j) <- server;
+      st.e_gen.(j) <- gen;
+      st.e_epoch.(j) <- epoch;
+      st.e_stamp.(j) <- 1
     end
   end
 
@@ -281,8 +320,9 @@ let insert t ~h ~key ~server ~gen ~epoch =
 let import_hint t ~h ~key ~server ~gen ~epoch =
   if h >= t.nodes then false
   else begin
-    let base = h * t.ways in
-    if scan_key t ~base ~key 0 >= 0 then false
+    let st = t.segs.(h lsr seg_bits) in
+    let base = (h land seg_mask) * t.ways in
+    if scan_key st.e_key ~key base (base + t.ways) >= 0 then false
     else begin
       (* a hint may only occupy an empty way — never an entry the node
          earned by fetching, and never another hint.  Imported warmth
@@ -291,32 +331,35 @@ let import_hint t ~h ~key ~server ~gen ~epoch =
          cold hints cycle endlessly as buckets change between windows.
          Spare ways sit exactly where hints are worth the most: the
          client-edge path nodes the unwind rarely reaches. *)
-      let i = scan_empty t ~base 0 in
-      if i < 0 then false
+      let j = scan_empty st.e_key base (base + t.ways) in
+      if j < 0 then false
       else begin
-        t.e_key.(i) <- key;
-        t.e_srv.(i) <- server;
-        t.e_gen.(i) <- gen;
-        t.e_epoch.(i) <- epoch;
-        t.e_hits.(i) <- 1;
-        Bytes.unsafe_set t.e_src i '\001';
-        touch t i;
+        st.e_key.(j) <- key;
+        st.e_srv.(j) <- server;
+        st.e_gen.(j) <- gen;
+        st.e_epoch.(j) <- epoch;
+        st.e_hits.(j) <- 1;
+        Bytes.unsafe_set st.e_src j '\001';
+        st.e_stamp.(j) <- 1;
         true
       end
     end
   end
 
-let evict_at t i =
-  t.e_key.(i) <- -1;
-  t.e_hits.(i) <- 0;
-  Bytes.unsafe_set t.e_src i '\000'
+let clear_way (st : segment) j =
+  st.e_key.(j) <- -1;
+  st.e_hits.(j) <- 0;
+  Bytes.unsafe_set st.e_src j '\000'
+
+let evict_at t i = clear_way (seg_of t i) (cell_of i)
 
 let evict t ~h ~key ~server =
   if h < t.nodes then begin
-    let base = h * t.ways in
+    let st = t.segs.(h lsr seg_bits) in
+    let base = (h land seg_mask) * t.ways in
     for w = 0 to t.ways - 1 do
-      if t.e_key.(base + w) = key && t.e_srv.(base + w) = server then
-        evict_at t (base + w)
+      if st.e_key.(base + w) = key && st.e_srv.(base + w) = server then
+        clear_way st (base + w)
     done
   end
 
@@ -325,39 +368,59 @@ let evict t ~h ~key ~server =
    hands, pair epochs — but keeps the GUID interning (a pure
    identity assignment). *)
 let[@alloc_ok] reset t =
-  Array.fill t.e_key 0 (Array.length t.e_key) (-1);
-  Array.fill t.e_srv 0 (Array.length t.e_srv) 0;
-  Array.fill t.e_gen 0 (Array.length t.e_gen) 0;
-  Array.fill t.e_epoch 0 (Array.length t.e_epoch) 0;
-  Array.fill t.e_stamp 0 (Array.length t.e_stamp) 0;
-  Array.fill t.e_hits 0 (Array.length t.e_hits) 0;
-  Bytes.fill t.e_src 0 (Bytes.length t.e_src) '\000';
-  Array.fill t.hand 0 (Array.length t.hand) 0;
-  Bytes.fill t.dk 0 (Bytes.length t.dk) '\000';
-  Array.fill t.dk_fill 0 (Array.length t.dk_fill) 0;
+  Array.iter
+    (fun (st : segment) ->
+      let cells = Array.length st.e_key in
+      Array.fill st.e_key 0 cells (-1);
+      Array.fill st.e_srv 0 cells 0;
+      Array.fill st.e_gen 0 cells 0;
+      Array.fill st.e_epoch 0 cells 0;
+      Array.fill st.e_stamp 0 cells 0;
+      Array.fill st.e_hits 0 cells 0;
+      Bytes.fill st.e_src 0 cells '\000';
+      Array.fill st.hand 0 (seg_lines st) 0;
+      Bytes.fill st.dk 0 cells '\000';
+      Array.fill st.dk_fill 0 (seg_lines st) 0)
+    t.segs;
   Hashtbl.reset t.ep_tbl
 
-let rec count_filled t i acc =
-  if i >= t.nodes * t.ways then acc
-  else count_filled t (i + 1) (if t.e_key.(i) >= 0 then acc + 1 else acc)
+(* [@alloc_ok]: audit-only sweep, in handle order: every way of node
+   [h]'s line before node [h + 1]'s. *)
+let[@alloc_ok] iter_ways t ~f =
+  for h = 0 to t.nodes - 1 do
+    let k = h lsr seg_bits in
+    let st = t.segs.(k) in
+    let base = (h land seg_mask) * t.ways in
+    for j = base to base + t.ways - 1 do
+      f ~h ~key:st.e_key.(j) ~hits:st.e_hits.(j)
+        ~hint:(Bytes.get st.e_src j = '\001') ~i:(entry k j)
+    done
+  done
 
-let entries t = count_filled t 0 0
+(* [@alloc_ok]: diagnostics only. *)
+let[@alloc_ok] entries t =
+  let n = ref 0 in
+  iter_ways t ~f:(fun ~h:_ ~key ~hits:_ ~hint:_ ~i:_ -> if key >= 0 then incr n);
+  !n
 
 (* [@alloc_ok]: audit-only sweep. *)
 let[@alloc_ok] iter t ~f =
-  for i = 0 to (t.nodes * t.ways) - 1 do
-    if t.e_key.(i) >= 0 then
-      f ~h:(i / t.ways) ~key:t.e_key.(i) ~server:t.e_srv.(i)
-        ~gen:t.e_gen.(i) ~epoch:t.e_epoch.(i)
-  done
+  iter_ways t ~f:(fun ~h ~key ~hits:_ ~hint:_ ~i ->
+      if key >= 0 then
+        f ~h ~key ~server:(probe_srv t i) ~gen:(probe_gen t i)
+          ~epoch:(probe_epoch t i))
 
 (* [@alloc_ok]: diagnostics only (memory_footprint reports). *)
 let[@alloc_ok] approx_bytes t =
   let word = 8 in
   let arr a = (Array.length a + 1) * word in
-  arr t.e_key + arr t.e_srv + arr t.e_gen + arr t.e_epoch + arr t.e_stamp
-  + arr t.e_hits + Bytes.length t.e_src
-  + arr t.hand + arr t.dk_fill + Bytes.length t.dk + word
+  Array.fold_left
+    (fun acc (st : segment) ->
+      acc + arr st.e_key + arr st.e_srv + arr st.e_gen + arr st.e_epoch
+      + arr st.e_stamp + arr st.e_hits + Bytes.length st.e_src
+      + arr st.hand + arr st.dk_fill + Bytes.length st.dk
+      + (11 * word) (* the segment record *))
+    (arr t.segs) t.segs
   + (Array.length t.guid_of + 1) * word
   + (Hashtbl.length t.ep_tbl * 4 * word) (* pair-epoch table, rough *)
   + (t.keys * 3 * word) (* key table entries, rough *)

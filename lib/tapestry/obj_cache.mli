@@ -12,11 +12,15 @@
     [Network.clear_soft_state].
 
     {b Layout.}  One structure serves the whole network, in the arena
-    style of the routing tables: node [h]'s cache is the slice
-    [h*ways .. h*ways+ways-1] of parallel flat int arrays (key, server
-    handle, server generation, object-epoch snapshot, clock reference
-    bit, hit count).  Probing and inserting are plain int scans over [ways]
-    entries — no per-entry boxing, no allocation on the hot path.
+    style of the routing tables, cut into segments of 64 handles: node
+    [h]'s cache is the slice [l*ways .. l*ways+ways-1], [l = h mod 64],
+    of segment [h / 64]'s parallel flat int arrays (key, server handle,
+    server generation, object-epoch snapshot, clock reference bit, hit
+    count).  Growth appends segments, so the arena can grow under churn
+    without copying the lines it already has.  Probing and inserting
+    are plain int scans over [ways] entries — no per-entry boxing, no
+    allocation on the hot path.  An entry index (what {!probe} returns)
+    packs the segment number above the cell within the segment.
 
     {b Keys.}  Object GUIDs are interned once (cold path) to dense int
     keys; the serve driver interns its object universe up front.  Key
@@ -42,27 +46,38 @@
     serve tier counts hits, misses and fills in per-shard
     {!Simnet.Stats.Tally.t} records and merges them in shard order. *)
 
-type t = private {
-  ways : int;  (** associativity: entries per node, > 0 *)
-  mutable nodes : int;  (** arena-handle capacity *)
-  mutable e_key : int array;  (** [nodes*ways]; -1 = empty way *)
-  mutable e_srv : int array;  (** server arena handle *)
-  mutable e_gen : int array;  (** server mailbox generation at fill *)
-  mutable e_epoch : int array;  (** object epoch snapshot at fill *)
-  mutable e_stamp : int array;  (** clock reference bit *)
-  mutable e_hits : int array;
+val seg_handles : int
+(** 64: node [h]'s line is line [h mod seg_handles] of segment
+    [h / seg_handles]. *)
+
+type segment = private {
+  e_key : int array;  (** [lines*ways]; -1 = empty way *)
+  e_srv : int array;  (** server arena handle *)
+  e_gen : int array;  (** server mailbox generation at fill *)
+  e_epoch : int array;  (** object epoch snapshot at fill *)
+  e_stamp : int array;  (** clock reference bit *)
+  e_hits : int array;
       (** frequency sketch: saturating per-entry hit count; a full
           line's organic fill replaces its coldest hint first *)
-  mutable e_src : Bytes.t;
+  e_src : Bytes.t;
       (** ['\001'] = entry arrived as a cooperative hint, ['\000'] =
           learned from the node's own fetch unwind *)
-  mutable hand : int array;  (** per node: clock hand position *)
-  mutable dk : Bytes.t;
+  hand : int array;  (** per line: clock hand position *)
+  dk : Bytes.t;
       (** doorkeeper admission bits, [ways] bytes (= 8*ways bits) per
-          node; see {!insert} *)
-  mutable dk_fill : int array;
-      (** per node: declined first-touch fills since the last
+          line; see {!insert} *)
+  dk_fill : int array;
+      (** per line: declined first-touch fills since the last
           doorkeeper reset *)
+}
+(** The lines of [seg_handles] consecutive handles ([lines] of them,
+    the length of [hand]: all 64, except in the last segment of a
+    cache created for a handle count that is not a multiple of 64). *)
+
+type t = private {
+  ways : int;  (** associativity: entries per node, > 0 *)
+  mutable nodes : int;  (** handles covered: every [h < nodes] has a line *)
+  mutable segs : segment array;
   ep_tbl : (int, int) Hashtbl.t;
       (** retraction count per packed [(key, server-handle)] pair;
           absent = 0.  Written only on unpublish (sync: inline; serve:
@@ -76,9 +91,13 @@ val create : ways:int -> nodes:int -> t
 (** @raise Invalid_argument if [ways <= 0] or [nodes < 0]. *)
 
 val ensure_nodes : t -> int -> unit
-(** Grow the per-node lines to cover handles [< n]: to the larger of [n]
-    and the current size plus an eighth (at least 16), so the growth is
-    geometric; existing entries are preserved.  Serve tier: barrier-only. *)
+(** Cover handles [< n] by appending whole segments: the existing
+    segments keep their arrays, so growth copies no line (a partial
+    last segment from {!create} is first filled out to 64 lines, its
+    one copy).  A churn join that takes the arena past a multiple of
+    64 allocates 1/64 of a cache sized for 4096 nodes, and the next 63
+    joins allocate nothing.  Every entry is preserved.  Serve tier:
+    barrier-only. *)
 
 val intern : t -> Node_id.t -> int
 (** Dense key for a GUID, allocating one on first sight (cold path). *)
@@ -169,7 +188,14 @@ val entries : t -> int
 
 val iter :
   t -> f:(h:int -> key:int -> server:int -> gen:int -> epoch:int -> unit) -> unit
-(** Visit every occupied entry in flat-index order (audit). *)
+(** Visit every occupied entry in handle order, a line's ways in order
+    (audit). *)
+
+val iter_ways :
+  t -> f:(h:int -> key:int -> hits:int -> hint:bool -> i:int -> unit) -> unit
+(** Visit every way of every covered line, empty ones ([key] -1)
+    included, in {!iter}'s order: its key, sketch count, hint mark and
+    entry index (the audit's sketch invariants). *)
 
 val approx_bytes : t -> int
 (** Resident-size estimate in the {!Network.memory_footprint} style. *)

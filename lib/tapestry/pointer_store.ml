@@ -96,9 +96,10 @@ let delete_slot c s =
 let rec first_empty (heads : int array) mask s =
   if heads.(s) < 0 then s else first_empty heads mask ((s + 1) land mask)
 
-let grow_index c =
+(* Re-insert every chain head into a fresh index of [slots] slots. *)
+let rehash c slots =
   let old = c.heads in
-  let heads = Array.make (2 * Array.length old) (-1) in
+  let heads = Array.make slots (-1) in
   let mask = Array.length heads - 1 in
   for s = 0 to Array.length old - 1 do
     let i = old.(s) in
@@ -109,26 +110,26 @@ let grow_index c =
 
 (* ---- columns ---- *)
 
-(* A full column doubled, [fill] past its old length. *)
-let grown a fill =
-  let b = Array.make (2 * Array.length a) fill in
+(* A column copied into [cap] cells, [fill] past its old length. *)
+let grown a cap fill =
+  let b = Array.make cap fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
 (* [grown] for the unboxed float column (cells past [len] are never
    read, so they need no fill). *)
-let grown_floats a =
-  let b = Array.create_float (2 * Array.length a) in
+let grown_floats a cap =
+  let b = Array.create_float cap in
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow_records c =
-  c.guid <- grown c.guid no_guid;
-  c.server <- grown c.server 0;
-  c.root_idx <- grown c.root_idx 0;
-  c.previous <- grown c.previous 0;
-  c.expires <- grown_floats c.expires;
-  c.next <- grown c.next (-1)
+let resize_records c cap =
+  c.guid <- grown c.guid cap no_guid;
+  c.server <- grown c.server cap 0;
+  c.root_idx <- grown c.root_idx cap 0;
+  c.previous <- grown c.previous cap 0;
+  c.expires <- grown_floats c.expires cap;
+  c.next <- grown c.next cap (-1)
 
 (* The record in [i]'s chain that points at [target]. *)
 let rec chain_pred (next : int array) target i =
@@ -178,7 +179,7 @@ let chain_at c s ~server ~root_idx =
 
 (* Append a record whose chain successor is [next]; returns its index. *)
 let push c ~guid ~server ~root_idx ~previous ~expires ~next =
-  if c.len = Array.length c.guid then grow_records c;
+  if c.len = Array.length c.guid then resize_records c (2 * c.len);
   let i = c.len in
   c.guid.(i) <- guid;
   c.server.(i) <- server;
@@ -188,6 +189,26 @@ let push c ~guid ~server ~root_idx ~previous ~expires ~next =
   c.next.(i) <- next;
   c.len <- i + 1;
   i
+
+(* The capacity doubling from [cap] reaches once it holds [need]. *)
+let rec doubled cap need = if cap >= need then cap else doubled (2 * cap) need
+
+(* [store] doubles the columns when full and the index when a new GUID
+   would take it past half load, so room for [n] more records of
+   [guids] new GUIDs is the size those doublings would reach, allocated
+   once. *)
+let reserve t ~guids n =
+  if n > 0 then begin
+    let c = t.c in
+    if Array.length c.heads = 0 then
+      t.c <- columns ~cap:(doubled 4 n) ~slots:(doubled 8 (2 * guids))
+    else begin
+      let cap = doubled (Array.length c.guid) (c.len + n) in
+      if cap > Array.length c.guid then resize_records c cap;
+      let slots = doubled (Array.length c.heads) (2 * (c.nguids + guids)) in
+      if slots > Array.length c.heads then rehash c slots
+    end
+  end
 
 (* below the -1 a refresh returns when the record had no previous hop *)
 let fresh = -2
@@ -212,7 +233,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
     else begin
       let s =
         if 2 * (c.nguids + 1) > Array.length c.heads then begin
-          grow_index c;
+          rehash c (2 * Array.length c.heads);
           -1 - find_slot c guid
         end
         else -1 - s

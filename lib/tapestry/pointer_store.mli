@@ -52,7 +52,17 @@ val store : t -> guid:Node_id.t -> server:int -> root_idx:int ->
     the verdict is {!fresh}.  A refresh returns the old [previous] hop
     ([-1] if none) and overwrites it, and the expiry becomes the later of
     the two; it allocates nothing.  O(c); amortized O(1) growth of the
-    columns and index. *)
+    columns and index, each doubling when full (see {!reserve}). *)
+
+val reserve : t -> guids:int -> int -> unit
+(** Make room for [n] more records, [guids] of them under GUIDs the
+    store does not hold yet, with at most one allocation per column and
+    one index rehash.  The capacities are those the doublings of
+    {!store} would reach (columns from 4, the index from 8 at load at
+    most 1/2), so {!approx_bytes} is the same as for a store that grew
+    record by record; the next [n] such {!store}s then allocate nothing
+    and keep the columns.  Placement ({!Publish.place}) reserves each
+    store once from its deposit count.  No-op for [n <= 0]. *)
 
 val fresh : int
 (** {!store}'s verdict for a new record ([-2]: no handle or [-1]). *)

@@ -27,6 +27,19 @@ val republish : Network.t -> server:Node.t -> Node_id.t -> outcome
 (** Re-walk the publish paths, refreshing expiry and last-hop pointers.
     Identical mechanics to {!publish} minus the replica registration. *)
 
+val place : Network.t -> servers:Node.t array -> Node_id.t array -> unit
+(** Publish object [o] ([guids.(o)]) from [servers.(o)] for every [o],
+    leaving the same replicas, pointer records (in each store's record
+    order), expiries and message charges as calling {!publish} object by
+    object.  Each (object, root) path is routed once, in that order,
+    and its hops recorded in one flat buffer; every touched store is
+    then sized once ({!Pointer_store.reserve}) from its deposit count,
+    and the deposits replayed from the buffer.  Deferring the deposits
+    changes no walk, since routing reads no pointer store.  The initial
+    placement of the serve driver: its stores grow by one allocation
+    each rather than by doubling.
+    @raise Invalid_argument if the arrays differ in length. *)
+
 val unpublish : Network.t -> server:Node.t -> Node_id.t -> unit
 (** Delete this server's pointers along its current publish paths and drop
     the replica. *)

@@ -213,6 +213,32 @@ let test_reset_clears_soft_state () =
   Alcotest.(check int) "associativity survives" 2 c.Obj_cache.ways;
   Alcotest.(check int) "interning survives" key (Obj_cache.find_key c g)
 
+(* A cache created for a handle count that is not a multiple of 64
+   sizes its last segment to it; the first growth past it fills that
+   segment out to 64 lines (its one copy), keeps the full segments
+   untouched, and keeps every entry and its probe result. *)
+let test_segments_grow_without_copy () =
+  let c = mk ~ways:2 ~nodes:100 () in
+  let lines (g : Obj_cache.segment) = Array.length g.Obj_cache.hand in
+  Alcotest.(check (list int)) "a full and a partial segment" [ 64; 36 ]
+    (List.map lines (Array.to_list c.Obj_cache.segs));
+  List.iter (fun h -> fill c ~h ~key:h ~server:(h + 1)) [ 0; 63; 64; 99 ];
+  let first = c.Obj_cache.segs.(0) in
+  Obj_cache.ensure_nodes c 200;
+  Alcotest.(check (list int)) "filled out, then appended" [ 64; 64; 64; 64 ]
+    (List.map lines (Array.to_list c.Obj_cache.segs));
+  Alcotest.(check bool) "the full segment is kept as it was" true
+    (c.Obj_cache.segs.(0) == first);
+  List.iter
+    (fun h ->
+      let i = Obj_cache.probe c ~h ~key:h in
+      Alcotest.(check int) "entry kept" (h + 1)
+        (if i >= 0 then Obj_cache.probe_srv c i else -1))
+    [ 0; 63; 64; 99 ];
+  Alcotest.(check int) "new lines empty" (-1) (Obj_cache.probe c ~h:199 ~key:199);
+  Alcotest.(check int) "beyond the cover misses" (-1)
+    (Obj_cache.probe c ~h:200 ~key:0)
+
 (* ---- a cache attached to a sync mesh ---- *)
 
 let attach_cache net =
@@ -386,6 +412,8 @@ let () =
             test_hint_staleness_self_evicts;
           Alcotest.test_case "reset clears sketch, keeps interning + config"
             `Quick test_reset_clears_soft_state;
+          Alcotest.test_case "segments grow without copying" `Quick
+            test_segments_grow_without_copy;
         ] );
       ( "sync",
         [

@@ -21,7 +21,8 @@
      include groups whose hashes share their low 12 bits, so they collide
      in every index size the tests reach.
    - "alloc": [store] allocates nothing, on a new record (with room) or
-     on a refresh. *)
+     on a refresh; after [reserve], the reserved records allocate
+     nothing and keep the columns, at the capacities doubling reaches. *)
 
 open Tapestry
 module M = Pointer_store_model
@@ -439,6 +440,77 @@ let test_store_allocation () =
   Alcotest.(check int) "refresh verdict is the old hop" 0 v;
   Alcotest.(check (float 0.)) "refresh allocates nothing" 0. refresh_words
 
+(* [reserve] sizes a store as record-by-record doubling would: for
+   stores that already hold [k] records, reserving [n] more ([guids] of
+   them under new GUIDs, the rest sharing those GUIDs under another
+   root index) and then storing them allocates nothing, replaces no
+   column and no index, and leaves the capacities and [approx_bytes] of
+   a twin store that grew by doubling.  The next record past a full
+   reservation doubles the columns again. *)
+let test_reserve () =
+  let rng = Simnet.Rng.create 11 in
+  let pool = Array.init 700 (fun _ -> random_id rng) in
+  let put ps j ~root_idx =
+    ignore
+      (Pointer_store.store ps ~guid:pool.(j) ~server:j ~root_idx ~previous:(-1)
+         ~expires:1.
+        : int)
+  in
+  (* records [from .. from+n-1]: the first [guids] under fresh GUIDs at
+     root 0, the rest repeating them at root 1 *)
+  let put_range ps ~from ~n ~guids =
+    for i = 0 to n - 1 do
+      if i < guids then put ps (from + i) ~root_idx:0
+      else put ps (from + i - guids) ~root_idx:1
+    done
+  in
+  (* whether the store still has the columns and index it has now *)
+  let kept ps =
+    let c = Pointer_store.cols ps in
+    let open Pointer_store in
+    let guid = c.guid and server = c.server and root_idx = c.root_idx
+    and previous = c.previous and expires = c.expires and next = c.next
+    and heads = c.heads in
+    fun () ->
+      let c = Pointer_store.cols ps in
+      c.guid == guid && c.server == server && c.root_idx == root_idx
+      && c.previous == previous && c.expires == expires && c.next == next
+      && c.heads == heads
+  in
+  List.iter
+    (fun (k, n, guids) ->
+      let ctx = Printf.sprintf "k=%d n=%d guids=%d" k n guids in
+      let reserved = Pointer_store.create () and doubled = Pointer_store.create () in
+      put_range reserved ~from:0 ~n:k ~guids:k;
+      put_range doubled ~from:0 ~n:k ~guids:k;
+      Pointer_store.reserve reserved ~guids n;
+      let unchanged = kept reserved in
+      let w0 = Gc.minor_words () in
+      put_range reserved ~from:k ~n ~guids;
+      let words = Gc.minor_words () -. w0 in
+      put_range doubled ~from:k ~n ~guids;
+      Alcotest.(check (float 0.)) (ctx ^ ": reserved records allocate nothing")
+        0. words;
+      Alcotest.(check bool) (ctx ^ ": columns and index kept") true
+        (unchanged ());
+      Alcotest.(check int) (ctx ^ ": records") (k + n) (Pointer_store.size reserved);
+      let cap ps = Array.length (Pointer_store.cols ps).Pointer_store.guid
+      and slots ps = Array.length (Pointer_store.cols ps).Pointer_store.heads in
+      Alcotest.(check int) (ctx ^ ": column capacity") (cap doubled) (cap reserved);
+      Alcotest.(check int) (ctx ^ ": index slots") (slots doubled) (slots reserved);
+      Alcotest.(check int) (ctx ^ ": approx_bytes")
+        (Pointer_store.approx_bytes doubled)
+        (Pointer_store.approx_bytes reserved);
+      let full = cap reserved = k + n in
+      put reserved (k + guids) ~root_idx:0;
+      if full then
+        Alcotest.(check int) (ctx ^ ": one past the reservation doubles")
+          (2 * (k + n)) (cap reserved))
+    [
+      (0, 1, 1); (0, 4, 4); (0, 5, 5); (0, 16, 16); (0, 100, 100);
+      (0, 300, 300); (3, 13, 13); (5, 59, 59); (0, 64, 32); (7, 200, 120);
+    ]
+
 let () =
   Alcotest.run "pointer_store"
     [
@@ -464,5 +536,7 @@ let () =
         [
           Alcotest.test_case "store: no words on new or refresh" `Quick
             test_store_allocation;
+          Alcotest.test_case "reserve: no words, doubling's capacities"
+            `Quick test_reserve;
         ] );
     ]

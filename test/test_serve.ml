@@ -269,12 +269,15 @@ let test_serve_churn_determinism () =
   Alcotest.(check string) "churned run domain-invariant"
     (Driver.signature r1) (Driver.signature r5)
 
-(* Churn joins grow the mailboxes' per-handle cells and the cache lines
-   by an eighth, not by doubling: after a churned n=256 run, each covers
-   every handle and is at most max(needed, 9/8 of a size below needed).
-   One more growth step on the engine's own structures keeps every
-   queue, in-service slot, generation and cache entry, and lands
-   exactly on the larger of +1/8 and what is needed. *)
+(* Churn joins grow the mailboxes' per-handle cells by an eighth, not
+   by doubling: after a churned n=256 run, each covers every handle and
+   is at most max(needed, 9/8 of a size below needed), and one more
+   growth step keeps every queue, in-service slot and generation and
+   lands exactly on the larger of +1/8 and what is needed.  The cache
+   grows by appending segments of 64 lines: it covers exactly the
+   handles needed, in as many segments as they take, and a growth step
+   past its last segment appends one segment, leaves every existing
+   segment and its arrays physically the same, and keeps every entry. *)
 let test_serve_churn_growth () =
   let params =
     { serve_params with Driver.kill_rate = 8.; join_rate = 150.; cache_size = 8 }
@@ -298,7 +301,10 @@ let test_serve_churn_growth () =
       within "mailbox cells" mb.Mailbox.cells
         ((needed + shards - 1) / shards))
     mbs;
-  within "cache lines" cache.Obj_cache.nodes needed;
+  Alcotest.(check int) "cache covers the arena" needed cache.Obj_cache.nodes;
+  Alcotest.(check int) "in the segments it takes"
+    ((needed + Obj_cache.seg_handles - 1) / Obj_cache.seg_handles)
+    (Array.length cache.Obj_cache.segs);
   (* queue a message at a few handles so the FIFOs carry contents *)
   let probes = [ 0; 7; needed / 2; needed - 1 ] in
   List.iter (fun h -> ignore (push_req (mb_of h) h (1000 + h) : bool)) probes;
@@ -338,10 +344,17 @@ let test_serve_churn_growth () =
   let entries = snapshot () in
   Alcotest.(check bool) "cache holds entries" true
     (match entries with [] -> false | _ :: _ -> true);
-  let prev = cache.Obj_cache.nodes in
-  Obj_cache.ensure_nodes cache (prev + 1);
-  Alcotest.(check int) "cache lines grow by an eighth" (prev + (prev / 8))
-    cache.Obj_cache.nodes;
+  let old = Array.copy cache.Obj_cache.segs in
+  let keys = Array.map (fun (g : Obj_cache.segment) -> g.Obj_cache.e_key) old in
+  let covered = Array.length old * Obj_cache.seg_handles in
+  Obj_cache.ensure_nodes cache (covered + 1);
+  Alcotest.(check int) "one segment appended" (Array.length old + 1)
+    (Array.length cache.Obj_cache.segs);
+  Array.iteri
+    (fun k g ->
+      if not (cache.Obj_cache.segs.(k) == g && g.Obj_cache.e_key == keys.(k))
+      then Alcotest.failf "segment %d was replaced by growth" k)
+    old;
   Alcotest.(check (list (list int))) "cache entries kept" entries (snapshot ())
 
 (* ---- serve engine + object cache (PR 9) ---- *)
@@ -969,6 +982,48 @@ let minor_words_per_message params =
   let r = Driver.run ~net params ~now in
   (!w_end -. !w_start) /. float_of_int r.Driver.delivered
 
+(* Words promoted to the major heap in the placement window (from
+   [now]'s first call to its second: the object GUIDs, [Publish.place]
+   and the engine's set-up), at n=1024 with 10^4 objects and no cache,
+   against the words of the pointer columns at the window's end
+   ([Network.memory_footprint]'s pointer line).  Placement sizes each
+   store once, so it promotes about the columns themselves (1.09x them,
+   with the replica tables); the GUIDs add 0.38x and the engine 0.25x,
+   and the window reads 1.71x.  With the [Pointer_store.reserve] call
+   dropped, every store grows by doubling and leaves a copy of each
+   smaller column behind: placement alone promotes 1.76x and the
+   window 2.39x.  The bound sits between the two. *)
+let placement_promotion () =
+  let net = build_net 1024 7 in
+  let calls = ref 0 and p0 = ref 0. and p1 = ref 0. and cols = ref 0 in
+  let now () =
+    incr calls;
+    (* empty the minor heap first, so the window counts what it
+       allocated and kept, not the survivors of the mesh build *)
+    if !calls <= 2 then Gc.minor ();
+    let p = (Gc.quick_stat ()).Gc.promoted_words in
+    if !calls = 1 then p0 := p;
+    if !calls = 2 then begin
+      p1 := p;
+      cols := (Network.memory_footprint net).Network.pointer_bytes / 8
+    end;
+    float_of_int !calls
+  in
+  ignore
+    (Driver.run ~net
+       { Driver.default with Driver.requests = 1_000; objects = 10_000; domains = 1 }
+       ~now
+      : Driver.result);
+  (!p1 -. !p0, float_of_int !cols)
+
+let test_alloc_placement () =
+  let promoted, cols = placement_promotion () in
+  if promoted > 2.0 *. cols then
+    Alcotest.failf
+      "placement window promoted %.0f words for %.0f words of pointer \
+       columns (%.2fx, bound 2.0x)"
+      promoted cols (promoted /. cols)
+
 let alloc_params =
   {
     Driver.default with
@@ -1148,7 +1203,7 @@ let () =
             test_serve_churn_determinism;
           Alcotest.test_case "cold churned run pinned" `Quick
             test_serve_cold_churn_pinned;
-          Alcotest.test_case "churn joins grow mailbox and cache by 1/8"
+          Alcotest.test_case "churn joins grow mailbox, cache appends"
             `Quick test_serve_churn_growth;
           Alcotest.test_case "churned run: pools sized and released"
             `Quick test_pool_follows_high_water;
@@ -1204,6 +1259,8 @@ let () =
             test_alloc_hot;
           Alcotest.test_case "cold-churn shape minor words per message"
             `Quick test_alloc_cold_churn;
+          Alcotest.test_case "placement promotes about its columns" `Quick
+            test_alloc_placement;
         ] );
       ( "ledger",
         [

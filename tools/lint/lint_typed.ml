@@ -25,7 +25,9 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    [Node_id.equal] allocates wherever it is called.  The pointer store
    is probed at every locate hop and written at every publish hop, and
    pointer maintenance re-walks records at every node a join's
-   multicast reaches.  The repair and optimization sweeps ([delete.ml],
+   multicast reaches.  Publication ([publish.ml]) writes a pointer at
+   every hop of every path, and the serve driver's placement runs it
+   for every object.  The repair and optimization sweeps ([delete.ml],
    [optimizer.ml]) visit every node of the mesh, so their per-node
    allocations are annotated with what they buy. *)
 let hot_path_sources =
@@ -45,6 +47,7 @@ let hot_path_sources =
     "lib/serve/mailbox.ml";
     "lib/serve/actor.ml";
     "lib/tapestry/obj_cache.ml";
+    "lib/tapestry/publish.ml";
   ]
 
 let is_hot source =
