@@ -102,28 +102,27 @@ let consider_table t owner cand =
 (* clockwise offset from a to b on the ring *)
 let cw_offset t a b = ((b - a) mod t.keyspace + t.keyspace) mod t.keyspace
 
+let rec take i = function
+  | [] -> []
+  | x :: rest -> if i = 0 then [] else x :: take (i - 1) rest
+
+(* The [leaf_set / 2] members nearest the owner in one ring direction,
+   [off] giving each member's offset that way. *)
+let nearest_side t off members =
+  take (t.leaf_set / 2) (List.sort (fun a b -> Int.compare (off a) (off b)) members)
+
 let consider_leaf t owner cand =
   if cand != owner && cand.alive
      && not (List.exists (fun x -> x == cand) owner.leaves)
   then begin
-    (* proper Pastry leaf set: half the entries clockwise, half counter-
-       clockwise, so the covered span is symmetric around the owner *)
+    (* proper Pastry leaf set: the L/2 nearest members clockwise and the
+       L/2 nearest counter-clockwise, so the covered span is symmetric
+       around the owner; in a ring of at most L members one node may be
+       on both sides, and is kept once *)
     let all = cand :: owner.leaves in
-    let cw =
-      List.filter (fun x -> cw_offset t owner.key x.key <= t.keyspace / 2) all
-      |> List.sort (fun a b ->
-             Int.compare (cw_offset t owner.key a.key) (cw_offset t owner.key b.key))
-    in
-    let ccw =
-      List.filter (fun x -> cw_offset t owner.key x.key > t.keyspace / 2) all
-      |> List.sort (fun a b ->
-             Int.compare (cw_offset t a.key owner.key) (cw_offset t b.key owner.key))
-    in
-    let rec take i = function
-      | [] -> []
-      | x :: rest -> if i = 0 then [] else x :: take (i - 1) rest
-    in
-    owner.leaves <- take (t.leaf_set / 2) cw @ take (t.leaf_set / 2) ccw
+    let cw = nearest_side t (fun x -> cw_offset t owner.key x.key) all in
+    let ccw = nearest_side t (fun x -> cw_offset t x.key owner.key) all in
+    owner.leaves <- cw @ List.filter (fun x -> not (List.memq x cw)) ccw
   end
 
 let learn t owner cand =
@@ -153,26 +152,17 @@ let route_next t (x : node) target_id target_key =
   in
   let span_covers =
     (* per-side span: the leaf set covers the key iff it lies between the
-       furthest counter-clockwise and furthest clockwise leaf *)
+       furthest of the counter-clockwise side and the furthest of the
+       clockwise side, each side as [consider_leaf] picks it *)
     match x.leaves with
     | [] -> true
     | leaves ->
-        let cw_max =
-          List.fold_left
-            (fun m l ->
-              let off = cw_offset t x.key l.key in
-              if off <= t.keyspace / 2 then max m off else m)
-            0 leaves
-        in
-        let ccw_max =
-          List.fold_left
-            (fun m l ->
-              let off = cw_offset t l.key x.key in
-              if off <= t.keyspace / 2 then max m off else m)
-            0 leaves
+        let reach off =
+          List.fold_left (fun m l -> max m (off l)) 0 (nearest_side t off leaves)
         in
         let off = cw_offset t x.key target_key in
-        off <= cw_max || t.keyspace - off <= ccw_max
+        off <= reach (fun l -> cw_offset t x.key l.key)
+        || t.keyspace - off <= reach (fun l -> cw_offset t l.key x.key)
   in
   if span_covers then if best_leaf == x then None else Some best_leaf
   else begin

@@ -41,12 +41,6 @@ type violation =
     }
   | Stale_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
   | Duplicate_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
-  | Handle_less_entry of {
-      node : Node_id.t;
-      level : int;
-      entry : Node_id.t;
-      backpointer : bool;
-    }
   | Missing_owner of { node : Node_id.t; level : int }
   | Expired_pointer of {
       node : Node_id.t;
@@ -79,7 +73,6 @@ let violation_code = function
   | Missing_backpointer _ -> "missing-backpointer"
   | Stale_backpointer _ -> "stale-backpointer"
   | Duplicate_backpointer _ -> "duplicate-backpointer"
-  | Handle_less_entry _ -> "handle-less-entry"
   | Missing_owner _ -> "missing-owner"
   | Expired_pointer _ -> "expired-pointer"
   | Footprint_excess _ -> "footprint-excess"
@@ -133,12 +126,6 @@ let pp_violation ppf v =
         "duplicate-backpointer: %s records holder %s more than once at \
          level %d"
         (id node) (id source) (level + 1)
-  | Handle_less_entry { node; level; entry; backpointer } ->
-      Format.fprintf ppf
-        "handle-less-entry: %s %s %s at level %d carries no arena handle"
-        (id node)
-        (if backpointer then "backpointer from" else "slot entry")
-        (id entry) (level + 1)
   | Missing_owner { node; level } ->
       Format.fprintf ppf
         "missing-owner: %s is absent from its own digit slot at level %d"
@@ -265,10 +252,6 @@ let run net =
                 in
                 if seen 0 then
                   add (Duplicate_entry { node = owner; level; digit; entry = eid });
-                if h < 0 then
-                  add
-                    (Handle_less_entry
-                       { node = owner; level; entry = eid; backpointer = false });
                 if not (Node_id.equal eid owner) then begin
                   incr entries_checked;
                   if
@@ -281,11 +264,9 @@ let run net =
                   (* an entry's arena handle is immutable: resolving it must
                      yield the very node the entry names *)
                   if
-                    h >= 0
-                    && not
-                         (h < net.Network.arena_len
-                         && Node_id.equal
-                              (Network.node_of_handle net h).Node.id eid)
+                    not
+                      (h < net.Network.arena_len
+                      && Node_id.equal (Network.node_of_handle net h).Node.id eid)
                   then
                     add (Stale_handle { node = owner; level; digit; entry = eid });
                   match Network.find net eid with
@@ -317,8 +298,8 @@ let run net =
             then add (Missing_owner { node = owner; level })
           done);
       (* Backpointer reverse direction: every backpointer's source still
-         holds the node, carries its handle, and is recorded once per
-         level — joins append without a scan, relying on symmetry.  Walked
+         holds the node and is recorded once per level — joins append
+         without a scan, relying on symmetry.  Walked
          top level down, newest holder first ([all_backpointers] order);
          [mark.(h) = gen]: handle [h] already seen at this level. *)
       let mark = Array.make net.Network.arena_len 0 and gen = ref 0 in
@@ -340,11 +321,7 @@ let run net =
               in
               if not holds then
                 add (Stale_backpointer { node = b.Node.id; level; source = src });
-              if h < 0 then
-                add
-                  (Handle_less_entry
-                     { node = b.Node.id; level; entry = src; backpointer = true })
-              else if h >= net.Network.arena_len then ()
+              if h >= net.Network.arena_len then ()
               else if mark.(h) = !gen then
                 add (Duplicate_backpointer { node = b.Node.id; level; source = src })
               else mark.(h) <- !gen

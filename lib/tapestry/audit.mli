@@ -14,9 +14,9 @@
       level (routing and multicast rely on it);
     - {b one cell per level}: an entry sits only in the slot its digit
       selects, and only once there (level walks need no dedup);
-    - {b handle consistency}: every slot entry and backpointer carries an
-      arena handle, and a slot entry's resolves to the node it names; no
-      holder is recorded twice at a level (joins append without a scan);
+    - {b handle consistency}: a slot entry's arena handle resolves to the
+      node the name column names for it; no holder is recorded twice at a
+      level (joins append without a scan);
     - {b pointer expiry consistency} (Section 2.2 soft state): no node
       retains an object pointer past its expiry;
     - {b cache coherence} (PR 9): when an {!Obj_cache} is attached, every
@@ -75,12 +75,6 @@ type violation =
       source : Node_id.t;  (** backpointer source that no longer holds [node] *)
     }
   | Duplicate_backpointer of { node : Node_id.t; level : int; source : Node_id.t }
-  | Handle_less_entry of {
-      node : Node_id.t;
-      level : int;
-      entry : Node_id.t;
-      backpointer : bool;  (** a backpointer, not a slot entry *)
-    }
   | Missing_owner of { node : Node_id.t; level : int }
   | Expired_pointer of {
       node : Node_id.t;

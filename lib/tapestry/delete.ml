@@ -183,7 +183,7 @@ let[@alloc_ok] repair_all_holes net =
     (fun (owner : Node.t) ->
       (* purge dead entries first so holes are visible *)
       List.iter
-        (fun (d : Node.t) -> ignore (Routing_table.remove owner.Node.table d.Node.id))
+        (fun (d : Node.t) -> ignore (Routing_table.remove owner.Node.table d.Node.handle))
         (dead_neighbours net owner);
       List.iter
         (fun (level, digit) ->

@@ -16,6 +16,7 @@ type t = {
   core_index : Id_index.t;
   mutable arena : Node.t array;
   mutable arena_len : int;
+  names : Routing_table.names;
   mutable alive_arr : Node.t array;
   mutable alive_len : int;
   alive_slot : int Node_id.Tbl.t;
@@ -27,7 +28,8 @@ type t = {
   mutable obj_cache : Obj_cache.t option;
 }
 
-let create ?(seed = 42) config metric =
+(* [@alloc_ok]: once per network. *)
+let[@alloc_ok] create ?(seed = 42) config metric =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Network.create: " ^ msg));
@@ -42,6 +44,7 @@ let create ?(seed = 42) config metric =
     core_index = Id_index.create ~base:config.base;
     arena = [||];
     arena_len = 0;
+    names = { Routing_table.ids = [||] };
     alive_arr = [||];
     alive_len = 0;
     alive_slot = Node_id.Tbl.create cap;
@@ -59,12 +62,16 @@ let charge t a b = Simnet.Cost.send t.cost ~dist:(dist t a b)
 
 let charge_aside t a b = Simnet.Cost.message t.cost ~dist:(dist t a b)
 
-let measure t f =
+(* [@alloc_ok]: experiment accounting around a whole operation; the
+   snapshots and the result pair are its contract. *)
+let[@alloc_ok] measure t f =
   let before = Simnet.Cost.snapshot t.cost in
   let r = f () in
   (r, Simnet.Cost.diff (Simnet.Cost.snapshot t.cost) before)
 
-let without_charging t f =
+(* [@alloc_ok]: verification walks only; the finaliser closure is
+   [Fun.protect]'s. *)
+let[@alloc_ok] without_charging t f =
   let s = Simnet.Cost.snapshot t.cost in
   Fun.protect
     ~finally:(fun () ->
@@ -77,7 +84,9 @@ let find t id = Node_id.Tbl.find_opt t.nodes id
 
 let node_of_handle t h = t.arena.(h)
 
-let salted t id i =
+(* [@alloc_ok]: the memo key is a pair, built once per (object, root)
+   walk, not per hop. *)
+let[@alloc_ok] salted t id i =
   if i = 0 then id
   else begin
     let key = (id, i) in
@@ -103,13 +112,16 @@ let push_arena t (node : Node.t) =
     let cap =
       max (Config.table_capacity ~floor:8 t.config) (2 * Array.length t.arena)
     in
-    let arr = Array.make cap node in
+    let arr = Array.make cap node and ids = Array.make cap node.id in
     Array.blit t.arena 0 arr 0 t.arena_len;
-    t.arena <- arr
+    Array.blit t.names.ids 0 ids 0 t.arena_len;
+    t.arena <- arr;
+    t.names.ids <- ids
   end;
   t.arena.(t.arena_len) <- node;
+  t.names.ids.(t.arena_len) <- node.id;
   node.handle <- t.arena_len;
-  Routing_table.set_owner_handle node.table t.arena_len;
+  Routing_table.set_owner_handle node.table t.names t.arena_len;
   t.arena_len <- t.arena_len + 1
 
 (* --- alive set: dense array + swap-remove, so sampling is O(1) --- *)
@@ -202,8 +214,9 @@ let iter_registered t f =
    by the caller to a matching snapshot, a deterministic campaign
    replayed on the cleared mesh is bit-identical to one on a fresh
    build — the serve bench reuses one n=65536 mesh across its rows this
-   way instead of re-paying the ~140 s construction per row. *)
-let clear_soft_state t =
+   way instead of re-paying the ~140 s construction per row.
+   [@alloc_ok]: once per campaign. *)
+let[@alloc_ok] clear_soft_state t =
   iter_registered t (fun (n : Node.t) ->
       Pointer_store.clear n.pointers;
       Node_id.Tbl.reset n.replicas);
@@ -215,7 +228,8 @@ let clear_soft_state t =
   (match t.obj_cache with Some c -> Obj_cache.reset c | None -> ());
   t.obj_cache <- None
 
-let core_nodes t =
+(* [@alloc_ok]: the ID list is the contract; oracles and sweeps only. *)
+let[@alloc_ok] core_nodes t =
   Id_index.ids_with_prefix t.core_index ~prefix:[||] ~len:0
   |> List.map (find_exn t)
 
@@ -225,7 +239,8 @@ let random_alive t =
   if t.alive_len = 0 then invalid_arg "Network.random_alive: no alive node"
   else t.alive_arr.(Simnet.Rng.int t.rng t.alive_len)
 
-let fresh_id t =
+(* [@alloc_ok]: one draw per join; the message is built only on failure. *)
+let[@alloc_ok] fresh_id t =
   let rec go tries =
     if tries > 1000 then
       failwith
@@ -256,7 +271,7 @@ let link_at_level t ~(owner : Node.t) ~level ~(candidate : Node.t) ~d =
   else begin
     (* added: [c] was not in [o]'s slot, so by symmetry [o] is not among
        [c]'s holders at [level] — append without a scan *)
-    Routing_table.add_backpointer c.table ~level ~handle:o.handle o.id;
+    Routing_table.add_backpointer c.table ~level o.handle;
     if v >= 0 then
       Routing_table.remove_backpointer ~handle:o.handle
         (node_of_handle t v).Node.table ~level o.id;
@@ -276,35 +291,41 @@ let offer_link t ~owner ~level ~candidate =
   && accepts_links c
   && link_at_level t ~owner ~level ~candidate ~d:(dist t o c)
 
+let rec link_levels t ~owner ~candidate ~d ~top level added =
+  if level > top then added
+  else
+    link_levels t ~owner ~candidate ~d ~top (level + 1)
+      (if link_at_level t ~owner ~level ~candidate ~d then added + 1 else added)
+
 (* The equality, liveness and shared-prefix gates hold for every level up
    to the shared prefix at once, so they run once per candidate; only the
    table update runs per level. *)
 let offer_link_all_levels t ~owner ~candidate =
   let o = (owner : Node.t) and c = (candidate : Node.t) in
   if Node_id.equal o.id c.id || not (accepts_links c) then 0
-  else begin
-    let shared = Node_id.common_prefix_len o.id c.id in
-    let d = dist t o c in
-    let added = ref 0 in
-    for level = 0 to Int.min shared (t.config.id_digits - 1) do
-      if link_at_level t ~owner ~level ~candidate ~d then incr added
-    done;
-    !added
-  end
+  else
+    link_levels t ~owner ~candidate ~d:(dist t o c)
+      ~top:(Int.min (Node_id.common_prefix_len o.id c.id) (t.config.id_digits - 1))
+      0 0
 
-let drop_link t ~owner ~target =
+(* [@alloc_ok]: the found-levels list is {!Routing_table.remove}'s
+   contract; once per dropped link (departure or dead-neighbour repair). *)
+let[@alloc_ok] drop_link t ~owner ~target =
   let o = (owner : Node.t) in
-  let levels = Routing_table.remove o.table target in
-  (match find t target with
+  match find t target with
   | Some tgt ->
+      let levels = Routing_table.remove o.table tgt.handle in
       List.iter
-        (fun level -> Routing_table.remove_backpointer tgt.Node.table ~level o.id)
-        levels
-  | None -> ());
-  levels
+        (fun level ->
+          Routing_table.remove_backpointer ~handle:o.handle tgt.table ~level o.id)
+        levels;
+      levels
+  | None -> []
 
-(* Alive neighbours of [owner] at [level], in (digit, rank) order. *)
-let live_neighbours t (owner : Node.t) ~level =
+(* Alive neighbours of [owner] at [level], in (digit, rank) order.
+   [@alloc_ok]: the list is the contract; once per repaired hole or
+   optimized level. *)
+let[@alloc_ok] live_neighbours t (owner : Node.t) ~level =
   let table = owner.table and acc = ref [] in
   for digit = Routing_table.base table - 1 downto 0 do
     for k = Routing_table.slot_len table ~level ~digit - 1 downto 0 do
@@ -316,7 +337,8 @@ let live_neighbours t (owner : Node.t) ~level =
 
 (* --- verification oracles --- *)
 
-let check_property1 t =
+(* [@alloc_ok] on the three oracles below: tests and experiments only. *)
+let[@alloc_ok] check_property1 t =
   let violations = ref [] in
   List.iter
     (fun (n : Node.t) ->
@@ -332,7 +354,7 @@ let check_property1 t =
     (core_nodes t);
   !violations
 
-let check_property2 t ~total ~optimal =
+let[@alloc_ok] check_property2 t ~total ~optimal =
   List.iter
     (fun (n : Node.t) ->
       let prefix = Node_id.digits n.id in
@@ -377,7 +399,7 @@ let check_property2 t ~total ~optimal =
     (core_nodes t);
   ()
 
-let true_nearest_neighbor t (node : Node.t) =
+let[@alloc_ok] true_nearest_neighbor t (node : Node.t) =
   let best = ref None in
   let best_d = ref infinity in
   for i = 0 to t.alive_len - 1 do
@@ -410,7 +432,8 @@ let word = 8
 let tbl_bytes ~len ~binding_words =
   ((5 + 1 + max 16 len) * word) + (len * (3 + binding_words) * word)
 
-let memory_footprint t =
+(* [@alloc_ok]: accounting, once per report. *)
+let[@alloc_ok] memory_footprint t =
   let cfg = t.config in
   let id_words = 3 + cfg.Config.id_digits + 1 in
   let node_bytes = ref 0 and table_bytes = ref 0 and pointer_bytes = ref 0 in
@@ -431,6 +454,7 @@ let memory_footprint t =
     tbl_bytes ~len:(Node_id.Tbl.length t.nodes) ~binding_words:1
     + tbl_bytes ~len:(Node_id.Tbl.length t.alive_slot) ~binding_words:1
     + ((Array.length t.arena + 1) * word)
+    + ((Array.length t.names.ids + 1) * word)
     + ((Array.length t.alive_arr + 1) * word)
     + tbl_bytes ~len:(Salt_tbl.length t.salts) ~binding_words:(3 + id_words)
   in
@@ -452,7 +476,8 @@ let memory_footprint t =
     total_bytes;
   }
 
-let surrogate_oracle t guid =
+(* [@alloc_ok]: an oracle, tests and experiments only. *)
+let[@alloc_ok] surrogate_oracle t guid =
   (* Digit-by-digit refinement with wrap-around among core nodes, answered
      straight from the incrementally maintained core index; by Theorem 2
      this is the unique root surrogate routing must reach. *)

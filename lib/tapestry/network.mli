@@ -31,6 +31,10 @@ type t = {
           The routing hot path resolves table entries through it in O(1)
           with no hashing. *)
   mutable arena_len : int;  (** number of live entries in [arena] *)
+  names : Routing_table.names;
+      (** the name column, in step with [arena]: [names.ids.(h)] is
+          [arena.(h).id].  Routing tables store neighbours by handle and
+          read their IDs here. *)
   mutable alive_arr : Node.t array;
       (** dense array of alive nodes; entries beyond [alive_len] are junk *)
   mutable alive_len : int;  (** number of live entries in [alive_arr] *)
@@ -185,7 +189,8 @@ type footprint = {
   node_bytes : int;  (** node records, ids, replica sets *)
   table_bytes : int;  (** packed routing tables + backpointer tables *)
   pointer_bytes : int;  (** per-node pointer stores *)
-  directory_bytes : int;  (** directory/alive tables, arena, salt cache *)
+  directory_bytes : int;
+      (** directory/alive tables, arena, name column, salt cache *)
   index_bytes : int;  (** the core id trie *)
   metric_bytes : int;  (** coordinates + spatial index (or matrix) *)
   scratch_bytes : int;  (** reusable insertion buffers *)

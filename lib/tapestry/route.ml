@@ -49,7 +49,7 @@ let purge net on_dead (owner : Node.t) h =
   Simnet.Cost.message net.Network.cost ~dist:0.;
   let dead = (Network.node_of_handle net h).Node.id in
   on_dead net ~owner ~dead;
-  ignore (Routing_table.remove owner.Node.table dead);
+  ignore (Routing_table.remove owner.Node.table h);
   true
 
 (* Native, at one level: the first live entry in wrap order from the

@@ -1,16 +1,19 @@
 type entry = { id : Node_id.t; dist : float }
 
+type names = { mutable ids : Node_id.t array }
+
 (* Packed representation: each level keeps its [base] slots in one row of
    flat parallel arrays, [redundancy] cells per slot, sorted in place by
    distance.  Slot [digit] of a level occupies row cells
    [digit * redundancy ..+ redundancy); the handles row carries, after its
    [base * redundancy] cells, the live prefix length of each slot, so a
-   slot scan reads its length and its handles from one block.  Entries
-   carry the neighbor's network handle
-   next to its ID so the routing hot path resolves nodes through the O(1)
-   arena with no hashing and no per-hop list allocation.  Vacant [ids]
-   cells are filled with the owner's ID (an arbitrary non-null value,
-   never read).
+   slot scan reads its length and its handles from one block.  An entry
+   is the neighbor's arena handle and its distance: the routing hot path
+   resolves nodes through the O(1) arena with no hashing and no per-hop
+   list allocation, and an entry's ID is read from the network's name
+   column at its handle, so each neighbor is stored under one name.  A
+   cell holding [owner_handle] is the owner's self-entry; cells past a
+   slot's length are never read.
 
    A level's row is allocated by the first [consider] that offers the
    level a node other than the owner (with R > 1 that offer always
@@ -23,10 +26,12 @@ type entry = { id : Node_id.t; dist : float }
 type t = {
   owner : Node_id.t;
   mutable owner_handle : int;
+  mutable names : names;
+      (* the network's name column, set at registration: [names.ids.(h)]
+         is the ID of the node with arena handle [h] *)
   redundancy : int;
   base : int;
   levels : int;
-  ids : Node_id.t array array;
   handles : int array array;
   dists : float array array;
       (* per level: the row (base * redundancy cells, and for [handles]
@@ -36,15 +41,18 @@ type t = {
       (* per level, bit [digit] set iff that slot is non-empty: digit scans
          in the routing hot path test one bit instead of a slot length
          (base <= 32, so a level's mask fits one immediate int) *)
-  bp_ids : Node_id.t array array;
   bp_handles : int array array;
   bp_lens : int array;
-      (* backpointers per level: a growable vector of (holder id, holder
-         arena handle) pairs, the handle -1 when the writer had none.  The
-         live prefix [0, bp_lens.(level)) is kept in the order holders were
-         first recorded; removal shifts the tail down.  Levels start on
-         shared empty arrays and allocate on their first holder. *)
+      (* backpointers per level: a growable vector of holder arena
+         handles.  The live prefix [0, bp_lens.(level)) is kept in the
+         order holders were first recorded; removal shifts the tail down.
+         Levels start on shared empty arrays and allocate on their first
+         holder. *)
 }
+
+(* Until registration a table reads no column: its only entries are the
+   owner's, whose cells hold [owner_handle] and resolve to [owner]. *)
+let unnamed = { ids = [||] }
 
 (* [@alloc_ok]: one table per node, built once at registration; no level
    row is allocated yet. *)
@@ -54,14 +62,13 @@ let[@alloc_ok] create (cfg : Config.t) ~owner =
     {
       owner;
       owner_handle = -1;
+      names = unnamed;
       redundancy = cfg.redundancy;
       base = cfg.base;
       levels;
-      ids = Array.make levels [||];
       handles = Array.make levels [||];
       dists = Array.make levels [||];
       filled = Array.make levels 0;
-      bp_ids = Array.make levels [||];
       bp_handles = Array.make levels [||];
       bp_lens = Array.make levels 0;
     }
@@ -82,8 +89,7 @@ let len_at t digit = (t.base * t.redundancy) + digit
    holds it. *)
 let[@alloc_ok] alloc_row t level =
   let cells = t.base * t.redundancy in
-  let ids = Array.make cells t.owner
-  and handles = Array.make (cells + t.base) (-1)
+  let handles = Array.make (cells + t.base) (-1)
   and dists = Array.make cells 0. in
   Array.fill handles cells t.base 0;
   let digit = Node_id.digit t.owner level in
@@ -91,22 +97,21 @@ let[@alloc_ok] alloc_row t level =
     handles.(len_at t digit) <- 1;
     handles.(digit * t.redundancy) <- t.owner_handle
   end;
-  t.ids.(level) <- ids;
   t.handles.(level) <- handles;
   t.dists.(level) <- dists
 
-let set_owner_handle t handle =
-  t.owner_handle <- handle;
+let set_owner_handle t names handle =
   for level = 0 to t.levels - 1 do
     if has_row t level then begin
-      let digit = Node_id.digit t.owner level in
-      let ids = t.ids.(level) and off = digit * t.redundancy in
-      for k = 0 to t.handles.(level).(len_at t digit) - 1 do
-        if Node_id.equal ids.(off + k) t.owner then
-          t.handles.(level).(off + k) <- handle
+      let hs = t.handles.(level) and digit = Node_id.digit t.owner level in
+      let off = digit * t.redundancy in
+      for k = off to off + hs.(len_at t digit) - 1 do
+        if hs.(k) = t.owner_handle then hs.(k) <- handle
       done
     end
-  done
+  done;
+  t.owner_handle <- handle;
+  t.names <- names
 
 let owner t = t.owner
 
@@ -156,17 +161,22 @@ let next_filled t ~level ~want ~tries =
       if tries >= base then -1 else tries
   end
 
-let slot_id t ~level ~digit ~k =
-  let ids = t.ids.(level) in
-  if Array.length ids = 0 then t.owner else ids.((digit * t.redundancy) + k)
-
-(* [owner_handle] is written once, by [Network.register] before the node
-   is reachable and outside any serve window, so serve windows read a
-   settled value here. *)
+(* [owner_handle] and [names] are written once, by [Network.register]
+   before the node is reachable and outside any serve window, so serve
+   windows read settled values here. *)
 let slot_handle t ~level ~digit ~k =
   let hs = t.handles.(level) in
   if Array.length hs = 0 then (t.owner_handle [@race_ok])
   else hs.((digit * t.redundancy) + k)
+
+(* The ID of the node with arena handle [h]: the owner's own, else the
+   name column's (which keeps a dead node's ID, as the arena keeps its
+   handle). *)
+let name t h =
+  if h = (t.owner_handle [@race_ok]) then t.owner
+  else (t.names.ids [@race_ok]).(h)
+
+let slot_id t ~level ~digit ~k = name t (slot_handle t ~level ~digit ~k)
 
 let slot_dist t ~level ~digit ~k =
   let ds = t.dists.(level) in
@@ -208,14 +218,8 @@ let rec insertion_pos (dists : float array) ~off ~len (dist : float) k =
     insertion_pos dists ~off ~len dist (k + 1)
   else k
 
-(* Index of [id] among cells [off+k .. off+len-1], or -1. *)
-let rec find_id (ids : Node_id.t array) ~off ~len id k =
-  if k >= len then -1
-  else if Node_id.equal ids.(off + k) id then k
-  else find_id ids ~off ~len id (k + 1)
-
-(* Index of the entry with arena handle [h] among the same cells, or -1:
-   one int compare per cell where [find_id] chases an ID pointer. *)
+(* Index of the entry with arena handle [h] among cells
+   [off+k .. off+len-1], or -1. *)
 let rec find_handle (hs : int array) ~off ~len h k =
   if k >= len then -1
   else if hs.(off + k) = h then k
@@ -223,26 +227,20 @@ let rec find_handle (hs : int array) ~off ~len h k =
 
 (* Shift row cells [off+pos .. off+len-1] one cell right (the caller
    guarantees capacity) and write the new entry at [off+pos]. *)
-let insert_at (ids : Node_id.t array) (hs : int array) (ds : float array) ~off
-    ~len ~pos ~id ~handle ~dist =
+let insert_at (hs : int array) (ds : float array) ~off ~len ~pos ~handle
+    ~dist =
   for k = len - 1 downto pos do
-    ids.(off + k + 1) <- ids.(off + k);
     hs.(off + k + 1) <- hs.(off + k);
     ds.(off + k + 1) <- ds.(off + k)
   done;
-  ids.(off + pos) <- id;
   hs.(off + pos) <- handle;
   ds.(off + pos) <- dist
 
-let remove_at t (ids : Node_id.t array) (hs : int array) (ds : float array)
-    ~off ~len ~pos =
+let remove_at (hs : int array) (ds : float array) ~off ~len ~pos =
   for k = pos to len - 2 do
-    ids.(off + k) <- ids.(off + k + 1);
     hs.(off + k) <- hs.(off + k + 1);
     ds.(off + k) <- ds.(off + k + 1)
-  done;
-  ids.(off + len - 1) <- t.owner;
-  hs.(off + len - 1) <- -1
+  done
 
 (* [consider]'s verdicts other than "added", below the -1 of an add into
    a free cell (every handle is >= 0). *)
@@ -256,20 +254,20 @@ let consider t ~level ~candidate ~handle ~dist =
   else begin
     let digit = Node_id.digit candidate level in
     if not (has_row t level) then alloc_row t level;
-    let ids = t.ids.(level) and hs = t.handles.(level) and ds = t.dists.(level) in
+    let hs = t.handles.(level) and ds = t.dists.(level) in
     let off = digit * t.redundancy in
     let len = hs.(len_at t digit) in
     let found = find_handle hs ~off ~len handle 0 in
     if found >= 0 then begin
       (* Refresh the recorded distance (it may have been estimated). *)
-      remove_at t ids hs ds ~off ~len ~pos:found;
+      remove_at hs ds ~off ~len ~pos:found;
       let pos = insertion_pos ds ~off ~len:(len - 1) dist 0 in
-      insert_at ids hs ds ~off ~len:(len - 1) ~pos ~id:candidate ~handle ~dist;
+      insert_at hs ds ~off ~len:(len - 1) ~pos ~handle ~dist;
       known
     end
     else if len < t.redundancy then begin
       let pos = insertion_pos ds ~off ~len dist 0 in
-      insert_at ids hs ds ~off ~len ~pos ~id:candidate ~handle ~dist;
+      insert_at hs ds ~off ~len ~pos ~handle ~dist;
       hs.(len_at t digit) <- len + 1;
       t.filled.(level) <- t.filled.(level) lor (1 lsl digit);
       -1
@@ -281,14 +279,7 @@ let consider t ~level ~candidate ~handle ~dist =
       if pos >= t.redundancy then rejected
       else begin
         let evicted = hs.(off + len - 1) in
-        for k = len - 2 downto pos do
-          ids.(off + k + 1) <- ids.(off + k);
-          hs.(off + k + 1) <- hs.(off + k);
-          ds.(off + k + 1) <- ds.(off + k)
-        done;
-        ids.(off + pos) <- candidate;
-        hs.(off + pos) <- handle;
-        ds.(off + pos) <- dist;
+        insert_at hs ds ~off ~len:(len - 1) ~pos ~handle ~dist;
         evicted
       end
     end
@@ -301,32 +292,22 @@ let[@alloc_ok] update_distances t ~measure =
   let changed = ref 0 in
   for level = 0 to t.levels - 1 do
     if has_row t level then begin
-      let ids = t.ids.(level)
-      and hs = t.handles.(level)
-      and ds = t.dists.(level) in
+      let hs = t.handles.(level) and ds = t.dists.(level) in
       for digit = 0 to t.base - 1 do
         let len = hs.(len_at t digit) in
         if len > 0 then begin
           let off = digit * t.redundancy in
-          let old_primary = ids.(off) in
+          let old_primary = hs.(off) in
           (* Re-measure in place, compacting out dropped entries. *)
           let m = ref 0 in
           for k = 0 to len - 1 do
-            let id = ids.(off + k) in
-            let d =
-              if Node_id.equal id t.owner then Some 0. else measure hs.(off + k)
-            in
-            match d with
+            let h = hs.(off + k) in
+            match if h = t.owner_handle then Some 0. else measure h with
             | Some d ->
-                ids.(off + !m) <- id;
-                hs.(off + !m) <- hs.(off + k);
+                hs.(off + !m) <- h;
                 ds.(off + !m) <- d;
                 incr m
             | None -> ()
-          done;
-          for k = !m to len - 1 do
-            ids.(off + k) <- t.owner;
-            hs.(off + k) <- -1
           done;
           hs.(len_at t digit) <- !m;
           if !m = 0 then
@@ -334,20 +315,17 @@ let[@alloc_ok] update_distances t ~measure =
           (* Stable insertion sort by distance (ties keep their order, the
              same result as the list reference's [List.sort Float.compare]). *)
           for k = 1 to !m - 1 do
-            let id = ids.(off + k) and h = hs.(off + k) and d = ds.(off + k) in
+            let h = hs.(off + k) and d = ds.(off + k) in
             let j = ref (k - 1) in
             while !j >= 0 && ds.(off + !j) > d do
-              ids.(off + !j + 1) <- ids.(off + !j);
               hs.(off + !j + 1) <- hs.(off + !j);
               ds.(off + !j + 1) <- ds.(off + !j);
               decr j
             done;
-            ids.(off + !j + 1) <- id;
             hs.(off + !j + 1) <- h;
             ds.(off + !j + 1) <- d
           done;
-          if !m = 0 then incr changed
-          else if not (Node_id.equal ids.(off) old_primary) then incr changed
+          if !m = 0 || hs.(off) <> old_primary then incr changed
         end
       done
     end
@@ -357,19 +335,19 @@ let[@alloc_ok] update_distances t ~measure =
 (* [@alloc_ok]: the found-levels list is the API contract; runs once per
    dropped link (departure or dead-neighbour repair), not per candidate.
    A row-less level holds no node but the owner. *)
-let[@alloc_ok] remove t target =
-  if Node_id.equal target t.owner then []
+let[@alloc_ok] remove t handle =
+  if handle = t.owner_handle then []
   else begin
-    let found = ref [] in
+    let target = name t handle and found = ref [] in
     for level = 0 to t.levels - 1 do
       let digit = Node_id.digit target level in
       if digit < t.base && has_row t level then begin
-        let ids = t.ids.(level) and hs = t.handles.(level) in
+        let hs = t.handles.(level) in
         let off = digit * t.redundancy in
         let len = hs.(len_at t digit) in
-        let pos = find_id ids ~off ~len target 0 in
+        let pos = find_handle hs ~off ~len handle 0 in
         if pos >= 0 then begin
-          remove_at t ids hs t.dists.(level) ~off ~len ~pos;
+          remove_at hs t.dists.(level) ~off ~len ~pos;
           hs.(len_at t digit) <- len - 1;
           if len = 1 then
             t.filled.(level) <- t.filled.(level) land lnot (1 lsl digit);
@@ -382,65 +360,54 @@ let[@alloc_ok] remove t target =
 
 (* --- backpointers --- *)
 
-(* Position of holder [id] in a level's vector, or -1: matched by
-   [handle] (one int compare per holder) when the caller has one, by id
-   otherwise.  IDs and handles are both unique per registered node, so
-   either key finds the same holder. *)
-let rec find_holder (ids : Node_id.t array) (hs : int array) ~len id handle k =
+(* Position of a holder in a level's vector, or -1: matched by [handle]
+   (one int compare per holder) when the caller has one, by the name of
+   each holder's handle otherwise. *)
+let rec find_holder t (hs : int array) ~len id handle k =
   if k >= len then -1
   else if
     (handle >= 0 && hs.(k) = handle)
-    || (handle < 0 && Node_id.equal ids.(k) id)
+    || (handle < 0 && Node_id.equal (name t hs.(k)) id)
   then k
-  else find_holder ids hs ~len id handle (k + 1)
+  else find_holder t hs ~len id handle (k + 1)
 
 let initial_bp_capacity = 4
 
 (* [@alloc_ok]: amortized vector growth, O(log n) times per level over a
    node's life. *)
-let[@alloc_ok] grow_backpointers t ~level id =
-  let ids = t.bp_ids.(level) and hs = t.bp_handles.(level) in
-  let len = t.bp_lens.(level) in
-  let cap = Int.max initial_bp_capacity (2 * Array.length ids) in
-  let ids' = Array.make cap id and hs' = Array.make cap (-1) in
-  Array.blit ids 0 ids' 0 len;
-  Array.blit hs 0 hs' 0 len;
-  t.bp_ids.(level) <- ids';
+let[@alloc_ok] grow_backpointers t ~level =
+  let hs = t.bp_handles.(level) in
+  let hs' = Array.make (Int.max initial_bp_capacity (2 * Array.length hs)) (-1) in
+  Array.blit hs 0 hs' 0 t.bp_lens.(level);
   t.bp_handles.(level) <- hs'
 
-let add_backpointer t ~level ~handle id =
+let add_backpointer t ~level handle =
   if handle <> t.owner_handle then begin
     let len = t.bp_lens.(level) in
-    if len = Array.length t.bp_ids.(level) then grow_backpointers t ~level id;
-    t.bp_ids.(level).(len) <- id;
+    if len = Array.length t.bp_handles.(level) then grow_backpointers t ~level;
     t.bp_handles.(level).(len) <- handle;
     t.bp_lens.(level) <- len + 1
   end
 
 let remove_backpointer ?(handle = -1) t ~level id =
-  let ids = t.bp_ids.(level) and hs = t.bp_handles.(level) in
+  let hs = t.bp_handles.(level) in
   let len = t.bp_lens.(level) in
-  let k = find_holder ids hs ~len id handle 0 in
+  let k = find_holder t hs ~len id handle 0 in
   if k >= 0 then begin
-    Array.blit ids (k + 1) ids k (len - k - 1);
     Array.blit hs (k + 1) hs k (len - k - 1);
-    (* the vacated cell keeps a live ID; overwrite it with the owner's so
-       a removed holder is not retained *)
-    ids.(len - 1) <- t.owner;
-    hs.(len - 1) <- -1;
     t.bp_lens.(level) <- len - 1
   end
 
 let backpointer_len t ~level = t.bp_lens.(level)
 
-let backpointer_id t ~level ~k = t.bp_ids.(level).(k)
+let backpointer_id t ~level ~k = name t t.bp_handles.(level).(k)
 
 let backpointer_handle t ~level ~k = t.bp_handles.(level).(k)
 
 (* [@alloc_ok]: list views for maintenance, the audit and tests; the
    descent reads the index accessors above. *)
 let[@alloc_ok] backpointers t ~level =
-  List.init t.bp_lens.(level) (fun k -> t.bp_ids.(level).(k))
+  List.init t.bp_lens.(level) (fun k -> backpointer_id t ~level ~k)
 
 (* Consed in (level, vector) order: top level down, newest holder first.
    Kept for perfbench's join-leave probe and the tests; Delete.voluntary
@@ -449,7 +416,7 @@ let[@alloc_ok] all_backpointers t =
   let acc = ref [] in
   for level = 0 to t.levels - 1 do
     for k = 0 to t.bp_lens.(level) - 1 do
-      acc := (level, t.bp_ids.(level).(k)) :: !acc
+      acc := (level, backpointer_id t ~level ~k) :: !acc
     done
   done;
   !acc
@@ -485,12 +452,12 @@ let[@alloc_ok] iter_entries t f =
 let[@alloc_ok] entry_count t =
   let c = ref 0 in
   for level = 0 to t.levels - 1 do
-    let ids = t.ids.(level) and hs = t.handles.(level) in
+    let hs = t.handles.(level) in
     if Array.length hs > 0 then
       for digit = 0 to t.base - 1 do
         let off = digit * t.redundancy in
-        for k = 0 to hs.(len_at t digit) - 1 do
-          if not (Node_id.equal ids.(off + k) t.owner) then incr c
+        for k = off to off + hs.(len_at t digit) - 1 do
+          if hs.(k) <> t.owner_handle then incr c
         done
       done
   done;
@@ -501,24 +468,22 @@ let backpointer_count t = Array.fold_left ( + ) 0 t.bp_lens
 let word = 8
 
 (* Resident-size estimate of one table: the record, its per-level row and
-   backpointer pointer arrays, each allocated row (three arrays, exact) and
+   backpointer pointer arrays, each allocated row (two arrays, exact) and
    each backpointer vector at its current capacity.  A level without a row
    or without holders shares the static empty arrays and costs nothing
-   more.  IDs are shared with the owning nodes and counted once, by
+   more.  IDs live once, in the network's name column, and are counted by
    {!Network.memory_footprint}, not here.  [@alloc_ok]: footprint
    accounting, once per node per report. *)
 let[@alloc_ok] approx_bytes t =
   let arr len = (len + 1) * word in
   let vec len = if len = 0 then 0 else arr len in
-  let fixed = (13 * word) + (7 * arr t.levels) in
+  let fixed = (12 * word) + (5 * arr t.levels) in
   let per_level = ref 0 in
   for level = 0 to t.levels - 1 do
     per_level :=
       !per_level
-      + vec (Array.length t.ids.(level))
       + vec (Array.length t.handles.(level))
       + vec (Array.length t.dists.(level))
-      + vec (Array.length t.bp_ids.(level))
       + vec (Array.length t.bp_handles.(level))
   done;
   fixed + !per_level
@@ -539,18 +504,12 @@ let[@alloc_ok] inject_slot_for_test t ~level ~digit entries =
   if List.length entries > t.redundancy then
     invalid_arg "Routing_table.inject_slot_for_test: beyond slot capacity";
   if not (has_row t level) then alloc_row t level;
-  let ids = t.ids.(level) and hs = t.handles.(level) and ds = t.dists.(level) in
+  let hs = t.handles.(level) and ds = t.dists.(level) in
   let off = digit * t.redundancy in
-  for k = 0 to t.redundancy - 1 do
-    ids.(off + k) <- t.owner;
-    hs.(off + k) <- -1;
-    ds.(off + k) <- 0.
-  done;
   List.iteri
-    (fun k (e, h) ->
-      ids.(off + k) <- e.id;
+    (fun k (h, d) ->
       hs.(off + k) <- h;
-      ds.(off + k) <- e.dist)
+      ds.(off + k) <- d)
     entries;
   hs.(len_at t digit) <- List.length entries;
   match entries with

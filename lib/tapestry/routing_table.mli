@@ -13,17 +13,25 @@
     level, which nodes hold this node in their table (Section 2.1), in
     flat per-level vectors read by index like the slots.
 
-    Slots are packed flat arrays of [(id, handle, dist)] triples sorted in
-    place (capacity R), so the routing hot path reads entries by index and
+    Slots are packed flat arrays of [(handle, dist)] pairs sorted in place
+    (capacity R), so the routing hot path reads entries by index and
     resolves nodes through the network's O(1) handle arena — no hashing, no
-    per-hop allocation.  Each level keeps its slots in one row, allocated
-    when the level gets its first entry other than the owner; a level
-    without a row holds only the owner's self-entry, which every accessor
-    reports as a row would.  An ID occupies at most one cell per level (the
-    slot its digit selects, once; audited), so a walk over a level's
-    slots meets each neighbor once. *)
+    per-hop allocation.  Each neighbor is stored once, by handle: its ID
+    is read from the network's name column ({!names}), which the table
+    reaches through a reference set at registration.  Each level keeps its
+    slots in one row, allocated when the level gets its first entry other
+    than the owner; a level without a row holds only the owner's
+    self-entry, which every accessor reports as a row would.  A node
+    occupies at most one cell per level (the slot its digit selects, once;
+    audited), so a walk over a level's slots meets each neighbor once. *)
 
 type entry = { id : Node_id.t; dist : float }
+
+type names = { mutable ids : Node_id.t array }
+(** A network's name column: [ids.(h)] is the ID of the node registered
+    with arena handle [h] (dead nodes keep theirs).  One per network,
+    filled by [Network.register]; tests that build tables without a
+    network make their own. *)
 
 type t
 
@@ -33,11 +41,14 @@ val create : Config.t -> owner:Node_id.t -> t
 val owner : t -> Node_id.t
 
 val owner_handle : t -> int
-(** The owner's arena handle, [-1] until {!set_owner_handle}. *)
+(** The owner's arena handle, [-1] until {!set_owner_handle}.  A cell
+    holding it is the owner's self-entry. *)
 
-val set_owner_handle : t -> int -> unit
-(** Record the owner's arena handle (called once by [Network.register])
-    and stamp it on the owner's self-entries. *)
+val set_owner_handle : t -> names -> int -> unit
+(** Record the name column the table reads IDs from and the owner's arena
+    handle (called once by [Network.register], after it wrote the owner's
+    ID into the column), and stamp the handle on the owner's
+    self-entries. *)
 
 val levels : t -> int
 
@@ -68,7 +79,8 @@ val next_filled : t -> level:int -> want:int -> tries:int -> int
     count-trailing-zeros, so holes cost nothing. *)
 
 val slot_id : t -> level:int -> digit:int -> k:int -> Node_id.t
-(** ID of the [k]-th closest entry ([k < slot_len]), O(1). *)
+(** ID of the [k]-th closest entry ([k < slot_len]), O(1): the name
+    column's entry at its handle. *)
 
 val slot_handle : t -> level:int -> digit:int -> k:int -> int
 (** Arena handle of the [k]-th entry, O(1); every entry carries one. *)
@@ -100,29 +112,30 @@ val update_distances : t -> measure:(int -> float option) -> int
     the number of slots whose primary changed.  The mechanism behind the
     Section 6.4 primary-rotation heuristic. *)
 
-val remove : t -> Node_id.t -> int list
-(** Remove a node everywhere it appears; returns the levels it was found at. *)
+val remove : t -> int -> int list
+(** Remove the node with this arena handle everywhere it appears; returns
+    the levels it was found at. *)
 
 (** {2 Backpointers}
 
-    Each level keeps its holders in a flat vector of [(holder id, holder
-    arena handle)] pairs.  {b Order}: holders appear in the order they were
+    Each level keeps its holders in a flat vector of holder arena handles
+    (IDs are read from the name column).  {b Order}: holders appear in the order they were
     recorded at that level, and {!remove_backpointer} closes the gap
     keeping the others' order.  The index accessors and {!backpointers} report
     that order; {!all_backpointers} reports its reverse.  Walks over
     holders (GETNEXTLIST, {!Delete.voluntary}) are therefore deterministic
     functions of the link history. *)
 
-val add_backpointer : t -> level:int -> handle:int -> Node_id.t -> unit
-(** Append holder [id] (arena handle [handle]) to [level]'s vector with no
-    scan; the owner itself is never recorded.  {b Precondition}: [id] is
-    not recorded at [level] — true when {!consider} just added the owner
-    to [id]'s slot, by backpointer symmetry (audited both ways; a breach
-    shows as [duplicate-backpointer]). *)
+val add_backpointer : t -> level:int -> int -> unit
+(** Append the holder with this arena handle to [level]'s vector with no
+    scan; the owner itself is never recorded.  {b Precondition}: the
+    holder is not recorded at [level] — true when {!consider} just added
+    the owner to its slot, by backpointer symmetry (audited both ways; a
+    breach shows as [duplicate-backpointer]). *)
 
 val remove_backpointer : ?handle:int -> t -> level:int -> Node_id.t -> unit
 (** Drop holder [id] from [level], matched by [handle] when given,
-    otherwise by id.  No-op when absent. *)
+    otherwise by the name at each holder's handle.  No-op when absent. *)
 
 val backpointer_len : t -> level:int -> int
 (** Number of holders recorded at [level], O(1). *)
@@ -158,9 +171,10 @@ val backpointer_count : t -> int
 (** Total backpointers registered across all levels, O(levels). *)
 
 val approx_bytes : t -> int
-(** Estimated resident bytes of this table (the allocated level rows + the
-    per-level backpointer vectors at their current capacity; shared IDs
-    excluded).  Feeds {!Network.memory_footprint}. *)
+(** Estimated resident bytes of this table (the allocated level rows, a
+    handle array and a distance array each, + the per-level backpointer
+    handle vectors at their current capacity; IDs, which live in the name
+    column, excluded).  Feeds {!Network.memory_footprint}. *)
 
 val allocated_rows : t -> int
 (** Number of levels holding a slot row, O(levels). *)
@@ -169,8 +183,8 @@ val holes : t -> (int * int) list
 (** All empty slots as [(level, digit)] pairs. *)
 
 val inject_slot_for_test :
-  t -> level:int -> digit:int -> (entry * int) list -> unit
+  t -> level:int -> digit:int -> (int * float) list -> unit
 (** Fault injection for {!Audit} tests only: overwrite a slot verbatim
-    with [(entry, handle)] pairs, bypassing ordering and backpointer
+    with [(handle, dist)] pairs, bypassing ordering and backpointer
     bookkeeping.  Never call this from protocol code — it deliberately
     lets tests corrupt the mesh. *)

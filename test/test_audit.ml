@@ -14,20 +14,19 @@ let build ?(n = 64) ?(seed = 7) () =
 
 let codes report = List.map Audit.violation_code report.Audit.violations
 
-(* A slot's entries paired with their registered nodes' arena handles, the
-   form [inject_slot_for_test] writes back. *)
+(* A slot's entries as their registered nodes' arena handles and
+   distances, the form [inject_slot_for_test] writes back. *)
 let with_handles net entries =
   List.map
     (fun (e : Routing_table.entry) ->
-      (e, (Network.find_exn net e.Routing_table.id).Node.handle))
+      ((Network.find_exn net e.Routing_table.id).Node.handle, e.Routing_table.dist))
     entries
 
-let fast_path_codes =
-  [ "duplicate-backpointer"; "duplicate-entry"; "handle-less-entry" ]
+let fast_path_codes = [ "duplicate-backpointer"; "duplicate-entry" ]
 
 let check_no_fast_path_violation name report =
   Alcotest.(check (list string))
-    (name ^ ": no duplicate or handle-less entries") []
+    (name ^ ": no duplicate entries or backpointers") []
     (List.filter
        (fun c -> List.exists (String.equal c) fast_path_codes)
        (codes report))
@@ -97,8 +96,7 @@ let test_dropped_backpointer_detected () =
       Alcotest.(check bool) "target" true (Node_id.equal t target.Node.id)
   | _ -> Alcotest.fail "unexpected violation payload");
   (* repairing the backpointer makes the audit clean again *)
-  Routing_table.add_backpointer target.Node.table ~level
-    ~handle:holder.Node.handle holder.Node.id;
+  Routing_table.add_backpointer target.Node.table ~level holder.Node.handle;
   check_clean "after repair" (Audit.run net)
 
 let test_reordered_slot_detected () =
@@ -187,8 +185,7 @@ let test_duplicate_backpointer_detected () =
   let entry = List.hd (Routing_table.slot holder.Node.table ~level ~digit) in
   let target = Network.find_exn net entry.Routing_table.id in
   (* record the holder a second time, breaking the append's precondition *)
-  Routing_table.add_backpointer target.Node.table ~level
-    ~handle:holder.Node.handle holder.Node.id;
+  Routing_table.add_backpointer target.Node.table ~level holder.Node.handle;
   let report = Audit.run net in
   Alcotest.(check (list string)) "exactly one violation"
     [ "duplicate-backpointer" ] (codes report);
@@ -231,43 +228,7 @@ let test_duplicate_entry_detected () =
       Alcotest.(check int) "level" level l;
       Alcotest.(check int) "digit" digit d;
       Alcotest.(check bool) "entry" true
-        (Node_id.equal entry (fst (List.hd entries)).Routing_table.id)
-  | _ -> Alcotest.fail "unexpected violation payload"
-
-let test_handle_less_entry_detected () =
-  let net, _ = build () in
-  let node, level, digit = find_victim_slot net ~min_entries:1 in
-  let entries = with_handles net (Routing_table.slot node.Node.table ~level ~digit) in
-  (* the slot's first entry loses its handle, nothing else changes *)
-  let first, _ = List.hd entries in
-  Routing_table.inject_slot_for_test node.Node.table ~level ~digit
-    ((first, -1) :: List.tl entries);
-  let report = Audit.run net in
-  Alcotest.(check (list string)) "slot entry: exactly one violation"
-    [ "handle-less-entry" ] (codes report);
-  (match report.Audit.violations with
-  | [ Audit.Handle_less_entry { node = n; level = l; entry; backpointer } ] ->
-      Alcotest.(check bool) "node" true (Node_id.equal n node.Node.id);
-      Alcotest.(check int) "level" level l;
-      Alcotest.(check bool) "entry" true
-        (Node_id.equal entry first.Routing_table.id);
-      Alcotest.(check bool) "in a slot" false backpointer
-  | _ -> Alcotest.fail "unexpected violation payload");
-  Routing_table.inject_slot_for_test node.Node.table ~level ~digit entries;
-  check_clean "slot restored" (Audit.run net);
-  (* the same defect in a backpointer vector *)
-  let target = Network.find_exn net first.Routing_table.id in
-  Routing_table.remove_backpointer target.Node.table ~level node.Node.id;
-  Routing_table.add_backpointer target.Node.table ~level ~handle:(-1)
-    node.Node.id;
-  let report = Audit.run net in
-  Alcotest.(check (list string)) "backpointer: exactly one violation"
-    [ "handle-less-entry" ] (codes report);
-  match report.Audit.violations with
-  | [ Audit.Handle_less_entry { node = n; entry; backpointer; _ } ] ->
-      Alcotest.(check bool) "node" true (Node_id.equal n target.Node.id);
-      Alcotest.(check bool) "holder" true (Node_id.equal entry node.Node.id);
-      Alcotest.(check bool) "in a backpointer vector" true backpointer
+        (Node_id.equal entry (Network.node_of_handle net (fst (List.hd entries))).Node.id)
   | _ -> Alcotest.fail "unexpected violation payload"
 
 (* Joins during a churned serve run take the append-only backpointer path;
@@ -376,8 +337,6 @@ let () =
             test_duplicate_backpointer_detected;
           Alcotest.test_case "duplicate entry" `Quick
             test_duplicate_entry_detected;
-          Alcotest.test_case "handle-less entry" `Quick
-            test_handle_less_entry_detected;
         ] );
       ( "verify regressions",
         [

@@ -133,8 +133,10 @@ let test_table_consider_ordering () =
   let t = Routing_table.create cfg4 ~owner in
   (* three candidates for slot (1, digit of second position) with R=2 *)
   let c1 = id_of "ab11" and c2 = id_of "ab22" and c3 = id_of "ab33" in
-  (* a registered owner (handle 0); each candidate keeps one handle *)
-  Routing_table.set_owner_handle t 0;
+  (* a registered owner (handle 0); each candidate keeps one handle, and
+     the table's own name column maps handles to IDs *)
+  let names = { Routing_table.ids = [| owner; c1; c2; c3; id_of "ab44" |] } in
+  Routing_table.set_owner_handle t names 0;
   let consider id handle dist =
     Routing_table.consider t ~level:1 ~candidate:id ~handle ~dist
   in
@@ -159,9 +161,10 @@ let test_table_remove_and_holes () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
   let c = id_of "ab11" in
+  Routing_table.set_owner_handle t { Routing_table.ids = [| owner; c |] } 0;
   ignore (Routing_table.consider t ~level:0 ~candidate:c ~handle:1 ~dist:1.0);
   ignore (Routing_table.consider t ~level:1 ~candidate:c ~handle:1 ~dist:1.0);
-  Alcotest.(check (list int)) "removed from both levels" [ 0; 1 ] (Routing_table.remove t c);
+  Alcotest.(check (list int)) "removed from both levels" [ 0; 1 ] (Routing_table.remove t 1);
   Alcotest.(check bool) "hole back" true (Routing_table.is_hole t ~level:1 ~digit:0xb);
   Alcotest.(check bool) "holes listed" true
     (List.exists (fun (l, d) -> l = 1 && d = 0xb) (Routing_table.holes t))
@@ -169,16 +172,21 @@ let test_table_remove_and_holes () =
 let test_table_backpointers () =
   let owner = id_of "a000" in
   let t = Routing_table.create cfg4 ~owner in
-  let other = id_of "b000" in
-  Routing_table.set_owner_handle t 0;
-  Routing_table.add_backpointer t ~level:0 ~handle:5 other;
+  let other = id_of "b000" and anon = id_of "d000" in
+  (* the per-level vectors: holders [h0..], handle 100+i, at level 1; the
+     table's own name column maps each handle to its ID *)
+  let holders = List.init 11 (fun i -> id_of (Printf.sprintf "c%03x" i)) in
+  let names = { Routing_table.ids = Array.make 111 owner } in
+  names.ids.(5) <- other;
+  names.ids.(7) <- anon;
+  List.iteri (fun i id -> names.ids.(100 + i) <- id) holders;
+  Routing_table.set_owner_handle t names 0;
+  Routing_table.add_backpointer t ~level:0 5;
   Alcotest.(check int) "one bp" 1 (List.length (Routing_table.backpointers t ~level:0));
-  Routing_table.add_backpointer t ~level:0 ~handle:0 owner;
+  Routing_table.add_backpointer t ~level:0 0;
   Alcotest.(check int) "self skipped" 1 (List.length (Routing_table.backpointers t ~level:0));
   Routing_table.remove_backpointer t ~level:0 other;
   Alcotest.(check int) "removed" 0 (List.length (Routing_table.backpointers t ~level:0));
-  (* the per-level vectors: holders [h0..], handle 100+i, at level 1 *)
-  let holders = List.init 11 (fun i -> id_of (Printf.sprintf "c%03x" i)) in
   let strs ids = List.map Node_id.to_string ids in
   let bps level = strs (Routing_table.backpointers t ~level) in
   let at_index level =
@@ -190,7 +198,7 @@ let test_table_backpointers () =
   (* growth: eleven holders overflow the initial capacity (and its first
      doubling) and keep recording order *)
   List.iteri
-    (fun i id -> Routing_table.add_backpointer t ~level:1 ~handle:(100 + i) id)
+    (fun i _ -> Routing_table.add_backpointer t ~level:1 (100 + i))
     holders;
   Alcotest.(check (list string)) "recording order survives growth" (strs holders)
     (bps 1);
@@ -198,8 +206,7 @@ let test_table_backpointers () =
   Alcotest.(check (list string)) "index accessors agree with the list"
     (List.mapi (fun i id -> Printf.sprintf "%s/%d" (Node_id.to_string id) (100 + i)) holders)
     (at_index 1);
-  let anon = id_of "d000" in
-  Routing_table.add_backpointer t ~level:2 ~handle:7 anon;
+  Routing_table.add_backpointer t ~level:2 7;
   Alcotest.(check (list string)) "stored with its handle" [ "d000/7" ]
     (at_index 2);
   (* removal by handle and by id (a handle that names no holder removes
@@ -215,14 +222,14 @@ let test_table_backpointers () =
   Routing_table.remove_backpointer t ~level:1 (id_of "eeee");
   Alcotest.(check (list string)) "absent holder: no-op" kept (bps 1);
   (* re-adding a removed holder appends it *)
-  Routing_table.add_backpointer t ~level:1 ~handle:100 (List.hd holders);
+  Routing_table.add_backpointer t ~level:1 100;
   Alcotest.(check (list string)) "re-added at the end"
     (kept @ [ Node_id.to_string (List.hd holders) ])
     (bps 1);
   Alcotest.(check int) "backpointer_count" (10 + 1)
     (Routing_table.backpointer_count t);
   (* all_backpointers: top level first, newest holder first *)
-  Routing_table.add_backpointer t ~level:0 ~handle:5 other;
+  Routing_table.add_backpointer t ~level:0 5;
   let all =
     Routing_table.all_backpointers t
     |> List.map (fun (l, id) -> Printf.sprintf "%d:%s" l (Node_id.to_string id))
@@ -254,6 +261,128 @@ let test_link_repeat_no_duplicate_backpointer () =
   Alcotest.(check int) "no dup" 1 (Routing_table.backpointer_len b.Node.table ~level:0);
   Alcotest.(check int) "holder recorded by handle" a.Node.handle
     (Routing_table.backpointer_handle b.Node.table ~level:0 ~k:0)
+
+(* Each network keeps its own name column: two networks built in one
+   process give the same handles to different IDs, and each one's tables
+   resolve their entries and holders to its own nodes. *)
+let test_names_per_network () =
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:2
+      ~rng:(Simnet.Rng.create 1)
+  in
+  let pair a b =
+    let net = Network.create cfg4 metric in
+    let a = Node.create cfg4 ~id:(id_of a) ~addr:0 in
+    let b = Node.create cfg4 ~id:(id_of b) ~addr:1 in
+    Network.register net a;
+    Network.register net b;
+    ignore (Network.offer_link net ~owner:a ~level:0 ~candidate:b);
+    (a, b)
+  in
+  let a1, b1 = pair "a000" "b000" in
+  let a2, b2 = pair "c000" "d000" in
+  let check (a : Node.t) (b : Node.t) =
+    let digit = Node_id.digit b.Node.id 0 in
+    Alcotest.(check string) "slot_id names this network's node"
+      (Node_id.to_string b.Node.id)
+      (Node_id.to_string (Routing_table.slot_id a.Node.table ~level:0 ~digit ~k:0));
+    Alcotest.(check string) "backpointer_id names this network's holder"
+      (Node_id.to_string a.Node.id)
+      (Node_id.to_string (Routing_table.backpointer_id b.Node.table ~level:0 ~k:0))
+  in
+  Alcotest.(check (pair int int)) "same handles in both networks"
+    (a1.Node.handle, b1.Node.handle) (a2.Node.handle, b2.Node.handle);
+  check a1 b1;
+  check a2 b2
+
+(* An entry naming a node that has since died keeps that node's ID: the
+   paths that purge and repair dead entries are handed the dead ID, and
+   [Delete.on_dead_repair] with it drops the entry and its backpointer. *)
+let test_dead_entry_keeps_name () =
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:3
+      ~rng:(Simnet.Rng.create 1)
+  in
+  let net = Network.create cfg4 metric in
+  let node i s =
+    let n = Node.create cfg4 ~id:(id_of s) ~addr:i in
+    Network.register net n;
+    n
+  in
+  let owner = node 0 "a000" and dead = node 1 "b000" and _spare = node 2 "c000" in
+  ignore (Network.offer_link_all_levels net ~owner ~candidate:dead);
+  Delete.fail net dead;
+  let named = ref [] in
+  Routing_table.iter_entries owner.Node.table (fun ~level:_ ~digit:_ e ->
+      match Network.find net e.Routing_table.id with
+      | Some n when not (Node.is_alive n) -> named := e.Routing_table.id :: !named
+      | _ -> ());
+  Alcotest.(check (list string)) "the dead entry still names b000" [ "b000" ]
+    (List.map Node_id.to_string !named);
+  Delete.on_dead_repair net ~owner ~dead:dead.Node.id;
+  Alcotest.(check int) "entry dropped" 0 (Routing_table.entry_count owner.Node.table);
+  Alcotest.(check int) "backpointer dropped" 0
+    (Routing_table.backpointer_count dead.Node.table)
+
+(* The three ID-keyed calls an external mesh audit makes ([iter_entries]'s
+   [id], [all_backpointers] and the ID form of [remove_backpointer]) agree
+   with the arena on a mesh churned by failures and joins, and drive its
+   repair to an audit-clean mesh. *)
+let test_id_calls_on_churned_mesh () =
+  let n = 200 and extra = 20 in
+  let rng = Simnet.Rng.create 11 in
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:(n + extra) ~rng
+  in
+  let net, _ = Static_build.build_streamed ~seed:12 Config.default metric ~n in
+  List.iteri (fun i node -> if i mod 9 = 0 then Delete.fail net node)
+    (Network.core_nodes net);
+  for i = 0 to extra - 1 do
+    ignore (Insert.insert net ~gateway:(Network.random_alive net) ~addr:(n + i))
+  done;
+  let name h = (Network.node_of_handle net h).Node.id in
+  Network.iter_alive net (fun (owner : Node.t) ->
+      let t = owner.Node.table in
+      let from_ids = ref [] and from_handles = ref [] in
+      Routing_table.iter_entries t (fun ~level:_ ~digit:_ e ->
+          from_ids := Node_id.to_string e.Routing_table.id :: !from_ids);
+      Routing_table.iter_handles t (fun ~level:_ h ->
+          from_handles := Node_id.to_string (name h) :: !from_handles);
+      Alcotest.(check (list string)) "entry IDs are the arena's" !from_handles
+        !from_ids;
+      let by_handle = ref [] in
+      for level = 0 to Routing_table.levels t - 1 do
+        for k = 0 to Routing_table.backpointer_len t ~level - 1 do
+          by_handle :=
+            (level, Node_id.to_string (name (Routing_table.backpointer_handle t ~level ~k)))
+            :: !by_handle
+        done
+      done;
+      Alcotest.(check (list (pair int string))) "holder IDs are the arena's"
+        !by_handle
+        (List.map (fun (l, id) -> (l, Node_id.to_string id)) (Routing_table.all_backpointers t)));
+  (* the external audit's repair, keyed by ID throughout *)
+  let dead_met = ref 0 in
+  Network.iter_alive net (fun owner ->
+      let dead = ref [] in
+      Routing_table.iter_entries owner.Node.table (fun ~level:_ ~digit:_ e ->
+          let id = e.Routing_table.id in
+          match Network.find net id with
+          | Some x when Node.is_alive x -> ()
+          | _ -> if not (List.exists (Node_id.equal id) !dead) then dead := id :: !dead);
+      dead_met := !dead_met + List.length !dead;
+      List.iter (fun d -> Delete.on_dead_repair net ~owner ~dead:d) (List.rev !dead));
+  Alcotest.(check bool) "dead entries met" true (!dead_met > 0);
+  ignore (Delete.repair_all_holes net : int);
+  Network.iter_alive net (fun n ->
+      List.iter
+        (fun (level, src) ->
+          match Network.find net src with
+          | Some s when Node.is_alive s -> ()
+          | _ -> Routing_table.remove_backpointer n.Node.table ~level src)
+        (Routing_table.all_backpointers n.Node.table));
+  Alcotest.(check (list string)) "repaired mesh audits clean" []
+    (List.map Audit.violation_code (Audit.run net).Audit.violations)
 
 (* (digit, rank) of handle [h] in a level's slots, or None. *)
 let slot_position (t : Routing_table.t) ~level h =
@@ -421,6 +550,11 @@ let () =
           Alcotest.test_case "consider ordering" `Quick test_table_consider_ordering;
           Alcotest.test_case "remove & holes" `Quick test_table_remove_and_holes;
           Alcotest.test_case "backpointers" `Quick test_table_backpointers;
+          Alcotest.test_case "names per network" `Quick test_names_per_network;
+          Alcotest.test_case "dead entry keeps its name" `Quick
+            test_dead_entry_keeps_name;
+          Alcotest.test_case "ID-keyed calls on a churned mesh" `Quick
+            test_id_calls_on_churned_mesh;
           Alcotest.test_case "live_neighbours" `Quick test_live_neighbours;
           Alcotest.test_case "dead_neighbours" `Quick test_dead_neighbours;
           Alcotest.test_case "repeated link: one backpointer" `Quick

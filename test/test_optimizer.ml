@@ -61,6 +61,7 @@ let test_update_distances_resorts () =
   let t = Routing_table.create cfg ~owner in
   let c1 = Node_id.of_string ~base:16 "ab11" in
   let c2 = Node_id.of_string ~base:16 "ab22" in
+  Routing_table.set_owner_handle t { Routing_table.ids = [| owner; c1; c2 |] } 0;
   ignore (Routing_table.consider t ~level:1 ~candidate:c1 ~handle:1 ~dist:1.0);
   ignore (Routing_table.consider t ~level:1 ~candidate:c2 ~handle:2 ~dist:2.0);
   (* distances flip: c2 is now closer *)

@@ -124,7 +124,10 @@ let prop_table_keeps_r_closest =
       let cfg = { Config.default with Config.id_digits = 4; redundancy = 3 } in
       let owner = Node_id.make [| 0; 0; 0; 0 |] in
       let t = Routing_table.create cfg ~owner in
-      (* force every candidate into level 0, digit = its first digit *)
+      (* force every candidate into level 0, digit = its first digit; the
+         table's own name column holds each candidate at its handle *)
+      let names = { Routing_table.ids = Array.make 26 owner } in
+      Routing_table.set_owner_handle t names 0;
       let seen = Hashtbl.create 16 in
       List.iter
         (fun (id, dist) ->
@@ -134,6 +137,7 @@ let prop_table_keeps_r_closest =
             Hashtbl.replace seen (Node_id.to_string id) dist;
             (* distinct IDs, so the arrival index is a fixed per-ID handle *)
             let handle = Hashtbl.length seen in
+            names.ids.(handle) <- id;
             ignore (Routing_table.consider t ~level:0 ~candidate:id ~handle ~dist)
           end)
         candidates;
@@ -308,18 +312,35 @@ let prop_publish_locate_total =
 
 (* --- baseline invariants over random instances --- *)
 
+let pastry_converges (seed, n) =
+  let rng = Simnet.Rng.create seed in
+  let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
+  let pa = Baselines.Pastry.create ~seed:(seed + 1) Config.default metric in
+  ignore (Baselines.Pastry.bootstrap pa ~addr:0);
+  for addr = 1 to n - 1 do
+    ignore (Baselines.Pastry.join pa ~gateway:(Baselines.Pastry.random_node pa) ~addr)
+  done;
+  Baselines.Pastry.check_routes_converge pa ~samples:10
+
 let prop_pastry_converges =
   QCheck.Test.make ~count:8 ~name:"pastry routes converge on random networks"
     (QCheck.make QCheck.Gen.(pair net_seed_gen (int_range 10 60)))
+    pastry_converges
+
+(* Networks of 10-12 nodes where every other member lies within half a
+   ring clockwise of some owner: a leaf set filed by which half-ring a
+   member falls in left that owner's counter-clockwise side empty, and
+   routes stopped short of the numerically closest node (seed 1657, n 10:
+   GUID 207dda01 from 663fb914 stopped there, not at dd562ac9 across the
+   wrap). *)
+let test_pastry_one_sided_leaf_sets () =
+  List.iter
     (fun (seed, n) ->
-      let rng = Simnet.Rng.create seed in
-      let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
-      let pa = Baselines.Pastry.create ~seed:(seed + 1) Config.default metric in
-      ignore (Baselines.Pastry.bootstrap pa ~addr:0);
-      for addr = 1 to n - 1 do
-        ignore (Baselines.Pastry.join pa ~gateway:(Baselines.Pastry.random_node pa) ~addr)
-      done;
-      Baselines.Pastry.check_routes_converge pa ~samples:10)
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d n %d converges" seed n)
+        true
+        (pastry_converges (seed, n)))
+    [ (1657, 10); (223, 12); (1189, 12); (2172, 11); (2494, 11) ]
 
 let prop_can_partitions =
   QCheck.Test.make ~count:8 ~name:"CAN zones tile the space on random joins"
@@ -377,5 +398,9 @@ let () =
           ] );
       ( "baseline invariants",
         List.map to_alcotest
-          [ prop_pastry_converges; prop_can_partitions; prop_tz_oracle_bound ] );
+          [ prop_pastry_converges; prop_can_partitions; prop_tz_oracle_bound ]
+        @ [
+            Alcotest.test_case "pastry leaf sets span both ring directions"
+              `Quick test_pastry_one_sided_leaf_sets;
+          ] );
     ]

@@ -192,12 +192,16 @@ let mesh_digest net =
    16 075 496.  [total_bytes] fell to 10 031 080 when the surrogate hint
    became an unboxed handle: 1 023 joins no longer charge a 2-word
    [Some].  It fell to 8 947 744 when the alive-ID trie [Network.index],
-   which no library code read, was deleted (1 083 336 bytes). *)
+   which no library code read, was deleted (1 083 336 bytes).  Tables
+   store each neighbour by handle alone, reading IDs from the network's
+   name column: [table_bytes] fell to 4 671 248 (the per-level ID rows
+   and backpointer ID vectors, 2 657 472 bytes) and [total_bytes] to
+   6 298 472 (the name column adds 8 200). *)
 let pinned_mesh_digests =
   [
     ( Topology.Uniform_square,
       "97625d892af28c886014a3114e0b1462",
-      Some (7_328_720, 8_947_744) );
+      Some (4_671_248, 6_298_472) );
     (Topology.Grid, "a241c3eeb1c9b3f6d82e344ef2cef462", None);
   ]
 

@@ -138,7 +138,7 @@ let inject_both irng ~pool ~handle_of packed (oracle : Oracle.Routing_table.t) =
     | _ :: _ -> Simnet.Rng.int irng config.Config.base
   in
   Routing_table.inject_slot_for_test packed ~level ~digit
-    (List.map (fun e -> (e, handle_of e.Routing_table.id)) entries);
+    (List.map (fun (e : Routing_table.entry) -> (handle_of e.id, e.dist)) entries);
   oracle.Oracle.Routing_table.slots.(level).(digit) <- entries
 
 let test_differential_churn () =
@@ -159,6 +159,10 @@ let test_differential_churn () =
     if Node_id.equal id owner then !owner_h else pool_handle id
   in
   let id_of_handle h = pool.(h) in
+  (* the table's own name column, the pool at its handles; the owner
+     stays unregistered (handle -1) until [stamp_round] *)
+  let names = { Routing_table.ids = pool } in
+  Routing_table.set_owner_handle packed names (-1);
   let irng = Simnet.Rng.create 77 in
   (* a fresh table is the owner alone, with no level row *)
   Alcotest.(check int) "fresh table allocates no level row" 0
@@ -167,7 +171,7 @@ let test_differential_churn () =
   for round = 1 to churn_rounds do
     if round = stamp_round then begin
       owner_h := owner_stamp;
-      Routing_table.set_owner_handle packed owner_stamp
+      Routing_table.set_owner_handle packed names owner_stamp
     end;
     (match Simnet.Rng.int rng 10 with
     | 0 | 1 | 2 | 3 | 4 | 5 -> begin
@@ -191,7 +195,7 @@ let test_differential_churn () =
       end
     | 6 | 7 -> begin
         let victim = Simnet.Rng.pick rng pool in
-        let lp = Routing_table.remove packed victim in
+        let lp = Routing_table.remove packed (pool_handle victim) in
         let lo = Oracle.Routing_table.remove oracle victim in
         Alcotest.(check (list int))
           (Printf.sprintf "round %d remove levels" round)

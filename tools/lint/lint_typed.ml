@@ -22,7 +22,10 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    delivered message, millions of times per campaign.  The ID and
    routing-table primitives are on the list because every hot path
    above calls them per candidate or per hop: a closure in
-   [Node_id.equal] allocates wherever it is called.  The pointer store
+   [Node_id.equal] allocates wherever it is called.  The network's link
+   primitives ([network.ml]: [offer_link_all_levels], [link_at_level])
+   run per candidate per level of every join, and it holds the name
+   column every table reads IDs from.  The pointer store
    is probed at every locate hop and written at every publish hop, and
    pointer maintenance re-walks records at every node a join's
    multicast reaches.  Publication ([publish.ml]) writes a pointer at
@@ -34,6 +37,7 @@ let hot_path_sources =
   [
     "lib/tapestry/node_id.ml";
     "lib/tapestry/routing_table.ml";
+    "lib/tapestry/network.ml";
     "lib/tapestry/pointer_store.ml";
     "lib/tapestry/maintenance.ml";
     "lib/tapestry/delete.ml";
