@@ -422,9 +422,10 @@ let serve_cmd =
       value & opt string "0"
       & info [ "cache-size" ] ~docv:"W[,W...]"
           ~doc:
-            "Per-node object-cache ways; 0 disables caching (bit-identical \
-             to the uncached engine).  A comma-separated list serves one \
-             row per size, reusing the built mesh across zero-churn rows.")
+            "Per-node object-cache ways; 0 is a zero-way cache that misses \
+             every probe (a FETCH that races an unpublish still re-climbs \
+             from the server).  A comma-separated list serves one row per \
+             size, reusing the built mesh across zero-churn rows.")
   in
   let coop_arg =
     Arg.(
@@ -569,10 +570,11 @@ let serve_cmd =
               cache_size
               (if coop then ", coop" else "");
             Printf.printf
-              "  completed %d, failed %d (dropped %d, dead-letter %d), \
-               delivered %d msgs (%.2f/req), churn %d kills / %d joins\n"
-              r.completed r.failed r.dropped r.dead_letter r.delivered dpr
-              r.kills r.joins;
+              "  completed %d, failed %d (dropped %d, dead-letter %d, \
+               exhausted %d, root-miss %d), delivered %d msgs (%.2f/req), \
+               churn %d kills / %d joins\n"
+              r.completed r.failed r.dropped r.dead_letter r.exhausted
+              r.root_miss r.delivered dpr r.kills r.joins;
             if cache_size > 0 then
               Printf.printf
                 "  cache: %d lookups, hit-rate %.3f (%d hits / %d miss / \
@@ -666,6 +668,8 @@ let serve_cmd =
                 ("failed", Int r.failed);
                 ("dropped", Int r.dropped);
                 ("dead_letter", Int r.dead_letter);
+                ("exhausted", Int r.exhausted);
+                ("root_miss", Int r.root_miss);
                 ("delivered", Int r.delivered);
                 ("delivered_per_request", Float dpr);
                 ("cache_hits", Int tl.Simnet.Stats.Tally.hits);

@@ -23,9 +23,10 @@
    records name the server and the previous hop by the arena handles a
    message carries as [src] and [prev], so no hop looks up an ID.
 
-   Object caching (PR 9, DESIGN.md section 10).  With [cache = Some _],
-   every LOCATE hop records itself in the request's path slice and
-   probes its own node's cache line before the pointer store; a valid
+   Object caching (DESIGN.md section 10).  Every LOCATE hop
+   probes its own node's cache line before the pointer store (with zero
+   ways every probe misses) and, when the cache has ways, records itself
+   in the request's path slice; a valid
    entry (matching object epoch, matching server mailbox generation,
    alive server) redirects a FETCH immediately.  A successful FETCH logs
    fill intents for every recorded path node — applied at the next
@@ -36,20 +37,18 @@
    the window of the racing unpublish (whose epoch bump lands at that
    same barrier), never at a quiescent audit point.
 
-   Redirect budget.  A request recovers instead of failing in two
-   cases: a FETCH arrives after the replica left (the lying cache entry,
-   if any, is retracted by an evict intent and the climb resumes from
-   the server), or a cache-hit FETCH overflows its server's mailbox
-   while the entry's holder is alive (the climb resumes from the
-   holder).  Each recovery spends one unit of the request's redirect
-   count [rc]: stale re-climbs with [rc < rc_max] still probe caches,
-   overflow re-climbs and those with [rc >= rc_max] are cache-free
-   LOCATE_NC walks, and a request that would reach [rc > rc_max + 1]
-   fails.  LOCATE and LOCATE_NC pack [rc] into the level field's high
-   bits and FETCH carries it as its level.  Recovery needs a cache, so
-   at [--cache 0] [rc] stays 0 and every message is byte-identical to
-   the uncached engine; there a FETCH that races an unpublish
-   retraction fails (BENCH_serve.json's `failed` at kill_rate=0).
+   Redirect budget (DESIGN.md section 10.3).  A FETCH that finds the
+   replica gone (a soft-state pointer or cache entry outlived it; a
+   lying cache entry is retracted by an evict intent) resumes the climb
+   from the server, at every cache size; a cache-hit FETCH that
+   overflows its server's mailbox while the entry's holder is alive
+   resumes it from the holder.  Each recovery spends one unit of the
+   request's redirect count [rc]: stale re-climbs with [rc < rc_max]
+   still probe caches, overflow re-climbs and those with [rc >= rc_max]
+   are cache-free LOCATE_NC walks, and a request that would reach
+   [rc > rc_max + 1] fails as [st_exhausted].  LOCATE and LOCATE_NC
+   pack [rc] into the level field's high bits; FETCH carries it as its
+   level.
 
    Shard confinement: a dispatch only mutates state owned by the shard
    it runs on (the target node's pointer store / replica set — nodes are
@@ -85,15 +84,18 @@ let level_mask = (1 lsl rc_shift) - 1
 let rc_max = 2
 
 (* Recorded locate hops per request (fill-intent targets).  Walks are
-   O(log n) = [id_digits]; the slack covers recovery re-climbs. *)
+   O(log n) = [id_digits]; the slack covers recovery re-climbs.  Never
+   binds on the perfbench shapes, seed 3: 0 of 233 000 (hot) and 90 000
+   (cold-churn) requests reach it (EXPERIMENTS.md "Knob census"). *)
 let path_cap = 12
 
 (* request_status values (one byte per request) *)
 let st_pending = '\000'
 let st_ok = '\001'
-let st_failed = '\002'
+let st_exhausted = '\002'  (* FETCH site: redirect budget spent *)
 let st_dropped = '\003'
 let st_dead_letter = '\004'
+let st_root_miss = '\005'  (* the climb reached the root without a usable pointer *)
 
 (* engine event kinds, negative so they never collide with an opcode *)
 let ev_drain = -1
@@ -117,16 +119,16 @@ type shared = {
   req_status : Bytes.t;
   wall : float array;  (* wall.(0): stamp of the current window, barrier-written *)
   mutable dirty : Bytes.t;  (* per handle: 1 if queued for dead-entry repair *)
-  cache : Obj_cache.t option;
-      (* per-node object caches; probes/touches are own-line (shard-
-         confined), cross-node fills/evicts/epoch bumps ride the ctx
-         intent buffers to the barrier *)
+  cache : Obj_cache.t;
+      (* per-node object caches, possibly zero-way; probes/touches are
+         own-line (shard-confined), cross-node fills/evicts/epoch bumps
+         ride the ctx intent buffers to the barrier *)
   req_path : Bytes.t;
       (* requests * path_cap recorded locate hops, each a 32-bit handle
          (handles < 2^31) at byte [4 * (req * path_cap + k)]; a request's
          hops are causally ordered across shards (cross-shard delivery
          waits for the barrier), so these disjoint-slice writes are
-         race-free.  Empty at --cache 0. *)
+         race-free.  Empty for a zero-way cache. *)
   req_plen : Bytes.t;  (* per request: hops recorded (saturates at path_cap) *)
   (* ---- cooperative hint exchange (DESIGN.md section 11); the fields
      below are inert when [coop = false] ---- *)
@@ -152,6 +154,8 @@ type ctx = {
   mutable failed : int;
   mutable dropped : int;
   mutable dead_letter : int;
+  mutable exhausted : int;  (* failed at the FETCH site, budget spent *)
+  mutable root_miss : int;  (* failed at the root without a usable pointer *)
   mutable delivered : int;
   mutable inject : ctx -> unit;  (* injector step; set once by the driver *)
   mutable inj_k : int;  (* requests the injector issued; -1 before its start *)
@@ -198,16 +202,18 @@ type ctx = {
   mutable wt_len : int;
 }
 
-(* Distinct (key, server) pairs a shard's digest tracks per window.
-   Windows are short (tens of requests per shard), so the cap is rarely
-   reached; past it, later pairs are not logged. *)
+(* Distinct (key, server) pairs a shard's digest tracks per window;
+   past it, later pairs are not logged.  Never binds on the perfbench
+   shapes, seed 3: 0 of 16 128 (hot) and 6 464 (cold-churn) shard-
+   windows fill it (EXPERIMENTS.md "Knob census"). *)
 let digest_cap = 64
 
 (* [@alloc_ok]: one shared record per run. *)
 let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
     ~service ~requests ~cache ~coop =
   let cfg = net.Network.config in
-  let coop = coop && Option.is_some cache in
+  let ways = cache.Obj_cache.ways in
+  let coop = coop && ways > 0 in
   {
     net;
     mbs;
@@ -225,11 +231,9 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
     dirty = Bytes.make (max net.Network.arena_len 1) '\000';
     cache;
     req_path =
-      (match cache with
-      | Some _ -> Bytes.make (4 * max requests 1 * path_cap) '\000'
-      | None -> Bytes.empty);
-    req_plen =
-      Bytes.make (match cache with Some _ -> max requests 1 | None -> 1) '\000';
+      (if ways > 0 then Bytes.make (4 * max requests 1 * path_cap) '\000'
+       else Bytes.empty);
+    req_plen = (if ways > 0 then Bytes.make (max requests 1) '\000' else Bytes.empty);
     coop;
     want_stamp =
       (if coop then Array.make (max net.Network.arena_len 1) (-1) else [||]);
@@ -285,6 +289,8 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       failed = 0;
       dropped = 0;
       dead_letter = 0;
+      exhausted = 0;
+      root_miss = 0;
       delivered = 0;
       inject = (fun _ -> ());
       inj_k = -1;
@@ -363,10 +369,10 @@ let complete_ok ctx ~now ~req =
 let fail_req ctx ~req st =
   if req >= 0 then begin
     Bytes.set ctx.sh.req_status req st;
-    ctx.failed <- ctx.failed + 1
+    ctx.failed <- ctx.failed + 1;
+    if st = st_exhausted then ctx.exhausted <- ctx.exhausted + 1
+    else if st = st_root_miss then ctx.root_miss <- ctx.root_miss + 1
   end
-
-let complete_failed ctx ~req = fail_req ctx ~req st_failed
 
 let count_dead_letter ctx ~req =
   ctx.dead_letter <- ctx.dead_letter + 1;
@@ -456,6 +462,9 @@ let log_want ctx (node : Node.t) =
     ctx.wt_len <- ctx.wt_len + 1
   end
 
+(* LOCATE hops are recorded for the fill unwind only with ways to fill. *)
+let records sh = Bytes.length sh.req_plen > 0
+
 (* The next hop of [node]'s walk toward [oi]'s root, resolved [level]
    digits so far: one [Route.step] (-1 at the root). *)
 let step ctx (node : Node.t) ~oi ~level =
@@ -464,8 +473,7 @@ let step ctx (node : Node.t) ~oi ~level =
 
 (* Pointer probe + surrogate climb, shared by LOCATE (after a cache miss)
    and LOCATE_NC.  [wl] is the walk level, [rc] the request's redirect
-   count, re-packed into the outgoing level (0 when cache is off, so the
-   uncached message stream is untouched). *)
+   count, re-packed into the outgoing level. *)
 let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
   (* a usable pointer redirects the walk to the closest live server *)
   ctx.sel_f.(sel_pred_now) <- now;
@@ -486,7 +494,7 @@ let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
         ~prev:(-1) ~src
     else
       (* reached the root without intersecting a publish path *)
-      complete_failed ctx ~req
+      fail_req ctx ~req st_root_miss
   end
 
 (* The tail of a PUBLISH or UNPUBLISH hop, after its store write:
@@ -506,53 +514,51 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
   if kind = op_locate then begin
     let wl = level land level_mask in
     let rc = level lsr rc_shift in
-    match sh.cache with
-    | None -> locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
-    | Some c ->
-        (* record this hop for the fill unwind *)
-        if req >= 0 then begin
-          let plen = Char.code (Bytes.get sh.req_plen req) in
-          if plen < path_cap then begin
-            Bytes.set_int32_ne sh.req_path
-              (4 * ((req * path_cap) + plen))
-              (Int32.of_int node.Node.handle);
-            Bytes.set sh.req_plen req (Char.chr (plen + 1))
-          end
-        end;
-        let key = base_oi / sh.roots in
-        let i = Obj_cache.probe c ~h:node.Node.handle ~key in
-        let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
-        if
-          i >= 0
-          && generation sh srv = Obj_cache.probe_gen c i
-          && Node.is_alive (Network.node_of_handle sh.net srv)
-        then begin
-          (* epoch, generation and liveness all current: redirect.
-             [prev] carries this holder so a lying entry can be
-             retracted by the fetch. *)
-          ctx.tally.hits <- ctx.tally.hits + 1;
-          if sh.coop then begin
-            if Obj_cache.probe_is_hint c i then
-              ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
-            log_digest ctx ~key ~srv ~gen:(Obj_cache.probe_gen c i)
-              ~epoch:(Obj_cache.probe_epoch c i)
-          end;
-          hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
-            ~prev:node.Node.handle ~src:srv
-        end
-        else begin
-          if i = -1 then ctx.tally.misses <- ctx.tally.misses + 1
-          else begin
-            (* an epoch-stale entry the probe self-evicted (-2), or a
-               dead server (handles are never reused, so a generation
-               mismatch means the same): own-line evict *)
-            if i >= 0 then Obj_cache.evict_at c i;
-            ctx.tally.stale <- ctx.tally.stale + 1;
-            ctx.tally.evicts <- ctx.tally.evicts + 1
-          end;
-          if sh.coop then log_want ctx node;
-          locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
-        end
+    let c = sh.cache in
+    (* record this hop for the fill unwind *)
+    if req >= 0 && records sh then begin
+      let plen = Char.code (Bytes.get sh.req_plen req) in
+      if plen < path_cap then begin
+        Bytes.set_int32_ne sh.req_path
+          (4 * ((req * path_cap) + plen))
+          (Int32.of_int node.Node.handle);
+        Bytes.set sh.req_plen req (Char.chr (plen + 1))
+      end
+    end;
+    let key = base_oi / sh.roots in
+    let i = Obj_cache.probe c ~h:node.Node.handle ~key in
+    let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
+    if
+      i >= 0
+      && generation sh srv = Obj_cache.probe_gen c i
+      && Node.is_alive (Network.node_of_handle sh.net srv)
+    then begin
+      (* epoch, generation and liveness all current: redirect.
+         [prev] carries this holder so a lying entry can be
+         retracted by the fetch. *)
+      ctx.tally.hits <- ctx.tally.hits + 1;
+      if sh.coop then begin
+        if Obj_cache.probe_is_hint c i then
+          ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
+        log_digest ctx ~key ~srv ~gen:(Obj_cache.probe_gen c i)
+          ~epoch:(Obj_cache.probe_epoch c i)
+      end;
+      hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
+        ~prev:node.Node.handle ~src:srv
+    end
+    else begin
+      if i = -1 then ctx.tally.misses <- ctx.tally.misses + 1
+      else begin
+        (* an epoch-stale entry the probe self-evicted (-2), or a
+           dead server (handles are never reused, so a generation
+           mismatch means the same): own-line evict *)
+        if i >= 0 then Obj_cache.evict_at c i;
+        ctx.tally.stale <- ctx.tally.stale + 1;
+        ctx.tally.evicts <- ctx.tally.evicts + 1
+      end;
+      if sh.coop then log_want ctx node;
+      locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
+    end
   end
   else if kind = op_fetch then begin
     if Node.stores_replica node base_guid then begin
@@ -561,44 +567,44 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
          The epoch snapshot is taken NOW — a racing unpublish's bump is
          applied before fills at the barrier, so such a fill lands
          already-stale instead of masking the retraction. *)
-      match sh.cache with
-      | Some c when req >= 0 ->
-          let key = base_oi / sh.roots in
-          let self = node.Node.handle in
-          let ep = Obj_cache.epoch_of c ~key ~srv:self in
-          let gen = generation sh self in
-          let plen = Char.code (Bytes.get sh.req_plen req) in
-          for k = 0 to plen - 1 do
-            let tgt =
-              Int32.to_int
-                (Bytes.get_int32_ne sh.req_path (4 * ((req * path_cap) + k)))
-            in
-            if tgt <> self then begin
-              push_fill ctx ~h:tgt ~key ~srv:self ~gen ~epoch:ep;
-              ctx.tally.fills <- ctx.tally.fills + 1
-            end
-          done
-      | _ -> ()
+      if req >= 0 && records sh then begin
+        let c = sh.cache in
+        let key = base_oi / sh.roots in
+        let self = node.Node.handle in
+        let ep = Obj_cache.epoch_of c ~key ~srv:self in
+        let gen = generation sh self in
+        let plen = Char.code (Bytes.get sh.req_plen req) in
+        for k = 0 to plen - 1 do
+          let tgt =
+            Int32.to_int
+              (Bytes.get_int32_ne sh.req_path (4 * ((req * path_cap) + k)))
+          in
+          if tgt <> self then begin
+            push_fill ctx ~h:tgt ~key ~srv:self ~gen ~epoch:ep;
+            ctx.tally.fills <- ctx.tally.fills + 1
+          end
+        done
+      end
     end
     else begin
       (* the replica left between redirect and arrival (cached shortcut
          gone stale, or a pointer racing its unpublish retraction):
          spend one redirect and resume the search from this server *)
       let rc = level + 1 in
-      match sh.cache with
-      | Some _ when rc <= rc_max + 1 ->
-          if prev >= 0 then begin
-            (* retract the lying entry at its holder *)
-            push_evict ctx ~h:prev ~key:(base_oi / sh.roots)
-              ~srv:node.Node.handle;
-            ctx.tally.stale <- ctx.tally.stale + 1;
-            ctx.tally.evicts <- ctx.tally.evicts + 1
-          end;
-          ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-          dispatch ctx node ~now
-            ~kind:(if rc >= rc_max then op_locate_nc else op_locate)
-            ~req ~oi ~level:(rc lsl rc_shift) ~prev:(-1) ~src
-      | _ -> complete_failed ctx ~req
+      if rc <= rc_max + 1 then begin
+        if prev >= 0 then begin
+          (* retract the lying entry at its holder *)
+          push_evict ctx ~h:prev ~key:(base_oi / sh.roots)
+            ~srv:node.Node.handle;
+          ctx.tally.stale <- ctx.tally.stale + 1;
+          ctx.tally.evicts <- ctx.tally.evicts + 1
+        end;
+        ctx.tally.recoveries <- ctx.tally.recoveries + 1;
+        dispatch ctx node ~now
+          ~kind:(if rc >= rc_max then op_locate_nc else op_locate)
+          ~req ~oi ~level:(rc lsl rc_shift) ~prev:(-1) ~src
+      end
+      else fail_req ctx ~req st_exhausted
     end
   end
   else if kind = op_publish then begin
@@ -615,10 +621,8 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
          this (object, server) pair — the origin node IS the server
          (logged on the base oi only; root walks oi > base_oi share the
          same key) *)
-      match sh.cache with
-      | Some _ when oi = base_oi ->
-          push_epoch ctx ~key:(base_oi / sh.roots) ~srv:node.Node.handle
-      | _ -> ()
+      if oi = base_oi then
+        push_epoch ctx ~key:(base_oi / sh.roots) ~srv:node.Node.handle
     end;
     ignore
       (Pointer_store.remove node.Node.pointers ~guid:base_guid ~server:src

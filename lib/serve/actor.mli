@@ -12,9 +12,10 @@
     retracts along the same walk; LOCATE_NC is the cache-free climb a
     request's last redirects use.
 
-    With an {!Tapestry.Obj_cache} attached (PR 9, DESIGN.md section 10),
-    LOCATE probes the hop's own cache line before the pointer store and
-    a valid entry redirects the FETCH immediately.  Cross-node cache
+    LOCATE probes the hop's own {!Tapestry.Obj_cache} line (DESIGN.md
+    section 10) before the pointer store and a valid entry
+    redirects the FETCH immediately; a zero-way cache misses every
+    probe.  Cross-node cache
     mutations (fills from successful fetches, evicts of entries caught
     lying, epoch bumps at unpublish origins) are logged in per-shard
     intent buffers and applied at the barrier in shard order, keeping
@@ -25,9 +26,9 @@
     unit of the request's redirect count [rc] and resume the climb, at
     the server or at the holder.  Overflow re-climbs and climbs with
     [rc >= rc_max] are cache-free LOCATE_NC walks; a request that would
-    reach [rc > rc_max + 1] fails.  Recovery needs a cache, so at
-    [cache = None] [rc] stays 0 and every message is byte-identical to
-    the uncached engine.
+    reach [rc > rc_max + 1] fails as {!st_exhausted}.  A pointer can
+    outlive its replica with or without a cache (soft state), so the
+    rule is the same at every cache size.
 
     Every hop is one {!Tapestry.Route.step}, the sync walks' own
     routing step.  Every function here runs on the shard owning the
@@ -57,9 +58,11 @@ val path_cap : int
 
 val st_pending : char
 val st_ok : char
-val st_failed : char
+
+val st_exhausted : char  (* FETCH site: replica gone, redirect budget spent *)
 val st_dropped : char
 val st_dead_letter : char
+val st_root_miss : char  (* the climb reached the root without a usable pointer *)
 
 val ev_inject : int
 (** Engine event kind that runs the shard's injector step
@@ -87,15 +90,15 @@ type shared = {
   req_status : Bytes.t;
   wall : float array;  (** [wall.(0)]: stamp of the window, barrier-written *)
   mutable dirty : Bytes.t;  (** per handle: queued for dead-entry repair? *)
-  cache : Obj_cache.t option;
-      (** per-node object caches; probes and touches stay own-line
-          (shard-confined), cross-node mutations ride the ctx intent
-          buffers to the barrier *)
+  cache : Obj_cache.t;
+      (** per-node object caches, possibly zero-way; probes and touches
+          stay own-line (shard-confined), cross-node mutations ride the
+          ctx intent buffers to the barrier *)
   req_path : Bytes.t;
       (** [requests * path_cap] recorded locate hops, 32-bit native-endian
           handles (4 bytes each); a request's hops are causally ordered
           across shards, so the disjoint-slice writes are race-free.
-          Empty at [--cache 0]. *)
+          Empty for a zero-way cache. *)
   req_plen : Bytes.t;  (** per request: hops recorded (saturates) *)
   coop : bool;
       (** cooperative hint exchange on (DESIGN.md section 11): cache
@@ -123,6 +126,8 @@ type ctx = {
   mutable failed : int;
   mutable dropped : int;
   mutable dead_letter : int;
+  mutable exhausted : int;  (** failures as {!st_exhausted} *)
+  mutable root_miss : int;  (** failures as {!st_root_miss} *)
   mutable delivered : int;
   mutable inject : ctx -> unit;
       (** the injector's step, run on each {!ev_inject} event; a no-op
@@ -174,8 +179,9 @@ val digest_cap : int
 val make_shared :
   net:Network.t -> mbs:Mailbox.t array -> shards:int -> guids:Node_id.t array ->
   roots:int -> ttl:float -> latency:float -> service:float ->
-  requests:int -> cache:Obj_cache.t option -> coop:bool -> shared
-(** [coop] is forced off when [cache = None]. *)
+  requests:int -> cache:Obj_cache.t -> coop:bool -> shared
+(** [coop] is forced off for a zero-way cache, and the per-request path
+    arrays are allocated only when the cache has ways. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
 (** The ctx's event heap parks payloads in [mbs.(shard)]'s pool. *)
@@ -194,8 +200,6 @@ val send :
 (** Route a message to handle [h]: same-shard straight into this shard's
     event heap, cross-shard into the outbox for the barrier.  Captures
     the target's mailbox generation at send time. *)
-
-val complete_failed : ctx -> req:int -> unit
 
 val count_dead_letter : ctx -> req:int -> unit
 (** A message whose target died: count it and fail its request. *)

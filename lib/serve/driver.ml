@@ -40,8 +40,8 @@ type params = {
   kill_rate : float;  (* node failures per virtual second *)
   join_rate : float;  (* churn joins per virtual second *)
   domains : int;  (* <= 0: Parallel.recommended () *)
-  cache_size : int;  (* object-cache ways per node; 0 disables *)
-  coop : bool;  (* cooperative hint exchange (needs cache_size > 0) *)
+  cache_size : int;  (* object-cache ways per node; 0 = every probe misses *)
+  coop : bool;  (* cooperative hint exchange (effective at cache_size > 0) *)
 }
 
 let default =
@@ -74,6 +74,8 @@ type result = {
   failed : int;
   dropped : int;
   dead_letter : int;
+  exhausted : int;  (* failed at the FETCH site, redirect budget spent *)
+  root_miss : int;  (* failed at the root without a usable pointer *)
   delivered : int;
   kills : int;
   joins : int;
@@ -246,28 +248,22 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   in
   Publish.place net ~servers
     (Array.init params.objects (fun o -> guids.(o * roots)));
-  (* object cache (PR 9): keys are interned in object order up front, so
-     key o = oi / roots for every message and no hot-path interning is
-     needed; the cache is attached to the network so the quiescent-point
-     [Audit.run] sees it *)
+  (* object cache, zero-way at --cache-size 0.  The engine's
+     key for object o is o = oi / roots.  A cache with ways is attached
+     to the network, its keys interned in that order, so the
+     quiescent-point [Audit.run] and the sync unpublish see it; a
+     zero-way cache holds nothing to audit or retract, and the network
+     of its run carries none. *)
   let cache =
-    if params.cache_size <= 0 then begin
-      (* defensive: a cache left attached by an earlier run on this
-         mesh must not leak into an uncached row *)
-      net.Network.obj_cache <- None;
-      None
-    end
-    else begin
-      let c =
-        Obj_cache.create ~ways:params.cache_size ~nodes:net.Network.arena_len
-      in
-      for o = 0 to params.objects - 1 do
-        ignore (Obj_cache.intern c guids.(o * roots) : int)
-      done;
-      net.Network.obj_cache <- Some c;
-      Some c
-    end
+    Obj_cache.create ~ways:(max 0 params.cache_size) ~nodes:net.Network.arena_len
   in
+  net.Network.obj_cache <- None;
+  if cache.Obj_cache.ways > 0 then begin
+    for o = 0 to params.objects - 1 do
+      ignore (Obj_cache.intern cache guids.(o * roots) : int)
+    done;
+    net.Network.obj_cache <- Some cache
+  end;
   let t =
     Shard.create ~net ~guids ~roots ~ttl:params.ttl ~latency:params.latency
       ~service:params.service ~requests:params.requests
@@ -314,6 +310,8 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   and failed = ref 0
   and dropped = ref 0
   and dead_letter = ref 0
+  and exhausted = ref 0
+  and root_miss = ref 0
   and delivered = ref 0 in
   Array.iter
     (fun (ctx : Actor.ctx) ->
@@ -325,6 +323,8 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
       failed := !failed + ctx.Actor.failed;
       dropped := !dropped + ctx.Actor.dropped;
       dead_letter := !dead_letter + ctx.Actor.dead_letter;
+      exhausted := !exhausted + ctx.Actor.exhausted;
+      root_miss := !root_miss + ctx.Actor.root_miss;
       delivered := !delivered + ctx.Actor.delivered)
     t.Shard.ctxs;
   ledger.Shard.collect <- clock () -. c1;
@@ -337,6 +337,8 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
     failed = !failed;
     dropped = !dropped;
     dead_letter = !dead_letter;
+    exhausted = !exhausted;
+    root_miss = !root_miss;
     delivered = !delivered;
     kills = st.kills;
     joins = st.joins;
@@ -361,20 +363,17 @@ let mailbox_bytes (t : Shard.t) =
   !sum
 
 (* Resident-size estimates of the run's state, from the [approx_bytes]
-   estimators.  The object cache is billed to the pointer bucket by
-   [Network.memory_footprint]; it is split out here. *)
+   estimators.  [Network.memory_footprint] bills an attached object
+   cache to the pointer bucket; the engine's cache is split out here. *)
 let memory_ledger r =
   let sh = r.engine.Shard.sh in
   let net = sh.Actor.net in
   let fp = Network.memory_footprint net in
-  let cache =
-    match net.Network.obj_cache with
-    | Some c -> Obj_cache.approx_bytes c
-    | None -> 0
-  in
+  let cache = Obj_cache.approx_bytes sh.Actor.cache in
+  let billed = if Option.is_some net.Network.obj_cache then cache else 0 in
   [
     ("tables", fp.Network.table_bytes);
-    ("pointers", fp.Network.pointer_bytes - cache);
+    ("pointers", fp.Network.pointer_bytes - billed);
     ("cache", cache);
     ("mailbox", mailbox_bytes r.engine);
     ("requests", Actor.request_bytes sh);
@@ -385,10 +384,10 @@ let memory_ledger r =
   ]
 
 (* Deterministic fingerprint of a run: merged virtual histogram plus the
-   integer counters.  Excludes every wall-clock-derived quantity, so it
-   must be bit-identical across domain counts.  Cache counters are
-   appended only when the cache saw traffic, so cache-off signatures
-   match the pre-cache engine's byte for byte. *)
+   integer counters, cache and hint counters included.  Excludes every
+   wall-clock-derived quantity, so it must be bit-identical across
+   domain counts.  The failure causes are left out: they partition
+   [fail]. *)
 let signature r =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -396,20 +395,12 @@ let signature r =
        r.injected r.completed r.failed r.dropped r.dead_letter r.delivered
        r.kills r.joins r.barriers r.duration_v);
   let tl = r.tally in
-  if Simnet.Stats.Tally.lookups tl + tl.Simnet.Stats.Tally.fills > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "ch=%d cm=%d cs=%d cf=%d ce=%d cr=%d;"
-         tl.Simnet.Stats.Tally.hits tl.Simnet.Stats.Tally.misses
-         tl.Simnet.Stats.Tally.stale tl.Simnet.Stats.Tally.fills
-         tl.Simnet.Stats.Tally.evicts tl.Simnet.Stats.Tally.recoveries);
-  (* hint counters follow the same pattern: only appended when the
-     cooperative layer actually moved hints, so coop-off signatures
-     carry no hint fields *)
-  if tl.Simnet.Stats.Tally.hint_fills + tl.Simnet.Stats.Tally.hint_hits > 0
-  then
-    Buffer.add_string b
-      (Printf.sprintf "hf=%d hh=%d;" tl.Simnet.Stats.Tally.hint_fills
-         tl.Simnet.Stats.Tally.hint_hits);
+  Buffer.add_string b
+    (Printf.sprintf "ch=%d cm=%d cs=%d cf=%d ce=%d cr=%d;hf=%d hh=%d;"
+       tl.Simnet.Stats.Tally.hits tl.Simnet.Stats.Tally.misses
+       tl.Simnet.Stats.Tally.stale tl.Simnet.Stats.Tally.fills
+       tl.Simnet.Stats.Tally.evicts tl.Simnet.Stats.Tally.recoveries
+       tl.Simnet.Stats.Tally.hint_fills tl.Simnet.Stats.Tally.hint_hits);
   Array.iteri
     (fun i c -> if c > 0 then Buffer.add_string b (Printf.sprintf "%d:%d," i c))
     (Hist.counts r.hist_v);

@@ -24,13 +24,14 @@ type params = {
   join_rate : float;  (** churn joins per virtual second *)
   domains : int;  (** OS domains; [<= 0] uses [Parallel.recommended] *)
   cache_size : int;
-      (** {!Obj_cache} ways per node; [0] (the default) disables caching
-          and reproduces the uncached engine's counters bit-identically *)
+      (** {!Obj_cache} ways per node; [0] (the default) is a zero-way
+          cache: every probe misses, and a FETCH racing an unpublish
+          recovers as at any size *)
   coop : bool;
       (** cooperative hint exchange (DESIGN.md section 11): each
           window's cache hits, bucketed by the first digits of the
           object's root guids, are offered at the barrier to the nodes
-          that missed.  Requires [cache_size > 0] *)
+          that missed.  Effective only at [cache_size > 0] *)
 }
 
 val default : params
@@ -43,9 +44,13 @@ type result = {
   hist_w : Hist.h;  (** merged wall-latency histogram (info only) *)
   injected : int;
   completed : int;
-  failed : int;  (** all non-ok terminals, [dropped] and [dead_letter] included *)
+  failed : int;
+      (** all non-ok terminals; with one root (every message carries
+          its request), [dropped + dead_letter + exhausted + root_miss] *)
   dropped : int;  (** mailbox-overflow backpressure drops *)
   dead_letter : int;  (** messages for nodes that died in flight *)
+  exhausted : int;  (** FETCH site: replica gone, redirect budget spent *)
+  root_miss : int;  (** climbs that reached the root without a usable pointer *)
   delivered : int;
   kills : int;
   joins : int;
@@ -53,7 +58,8 @@ type result = {
   wall_s : float;
   barriers : int;
   tally : Simnet.Stats.Tally.t;
-      (** merged cache counters, all-zero at [cache_size = 0] *)
+      (** merged cache counters; at [cache_size = 0] only misses and
+          FETCH-race recoveries move *)
 }
 
 val run :
@@ -83,6 +89,7 @@ val memory_ledger : result -> (string * int) list
     the run's counters and sizes, not of the machine. *)
 
 val signature : result -> string
-(** Deterministic fingerprint: counters plus the virtual histogram,
-    excluding every wall-derived quantity.  Equal strings across
+(** Deterministic fingerprint: counters (cache and hint counters
+    always included, failure causes left out) plus the virtual
+    histogram, excluding every wall-derived quantity.  Equal strings across
     [--domains] values is the serve determinism guarantee. *)

@@ -167,34 +167,32 @@ let apply_repairs t =
    a same-window unpublish lands already-stale, and an evict cannot be
    undone by a same-window fill of the entry it just retracted. *)
 let apply_cache_intents t =
-  match t.sh.Actor.cache with
-  | None -> ()
-  | Some c ->
-      for s = 0 to shard_count - 1 do
-        let ctx = t.ctxs.(s) in
-        for i = 0 to ctx.Actor.ep_len - 1 do
-          Obj_cache.bump_epoch c ~key:ctx.Actor.ep_key.(i)
-            ~srv:ctx.Actor.ep_srv.(i)
-        done;
-        ctx.Actor.ep_len <- 0
-      done;
-      for s = 0 to shard_count - 1 do
-        let ctx = t.ctxs.(s) in
-        for i = 0 to ctx.Actor.ev_len - 1 do
-          Obj_cache.evict c ~h:ctx.Actor.ev_h.(i) ~key:ctx.Actor.ev_key.(i)
-            ~server:ctx.Actor.ev_srv.(i)
-        done;
-        ctx.Actor.ev_len <- 0
-      done;
-      for s = 0 to shard_count - 1 do
-        let ctx = t.ctxs.(s) in
-        for i = 0 to ctx.Actor.fi_len - 1 do
-          Obj_cache.insert c ~h:ctx.Actor.fi_h.(i)
-            ~key:ctx.Actor.fi_key.(i) ~server:ctx.Actor.fi_srv.(i)
-            ~gen:ctx.Actor.fi_gen.(i) ~epoch:ctx.Actor.fi_epoch.(i)
-        done;
-        ctx.Actor.fi_len <- 0
-      done
+  let c = t.sh.Actor.cache in
+  for s = 0 to shard_count - 1 do
+    let ctx = t.ctxs.(s) in
+    for i = 0 to ctx.Actor.ep_len - 1 do
+      Obj_cache.bump_epoch c ~key:ctx.Actor.ep_key.(i)
+        ~srv:ctx.Actor.ep_srv.(i)
+    done;
+    ctx.Actor.ep_len <- 0
+  done;
+  for s = 0 to shard_count - 1 do
+    let ctx = t.ctxs.(s) in
+    for i = 0 to ctx.Actor.ev_len - 1 do
+      Obj_cache.evict c ~h:ctx.Actor.ev_h.(i) ~key:ctx.Actor.ev_key.(i)
+        ~server:ctx.Actor.ev_srv.(i)
+    done;
+    ctx.Actor.ev_len <- 0
+  done;
+  for s = 0 to shard_count - 1 do
+    let ctx = t.ctxs.(s) in
+    for i = 0 to ctx.Actor.fi_len - 1 do
+      Obj_cache.insert c ~h:ctx.Actor.fi_h.(i)
+        ~key:ctx.Actor.fi_key.(i) ~server:ctx.Actor.fi_srv.(i)
+        ~gen:ctx.Actor.fi_gen.(i) ~epoch:ctx.Actor.fi_epoch.(i)
+    done;
+    ctx.Actor.fi_len <- 0
+  done
 
 (* Cooperative hint exchange (DESIGN.md section 11), running after
    [apply_cache_intents] so every same-window epoch bump has already
@@ -258,63 +256,61 @@ let offer_bucket c (tl : Simnet.Stats.Tally.t) ~h (cnt : int array)
   go 0 budget 0
 
 let apply_hint_digest t =
-  match t.sh.Actor.cache with
-  | Some c when t.sh.Actor.coop ->
-      let sh = t.sh in
-      let base = sh.Actor.base in
-      Array.fill t.b1_cnt 0 (Array.length t.b1_cnt) 0;
-      Array.fill t.b2_cnt 0 (Array.length t.b2_cnt) 0;
-      for s = 0 to shard_count - 1 do
-        let ctx = t.ctxs.(s) in
-        for j = 0 to ctx.Actor.hd_len - 1 do
-          let key = ctx.Actor.hd_key.(j)
-          and srv = ctx.Actor.hd_srv.(j)
-          and gen = ctx.Actor.hd_gen.(j)
-          and epoch = ctx.Actor.hd_epoch.(j) in
-          if Obj_cache.epoch_of c ~key ~srv = epoch then
-            for r = 0 to sh.Actor.roots - 1 do
-              let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
-              let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
-              bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~gen ~epoch;
-              bucket_add t.b2_cnt t.b2_rows b2_cap
-                ((d0 * base) + d1)
-                ~key ~srv ~gen ~epoch
-            done
-        done;
-        ctx.Actor.hd_len <- 0
+  if t.sh.Actor.coop then begin
+    let sh = t.sh in
+    let c = sh.Actor.cache in
+    let base = sh.Actor.base in
+    Array.fill t.b1_cnt 0 (Array.length t.b1_cnt) 0;
+    Array.fill t.b2_cnt 0 (Array.length t.b2_cnt) 0;
+    for s = 0 to shard_count - 1 do
+      let ctx = t.ctxs.(s) in
+      for j = 0 to ctx.Actor.hd_len - 1 do
+        let key = ctx.Actor.hd_key.(j)
+        and srv = ctx.Actor.hd_srv.(j)
+        and gen = ctx.Actor.hd_gen.(j)
+        and epoch = ctx.Actor.hd_epoch.(j) in
+        if Obj_cache.epoch_of c ~key ~srv = epoch then
+          for r = 0 to sh.Actor.roots - 1 do
+            let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
+            let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
+            bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~gen ~epoch;
+            bucket_add t.b2_cnt t.b2_rows b2_cap
+              ((d0 * base) + d1)
+              ~key ~srv ~gen ~epoch
+          done
       done;
-      for s = 0 to shard_count - 1 do
-        let ctx = t.ctxs.(s) in
-        for w = 0 to ctx.Actor.wt_len - 1 do
-          let h = ctx.Actor.wt_h.(w) in
-          let node = Network.node_of_handle sh.Actor.net h in
-          if Node.is_alive node && Obj_cache.has_empty_way c ~h then begin
-            let v0 = Node_id.digit node.Node.id 0
-            and v1 = Node_id.digit node.Node.id 1 in
-            let left =
-              offer_bucket c ctx.Actor.tally ~h t.b2_cnt t.b2_rows b2_cap
-                ((v0 * base) + v1)
-                import_budget
-            in
-            ignore
-              (offer_bucket c ctx.Actor.tally ~h t.b1_cnt t.b1_rows b1_cap v0
-                 left
-                : int)
-          end
-        done;
-        ctx.Actor.wt_len <- 0
+      ctx.Actor.hd_len <- 0
+    done;
+    for s = 0 to shard_count - 1 do
+      let ctx = t.ctxs.(s) in
+      for w = 0 to ctx.Actor.wt_len - 1 do
+        let h = ctx.Actor.wt_h.(w) in
+        let node = Network.node_of_handle sh.Actor.net h in
+        if Node.is_alive node && Obj_cache.has_empty_way c ~h then begin
+          let v0 = Node_id.digit node.Node.id 0
+          and v1 = Node_id.digit node.Node.id 1 in
+          let left =
+            offer_bucket c ctx.Actor.tally ~h t.b2_cnt t.b2_rows b2_cap
+              ((v0 * base) + v1)
+              import_budget
+          in
+          ignore
+            (offer_bucket c ctx.Actor.tally ~h t.b1_cnt t.b1_rows b1_cap v0
+               left
+              : int)
+        end
       done;
-      sh.Actor.win.(0) <- sh.Actor.win.(0) + 1
-  | _ -> ()
+      ctx.Actor.wt_len <- 0
+    done;
+    sh.Actor.win.(0) <- sh.Actor.win.(0) + 1
+  end
 
 (* Grow barrier-resized structures after churn joins. *)
 let sync_capacity t =
   let sh = t.sh in
   let n = sh.Actor.net.Network.arena_len in
   Array.iter (fun mb -> Mailbox.ensure mb ~handles:n) sh.Actor.mbs;
-  (match sh.Actor.cache with
-  | Some c -> Obj_cache.ensure_nodes c n
-  | None -> ());
+  Obj_cache.ensure_nodes sh.Actor.cache n;
   if sh.Actor.coop && Array.length sh.Actor.want_stamp < n then begin
     let a = Array.make (max n (2 * Array.length sh.Actor.want_stamp)) (-1) in
     Array.blit sh.Actor.want_stamp 0 a 0 (Array.length sh.Actor.want_stamp);

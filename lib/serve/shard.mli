@@ -53,17 +53,17 @@ type t = {
 val create :
   net:Network.t -> guids:Node_id.t array -> roots:int -> ttl:float ->
   latency:float -> service:float -> requests:int -> mailbox_cap:int ->
-  seed:int -> window:float -> cache:Obj_cache.t option -> coop:bool -> t
+  seed:int -> window:float -> cache:Obj_cache.t -> coop:bool -> t
 (** Build the engine: per shard one mailbox (payload pool plus the
     per-handle FIFO cells of its handles, sized to the network) and one
     {!Actor.ctx} with an independent [Parallel.task_rng]
-    stream.  [cache] attaches the per-node object caches (fills, evicts
-    and epoch bumps buffered per shard are applied at each barrier in
-    shard order, bumps first, then evicts, then fills).  [coop] (see
-    DESIGN.md section 11) adds the barrier-ordered hint exchange after
-    the intent pass: the window's cache hits, bucketed by root-guid
-    digits, are offered to the nodes that missed.  It is forced off
-    without a cache.
+    stream.  [cache] is the per-node object caches, zero-way for an
+    uncached run (fills, evicts and epoch bumps buffered per shard are
+    applied at each barrier in shard order, bumps first, then evicts,
+    then fills).  [coop] (see DESIGN.md section 11) adds the
+    barrier-ordered hint exchange after the intent pass: the window's
+    cache hits, bucketed by root-guid digits, are offered to the nodes
+    that missed.  It is forced off for a zero-way cache.
     @raise Invalid_argument if [window <= 0]. *)
 
 val run :

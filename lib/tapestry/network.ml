@@ -1,14 +1,3 @@
-(* Salted-GUID cache keys: (identifier, root-set index). *)
-module Salt_key = struct
-  type t = Node_id.t * int
-
-  let equal (a, i) (b, j) = Int.equal i j && Node_id.equal a b
-
-  let hash (id, i) = (Node_id.hash id * 31) + i
-end
-
-module Salt_tbl = Hashtbl.Make (Salt_key)
-
 type t = {
   config : Config.t;
   metric : Simnet.Metric.t;
@@ -20,7 +9,7 @@ type t = {
   mutable alive_arr : Node.t array;
   mutable alive_len : int;
   alive_slot : int Node_id.Tbl.t;
-  salts : Node_id.t Salt_tbl.t;
+  salts : Node_id.t array Node_id.Tbl.t;
   scratch : Scratch.t;
   mutable rng : Simnet.Rng.t;
   cost : Simnet.Cost.t;
@@ -48,7 +37,7 @@ let[@alloc_ok] create ?(seed = 42) config metric =
     alive_arr = [||];
     alive_len = 0;
     alive_slot = Node_id.Tbl.create cap;
-    salts = Salt_tbl.create 64;
+    salts = Node_id.Tbl.create 64;
     scratch = Scratch.create ();
     rng = Simnet.Rng.create seed;
     cost = Simnet.Cost.make ();
@@ -84,18 +73,20 @@ let find t id = Node_id.Tbl.find_opt t.nodes id
 
 let node_of_handle t h = t.arena.(h)
 
-(* [@alloc_ok]: the memo key is a pair, built once per (object, root)
-   walk, not per hop. *)
-let[@alloc_ok] salted t id i =
+(* [@alloc_ok]: once per identifier (and again only for an index past
+   the root set): its row psi_1 .. psi_(R-1), R the root-set size. *)
+let[@alloc_ok] salt_row t id i =
+  let len = max (t.config.Config.root_set_size - 1) i in
+  let row = Array.init len (fun k -> Node_id.salt ~base:t.config.Config.base id (k + 1)) in
+  Node_id.Tbl.replace t.salts id row;
+  row
+
+(* A memo hit allocates nothing: [Not_found] is a constant exception. *)
+let salted t id i =
   if i = 0 then id
   else begin
-    let key = (id, i) in
-    match Salt_tbl.find_opt t.salts key with
-    | Some s -> s
-    | None ->
-        let s = Node_id.salt ~base:t.config.Config.base id i in
-        Salt_tbl.replace t.salts key s;
-        s
+    let row = try Node_id.Tbl.find t.salts id with Not_found -> [||] in
+    if i <= Array.length row then row.(i - 1) else (salt_row t id i).(i - 1)
   end
 
 let find_exn t id =
@@ -456,7 +447,8 @@ let[@alloc_ok] memory_footprint t =
     + ((Array.length t.arena + 1) * word)
     + ((Array.length t.names.ids + 1) * word)
     + ((Array.length t.alive_arr + 1) * word)
-    + tbl_bytes ~len:(Salt_tbl.length t.salts) ~binding_words:(3 + id_words)
+    + tbl_bytes ~len:(Node_id.Tbl.length t.salts)
+        ~binding_words:(1 + max 0 (cfg.Config.root_set_size - 1) * (1 + id_words))
   in
   let index_bytes = Id_index.approx_bytes t.core_index in
   let metric_bytes = Simnet.Metric.approx_bytes t.metric in

@@ -13,9 +13,6 @@
     [core_index] is maintained on every status transition, so
     {!surrogate_oracle} and the property checkers never rebuild it. *)
 
-(** @closed *)
-module Salt_tbl : Hashtbl.S with type key = Node_id.t * int
-
 type t = {
   config : Config.t;
       (** normalized ({!Config.normalize}) copy of the config passed to
@@ -39,10 +36,10 @@ type t = {
       (** dense array of alive nodes; entries beyond [alive_len] are junk *)
   mutable alive_len : int;  (** number of live entries in [alive_arr] *)
   alive_slot : int Node_id.Tbl.t;  (** node id -> its slot in [alive_arr] *)
-  salts : Node_id.t Salt_tbl.t;
+  salts : Node_id.t array Node_id.Tbl.t;
       (** memo for {!salted}: [Node_id.salt] allocates a fresh RNG and
           digit array per call, so the redundant-roots publish/locate path
-          caches psi_i per [(id, i)] *)
+          caches, per identifier, the row psi_1 .. psi_(R-1) *)
   scratch : Scratch.t;
       (** reusable generation-stamped buffers for the insertion hot path
           (nearest-neighbor descent, acknowledged multicast); see

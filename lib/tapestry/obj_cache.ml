@@ -70,9 +70,10 @@ let[@alloc_ok] make_segment ~ways lines =
 
 (* [@alloc_ok]: one structure per network / serve run.  The last
    segment holds only the lines [nodes] needs, so a small cache stays
-   small. *)
+   small.  Zero ways is a cache every probe misses: its lines are
+   empty, so every way scan runs zero times. *)
 let[@alloc_ok] create ~ways ~nodes =
-  if ways <= 0 then invalid_arg "Obj_cache.create: ways must be positive";
+  if ways < 0 then invalid_arg "Obj_cache.create: negative ways";
   if nodes < 0 then invalid_arg "Obj_cache.create: negative nodes";
   {
     ways;
@@ -275,7 +276,7 @@ let dk_admit t (st : segment) ~h ~line ~key =
   end
 
 let insert t ~h ~key ~server ~gen ~epoch =
-  if h < t.nodes then begin
+  if h < t.nodes && t.ways > 0 then begin
     let st = t.segs.(h lsr seg_bits) and line = h land seg_mask in
     let base = line * t.ways in
     (* refresh an existing entry or claim an empty way before evicting *)

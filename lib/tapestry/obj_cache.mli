@@ -75,7 +75,7 @@ type segment = private {
     cache created for a handle count that is not a multiple of 64). *)
 
 type t = private {
-  ways : int;  (** associativity: entries per node, > 0 *)
+  ways : int;  (** associativity: entries per node; 0 = every probe misses *)
   mutable nodes : int;  (** handles covered: every [h < nodes] has a line *)
   mutable segs : segment array;
   ep_tbl : (int, int) Hashtbl.t;
@@ -88,7 +88,9 @@ type t = private {
 }
 
 val create : ways:int -> nodes:int -> t
-(** @raise Invalid_argument if [ways <= 0] or [nodes < 0]. *)
+(** [ways = 0] is legal: every probe misses and every insert is
+    declined, so a zero-way cache is the serve engine's "no cache".
+    @raise Invalid_argument if [ways < 0] or [nodes < 0]. *)
 
 val ensure_nodes : t -> int -> unit
 (** Cover handles [< n] by appending whole segments: the existing

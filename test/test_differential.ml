@@ -51,7 +51,12 @@ let build ?(config = Config.default) geometry seed =
 let alive_handle net rng =
   net.Network.alive_arr.(Rng.int rng net.Network.alive_len).Node.handle
 
-let engine ~net ~guids ~requests ~cache =
+(* [cache] defaults to a zero-way cache, every probe a miss. *)
+let engine ?cache ~net ~guids ~requests () =
+  let cache =
+    Option.value cache
+      ~default:(Obj_cache.create ~ways:0 ~nodes:net.Network.arena_len)
+  in
   Shard.create ~net ~guids ~roots:net.Network.config.Config.root_set_size
     ~ttl:1e6 ~latency:1e-5 ~service:1e-4 ~requests ~mailbox_cap:64 ~seed:1
     ~window:0.02 ~cache ~coop:false
@@ -135,7 +140,7 @@ let test_locate geometry () =
     (fun domains ->
       let c = Obj_cache.create ~ways:64 ~nodes:net.Network.arena_len in
       Array.iter (fun g -> ignore (Obj_cache.intern c g : int)) base;
-      let t = engine ~net ~guids ~requests:objects ~cache:(Some c) in
+      let t = engine ~cache:c ~net ~guids ~requests:objects () in
       Array.iteri
         (fun o client ->
           send t ~time:0. ~h:client ~kind:Actor.op_locate ~req:o
@@ -185,7 +190,7 @@ let test_dead_entries geometry () =
     Delete.fail b (Network.node_of_handle b h)
   done;
   (* the actor's own hook, from an engine that never runs *)
-  let ctx = (engine ~net:a ~guids:[||] ~requests:1 ~cache:None).Shard.ctxs.(0) in
+  let ctx = (engine ~net:a ~guids:[||] ~requests:1 ()).Shard.ctxs.(0) in
   let seen = ref [] in
   let dead owner h =
     seen := (owner.Node.handle, h) :: !seen;
@@ -267,7 +272,7 @@ let check_state what (columns, held) net base =
    object, root by root) and the store's index order is comparable. *)
 let serve_chains net ~guids ~objects ~servers ~kind ~domains =
   let roots = net.Network.config.Config.root_set_size in
-  let t = engine ~net ~guids ~requests:(Array.length servers) ~cache:None in
+  let t = engine ~net ~guids ~requests:(Array.length servers) () in
   List.iteri
     (fun k o ->
       for r = 0 to roots - 1 do

@@ -10,9 +10,9 @@
    - a churned run quiesces to an audit-clean mesh;
    - object GUIDs stay distinct when the ID space is small enough for
      draws to repeat;
-   - the cache's redirect budget: overflow relief without coop, at most
-     rc_max + 1 recoveries per request, and cache 0 leaving the
-     uncached engine's signature untouched. *)
+   - the redirect budget: overflow relief without coop, at most
+     rc_max + 1 recoveries per request, and a FETCH that races an
+     unpublish recovering at zero ways as with ways. *)
 
 open Tapestry
 module Rng = Simnet.Rng
@@ -208,17 +208,29 @@ let test_serve_determinism () =
   Alcotest.(check string) "1 domain = auto domains" s1 (Driver.signature r0)
 
 let test_serve_accounting () =
-  let _, r = run_serve ~domains:2 () in
-  Alcotest.(check int) "every request injected" serve_params.Driver.requests
-    r.Driver.injected;
-  (* [failed] is the terminal counter: it already covers requests that
-     ended by drop or dead letter (those message counters may also tick
-     for fire-and-forget chains), so completion + failure is exhaustive *)
-  Alcotest.(check int) "every request resolved"
-    r.Driver.injected
-    (r.Driver.completed + r.Driver.failed);
-  Alcotest.(check bool) "messages flowed" true
-    (r.Driver.delivered >= r.Driver.injected)
+  let churned = { serve_params with Driver.kill_rate = 8.; join_rate = 4. } in
+  List.iter
+    (fun (what, params) ->
+      List.iter
+        (fun domains ->
+          let _, r = run_serve ~params ~domains () in
+          let what = Printf.sprintf "%s, %d domains" what domains in
+          Alcotest.(check int) (what ^ ": every request injected")
+            params.Driver.requests r.Driver.injected;
+          (* [failed] is the terminal counter, so completion + failure
+             is exhaustive; with one root every message carries its
+             request, so the four causes partition it *)
+          Alcotest.(check int) (what ^ ": every request resolved")
+            r.Driver.injected
+            (r.Driver.completed + r.Driver.failed);
+          Alcotest.(check int) (what ^ ": causes partition failed")
+            r.Driver.failed
+            (r.Driver.dropped + r.Driver.dead_letter + r.Driver.exhausted
+           + r.Driver.root_miss);
+          Alcotest.(check bool) (what ^ ": messages flowed") true
+            (r.Driver.delivered >= r.Driver.injected))
+        [ 1; 2 ])
+    [ ("unchurned", serve_params); ("churned", churned) ]
 
 let test_serve_streamed_build_signature () =
   (* the serve CLI builds its mesh with [Static_build.build_streamed]
@@ -379,27 +391,9 @@ let test_serve_cache_determinism () =
   Alcotest.(check string) "churned cache-on run domain-invariant"
     (Driver.signature c1) (Driver.signature c5)
 
-let test_serve_cache_off_identical () =
-  (* cache_size = 0 must reproduce the uncached engine bit-exactly: no
-     cache suffix in the signature, identical counters *)
-  let _, r_off = run_serve ~params:serve_params ~domains:2 () in
-  let _, r_zero =
-    run_serve ~params:{ serve_params with Driver.cache_size = 0 } ~domains:2 ()
-  in
-  Alcotest.(check string) "cache 0 = uncached signature"
-    (Driver.signature r_off) (Driver.signature r_zero);
-  let s = Driver.signature r_off in
-  let rec has_cache_field i =
-    i + 3 <= String.length s
-    && (String.sub s i 3 = "ch=" || has_cache_field (i + 1))
-  in
-  Alcotest.(check bool) "no cache fields leak into the signature" false
-    (has_cache_field 0)
-
 let test_serve_cache_helps () =
-  (* the cache must not make service worse: fewer failures (redirect
-     recovery re-climbs past unpublish races the uncached walk loses)
-     and a strictly smaller delivered-message volume.  mailbox_cap is
+  (* the cache must not make service worse: no more failures than at
+     zero ways and a strictly smaller delivered-message volume.  mailbox_cap is
      raised because at this tiny scale the cache's direct FETCHes
      concentrate on the few hot servers and a 64-message mailbox drops the
      overflow, which would conflate backpressure with correctness *)
@@ -461,23 +455,22 @@ let test_serve_coop_determinism () =
     [ 0; 2; 5 ]
 
 let test_serve_coop_off_identical () =
-  (* --coop off is the plain cached engine: no hint moves, so no hint
-     fields in the signature; and coop without a cache is forced off,
-     reproducing the uncached engine byte-exactly *)
+  (* --coop off is the plain cached engine: no hint moves, so the
+     signature's hint fields read zero; and coop at zero ways, where no
+     line can take a hint, is forced off *)
   let _, r_cached = run_serve ~params:cached_params ~domains:2 () in
   let _, r_plain = run_serve ~params:serve_params ~domains:2 () in
-  let _, r_nocache =
+  let _, r_zero_ways =
     run_serve ~params:{ serve_params with Driver.coop = true } ~domains:2 ()
   in
-  Alcotest.(check string) "coop without a cache is forced off"
-    (Driver.signature r_plain) (Driver.signature r_nocache);
+  Alcotest.(check string) "coop at zero ways is forced off"
+    (Driver.signature r_plain) (Driver.signature r_zero_ways);
   let s = Driver.signature r_cached in
   let rec has_sub sub i =
     i + String.length sub <= String.length s
     && (String.sub s i (String.length sub) = sub || has_sub sub (i + 1))
   in
-  Alcotest.(check bool) "no hint fields leak into the signature" false
-    (has_sub "hf=" 0);
+  Alcotest.(check bool) "hint fields read zero" true (has_sub "hf=0 hh=0;" 0);
   (* sanity: the flag is not dead — coop on diverges *)
   let _, r_on = run_serve ~params:coop_params ~domains:2 () in
   Alcotest.(check bool) "coop on actually changes the run" true
@@ -612,44 +605,103 @@ let test_overflow_relief_without_coop () =
     <= (Serve.Actor.rc_max + 1) * r.Driver.injected)
 
 let test_redirect_budget_bounded () =
-  (* every recovery is poisoned: each node's cache names a live server
-     that no longer holds the object, and the pointers along that
-     server's publish path outlive the replica, so every FETCH of the
-     one request finds the replica gone — through the cached climbs
-     (rc < rc_max) and the cache-free ones alike *)
+  (* every recovery is poisoned: the pointers along a server's publish
+     path, its own included, outlive the replica, and with ways each
+     node's cache names that server too, so every FETCH of the one
+     request finds the replica gone -- through the cached climbs
+     (rc < rc_max) and the cache-free ones alike.  A zero-way cache
+     takes no entry, and the pointers alone poison the same budget. *)
+  List.iter
+    (fun ways ->
+      let net = build_net 256 42 in
+      let roots = net.Network.config.Config.root_set_size in
+      let g = Network.fresh_id net in
+      let guids = Array.init roots (fun r -> Network.salted net g r) in
+      let liar = Network.random_alive net in
+      ignore (Publish.publish net ~server:liar guids.(0) : Publish.outcome);
+      Node.remove_replica liar guids.(0);
+      let c = Obj_cache.create ~ways ~nodes:net.Network.arena_len in
+      let key = Obj_cache.intern c guids.(0) in
+      let t =
+        Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
+          ~service:1e-4 ~requests:1 ~mailbox_cap:64 ~seed:1 ~window:0.02
+          ~cache:c ~coop:false
+      in
+      let sh = t.Serve.Shard.sh in
+      let liar_h = liar.Node.handle in
+      Network.iter_alive net (fun n ->
+          Obj_cache.insert c ~h:n.Node.handle ~key ~server:liar_h
+            ~gen:(Serve.Actor.generation sh liar_h)
+            ~epoch:(Obj_cache.epoch_of c ~key ~srv:liar_h));
+      let rec pick () =
+        let n = Network.random_alive net in
+        if n.Node.handle = liar_h then pick () else n
+      in
+      let client = (pick ()).Node.handle in
+      let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of client) in
+      Serve.Actor.send ctx ~time:0. ~h:client ~kind:Serve.Actor.op_locate
+        ~req:0 ~oi:0 ~level:0 ~prev:(-1) ~src:client;
+      Serve.Shard.run t ~domains:1 ~now:(fun () -> 0.)
+        ~on_barrier:(fun _ _ -> ());
+      let what = Printf.sprintf "%d ways: " ways in
+      Alcotest.(check int)
+        (what ^ "recovers exactly rc_max + 1 times")
+        (Serve.Actor.rc_max + 1) (sum_recoveries t);
+      Alcotest.(check char) (what ^ "then ends exhausted")
+        Serve.Actor.st_exhausted
+        (Bytes.get t.Serve.Shard.sh.Serve.Actor.req_status 0))
+    [ 4; 0 ]
+
+(* A FETCH that races an unpublish recovers at zero ways: an object has
+   replicas on [s1] and on [s2], the alive node farthest from [x], where
+   [x] is [s1]'s first hop toward the root.  A LOCATE from [x] reads
+   [x]'s pointer to [s1] just before the served UNPUBLISH of [s1]
+   retracts it, so its FETCH reaches [s1] after the replica left.  The
+   FETCH spends one redirect and re-climbs from [s1], behind the
+   retraction, to the pointer naming [s2]. *)
+let test_fetch_race_recovers_without_ways () =
   let net = build_net 256 42 in
   let roots = net.Network.config.Config.root_set_size in
   let g = Network.fresh_id net in
   let guids = Array.init roots (fun r -> Network.salted net g r) in
-  let liar = Network.random_alive net in
-  ignore (Publish.publish net ~server:liar guids.(0) : Publish.outcome);
-  Node.remove_replica liar guids.(0);
-  let c = Obj_cache.create ~ways:4 ~nodes:net.Network.arena_len in
-  let key = Obj_cache.intern c guids.(0) in
+  let rec first_hop () =
+    let s1 = Network.random_alive net in
+    match Route.peek_first_hop net s1 guids.(0) with
+    | Some x -> (s1, x)
+    | None -> first_hop ()
+  in
+  let s1, x = first_hop () in
+  let s2 =
+    List.fold_left
+      (fun best n ->
+        if Network.dist net x n > Network.dist net x best then n else best)
+      s1 (Network.alive_nodes net)
+  in
+  List.iter
+    (fun server ->
+      ignore (Publish.publish net ~server guids.(0) : Publish.outcome))
+    [ s1; s2 ];
   let t =
     Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
-      ~service:1e-4 ~requests:1 ~mailbox_cap:64 ~seed:1 ~window:0.02
-      ~cache:(Some c) ~coop:false
+      ~service:1e-4 ~requests:2 ~mailbox_cap:64 ~seed:1 ~window:0.02
+      ~cache:(Obj_cache.create ~ways:0 ~nodes:net.Network.arena_len)
+      ~coop:false
   in
-  let sh = t.Serve.Shard.sh in
-  let liar_h = liar.Node.handle in
-  Network.iter_alive net (fun n ->
-      Obj_cache.insert c ~h:n.Node.handle ~key ~server:liar_h
-        ~gen:(Serve.Actor.generation sh liar_h)
-        ~epoch:(Obj_cache.epoch_of c ~key ~srv:liar_h));
-  let rec pick () =
-    let n = Network.random_alive net in
-    if n.Node.handle = liar_h then pick () else n
+  let send ~time ~(at : Node.t) ~kind ~req =
+    Serve.Actor.send
+      t.Serve.Shard.ctxs.(Serve.Shard.shard_of at.Node.handle)
+      ~time ~h:at.Node.handle ~kind ~req ~oi:0 ~level:0 ~prev:(-1)
+      ~src:at.Node.handle
   in
-  let client = (pick ()).Node.handle in
-  let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of client) in
-  Serve.Actor.send ctx ~time:0. ~h:client ~kind:Serve.Actor.op_locate ~req:0
-    ~oi:0 ~level:0 ~prev:(-1) ~src:client;
+  send ~time:0.505 ~at:s1 ~kind:Serve.Actor.op_unpublish ~req:0;
+  send ~time:0.50495 ~at:x ~kind:Serve.Actor.op_locate ~req:1;
   Serve.Shard.run t ~domains:1 ~now:(fun () -> 0.) ~on_barrier:(fun _ _ -> ());
-  Alcotest.(check int) "recovers exactly rc_max + 1 times"
-    (Serve.Actor.rc_max + 1) (sum_recoveries t);
-  Alcotest.(check char) "then fails" Serve.Actor.st_failed
-    (Bytes.get t.Serve.Shard.sh.Serve.Actor.req_status 0)
+  let status req = Bytes.get t.Serve.Shard.sh.Serve.Actor.req_status req in
+  Alcotest.(check char) "unpublish completes" Serve.Actor.st_ok (status 0);
+  Alcotest.(check int) "the FETCH raced the retraction once" 1
+    (sum_recoveries t);
+  Alcotest.(check char) "the locate completes at s2" Serve.Actor.st_ok
+    (status 1)
 
 (* A served UNPUBLISH retracts cached entries naming its server, and
    only those: one object has replicas on s1 and s2, every node's cache
@@ -679,7 +731,7 @@ let test_unpublish_retracts_cached_entries () =
   let t =
     Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
       ~service:1e-4 ~requests:(1 + locates) ~mailbox_cap:64 ~seed:1
-      ~window:0.02 ~cache:(Some c) ~coop:false
+      ~window:0.02 ~cache:c ~coop:false
   in
   let sh = t.Serve.Shard.sh in
   (* even handles name s1, odd handles s2 *)
@@ -725,20 +777,16 @@ let test_unpublish_retracts_cached_entries () =
     tl.Simnet.Stats.Tally.recoveries
 
 let test_cache_zero_signature_pinned () =
-  (* with no cache attached nothing recovers, so the uncached engine's
-     signature stays byte-identical to the engine before the redirect
-     budget was merged (digests pinned there), churn included *)
+  (* the zero-way engine: every probe misses, and a FETCH that races an
+     unpublish recovers by the same rule as with ways; churn included *)
   let digest params =
     let _, r = run_serve ~params ~domains:2 () in
     Digest.to_hex (Digest.string (Driver.signature r))
   in
-  Alcotest.(check string) "uncached signature pinned"
-    "319657aaa275db8a485613e579c7e720" (digest serve_params);
-  Alcotest.(check string) "cache 0 signature pinned"
-    "319657aaa275db8a485613e579c7e720"
-    (digest { serve_params with Driver.cache_size = 0 });
-  Alcotest.(check string) "churned uncached signature pinned"
-    "8f2b071ff51e46ffa42fd074a26e7e3b"
+  Alcotest.(check string) "zero-way signature pinned"
+    "fac655acb7d7b3ff882dca5791b32480" (digest serve_params);
+  Alcotest.(check string) "churned zero-way signature pinned"
+    "479ff8d4d179e401e0f7097691bab7c3"
     (digest { serve_params with Driver.kill_rate = 8.; join_rate = 4. })
 
 (* A pinned fingerprint of a churned run shaped like the benchmark's
@@ -893,7 +941,7 @@ let prop_timer_matches_model =
     let t =
       Serve.Shard.create ~net:(build_net 16 3) ~guids:[||] ~roots:1 ~ttl:1.
         ~latency:1e-5 ~service:1e-4 ~requests:1 ~mailbox_cap:4 ~seed:1
-        ~window:0.02 ~cache:None ~coop:false
+        ~window:0.02 ~cache:(Obj_cache.create ~ways:0 ~nodes:16) ~coop:false
     in
     t.Serve.Shard.ctxs.(0)
   in
@@ -1212,8 +1260,6 @@ let () =
         [
           Alcotest.test_case "cache-on runs domain-invariant (incl. churn)"
             `Quick test_serve_cache_determinism;
-          Alcotest.test_case "cache 0 bit-identical to uncached" `Quick
-            test_serve_cache_off_identical;
           Alcotest.test_case "cache cuts messages, never adds failures"
             `Quick test_serve_cache_helps;
           Alcotest.test_case
@@ -1249,6 +1295,8 @@ let () =
             test_cache_zero_signature_pinned;
           Alcotest.test_case "served unpublish retracts cached entries"
             `Quick test_unpublish_retracts_cached_entries;
+          Alcotest.test_case "FETCH racing an unpublish recovers at 0 ways"
+            `Quick test_fetch_race_recovers_without_ways;
         ] );
       ( "timer",
         List.map QCheck_alcotest.to_alcotest

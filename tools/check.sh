@@ -66,8 +66,8 @@ cd "$(dirname "$0")/.."
 #   (- for none) | what the stage covers
 smokes=(
   "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
-  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|4130130ce915b4f6d0ad2ed7cca650fa|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
-  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|50ef0071058074325bf0c8340ab07f3c|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
+  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
+  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
   "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|scale smoke (n=32768 streamed build + JSON round-trip)"
 )
 
