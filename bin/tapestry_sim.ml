@@ -575,6 +575,13 @@ let serve_cmd =
                churn %d kills / %d joins\n"
               r.completed r.failed r.dropped r.dead_letter r.exhausted
               r.root_miss r.delivered dpr r.kills r.joins;
+            let drop op = r.dropped_by.(op) in
+            Printf.printf
+              "  dropped by class: locate %d, locate-nc %d, fetch %d, \
+               publish %d, unpublish %d; chain messages lost %d\n"
+              (drop Serve.Actor.op_locate) (drop Serve.Actor.op_locate_nc)
+              (drop Serve.Actor.op_fetch) (drop Serve.Actor.op_publish)
+              (drop Serve.Actor.op_unpublish) r.chain_lost;
             if cache_size > 0 then
               Printf.printf
                 "  cache: %d lookups, hit-rate %.3f (%d hits / %d miss / \
@@ -667,6 +674,12 @@ let serve_cmd =
                 ("completed", Int r.completed);
                 ("failed", Int r.failed);
                 ("dropped", Int r.dropped);
+                ("dropped_locate", Int (drop Serve.Actor.op_locate));
+                ("dropped_locate_nc", Int (drop Serve.Actor.op_locate_nc));
+                ("dropped_fetch", Int (drop Serve.Actor.op_fetch));
+                ("dropped_publish", Int (drop Serve.Actor.op_publish));
+                ("dropped_unpublish", Int (drop Serve.Actor.op_unpublish));
+                ("chain_lost", Int r.chain_lost);
                 ("dead_letter", Int r.dead_letter);
                 ("exhausted", Int r.exhausted);
                 ("root_miss", Int r.root_miss);

@@ -23,10 +23,21 @@
    records name the server and the previous hop by the arena handles a
    message carries as [src] and [prev], so no hop looks up an ID.
 
+   Request slots.  A request's mutable state (injection stamps, the
+   recorded locate path) lives in a slot of its injecting shard's pool
+   from injection until the barrier after it settles; messages carry
+   the slot's tag in their [req] field (-1: a fire-and-forget chain).
+   Only one message of a request is ever live, so its slot is written
+   by one shard at a time; completion or failure marks it settled, and
+   the owner returns its settled slots to its free list at the
+   barrier.  So request memory follows the requests in
+   flight, not the length of the run; only the status byte stays per
+   request.
+
    Object caching (DESIGN.md section 10).  Every LOCATE hop
    probes its own node's cache line before the pointer store (with zero
    ways every probe misses) and, when the cache has ways, records itself
-   in the request's path slice; a valid
+   in the request's slot path; a valid
    entry (matching object epoch, matching server mailbox generation,
    alive server) redirects a FETCH immediately.  A successful FETCH logs
    fill intents for every recorded path node — applied at the next
@@ -83,7 +94,8 @@ let rc_shift = 8
 let level_mask = (1 lsl rc_shift) - 1
 let rc_max = 2
 
-(* Recorded locate hops per request (fill-intent targets).  Walks are
+(* Recorded locate hops per request slot (fill-intent targets), so it
+   sizes each in-flight slot, not every request of the run.  Walks are
    O(log n) = [id_digits]; the slack covers recovery re-climbs.  Never
    binds on the perfbench shapes, seed 3: 0 of 233 000 (hot) and 90 000
    (cold-churn) requests reach it (EXPERIMENTS.md "Knob census"). *)
@@ -102,6 +114,32 @@ let ev_drain = -1
 let ev_service = -2
 let ev_inject = -3
 
+(* Request slots come in segments of [slot_seg]; a pool grows by
+   appending one, so a slot's arrays never move while another shard
+   writes them. *)
+let slot_bits = 6
+let slot_seg = 1 lsl slot_bits
+let slot_mask = slot_seg - 1
+
+type slot_seg = {
+  s_settled : Bytes.t;  (* '\001': completed or failed, not yet reclaimed *)
+  s_req : int array;  (* request number, the index of its status byte *)
+  s_t0 : float array;  (* virtual injection time *)
+  s_w0 : float array;  (* wall stamp of the injection window *)
+  s_next : int array;  (* next free slot while the slot is free *)
+  s_plen : Bytes.t;  (* locate hops recorded (saturates at path_cap) *)
+  s_path : Bytes.t;
+      (* [path_cap] recorded hops per slot, each a 32-bit handle
+         (handles < 2^31) at byte [4 * (cell * path_cap + k)].  Empty
+         for a zero-way cache. *)
+}
+
+type slots = {
+  mutable segs : slot_seg array;
+  mutable free : int;  (* first free slot, -1 when none *)
+  mutable used : int;  (* slots ever handed out: the pool's high-water mark *)
+}
+
 type shared = {
   net : Network.t;
   mbs : Mailbox.t array;
@@ -114,22 +152,20 @@ type shared = {
   latency : float;  (* virtual seconds per unit of metric distance *)
   service : float;  (* virtual seconds an actor spends per message *)
   base : int;
-  req_t0 : float array;  (* per request: virtual injection time *)
-  req_w0 : float array;  (* per request: wall stamp of injection window *)
-  req_status : Bytes.t;
+  tag_bits : int;  (* a slot tag is [slot lsl tag_bits lor owner shard] *)
+  slots : slots array;
+      (* per shard: the slots of the requests it injected.  The owner
+         opens a slot and reclaims it at a barrier; mid-window the one
+         live message of a request writes its slot from whichever
+         shard serves it (cross-shard hand-offs wait for a barrier),
+         so slot writes are race-free. *)
+  req_status : Bytes.t;  (* per request number: its status byte *)
   wall : float array;  (* wall.(0): stamp of the current window, barrier-written *)
   mutable dirty : Bytes.t;  (* per handle: 1 if queued for dead-entry repair *)
   cache : Obj_cache.t;
       (* per-node object caches, possibly zero-way; probes/touches are
          own-line (shard-confined), cross-node fills/evicts/epoch bumps
          ride the ctx intent buffers to the barrier *)
-  req_path : Bytes.t;
-      (* requests * path_cap recorded locate hops, each a 32-bit handle
-         (handles < 2^31) at byte [4 * (req * path_cap + k)]; a request's
-         hops are causally ordered across shards (cross-shard delivery
-         waits for the barrier), so these disjoint-slice writes are
-         race-free.  Empty for a zero-way cache. *)
-  req_plen : Bytes.t;  (* per request: hops recorded (saturates at path_cap) *)
   (* ---- cooperative hint exchange (DESIGN.md section 11); the fields
      below are inert when [coop = false] ---- *)
   coop : bool;
@@ -152,8 +188,10 @@ type ctx = {
   mutable injected : int;
   mutable completed : int;
   mutable failed : int;
-  mutable dropped : int;
-  mutable dead_letter : int;
+  mutable dropped : int;  (* requests lost to a full mailbox *)
+  dropped_by : int array;  (* ... by the class of the dropped message *)
+  mutable dead_letter : int;  (* requests lost to a dead target *)
+  mutable chain_lost : int;  (* fire-and-forget chain messages lost either way *)
   mutable exhausted : int;  (* failed at the FETCH site, budget spent *)
   mutable root_miss : int;  (* failed at the root without a usable pointer *)
   mutable delivered : int;
@@ -224,16 +262,14 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
     latency;
     service;
     base = cfg.Config.base;
-    req_t0 = Array.make (max requests 1) 0.;
-    req_w0 = Array.make (max requests 1) 0.;
+    tag_bits =
+      (let rec bits b = if 1 lsl b >= shards then b else bits (b + 1) in
+       bits 0);
+    slots = Array.init shards (fun _ -> { segs = [||]; free = -1; used = 0 });
     req_status = Bytes.make (max requests 1) st_pending;
     wall = Array.make 1 0.;
     dirty = Bytes.make (max net.Network.arena_len 1) '\000';
     cache;
-    req_path =
-      (if ways > 0 then Bytes.make (4 * max requests 1 * path_cap) '\000'
-       else Bytes.empty);
-    req_plen = (if ways > 0 then Bytes.make (max requests 1) '\000' else Bytes.empty);
     coop;
     want_stamp =
       (if coop then Array.make (max net.Network.arena_len 1) (-1) else [||]);
@@ -244,16 +280,22 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
 let sel_best_d = 0
 let sel_pred_now = 1
 
-(* [@alloc_ok]: footprint accounting, once per report.  The per-request
-   arrays (injection stamps, status, recorded paths) and the per-handle
-   repair and want marks. *)
+(* [@alloc_ok]: footprint accounting, once per report.  The request
+   slot pools, the status byte per request, and the per-handle repair
+   and want marks. *)
 let[@alloc_ok] request_bytes sh =
   let word = 8 in
-  let floats a = (Array.length a + 1) * word
+  let arr a = (Array.length a + 1) * word
   and bytes b = (((Bytes.length b + word) / word) + 1) * word in
-  floats sh.req_t0 + floats sh.req_w0 + bytes sh.req_status
-  + bytes sh.req_path + bytes sh.req_plen + bytes sh.dirty
-  + ((Array.length sh.want_stamp + 1) * word)
+  let seg g =
+    bytes g.s_settled + arr g.s_req + arr g.s_t0 + arr g.s_w0 + arr g.s_next
+    + bytes g.s_plen + bytes g.s_path + (8 * word)
+  in
+  Array.fold_left
+    (fun acc p ->
+      Array.fold_left (fun a g -> a + seg g) (acc + (4 * word) + arr p.segs) p.segs)
+    0 sh.slots
+  + bytes sh.req_status + bytes sh.dirty + arr sh.want_stamp
 
 (* [@alloc_ok]: the dirty list doubles rarely; everything else is int
    stores. *)
@@ -288,7 +330,9 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       completed = 0;
       failed = 0;
       dropped = 0;
+      dropped_by = Array.make (op_locate_nc + 1) 0;
       dead_letter = 0;
+      chain_lost = 0;
       exhausted = 0;
       root_miss = 0;
       delivered = 0;
@@ -357,27 +401,6 @@ let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
     Events.push ctx.q ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
   else Mailbox.Outbox.push ctx.out ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
 
-let complete_ok ctx ~now ~req =
-  if req >= 0 then begin
-    let sh = ctx.sh in
-    Bytes.set sh.req_status req st_ok;
-    Hist.add ctx.hist_v (now -. sh.req_t0.(req));
-    Hist.add ctx.hist_w (sh.wall.(0) -. sh.req_w0.(req));
-    ctx.completed <- ctx.completed + 1
-  end
-
-let fail_req ctx ~req st =
-  if req >= 0 then begin
-    Bytes.set ctx.sh.req_status req st;
-    ctx.failed <- ctx.failed + 1;
-    if st = st_exhausted then ctx.exhausted <- ctx.exhausted + 1
-    else if st = st_root_miss then ctx.root_miss <- ctx.root_miss + 1
-  end
-
-let count_dead_letter ctx ~req =
-  ctx.dead_letter <- ctx.dead_letter + 1;
-  fail_req ctx ~req st_dead_letter
-
 (* One hop of distance [d] from [node] to handle [h]: charge the shard
    cost and schedule delivery after the virtual link latency. *)
 let hop ctx (node : Node.t) ~now ~h ~kind ~req ~oi ~level ~prev ~src =
@@ -397,6 +420,134 @@ let[@alloc_ok] grow_int a len =
     b
   end
   else a
+
+(* ---- request slots ---- *)
+
+(* A slot tag names the owner shard (low [tag_bits]) and the slot in
+   its pool: the slot's segment and its cell there. *)
+let tag_seg sh tag =
+  let owner = tag land ((1 lsl sh.tag_bits) - 1) in
+  sh.slots.(owner).segs.(tag lsr (sh.tag_bits + slot_bits))
+
+let tag_cell sh tag = (tag lsr sh.tag_bits) land slot_mask
+
+(* LOCATE hops are recorded for the fill unwind, and unpublish origins
+   bump epochs, only with ways to fill. *)
+let has_ways sh = sh.cache.Obj_cache.ways > 0
+
+(* [@alloc_ok]: appends one segment, [slot_seg] more slots per shard
+   when its requests in flight outgrow the pool; the old segments stay
+   put. *)
+let[@alloc_ok] grow_slots sh p =
+  let g =
+    {
+      s_settled = Bytes.make slot_seg '\000';
+      s_req = Array.make slot_seg 0;
+      s_t0 = Array.make slot_seg 0.;
+      s_w0 = Array.make slot_seg 0.;
+      s_next = Array.make slot_seg (-1);
+      s_plen = Bytes.make slot_seg '\000';
+      s_path =
+        (if has_ways sh then Bytes.make (4 * slot_seg * path_cap) '\000'
+         else Bytes.empty);
+    }
+  in
+  p.segs <- Array.append p.segs [| g |]
+
+let open_req ctx ~req =
+  let sh = ctx.sh in
+  let p = sh.slots.(ctx.shard) in
+  let slot =
+    if p.free >= 0 then begin
+      let s = p.free in
+      p.free <- p.segs.(s lsr slot_bits).s_next.(s land slot_mask);
+      s
+    end
+    else begin
+      if p.used >= Array.length p.segs * slot_seg then grow_slots sh p;
+      let s = p.used in
+      p.used <- s + 1;
+      s
+    end
+  in
+  let g = p.segs.(slot lsr slot_bits) and i = slot land slot_mask in
+  g.s_req.(i) <- req;
+  g.s_t0.(i) <- ctx.q.Events.clock.(0);
+  g.s_w0.(i) <- sh.wall.(0);
+  Bytes.set g.s_plen i '\000';
+  (slot lsl sh.tag_bits) lor ctx.shard
+
+let slot_req sh tag = (tag_seg sh tag).s_req.(tag_cell sh tag)
+
+(* Hops recorded in cell [i] of segment [g], and its [k]-th. *)
+let seg_plen g i = Char.code (Bytes.get g.s_plen i)
+
+let seg_hop g i k =
+  Int32.to_int (Bytes.get_int32_ne g.s_path (4 * ((i * path_cap) + k)))
+
+let path_len sh tag = seg_plen (tag_seg sh tag) (tag_cell sh tag)
+
+let path_hop sh tag k = seg_hop (tag_seg sh tag) (tag_cell sh tag) k
+
+(* Record the request's next locate hop, if its path has room. *)
+let record_hop sh tag h =
+  let g = tag_seg sh tag and i = tag_cell sh tag in
+  let plen = seg_plen g i in
+  if plen < path_cap then begin
+    Bytes.set_int32_ne g.s_path (4 * ((i * path_cap) + plen)) (Int32.of_int h);
+    Bytes.set g.s_plen i (Char.chr (plen + 1))
+  end
+
+(* Write the request's status byte and mark its slot (cell [i] of
+   segment [g]) settled. *)
+let settle ctx g i st =
+  Bytes.set ctx.sh.req_status g.s_req.(i) st;
+  Bytes.set g.s_settled i '\001'
+
+let is_settled sh tag =
+  Bytes.get (tag_seg sh tag).s_settled (tag_cell sh tag) = '\001'
+
+(* Barrier step for this shard's pool: every settled slot goes back on
+   the free list, in slot order. *)
+let reclaim ctx =
+  let p = ctx.sh.slots.(ctx.shard) in
+  for k = 0 to Array.length p.segs - 1 do
+    let g = p.segs.(k) in
+    for i = 0 to slot_seg - 1 do
+      if Bytes.get g.s_settled i = '\001' then begin
+        Bytes.set g.s_settled i '\000';
+        g.s_next.(i) <- p.free;
+        p.free <- (k lsl slot_bits) lor i
+      end
+    done
+  done
+
+let complete_ok ctx ~now ~req =
+  if req >= 0 then begin
+    let sh = ctx.sh in
+    let g = tag_seg sh req and i = tag_cell sh req in
+    Hist.add ctx.hist_v (now -. g.s_t0.(i));
+    Hist.add ctx.hist_w (sh.wall.(0) -. g.s_w0.(i));
+    settle ctx g i st_ok;
+    ctx.completed <- ctx.completed + 1
+  end
+
+let fail_req ctx ~req st =
+  if req >= 0 then begin
+    settle ctx (tag_seg ctx.sh req) (tag_cell ctx.sh req) st;
+    ctx.failed <- ctx.failed + 1;
+    if st = st_exhausted then ctx.exhausted <- ctx.exhausted + 1
+    else if st = st_root_miss then ctx.root_miss <- ctx.root_miss + 1
+  end
+
+(* A message whose target died.  Only request-carrying losses are
+   failure causes; a lost chain message fails no request. *)
+let count_dead_letter ctx ~req =
+  if req >= 0 then begin
+    ctx.dead_letter <- ctx.dead_letter + 1;
+    fail_req ctx ~req st_dead_letter
+  end
+  else ctx.chain_lost <- ctx.chain_lost + 1
 
 let push_fill ctx ~h ~key ~srv ~gen ~epoch =
   ctx.fi_h <- grow_int ctx.fi_h ctx.fi_len;
@@ -462,9 +613,6 @@ let log_want ctx (node : Node.t) =
     ctx.wt_len <- ctx.wt_len + 1
   end
 
-(* LOCATE hops are recorded for the fill unwind only with ways to fill. *)
-let records sh = Bytes.length sh.req_plen > 0
-
 (* The next hop of [node]'s walk toward [oi]'s root, resolved [level]
    digits so far: one [Route.step] (-1 at the root). *)
 let step ctx (node : Node.t) ~oi ~level =
@@ -516,15 +664,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     let rc = level lsr rc_shift in
     let c = sh.cache in
     (* record this hop for the fill unwind *)
-    if req >= 0 && records sh then begin
-      let plen = Char.code (Bytes.get sh.req_plen req) in
-      if plen < path_cap then begin
-        Bytes.set_int32_ne sh.req_path
-          (4 * ((req * path_cap) + plen))
-          (Int32.of_int node.Node.handle);
-        Bytes.set sh.req_plen req (Char.chr (plen + 1))
-      end
-    end;
+    if req >= 0 && has_ways sh then record_hop sh req node.Node.handle;
     let key = base_oi / sh.roots in
     let i = Obj_cache.probe c ~h:node.Node.handle ~key in
     let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
@@ -567,18 +707,15 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
          The epoch snapshot is taken NOW — a racing unpublish's bump is
          applied before fills at the barrier, so such a fill lands
          already-stale instead of masking the retraction. *)
-      if req >= 0 && records sh then begin
+      if req >= 0 && has_ways sh then begin
         let c = sh.cache in
         let key = base_oi / sh.roots in
         let self = node.Node.handle in
         let ep = Obj_cache.epoch_of c ~key ~srv:self in
         let gen = generation sh self in
-        let plen = Char.code (Bytes.get sh.req_plen req) in
-        for k = 0 to plen - 1 do
-          let tgt =
-            Int32.to_int
-              (Bytes.get_int32_ne sh.req_path (4 * ((req * path_cap) + k)))
-          in
+        let g = tag_seg sh req and i = tag_cell sh req in
+        for k = 0 to seg_plen g i - 1 do
+          let tgt = seg_hop g i k in
           if tgt <> self then begin
             push_fill ctx ~h:tgt ~key ~srv:self ~gen ~epoch:ep;
             ctx.tally.fills <- ctx.tally.fills + 1
@@ -620,8 +757,8 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
       (* origin of the retraction: invalidate cached shortcuts naming
          this (object, server) pair — the origin node IS the server
          (logged on the base oi only; root walks oi > base_oi share the
-         same key) *)
-      if oi = base_oi then
+         same key).  A zero-way cache holds no shortcut to invalidate. *)
+      if oi = base_oi && has_ways sh then
         push_epoch ctx ~key:(base_oi / sh.roots) ~srv:node.Node.handle
     end;
     ignore
@@ -720,11 +857,13 @@ let deliver ctx =
       send ctx ~time:q.Events.clock.(0) ~h:prev ~kind:op_locate_nc ~req ~oi
         ~level:(rc lsl rc_shift) ~prev:(-1) ~src
     end
-    else begin
+    else if req >= 0 then begin
       (* bounded mailbox full: drop the newcomer (backpressure policy) *)
       ctx.dropped <- ctx.dropped + 1;
+      ctx.dropped_by.(kind) <- ctx.dropped_by.(kind) + 1;
       fail_req ctx ~req st_dropped
     end
+    else ctx.chain_lost <- ctx.chain_lost + 1
   end
   else if not (Mailbox.is_busy mb h) then begin
     Mailbox.set_busy mb h true;

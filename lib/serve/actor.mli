@@ -30,6 +30,16 @@
     outlive its replica with or without a cache (soft state), so the
     rule is the same at every cache size.
 
+    {b Request slots.}  A request's mutable state — its injection
+    stamps and recorded locate path — lives in a slot of its injecting
+    shard's pool ({!open_req}) while it is in flight, and messages
+    carry the slot's tag as [req].  Only one message of a request is
+    ever live, so one shard at a time writes a slot; the slot is marked
+    settled when the request completes or fails, and its owner returns
+    it to the free list at the next barrier ({!reclaim}).  Request memory
+    so follows the load in flight, about the rate times (latency +
+    window); one status byte per request number stays for the run.
+
     Every hop is one {!Tapestry.Route.step}, the sync walks' own
     routing step.  Every function here runs on the shard owning the
     target node and touches only that shard's state plus the
@@ -54,7 +64,8 @@ val rc_max : int
     recoveries per request. *)
 
 val path_cap : int
-(** Recorded locate hops per request (fill-intent targets). *)
+(** Recorded locate hops per request slot (fill-intent targets); it
+    sizes each in-flight slot, not each request of the run. *)
 
 val st_pending : char
 val st_ok : char
@@ -70,9 +81,36 @@ val ev_inject : int
     done, carry a handle and its mailbox generation and stay internal.
     All three are negative, apart from every opcode. *)
 
+val slot_seg : int
+(** Slots per pool segment: a pool grows by appending one, so no slot
+    moves while another shard writes it. *)
+
+type slot_seg = {
+  s_settled : Bytes.t;
+      (** ['\001']: the request completed or failed and the slot is not
+          yet reclaimed *)
+  s_req : int array;  (** request number, the index of its status byte *)
+  s_t0 : float array;  (** virtual injection time *)
+  s_w0 : float array;  (** wall stamp of the injection window *)
+  s_next : int array;  (** next free slot while the slot is free *)
+  s_plen : Bytes.t;  (** locate hops recorded (saturates at {!path_cap}) *)
+  s_path : Bytes.t;
+      (** {!path_cap} recorded hops per slot, 32-bit native-endian
+          handles; empty for a zero-way cache *)
+}
+
+(** One shard's request slots, free-listed like {!Mailbox}'s payload
+    pool. *)
+type slots = {
+  mutable segs : slot_seg array;
+  mutable free : int;  (** first free slot, -1 when none *)
+  mutable used : int;  (** slots ever handed out: the high-water mark *)
+}
+
 (** Run-global immutable tables plus the few cross-shard cells written
     only at barriers ([wall], [dirty]) or at disjoint indices
-    ([req_*], partitioned by per-shard request-id ranges). *)
+    ([req_status], by request number; request slots, by the one live
+    message of each request). *)
 type shared = {
   net : Network.t;
   mbs : Mailbox.t array;
@@ -85,21 +123,19 @@ type shared = {
   latency : float;  (** virtual seconds per unit of metric distance *)
   service : float;  (** virtual seconds an actor spends per message *)
   base : int;
-  req_t0 : float array;  (** per request: virtual injection time *)
-  req_w0 : float array;  (** per request: wall stamp of injection window *)
-  req_status : Bytes.t;
+  tag_bits : int;
+      (** a slot tag is [(slot lsl tag_bits) lor owner]: the bits that
+          hold a shard number *)
+  slots : slots array;
+      (** per shard: the slots of the requests it injected, opened by
+          its injector and reclaimed at barriers *)
+  req_status : Bytes.t;  (** per request number: its status byte *)
   wall : float array;  (** [wall.(0)]: stamp of the window, barrier-written *)
   mutable dirty : Bytes.t;  (** per handle: queued for dead-entry repair? *)
   cache : Obj_cache.t;
       (** per-node object caches, possibly zero-way; probes and touches
           stay own-line (shard-confined), cross-node mutations ride the
           ctx intent buffers to the barrier *)
-  req_path : Bytes.t;
-      (** [requests * path_cap] recorded locate hops, 32-bit native-endian
-          handles (4 bytes each); a request's hops are causally ordered
-          across shards, so the disjoint-slice writes are race-free.
-          Empty for a zero-way cache. *)
-  req_plen : Bytes.t;  (** per request: hops recorded (saturates) *)
   coop : bool;
       (** cooperative hint exchange on (DESIGN.md section 11): cache
           hits are digested and misses join the want ring *)
@@ -124,8 +160,12 @@ type ctx = {
   mutable injected : int;
   mutable completed : int;
   mutable failed : int;
-  mutable dropped : int;
-  mutable dead_letter : int;
+  mutable dropped : int;  (** requests lost to a full mailbox *)
+  dropped_by : int array;  (** [dropped] by opcode of the dropped message *)
+  mutable dead_letter : int;  (** requests lost to a dead target *)
+  mutable chain_lost : int;
+      (** fire-and-forget chain messages ([req < 0]) dropped or dead:
+          they fail no request, so they are no failure cause *)
   mutable exhausted : int;  (** failures as {!st_exhausted} *)
   mutable root_miss : int;  (** failures as {!st_root_miss} *)
   mutable delivered : int;
@@ -180,8 +220,9 @@ val make_shared :
   net:Network.t -> mbs:Mailbox.t array -> shards:int -> guids:Node_id.t array ->
   roots:int -> ttl:float -> latency:float -> service:float ->
   requests:int -> cache:Obj_cache.t -> coop:bool -> shared
-(** [coop] is forced off for a zero-way cache, and the per-request path
-    arrays are allocated only when the cache has ways. *)
+(** [requests] sizes the status bytes.  [coop] is forced off for a
+    zero-way cache, and slots record paths only when the cache has
+    ways. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
 (** The ctx's event heap parks payloads in [mbs.(shard)]'s pool. *)
@@ -191,8 +232,31 @@ val generation : shared -> int -> int
     store (generations move only at barriers). *)
 
 val request_bytes : shared -> int
-(** Estimated resident bytes of the per-request arrays ([req_t0] ..
-    [req_plen]) and the per-handle [dirty] and [want_stamp] marks. *)
+(** Estimated resident bytes of the request slot pools, the status
+    byte per request, and the per-handle [dirty] and [want_stamp]
+    marks. *)
+
+val open_req : ctx -> req:int -> int
+(** Open a slot on this shard for request number [req] (an index of
+    [req_status]), stamped with the shard's clock and the window's
+    wall stamp; returns the tag its messages carry as [req]. *)
+
+val slot_req : shared -> int -> int
+(** The request number of a slot tag. *)
+
+val path_len : shared -> int -> int
+(** Locate hops recorded in a slot (0 for a zero-way cache). *)
+
+val path_hop : shared -> int -> int -> int
+(** [path_hop sh tag k]: the handle of the slot's [k]-th recorded hop. *)
+
+val is_settled : shared -> int -> bool
+(** The slot's request completed or failed, and the slot is not yet
+    reclaimed: it still reads its request number and path. *)
+
+val reclaim : ctx -> unit
+(** Barrier step: return every settled slot of this shard's pool to its
+    free list. *)
 
 val send :
   ctx -> time:float -> h:int -> kind:int -> req:int -> oi:int ->
@@ -202,7 +266,8 @@ val send :
     the target's mailbox generation at send time. *)
 
 val count_dead_letter : ctx -> req:int -> unit
-(** A message whose target died: count it and fail its request. *)
+(** A message whose target died: count it and fail its request, or,
+    for a fire-and-forget chain message, count it in [chain_lost]. *)
 
 val run_until : ctx -> float -> unit
 (** The shard's event loop: pop and run every event at or before the

@@ -73,9 +73,11 @@ type result = {
   completed : int;
   failed : int;
   dropped : int;
+  dropped_by : int array;  (* [dropped] by opcode of the dropped message *)
   dead_letter : int;
   exhausted : int;  (* failed at the FETCH site, redirect budget spent *)
   root_miss : int;  (* failed at the root without a usable pointer *)
+  chain_lost : int;  (* fire-and-forget chain messages dropped or dead *)
   delivered : int;
   kills : int;
   joins : int;
@@ -133,8 +135,9 @@ let make_guids net ~objects ~roots =
   done;
   a
 
-(* One chain per root; the request id rides chain 0, the others are
-   fire-and-forget so replica/pointer state stays root-symmetric. *)
+(* One chain per root; the request's slot tag rides chain 0, the
+   others are fire-and-forget so replica/pointer state stays
+   root-symmetric. *)
 let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
   for r = 0 to roots - 1 do
     Actor.send ctx ~time:now ~h:srv_h ~kind
@@ -155,9 +158,7 @@ let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
   let k = ctx.Actor.inj_k in
   if k >= 0 then begin
     let now = q.Events.clock.(0) in
-    let req = reqbase + k in
-    sh.Actor.req_t0.(req) <- now;
-    sh.Actor.req_w0.(req) <- sh.Actor.wall.(0);
+    let req = Actor.open_req ctx ~req:(reqbase + k) in
     ctx.Actor.injected <- ctx.Actor.injected + 1;
     let u = Rng.float rng 1.0 in
     let obj = Workload.zipf_sample z rng in
@@ -312,7 +313,9 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   and dead_letter = ref 0
   and exhausted = ref 0
   and root_miss = ref 0
+  and chain_lost = ref 0
   and delivered = ref 0 in
+  let dropped_by = Array.make (Actor.op_locate_nc + 1) 0 in
   Array.iter
     (fun (ctx : Actor.ctx) ->
       Hist.merge ~into:hist_v ctx.Actor.hist_v;
@@ -325,6 +328,10 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
       dead_letter := !dead_letter + ctx.Actor.dead_letter;
       exhausted := !exhausted + ctx.Actor.exhausted;
       root_miss := !root_miss + ctx.Actor.root_miss;
+      chain_lost := !chain_lost + ctx.Actor.chain_lost;
+      Array.iteri
+        (fun op d -> dropped_by.(op) <- dropped_by.(op) + d)
+        ctx.Actor.dropped_by;
       delivered := !delivered + ctx.Actor.delivered)
     t.Shard.ctxs;
   ledger.Shard.collect <- clock () -. c1;
@@ -336,9 +343,11 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
     completed = !completed;
     failed = !failed;
     dropped = !dropped;
+    dropped_by;
     dead_letter = !dead_letter;
     exhausted = !exhausted;
     root_miss = !root_miss;
+    chain_lost = !chain_lost;
     delivered = !delivered;
     kills = st.kills;
     joins = st.joins;
@@ -387,7 +396,8 @@ let memory_ledger r =
    integer counters, cache and hint counters included.  Excludes every
    wall-clock-derived quantity, so it must be bit-identical across
    domain counts.  The failure causes are left out: they partition
-   [fail]. *)
+   [fail].  So are the drops by class, which sum to [drop], and the
+   chain losses, which fail no request. *)
 let signature r =
   let b = Buffer.create 256 in
   Buffer.add_string b

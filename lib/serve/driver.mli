@@ -45,12 +45,18 @@ type result = {
   injected : int;
   completed : int;
   failed : int;
-      (** all non-ok terminals; with one root (every message carries
-          its request), [dropped + dead_letter + exhausted + root_miss] *)
-  dropped : int;  (** mailbox-overflow backpressure drops *)
-  dead_letter : int;  (** messages for nodes that died in flight *)
+      (** all non-ok terminals, [dropped + dead_letter + exhausted +
+          root_miss] at every root-set size *)
+  dropped : int;  (** requests lost to mailbox-overflow backpressure *)
+  dropped_by : int array;
+      (** [dropped] by opcode of the dropped message ({!Actor.op_locate}
+          .. {!Actor.op_locate_nc}); sums to [dropped] *)
+  dead_letter : int;  (** requests whose message reached a dead node *)
   exhausted : int;  (** FETCH site: replica gone, redirect budget spent *)
   root_miss : int;  (** climbs that reached the root without a usable pointer *)
+  chain_lost : int;
+      (** fire-and-forget chain messages (roots [r > 0]) dropped or dead
+          on arrival; they fail no request *)
   delivered : int;
   kills : int;
   joins : int;
@@ -82,14 +88,15 @@ val run :
 val memory_ledger : result -> (string * int) list
 (** Estimated resident bytes after the run, by part: routing tables,
     pointer stores, object cache, mailbox (every shard's message pool,
-    per-handle FIFO cells, event heap and outbox), request arrays, id
-    index and
+    per-handle FIFO cells, event heap and outbox), requests (slot
+    pools, settled lists and a status byte per request), id index and
     the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
     directory, metric and scratch buckets).  Deterministic: a function of
     the run's counters and sizes, not of the machine. *)
 
 val signature : result -> string
 (** Deterministic fingerprint: counters (cache and hint counters
-    always included, failure causes left out) plus the virtual
+    always included; failure causes, drops by class and chain losses
+    left out) plus the virtual
     histogram, excluding every wall-derived quantity.  Equal strings across
     [--domains] values is the serve determinism guarantee. *)

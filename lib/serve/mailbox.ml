@@ -19,8 +19,8 @@
    - [Outbox]: a per-shard append log of cross-shard sends, drained
      into the target shards' event heaps at window barriers.
 
-   A message is six ints: [kind] (the Actor opcode), [req] (global
-   request id, -1 for fire-and-forget chains), [oi] (object x root_set
+   A message is six ints: [kind] (the Actor opcode), [req] (the tag of
+   its request's slot, -1 for fire-and-forget chains), [oi] (object x root_set
    index into the driver's salted-guid table), [level] (walk level,
    also carrying the root index for secondary chains), [prev] (arena
    handle of the previous publish hop, -1 at the server), [src] (arena

@@ -4,8 +4,9 @@
     the shard's event heap over that pool (in-flight messages and
     engine events), and the cross-shard outbox (DESIGN.md section 9).
 
-    A message is six ints — [kind] (Actor opcode), [req] (global request
-    id, [-1] for fire-and-forget), [oi] (object x root index into the
+    A message is six ints — [kind] (Actor opcode), [req] (its request's
+    slot tag, see [Actor.open_req]; [-1] for fire-and-forget), [oi]
+    (object x root index into the
     driver's salted-guid table), [level] (walk level, packed with the
     root index for secondary chains), [prev] (previous publish hop's
     arena handle, [-1] at the server), [src] (origin server's handle).

@@ -39,7 +39,8 @@ type ledger = {
   mutable repair : float;  (* dead-entry repair *)
   mutable intents : float;  (* cache intents *)
   mutable digest : float;  (* hint digest *)
-  mutable churn : float;  (* on_barrier churn, capacity sync, next-work scan *)
+  mutable churn : float;
+      (* on_barrier churn, capacity sync, slot reclaim, next-work scan *)
   mutable collect : float;  (* driver: merging the shards' counters *)
 }
 
@@ -339,6 +340,14 @@ let kill_node t (node : Node.t) =
   Mailbox.kill mb h;
   Delete.fail sh.Actor.net node
 
+(* Return every request slot settled since the last barrier to its
+   owner's free list, after churn so that the requests its kills fail
+   are in. *)
+let reclaim_slots t =
+  for s = 0 to shard_count - 1 do
+    Actor.reclaim t.ctxs.(s)
+  done
+
 let next_work_time t =
   let e = ref infinity in
   for s = 0 to shard_count - 1 do
@@ -378,6 +387,7 @@ let run ?(clock = fun () -> 0.) t ~domains ~now ~on_barrier =
     l.digest <- l.digest +. lap ();
     on_barrier t barrier;
     sync_capacity t;
+    reclaim_slots t;
     let e = next_work_time t in
     l.churn <- l.churn +. lap ();
     if e < infinity then loop (next_barrier t e)

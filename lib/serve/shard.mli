@@ -29,7 +29,8 @@ type ledger = {
   mutable intents : float;  (** barrier cache intents *)
   mutable digest : float;  (** barrier hint digest *)
   mutable churn : float;
-      (** [on_barrier] (churn), capacity sync and the next-work scan *)
+      (** [on_barrier] (churn), capacity sync, request-slot reclaim
+          and the next-work scan *)
   mutable collect : float;  (** driver: merging the shards' counters *)
 }
 
@@ -55,9 +56,11 @@ val create :
   latency:float -> service:float -> requests:int -> mailbox_cap:int ->
   seed:int -> window:float -> cache:Obj_cache.t -> coop:bool -> t
 (** Build the engine: per shard one mailbox (payload pool plus the
-    per-handle FIFO cells of its handles, sized to the network) and one
-    {!Actor.ctx} with an independent [Parallel.task_rng]
-    stream.  [cache] is the per-node object caches, zero-way for an
+    per-handle FIFO cells of its handles, sized to the network), one
+    request slot pool (empty until its injector opens a slot; see
+    {!Actor.open_req}) and one {!Actor.ctx} with an independent
+    [Parallel.task_rng] stream.  [requests] sizes only the status byte
+    per request.  [cache] is the per-node object caches, zero-way for an
     uncached run (fills, evicts and epoch bumps buffered per shard are
     applied at each barrier in shard order, bumps first, then evicts,
     then fills).  [coop] (see DESIGN.md section 11) adds the
@@ -77,10 +80,14 @@ val run :
     argument so that callers which treat each [now] call as a progress
     stamp see the same stamps with or without the ledger.
     [on_barrier t barrier] runs sequentially at every barrier after
-    outbox exchange and repair — churn injection goes here. *)
+    outbox exchange and repair — churn injection goes here.  The
+    request slots settled in the window (and by the barrier's kills)
+    go back to their owners' free lists after it, so [on_barrier] can
+    still read them ({!Actor.is_settled}). *)
 
 val kill_node : t -> Node.t -> unit
-(** Barrier-only node failure: dead-letter the queued requests, clear
+(** Barrier-only node failure: dead-letter the queued messages (a
+    request's fails it, a chain message's counts as a chain loss), clear
     the mailbox (its slots return to the owner shard's pool), bump its
     generation, then [Delete.fail]. *)
 

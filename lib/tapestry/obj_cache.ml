@@ -70,11 +70,13 @@ let[@alloc_ok] make_segment ~ways lines =
 
 (* [@alloc_ok]: one structure per network / serve run.  The last
    segment holds only the lines [nodes] needs, so a small cache stays
-   small.  Zero ways is a cache every probe misses: its lines are
-   empty, so every way scan runs zero times. *)
+   small.  Zero ways is a cache every probe misses: it covers no
+   handle, so it holds no segment, clock hand or doorkeeper counter,
+   and every [h >= nodes] guard answers at once. *)
 let[@alloc_ok] create ~ways ~nodes =
   if ways < 0 then invalid_arg "Obj_cache.create: negative ways";
   if nodes < 0 then invalid_arg "Obj_cache.create: negative nodes";
+  let nodes = if ways = 0 then 0 else nodes in
   {
     ways;
     nodes;
@@ -108,9 +110,10 @@ let fill_out ~ways (old : segment) =
 (* [@alloc_ok]: growth appends whole segments of 64 lines (and the
    segment spine, one word per 64 handles), so no line is ever copied
    except those of a partial last segment from [create], once; the
-   serve tier only calls this at barriers. *)
+   serve tier only calls this at barriers.  A zero-way cache stays
+   empty. *)
 let[@alloc_ok] ensure_nodes t n =
-  if n > t.nodes then begin
+  if n > t.nodes && t.ways > 0 then begin
     let have = Array.length t.segs in
     if have > 0 && seg_lines t.segs.(have - 1) < seg_handles then
       t.segs.(have - 1) <- fill_out ~ways:t.ways t.segs.(have - 1);

@@ -76,7 +76,9 @@ type segment = private {
 
 type t = private {
   ways : int;  (** associativity: entries per node; 0 = every probe misses *)
-  mutable nodes : int;  (** handles covered: every [h < nodes] has a line *)
+  mutable nodes : int;
+      (** handles covered: every [h < nodes] has a line; always 0 for a
+          zero-way cache *)
   mutable segs : segment array;
   ep_tbl : (int, int) Hashtbl.t;
       (** retraction count per packed [(key, server-handle)] pair;
@@ -89,7 +91,9 @@ type t = private {
 
 val create : ways:int -> nodes:int -> t
 (** [ways = 0] is legal: every probe misses and every insert is
-    declined, so a zero-way cache is the serve engine's "no cache".
+    declined, so a zero-way cache is the serve engine's "no cache".  It
+    covers no handle ([nodes = 0]) and holds no segment, whatever
+    [nodes] asks for; {!ensure_nodes} leaves it so.
     @raise Invalid_argument if [ways < 0] or [nodes < 0]. *)
 
 val ensure_nodes : t -> int -> unit

@@ -239,6 +239,22 @@ let test_segments_grow_without_copy () =
   Alcotest.(check int) "beyond the cover misses" (-1)
     (Obj_cache.probe c ~h:200 ~key:0)
 
+(* A zero-way cache holds nothing: its footprint is the same for 16 and
+   for 4096 handles, growth leaves it empty, and every probe misses. *)
+let test_zero_ways_hold_nothing () =
+  let small = mk ~ways:0 ~nodes:16 () and big = mk ~ways:0 ~nodes:4096 () in
+  Alcotest.(check int) "approx_bytes independent of nodes"
+    (Obj_cache.approx_bytes small) (Obj_cache.approx_bytes big);
+  Alcotest.(check int) "no segment" 0 (Array.length big.Obj_cache.segs);
+  Obj_cache.ensure_nodes big 8192;
+  Alcotest.(check int) "growth adds none" 0 (Array.length big.Obj_cache.segs);
+  Alcotest.(check int) "still as small" (Obj_cache.approx_bytes small)
+    (Obj_cache.approx_bytes big);
+  fill big ~h:7 ~key:0 ~server:1;
+  Alcotest.(check int) "every probe misses" (-1) (Obj_cache.probe big ~h:7 ~key:0);
+  Alcotest.(check bool) "no empty way to offer" false
+    (Obj_cache.has_empty_way big ~h:7)
+
 (* ---- a cache attached to a sync mesh ---- *)
 
 let attach_cache net =
@@ -414,6 +430,8 @@ let () =
             `Quick test_reset_clears_soft_state;
           Alcotest.test_case "segments grow without copying" `Quick
             test_segments_grow_without_copy;
+          Alcotest.test_case "zero ways hold nothing" `Quick
+            test_zero_ways_hold_nothing;
         ] );
       ( "sync",
         [

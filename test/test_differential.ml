@@ -61,12 +61,15 @@ let engine ?cache ~net ~guids ~requests () =
     ~ttl:1e6 ~latency:1e-5 ~service:1e-4 ~requests ~mailbox_cap:64 ~seed:1
     ~window:0.02 ~cache ~coop:false
 
+(* Request number [req] opens a slot on [h]'s shard and its message
+   carries the slot's tag; [-1] sends a fire-and-forget chain message. *)
 let send t ~time ~h ~kind ~req ~oi ~src =
-  Actor.send t.Shard.ctxs.(Shard.shard_of h) ~time ~h ~kind ~req ~oi ~level:0
-    ~prev:(-1) ~src
+  let ctx = t.Shard.ctxs.(Shard.shard_of h) in
+  let req = if req >= 0 then Actor.open_req ctx ~req else -1 in
+  Actor.send ctx ~time ~h ~kind ~req ~oi ~level:0 ~prev:(-1) ~src
 
-let run t ~domains =
-  Shard.run t ~domains ~now:(fun () -> 0.) ~on_barrier:(fun _ _ -> ())
+let run ?(on_barrier = fun _ _ -> ()) t ~domains =
+  Shard.run t ~domains ~now:(fun () -> 0.) ~on_barrier
 
 (* Object [o]'s guid is [base.(o)]; message [oi = o * roots + r] routes
    toward its salted root [r], as in [Driver]. *)
@@ -81,12 +84,19 @@ let ints = Alcotest.(list int)
 
 (* ---- locate ---- *)
 
-let recorded_chain (sh : Actor.shared) req =
-  List.init
-    (Char.code (Bytes.get sh.Actor.req_plen req))
-    (fun k ->
-      Int32.to_int
-        (Bytes.get_int32_ne sh.Actor.req_path (4 * ((req * Actor.path_cap) + k))))
+(* A barrier hook that copies the hop chain of every request settled in
+   the window, by request number, before its slot is reclaimed. *)
+let record_chains chains t _barrier =
+  let sh = t.Shard.sh in
+  Array.iteri
+    (fun owner (p : Actor.slots) ->
+      for slot = 0 to p.Actor.used - 1 do
+        let tag = (slot lsl sh.Actor.tag_bits) lor owner in
+        if Actor.is_settled sh tag then
+          chains.(Actor.slot_req sh tag) <-
+            Some (List.init (Actor.path_len sh tag) (Actor.path_hop sh tag))
+      done)
+    sh.Actor.slots
 
 (* The sync walk a served LOCATE should take: from the client toward
    the salted root, stopping at the first node with a usable pointer. *)
@@ -147,7 +157,8 @@ let test_locate geometry () =
             ~oi:((o * roots) + root_of.(o))
             ~src:client)
         clients;
-      run t ~domains;
+      let chains = Array.make objects None in
+      run ~on_barrier:(record_chains chains) t ~domains;
       let sh = t.Shard.sh in
       (* every probe missed: each object is located once, and its fills
          land only after its own FETCH *)
@@ -164,8 +175,11 @@ let test_locate geometry () =
           let what = Printf.sprintf "domains %d, object %d" domains o in
           Alcotest.(check char) (what ^ ": completes") Actor.st_ok
             (Bytes.get sh.Actor.req_status o);
-          Alcotest.check ints (what ^ ": hop chain = sync walk") chain
-            (recorded_chain sh o);
+          (match chains.(o) with
+          | Some recorded ->
+              Alcotest.check ints (what ^ ": hop chain = sync walk") chain
+                recorded
+          | None -> Alcotest.failf "%s: no chain recorded" what);
           let holders = List.sort Int.compare (List.map fst fills.(o)) in
           Alcotest.check ints
             (what ^ ": fills on the chain's non-server nodes")

@@ -170,10 +170,10 @@ let test_mailbox_bytes_independent_of_cap () =
 
 (* Driver.run mutates the mesh (pointers, replicas, churn), so every run
    gets a freshly built, identically seeded network. *)
-let build_net n seed =
+let build_net ?(config = Config.default) n seed =
   let rng = Rng.create seed in
   let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
-  let net, _stats = Static_build.build_streamed ~seed:(seed + 1) Config.default metric ~n in
+  let net, _stats = Static_build.build_streamed ~seed:(seed + 1) config metric ~n in
   net
 
 let fake_clock () =
@@ -191,8 +191,8 @@ let serve_params =
     window = 0.02;
   }
 
-let run_serve ?(params = serve_params) ~domains () =
-  let net = build_net 256 42 in
+let run_serve ?config ?(params = serve_params) ~domains () =
+  let net = build_net ?config 256 42 in
   let r = Driver.run ~net { params with Driver.domains } ~now:(fake_clock ()) in
   (net, r)
 
@@ -209,17 +209,21 @@ let test_serve_determinism () =
 
 let test_serve_accounting () =
   let churned = { serve_params with Driver.kill_rate = 8.; join_rate = 4. } in
+  (* two roots: chain 1 of every publish and unpublish carries no
+     request, and a mailbox of 8 drops some of its messages *)
+  let two_roots = { Config.default with Config.root_set_size = 2 } in
+  let chains = { churned with Driver.mailbox_cap = 8 } in
   List.iter
-    (fun (what, params) ->
+    (fun (what, config, params) ->
       List.iter
         (fun domains ->
-          let _, r = run_serve ~params ~domains () in
+          let _, r = run_serve ~config ~params ~domains () in
           let what = Printf.sprintf "%s, %d domains" what domains in
           Alcotest.(check int) (what ^ ": every request injected")
             params.Driver.requests r.Driver.injected;
           (* [failed] is the terminal counter, so completion + failure
-             is exhaustive; with one root every message carries its
-             request, so the four causes partition it *)
+             is exhaustive; only request-carrying losses are causes, so
+             the four partition it at any root-set size *)
           Alcotest.(check int) (what ^ ": every request resolved")
             r.Driver.injected
             (r.Driver.completed + r.Driver.failed);
@@ -227,10 +231,23 @@ let test_serve_accounting () =
             r.Driver.failed
             (r.Driver.dropped + r.Driver.dead_letter + r.Driver.exhausted
            + r.Driver.root_miss);
+          Alcotest.(check int) (what ^ ": drops by class sum to dropped")
+            r.Driver.dropped
+            (Array.fold_left ( + ) 0 r.Driver.dropped_by);
+          if config.Config.root_set_size = 1 then
+            Alcotest.(check int) (what ^ ": one root loses no chain") 0
+              r.Driver.chain_lost
+          else
+            Alcotest.(check bool) (what ^ ": chain messages lost") true
+              (r.Driver.chain_lost > 0);
           Alcotest.(check bool) (what ^ ": messages flowed") true
             (r.Driver.delivered >= r.Driver.injected))
         [ 1; 2 ])
-    [ ("unchurned", serve_params); ("churned", churned) ]
+    [
+      ("unchurned", Config.default, serve_params);
+      ("churned", Config.default, churned);
+      ("two roots, churned, mailbox 8", two_roots, chains);
+    ]
 
 let test_serve_streamed_build_signature () =
   (* the serve CLI builds its mesh with [Static_build.build_streamed]
@@ -640,7 +657,8 @@ let test_redirect_budget_bounded () =
       let client = (pick ()).Node.handle in
       let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of client) in
       Serve.Actor.send ctx ~time:0. ~h:client ~kind:Serve.Actor.op_locate
-        ~req:0 ~oi:0 ~level:0 ~prev:(-1) ~src:client;
+        ~req:(Serve.Actor.open_req ctx ~req:0)
+        ~oi:0 ~level:0 ~prev:(-1) ~src:client;
       Serve.Shard.run t ~domains:1 ~now:(fun () -> 0.)
         ~on_barrier:(fun _ _ -> ());
       let what = Printf.sprintf "%d ways: " ways in
@@ -688,10 +706,10 @@ let test_fetch_race_recovers_without_ways () =
       ~coop:false
   in
   let send ~time ~(at : Node.t) ~kind ~req =
-    Serve.Actor.send
-      t.Serve.Shard.ctxs.(Serve.Shard.shard_of at.Node.handle)
-      ~time ~h:at.Node.handle ~kind ~req ~oi:0 ~level:0 ~prev:(-1)
-      ~src:at.Node.handle
+    let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of at.Node.handle) in
+    Serve.Actor.send ctx ~time ~h:at.Node.handle ~kind
+      ~req:(Serve.Actor.open_req ctx ~req)
+      ~oi:0 ~level:0 ~prev:(-1) ~src:at.Node.handle
   in
   send ~time:0.505 ~at:s1 ~kind:Serve.Actor.op_unpublish ~req:0;
   send ~time:0.50495 ~at:x ~kind:Serve.Actor.op_locate ~req:1;
@@ -742,9 +760,10 @@ let test_unpublish_retracts_cached_entries () =
         ~gen:(Serve.Actor.generation sh srv)
         ~epoch:(Obj_cache.epoch_of c ~key ~srv));
   let send ~time ~h ~kind ~req ~oi =
-    Serve.Actor.send
-      t.Serve.Shard.ctxs.(Serve.Shard.shard_of h)
-      ~time ~h ~kind ~req ~oi ~level:0 ~prev:(-1) ~src:h
+    let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of h) in
+    Serve.Actor.send ctx ~time ~h ~kind
+      ~req:(if req >= 0 then Serve.Actor.open_req ctx ~req else -1)
+      ~oi ~level:0 ~prev:(-1) ~src:h
   in
   (* request 0 retracts s1 on every root; the locates start well after
      the barrier that applies its epoch bump *)
@@ -1140,6 +1159,39 @@ let test_ledger_mailbox_line () =
   if line >= 3_000_000 then
     Alcotest.failf "mailbox line %d bytes: want under 3 MB" line
 
+(* Request state lives only while the request is in flight: the slot
+   pools follow the load in flight, which a longer run at the same rate
+   does not raise, and only the status byte stays per request.  From
+   10^4 to 4.10^4 requests the requests line may grow by at most one
+   byte per extra request; pools sized by the request count would grow
+   by the slot size, over 30 bytes, per request. *)
+let test_request_memory_follows_load () =
+  let bytes requests =
+    let _, r =
+      run_serve ~params:{ serve_params with Driver.requests; rate = 10_000. }
+        ~domains:2 ()
+    in
+    let t = r.Driver.engine in
+    Array.iter
+      (fun (p : Serve.Actor.slots) ->
+        Alcotest.(check int) "every slot reclaimed at the end" p.Serve.Actor.used
+          (let rec free slot k =
+             if slot < 0 then k
+             else
+               free
+                 p.Serve.Actor.segs.(slot / Serve.Actor.slot_seg).Serve.Actor.s_next
+                   .(slot mod Serve.Actor.slot_seg)
+                 (k + 1)
+           in
+           free p.Serve.Actor.free 0))
+      t.Serve.Shard.sh.Serve.Actor.slots;
+    Serve.Actor.request_bytes t.Serve.Shard.sh
+  in
+  let short = bytes 10_000 and long = bytes 40_000 in
+  if long - short > 30_000 then
+    Alcotest.failf "requests line grew %d bytes for 30000 more requests (%d -> %d)"
+      (long - short) short long
+
 (* Pools grow by doubling from 64 slots as traffic needs them, so after
    a churned n=1024 run each shard's pool holds at most twice the most
    slots it ever had in use.  Once the run has drained, every slot a
@@ -1255,6 +1307,8 @@ let () =
             `Quick test_serve_churn_growth;
           Alcotest.test_case "churned run: pools sized and released"
             `Quick test_pool_follows_high_water;
+          Alcotest.test_case "request memory follows in-flight load" `Quick
+            test_request_memory_follows_load;
         ] );
       ( "cache",
         [
