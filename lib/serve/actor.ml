@@ -28,17 +28,17 @@
    from injection until the barrier after it settles; messages carry
    the slot's tag in their [req] field (-1: a fire-and-forget chain).
    Only one message of a request is ever live, so its slot is written
-   by one shard at a time; completion or failure marks it settled, and
-   the owner returns its settled slots to its free list at the
-   barrier.  So request memory follows the requests in
+   by one shard at a time; completion or failure writes its status
+   byte and links the slot, through its free-list cell, onto the
+   settling shard's list for the owner, which the barrier splices onto
+   the owner's free list.  So request memory follows the requests in
    flight, not the length of the run; only the status byte stays per
    request.
 
    Object caching (DESIGN.md section 10).  Every LOCATE hop
    probes its own node's cache line before the pointer store (with zero
    ways every probe misses) and, when the cache has ways, records itself
-   in the request's slot path; a valid
-   entry (matching object epoch, matching server mailbox generation,
+   in the request's slot path; a valid entry (matching object epoch,
    alive server) redirects a FETCH immediately.  A successful FETCH logs
    fill intents for every recorded path node — applied at the next
    barrier in shard order, so cross-node cache state stays bit-identical
@@ -122,11 +122,12 @@ let slot_seg = 1 lsl slot_bits
 let slot_mask = slot_seg - 1
 
 type slot_seg = {
-  s_settled : Bytes.t;  (* '\001': completed or failed, not yet reclaimed *)
   s_req : int array;  (* request number, the index of its status byte *)
   s_t0 : float array;  (* virtual injection time *)
   s_w0 : float array;  (* wall stamp of the injection window *)
-  s_next : int array;  (* next free slot while the slot is free *)
+  s_next : int array;
+      (* next free slot while the slot is free; once settled, the next
+         slot on the settling shard's [settled] list for the owner *)
   s_plen : Bytes.t;  (* locate hops recorded (saturates at path_cap) *)
   s_path : Bytes.t;
       (* [path_cap] recorded hops per slot, each a 32-bit handle
@@ -197,6 +198,13 @@ type ctx = {
   mutable delivered : int;
   mutable inject : ctx -> unit;  (* injector step; set once by the driver *)
   mutable inj_k : int;  (* requests the injector issued; -1 before its start *)
+  settled : int array;
+      (* per owner shard: the newest slot this shard settled since the
+         last barrier, the head of a list linked through [s_next]
+         (-1: none) *)
+  settled_tail : int array;  (* per owner shard: that list's oldest slot *)
+  settled_owners : int array;  (* the owners whose list is not empty *)
+  mutable settled_owners_len : int;
   mutable dirty_h : int array;  (* owners with dead table entries, barrier-drained *)
   mutable dirty_len : int;
   mutable dead : Node.t -> int -> bool;
@@ -215,7 +223,6 @@ type ctx = {
   mutable fi_h : int array;  (* fill: target cache line *)
   mutable fi_key : int array;
   mutable fi_srv : int array;
-  mutable fi_gen : int array;
   mutable fi_epoch : int array;  (* epoch snapshot at intent-log time *)
   mutable fi_len : int;
   mutable ev_h : int array;  (* evict: holder line *)
@@ -226,11 +233,10 @@ type ctx = {
   mutable ep_srv : int array;  (* ... of this retracting server *)
   mutable ep_len : int;
   (* cooperative hint digest: this window's cache hits as distinct
-     (key, srv, gen, epoch) rows in first-hit order, at most
+     (key, srv, epoch) rows in first-hit order, at most
      [digest_cap]; the barrier buckets them by root-guid digits *)
   mutable hd_key : int array;
   mutable hd_srv : int array;
-  mutable hd_gen : int array;
   mutable hd_epoch : int array;
   mutable hd_len : int;
   (* want ring: nodes of this shard that missed this window (one entry
@@ -288,7 +294,7 @@ let[@alloc_ok] request_bytes sh =
   let arr a = (Array.length a + 1) * word
   and bytes b = (((Bytes.length b + word) / word) + 1) * word in
   let seg g =
-    bytes g.s_settled + arr g.s_req + arr g.s_t0 + arr g.s_w0 + arr g.s_next
+    arr g.s_req + arr g.s_t0 + arr g.s_w0 + arr g.s_next
     + bytes g.s_plen + bytes g.s_path + (8 * word)
   in
   Array.fold_left
@@ -338,6 +344,10 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       delivered = 0;
       inject = (fun _ -> ());
       inj_k = -1;
+      settled = Array.make sh.shards (-1);
+      settled_tail = Array.make sh.shards (-1);
+      settled_owners = Array.make sh.shards 0;
+      settled_owners_len = 0;
       dirty_h = Array.make 16 0;
       dirty_len = 0;
       dead = (fun _ _ -> false);
@@ -349,7 +359,6 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       fi_h = [||];
       fi_key = [||];
       fi_srv = [||];
-      fi_gen = [||];
       fi_epoch = [||];
       fi_len = 0;
       ev_h = [||];
@@ -361,7 +370,6 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       ep_len = 0;
       hd_key = [||];
       hd_srv = [||];
-      hd_gen = [||];
       hd_epoch = [||];
       hd_len = 0;
       wt_h = [||];
@@ -371,7 +379,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
   (ctx.sel <-
      (fun (c : Pointer_store.cols) i ->
        if c.expires.(i) >= ctx.sel_f.(sel_pred_now) then begin
-         let srv = Network.node_of_handle sh.net c.server.(i) in
+         let srv = Network.node_of_handle sh.net (Pointer_store.server c i) in
          if Node.is_alive srv then begin
            let d = Network.dist sh.net ctx.cur srv in
            if d < ctx.sel_f.(sel_best_d) then begin
@@ -441,7 +449,6 @@ let has_ways sh = sh.cache.Obj_cache.ways > 0
 let[@alloc_ok] grow_slots sh p =
   let g =
     {
-      s_settled = Bytes.make slot_seg '\000';
       s_req = Array.make slot_seg 0;
       s_t0 = Array.make slot_seg 0.;
       s_w0 = Array.make slot_seg 0.;
@@ -498,29 +505,37 @@ let record_hop sh tag h =
     Bytes.set g.s_plen i (Char.chr (plen + 1))
   end
 
-(* Write the request's status byte and mark its slot (cell [i] of
-   segment [g]) settled. *)
-let settle ctx g i st =
-  Bytes.set ctx.sh.req_status g.s_req.(i) st;
-  Bytes.set g.s_settled i '\001'
+(* Write the request's status byte and link its slot (tag [req], cell
+   [i] of segment [g]) onto this shard's settled list for the owner.
+   The one live message of the request is served here, so no other
+   shard writes the slot meanwhile, and each list has one writer. *)
+let settle ctx ~req g i st =
+  let sh = ctx.sh in
+  Bytes.set sh.req_status g.s_req.(i) st;
+  let owner = req land ((1 lsl sh.tag_bits) - 1) and slot = req lsr sh.tag_bits in
+  if ctx.settled.(owner) < 0 then begin
+    ctx.settled_tail.(owner) <- slot;
+    ctx.settled_owners.(ctx.settled_owners_len) <- owner;
+    ctx.settled_owners_len <- ctx.settled_owners_len + 1
+  end;
+  g.s_next.(i) <- ctx.settled.(owner);
+  ctx.settled.(owner) <- slot
 
 let is_settled sh tag =
-  Bytes.get (tag_seg sh tag).s_settled (tag_cell sh tag) = '\001'
+  Bytes.get sh.req_status (slot_req sh tag) <> st_pending
 
-(* Barrier step for this shard's pool: every settled slot goes back on
-   the free list, in slot order. *)
+(* Barrier step: splice each list of slots this shard settled onto its
+   owner's free list, one write per list, whatever the lists hold. *)
 let reclaim ctx =
-  let p = ctx.sh.slots.(ctx.shard) in
-  for k = 0 to Array.length p.segs - 1 do
-    let g = p.segs.(k) in
-    for i = 0 to slot_seg - 1 do
-      if Bytes.get g.s_settled i = '\001' then begin
-        Bytes.set g.s_settled i '\000';
-        g.s_next.(i) <- p.free;
-        p.free <- (k lsl slot_bits) lor i
-      end
-    done
-  done
+  let sh = ctx.sh in
+  for k = 0 to ctx.settled_owners_len - 1 do
+    let owner = ctx.settled_owners.(k) in
+    let p = sh.slots.(owner) and tail = ctx.settled_tail.(owner) in
+    p.segs.(tail lsr slot_bits).s_next.(tail land slot_mask) <- p.free;
+    p.free <- ctx.settled.(owner);
+    ctx.settled.(owner) <- -1
+  done;
+  ctx.settled_owners_len <- 0
 
 let complete_ok ctx ~now ~req =
   if req >= 0 then begin
@@ -528,13 +543,13 @@ let complete_ok ctx ~now ~req =
     let g = tag_seg sh req and i = tag_cell sh req in
     Hist.add ctx.hist_v (now -. g.s_t0.(i));
     Hist.add ctx.hist_w (sh.wall.(0) -. g.s_w0.(i));
-    settle ctx g i st_ok;
+    settle ctx ~req g i st_ok;
     ctx.completed <- ctx.completed + 1
   end
 
 let fail_req ctx ~req st =
   if req >= 0 then begin
-    settle ctx (tag_seg ctx.sh req) (tag_cell ctx.sh req) st;
+    settle ctx ~req (tag_seg ctx.sh req) (tag_cell ctx.sh req) st;
     ctx.failed <- ctx.failed + 1;
     if st = st_exhausted then ctx.exhausted <- ctx.exhausted + 1
     else if st = st_root_miss then ctx.root_miss <- ctx.root_miss + 1
@@ -549,16 +564,14 @@ let count_dead_letter ctx ~req =
   end
   else ctx.chain_lost <- ctx.chain_lost + 1
 
-let push_fill ctx ~h ~key ~srv ~gen ~epoch =
+let push_fill ctx ~h ~key ~srv ~epoch =
   ctx.fi_h <- grow_int ctx.fi_h ctx.fi_len;
   ctx.fi_key <- grow_int ctx.fi_key ctx.fi_len;
   ctx.fi_srv <- grow_int ctx.fi_srv ctx.fi_len;
-  ctx.fi_gen <- grow_int ctx.fi_gen ctx.fi_len;
   ctx.fi_epoch <- grow_int ctx.fi_epoch ctx.fi_len;
   ctx.fi_h.(ctx.fi_len) <- h;
   ctx.fi_key.(ctx.fi_len) <- key;
   ctx.fi_srv.(ctx.fi_len) <- srv;
-  ctx.fi_gen.(ctx.fi_len) <- gen;
   ctx.fi_epoch.(ctx.fi_len) <- epoch;
   ctx.fi_len <- ctx.fi_len + 1
 
@@ -586,15 +599,13 @@ let rec digest_scan ctx ~key ~srv j =
   else if ctx.hd_key.(j) = key && ctx.hd_srv.(j) = srv then j
   else digest_scan ctx ~key ~srv (j + 1)
 
-let log_digest ctx ~key ~srv ~gen ~epoch =
+let log_digest ctx ~key ~srv ~epoch =
   if ctx.hd_len < digest_cap && digest_scan ctx ~key ~srv 0 < 0 then begin
     ctx.hd_key <- grow_int ctx.hd_key ctx.hd_len;
     ctx.hd_srv <- grow_int ctx.hd_srv ctx.hd_len;
-    ctx.hd_gen <- grow_int ctx.hd_gen ctx.hd_len;
     ctx.hd_epoch <- grow_int ctx.hd_epoch ctx.hd_len;
     ctx.hd_key.(ctx.hd_len) <- key;
     ctx.hd_srv.(ctx.hd_len) <- srv;
-    ctx.hd_gen.(ctx.hd_len) <- gen;
     ctx.hd_epoch.(ctx.hd_len) <- epoch;
     ctx.hd_len <- ctx.hd_len + 1
   end
@@ -668,20 +679,14 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     let key = base_oi / sh.roots in
     let i = Obj_cache.probe c ~h:node.Node.handle ~key in
     let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
-    if
-      i >= 0
-      && generation sh srv = Obj_cache.probe_gen c i
-      && Node.is_alive (Network.node_of_handle sh.net srv)
-    then begin
-      (* epoch, generation and liveness all current: redirect.
-         [prev] carries this holder so a lying entry can be
-         retracted by the fetch. *)
+    if i >= 0 && Node.is_alive (Network.node_of_handle sh.net srv) then begin
+      (* epoch and liveness current: redirect.  [prev] carries this
+         holder so a lying entry can be retracted by the fetch. *)
       ctx.tally.hits <- ctx.tally.hits + 1;
       if sh.coop then begin
         if Obj_cache.probe_is_hint c i then
           ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
-        log_digest ctx ~key ~srv ~gen:(Obj_cache.probe_gen c i)
-          ~epoch:(Obj_cache.probe_epoch c i)
+        log_digest ctx ~key ~srv ~epoch:(Obj_cache.probe_epoch c i)
       end;
       hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
         ~prev:node.Node.handle ~src:srv
@@ -690,8 +695,8 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
       if i = -1 then ctx.tally.misses <- ctx.tally.misses + 1
       else begin
         (* an epoch-stale entry the probe self-evicted (-2), or a
-           dead server (handles are never reused, so a generation
-           mismatch means the same): own-line evict *)
+           dead server (churn never revives a node or reuses its
+           handle): own-line evict *)
         if i >= 0 then Obj_cache.evict_at c i;
         ctx.tally.stale <- ctx.tally.stale + 1;
         ctx.tally.evicts <- ctx.tally.evicts + 1
@@ -712,12 +717,11 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         let key = base_oi / sh.roots in
         let self = node.Node.handle in
         let ep = Obj_cache.epoch_of c ~key ~srv:self in
-        let gen = generation sh self in
         let g = tag_seg sh req and i = tag_cell sh req in
         for k = 0 to seg_plen g i - 1 do
           let tgt = seg_hop g i k in
           if tgt <> self then begin
-            push_fill ctx ~h:tgt ~key ~srv:self ~gen ~epoch:ep;
+            push_fill ctx ~h:tgt ~key ~srv:self ~epoch:ep;
             ctx.tally.fills <- ctx.tally.fills + 1
           end
         done

@@ -34,9 +34,10 @@
     stamps and recorded locate path — lives in a slot of its injecting
     shard's pool ({!open_req}) while it is in flight, and messages
     carry the slot's tag as [req].  Only one message of a request is
-    ever live, so one shard at a time writes a slot; the slot is marked
-    settled when the request completes or fails, and its owner returns
-    it to the free list at the next barrier ({!reclaim}).  Request memory
+    ever live, so one shard at a time writes a slot; when the request
+    completes or fails, its status byte is written and the slot is
+    linked onto the settling shard's list for the owner, which the next
+    barrier splices onto the owner's free list ({!reclaim}).  Request memory
     so follows the load in flight, about the rate times (latency +
     window); one status byte per request number stays for the run.
 
@@ -86,13 +87,13 @@ val slot_seg : int
     moves while another shard writes it. *)
 
 type slot_seg = {
-  s_settled : Bytes.t;
-      (** ['\001']: the request completed or failed and the slot is not
-          yet reclaimed *)
   s_req : int array;  (** request number, the index of its status byte *)
   s_t0 : float array;  (** virtual injection time *)
   s_w0 : float array;  (** wall stamp of the injection window *)
-  s_next : int array;  (** next free slot while the slot is free *)
+  s_next : int array;
+      (** next free slot while the slot is free; once settled, the
+          next slot on the settling shard's [settled] list for the
+          owner *)
   s_plen : Bytes.t;  (** locate hops recorded (saturates at {!path_cap}) *)
   s_path : Bytes.t;
       (** {!path_cap} recorded hops per slot, 32-bit native-endian
@@ -173,6 +174,13 @@ type ctx = {
       (** the injector's step, run on each {!ev_inject} event; a no-op
           until the driver sets it *)
   mutable inj_k : int;  (** requests injected so far; [-1] before the start event *)
+  settled : int array;
+      (** per owner shard: the newest slot this shard settled since the
+          last barrier, the head of a list linked through [s_next]
+          (-1: none) *)
+  settled_tail : int array;  (** per owner shard: that list's oldest slot *)
+  settled_owners : int array;  (** the owners whose list is not empty *)
+  mutable settled_owners_len : int;
   mutable dirty_h : int array;
   mutable dirty_len : int;
   mutable dead : Node.t -> int -> bool;
@@ -190,7 +198,6 @@ type ctx = {
   mutable fi_h : int array;  (** fill intents: target cache line *)
   mutable fi_key : int array;
   mutable fi_srv : int array;
-  mutable fi_gen : int array;
   mutable fi_epoch : int array;  (** epoch snapshot at intent-log time *)
   mutable fi_len : int;
   mutable ev_h : int array;  (** evict intents: holder line *)
@@ -201,10 +208,9 @@ type ctx = {
   mutable ep_srv : int array;  (** ... of this retracting server *)
   mutable ep_len : int;
   mutable hd_key : int array;
-      (** hint digest: this window's cache hits as (key, srv, gen,
-          epoch) rows, at most {!digest_cap} distinct pairs *)
+      (** hint digest: this window's cache hits as (key, srv, epoch)
+          rows, at most {!digest_cap} distinct pairs *)
   mutable hd_srv : int array;
-  mutable hd_gen : int array;
   mutable hd_epoch : int array;
   mutable hd_len : int;
   mutable wt_h : int array;
@@ -251,12 +257,14 @@ val path_hop : shared -> int -> int -> int
 (** [path_hop sh tag k]: the handle of the slot's [k]-th recorded hop. *)
 
 val is_settled : shared -> int -> bool
-(** The slot's request completed or failed, and the slot is not yet
-    reclaimed: it still reads its request number and path. *)
+(** The slot's request completed or failed.  Until the slot is opened
+    again (after a barrier has reclaimed it) it still reads that
+    request's number and path. *)
 
 val reclaim : ctx -> unit
-(** Barrier step: return every settled slot of this shard's pool to its
-    free list. *)
+(** Barrier step: splice every slot this shard settled since the last
+    barrier onto its owner's free list: one splice per owner shard
+    whose requests it settled, whatever the number of slots. *)
 
 val send :
   ctx -> time:float -> h:int -> kind:int -> req:int -> oi:int ->

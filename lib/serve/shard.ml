@@ -29,6 +29,9 @@ let b1_cap = 32
 let b2_cap = 16
 let import_budget = 12
 
+(* A bucket row is a digest row: key, server handle, epoch snapshot. *)
+let row = 3
+
 (* Wall seconds of a serve run by phase, read with the caller's clock
    around whole phases only, never per message.  [run] fills the engine
    phases; [setup] and [collect] are the driver's. *)
@@ -52,8 +55,8 @@ type t = {
   ledger : ledger;
   b1_cnt : int array;  (* digit buckets: digest rows grouped by the *)
   b1_rows : int array;  (* first 1 (b1) / 2 (b2) digits of the row's *)
-  b2_cnt : int array;  (* object root guid; (key,srv,gen,epoch) *)
-  b2_rows : int array;  (* quadruples, rebuilt at every barrier *)
+  b2_cnt : int array;  (* object root guid; (key, srv, epoch) *)
+  b2_rows : int array;  (* triples, rebuilt at every barrier *)
 }
 
 let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
@@ -92,9 +95,9 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
         collect = 0.;
       };
     b1_cnt = Array.make (if coop then base else 0) 0;
-    b1_rows = Array.make (if coop then base * b1_cap * 4 else 0) 0;
+    b1_rows = Array.make (if coop then base * b1_cap * row else 0) 0;
     b2_cnt = Array.make (if coop then base * base else 0) 0;
-    b2_rows = Array.make (if coop then base * base * b2_cap * 4 else 0) 0;
+    b2_rows = Array.make (if coop then base * base * b2_cap * row else 0) 0;
   }
 
 (* The ONLY binding that touches [Domain]: everything transitively
@@ -190,7 +193,7 @@ let apply_cache_intents t =
     for i = 0 to ctx.Actor.fi_len - 1 do
       Obj_cache.insert c ~h:ctx.Actor.fi_h.(i)
         ~key:ctx.Actor.fi_key.(i) ~server:ctx.Actor.fi_srv.(i)
-        ~gen:ctx.Actor.fi_gen.(i) ~epoch:ctx.Actor.fi_epoch.(i)
+        ~epoch:ctx.Actor.fi_epoch.(i)
     done;
     ctx.Actor.fi_len <- 0
   done
@@ -215,21 +218,19 @@ let apply_cache_intents t =
    The digests and want rings then restart empty.  Every read and
    write is sequential in shard order, so the exchange is
    bit-identical for any [--domains]. *)
-let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv ~gen
-    ~epoch =
+let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv ~epoch =
   let n = cnt.(b) in
-  let o0 = b * cap * 4 in
+  let o0 = b * cap * row in
   let rec dup j =
     j < n
-    && ((rows.(o0 + (j * 4)) = key && rows.(o0 + (j * 4) + 1) = srv)
+    && ((rows.(o0 + (j * row)) = key && rows.(o0 + (j * row) + 1) = srv)
        || dup (j + 1))
   in
   if n < cap && not (dup 0) then begin
-    let o = o0 + (n * 4) in
+    let o = o0 + (n * row) in
     rows.(o) <- key;
     rows.(o + 1) <- srv;
-    rows.(o + 2) <- gen;
-    rows.(o + 3) <- epoch;
+    rows.(o + 2) <- epoch;
     cnt.(b) <- n + 1
   end
 
@@ -238,14 +239,14 @@ let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv ~gen
 let offer_bucket c (tl : Simnet.Stats.Tally.t) ~h (cnt : int array)
     (rows : int array) cap b budget =
   let n = cnt.(b) in
-  let o0 = b * cap * 4 in
+  let o0 = b * cap * row in
   let rec go j budget misses =
     if j >= n || budget <= 0 || misses >= 4 then budget
     else begin
-      let o = o0 + (j * 4) in
+      let o = o0 + (j * row) in
       if
         Obj_cache.import_hint c ~h ~key:rows.(o) ~server:rows.(o + 1)
-          ~gen:rows.(o + 2) ~epoch:rows.(o + 3)
+          ~epoch:rows.(o + 2)
       then begin
         tl.hint_fills <- tl.hint_fills + 1;
         tl.fills <- tl.fills + 1;
@@ -268,16 +269,15 @@ let apply_hint_digest t =
       for j = 0 to ctx.Actor.hd_len - 1 do
         let key = ctx.Actor.hd_key.(j)
         and srv = ctx.Actor.hd_srv.(j)
-        and gen = ctx.Actor.hd_gen.(j)
         and epoch = ctx.Actor.hd_epoch.(j) in
         if Obj_cache.epoch_of c ~key ~srv = epoch then
           for r = 0 to sh.Actor.roots - 1 do
             let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
             let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
-            bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~gen ~epoch;
+            bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~epoch;
             bucket_add t.b2_cnt t.b2_rows b2_cap
               ((d0 * base) + d1)
-              ~key ~srv ~gen ~epoch
+              ~key ~srv ~epoch
           done
       done;
       ctx.Actor.hd_len <- 0

@@ -338,8 +338,10 @@ let run net =
                    {
                      node = n.Node.id;
                      guid = c.guid.(i);
-                     server = (Network.node_of_handle net c.server.(i)).Node.id;
-                     root_idx = c.root_idx.(i);
+                     server =
+                       (Network.node_of_handle net (Pointer_store.server c i))
+                         .Node.id;
+                     root_idx = Pointer_store.root_idx c i;
                      expires = c.expires.(i);
                    })
           done);
@@ -353,7 +355,7 @@ let run net =
       (match net.Network.obj_cache with
       | None -> ()
       | Some c ->
-          Obj_cache.iter c ~f:(fun ~h ~key ~server ~gen:_ ~epoch ->
+          Obj_cache.iter c ~f:(fun ~h ~key ~server ~epoch ->
               let guid = Obj_cache.guid_of_key c key in
               if h >= net.Network.arena_len then
                 add

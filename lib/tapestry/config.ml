@@ -39,7 +39,12 @@ let validate t =
   else if t.id_digits < 1 then Error "id_digits must be >= 1"
   else if t.redundancy < 1 then Error "redundancy must be >= 1"
   else if t.k_list < 1 then Error "k_list must be >= 1"
-  else if t.root_set_size < 1 then Error "root_set_size must be >= 1"
+  else if t.root_set_size < 1 || t.root_set_size > Pointer_store.max_root_idx
+  then
+    (* the last root index a pointer record packs is reserved for
+       locality branches *)
+    Error
+      (Printf.sprintf "root_set_size must be in 1..%d" Pointer_store.max_root_idx)
   else if t.pointer_ttl <= 0. then Error "pointer_ttl must be positive"
   else if t.expected_nodes < 0 then Error "expected_nodes must be >= 0"
   else Ok ()

@@ -117,7 +117,7 @@ let[@alloc_ok] voluntary net (node : Node.t) =
           let c = Pointer_store.cols ps in
           match
             Route.peek_first_hop net holder
-              (Network.salted net c.guid.(i) c.root_idx.(i))
+              (Network.salted net c.guid.(i) (Pointer_store.root_idx c i))
           with
           | Some hop when hop.Node.handle = me -> moving := i :: !moving
           | _ -> ()
@@ -148,7 +148,9 @@ let[@alloc_ok] voluntary net (node : Node.t) =
   let ps = node.Node.pointers in
   for i = 0 to Pointer_store.size ps - 1 do
     let c = Pointer_store.cols ps in
-    let guid = c.guid.(i) and server = c.server.(i) and root_idx = c.root_idx.(i) in
+    let guid = c.guid.(i)
+    and server = Pointer_store.server c i
+    and root_idx = Pointer_store.root_idx c i in
     let salted = Network.salted net guid root_idx in
     if Option.is_none (Route.peek_first_hop net node salted) then begin
       incr rerooted;

@@ -1,4 +1,4 @@
-let local_root_idx = 1_000_000
+let local_root_idx = Pointer_store.max_root_idx
 
 let outside_stub net ~same_stub ~(anchor : Node.t) h =
   not (same_stub anchor.Node.addr (Network.node_of_handle net h).Node.addr)

@@ -13,7 +13,9 @@
     pointer-store records under a reserved root index. *)
 
 val local_root_idx : int
-(** Reserved [root_idx] marking local-branch pointer records. *)
+(** Reserved [root_idx] marking local-branch pointer records: the
+    largest root index a record holds ({!Pointer_store.max_root_idx}),
+    above any root-set size {!Config.validate} accepts. *)
 
 val publish :
   Network.t ->

@@ -9,7 +9,7 @@ type result = {
 let usable net guid (c : Pointer_store.cols) i =
   c.expires.(i) >= net.Network.clock
   &&
-  let s = Network.node_of_handle net c.server.(i) in
+  let s = Network.node_of_handle net (Pointer_store.server c i) in
   Node.is_alive s && Node.stores_replica s guid
 
 (* One pass over the node's records of the GUID, newest first: keep the
@@ -20,7 +20,7 @@ let[@alloc_ok] closest_usable_server net (node : Node.t) guid =
   let best = ref None and best_d = ref infinity in
   Pointer_store.iter_guid node.Node.pointers guid ~f:(fun c i ->
       if usable net guid c i then begin
-        let s = Network.node_of_handle net c.Pointer_store.server.(i) in
+        let s = Network.node_of_handle net (Pointer_store.server c i) in
         let d = Network.dist net node s in
         if Option.is_none !best || d < !best_d then begin
           best := Some s;

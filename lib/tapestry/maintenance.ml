@@ -4,7 +4,7 @@ let rec delete_pointers_backward net ~changed ~guid ~server ~root_idx ~from =
     let ps = node.Node.pointers in
     let i = Pointer_store.find ps ~guid ~server ~root_idx in
     if i >= 0 then begin
-      let prev = (Pointer_store.cols ps).previous.(i) in
+      let prev = Pointer_store.previous (Pointer_store.cols ps) i in
       ignore (Pointer_store.remove ps ~guid ~server ~root_idx);
       if prev >= 0 && prev <> changed then begin
         let pnode = Network.node_of_handle net prev in
@@ -18,7 +18,9 @@ let rec delete_pointers_backward net ~changed ~guid ~server ~root_idx ~from =
 (* [@alloc_ok]: the fold callback, once per re-walked record. *)
 let[@alloc_ok] optimize_object_ptrs net ~(changed : Node.t) i =
   let c = Pointer_store.cols changed.Node.pointers in
-  let guid = c.guid.(i) and server = c.server.(i) and root_idx = c.root_idx.(i) in
+  let guid = c.guid.(i)
+  and server = Pointer_store.server c i
+  and root_idx = Pointer_store.root_idx c i in
   let salted = Network.salted net guid root_idx in
   let expires = net.Network.clock +. net.Network.config.Config.pointer_ttl in
   let me = changed.Node.handle in
@@ -66,7 +68,8 @@ let rec optimize_from net (node : Node.t) ~next_hop i n moved =
   else begin
     let c = Pointer_store.cols node.Node.pointers in
     match
-      Route.peek_first_hop net node (Network.salted net c.guid.(i) c.root_idx.(i))
+      Route.peek_first_hop net node
+        (Network.salted net c.guid.(i) (Pointer_store.root_idx c i))
     with
     | Some hop when hop.Node.handle = next_hop ->
         optimize_object_ptrs net ~changed:node i;

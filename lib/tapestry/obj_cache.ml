@@ -2,7 +2,10 @@
    DESIGN.md §10 for the invalidation protocol and determinism
    argument.  Node [h]'s line is line [h mod 64] of segment [h / 64],
    the slice [(h mod 64) * ways ..] of that segment's parallel entry
-   arrays.  Growth appends segments and never copies a line.  An
+   arrays.  A way is 19 bytes: the key word, the server handle and
+   epoch snapshot packed in one word, and a hit-count, a flags and a
+   doorkeeper byte.
+   Growth appends segments and never copies a line.  An
    entry index packs the segment number above the index within the
    segment.  Everything on the probe/insert path is int-array
    arithmetic so the typed hot-path allocation lint covers this module
@@ -19,13 +22,10 @@ let cell_bits = 32
 let cell_mask = (1 lsl cell_bits) - 1
 
 type segment = {
-  e_key : int array;
-  e_srv : int array;
-  e_gen : int array;
-  e_epoch : int array;
-  e_stamp : int array;  (* clock reference bit *)
-  e_hits : int array;  (* frequency sketch: per-entry hit count *)
-  e_src : Bytes.t;  (* '\001' = imported hint, '\000' = learned *)
+  e_key : int array;  (* -1 = empty way *)
+  e_srv_epoch : int array;  (* [srv_epoch]: server handle, epoch snapshot *)
+  e_hits : Bytes.t;  (* frequency sketch: per-entry hit count *)
+  e_flags : Bytes.t;  (* [flag_ref] clock reference, [flag_hint] imported *)
   hand : int array;  (* per line: clock hand *)
   dk : Bytes.t;  (* doorkeeper bits: [ways] bytes per line *)
   dk_fill : int array;  (* per line: fill attempts since reset *)
@@ -47,7 +47,24 @@ let hit_cap = 255
 
 (* (key, server-handle) packed into one int: handles stay far below
    2^26 (the 1e6-node scale tier uses 2^20) and keys below 2^36. *)
-let pack_pair ~key ~srv = (key lsl 26) lor srv
+let srv_bits = 26
+let srv_mask = (1 lsl srv_bits) - 1
+let pack_pair ~key ~srv = (key lsl srv_bits) lor srv
+
+(* A way's server handle and epoch snapshot in one int, the handle in
+   the low 26 bits.  The key keeps a word of its own, so the probe's way
+   scan is a plain compare. *)
+let srv_epoch ~server ~epoch =
+  if server lsr srv_bits <> 0 || epoch lsr (62 - srv_bits) <> 0 then
+    invalid_arg "Obj_cache: server handle or epoch out of range";
+  (epoch lsl srv_bits) lor server
+
+(* [e_flags] bits *)
+let flag_ref = 1
+let flag_hint = 2
+
+let flags (st : segment) j = Bytes.get_uint8 st.e_flags j
+let hits (st : segment) j = Bytes.get_uint8 st.e_hits j
 
 let seg_lines (g : segment) = Array.length g.hand
 
@@ -57,12 +74,9 @@ let[@alloc_ok] make_segment ~ways lines =
   let cells = lines * ways in
   {
     e_key = Array.make cells (-1);
-    e_srv = Array.make cells 0;
-    e_gen = Array.make cells 0;
-    e_epoch = Array.make cells 0;
-    e_stamp = Array.make cells 0;
-    e_hits = Array.make cells 0;
-    e_src = Bytes.make cells '\000';
+    e_srv_epoch = Array.make cells 0;
+    e_hits = Bytes.make cells '\000';
+    e_flags = Bytes.make cells '\000';
     hand = Array.make lines 0;
     dk = Bytes.make cells '\000';
     dk_fill = Array.make lines 0;
@@ -96,12 +110,9 @@ let fill_out ~ways (old : segment) =
   let lines = seg_lines old in
   let cells = lines * ways in
   Array.blit old.e_key 0 g.e_key 0 cells;
-  Array.blit old.e_srv 0 g.e_srv 0 cells;
-  Array.blit old.e_gen 0 g.e_gen 0 cells;
-  Array.blit old.e_epoch 0 g.e_epoch 0 cells;
-  Array.blit old.e_stamp 0 g.e_stamp 0 cells;
-  Array.blit old.e_hits 0 g.e_hits 0 cells;
-  Bytes.blit old.e_src 0 g.e_src 0 cells;
+  Array.blit old.e_srv_epoch 0 g.e_srv_epoch 0 cells;
+  Bytes.blit old.e_hits 0 g.e_hits 0 cells;
+  Bytes.blit old.e_flags 0 g.e_flags 0 cells;
   Array.blit old.hand 0 g.hand 0 lines;
   Bytes.blit old.dk 0 g.dk 0 cells;
   Array.blit old.dk_fill 0 g.dk_fill 0 lines;
@@ -191,9 +202,15 @@ let has_empty_way t ~h =
    learning: see [insert]. *)
 let rec scan_weak_hint (st : segment) j stop bi bh =
   if j >= stop then bi
-  else if Bytes.unsafe_get st.e_src j = '\001' && (bi < 0 || st.e_hits.(j) < bh)
-  then scan_weak_hint st (j + 1) stop j st.e_hits.(j)
+  else if flags st j land flag_hint <> 0 && (bi < 0 || hits st j < bh) then
+    scan_weak_hint st (j + 1) stop j (hits st j)
   else scan_weak_hint st (j + 1) stop bi bh
+
+(* An empty way has no sketch count and no flags. *)
+let clear_way (st : segment) j =
+  st.e_key.(j) <- -1;
+  Bytes.set_uint8 st.e_hits j 0;
+  Bytes.set_uint8 st.e_flags j 0
 
 let probe t ~h ~key =
   if h >= t.nodes then -1
@@ -203,28 +220,27 @@ let probe t ~h ~key =
     let base = (h land seg_mask) * t.ways in
     let j = scan_key st.e_key ~key base (base + t.ways) in
     if j < 0 then -1
-    else if st.e_epoch.(j) = epoch_of t ~key ~srv:st.e_srv.(j) then begin
-      st.e_stamp.(j) <- 1;
-      let hv = st.e_hits.(j) in
-      if hv < hit_cap then st.e_hits.(j) <- hv + 1;
-      entry k j
-    end
     else begin
-      (* epoch-stale: self-evict so the way frees up immediately *)
-      st.e_key.(j) <- -1;
-      st.e_hits.(j) <- 0;
-      Bytes.unsafe_set st.e_src j '\000';
-      -2
+      let se = st.e_srv_epoch.(j) in
+      if se lsr srv_bits = epoch_of t ~key ~srv:(se land srv_mask) then begin
+        Bytes.set_uint8 st.e_flags j (flags st j lor flag_ref);
+        let hv = hits st j in
+        if hv < hit_cap then Bytes.set_uint8 st.e_hits j (hv + 1);
+        entry k j
+      end
+      else begin
+        (* epoch-stale: self-evict so the way frees up immediately *)
+        clear_way st j;
+        -2
+      end
     end
   end
 
-let probe_srv t i = (seg_of t i).e_srv.(cell_of i)
+let probe_srv t i = (seg_of t i).e_srv_epoch.(cell_of i) land srv_mask
 
-let probe_gen t i = (seg_of t i).e_gen.(cell_of i)
+let probe_epoch t i = (seg_of t i).e_srv_epoch.(cell_of i) lsr srv_bits
 
-let probe_epoch t i = (seg_of t i).e_epoch.(cell_of i)
-
-let probe_is_hint t i = Bytes.unsafe_get (seg_of t i).e_src (cell_of i) = '\001'
+let probe_is_hint t i = flags (seg_of t i) (cell_of i) land flag_hint <> 0
 
 (* Deterministic hash of a node handle and a key (doorkeeper bit
    selection): a multiplicative mix, no ambient randomness. *)
@@ -236,9 +252,10 @@ let mix h key =
 (* second chance: clear reference bits until one is already clear *)
 let rec clock_sweep t (st : segment) ~base pos spins =
   let w = pos mod t.ways in
-  if spins >= t.ways || st.e_stamp.(base + w) <> 1 then w
+  let f = flags st (base + w) in
+  if spins >= t.ways || f land flag_ref = 0 then w
   else begin
-    st.e_stamp.(base + w) <- 0;
+    Bytes.set_uint8 st.e_flags (base + w) (f land lnot flag_ref);
     clock_sweep t st ~base (pos + 1) (spins + 1)
   end
 
@@ -278,8 +295,9 @@ let dk_admit t (st : segment) ~h ~line ~key =
     false
   end
 
-let insert t ~h ~key ~server ~gen ~epoch =
+let insert t ~h ~key ~server ~epoch =
   if h < t.nodes && t.ways > 0 then begin
+    let se = srv_epoch ~server ~epoch in
     let st = t.segs.(h lsr seg_bits) and line = h land seg_mask in
     let base = line * t.ways in
     (* refresh an existing entry or claim an empty way before evicting *)
@@ -308,22 +326,20 @@ let insert t ~h ~key ~server ~gen ~epoch =
     if j >= 0 then begin
       (* a learned fill of a new key (re)starts the sketch at 1 and
          clears any hint mark; a refresh keeps the accumulated count *)
-      if st.e_key.(j) <> key then st.e_hits.(j) <- 1;
-      Bytes.unsafe_set st.e_src j '\000';
+      if st.e_key.(j) <> key then Bytes.set_uint8 st.e_hits j 1;
+      Bytes.set_uint8 st.e_flags j flag_ref;
       st.e_key.(j) <- key;
-      st.e_srv.(j) <- server;
-      st.e_gen.(j) <- gen;
-      st.e_epoch.(j) <- epoch;
-      st.e_stamp.(j) <- 1
+      st.e_srv_epoch.(j) <- se
     end
   end
 
 (* Hint import: never clobbers an entry the node already holds for the
    key (the node's own learning wins), and only ever claims an empty
    way, marking the entry hint-sourced.  Returns whether it landed. *)
-let import_hint t ~h ~key ~server ~gen ~epoch =
+let import_hint t ~h ~key ~server ~epoch =
   if h >= t.nodes then false
   else begin
+    let se = srv_epoch ~server ~epoch in
     let st = t.segs.(h lsr seg_bits) in
     let base = (h land seg_mask) * t.ways in
     if scan_key st.e_key ~key base (base + t.ways) >= 0 then false
@@ -339,21 +355,13 @@ let import_hint t ~h ~key ~server ~gen ~epoch =
       if j < 0 then false
       else begin
         st.e_key.(j) <- key;
-        st.e_srv.(j) <- server;
-        st.e_gen.(j) <- gen;
-        st.e_epoch.(j) <- epoch;
-        st.e_hits.(j) <- 1;
-        Bytes.unsafe_set st.e_src j '\001';
-        st.e_stamp.(j) <- 1;
+        st.e_srv_epoch.(j) <- se;
+        Bytes.set_uint8 st.e_hits j 1;
+        Bytes.set_uint8 st.e_flags j (flag_hint lor flag_ref);
         true
       end
     end
   end
-
-let clear_way (st : segment) j =
-  st.e_key.(j) <- -1;
-  st.e_hits.(j) <- 0;
-  Bytes.unsafe_set st.e_src j '\000'
 
 let evict_at t i = clear_way (seg_of t i) (cell_of i)
 
@@ -362,8 +370,10 @@ let evict t ~h ~key ~server =
     let st = t.segs.(h lsr seg_bits) in
     let base = (h land seg_mask) * t.ways in
     for w = 0 to t.ways - 1 do
-      if st.e_key.(base + w) = key && st.e_srv.(base + w) = server then
-        clear_way st (base + w)
+      if
+        st.e_key.(base + w) = key
+        && st.e_srv_epoch.(base + w) land srv_mask = server
+      then clear_way st (base + w)
     done
   end
 
@@ -376,12 +386,9 @@ let[@alloc_ok] reset t =
     (fun (st : segment) ->
       let cells = Array.length st.e_key in
       Array.fill st.e_key 0 cells (-1);
-      Array.fill st.e_srv 0 cells 0;
-      Array.fill st.e_gen 0 cells 0;
-      Array.fill st.e_epoch 0 cells 0;
-      Array.fill st.e_stamp 0 cells 0;
-      Array.fill st.e_hits 0 cells 0;
-      Bytes.fill st.e_src 0 cells '\000';
+      Array.fill st.e_srv_epoch 0 cells 0;
+      Bytes.fill st.e_hits 0 cells '\000';
+      Bytes.fill st.e_flags 0 cells '\000';
       Array.fill st.hand 0 (seg_lines st) 0;
       Bytes.fill st.dk 0 cells '\000';
       Array.fill st.dk_fill 0 (seg_lines st) 0)
@@ -396,8 +403,8 @@ let[@alloc_ok] iter_ways t ~f =
     let st = t.segs.(k) in
     let base = (h land seg_mask) * t.ways in
     for j = base to base + t.ways - 1 do
-      f ~h ~key:st.e_key.(j) ~hits:st.e_hits.(j)
-        ~hint:(Bytes.get st.e_src j = '\001') ~i:(entry k j)
+      f ~h ~key:st.e_key.(j) ~hits:(hits st j)
+        ~hint:(flags st j land flag_hint <> 0) ~i:(entry k j)
     done
   done
 
@@ -411,19 +418,18 @@ let[@alloc_ok] entries t =
 let[@alloc_ok] iter t ~f =
   iter_ways t ~f:(fun ~h ~key ~hits:_ ~hint:_ ~i ->
       if key >= 0 then
-        f ~h ~key ~server:(probe_srv t i) ~gen:(probe_gen t i)
-          ~epoch:(probe_epoch t i))
+        f ~h ~key ~server:(probe_srv t i) ~epoch:(probe_epoch t i))
 
 (* [@alloc_ok]: diagnostics only (memory_footprint reports). *)
 let[@alloc_ok] approx_bytes t =
   let word = 8 in
-  let arr a = (Array.length a + 1) * word in
+  let arr a = (Array.length a + 1) * word
+  and bytes b = (((Bytes.length b + word) / word) + 1) * word in
   Array.fold_left
     (fun acc (st : segment) ->
-      acc + arr st.e_key + arr st.e_srv + arr st.e_gen + arr st.e_epoch
-      + arr st.e_stamp + arr st.e_hits + Bytes.length st.e_src
-      + arr st.hand + arr st.dk_fill + Bytes.length st.dk
-      + (11 * word) (* the segment record *))
+      acc + arr st.e_key + arr st.e_srv_epoch + bytes st.e_hits + bytes st.e_flags
+      + arr st.hand + arr st.dk_fill + bytes st.dk
+      + (8 * word) (* the segment record *))
     (arr t.segs) t.segs
   + (Array.length t.guid_of + 1) * word
   + (Hashtbl.length t.ep_tbl * 4 * word) (* pair-epoch table, rough *)

@@ -14,9 +14,11 @@
     {b Layout.}  One structure serves the whole network, in the arena
     style of the routing tables, cut into segments of 64 handles: node
     [h]'s cache is the slice [l*ways .. l*ways+ways-1], [l = h mod 64],
-    of segment [h / 64]'s parallel flat int arrays (key, server handle,
-    server generation, object-epoch snapshot, clock reference bit, hit
-    count).  Growth appends segments, so the arena can grow under churn
+    of segment [h / 64]'s parallel flat columns: two words per way (the
+    key; the server handle and object-epoch snapshot packed into one
+    int) and three bytes (hit count, flags — clock reference bit
+    and hint mark — and the doorkeeper byte), 19 bytes in all.  Growth
+    appends segments, so the arena can grow under churn
     without copying the lines it already has.  Probing and inserting
     are plain int scans over [ways] entries — no per-entry boxing, no
     allocation on the hot path.  An entry index (what {!probe} returns)
@@ -33,11 +35,11 @@
     epoch was measured to wipe a hot object's entire cached footprint on
     every retraction, capping the hit rate under Zipf traffic.)  An
     entry snapshots its pair's epoch at fill time and a probe whose
-    snapshot mismatches self-evicts and reports stale.  Entries also
-    carry the server's mailbox generation so a server killed and
-    resurrected by churn is detected without any global flush.  A stale
-    hit therefore degrades to a redirect-and-reclimb, never a wrong
-    answer — see DESIGN.md §10.
+    snapshot mismatches self-evicts and reports stale.  A killed server
+    is caught by the caller's liveness check: churn never revives a node
+    or reuses its handle, so no per-entry server generation is needed.
+    A stale hit therefore degrades to a redirect-and-reclimb, never a
+    wrong answer — see DESIGN.md §10.
 
     {b Concurrency.}  In the serve engine all mutation happens either
     shard-confined (a node probing/filling its own cache line) or at
@@ -52,16 +54,16 @@ val seg_handles : int
 
 type segment = private {
   e_key : int array;  (** [lines*ways]; -1 = empty way *)
-  e_srv : int array;  (** server arena handle *)
-  e_gen : int array;  (** server mailbox generation at fill *)
-  e_epoch : int array;  (** object epoch snapshot at fill *)
-  e_stamp : int array;  (** clock reference bit *)
-  e_hits : int array;
-      (** frequency sketch: saturating per-entry hit count; a full
-          line's organic fill replaces its coldest hint first *)
-  e_src : Bytes.t;
-      (** ['\001'] = entry arrived as a cooperative hint, ['\000'] =
-          learned from the node's own fetch unwind *)
+  e_srv_epoch : int array;
+      (** server arena handle in bits 0-25, the object epoch snapshot at
+          fill above *)
+  e_hits : Bytes.t;
+      (** frequency sketch: per-entry hit count, saturating at 255; a
+          full line's organic fill replaces its coldest hint first *)
+  e_flags : Bytes.t;
+      (** bit 0: clock reference bit; bit 1: the entry arrived as a
+          cooperative hint (clear: learned from the node's own fetch
+          unwind) *)
   hand : int array;  (** per line: clock hand position *)
   dk : Bytes.t;
       (** doorkeeper admission bits, [ways] bytes (= 8*ways bits) per
@@ -127,15 +129,12 @@ val probe : t -> h:int -> key:int -> int
 (** Look up [key] in node [h]'s line.  Returns the flat entry index
     ([>= 0]) on an epoch-current entry (touching its replacement stamp);
     [-1] on a miss; [-2] when the only entry was epoch-stale (the entry
-    is evicted as a side effect).  The caller still validates the named
-    server (alive + generation) before trusting a hit: liveness is
+    is evicted as a side effect).  The caller still checks that the
+    named server is alive before trusting a hit: liveness is
     runtime-specific.  Allocation-free. *)
 
 val probe_srv : t -> int -> int
 (** Server handle of entry [i] (a [probe] result [>= 0]). *)
-
-val probe_gen : t -> int -> int
-(** Fill-time server generation of entry [i]. *)
 
 val probe_epoch : t -> int -> int
 (** Epoch snapshot of entry [i] (a [probe] result [>= 0]) — what the
@@ -146,10 +145,9 @@ val probe_is_hint : t -> int -> bool
 (** Whether entry [i] arrived via {!import_hint} rather than a learned
     fill (drives the [hint_hits] counter). *)
 
-val insert :
-  t -> h:int -> key:int -> server:int -> gen:int -> epoch:int -> unit
+val insert : t -> h:int -> key:int -> server:int -> epoch:int -> unit
 (** Fill (or refresh) node [h]'s line with [key -> server], recording
-    the server generation [gen] and the pair epoch snapshot [epoch].
+    the pair epoch snapshot [epoch].
     The serve tier takes the snapshot when the fill intent is logged, so
     a fill racing an unpublish in the same window lands already-stale
     instead of masking the bump.  A full line first gives up its coldest
@@ -158,23 +156,24 @@ val insert :
     resident entry is declined on the key's first touch (a per-node bit
     array remembers it) and admitted on the second, so the Zipf tail
     cannot thrash the hot head out of a line.  Refreshes and empty-way
-    fills always land.  Deterministic and allocation-free. *)
+    fills always land.  Deterministic and allocation-free.
+    @raise Invalid_argument if [server >= 2^26] or [epoch >= 2^36]. *)
 
 val has_empty_way : t -> h:int -> bool
 (** Whether node [h]'s line has a free way.  {!import_hint} only ever
     fills empty ways, so a [false] here lets a caller skip a whole
     digest of offers with a single scan. *)
 
-val import_hint :
-  t -> h:int -> key:int -> server:int -> gen:int -> epoch:int -> bool
+val import_hint : t -> h:int -> key:int -> server:int -> epoch:int -> bool
 (** Offer node [h] a cooperative hint [key -> server] with the
-    exporter's generation/epoch snapshot.  Declined (returns [false])
+    exporter's epoch snapshot.  Declined (returns [false])
     when the line already holds the key in any way — the node's own
     learning always wins — or when no way is empty: a hint never
     displaces a resident entry (organic or hint), so cooperation adds
     to local learning instead of trading against it.  A landed hint is
     marked hint-sourced and starts with a cold sketch count.
-    Deterministic and allocation-free. *)
+    Deterministic and allocation-free.
+    @raise Invalid_argument if [server >= 2^26] or [epoch >= 2^36]. *)
 
 val evict_at : t -> int -> unit
 (** Clear entry [i] (a [probe] result). *)
@@ -192,8 +191,7 @@ val reset : t -> unit
 val entries : t -> int
 (** Occupied ways, O(nodes*ways) — diagnostics only. *)
 
-val iter :
-  t -> f:(h:int -> key:int -> server:int -> gen:int -> epoch:int -> unit) -> unit
+val iter : t -> f:(h:int -> key:int -> server:int -> epoch:int -> unit) -> unit
 (** Visit every occupied entry in handle order, a line's ways in order
     (audit). *)
 

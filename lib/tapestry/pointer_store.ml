@@ -1,12 +1,16 @@
 (* Column layout (DESIGN.md section 8.9).  A node's records live at
-   indices [0 .. len-1] of parallel columns; removal is swap-remove (the
-   last record moves into the hole).  Records of the same GUID are
+   indices [0 .. len-1] of four parallel columns; removal is swap-remove
+   (the last record moves into the hole).  Records of the same GUID are
    chained newest-first through [next] (-1 ends a chain).  No hash column:
    a [Node_id.t] caches its own hash, and [Node_id.equal] compares it
    first.  [heads] is an open-addressed GUID index (linear probing from [hash land mask], load at most 1/2,
    backward-shift deletion): each occupied slot holds the index of its
    GUID's chain head, -1 marks an empty slot.  The GUID of a slot is that
    of its head record, so the index stores one int per slot and no keys.
+
+   [packed] holds a record's server handle in bits 0-25, its previous
+   hop plus one in bits 26-52 and its root index from bit 53, so the
+   (server, root index) pair a lookup matches is one masked int compare.
 
    The columns are allocated lazily, on the first [store]: every node
    owns a pointer store but in a large mesh only the O(objects * log n)
@@ -15,9 +19,7 @@
    has no index slots and is never written. *)
 type cols = {
   mutable guid : Node_id.t array;
-  mutable server : int array;
-  mutable root_idx : int array;
-  mutable previous : int array;
+  mutable packed : int array;
   mutable expires : float array;
   mutable next : int array;
   mutable len : int;
@@ -26,6 +28,33 @@ type cols = {
 }
 
 type t = { mutable c : cols }
+
+let server_bits = 26
+let prev_shift = server_bits
+let prev_bits = 27
+let root_shift = prev_shift + prev_bits
+let root_bits = 9
+let max_root_idx = (1 lsl root_bits) - 1
+let server_mask = (1 lsl server_bits) - 1
+let prev_mask = (1 lsl prev_bits) - 1
+let key_mask = lnot (prev_mask lsl prev_shift)
+
+(* A record's [packed] cell; each field must fit its bits. *)
+let pack ~server ~root_idx ~previous =
+  if
+    server lsr server_bits <> 0
+    || (previous + 1) lsr prev_bits <> 0
+    || root_idx lsr root_bits <> 0
+  then invalid_arg "Pointer_store.store: handle or root index out of range";
+  server lor ((previous + 1) lsl prev_shift) lor (root_idx lsl root_shift)
+
+(* The (server, root index) part of a [packed] cell that lookups match. *)
+let key ~server ~root_idx = server lor (root_idx lsl root_shift)
+
+let previous_of packed = ((packed lsr prev_shift) land prev_mask) - 1
+let server c i = c.packed.(i) land server_mask
+let root_idx c i = c.packed.(i) lsr root_shift
+let previous c i = previous_of c.packed.(i)
 
 (* Fills the GUID column past [len] so removed records do not keep their
    GUIDs alive. *)
@@ -36,9 +65,7 @@ let no_guid = Node_id.make [||]
 let[@alloc_ok] columns ~cap ~slots =
   {
     guid = Array.make cap no_guid;
-    server = Array.make cap 0;
-    root_idx = Array.make cap 0;
-    previous = Array.make cap 0;
+    packed = Array.make cap 0;
     expires = Array.create_float cap;
     next = Array.make cap (-1);
     len = 0;
@@ -125,9 +152,7 @@ let grown_floats a cap =
 
 let resize_records c cap =
   c.guid <- grown c.guid cap no_guid;
-  c.server <- grown c.server cap 0;
-  c.root_idx <- grown c.root_idx cap 0;
-  c.previous <- grown c.previous cap 0;
+  c.packed <- grown c.packed cap 0;
   c.expires <- grown_floats c.expires cap;
   c.next <- grown c.next cap (-1)
 
@@ -142,9 +167,7 @@ let swap_remove c i =
   if i <> last then begin
     let g = c.guid.(last) in
     c.guid.(i) <- g;
-    c.server.(i) <- c.server.(last);
-    c.root_idx.(i) <- c.root_idx.(last);
-    c.previous.(i) <- c.previous.(last);
+    c.packed.(i) <- c.packed.(last);
     c.expires.(i) <- c.expires.(last);
     c.next.(i) <- c.next.(last);
     let s = find_slot c g in
@@ -165,26 +188,24 @@ let unlink_and_drop c s i =
    else c.next.(chain_pred c.next i head) <- c.next.(i));
   swap_remove c i
 
-let rec chain_find c ~server ~root_idx i =
+(* The record whose (server, root index) is [k] in the chain from [i]. *)
+let rec chain_find c k i =
   if i < 0 then -1
-  else if c.root_idx.(i) = root_idx && c.server.(i) = server then i
-  else chain_find c ~server ~root_idx c.next.(i)
+  else if c.packed.(i) land key_mask = k then i
+  else chain_find c k c.next.(i)
 
-(* The record for (server, root_idx) in the chain headed from slot [s]
-   (if [s] is a hit), or -1. *)
-let chain_at c s ~server ~root_idx =
-  if s < 0 then -1 else chain_find c ~server ~root_idx c.heads.(s)
+(* The record keyed [k] in the chain headed from slot [s] (if [s] is a
+   hit), or -1. *)
+let chain_at c s k = if s < 0 then -1 else chain_find c k c.heads.(s)
 
 (* ---- operations ---- *)
 
 (* Append a record whose chain successor is [next]; returns its index. *)
-let push c ~guid ~server ~root_idx ~previous ~expires ~next =
+let push c ~guid ~packed ~expires ~next =
   if c.len = Array.length c.guid then resize_records c (2 * c.len);
   let i = c.len in
   c.guid.(i) <- guid;
-  c.server.(i) <- server;
-  c.root_idx.(i) <- root_idx;
-  c.previous.(i) <- previous;
+  c.packed.(i) <- packed;
   c.expires.(i) <- expires;
   c.next.(i) <- next;
   c.len <- i + 1;
@@ -214,20 +235,19 @@ let reserve t ~guids n =
 let fresh = -2
 
 let store t ~guid ~server ~root_idx ~previous ~expires =
+  let packed = pack ~server ~root_idx ~previous in
   let c = force t in
   let s = find_slot c guid in
-  let i = chain_at c s ~server ~root_idx in
+  let i = chain_at c s (packed land key_mask) in
   if i >= 0 then begin
-    let old = c.previous.(i) in
-    c.previous.(i) <- previous;
+    let old = previous_of c.packed.(i) in
+    c.packed.(i) <- packed;
     if expires > c.expires.(i) then c.expires.(i) <- expires;
     old
   end
   else begin
     if s >= 0 then begin
-      let i =
-        push c ~guid ~server ~root_idx ~previous ~expires ~next:c.heads.(s)
-      in
+      let i = push c ~guid ~packed ~expires ~next:c.heads.(s) in
       c.heads.(s) <- i
     end
     else begin
@@ -238,7 +258,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
         end
         else -1 - s
       in
-      let i = push c ~guid ~server ~root_idx ~previous ~expires ~next:(-1) in
+      let i = push c ~guid ~packed ~expires ~next:(-1) in
       c.heads.(s) <- i;
       c.nguids <- c.nguids + 1
     end;
@@ -253,7 +273,7 @@ let head_of c guid =
     if s < 0 then -1 else c.heads.(s)
 
 let find t ~guid ~server ~root_idx =
-  chain_find t.c ~server ~root_idx (head_of t.c guid)
+  chain_find t.c (key ~server ~root_idx) (head_of t.c guid)
 
 let mem_guid t guid = head_of t.c guid >= 0
 
@@ -274,7 +294,7 @@ let remove t ~guid ~server ~root_idx =
   if Array.length c.heads = 0 then false
   else begin
     let s = find_slot c guid in
-    let i = chain_at c s ~server ~root_idx in
+    let i = chain_at c s (key ~server ~root_idx) in
     if i >= 0 then unlink_and_drop c s i;
     i >= 0
   end
@@ -297,13 +317,13 @@ let clear t = t.c <- empty
 
 let word = 8
 
-(* Resident-size estimate.  The handle (2 words), the column record (10)
-   and, each with a header word, the six record-capacity columns (guid,
-   server, root_idx, previous, the unboxed expires, next) and the index.
+(* Resident-size estimate.  The handle (2 words), the column record (8)
+   and, each with a header word, the four record-capacity columns (guid,
+   packed, the unboxed expires, next) and the index.
    No per-record block: a record is one cell of each column.  An
    estimate, not an accounting — used by {!Network.memory_footprint} and
    the scale-tier bytes-per-node gauge. *)
 let approx_bytes t =
   let c = t.c in
   if Array.length c.heads = 0 then 2 * word
-  else (2 + 10 + (6 * (1 + Array.length c.guid)) + 1 + Array.length c.heads) * word
+  else (2 + 8 + (4 * (1 + Array.length c.guid)) + 1 + Array.length c.heads) * word

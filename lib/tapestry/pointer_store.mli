@@ -9,9 +9,9 @@
     entries are, and [Network.node_of_handle] resolves them with one
     array read.
 
-    Layout: no record type.  A store is parallel columns (GUID, server,
-    root index, previous hop, an unboxed expiry, chain link),
-    and a record is an index into them, [0 .. size-1], in dense order:
+    Layout: no record type.  A store is four parallel columns (GUID;
+    server, previous hop and root index packed in one int; an unboxed
+    expiry; chain link), and a record is an index into them, [0 .. size-1], in dense order:
     insertion order as perturbed by swap-removes (a removal moves the
     last record into the hole).  Each GUID's records are chained newest
     first, and a small open-addressed index maps a GUID to its chain
@@ -23,9 +23,9 @@
 
 type cols = private {
   mutable guid : Node_id.t array;
-  mutable server : int array;  (** arena handle of the replica's server *)
-  mutable root_idx : int array;  (** root-set member the path serves (Observation 2) *)
-  mutable previous : int array;  (** handle of the last hop toward the server, or [-1] *)
+  mutable packed : int array;
+      (** server handle, previous hop and root index in one int: read
+          them with {!server}, {!previous} and {!root_idx} *)
   mutable expires : float array;
   mutable next : int array;  (** chain link to the next older record of the GUID *)
   mutable len : int;
@@ -38,6 +38,18 @@ type cols = private {
     store is next written (a removal moves the last record into the hole;
     growth or {!clear} replaces the columns), so re-read {!cols} after a
     write. *)
+
+val server : cols -> int -> int
+(** Record [i]'s server: the arena handle of the replica's server.
+    Allocation-free, as are {!previous} and {!root_idx}. *)
+
+val previous : cols -> int -> int
+(** Record [i]'s previous hop: the handle of the last hop toward the
+    server, or [-1]. *)
+
+val root_idx : cols -> int -> int
+(** Record [i]'s root index: the root-set member its path serves
+    (Observation 2). *)
 
 type t
 
@@ -52,7 +64,10 @@ val store : t -> guid:Node_id.t -> server:int -> root_idx:int ->
     the verdict is {!fresh}.  A refresh returns the old [previous] hop
     ([-1] if none) and overwrites it, and the expiry becomes the later of
     the two; it allocates nothing.  O(c); amortized O(1) growth of the
-    columns and index, each doubling when full (see {!reserve}). *)
+    columns and index, each doubling when full (see {!reserve}).
+    @raise Invalid_argument unless [0 <= server < 2^26],
+    [-1 <= previous < 2^27 - 1] and [0 <= root_idx < 2^9], the widths
+    of the packed column. *)
 
 val reserve : t -> guids:int -> int -> unit
 (** Make room for [n] more records, [guids] of them under GUIDs the
@@ -63,6 +78,9 @@ val reserve : t -> guids:int -> int -> unit
     record by record; the next [n] such {!store}s then allocate nothing
     and keep the columns.  Placement ({!Publish.place}) reserves each
     store once from its deposit count.  No-op for [n <= 0]. *)
+
+val max_root_idx : int
+(** 511, the largest root index a record holds ([2^9 - 1]). *)
 
 val fresh : int
 (** {!store}'s verdict for a new record ([-2]: no handle or [-1]). *)
@@ -108,5 +126,5 @@ val clear : t -> unit
 
 val approx_bytes : t -> int
 (** Estimated resident bytes of this store (columns and index) — an
-    arithmetic model, not GC truth: six capacity columns and no
-    per-record block.  O(1).  Feeds {!Network.memory_footprint}. *)
+    arithmetic model, not GC truth: four capacity columns (4 words per
+    record cell) and no per-record block.  O(1).  Feeds {!Network.memory_footprint}. *)

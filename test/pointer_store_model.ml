@@ -20,9 +20,9 @@ type record = {
 let of_cols (c : Pointer_store.cols) i =
   {
     guid = c.guid.(i);
-    server = c.server.(i);
-    root_idx = c.root_idx.(i);
-    previous = c.previous.(i);
+    server = Pointer_store.server c i;
+    root_idx = Pointer_store.root_idx c i;
+    previous = Pointer_store.previous c i;
     expires = c.expires.(i);
   }
 

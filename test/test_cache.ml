@@ -38,7 +38,7 @@ let mk ?(ways = 2) ?(nodes = 4) () = Obj_cache.create ~ways ~nodes
 
 (* A learned fill snapshotting the pair's current epoch. *)
 let fill c ~h ~key ~server =
-  Obj_cache.insert c ~h ~key ~server ~gen:0
+  Obj_cache.insert c ~h ~key ~server
     ~epoch:(Obj_cache.epoch_of c ~key ~srv:server)
 
 let test_intern_roundtrip () =
@@ -141,7 +141,7 @@ let test_hint_import () =
   fill c ~h:0 ~key:1 ~server:11;
   let epoch = Obj_cache.epoch_of c ~key:1 ~srv:11 in
   Alcotest.(check bool) "import lands in an empty way" true
-    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:11 ~gen:0 ~epoch);
+    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:11 ~epoch);
   let i = Obj_cache.probe c ~h:1 ~key:1 in
   Alcotest.(check bool) "hint probes as a hit" true (i >= 0);
   Alcotest.(check bool) "entry is hint-sourced" true
@@ -152,7 +152,7 @@ let test_hint_import () =
     (Obj_cache.probe_is_hint c (Obj_cache.probe c ~h:0 ~key:1));
   Alcotest.(check bool) "own learning wins: held key declines re-import"
     false
-    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:99 ~gen:0 ~epoch);
+    (Obj_cache.import_hint c ~h:1 ~key:1 ~server:99 ~epoch);
   (* a full line's organic fill replaces a hint before it evicts (or
      asks the doorkeeper about) anything the node learned itself *)
   fill c ~h:1 ~key:2 ~server:12;
@@ -169,7 +169,7 @@ let test_hint_import_never_displaces () =
   fill c ~h:0 ~key:2 ~server:2;
   let ep3 = Obj_cache.epoch_of c ~key:3 ~srv:3 in
   Alcotest.(check bool) "full line declines a hint" false
-    (Obj_cache.import_hint c ~h:0 ~key:3 ~server:3 ~gen:0 ~epoch:ep3);
+    (Obj_cache.import_hint c ~h:0 ~key:3 ~server:3 ~epoch:ep3);
   Alcotest.(check bool) "residents untouched" true
     (Obj_cache.probe c ~h:0 ~key:1 >= 0 && Obj_cache.probe c ~h:0 ~key:2 >= 0);
   (* an epoch-stale probe frees the way, and then the hint can land *)
@@ -177,13 +177,13 @@ let test_hint_import_never_displaces () =
   Alcotest.(check int) "stale probe self-evicts" (-2)
     (Obj_cache.probe c ~h:0 ~key:1);
   Alcotest.(check bool) "freed way accepts the hint" true
-    (Obj_cache.import_hint c ~h:0 ~key:3 ~server:3 ~gen:0 ~epoch:ep3)
+    (Obj_cache.import_hint c ~h:0 ~key:3 ~server:3 ~epoch:ep3)
 
 let test_hint_staleness_self_evicts () =
   let c = mk ~ways:2 ~nodes:2 () in
   let ep = Obj_cache.epoch_of c ~key:7 ~srv:4 in
   Alcotest.(check bool) "hint lands" true
-    (Obj_cache.import_hint c ~h:1 ~key:7 ~server:4 ~gen:0 ~epoch:ep);
+    (Obj_cache.import_hint c ~h:1 ~key:7 ~server:4 ~epoch:ep);
   (* the retraction machinery is shared with organic entries: an epoch
      bump stales the hint, the next probe self-evicts it *)
   Obj_cache.bump_epoch c ~key:7 ~srv:4;
@@ -200,7 +200,7 @@ let test_reset_clears_soft_state () =
   fill c ~h:0 ~key ~server:1;
   ignore (Obj_cache.probe c ~h:0 ~key : int);
   ignore
-    (Obj_cache.import_hint c ~h:1 ~key:5 ~server:2 ~gen:0
+    (Obj_cache.import_hint c ~h:1 ~key:5 ~server:2
        ~epoch:(Obj_cache.epoch_of c ~key:5 ~srv:2)
       : bool);
   Obj_cache.bump_epoch c ~key ~srv:9;
@@ -254,6 +254,27 @@ let test_zero_ways_hold_nothing () =
   Alcotest.(check int) "every probe misses" (-1) (Obj_cache.probe big ~h:7 ~key:0);
   Alcotest.(check bool) "no empty way to offer" false
     (Obj_cache.has_empty_way big ~h:7)
+
+(* The way layout: a 64-way cache for 4096 nodes spends at most 19
+   bytes per way (key and server packed in one word, the epoch word,
+   and a hit-count, flags and doorkeeper byte) plus each line's clock
+   hand and doorkeeper counter (2 words) and each segment's record and
+   array headers, in the heap and in [approx_bytes]. *)
+let test_way_bytes () =
+  let ways = 64 and nodes = 4096 in
+  let c = mk ~ways ~nodes () in
+  let segs = Array.length c.Obj_cache.segs in
+  let bound = (19 * ways * nodes) + (16 * nodes) + (256 * segs) + (8 * (segs + 1)) in
+  let heap = 8 * Obj.reachable_words (Obj.repr c.Obj_cache.segs) in
+  if heap > bound then
+    Alcotest.failf "heap: %d B for %d ways, over the %d B bound" heap
+      (ways * nodes) bound;
+  (* the interning tables and the handle record on top of the lines *)
+  let fixed = 8 * 64 in
+  let model = Obj_cache.approx_bytes c in
+  if model > bound + fixed then
+    Alcotest.failf "approx_bytes: %d B for %d ways, over the %d B bound"
+      model (ways * nodes) (bound + fixed)
 
 (* ---- a cache attached to a sync mesh ---- *)
 
@@ -432,6 +453,7 @@ let () =
             test_segments_grow_without_copy;
           Alcotest.test_case "zero ways hold nothing" `Quick
             test_zero_ways_hold_nothing;
+          Alcotest.test_case "19 bytes per way" `Quick test_way_bytes;
         ] );
       ( "sync",
         [

@@ -168,7 +168,7 @@ let test_locate geometry () =
             ctx.Actor.tally.Simnet.Stats.Tally.hits)
         t.Shard.ctxs;
       let fills = Array.make objects [] in
-      Obj_cache.iter c ~f:(fun ~h ~key ~server ~gen:_ ~epoch:_ ->
+      Obj_cache.iter c ~f:(fun ~h ~key ~server ~epoch:_ ->
           fills.(key) <- (h, server) :: fills.(key));
       Array.iteri
         (fun o (chain, server) ->
@@ -257,9 +257,9 @@ let stores net =
       let c = Pointer_store.cols (Network.node_of_handle net h).Node.pointers in
       List.init c.Pointer_store.len (fun i ->
           ( Node_id.to_string c.Pointer_store.guid.(i),
-            c.Pointer_store.server.(i),
-            c.Pointer_store.root_idx.(i),
-            c.Pointer_store.previous.(i) )))
+            Pointer_store.server c i,
+            Pointer_store.root_idx c i,
+            Pointer_store.previous c i )))
 
 let replicas net base =
   List.init net.Network.arena_len (fun h ->

@@ -484,7 +484,7 @@ let test_pointer_store_roundtrip () =
   | -1 -> Alcotest.fail "record missing"
   | i ->
       let c = Pointer_store.cols ps in
-      Alcotest.(check int) "previous updated" 3 c.previous.(i);
+      Alcotest.(check int) "previous updated" 3 (Pointer_store.previous c i);
       Alcotest.(check bool) "expiry extended" true (c.expires.(i) >= 20.));
   Alcotest.(check int) "second refresh returns the first's hop" 3
     (Pointer_store.store ps ~guid ~server ~root_idx:0 ~previous:(-1) ~expires:1.);

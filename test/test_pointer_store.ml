@@ -203,7 +203,7 @@ let test_walks_keep_walked_store () =
       done;
       let c = Pointer_store.cols n.Node.pointers in
       for i = 0 to Pointer_store.size n.Node.pointers - 1 do
-        let salted = Network.salted net c.guid.(i) c.root_idx.(i) in
+        let salted = Network.salted net c.guid.(i) (Pointer_store.root_idx c i) in
         let me = n.Node.handle in
         let _, meets, _ =
           Route.fold_path ~exclude:me net ~from:n salted ~init:(-1)
@@ -468,14 +468,12 @@ let test_reserve () =
   let kept ps =
     let c = Pointer_store.cols ps in
     let open Pointer_store in
-    let guid = c.guid and server = c.server and root_idx = c.root_idx
-    and previous = c.previous and expires = c.expires and next = c.next
-    and heads = c.heads in
+    let guid = c.guid and packed = c.packed and expires = c.expires
+    and next = c.next and heads = c.heads in
     fun () ->
       let c = Pointer_store.cols ps in
-      c.guid == guid && c.server == server && c.root_idx == root_idx
-      && c.previous == previous && c.expires == expires && c.next == next
-      && c.heads == heads
+      c.guid == guid && c.packed == packed && c.expires == expires
+      && c.next == next && c.heads == heads
   in
   List.iter
     (fun (k, n, guids) ->
@@ -511,6 +509,69 @@ let test_reserve () =
       (0, 300, 300); (3, 13, 13); (5, 59, 59); (0, 64, 32); (7, 200, 120);
     ]
 
+(* The byte model: a record cell is 4 words (GUID, packed server /
+   previous / root index, unboxed expiry, chain link), in [approx_bytes]
+   and in the heap.  Two stores holding the same records and the same
+   index, reserved to capacities 16 and 32, differ by 16 cells: 64
+   words, both in the model and in the words their columns reach. *)
+let test_byte_model () =
+  let rng = Simnet.Rng.create 5 in
+  let pool = Array.init 4 (fun _ -> random_id rng) in
+  let reserved cap =
+    let ps = Pointer_store.create () in
+    Pointer_store.reserve ps ~guids:4 cap;
+    Array.iteri
+      (fun j guid ->
+        ignore
+          (Pointer_store.store ps ~guid ~server:j ~root_idx:0 ~previous:(-1)
+             ~expires:1.
+            : int))
+      pool;
+    ps
+  in
+  let small = reserved 16 and large = reserved 32 in
+  let cap ps = Array.length (Pointer_store.cols ps).Pointer_store.guid
+  and slots ps = Array.length (Pointer_store.cols ps).Pointer_store.heads in
+  Alcotest.(check (pair int int)) "capacities" (16, 32) (cap small, cap large);
+  Alcotest.(check int) "same index" (slots small) (slots large);
+  let cells = cap large - cap small and word = Sys.word_size / 8 in
+  Alcotest.(check int) "approx_bytes: 4 words per record cell"
+    (4 * cells * word)
+    (Pointer_store.approx_bytes large - Pointer_store.approx_bytes small);
+  let reach ps = Obj.reachable_words (Obj.repr (Pointer_store.cols ps)) in
+  Alcotest.(check int) "heap: 4 words per record cell" (4 * cells)
+    (reach large - reach small)
+
+(* The packed column holds a handle below 2^26, a previous hop of -1 or
+   a handle, and a root index up to [max_root_idx]; [store] refuses the
+   rest instead of folding one field into another, and the extremes
+   read back unchanged. *)
+let test_packed_bounds () =
+  let guid = random_id (Simnet.Rng.create 3) in
+  let ps = Pointer_store.create () in
+  let h = (1 lsl 26) - 1 and r = Pointer_store.max_root_idx in
+  ignore
+    (Pointer_store.store ps ~guid ~server:h ~root_idx:r ~previous:h ~expires:1.
+      : int);
+  let i = Pointer_store.find ps ~guid ~server:h ~root_idx:r in
+  let c = Pointer_store.cols ps in
+  Alcotest.(check (list int)) "extremes read back" [ h; r; h ]
+    [ Pointer_store.server c i; Pointer_store.root_idx c i; Pointer_store.previous c i ];
+  let refused ~server ~root_idx ~previous =
+    match Pointer_store.store ps ~guid ~server ~root_idx ~previous ~expires:1. with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check (list bool)) "out-of-range fields refused"
+    [ true; true; true; true ]
+    [
+      refused ~server:(h + 1) ~root_idx:0 ~previous:(-1);
+      refused ~server:(-1) ~root_idx:0 ~previous:(-1);
+      refused ~server:0 ~root_idx:(r + 1) ~previous:(-1);
+      refused ~server:0 ~root_idx:0 ~previous:(-2);
+    ];
+  Alcotest.(check int) "one record" 1 (Pointer_store.size ps)
+
 let () =
   Alcotest.run "pointer_store"
     [
@@ -538,5 +599,8 @@ let () =
             test_store_allocation;
           Alcotest.test_case "reserve: no words, doubling's capacities"
             `Quick test_reserve;
+          Alcotest.test_case "4 words per record cell" `Quick test_byte_model;
+          Alcotest.test_case "packed fields in range or refused" `Quick
+            test_packed_bounds;
         ] );
     ]

@@ -312,7 +312,7 @@ let test_multi_replica_all_pointers_kept () =
   let root = (Route.route_to_root net ~from:(List.hd servers) guid).Route.root in
   let servers_seen = ref [] in
   Pointer_store.iter_guid root.Node.pointers guid ~f:(fun c i ->
-      let s = Network.node_of_handle net c.Pointer_store.server.(i) in
+      let s = Network.node_of_handle net (Pointer_store.server c i) in
       servers_seen := Node_id.to_string s.Node.id :: !servers_seen);
   let distinct = List.sort_uniq String.compare !servers_seen in
   Alcotest.(check int) "root holds all copies"
@@ -372,7 +372,7 @@ let test_delete_pointers_backward () =
       match Pointer_store.find ps ~guid ~server:server.Node.handle ~root_idx:0 with
       | -1 -> Alcotest.fail "root pointer missing"
       | i ->
-          let from = (Pointer_store.cols ps).previous.(i) in
+          let from = Pointer_store.previous (Pointer_store.cols ps) i in
           Alcotest.(check bool) "root has a previous hop" true (from >= 0);
           Maintenance.delete_pointers_backward net ~changed:server.Node.handle ~guid
             ~server:server.Node.handle ~root_idx:0 ~from;

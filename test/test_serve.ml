@@ -366,8 +366,8 @@ let test_serve_churn_growth () =
        (List.map queue_state handles));
   let snapshot () =
     let acc = ref [] in
-    Obj_cache.iter cache ~f:(fun ~h ~key ~server ~gen ~epoch ->
-        acc := [ h; key; server; gen; epoch ] :: !acc);
+    Obj_cache.iter cache ~f:(fun ~h ~key ~server ~epoch ->
+        acc := [ h; key; server; epoch ] :: !acc);
     !acc
   in
   let entries = snapshot () in
@@ -644,11 +644,9 @@ let test_redirect_budget_bounded () =
           ~service:1e-4 ~requests:1 ~mailbox_cap:64 ~seed:1 ~window:0.02
           ~cache:c ~coop:false
       in
-      let sh = t.Serve.Shard.sh in
       let liar_h = liar.Node.handle in
       Network.iter_alive net (fun n ->
           Obj_cache.insert c ~h:n.Node.handle ~key ~server:liar_h
-            ~gen:(Serve.Actor.generation sh liar_h)
             ~epoch:(Obj_cache.epoch_of c ~key ~srv:liar_h));
       let rec pick () =
         let n = Network.random_alive net in
@@ -677,6 +675,62 @@ let test_redirect_budget_bounded () =
    retracts it, so its FETCH reaches [s1] after the replica left.  The
    FETCH spends one redirect and re-climbs from [s1], behind the
    retraction, to the pointer naming [s2]. *)
+(* A cache entry carries no server generation: a server killed at a
+   barrier is caught by the probe's liveness check alone, since churn
+   never revives a node or reuses its handle.  Request 0, a LOCATE at
+   the server itself, opens a window so that the server dies at its
+   barrier; request 1's LOCATE then probes the client's entry naming
+   the dead server, counts it stale, evicts the way and climbs on. *)
+let test_dead_server_entry_stale () =
+  let net = build_net 256 42 in
+  let roots = net.Network.config.Config.root_set_size in
+  let g = Network.fresh_id net in
+  let guids = Array.init roots (fun r -> Network.salted net g r) in
+  let server = Network.random_alive net in
+  ignore (Publish.publish net ~server guids.(0) : Publish.outcome);
+  let rec pick () =
+    let n = Network.random_alive net in
+    if n.Node.handle = server.Node.handle then pick () else n
+  in
+  let client = (pick ()).Node.handle and s = server.Node.handle in
+  let c = Obj_cache.create ~ways:4 ~nodes:net.Network.arena_len in
+  let key = Obj_cache.intern c guids.(0) in
+  Obj_cache.insert c ~h:client ~key ~server:s
+    ~epoch:(Obj_cache.epoch_of c ~key ~srv:s);
+  let t =
+    Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
+      ~service:1e-4 ~requests:2 ~mailbox_cap:64 ~seed:1 ~window:0.02
+      ~cache:c ~coop:false
+  in
+  let send ~time ~h ~req =
+    let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of h) in
+    Serve.Actor.send ctx ~time ~h ~kind:Serve.Actor.op_locate
+      ~req:(Serve.Actor.open_req ctx ~req)
+      ~oi:0 ~level:0 ~prev:(-1) ~src:h
+  in
+  send ~time:0. ~h:s ~req:0;
+  send ~time:1. ~h:client ~req:1;
+  Serve.Shard.run t ~domains:1 ~now:(fun () -> 0.)
+    ~on_barrier:(fun t _ ->
+      if Node.is_alive server then Serve.Shard.kill_node t server);
+  let sum f =
+    Array.fold_left
+      (fun acc (ctx : Serve.Actor.ctx) -> acc + f ctx.Serve.Actor.tally)
+      0 t.Serve.Shard.ctxs
+  in
+  let status = t.Serve.Shard.sh.Serve.Actor.req_status in
+  Alcotest.(check char) "request 0 served before the kill" Serve.Actor.st_ok
+    (Bytes.get status 0);
+  Alcotest.(check bool) "the server died" false (Node.is_alive server);
+  Alcotest.(check int) "one stale probe" 1
+    (sum (fun tl -> tl.Simnet.Stats.Tally.stale));
+  Alcotest.(check int) "one evict" 1
+    (sum (fun tl -> tl.Simnet.Stats.Tally.evicts));
+  Alcotest.(check int) "no hit" 0 (sum (fun tl -> tl.Simnet.Stats.Tally.hits));
+  Alcotest.(check int) "the way is empty" 0 (Obj_cache.entries c);
+  Alcotest.(check bool) "request 1 not served by the dead server" true
+    (Bytes.get status 1 <> Serve.Actor.st_ok)
+
 let test_fetch_race_recovers_without_ways () =
   let net = build_net 256 42 in
   let roots = net.Network.config.Config.root_set_size in
@@ -751,13 +805,11 @@ let test_unpublish_retracts_cached_entries () =
       ~service:1e-4 ~requests:(1 + locates) ~mailbox_cap:64 ~seed:1
       ~window:0.02 ~cache:c ~coop:false
   in
-  let sh = t.Serve.Shard.sh in
   (* even handles name s1, odd handles s2 *)
   Network.iter_alive net (fun n ->
       let h = n.Node.handle in
       let srv = if h mod 2 = 0 then s1.Node.handle else s2.Node.handle in
       Obj_cache.insert c ~h ~key ~server:srv
-        ~gen:(Serve.Actor.generation sh srv)
         ~epoch:(Obj_cache.epoch_of c ~key ~srv));
   let send ~time ~h ~kind ~req ~oi =
     let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of h) in
@@ -1351,6 +1403,8 @@ let () =
             `Quick test_unpublish_retracts_cached_entries;
           Alcotest.test_case "FETCH racing an unpublish recovers at 0 ways"
             `Quick test_fetch_race_recovers_without_ways;
+          Alcotest.test_case "an entry naming a killed server is stale"
+            `Quick test_dead_server_entry_stale;
         ] );
       ( "timer",
         List.map QCheck_alcotest.to_alcotest

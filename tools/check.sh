@@ -51,7 +51,10 @@
 # mesh passes the audit INCLUDING the hint-sketch coherence extension,
 # and the JSON must show positive hint_fills (the exchange actually
 # moved hints between nodes, not just compiled).  Its `signature md5`
-# is pinned too, covering the hint exchange's order.
+# is pinned too, covering the hint exchange's order, and so is its
+# `footprint_bytes` (the memory ledger's sum, deterministic for a
+# seed): the serve smoke runs zero-way, so this is the pin that sees
+# the bytes of a cache way, and of a pointer record, move.
 #
 # The four smokes are rows of one table (`smokes` below) driven by one
 # runner; with several smoke flags only the first row in table order
@@ -63,12 +66,13 @@ cd "$(dirname "$0")/.."
 #   flag | exit code | tapestry_sim arguments | JSON field that must be
 #   positive (- for none) | committed file to gate against with
 #   bench_compare (- for none) | expected `signature md5` of the run
-#   (- for none) | what the stage covers
+#   (- for none) | expected `footprint_bytes` of the run (- for none) |
+#   what the stage covers
 smokes=(
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
-  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
-  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
-  "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|scale smoke (n=32768 streamed build + JSON round-trip)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|37896464|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
+  "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|-|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
+  "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|-|scale smoke (n=32768 streamed build + JSON round-trip)"
 )
 
 advisory=""
@@ -90,9 +94,9 @@ signature() {
 # invariant violation), the JSON round-trip through the bench parser,
 # the positive-field check (the stage's mechanism actually did work,
 # not just compiled), the signature check at one domain and at two,
-# then the gate against the committed baseline.
+# the footprint check, then the gate against the committed baseline.
 run_smoke() {
-  local code=$1 args=$2 field=$3 gate=$4 md5=$5 what=$6 v got
+  local code=$1 args=$2 field=$3 gate=$4 md5=$5 fp=$6 what=$7 v got
   dune build bin/tapestry_sim.exe bench/main.exe \
     tools/bench_compare/bench_compare.exe || exit 10
   tmp_smoke=$(mktemp /tmp/smoke.XXXXXX.json)
@@ -118,6 +122,13 @@ run_smoke() {
       exit "$code"
     }
   fi
+  if [ "$fp" != - ]; then
+    got=$(grep -o '"footprint_bytes": *[0-9]*' "$tmp_smoke" | head -1 | sed 's/.*: *//' || true)
+    [ "$got" = "$fp" ] || {
+      echo "check: $what footprint_bytes ${got:-missing}, expected $fp" >&2
+      exit "$code"
+    }
+  fi
   if [ "$field" != - ]; then
     v=$(grep -o "\"$field\": *[0-9.eE+-]*" "$tmp_smoke" | head -1 | sed 's/.*: *//' || true)
     awk -v v="${v:-0}" 'BEGIN { exit (v > 0 ? 0 : 1) }' || {
@@ -134,9 +145,9 @@ run_smoke() {
 }
 
 for row in "${smokes[@]}"; do
-  IFS='|' read -r flag code args field gate md5 what <<< "$row"
+  IFS='|' read -r flag code args field gate md5 fp what <<< "$row"
   case "$selected" in
-    *" $flag "*) run_smoke "$code" "$args" "$field" "$gate" "$md5" "$what" ;;
+    *" $flag "*) run_smoke "$code" "$args" "$field" "$gate" "$md5" "$fp" "$what" ;;
   esac
 done
 
