@@ -68,35 +68,6 @@ let stratified_queries net ~objects ~per_bucket ~buckets =
   done;
   List.init buckets (fun b -> (b, bins.(b)))
 
-type zipf = { cum : float array }
-
-let zipf ~s ~n =
-  if n <= 0 then invalid_arg "Workload.zipf: n must be positive";
-  let cum = Array.make n 0. in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. (1. /. Float.pow (float_of_int (i + 1)) s);
-    cum.(i) <- !acc
-  done;
-  let total = !acc in
-  for i = 0 to n - 1 do
-    cum.(i) <- cum.(i) /. total
-  done;
-  (* guard against rounding: the last cumulative weight must catch any
-     draw in [cum.(n-2), 1) *)
-  cum.(n - 1) <- 1.;
-  { cum }
-
-let zipf_sample z rng =
-  let u = Simnet.Rng.float rng 1.0 in
-  (* first index whose cumulative weight covers u *)
-  let lo = ref 0 and hi = ref (Array.length z.cum - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if z.cum.(mid) > u then hi := mid else lo := mid + 1
-  done;
-  !lo
-
 type churn_event = Join | Leave_voluntary | Fail
 
 let churn_trace ~rng ~steps ~p_join ~p_leave =

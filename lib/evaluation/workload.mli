@@ -38,22 +38,6 @@ val stratified_queries :
     (bucket 0 = nearest); rejection-samples uniform pairs, so sparse bands
     may come back short. *)
 
-(** {2 Zipf popularity}
-
-    The serve tier draws object popularity from Zipf(s): rank [i]
-    (0-based) has probability proportional to [1/(i+1)^s]. *)
-
-type zipf
-
-val zipf : s:float -> n:int -> zipf
-(** Precompute the normalized harmonic weights for [n] ranks; O(n) once,
-    after which sampling is an O(log n) binary search and allocates
-    nothing.  @raise Invalid_argument if [n <= 0]. *)
-
-val zipf_sample : zipf -> Simnet.Rng.t -> int
-(** Inverse-CDF draw of a rank in [0, n): seeded entirely by the given
-    RNG stream, no ambient randomness. *)
-
 (** Churn traces for the availability experiments. *)
 type churn_event =
   | Join

@@ -28,12 +28,11 @@
    from injection until the barrier after it settles; messages carry
    the slot's tag in their [req] field (-1: a fire-and-forget chain).
    Only one message of a request is ever live, so its slot is written
-   by one shard at a time; completion or failure writes its status
-   byte and links the slot, through its free-list cell, onto the
-   settling shard's list for the owner, which the barrier splices onto
-   the owner's free list.  So request memory follows the requests in
-   flight, not the length of the run; only the status byte stays per
-   request.
+   by one shard at a time; completion or failure bumps one of the
+   settling shard's counters and links the slot, through its free-list
+   cell, onto that shard's list for the owner, which the barrier
+   splices onto the owner's free list.  So request memory follows the
+   requests in flight, not the length of the run.
 
    Object caching (DESIGN.md section 10).  Every LOCATE hop
    probes its own node's cache line before the pointer store (with zero
@@ -57,7 +56,7 @@
    request's redirect count [rc]: stale re-climbs with [rc < rc_max]
    still probe caches, overflow re-climbs and those with [rc >= rc_max]
    are cache-free LOCATE_NC walks, and a request that would reach
-   [rc > rc_max + 1] fails as [st_exhausted].  LOCATE and LOCATE_NC
+   [rc > rc_max + 1] fails as [Exhausted].  LOCATE and LOCATE_NC
    pack [rc] into the level field's high bits; FETCH carries it as its
    level.
 
@@ -101,13 +100,12 @@ let rc_max = 2
    (cold-churn) requests reach it (EXPERIMENTS.md "Knob census"). *)
 let path_cap = 12
 
-(* request_status values (one byte per request) *)
-let st_pending = '\000'
-let st_ok = '\001'
-let st_exhausted = '\002'  (* FETCH site: redirect budget spent *)
-let st_dropped = '\003'
-let st_dead_letter = '\004'
-let st_root_miss = '\005'  (* the climb reached the root without a usable pointer *)
+(* Why a request failed; each cause has its counter in the ctx. *)
+type cause =
+  | Dropped  (* its message overflowed a full mailbox *)
+  | Dead_letter  (* its message's target died *)
+  | Exhausted  (* FETCH site: redirect budget spent *)
+  | Root_miss  (* the climb reached the root without a usable pointer *)
 
 (* engine event kinds, negative so they never collide with an opcode *)
 let ev_drain = -1
@@ -122,7 +120,6 @@ let slot_seg = 1 lsl slot_bits
 let slot_mask = slot_seg - 1
 
 type slot_seg = {
-  s_req : int array;  (* request number, the index of its status byte *)
   s_t0 : float array;  (* virtual injection time *)
   s_w0 : float array;  (* wall stamp of the injection window *)
   s_next : int array;
@@ -160,7 +157,6 @@ type shared = {
          live message of a request writes its slot from whichever
          shard serves it (cross-shard hand-offs wait for a barrier),
          so slot writes are race-free. *)
-  req_status : Bytes.t;  (* per request number: its status byte *)
   wall : float array;  (* wall.(0): stamp of the current window, barrier-written *)
   mutable dirty : Bytes.t;  (* per handle: 1 if queued for dead-entry repair *)
   cache : Obj_cache.t;
@@ -254,7 +250,7 @@ let digest_cap = 64
 
 (* [@alloc_ok]: one shared record per run. *)
 let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
-    ~service ~requests ~cache ~coop =
+    ~service ~cache ~coop =
   let cfg = net.Network.config in
   let ways = cache.Obj_cache.ways in
   let coop = coop && ways > 0 in
@@ -272,7 +268,6 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
       (let rec bits b = if 1 lsl b >= shards then b else bits (b + 1) in
        bits 0);
     slots = Array.init shards (fun _ -> { segs = [||]; free = -1; used = 0 });
-    req_status = Bytes.make (max requests 1) st_pending;
     wall = Array.make 1 0.;
     dirty = Bytes.make (max net.Network.arena_len 1) '\000';
     cache;
@@ -287,21 +282,20 @@ let sel_best_d = 0
 let sel_pred_now = 1
 
 (* [@alloc_ok]: footprint accounting, once per report.  The request
-   slot pools, the status byte per request, and the per-handle repair
-   and want marks. *)
+   slot pools and the per-handle repair and want marks. *)
 let[@alloc_ok] request_bytes sh =
   let word = 8 in
   let arr a = (Array.length a + 1) * word
   and bytes b = (((Bytes.length b + word) / word) + 1) * word in
   let seg g =
-    arr g.s_req + arr g.s_t0 + arr g.s_w0 + arr g.s_next
-    + bytes g.s_plen + bytes g.s_path + (8 * word)
+    arr g.s_t0 + arr g.s_w0 + arr g.s_next + bytes g.s_plen + bytes g.s_path
+    + (7 * word)
   in
   Array.fold_left
     (fun acc p ->
       Array.fold_left (fun a g -> a + seg g) (acc + (4 * word) + arr p.segs) p.segs)
     0 sh.slots
-  + bytes sh.req_status + bytes sh.dirty + arr sh.want_stamp
+  + bytes sh.dirty + arr sh.want_stamp
 
 (* [@alloc_ok]: the dirty list doubles rarely; everything else is int
    stores. *)
@@ -394,20 +388,19 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
        false));
   ctx
 
-(* Any handle's mailbox generation, from its owner shard's store; a
-   cross-shard read is safe because generations move only at barriers. *)
-let generation sh h = Mailbox.generation sh.mbs.(h mod sh.shards) h
-
 (* Send: same-shard targets go straight into this shard's event heap;
-   cross-shard targets are buffered in the outbox until the barrier.
-   The target's mailbox generation is captured now — churn at a later
-   barrier turns the message into a dead letter. *)
+   cross-shard targets are buffered in the outbox until the barrier.  A
+   target killed at a later barrier makes the message a dead letter on
+   delivery. *)
 let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
-  let sh = ctx.sh in
-  let g = generation sh h in
-  if h mod sh.shards = ctx.shard then
-    Events.push ctx.q ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
-  else Mailbox.Outbox.push ctx.out ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src
+  if h mod ctx.sh.shards = ctx.shard then
+    Events.push ctx.q ~time ~h ~kind ~req ~oi ~level ~prev ~src
+  else Mailbox.Outbox.push ctx.out ~time ~h ~kind ~req ~oi ~level ~prev ~src
+
+(* Is the node at handle [h] alive?  Churn never revives a node or
+   reuses its handle, so a node dead now was killed at a barrier after
+   its message was sent, queued or taken into service. *)
+let alive sh h = Node.is_alive (Network.node_of_handle sh.net h)
 
 (* One hop of distance [d] from [node] to handle [h]: charge the shard
    cost and schedule delivery after the virtual link latency. *)
@@ -449,7 +442,6 @@ let has_ways sh = sh.cache.Obj_cache.ways > 0
 let[@alloc_ok] grow_slots sh p =
   let g =
     {
-      s_req = Array.make slot_seg 0;
       s_t0 = Array.make slot_seg 0.;
       s_w0 = Array.make slot_seg 0.;
       s_next = Array.make slot_seg (-1);
@@ -461,7 +453,7 @@ let[@alloc_ok] grow_slots sh p =
   in
   p.segs <- Array.append p.segs [| g |]
 
-let open_req ctx ~req =
+let open_req ctx =
   let sh = ctx.sh in
   let p = sh.slots.(ctx.shard) in
   let slot =
@@ -478,13 +470,10 @@ let open_req ctx ~req =
     end
   in
   let g = p.segs.(slot lsr slot_bits) and i = slot land slot_mask in
-  g.s_req.(i) <- req;
   g.s_t0.(i) <- ctx.q.Events.clock.(0);
   g.s_w0.(i) <- sh.wall.(0);
   Bytes.set g.s_plen i '\000';
   (slot lsl sh.tag_bits) lor ctx.shard
-
-let slot_req sh tag = (tag_seg sh tag).s_req.(tag_cell sh tag)
 
 (* Hops recorded in cell [i] of segment [g], and its [k]-th. *)
 let seg_plen g i = Char.code (Bytes.get g.s_plen i)
@@ -505,13 +494,12 @@ let record_hop sh tag h =
     Bytes.set g.s_plen i (Char.chr (plen + 1))
   end
 
-(* Write the request's status byte and link its slot (tag [req], cell
-   [i] of segment [g]) onto this shard's settled list for the owner.
-   The one live message of the request is served here, so no other
-   shard writes the slot meanwhile, and each list has one writer. *)
-let settle ctx ~req g i st =
+(* Link a settled request's slot (tag [req], cell [i] of segment [g])
+   onto this shard's settled list for the owner.  The one live message
+   of the request is served here, so no other shard writes the slot
+   meanwhile, and each list has one writer. *)
+let settle ctx ~req g i =
   let sh = ctx.sh in
-  Bytes.set sh.req_status g.s_req.(i) st;
   let owner = req land ((1 lsl sh.tag_bits) - 1) and slot = req lsr sh.tag_bits in
   if ctx.settled.(owner) < 0 then begin
     ctx.settled_tail.(owner) <- slot;
@@ -520,9 +508,6 @@ let settle ctx ~req g i st =
   end;
   g.s_next.(i) <- ctx.settled.(owner);
   ctx.settled.(owner) <- slot
-
-let is_settled sh tag =
-  Bytes.get sh.req_status (slot_req sh tag) <> st_pending
 
 (* Barrier step: splice each list of slots this shard settled onto its
    owner's free list, one write per list, whatever the lists hold. *)
@@ -543,25 +528,27 @@ let complete_ok ctx ~now ~req =
     let g = tag_seg sh req and i = tag_cell sh req in
     Hist.add ctx.hist_v (now -. g.s_t0.(i));
     Hist.add ctx.hist_w (sh.wall.(0) -. g.s_w0.(i));
-    settle ctx ~req g i st_ok;
+    settle ctx ~req g i;
     ctx.completed <- ctx.completed + 1
   end
 
-let fail_req ctx ~req st =
+(* A request-carrying message ([req >= 0]) fails its request; a chain
+   message ([req < 0]) fails none and counts no cause. *)
+let fail_req ctx ~req cause =
   if req >= 0 then begin
-    settle ctx ~req (tag_seg ctx.sh req) (tag_cell ctx.sh req) st;
+    settle ctx ~req (tag_seg ctx.sh req) (tag_cell ctx.sh req);
     ctx.failed <- ctx.failed + 1;
-    if st = st_exhausted then ctx.exhausted <- ctx.exhausted + 1
-    else if st = st_root_miss then ctx.root_miss <- ctx.root_miss + 1
+    match cause with
+    | Dropped -> ctx.dropped <- ctx.dropped + 1
+    | Dead_letter -> ctx.dead_letter <- ctx.dead_letter + 1
+    | Exhausted -> ctx.exhausted <- ctx.exhausted + 1
+    | Root_miss -> ctx.root_miss <- ctx.root_miss + 1
   end
 
 (* A message whose target died.  Only request-carrying losses are
    failure causes; a lost chain message fails no request. *)
 let count_dead_letter ctx ~req =
-  if req >= 0 then begin
-    ctx.dead_letter <- ctx.dead_letter + 1;
-    fail_req ctx ~req st_dead_letter
-  end
+  if req >= 0 then fail_req ctx ~req Dead_letter
   else ctx.chain_lost <- ctx.chain_lost + 1
 
 let push_fill ctx ~h ~key ~srv ~epoch =
@@ -653,7 +640,7 @@ let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
         ~prev:(-1) ~src
     else
       (* reached the root without intersecting a publish path *)
-      fail_req ctx ~req st_root_miss
+      fail_req ctx ~req Root_miss
   end
 
 (* The tail of a PUBLISH or UNPUBLISH hop, after its store write:
@@ -679,7 +666,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     let key = base_oi / sh.roots in
     let i = Obj_cache.probe c ~h:node.Node.handle ~key in
     let srv = if i >= 0 then Obj_cache.probe_srv c i else -1 in
-    if i >= 0 && Node.is_alive (Network.node_of_handle sh.net srv) then begin
+    if i >= 0 && alive sh srv then begin
       (* epoch and liveness current: redirect.  [prev] carries this
          holder so a lying entry can be retracted by the fetch. *)
       ctx.tally.hits <- ctx.tally.hits + 1;
@@ -745,7 +732,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           ~kind:(if rc >= rc_max then op_locate_nc else op_locate)
           ~req ~oi ~level:(rc lsl rc_shift) ~prev:(-1) ~src
       end
-      else fail_req ctx ~req st_exhausted
+      else fail_req ctx ~req Exhausted
     end
   end
   else if kind = op_publish then begin
@@ -779,43 +766,44 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
 (* The drain: FIFO over the mailbox, [service] virtual seconds per
    message, until the queue is empty.  [drain_head] hands the head's
    pool slot to the in-service index and schedules its service-done
-   event; [serve_done] re-checks the generation — the node may have
-   been killed at a barrier during service, and the message in hand
-   dies with it — then dispatches, releases the slot and loops.  With
-   [service = 0] no event is scheduled and the message is served at
-   once.  A node's messages all live in its owner shard's store, the
+   event; [serve_done] checks liveness — the node may have been killed
+   at a barrier during service, and the message in hand dies with it —
+   then dispatches, releases the slot and loops.  That check is the
+   drain's only one: a drain start runs in the window that scheduled
+   it, before any barrier can kill the node, and a node killed during
+   service has an empty queue (the kill swept it) and never dispatches.
+   With [service = 0] no event is scheduled and the message is served
+   at once.  A node's messages all live in its owner shard's store, the
    one behind [ctx.q]. *)
-let rec drain_head ctx h gen =
+let rec drain_head ctx h =
   let mb = ctx.q.Events.mb in
-  if Mailbox.generation mb h <> gen then ()
-  else if Mailbox.length mb h = 0 then Mailbox.set_busy mb h false
+  if Mailbox.length mb h = 0 then Mailbox.set_busy mb h false
   else begin
     Mailbox.take mb h;
     let service = ctx.sh.service in
     if service > 0. then
       Events.schedule ctx.q ~time:(ctx.q.Events.clock.(0) +. service)
-        ~kind:ev_service ~h ~g:gen
-    else serve_done ctx h gen
+        ~kind:ev_service ~h
+    else serve_done ctx h
   end
 
-and serve_done ctx h gen =
-  let sh = ctx.sh in
+and serve_done ctx h =
+  let node = Network.node_of_handle ctx.sh.net h in
   let mb = ctx.q.Events.mb in
   let slot = Mailbox.in_service mb h in
   let req = mb.Mailbox.r_req.(slot) in
-  if Mailbox.generation mb h <> gen then begin
+  if not (Node.is_alive node) then begin
     (* killed mid-service: the in-hand message is a dead letter *)
     Mailbox.release mb slot;
     count_dead_letter ctx ~req
   end
   else begin
-    dispatch ctx
-      (Network.node_of_handle sh.net h)
-      ~now:ctx.q.Events.clock.(0) ~kind:mb.Mailbox.r_kind.(slot) ~req
-      ~oi:mb.Mailbox.r_oi.(slot) ~level:mb.Mailbox.r_level.(slot)
-      ~prev:mb.Mailbox.r_prev.(slot) ~src:mb.Mailbox.r_src.(slot);
+    dispatch ctx node ~now:ctx.q.Events.clock.(0)
+      ~kind:mb.Mailbox.r_kind.(slot) ~req ~oi:mb.Mailbox.r_oi.(slot)
+      ~level:mb.Mailbox.r_level.(slot) ~prev:mb.Mailbox.r_prev.(slot)
+      ~src:mb.Mailbox.r_src.(slot);
     Mailbox.release mb slot;
-    drain_head ctx h gen
+    drain_head ctx h
   end
 
 (* Deliver the message just popped (the clock is at its arrival time;
@@ -831,10 +819,7 @@ let deliver ctx =
   let slot = q.Events.o_slot in
   let req = mb.Mailbox.r_req.(slot) in
   ctx.delivered <- ctx.delivered + 1;
-  if
-    Mailbox.generation mb h <> q.Events.o_g
-    || not (Node.is_alive (Network.node_of_handle sh.net h))
-  then begin
+  if not (alive sh h) then begin
     Mailbox.release mb slot;
     count_dead_letter ctx ~req
   end
@@ -848,7 +833,7 @@ let deliver ctx =
     if
       kind = op_fetch && req >= 0 && rc <= rc_max + 1
       && prev >= 0 && prev <> h
-      && Node.is_alive (Network.node_of_handle sh.net prev)
+      && alive sh prev
     then begin
       (* overflow relief: a cache-hit FETCH ([prev] is the entry's
          holder) is issued at injection time, so a same-window burst
@@ -863,16 +848,14 @@ let deliver ctx =
     end
     else if req >= 0 then begin
       (* bounded mailbox full: drop the newcomer (backpressure policy) *)
-      ctx.dropped <- ctx.dropped + 1;
       ctx.dropped_by.(kind) <- ctx.dropped_by.(kind) + 1;
-      fail_req ctx ~req st_dropped
+      fail_req ctx ~req Dropped
     end
     else ctx.chain_lost <- ctx.chain_lost + 1
   end
   else if not (Mailbox.is_busy mb h) then begin
     Mailbox.set_busy mb h true;
     Events.schedule q ~time:q.Events.clock.(0) ~kind:ev_drain ~h
-      ~g:(Mailbox.generation mb h)
   end
 
 (* The shard's event loop: run every event at or before [limit],
@@ -884,8 +867,8 @@ let rec run_until ctx limit =
     ignore (Events.pop_into q : bool);
     let kind = q.Events.o_kind in
     if kind >= 0 then deliver ctx
-    else if kind = ev_service then serve_done ctx q.Events.o_h q.Events.o_g
-    else if kind = ev_drain then drain_head ctx q.Events.o_h q.Events.o_g
+    else if kind = ev_service then serve_done ctx q.Events.o_h
+    else if kind = ev_drain then drain_head ctx q.Events.o_h
     else ctx.inject ctx;
     run_until ctx limit
   end

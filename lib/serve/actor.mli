@@ -26,7 +26,7 @@
     unit of the request's redirect count [rc] and resume the climb, at
     the server or at the holder.  Overflow re-climbs and climbs with
     [rc >= rc_max] are cache-free LOCATE_NC walks; a request that would
-    reach [rc > rc_max + 1] fails as {!st_exhausted}.  A pointer can
+    reach [rc > rc_max + 1] fails, counted in [exhausted].  A pointer can
     outlive its replica with or without a cache (soft state), so the
     rule is the same at every cache size.
 
@@ -35,11 +35,12 @@
     shard's pool ({!open_req}) while it is in flight, and messages
     carry the slot's tag as [req].  Only one message of a request is
     ever live, so one shard at a time writes a slot; when the request
-    completes or fails, its status byte is written and the slot is
-    linked onto the settling shard's list for the owner, which the next
-    barrier splices onto the owner's free list ({!reclaim}).  Request memory
-    so follows the load in flight, about the rate times (latency +
-    window); one status byte per request number stays for the run.
+    completes or fails, the settling shard counts it (in [completed],
+    or in [failed] and one cause counter) and links the slot onto its
+    list for the owner, which the next barrier splices onto the owner's
+    free list ({!reclaim}).  Request memory so follows the load in
+    flight, about the rate times (latency + window), and nothing is kept
+    per request of the run.
 
     Every hop is one {!Tapestry.Route.step}, the sync walks' own
     routing step.  Every function here runs on the shard owning the
@@ -68,26 +69,17 @@ val path_cap : int
 (** Recorded locate hops per request slot (fill-intent targets); it
     sizes each in-flight slot, not each request of the run. *)
 
-val st_pending : char
-val st_ok : char
-
-val st_exhausted : char  (* FETCH site: replica gone, redirect budget spent *)
-val st_dropped : char
-val st_dead_letter : char
-val st_root_miss : char  (* the climb reached the root without a usable pointer *)
-
 val ev_inject : int
 (** Engine event kind that runs the shard's injector step
     ([ctx.inject]).  The other engine kinds, drain start and service
-    done, carry a handle and its mailbox generation and stay internal.
-    All three are negative, apart from every opcode. *)
+    done, carry the handle of the node whose drain they advance and
+    stay internal.  All three are negative, apart from every opcode. *)
 
 val slot_seg : int
 (** Slots per pool segment: a pool grows by appending one, so no slot
     moves while another shard writes it. *)
 
 type slot_seg = {
-  s_req : int array;  (** request number, the index of its status byte *)
   s_t0 : float array;  (** virtual injection time *)
   s_w0 : float array;  (** wall stamp of the injection window *)
   s_next : int array;
@@ -109,9 +101,9 @@ type slots = {
 }
 
 (** Run-global immutable tables plus the few cross-shard cells written
-    only at barriers ([wall], [dirty]) or at disjoint indices
-    ([req_status], by request number; request slots, by the one live
-    message of each request). *)
+    only at barriers ([wall], [dirty]) or at disjoint indices (request
+    slots, by the one live message of each request; [want_stamp], by
+    the owner shard of each handle). *)
 type shared = {
   net : Network.t;
   mbs : Mailbox.t array;
@@ -130,7 +122,6 @@ type shared = {
   slots : slots array;
       (** per shard: the slots of the requests it injected, opened by
           its injector and reclaimed at barriers *)
-  req_status : Bytes.t;  (** per request number: its status byte *)
   wall : float array;  (** [wall.(0)]: stamp of the window, barrier-written *)
   mutable dirty : Bytes.t;  (** per handle: queued for dead-entry repair? *)
   cache : Obj_cache.t;
@@ -167,8 +158,11 @@ type ctx = {
   mutable chain_lost : int;
       (** fire-and-forget chain messages ([req < 0]) dropped or dead:
           they fail no request, so they are no failure cause *)
-  mutable exhausted : int;  (** failures as {!st_exhausted} *)
-  mutable root_miss : int;  (** failures as {!st_root_miss} *)
+  mutable exhausted : int;
+      (** requests failed at the FETCH site: replica gone, redirect
+          budget spent *)
+  mutable root_miss : int;
+      (** requests failed at the root: the climb met no usable pointer *)
   mutable delivered : int;
   mutable inject : ctx -> unit;
       (** the injector's step, run on each {!ev_inject} event; a no-op
@@ -225,41 +219,29 @@ val digest_cap : int
 val make_shared :
   net:Network.t -> mbs:Mailbox.t array -> shards:int -> guids:Node_id.t array ->
   roots:int -> ttl:float -> latency:float -> service:float ->
-  requests:int -> cache:Obj_cache.t -> coop:bool -> shared
-(** [requests] sizes the status bytes.  [coop] is forced off for a
-    zero-way cache, and slots record paths only when the cache has
-    ways. *)
+  cache:Obj_cache.t -> coop:bool -> shared
+(** [coop] is forced off for a zero-way cache, and slots record paths
+    only when the cache has ways. *)
 
 val make_ctx : shared -> shard:int -> rng:Simnet.Rng.t -> ctx
 (** The ctx's event heap parks payloads in [mbs.(shard)]'s pool. *)
 
-val generation : shared -> int -> int
-(** Mailbox generation of any handle, read from its owner shard's
-    store (generations move only at barriers). *)
-
 val request_bytes : shared -> int
-(** Estimated resident bytes of the request slot pools, the status
-    byte per request, and the per-handle [dirty] and [want_stamp]
-    marks. *)
+(** Estimated resident bytes of the request slot pools and the
+    per-handle [dirty] and [want_stamp] marks. *)
 
-val open_req : ctx -> req:int -> int
-(** Open a slot on this shard for request number [req] (an index of
-    [req_status]), stamped with the shard's clock and the window's
-    wall stamp; returns the tag its messages carry as [req]. *)
-
-val slot_req : shared -> int -> int
-(** The request number of a slot tag. *)
+val open_req : ctx -> int
+(** Open a slot on this shard for a new request, stamped with the
+    shard's clock and the window's wall stamp; returns the tag its
+    messages carry as [req]. *)
 
 val path_len : shared -> int -> int
 (** Locate hops recorded in a slot (0 for a zero-way cache). *)
 
 val path_hop : shared -> int -> int -> int
-(** [path_hop sh tag k]: the handle of the slot's [k]-th recorded hop. *)
-
-val is_settled : shared -> int -> bool
-(** The slot's request completed or failed.  Until the slot is opened
-    again (after a barrier has reclaimed it) it still reads that
-    request's number and path. *)
+(** [path_hop sh tag k]: the handle of the slot's [k]-th recorded hop.
+    A settled request's slot keeps its path until the slot is opened
+    again. *)
 
 val reclaim : ctx -> unit
 (** Barrier step: splice every slot this shard settled since the last
@@ -270,12 +252,13 @@ val send :
   ctx -> time:float -> h:int -> kind:int -> req:int -> oi:int ->
   level:int -> prev:int -> src:int -> unit
 (** Route a message to handle [h]: same-shard straight into this shard's
-    event heap, cross-shard into the outbox for the barrier.  Captures
-    the target's mailbox generation at send time. *)
+    event heap, cross-shard into the outbox for the barrier.  A target
+    that dies before delivery makes the message a dead letter. *)
 
 val count_dead_letter : ctx -> req:int -> unit
-(** A message whose target died: count it and fail its request, or,
-    for a fire-and-forget chain message, count it in [chain_lost]. *)
+(** A message whose target died: fail its request, counted in
+    [dead_letter], or, for a fire-and-forget chain message, count it in
+    [chain_lost]. *)
 
 val run_until : ctx -> float -> unit
 (** The shard's event loop: pop and run every event at or before the

@@ -22,7 +22,7 @@ open Tapestry
 module Events = Mailbox.Events
 module Rng = Simnet.Rng
 module Hist = Simnet.Stats.Hist
-module Workload = Evaluation.Workload
+module Zipf = Simnet.Zipf
 
 type params = {
   seed : int;
@@ -149,7 +149,7 @@ let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
 (* The injector's step, run on each of its events: issue request
    [inj_k] (none at the start event), then schedule the next event one
    exponential gap later, [count] requests in all. *)
-let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
+let inject_step params z log ~count ~mean_gap (ctx : Actor.ctx) =
   let sh = ctx.Actor.sh in
   let net = sh.Actor.net in
   let rng = ctx.Actor.rng in
@@ -158,10 +158,10 @@ let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
   let k = ctx.Actor.inj_k in
   if k >= 0 then begin
     let now = q.Events.clock.(0) in
-    let req = Actor.open_req ctx ~req:(reqbase + k) in
+    let req = Actor.open_req ctx in
     ctx.Actor.injected <- ctx.Actor.injected + 1;
     let u = Rng.float rng 1.0 in
-    let obj = Workload.zipf_sample z rng in
+    let obj = Zipf.sample z rng in
     if u < params.p_publish then begin
       let srv = net.Network.alive_arr.(Rng.int rng net.Network.alive_len) in
       publog_push log ~srv:srv.Node.handle ~obj;
@@ -191,7 +191,7 @@ let inject_step params z log ~reqbase ~count ~mean_gap (ctx : Actor.ctx) =
     let gap = Rng.exponential rng ~mean:mean_gap in
     Events.schedule q
       ~time:(q.Events.clock.(0) +. (if gap > 0. then gap else 0.))
-      ~kind:Actor.ev_inject ~h:0 ~g:0
+      ~kind:Actor.ev_inject ~h:0
   end
 
 (* Barrier-time churn bookkeeping (all driven by one dedicated RNG so
@@ -267,23 +267,21 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   end;
   let t =
     Shard.create ~net ~guids ~roots ~ttl:params.ttl ~latency:params.latency
-      ~service:params.service ~requests:params.requests
-      ~mailbox_cap:params.mailbox_cap ~seed:params.seed
-      ~window:params.window ~cache ~coop:params.coop
+      ~service:params.service ~mailbox_cap:params.mailbox_cap
+      ~seed:params.seed ~window:params.window ~cache ~coop:params.coop
   in
-  let z = Workload.zipf ~s:params.zipf_s ~n:params.objects in
+  let z = Zipf.create ~s:params.zipf_s ~n:params.objects in
   let per = params.requests / Shard.shard_count in
   let extra = params.requests mod Shard.shard_count in
   let mean_gap = float_of_int Shard.shard_count /. params.rate in
   for s = 0 to Shard.shard_count - 1 do
     let count = per + (if s < extra then 1 else 0) in
-    let reqbase = (s * per) + min s extra in
     let log = { ps = [||]; po = [||]; plen = 0 } in
     let ctx = t.Shard.ctxs.(s) in
-    ctx.Actor.inject <- inject_step params z log ~reqbase ~count ~mean_gap;
+    ctx.Actor.inject <- inject_step params z log ~count ~mean_gap;
     if count > 0 then
       Events.schedule ctx.Actor.q ~time:ctx.Actor.q.Events.clock.(0)
-        ~kind:Actor.ev_inject ~h:0 ~g:0
+        ~kind:Actor.ev_inject ~h:0
   done;
   let st =
     {

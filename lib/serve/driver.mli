@@ -88,8 +88,9 @@ val run :
 val memory_ledger : result -> (string * int) list
 (** Estimated resident bytes after the run, by part: routing tables,
     pointer stores, object cache, mailbox (every shard's message pool,
-    per-handle FIFO cells, event heap and outbox), requests (slot
-    pools, settled lists and a status byte per request), id index and
+    per-handle FIFO cells, event heap and outbox), requests (the slot
+    pools of the requests in flight, and the per-handle repair and
+    want marks), id index and
     the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
     directory, metric and scratch buckets).  Deterministic: a function of
     the run's counters and sizes, not of the machine. *)

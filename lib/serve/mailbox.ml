@@ -5,11 +5,8 @@
    - [t]: the shard's message store — a free-listed payload pool with
      one slot per message in flight to, or queued at, one of the
      shard's handles, and per handle a bounded FIFO chained through
-     the pool's [r_next] column, generation-stamped like [Scratch] so a
-     dead node's queue can be invalidated at once and in-flight
-     messages addressed to the old incarnation are recognized as dead
-     letters, plus the in-service slot: the pool slot of the message
-     the actor took and is serving;
+     the pool's [r_next] column, plus the in-service slot: the pool
+     slot of the message the actor took and is serving;
    - [Events]: a binary min-heap over the store's pool holding the
      shard's in-flight messages and its engine events (drain start,
      service done, injector step), keyed by (time, class, push
@@ -24,8 +21,10 @@
    index into the driver's salted-guid table), [level] (walk level,
    also carrying the root index for secondary chains), [prev] (arena
    handle of the previous publish hop, -1 at the server), [src] (arena
-   handle of the origin server).  A pool slot adds the target handle
-   and the target's mailbox generation at send time.  A message keeps
+   handle of the origin server).  A pool slot adds the target handle.
+   A dead target is read off the node itself: churn never revives a
+   node or reuses its handle, so a message to a handle that is no
+   longer alive is a dead letter (DESIGN.md section 9.1).  A message keeps
    its slot from send to the end of its service: delivery links the
    slot into the target's FIFO, [take] moves it to the in-service
    index, and nothing is copied on the way.
@@ -41,7 +40,6 @@ type t = {
   mutable cells : int;  (* entries of the per-handle arrays below *)
   (* payload pool, indexed by slot *)
   mutable r_h : int array;
-  mutable r_g : int array;
   mutable r_kind : int array;
   mutable r_req : int array;
   mutable r_oi : int array;
@@ -57,7 +55,6 @@ type t = {
   mutable head : int array;  (* first queued slot, -1 when empty *)
   mutable tail : int array;  (* last queued slot *)
   mutable len : int array;
-  mutable gen : int array;
   mutable busy : int array;
       (* 1 from the delivery that finds the actor idle until its drain
          finds the FIFO empty: a drain-start or service-done event is
@@ -79,7 +76,6 @@ let[@alloc_ok] create_strided ~stride ~cap ~handles =
     stride;
     cells;
     r_h = Array.make pool_cap0 0;
-    r_g = Array.make pool_cap0 0;
     r_kind = Array.make pool_cap0 0;
     r_req = Array.make pool_cap0 0;
     r_oi = Array.make pool_cap0 0;
@@ -92,7 +88,6 @@ let[@alloc_ok] create_strided ~stride ~cap ~handles =
     head = Array.make cells (-1);
     tail = Array.make cells (-1);
     len = Array.make cells 0;
-    gen = Array.make cells 0;
     busy = Array.make cells 0;
     serving = Array.make cells (-1);
   }
@@ -114,7 +109,6 @@ let[@alloc_ok] ensure t ~handles =
     t.head <- grow t.head (-1);
     t.tail <- grow t.tail (-1);
     t.len <- grow t.len 0;
-    t.gen <- grow t.gen 0;
     t.busy <- grow t.busy 0;
     t.serving <- grow t.serving (-1);
     t.cells <- nh
@@ -124,13 +118,13 @@ let capacity t = t.cap
 
 let pool_capacity t = Array.length t.r_h
 
-(* Footprint accounting: nine pool columns and six per-handle int
+(* Footprint accounting: eight pool columns and five per-handle int
    arrays, with headers. *)
 let approx_bytes t =
   let word = 8 in
-  (21 * word)
-  + (9 * (pool_capacity t + 1) * word)
-  + (6 * (t.cells + 1) * word)
+  (19 * word)
+  + (8 * (pool_capacity t + 1) * word)
+  + (5 * (t.cells + 1) * word)
 
 (* [@alloc_ok]: amortized doubling of the pool, off the steady-state
    path.  New slots are not on the free chain: [alloc] hands them out
@@ -143,7 +137,6 @@ let[@alloc_ok] grow_pool t =
     b
   in
   t.r_h <- gi t.r_h 0;
-  t.r_g <- gi t.r_g 0;
   t.r_kind <- gi t.r_kind 0;
   t.r_req <- gi t.r_req 0;
   t.r_oi <- gi t.r_oi 0;
@@ -169,8 +162,6 @@ let release t slot =
   t.r_next.(slot) <- t.free;
   t.free <- slot
 
-let generation t h = t.gen.(h / t.stride)
-
 let length t h = t.len.(h / t.stride)
 
 let is_busy t h = t.busy.(h / t.stride) <> 0
@@ -194,7 +185,6 @@ let push t h ~kind ~req ~oi ~level ~prev ~src =
   else begin
     let s = alloc t in
     t.r_h.(s) <- h;
-    t.r_g.(s) <- generation t h;
     t.r_kind.(s) <- kind;
     t.r_req.(s) <- req;
     t.r_oi.(s) <- oi;
@@ -221,19 +211,15 @@ let take t h = t.serving.(h / t.stride) <- unlink t h
 
 let in_service t h = t.serving.(h / t.stride)
 
-(* Invalidate a dead node's mailbox: queued messages are the caller's
-   to account first (read them with [msg_index] and [advance]); any
-   left go back to the pool here.  The generation bump turns any message
-   still in flight toward the old incarnation into a recognizable dead
-   letter.  A message in service keeps its slot until its service-done
-   event finds the generation moved. *)
+(* Empty a dead node's mailbox: queued messages are the caller's to
+   account first (read them with [msg_index] and [advance]); any left go
+   back to the pool here.  A message in service keeps its slot until
+   its service-done event finds the node dead. *)
 let kill t h =
   while length t h > 0 do
     advance t h
   done;
-  let c = h / t.stride in
-  t.busy.(c) <- 0;
-  t.gen.(c) <- t.gen.(c) + 1
+  t.busy.(h / t.stride) <- 0
 
 (* The event queue of one shard: in-flight messages and engine events
    (drain start, service done, injector step) in one binary min-heap,
@@ -243,8 +229,8 @@ let kill t h =
    shared push counter, so [before] stays two compares.  The heap triple
    (time, seq, pool slot) lives in three parallel arrays; payloads stay
    put in the shard's mailbox pool while sifting.  An engine event uses
-   the slot's kind (a negative code, below every Actor opcode), h and
-   g, and frees the slot when popped; a popped message's slot is the
+   the slot's kind (a negative code, below every Actor opcode) and h,
+   and frees the slot when popped; a popped message's slot is the
    caller's. *)
 module Events = struct
   type q = {
@@ -257,7 +243,6 @@ module Events = struct
     clock : float array;  (* clock.(0): the shard's virtual time, unboxed *)
     (* out-params of [pop_into] *)
     mutable o_h : int;
-    mutable o_g : int;
     mutable o_kind : int;
     mutable o_slot : int;
   }
@@ -276,7 +261,6 @@ module Events = struct
       seq = 0;
       clock = Array.make 1 0.;
       o_h = 0;
-      o_g = 0;
       o_kind = 0;
       o_slot = -1;
     }
@@ -285,7 +269,7 @@ module Events = struct
      the pool is the mailbox's. *)
   let approx_bytes t =
     let word = 8 in
-    (12 * word) + (3 * (Array.length t.tt + 1) * word) + (2 * word)
+    (11 * word) + (3 * (Array.length t.tt + 1) * word) + (2 * word)
 
   let peek_time t = if t.tlen = 0 then infinity else t.tt.(0)
 
@@ -335,13 +319,12 @@ module Events = struct
       end
     end
 
-  (* Take a pool slot for an event of [kind] to handle [h] (mailbox
-     generation [g]), then heap-insert it at [time] in class [cls]. *)
-  let insert t ~time ~cls ~kind ~h ~g =
+  (* Take a pool slot for an event of [kind] to handle [h], then
+     heap-insert it at [time] in class [cls]. *)
+  let insert t ~time ~cls ~kind ~h =
     let mb = t.mb in
     let slot = alloc mb in
     mb.r_h.(slot) <- h;
-    mb.r_g.(slot) <- g;
     mb.r_kind.(slot) <- kind;
     if t.tlen >= Array.length t.tt then grow_heap t;
     let i = t.tlen in
@@ -353,11 +336,10 @@ module Events = struct
     sift_up t i;
     slot
 
-  let schedule t ~time ~kind ~h ~g =
-    ignore (insert t ~time ~cls:0 ~kind ~h ~g : int)
+  let schedule t ~time ~kind ~h = ignore (insert t ~time ~cls:0 ~kind ~h : int)
 
-  let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
-    let slot = insert t ~time ~cls:message_class ~kind ~h ~g in
+  let push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
+    let slot = insert t ~time ~cls:message_class ~kind ~h in
     let mb = t.mb in
     mb.r_req.(slot) <- req;
     mb.r_oi.(slot) <- oi;
@@ -373,7 +355,6 @@ module Events = struct
       let time = t.tt.(0) in
       if time > t.clock.(0) then t.clock.(0) <- time;
       t.o_h <- mb.r_h.(slot);
-      t.o_g <- mb.r_g.(slot);
       t.o_kind <- mb.r_kind.(slot);
       t.o_slot <- slot;
       if t.ts.(0) land message_class = 0 then release mb slot;
@@ -398,7 +379,6 @@ module Outbox = struct
   type ob = {
     mutable b_time : float array;
     mutable b_h : int array;
-    mutable b_g : int array;
     mutable b_kind : int array;
     mutable b_req : int array;
     mutable b_oi : int array;
@@ -414,7 +394,6 @@ module Outbox = struct
     {
       b_time = Array.make cap 0.;
       b_h = Array.make cap 0;
-      b_g = Array.make cap 0;
       b_kind = Array.make cap 0;
       b_req = Array.make cap 0;
       b_oi = Array.make cap 0;
@@ -424,10 +403,10 @@ module Outbox = struct
       blen = 0;
     }
 
-  (* Footprint accounting: nine columns with headers. *)
+  (* Footprint accounting: eight columns with headers. *)
   let approx_bytes t =
     let word = 8 in
-    (11 * word) + (9 * (Array.length t.b_h + 1) * word)
+    (10 * word) + (8 * (Array.length t.b_h + 1) * word)
 
   let[@alloc_ok] grow t =
     let cap = Array.length t.b_h * 2 in
@@ -443,7 +422,6 @@ module Outbox = struct
     in
     t.b_time <- gtf;
     t.b_h <- gi t.b_h;
-    t.b_g <- gi t.b_g;
     t.b_kind <- gi t.b_kind;
     t.b_req <- gi t.b_req;
     t.b_oi <- gi t.b_oi;
@@ -451,12 +429,11 @@ module Outbox = struct
     t.b_prev <- gi t.b_prev;
     t.b_src <- gi t.b_src
 
-  let push t ~time ~h ~g ~kind ~req ~oi ~level ~prev ~src =
+  let push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
     if t.blen >= Array.length t.b_h then grow t;
     let i = t.blen in
     t.b_time.(i) <- time;
     t.b_h.(i) <- h;
-    t.b_g.(i) <- g;
     t.b_kind.(i) <- kind;
     t.b_req.(i) <- req;
     t.b_oi.(i) <- oi;

@@ -10,9 +10,10 @@
     driver's salted-guid table), [level] (walk level, packed with the
     root index for secondary chains), [prev] (previous publish hop's
     arena handle, [-1] at the server), [src] (origin server's handle).
-    Its pool slot also carries the target handle and the target's
-    mailbox generation captured at send time; a generation mismatch at
-    delivery is a dead letter.  A message keeps one slot from send to
+    Its pool slot also carries the target handle.  A target that is no
+    longer alive makes the message a dead letter: churn never revives a
+    node or reuses its handle, so the node's own liveness is the whole
+    test (DESIGN.md section 9.1).  A message keeps one slot from send to
     the end of its service: delivery links it into the target's FIFO
     ({!enqueue}), {!take} hands it to the in-service index, and it goes
     back to the free list at service end, on an overflow drop, on a dead
@@ -24,8 +25,7 @@
     nothing; the record types are exposed transparently for exactly
     that field access.  Concurrency: a shard's store serves the handles
     [h] with [h mod stride] fixed and is only touched by that shard
-    during a window, except for {!generation} reads (generations change
-    only at barriers); growth and {!kill} happen only at barriers.  The
+    during a window; growth and {!kill} happen only at barriers.  The
     stores carry no out-param scratch: pops go through {!msg_index} or
     {!in_service} and direct pool reads (DESIGN.md section 9.5). *)
 
@@ -34,7 +34,6 @@ type t = {
   stride : int;
   mutable cells : int;
   mutable r_h : int array;
-  mutable r_g : int array;
   mutable r_kind : int array;
   mutable r_req : int array;
   mutable r_oi : int array;
@@ -47,7 +46,6 @@ type t = {
   mutable head : int array;
   mutable tail : int array;
   mutable len : int array;
-  mutable gen : int array;
   mutable busy : int array;
   mutable serving : int array;
 }
@@ -72,7 +70,7 @@ val ensure : t -> handles:int -> unit
 (** Grow the per-handle cells so [handles-1] is addressable: to the
     larger of what is needed and the current size plus an eighth
     (geometric, so amortized O(1) per handle).  Queues, in-service
-    slots and generations are kept.  Barrier only: never call while
+    slots and busy marks are kept.  Barrier only: never call while
     shard windows are running. *)
 
 val capacity : t -> int
@@ -88,9 +86,6 @@ val approx_bytes : t -> int
 
 val release : t -> int -> unit
 (** Return a slot to the free list. *)
-
-val generation : t -> int -> int
-(** Current generation stamp of a handle's mailbox. *)
 
 val length : t -> int -> int
 
@@ -130,18 +125,18 @@ val in_service : t -> int -> int
 (** Pool slot of the message handle [h] took last. *)
 
 val kill : t -> int -> unit
-(** Node death: drop the queue, releasing its slots, reset busy, bump
-    the generation (account queued requests first — see the shard
-    barrier's churn step).  A message in service keeps its slot until
-    its service-done event. *)
+(** Node death: drop the queue, releasing its slots, and reset busy
+    (account queued requests first — see the shard barrier's churn
+    step).  A message in service keeps its slot until its service-done
+    event. *)
 
 (** The event queue of one shard: in-flight messages and engine events
     in one heap, keyed by (time, class, push sequence) — the stable
     tie-break replay depends on.  Engine events ({!schedule}) are class
     0 and messages ({!push}) class 1, so at equal times every engine
     event pops before every message, each class in push order.  An
-    engine event carries a negative kind (below every Actor opcode), a
-    handle and a generation.  Payloads live in the shard mailbox's pool
+    engine event carries a negative kind (below every Actor opcode) and
+    a handle.  Payloads live in the shard mailbox's pool
     so a sift swap moves three words.  The heap also holds the shard's
     virtual clock, which {!pop_into} and {!lift} advance. *)
 module Events : sig
@@ -156,7 +151,6 @@ module Events : sig
         (** [clock.(0)]: time of the last event popped or limit lifted
             to; a float array so that writing it allocates nothing *)
     mutable o_h : int;  (** filled by {!pop_into} *)
-    mutable o_g : int;
     mutable o_kind : int;
     mutable o_slot : int;
   }
@@ -171,12 +165,12 @@ module Events : sig
   val peek_time : q -> float
   (** Earliest event time, [infinity] when empty. *)
 
-  val schedule : q -> time:float -> kind:int -> h:int -> g:int -> unit
+  val schedule : q -> time:float -> kind:int -> h:int -> unit
   (** Push an engine event. *)
 
   val push :
-    q -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->
-    level:int -> prev:int -> src:int -> unit
+    q -> time:float -> h:int -> kind:int -> req:int -> oi:int -> level:int ->
+    prev:int -> src:int -> unit
   (** Push an in-flight message. *)
 
   val pop_into : q -> bool
@@ -196,7 +190,6 @@ module Outbox : sig
   type ob = {
     mutable b_time : float array;
     mutable b_h : int array;
-    mutable b_g : int array;
     mutable b_kind : int array;
     mutable b_req : int array;
     mutable b_oi : int array;
@@ -212,8 +205,8 @@ module Outbox : sig
   (** Estimated resident bytes of the log's columns. *)
 
   val push :
-    ob -> time:float -> h:int -> g:int -> kind:int -> req:int -> oi:int ->
-    level:int -> prev:int -> src:int -> unit
+    ob -> time:float -> h:int -> kind:int -> req:int -> oi:int -> level:int ->
+    prev:int -> src:int -> unit
 
   val clear : ob -> unit
 end

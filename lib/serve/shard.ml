@@ -59,8 +59,8 @@ type t = {
   b2_rows : int array;  (* triples, rebuilt at every barrier *)
 }
 
-let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
-    ~seed ~window ~cache ~coop =
+let create ~net ~guids ~roots ~ttl ~latency ~service ~mailbox_cap ~seed
+    ~window ~cache ~coop =
   if window <= 0. then invalid_arg "Shard.create: window <= 0";
   let mbs =
     Array.init shard_count (fun _ ->
@@ -69,7 +69,7 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~requests ~mailbox_cap
   in
   let sh =
     Actor.make_shared ~net ~mbs ~shards:shard_count ~guids ~roots ~ttl
-      ~latency ~service ~requests ~cache ~coop
+      ~latency ~service ~cache ~coop
   in
   let ctxs =
     Array.init shard_count (fun s ->
@@ -143,7 +143,6 @@ let flush_outboxes t ~barrier =
       Events.push
         t.ctxs.(shard_of h).Actor.q
         ~time ~h
-        ~g:ob.Mailbox.Outbox.b_g.(i)
         ~kind:ob.Mailbox.Outbox.b_kind.(i)
         ~req:ob.Mailbox.Outbox.b_req.(i)
         ~oi:ob.Mailbox.Outbox.b_oi.(i)
@@ -324,9 +323,10 @@ let sync_capacity t =
   end
 
 (* Node failure at a barrier: queued requests die with the mailbox (their
-   slots go back to the owner shard's pool), the generation bump turns
-   in-flight messages into dead letters, then the node silently fails
-   (repair stays lazy). *)
+   slots go back to the owner shard's pool), then the node silently
+   fails (repair stays lazy).  Its messages still in flight or in
+   service meet a dead node, and become dead letters, when they next
+   come up. *)
 let kill_node t (node : Node.t) =
   let sh = t.sh in
   let h = node.Node.handle in

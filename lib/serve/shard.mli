@@ -43,8 +43,8 @@ type t = {
   b1_cnt : int array;
       (** digit buckets (coop only, else empty): digest rows grouped by
           the first one ([b1]) / two ([b2]) digits of their object's
-          root guid, as (key, srv, gen, epoch) quadruples rebuilt at
-          every barrier — the walk geometry says those are the nodes a
+          root guid, as (key, srv, epoch) triples rebuilt at every
+          barrier — the walk geometry says those are the nodes a
           future climb for that object funnels through *)
   b1_rows : int array;
   b2_cnt : int array;
@@ -53,14 +53,14 @@ type t = {
 
 val create :
   net:Network.t -> guids:Node_id.t array -> roots:int -> ttl:float ->
-  latency:float -> service:float -> requests:int -> mailbox_cap:int ->
-  seed:int -> window:float -> cache:Obj_cache.t -> coop:bool -> t
+  latency:float -> service:float -> mailbox_cap:int -> seed:int ->
+  window:float -> cache:Obj_cache.t -> coop:bool -> t
 (** Build the engine: per shard one mailbox (payload pool plus the
     per-handle FIFO cells of its handles, sized to the network), one
     request slot pool (empty until its injector opens a slot; see
     {!Actor.open_req}) and one {!Actor.ctx} with an independent
-    [Parallel.task_rng] stream.  [requests] sizes only the status byte
-    per request.  [cache] is the per-node object caches, zero-way for an
+    [Parallel.task_rng] stream; nothing is sized by the request count.
+    [cache] is the per-node object caches, zero-way for an
     uncached run (fills, evicts and epoch bumps buffered per shard are
     applied at each barrier in shard order, bumps first, then evicts,
     then fills).  [coop] (see DESIGN.md section 11) adds the
@@ -82,14 +82,14 @@ val run :
     [on_barrier t barrier] runs sequentially at every barrier after
     outbox exchange and repair — churn injection goes here.  The
     request slots settled in the window (and by the barrier's kills)
-    go back to their owners' free lists after it, so [on_barrier] can
-    still read them ({!Actor.is_settled}). *)
+    go back to their owners' free lists after it. *)
 
 val kill_node : t -> Node.t -> unit
 (** Barrier-only node failure: dead-letter the queued messages (a
     request's fails it, a chain message's counts as a chain loss), clear
-    the mailbox (its slots return to the owner shard's pool), bump its
-    generation, then [Delete.fail]. *)
+    the mailbox (its slots return to the owner shard's pool), then
+    [Delete.fail].  Its messages in flight or in service become dead
+    letters when they next come up, by the node's liveness alone. *)
 
 val sync_capacity : t -> unit
 (** Barrier-only: grow every shard's per-handle mailbox cells, the

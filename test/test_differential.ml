@@ -52,24 +52,35 @@ let alive_handle net rng =
   net.Network.alive_arr.(Rng.int rng net.Network.alive_len).Node.handle
 
 (* [cache] defaults to a zero-way cache, every probe a miss. *)
-let engine ?cache ~net ~guids ~requests () =
+let engine ?cache ~net ~guids () =
   let cache =
     Option.value cache
       ~default:(Obj_cache.create ~ways:0 ~nodes:net.Network.arena_len)
   in
   Shard.create ~net ~guids ~roots:net.Network.config.Config.root_set_size
-    ~ttl:1e6 ~latency:1e-5 ~service:1e-4 ~requests ~mailbox_cap:64 ~seed:1
+    ~ttl:1e6 ~latency:1e-5 ~service:1e-4 ~mailbox_cap:64 ~seed:1
     ~window:0.02 ~cache ~coop:false
 
-(* Request number [req] opens a slot on [h]'s shard and its message
-   carries the slot's tag; [-1] sends a fire-and-forget chain message. *)
-let send t ~time ~h ~kind ~req ~oi ~src =
+(* With [opens] the message opens a request slot on [h]'s shard and
+   carries its tag, which [send] returns; without, it is a
+   fire-and-forget chain message ([-1]). *)
+let send t ~time ~h ~kind ~opens ~oi ~src =
   let ctx = t.Shard.ctxs.(Shard.shard_of h) in
-  let req = if req >= 0 then Actor.open_req ctx ~req else -1 in
-  Actor.send ctx ~time ~h ~kind ~req ~oi ~level:0 ~prev:(-1) ~src
+  let req = if opens then Actor.open_req ctx else -1 in
+  Actor.send ctx ~time ~h ~kind ~req ~oi ~level:0 ~prev:(-1) ~src;
+  req
 
-let run ?(on_barrier = fun _ _ -> ()) t ~domains =
-  Shard.run t ~domains ~now:(fun () -> 0.) ~on_barrier
+let run t ~domains =
+  Shard.run t ~domains ~now:(fun () -> 0.) ~on_barrier:(fun _ _ -> ())
+
+(* Every request the test opened settled, and all of them completed. *)
+let check_all_completed what t requests =
+  let sum f = Array.fold_left (fun acc ctx -> acc + f ctx) 0 t.Shard.ctxs in
+  Alcotest.(check (pair int int))
+    (what ^ ": every request completes")
+    (requests, 0)
+    ( sum (fun ctx -> ctx.Actor.completed),
+      sum (fun ctx -> ctx.Actor.failed) )
 
 (* Object [o]'s guid is [base.(o)]; message [oi = o * roots + r] routes
    toward its salted root [r], as in [Driver]. *)
@@ -84,19 +95,12 @@ let ints = Alcotest.(list int)
 
 (* ---- locate ---- *)
 
-(* A barrier hook that copies the hop chain of every request settled in
-   the window, by request number, before its slot is reclaimed. *)
-let record_chains chains t _barrier =
+(* The hop chain recorded in the slot of tag [tag].  A reclaimed slot
+   keeps its path until it is opened again, and these tests open every
+   request before the run, so no slot is reused. *)
+let recorded_chain t tag =
   let sh = t.Shard.sh in
-  Array.iteri
-    (fun owner (p : Actor.slots) ->
-      for slot = 0 to p.Actor.used - 1 do
-        let tag = (slot lsl sh.Actor.tag_bits) lor owner in
-        if Actor.is_settled sh tag then
-          chains.(Actor.slot_req sh tag) <-
-            Some (List.init (Actor.path_len sh tag) (Actor.path_hop sh tag))
-      done)
-    sh.Actor.slots
+  List.init (Actor.path_len sh tag) (Actor.path_hop sh tag)
 
 (* The sync walk a served LOCATE should take: from the client toward
    the salted root, stopping at the first node with a usable pointer. *)
@@ -150,16 +154,17 @@ let test_locate geometry () =
     (fun domains ->
       let c = Obj_cache.create ~ways:64 ~nodes:net.Network.arena_len in
       Array.iter (fun g -> ignore (Obj_cache.intern c g : int)) base;
-      let t = engine ~cache:c ~net ~guids ~requests:objects () in
-      Array.iteri
-        (fun o client ->
-          send t ~time:0. ~h:client ~kind:Actor.op_locate ~req:o
-            ~oi:((o * roots) + root_of.(o))
-            ~src:client)
-        clients;
-      let chains = Array.make objects None in
-      run ~on_barrier:(record_chains chains) t ~domains;
-      let sh = t.Shard.sh in
+      let t = engine ~cache:c ~net ~guids () in
+      let tags =
+        Array.mapi
+          (fun o client ->
+            send t ~time:0. ~h:client ~kind:Actor.op_locate ~opens:true
+              ~oi:((o * roots) + root_of.(o))
+              ~src:client)
+          clients
+      in
+      run t ~domains;
+      check_all_completed (Printf.sprintf "domains %d" domains) t objects;
       (* every probe missed: each object is located once, and its fills
          land only after its own FETCH *)
       Array.iter
@@ -173,13 +178,8 @@ let test_locate geometry () =
       Array.iteri
         (fun o (chain, server) ->
           let what = Printf.sprintf "domains %d, object %d" domains o in
-          Alcotest.(check char) (what ^ ": completes") Actor.st_ok
-            (Bytes.get sh.Actor.req_status o);
-          (match chains.(o) with
-          | Some recorded ->
-              Alcotest.check ints (what ^ ": hop chain = sync walk") chain
-                recorded
-          | None -> Alcotest.failf "%s: no chain recorded" what);
+          Alcotest.check ints (what ^ ": hop chain = sync walk") chain
+            (recorded_chain t tags.(o));
           let holders = List.sort Int.compare (List.map fst fills.(o)) in
           Alcotest.check ints
             (what ^ ": fills on the chain's non-server nodes")
@@ -204,7 +204,7 @@ let test_dead_entries geometry () =
     Delete.fail b (Network.node_of_handle b h)
   done;
   (* the actor's own hook, from an engine that never runs *)
-  let ctx = (engine ~net:a ~guids:[||] ~requests:1 ()).Shard.ctxs.(0) in
+  let ctx = (engine ~net:a ~guids:[||] ()).Shard.ctxs.(0) in
   let seen = ref [] in
   let dead owner h =
     seen := (owner.Node.handle, h) :: !seen;
@@ -286,25 +286,22 @@ let check_state what (columns, held) net base =
    object, root by root) and the store's index order is comparable. *)
 let serve_chains net ~guids ~objects ~servers ~kind ~domains =
   let roots = net.Network.config.Config.root_set_size in
-  let t = engine ~net ~guids ~requests:(Array.length servers) () in
+  let t = engine ~net ~guids () in
   List.iteri
     (fun k o ->
       for r = 0 to roots - 1 do
         let srv = servers.(o) in
-        send t
-          ~time:(0.1 *. float_of_int ((k * roots) + r))
-          ~h:srv ~kind
-          ~req:(if r = 0 then o else -1)
-          ~oi:((o * roots) + r)
-          ~src:srv
+        ignore
+          (send t
+             ~time:(0.1 *. float_of_int ((k * roots) + r))
+             ~h:srv ~kind ~opens:(r = 0)
+             ~oi:((o * roots) + r)
+             ~src:srv
+            : int)
       done)
     objects;
   run t ~domains;
-  List.iter
-    (fun o ->
-      Alcotest.(check char) "chain completes" Actor.st_ok
-        (Bytes.get t.Shard.sh.Actor.req_status o))
-    objects
+  check_all_completed "chains" t (List.length objects)
 
 let test_writes geometry () =
   let config = { Config.default with Config.root_set_size = 2 } in

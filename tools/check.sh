@@ -7,7 +7,7 @@
 #   10 build        11 tests          12 syntactic lint
 #   13 typed lint   14 bench smoke    15 bench gate
 #   16 scale smoke  17 serve smoke    18 cache smoke
-#   19 coop smoke
+#   19 coop smoke   20 churn smoke
 #
 # The bench gate compares a short run against the committed
 # BENCH_baseline.json with tools/bench_compare, whose one gate table
@@ -56,7 +56,16 @@
 # seed): the serve smoke runs zero-way, so this is the pin that sees
 # the bytes of a cache way, and of a pointer record, move.
 #
-# The four smokes are rows of one table (`smokes` below) driven by one
+# ./tools/check.sh --churn-smoke runs ONLY the churned serve smoke: the
+# coop smoke's run with 20 node kills and 20 joins per virtual second,
+# and --audit, so the quiesced mesh must pass the audit after churn,
+# and the JSON must show a positive dead_letter count (messages met
+# killed nodes).  Its `signature md5` is pinned at --domains 1 and 2
+# like the others, so a change to the dead-letter path (delivery,
+# drain and service end at a killed node, the kill's queue sweep)
+# that moves behaviour fails here.
+#
+# The five smokes are rows of one table (`smokes` below) driven by one
 # runner; with several smoke flags only the first row in table order
 # runs.
 set -euo pipefail
@@ -69,7 +78,8 @@ cd "$(dirname "$0")/.."
 #   (- for none) | expected `footprint_bytes` of the run (- for none) |
 #   what the stage covers
 smokes=(
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|37896464|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--churn-smoke|20|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --kill-rate 20 --join-rate 20 --audit|dead_letter|-|5ea3fce963c72e361444bc0aab442d44|-|churn smoke (n=4096 serve, cache=32 coop, 20 kills + 20 joins per s, audit)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|37536864|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
   "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
   "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|-|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
   "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|-|scale smoke (n=32768 streamed build + JSON round-trip)"
@@ -80,8 +90,8 @@ selected=" "
 for arg in "$@"; do
   case "$arg" in
     --advisory) advisory="--advisory" ;;
-    --scale-smoke|--serve-smoke|--cache-smoke|--coop-smoke) selected="$selected$arg " ;;
-    *) echo "usage: tools/check.sh [--advisory] [--scale-smoke] [--serve-smoke] [--cache-smoke] [--coop-smoke]" >&2; exit 2 ;;
+    --scale-smoke|--serve-smoke|--cache-smoke|--coop-smoke|--churn-smoke) selected="$selected$arg " ;;
+    *) echo "usage: tools/check.sh [--advisory] [--scale-smoke] [--serve-smoke] [--cache-smoke] [--coop-smoke] [--churn-smoke]" >&2; exit 2 ;;
   esac
 done
 
