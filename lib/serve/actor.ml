@@ -2,16 +2,16 @@
    machine (DESIGN.md section 9).
 
    Each alive node is a latent actor.  When a message lands in its
-   mailbox and the actor is idle, a drain-start event goes on the
-   owning shard's event heap.  The drain pops messages FIFO into the
-   node's in-service slot, models [service] virtual seconds of local
-   processing per message with a service-done event, then executes the
-   hop (pointer probe, deposit, removal, or replica check) and sends the
-   follow-up message — so a request's hop sequence is real inter-actor
-   traffic: [hop] charges the shard's cost counters one message of the
-   metric distance and delivers it [latency * distance] virtual seconds
-   later.  A drain is two plain functions, [drain_head] and
-   [serve_done], with no continuation or closure per message.
+   mailbox and the actor is idle, the delivery starts its drain at
+   once.  The drain pops messages FIFO into the node's in-service slot,
+   models [service] virtual seconds of local processing per message
+   with a service-done event, then executes the hop (pointer probe,
+   deposit, removal, or replica check) and sends the follow-up message
+   — so a request's hop sequence is real inter-actor traffic: [hop]
+   charges the shard's cost counters one message of the metric
+   distance and delivers it [latency * distance] virtual seconds later.
+   A drain is two plain functions, [drain_head] and [serve_done], with
+   no continuation or closure per message.
 
    Opcodes: 0 LOCATE walks toward the object's root until a usable
    pointer redirects it (FETCH to the closest live server, Section 2.4's
@@ -67,8 +67,8 @@
    is one [Route.step], the sync walks' own routing step.  Dead
    neighbors it meets are not purged mid-window (that would mutate
    shared tables and the global cost accumulator the way the sync
-   tier's purge hook does): the actor's hook records the owner in the
-   dirty set and leaves the slot alone, and the shard barrier runs
+   tier's purge hook does): the actor's hook logs the owner in the
+   shard's [repairs] and leaves the slot alone, and the shard barrier runs
    [Delete.on_dead_repair] sequentially.
 
    This file is on the typed lint's hot-path list: the per-message path
@@ -78,6 +78,7 @@
 
 open Tapestry
 module Events = Mailbox.Events
+module Rows = Mailbox.Rows
 module Cost = Simnet.Cost
 module Hist = Simnet.Stats.Hist
 
@@ -108,9 +109,8 @@ type cause =
   | Root_miss  (* the climb reached the root without a usable pointer *)
 
 (* engine event kinds, negative so they never collide with an opcode *)
-let ev_drain = -1
-let ev_service = -2
-let ev_inject = -3
+let ev_service = -1
+let ev_inject = -2
 
 (* Request slots come in segments of [slot_seg]; a pool grows by
    appending one, so a slot's arrays never move while another shard
@@ -162,7 +162,7 @@ type shared = {
   cache : Obj_cache.t;
       (* per-node object caches, possibly zero-way; probes/touches are
          own-line (shard-confined), cross-node fills/evicts/epoch bumps
-         ride the ctx intent buffers to the barrier *)
+         ride the ctx intent logs to the barrier *)
   (* ---- cooperative hint exchange (DESIGN.md section 11); the fields
      below are inert when [coop = false] ---- *)
   coop : bool;
@@ -176,7 +176,7 @@ type shared = {
 type ctx = {
   sh : shared;
   shard : int;
-  q : Events.q;  (* messages, drain, service and injector events; the clock *)
+  q : Events.q;  (* messages, service and injector events; the clock *)
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;  (* injector stream; dispatch never draws from it *)
   cost : Cost.t;
@@ -199,10 +199,8 @@ type ctx = {
          last barrier, the head of a list linked through [s_next]
          (-1: none) *)
   settled_tail : int array;  (* per owner shard: that list's oldest slot *)
-  settled_owners : int array;  (* the owners whose list is not empty *)
-  mutable settled_owners_len : int;
-  mutable dirty_h : int array;  (* owners with dead table entries, barrier-drained *)
-  mutable dirty_len : int;
+  settled_owners : Rows.t;  (* the owners whose list is not empty *)
+  repairs : Rows.t;  (* owners with dead table entries, barrier-drained *)
   mutable dead : Node.t -> int -> bool;
       (* [Route.step]'s dead-entry hook: queue the owner for barrier
          repair, slot unchanged; assigned once in [make_ctx] *)
@@ -215,31 +213,20 @@ type ctx = {
   mutable sel : Pointer_store.cols -> int -> unit;
       (* preallocated best-server folder; assigned once in [make_ctx] *)
   tally : Simnet.Stats.Tally.t;  (* cache hit/miss/stale/... counters *)
-  (* barrier-applied cache intent buffers (parallel arrays) *)
-  mutable fi_h : int array;  (* fill: target cache line *)
-  mutable fi_key : int array;
-  mutable fi_srv : int array;
-  mutable fi_epoch : int array;  (* epoch snapshot at intent-log time *)
-  mutable fi_len : int;
-  mutable ev_h : int array;  (* evict: holder line *)
-  mutable ev_key : int array;
-  mutable ev_srv : int array;  (* only retract if still naming this server *)
-  mutable ev_len : int;
-  mutable ep_key : int array;  (* epoch bumps (unpublish origins) *)
-  mutable ep_srv : int array;  (* ... of this retracting server *)
-  mutable ep_len : int;
-  (* cooperative hint digest: this window's cache hits as distinct
-     (key, srv, epoch) rows in first-hit order, at most
-     [digest_cap]; the barrier buckets them by root-guid digits *)
-  mutable hd_key : int array;
-  mutable hd_srv : int array;
-  mutable hd_epoch : int array;
-  mutable hd_len : int;
-  (* want ring: nodes of this shard that missed this window (one entry
-     per node per window via [want_stamp]) — the only nodes the barrier
-     offers bucket rows to *)
-  mutable wt_h : int array;
-  mutable wt_len : int;
+  (* barrier-applied cache intents *)
+  fills : Rows.t;
+      (* (target line, key, server, epoch snapshot at intent-log time) *)
+  evicts : Rows.t;
+      (* (holder line, key, server): retract only if still naming it *)
+  bumps : Rows.t;  (* (key, retracting server): unpublish origins *)
+  digest : Rows.t;
+      (* cooperative hint digest: this window's cache hits as distinct
+         (key, srv, epoch) rows in first-hit order, at most
+         [digest_cap]; the barrier buckets them by root-guid digits *)
+  wants : Rows.t;
+      (* want ring: nodes of this shard that missed this window (one
+         entry per node per window via [want_stamp]) — the only nodes
+         the barrier offers bucket rows to *)
 }
 
 (* Distinct (key, server) pairs a shard's digest tracks per window;
@@ -297,19 +284,11 @@ let[@alloc_ok] request_bytes sh =
     0 sh.slots
   + bytes sh.dirty + arr sh.want_stamp
 
-(* [@alloc_ok]: the dirty list doubles rarely; everything else is int
-   stores. *)
-let[@alloc_ok] note_dirty ctx (owner : Node.t) =
+let note_dirty ctx (owner : Node.t) =
   let h = owner.Node.handle in
   if h >= 0 && Bytes.get ctx.sh.dirty h = '\000' then begin
     Bytes.set ctx.sh.dirty h '\001';
-    if ctx.dirty_len >= Array.length ctx.dirty_h then begin
-      let a = Array.make (Array.length ctx.dirty_h * 2) 0 in
-      Array.blit ctx.dirty_h 0 a 0 ctx.dirty_len;
-      ctx.dirty_h <- a
-    end;
-    ctx.dirty_h.(ctx.dirty_len) <- h;
-    ctx.dirty_len <- ctx.dirty_len + 1
+    Rows.push1 ctx.repairs h
   end
 
 (* [@alloc_ok]: one ctx record (plus its selector and dead-entry
@@ -340,34 +319,19 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       inj_k = -1;
       settled = Array.make sh.shards (-1);
       settled_tail = Array.make sh.shards (-1);
-      settled_owners = Array.make sh.shards 0;
-      settled_owners_len = 0;
-      dirty_h = Array.make 16 0;
-      dirty_len = 0;
+      settled_owners = Rows.create ~width:1;
+      repairs = Rows.create ~width:1;
       dead = (fun _ _ -> false);
       best_h = -1;
       sel_f = [| infinity; 0. |];
       cur = Network.node_of_handle sh.net 0;
       sel = (fun _ _ -> ());
       tally = Simnet.Stats.Tally.create ();
-      fi_h = [||];
-      fi_key = [||];
-      fi_srv = [||];
-      fi_epoch = [||];
-      fi_len = 0;
-      ev_h = [||];
-      ev_key = [||];
-      ev_srv = [||];
-      ev_len = 0;
-      ep_key = [||];
-      ep_srv = [||];
-      ep_len = 0;
-      hd_key = [||];
-      hd_srv = [||];
-      hd_epoch = [||];
-      hd_len = 0;
-      wt_h = [||];
-      wt_len = 0;
+      fills = Rows.create ~width:4;
+      evicts = Rows.create ~width:3;
+      bumps = Rows.create ~width:2;
+      digest = Rows.create ~width:3;
+      wants = Rows.create ~width:1;
     }
   in
   (ctx.sel <-
@@ -409,18 +373,6 @@ let hop ctx (node : Node.t) ~now ~h ~kind ~req ~oi ~level ~prev ~src =
   let d = Network.dist sh.net node (Network.node_of_handle sh.net h) in
   Cost.send ctx.cost ~dist:d;
   send ctx ~time:(now +. (sh.latency *. d)) ~h ~kind ~req ~oi ~level ~prev ~src
-
-(* ---- cache intent buffers: logged mid-window, applied at the barrier
-   in shard order (Shard.apply_cache_intents) ---- *)
-
-(* [@alloc_ok]: the buffers double rarely; pushes are int stores. *)
-let[@alloc_ok] grow_int a len =
-  if len >= Array.length a then begin
-    let b = Array.make (max 16 (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 len;
-    b
-  end
-  else a
 
 (* ---- request slots ---- *)
 
@@ -503,8 +455,7 @@ let settle ctx ~req g i =
   let owner = req land ((1 lsl sh.tag_bits) - 1) and slot = req lsr sh.tag_bits in
   if ctx.settled.(owner) < 0 then begin
     ctx.settled_tail.(owner) <- slot;
-    ctx.settled_owners.(ctx.settled_owners_len) <- owner;
-    ctx.settled_owners_len <- ctx.settled_owners_len + 1
+    Rows.push1 ctx.settled_owners owner
   end;
   g.s_next.(i) <- ctx.settled.(owner);
   ctx.settled.(owner) <- slot
@@ -513,14 +464,14 @@ let settle ctx ~req g i =
    owner's free list, one write per list, whatever the lists hold. *)
 let reclaim ctx =
   let sh = ctx.sh in
-  for k = 0 to ctx.settled_owners_len - 1 do
-    let owner = ctx.settled_owners.(k) in
+  for k = 0 to Rows.length ctx.settled_owners - 1 do
+    let owner = Rows.get ctx.settled_owners k 0 in
     let p = sh.slots.(owner) and tail = ctx.settled_tail.(owner) in
     p.segs.(tail lsr slot_bits).s_next.(tail land slot_mask) <- p.free;
     p.free <- ctx.settled.(owner);
     ctx.settled.(owner) <- -1
   done;
-  ctx.settled_owners_len <- 0
+  Rows.clear ctx.settled_owners
 
 let complete_ok ctx ~now ~req =
   if req >= 0 then begin
@@ -551,51 +502,13 @@ let count_dead_letter ctx ~req =
   if req >= 0 then fail_req ctx ~req Dead_letter
   else ctx.chain_lost <- ctx.chain_lost + 1
 
-let push_fill ctx ~h ~key ~srv ~epoch =
-  ctx.fi_h <- grow_int ctx.fi_h ctx.fi_len;
-  ctx.fi_key <- grow_int ctx.fi_key ctx.fi_len;
-  ctx.fi_srv <- grow_int ctx.fi_srv ctx.fi_len;
-  ctx.fi_epoch <- grow_int ctx.fi_epoch ctx.fi_len;
-  ctx.fi_h.(ctx.fi_len) <- h;
-  ctx.fi_key.(ctx.fi_len) <- key;
-  ctx.fi_srv.(ctx.fi_len) <- srv;
-  ctx.fi_epoch.(ctx.fi_len) <- epoch;
-  ctx.fi_len <- ctx.fi_len + 1
-
-let push_evict ctx ~h ~key ~srv =
-  ctx.ev_h <- grow_int ctx.ev_h ctx.ev_len;
-  ctx.ev_key <- grow_int ctx.ev_key ctx.ev_len;
-  ctx.ev_srv <- grow_int ctx.ev_srv ctx.ev_len;
-  ctx.ev_h.(ctx.ev_len) <- h;
-  ctx.ev_key.(ctx.ev_len) <- key;
-  ctx.ev_srv.(ctx.ev_len) <- srv;
-  ctx.ev_len <- ctx.ev_len + 1
-
-let push_epoch ctx ~key ~srv =
-  ctx.ep_key <- grow_int ctx.ep_key ctx.ep_len;
-  ctx.ep_srv <- grow_int ctx.ep_srv ctx.ep_len;
-  ctx.ep_key.(ctx.ep_len) <- key;
-  ctx.ep_srv.(ctx.ep_len) <- srv;
-  ctx.ep_len <- ctx.ep_len + 1
-
 (* Digest a cache hit: append the (key, srv) pair unless this window
    already logged it or the digest is full.  Linear scan over at most
-   [digest_cap] entries, shard-confined. *)
-let rec digest_scan ctx ~key ~srv j =
-  if j >= ctx.hd_len then -1
-  else if ctx.hd_key.(j) = key && ctx.hd_srv.(j) = srv then j
-  else digest_scan ctx ~key ~srv (j + 1)
-
+   [digest_cap] rows, shard-confined. *)
 let log_digest ctx ~key ~srv ~epoch =
-  if ctx.hd_len < digest_cap && digest_scan ctx ~key ~srv 0 < 0 then begin
-    ctx.hd_key <- grow_int ctx.hd_key ctx.hd_len;
-    ctx.hd_srv <- grow_int ctx.hd_srv ctx.hd_len;
-    ctx.hd_epoch <- grow_int ctx.hd_epoch ctx.hd_len;
-    ctx.hd_key.(ctx.hd_len) <- key;
-    ctx.hd_srv.(ctx.hd_len) <- srv;
-    ctx.hd_epoch.(ctx.hd_len) <- epoch;
-    ctx.hd_len <- ctx.hd_len + 1
-  end
+  let d = ctx.digest in
+  if Rows.length d < digest_cap && not (Rows.mem2 d key srv) then
+    Rows.push3 d key srv epoch
 
 (* A cache miss marks the node as wanting hints — once per window per
    node ([want_stamp] dedup), so the want ring is bounded by the
@@ -606,9 +519,7 @@ let log_want ctx (node : Node.t) =
   let w = sh.win.(0) in
   if sh.want_stamp.(h) <> w then begin
     sh.want_stamp.(h) <- w;
-    ctx.wt_h <- grow_int ctx.wt_h ctx.wt_len;
-    ctx.wt_h.(ctx.wt_len) <- h;
-    ctx.wt_len <- ctx.wt_len + 1
+    Rows.push1 ctx.wants h
   end
 
 (* The next hop of [node]'s walk toward [oi]'s root, resolved [level]
@@ -708,7 +619,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         for k = 0 to seg_plen g i - 1 do
           let tgt = seg_hop g i k in
           if tgt <> self then begin
-            push_fill ctx ~h:tgt ~key ~srv:self ~epoch:ep;
+            Rows.push4 ctx.fills tgt key self ep;
             ctx.tally.fills <- ctx.tally.fills + 1
           end
         done
@@ -722,8 +633,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
       if rc <= rc_max + 1 then begin
         if prev >= 0 then begin
           (* retract the lying entry at its holder *)
-          push_evict ctx ~h:prev ~key:(base_oi / sh.roots)
-            ~srv:node.Node.handle;
+          Rows.push3 ctx.evicts prev (base_oi / sh.roots) node.Node.handle;
           ctx.tally.stale <- ctx.tally.stale + 1;
           ctx.tally.evicts <- ctx.tally.evicts + 1
         end;
@@ -750,7 +660,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
          (logged on the base oi only; root walks oi > base_oi share the
          same key).  A zero-way cache holds no shortcut to invalidate. *)
       if oi = base_oi && has_ways sh then
-        push_epoch ctx ~key:(base_oi / sh.roots) ~srv:node.Node.handle
+        Rows.push2 ctx.bumps (base_oi / sh.roots) node.Node.handle
     end;
     ignore
       (Pointer_store.remove node.Node.pointers ~guid:base_guid ~server:src
@@ -766,20 +676,18 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
 (* The drain: FIFO over the mailbox, [service] virtual seconds per
    message, until the queue is empty.  [drain_head] hands the head's
    pool slot to the in-service index and schedules its service-done
-   event; [serve_done] checks liveness — the node may have been killed
-   at a barrier during service, and the message in hand dies with it —
-   then dispatches, releases the slot and loops.  That check is the
-   drain's only one: a drain start runs in the window that scheduled
-   it, before any barrier can kill the node, and a node killed during
-   service has an empty queue (the kill swept it) and never dispatches.
-   With [service = 0] no event is scheduled and the message is served
-   at once.  A node's messages all live in its owner shard's store, the
-   one behind [ctx.q]. *)
+   event, or marks the actor idle when the queue is empty; [serve_done]
+   checks liveness — the node may have been killed at a barrier during
+   service, and the message in hand dies with it — then dispatches,
+   releases the slot and loops.  That check is the drain's only one: a
+   drain starts inside a delivery, which has just checked liveness, and
+   a node killed during service has an empty queue (the kill swept it),
+   so its loop only goes idle.  With [service = 0] no event is
+   scheduled and the whole drain runs inside the delivery.  A node's
+   messages all live in its owner shard's store, the one behind
+   [ctx.q]. *)
 let rec drain_head ctx h =
-  let mb = ctx.q.Events.mb in
-  if Mailbox.length mb h = 0 then Mailbox.set_busy mb h false
-  else begin
-    Mailbox.take mb h;
+  if Mailbox.take ctx.q.Events.mb h then begin
     let service = ctx.sh.service in
     if service > 0. then
       Events.schedule ctx.q ~time:(ctx.q.Events.clock.(0) +. service)
@@ -792,25 +700,24 @@ and serve_done ctx h =
   let mb = ctx.q.Events.mb in
   let slot = Mailbox.in_service mb h in
   let req = mb.Mailbox.r_req.(slot) in
-  if not (Node.is_alive node) then begin
-    (* killed mid-service: the in-hand message is a dead letter *)
-    Mailbox.release mb slot;
-    count_dead_letter ctx ~req
-  end
-  else begin
+  if Node.is_alive node then
     dispatch ctx node ~now:ctx.q.Events.clock.(0)
       ~kind:mb.Mailbox.r_kind.(slot) ~req ~oi:mb.Mailbox.r_oi.(slot)
       ~level:mb.Mailbox.r_level.(slot) ~prev:mb.Mailbox.r_prev.(slot)
-      ~src:mb.Mailbox.r_src.(slot);
-    Mailbox.release mb slot;
-    drain_head ctx h
-  end
+      ~src:mb.Mailbox.r_src.(slot)
+  else
+    (* killed mid-service: the in-hand message is a dead letter *)
+    count_dead_letter ctx ~req;
+  Mailbox.release mb slot;
+  drain_head ctx h
 
 (* Deliver the message just popped (the clock is at its arrival time;
    its pool slot is [q.o_slot]): dead letters and mailbox overflow are
    terminal for the request and release the slot; otherwise the slot
-   joins the node's FIFO and, if the actor is idle, its drain start is
-   scheduled now. *)
+   joins the node's FIFO and, if the actor is idle, its drain starts
+   now.  Starting it here rather than from an event of its own changes
+   no order: the message popped after every engine event at its time,
+   so such an event would have been the heap's minimum and run next. *)
 let deliver ctx =
   let sh = ctx.sh in
   let q = ctx.q in
@@ -853,10 +760,7 @@ let deliver ctx =
     end
     else ctx.chain_lost <- ctx.chain_lost + 1
   end
-  else if not (Mailbox.is_busy mb h) then begin
-    Mailbox.set_busy mb h true;
-    Events.schedule q ~time:q.Events.clock.(0) ~kind:ev_drain ~h
-  end
+  else if not (Mailbox.is_busy mb h) then drain_head ctx h
 
 (* The shard's event loop: run every event at or before [limit],
    including events pushed meanwhile, in heap order, then lift the
@@ -868,7 +772,6 @@ let rec run_until ctx limit =
     let kind = q.Events.o_kind in
     if kind >= 0 then deliver ctx
     else if kind = ev_service then serve_done ctx q.Events.o_h
-    else if kind = ev_drain then drain_head ctx q.Events.o_h
     else ctx.inject ctx;
     run_until ctx limit
   end

@@ -1,8 +1,9 @@
 (** Per-node actors: mailbox drains and the per-message protocol state
-    machine of the serving runtime (DESIGN.md section 9).  A drain is
-    driven by the shard's {!Mailbox.Events} heap: a drain-start event
-    pops the next message into the node's in-service slot, and its
-    service-done event dispatches it and pops the next.
+    machine of the serving runtime (DESIGN.md section 9).  A delivery
+    that finds the actor idle starts its drain at once: the drain pops
+    the next message into the node's in-service slot, and the
+    service-done event the shard's {!Mailbox.Events} heap holds for it
+    dispatches it and pops the next, until the queue is empty.
 
     Opcodes: LOCATE walks toward the object's root, redirecting to the
     closest live server as soon as it meets a usable pointer (the
@@ -18,7 +19,7 @@
     probe.  Cross-node cache
     mutations (fills from successful fetches, evicts of entries caught
     lying, epoch bumps at unpublish origins) are logged in per-shard
-    intent buffers and applied at the barrier in shard order, keeping
+    {!Mailbox.Rows} logs and applied at the barrier in shard order, keeping
     the engine bit-identical for any [--domains].
 
     {b Redirect budget.}  A stale FETCH (the replica left) and an
@@ -71,9 +72,9 @@ val path_cap : int
 
 val ev_inject : int
 (** Engine event kind that runs the shard's injector step
-    ([ctx.inject]).  The other engine kinds, drain start and service
-    done, carry the handle of the node whose drain they advance and
-    stay internal.  All three are negative, apart from every opcode. *)
+    ([ctx.inject]).  The other engine kind, service done, carries the
+    handle of the node whose drain it advances and stays internal.
+    Both are negative, apart from every opcode. *)
 
 val slot_seg : int
 (** Slots per pool segment: a pool grows by appending one, so no slot
@@ -127,7 +128,7 @@ type shared = {
   cache : Obj_cache.t;
       (** per-node object caches, possibly zero-way; probes and touches
           stay own-line (shard-confined), cross-node mutations ride the
-          ctx intent buffers to the barrier *)
+          ctx intent logs to the barrier *)
   coop : bool;
       (** cooperative hint exchange on (DESIGN.md section 11): cache
           hits are digested and misses join the want ring *)
@@ -173,10 +174,10 @@ type ctx = {
           last barrier, the head of a list linked through [s_next]
           (-1: none) *)
   settled_tail : int array;  (** per owner shard: that list's oldest slot *)
-  settled_owners : int array;  (** the owners whose list is not empty *)
-  mutable settled_owners_len : int;
-  mutable dirty_h : int array;
-  mutable dirty_len : int;
+  settled_owners : Mailbox.Rows.t;  (** the owners whose list is not empty *)
+  repairs : Mailbox.Rows.t;
+      (** owners whose tables hold dead entries this shard's walks
+          met, one row each, drained by the barrier's repair *)
   mutable dead : Node.t -> int -> bool;
       (** the dead-entry hook this shard's {!Tapestry.Route.step} calls:
           it queues the owner for barrier repair and leaves the slot
@@ -189,28 +190,20 @@ type ctx = {
   mutable cur : Node.t;
   mutable sel : Pointer_store.cols -> int -> unit;
   tally : Simnet.Stats.Tally.t;  (** cache hit/miss/stale/... counters *)
-  mutable fi_h : int array;  (** fill intents: target cache line *)
-  mutable fi_key : int array;
-  mutable fi_srv : int array;
-  mutable fi_epoch : int array;  (** epoch snapshot at intent-log time *)
-  mutable fi_len : int;
-  mutable ev_h : int array;  (** evict intents: holder line *)
-  mutable ev_key : int array;
-  mutable ev_srv : int array;  (** retract only if still naming this *)
-  mutable ev_len : int;
-  mutable ep_key : int array;  (** epoch bumps (unpublish origins) *)
-  mutable ep_srv : int array;  (** ... of this retracting server *)
-  mutable ep_len : int;
-  mutable hd_key : int array;
+  fills : Mailbox.Rows.t;
+      (** fill intents: (target line, key, server, epoch snapshot at
+          intent-log time) *)
+  evicts : Mailbox.Rows.t;
+      (** evict intents: (holder line, key, server); retract only if the
+          entry still names that server *)
+  bumps : Mailbox.Rows.t;
+      (** epoch bumps: (key, retracting server), unpublish origins *)
+  digest : Mailbox.Rows.t;
       (** hint digest: this window's cache hits as (key, srv, epoch)
-          rows, at most {!digest_cap} distinct pairs *)
-  mutable hd_srv : int array;
-  mutable hd_epoch : int array;
-  mutable hd_len : int;
-  mutable wt_h : int array;
+          rows, at most {!digest_cap} distinct (key, srv) pairs *)
+  wants : Mailbox.Rows.t;
       (** want ring: this shard's nodes that missed this window, one
-          entry per node per window *)
-  mutable wt_len : int;
+          row per node per window *)
 }
 
 val digest_cap : int
@@ -264,7 +257,6 @@ val run_until : ctx -> float -> unit
 (** The shard's event loop: pop and run every event at or before the
     limit, including events pushed meanwhile, in (time, class, push
     sequence) order — a message is delivered (dead letter, mailbox
-    overflow, or enqueued with a drain start scheduled at once if the
-    actor is idle), a drain start or service done advances the node's
-    drain, an injector step runs [ctx.inject] — then lift the shard
-    clock to the limit. *)
+    overflow, or enqueued, its drain started at once if the actor is
+    idle), a service done advances the node's drain, an injector step
+    runs [ctx.inject] — then lift the shard clock to the limit. *)

@@ -20,6 +20,7 @@
 
 open Tapestry
 module Events = Mailbox.Events
+module Rows = Mailbox.Rows
 module Rng = Simnet.Rng
 module Hist = Simnet.Stats.Hist
 module Zipf = Simnet.Zipf
@@ -87,27 +88,6 @@ type result = {
   tally : Simnet.Stats.Tally.t;  (* merged cache counters (zeros at --cache 0) *)
 }
 
-(* Per-shard log of (server handle, object) publishes, the unpublish
-   victim pool. *)
-type publog = {
-  mutable ps : int array;
-  mutable po : int array;
-  mutable plen : int;
-}
-
-let publog_push l ~srv ~obj =
-  if l.plen >= Array.length l.ps then begin
-    let c = max 16 (2 * Array.length l.ps) in
-    let ps = Array.make c 0 and po = Array.make c 0 in
-    Array.blit l.ps 0 ps 0 l.plen;
-    Array.blit l.po 0 po 0 l.plen;
-    l.ps <- ps;
-    l.po <- po
-  end;
-  l.ps.(l.plen) <- srv;
-  l.po.(l.plen) <- obj;
-  l.plen <- l.plen + 1
-
 (* Object GUIDs: one [Network.fresh_id] draw per object, which avoids
    node IDs but not earlier objects' GUIDs.  A repeat steps to the next
    ID in radix order that is neither drawn nor registered, without
@@ -148,7 +128,9 @@ let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
 
 (* The injector's step, run on each of its events: issue request
    [inj_k] (none at the start event), then schedule the next event one
-   exponential gap later, [count] requests in all. *)
+   exponential gap later, [count] requests in all.  [log] is the
+   shard's (server handle, object) publishes, the unpublish victim
+   pool. *)
 let inject_step params z log ~count ~mean_gap (ctx : Actor.ctx) =
   let sh = ctx.Actor.sh in
   let net = sh.Actor.net in
@@ -164,17 +146,15 @@ let inject_step params z log ~count ~mean_gap (ctx : Actor.ctx) =
     let obj = Zipf.sample z rng in
     if u < params.p_publish then begin
       let srv = net.Network.alive_arr.(Rng.int rng net.Network.alive_len) in
-      publog_push log ~srv:srv.Node.handle ~obj;
+      Rows.push2 log srv.Node.handle obj;
       send_chains ctx ~roots ~now ~kind:Actor.op_publish ~req ~obj
         ~srv_h:srv.Node.handle
     end
-    else if u < params.p_publish +. params.p_unpublish && log.plen > 0
+    else if u < params.p_publish +. params.p_unpublish && Rows.length log > 0
     then begin
-      let i = Rng.int rng log.plen in
-      let srv_h = log.ps.(i) and obj' = log.po.(i) in
-      log.ps.(i) <- log.ps.(log.plen - 1);
-      log.po.(i) <- log.po.(log.plen - 1);
-      log.plen <- log.plen - 1;
+      let i = Rng.int rng (Rows.length log) in
+      let srv_h = Rows.get log i 0 and obj' = Rows.get log i 1 in
+      Rows.swap_remove log i;
       send_chains ctx ~roots ~now ~kind:Actor.op_unpublish ~req ~obj:obj'
         ~srv_h
     end
@@ -276,7 +256,7 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   let mean_gap = float_of_int Shard.shard_count /. params.rate in
   for s = 0 to Shard.shard_count - 1 do
     let count = per + (if s < extra then 1 else 0) in
-    let log = { ps = [||]; po = [||]; plen = 0 } in
+    let log = Rows.create ~width:2 in
     let ctx = t.Shard.ctxs.(s) in
     ctx.Actor.inject <- inject_step params z log ~count ~mean_gap;
     if count > 0 then
@@ -304,56 +284,42 @@ let run ?(clock = fun () -> 0.) ~net params ~now =
   let c1 = clock () in
   let hist_v = Hist.create () and hist_w = Hist.create () in
   let tally = Simnet.Stats.Tally.create () in
-  let injected = ref 0
-  and completed = ref 0
-  and failed = ref 0
-  and dropped = ref 0
-  and dead_letter = ref 0
-  and exhausted = ref 0
-  and root_miss = ref 0
-  and chain_lost = ref 0
-  and delivered = ref 0 in
   let dropped_by = Array.make (Actor.op_locate_nc + 1) 0 in
   Array.iter
     (fun (ctx : Actor.ctx) ->
       Hist.merge ~into:hist_v ctx.Actor.hist_v;
       Hist.merge ~into:hist_w ctx.Actor.hist_w;
       Simnet.Stats.Tally.merge ~into:tally ctx.Actor.tally;
-      injected := !injected + ctx.Actor.injected;
-      completed := !completed + ctx.Actor.completed;
-      failed := !failed + ctx.Actor.failed;
-      dropped := !dropped + ctx.Actor.dropped;
-      dead_letter := !dead_letter + ctx.Actor.dead_letter;
-      exhausted := !exhausted + ctx.Actor.exhausted;
-      root_miss := !root_miss + ctx.Actor.root_miss;
-      chain_lost := !chain_lost + ctx.Actor.chain_lost;
       Array.iteri
         (fun op d -> dropped_by.(op) <- dropped_by.(op) + d)
-        ctx.Actor.dropped_by;
-      delivered := !delivered + ctx.Actor.delivered)
+        ctx.Actor.dropped_by)
     t.Shard.ctxs;
+  let sum f = Array.fold_left (fun a ctx -> a + f ctx) 0 t.Shard.ctxs in
+  let r =
+    {
+      engine = t;
+      hist_v;
+      hist_w;
+      injected = sum (fun c -> c.Actor.injected);
+      completed = sum (fun c -> c.Actor.completed);
+      failed = sum (fun c -> c.Actor.failed);
+      dropped = sum (fun c -> c.Actor.dropped);
+      dropped_by;
+      dead_letter = sum (fun c -> c.Actor.dead_letter);
+      exhausted = sum (fun c -> c.Actor.exhausted);
+      root_miss = sum (fun c -> c.Actor.root_miss);
+      chain_lost = sum (fun c -> c.Actor.chain_lost);
+      delivered = sum (fun c -> c.Actor.delivered);
+      kills = st.kills;
+      joins = st.joins;
+      duration_v = st.last_barrier;
+      wall_s = 0.;
+      barriers = t.Shard.barriers;
+      tally;
+    }
+  in
   ledger.Shard.collect <- clock () -. c1;
-  {
-    engine = t;
-    hist_v;
-    hist_w;
-    injected = !injected;
-    completed = !completed;
-    failed = !failed;
-    dropped = !dropped;
-    dropped_by;
-    dead_letter = !dead_letter;
-    exhausted = !exhausted;
-    root_miss = !root_miss;
-    chain_lost = !chain_lost;
-    delivered = !delivered;
-    kills = st.kills;
-    joins = st.joins;
-    duration_v = st.last_barrier;
-    wall_s = now () -. wall0;
-    barriers = t.Shard.barriers;
-    tally;
-  }
+  { r with wall_s = now () -. wall0 }
 
 (* Every shard's message store (payload pool and per-handle cells),
    event heap and outbox: where queued and in-flight messages live. *)

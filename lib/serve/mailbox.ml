@@ -1,20 +1,23 @@
 (* Message plumbing for the actor runtime (DESIGN.md section 9).
 
-   Three flat, allocation-free structures, all per shard:
+   Flat, allocation-free structures, all per shard:
 
    - [t]: the shard's message store — a free-listed payload pool with
      one slot per message in flight to, or queued at, one of the
      shard's handles, and per handle a bounded FIFO chained through
      the pool's [r_next] column, plus the in-service slot: the pool
-     slot of the message the actor took and is serving;
+     slot of the message the actor took and is serving, -1 while the
+     actor is idle.  An actor is busy exactly while a message is in
+     service;
    - [Events]: a binary min-heap over the store's pool holding the
-     shard's in-flight messages and its engine events (drain start,
-     service done, injector step), keyed by (time, class, push
-     sequence) — the stable tie-break that makes replay exact — so sift
-     swaps move three words, not ten; it also carries the shard's
-     virtual clock;
+     shard's in-flight messages and its engine events (service done,
+     injector step), keyed by (time, class, push sequence) — the
+     stable tie-break that makes replay exact — so sift swaps move
+     three words, not ten; it also carries the shard's virtual clock;
    - [Outbox]: a per-shard append log of cross-shard sends, drained
-     into the target shards' event heaps at window barriers.
+     into the target shards' event heaps at window barriers;
+   - [Rows]: a growable log of fixed-width int rows, the one shape of
+     every other per-shard log the barrier replays.
 
    A message is six ints: [kind] (the Actor opcode), [req] (the tag of
    its request's slot, -1 for fire-and-forget chains), [oi] (object x root_set
@@ -55,13 +58,9 @@ type t = {
   mutable head : int array;  (* first queued slot, -1 when empty *)
   mutable tail : int array;  (* last queued slot *)
   mutable len : int array;
-  mutable busy : int array;
-      (* 1 from the delivery that finds the actor idle until its drain
-         finds the FIFO empty: a drain-start or service-done event is
-         pending for the handle *)
   mutable serving : int array;
       (* pool slot of the message the actor took and is serving until
-         its service-done event *)
+         its service-done event, -1 while the actor is idle *)
 }
 
 let pool_cap0 = 64
@@ -88,7 +87,6 @@ let[@alloc_ok] create_strided ~stride ~cap ~handles =
     head = Array.make cells (-1);
     tail = Array.make cells (-1);
     len = Array.make cells 0;
-    busy = Array.make cells 0;
     serving = Array.make cells (-1);
   }
 
@@ -109,7 +107,6 @@ let[@alloc_ok] ensure t ~handles =
     t.head <- grow t.head (-1);
     t.tail <- grow t.tail (-1);
     t.len <- grow t.len 0;
-    t.busy <- grow t.busy 0;
     t.serving <- grow t.serving (-1);
     t.cells <- nh
   end
@@ -118,13 +115,13 @@ let capacity t = t.cap
 
 let pool_capacity t = Array.length t.r_h
 
-(* Footprint accounting: eight pool columns and five per-handle int
+(* Footprint accounting: eight pool columns and four per-handle int
    arrays, with headers. *)
 let approx_bytes t =
   let word = 8 in
-  (19 * word)
+  (18 * word)
   + (8 * (pool_capacity t + 1) * word)
-  + (5 * (t.cells + 1) * word)
+  + (4 * (t.cells + 1) * word)
 
 (* [@alloc_ok]: amortized doubling of the pool, off the steady-state
    path.  New slots are not on the free chain: [alloc] hands them out
@@ -164,9 +161,7 @@ let release t slot =
 
 let length t h = t.len.(h / t.stride)
 
-let is_busy t h = t.busy.(h / t.stride) <> 0
-
-let set_busy t h b = t.busy.(h / t.stride) <- (if b then 1 else 0)
+let is_busy t h = t.serving.(h / t.stride) >= 0
 
 let enqueue t h slot =
   let c = h / t.stride in
@@ -207,7 +202,12 @@ let unlink t h =
 
 let advance t h = release t (unlink t h)
 
-let take t h = t.serving.(h / t.stride) <- unlink t h
+(* Take handle [h]'s FIFO head into service; with the FIFO empty the
+   actor goes idle instead and the answer is [false]. *)
+let take t h =
+  let c = h / t.stride in
+  t.serving.(c) <- (if t.len.(c) = 0 then -1 else unlink t h);
+  t.serving.(c) >= 0
 
 let in_service t h = t.serving.(h / t.stride)
 
@@ -218,11 +218,10 @@ let in_service t h = t.serving.(h / t.stride)
 let kill t h =
   while length t h > 0 do
     advance t h
-  done;
-  t.busy.(h / t.stride) <- 0
+  done
 
 (* The event queue of one shard: in-flight messages and engine events
-   (drain start, service done, injector step) in one binary min-heap,
+   (service done, injector step) in one binary min-heap,
    ordered by (time, class, push seq).  Engine events are class 0 and
    messages class 1, so at equal times every engine event runs before
    every message; the class rides the sequence word's bit 61 beside one
@@ -443,4 +442,71 @@ module Outbox = struct
     t.blen <- t.blen + 1
 
   let clear t = t.blen <- 0
+end
+
+(* A growable log of int rows of one fixed width, stored row by row in
+   one array: the shard's barrier-replayed logs (repair owners, cache
+   intents, hint digest, want ring), the digit buckets and the driver's
+   publish logs.  Growth doubles, so pushes after warm-up allocate
+   nothing. *)
+module Rows = struct
+  type t = { width : int; mutable a : int array; mutable n : int }
+
+  (* [@alloc_ok]: one log per owner, once per run. *)
+  let[@alloc_ok] create ~width =
+    if width <= 0 then invalid_arg "Mailbox.Rows.create: width must be positive";
+    { width; a = [||]; n = 0 }
+
+  let length r = r.n
+
+  let get r i k = r.a.((i * r.width) + k)
+
+  (* [@alloc_ok]: amortized doubling, off the steady-state path. *)
+  let[@alloc_ok] grow r =
+    let b = Array.make (max (16 * r.width) (2 * Array.length r.a)) 0 in
+    Array.blit r.a 0 b 0 (r.n * r.width);
+    r.a <- b
+
+  (* Append a row and return its offset in [a]. *)
+  let next r =
+    let o = r.n * r.width in
+    if o + r.width > Array.length r.a then grow r;
+    r.n <- r.n + 1;
+    o
+
+  let push1 r x =
+    let o = next r in
+    r.a.(o) <- x
+
+  let push2 r x y =
+    let o = next r in
+    r.a.(o) <- x;
+    r.a.(o + 1) <- y
+
+  let push3 r x y z =
+    let o = next r in
+    r.a.(o) <- x;
+    r.a.(o + 1) <- y;
+    r.a.(o + 2) <- z
+
+  let push4 r x y z u =
+    let o = next r in
+    r.a.(o) <- x;
+    r.a.(o + 1) <- y;
+    r.a.(o + 2) <- z;
+    r.a.(o + 3) <- u
+
+  let swap_remove r i =
+    let last = r.n - 1 in
+    Array.blit r.a (last * r.width) r.a (i * r.width) r.width;
+    r.n <- last
+
+  let clear r = r.n <- 0
+
+  let rec mem2_from r x y i =
+    i < r.n
+    && ((r.a.(i * r.width) = x && r.a.((i * r.width) + 1) = y)
+       || mem2_from r x y (i + 1))
+
+  let mem2 r x y = mem2_from r x y 0
 end

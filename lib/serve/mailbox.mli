@@ -2,7 +2,9 @@
     shard's message store (a free-listed payload pool plus, per handle,
     a bounded FIFO chained through the pool and one in-service slot),
     the shard's event heap over that pool (in-flight messages and
-    engine events), and the cross-shard outbox (DESIGN.md section 9).
+    engine events), the cross-shard outbox, and {!Rows}, the
+    fixed-width int log every other per-shard log is made of
+    (DESIGN.md section 9).
 
     A message is six ints — [kind] (Actor opcode), [req] (its request's
     slot tag, see [Actor.open_req]; [-1] for fire-and-forget), [oi]
@@ -46,7 +48,6 @@ type t = {
   mutable head : int array;
   mutable tail : int array;
   mutable len : int array;
-  mutable busy : int array;
   mutable serving : int array;
 }
 (** Pool columns [r_*] are indexed by slot; [r_next] chains a queued
@@ -54,7 +55,8 @@ type t = {
     ([-1] ends either), [free] is the first free slot and [used] the
     slots ever handed out (the pool's high-water mark).  Per-handle
     arrays are indexed [h / stride] and hold [cells] entries; [head]
-    and [serving] are [-1] when empty. *)
+    and [serving] are [-1] when empty; an actor is busy exactly while
+    its [serving] slot is set. *)
 
 val create : cap:int -> handles:int -> t
 (** One store for handles [0 .. handles-1] ([stride] 1), each FIFO
@@ -69,8 +71,8 @@ val create_strided : stride:int -> cap:int -> handles:int -> t
 val ensure : t -> handles:int -> unit
 (** Grow the per-handle cells so [handles-1] is addressable: to the
     larger of what is needed and the current size plus an eighth
-    (geometric, so amortized O(1) per handle).  Queues, in-service
-    slots and busy marks are kept.  Barrier only: never call while
+    (geometric, so amortized O(1) per handle).  Queues and in-service
+    slots are kept.  Barrier only: never call while
     shard windows are running. *)
 
 val capacity : t -> int
@@ -90,10 +92,8 @@ val release : t -> int -> unit
 val length : t -> int -> int
 
 val is_busy : t -> int -> bool
-(** Is the actor draining: a drain-start or service-done event
-    pending, or its drain running? *)
-
-val set_busy : t -> int -> bool -> unit
+(** Is a message in service at the actor (its service-done event
+    pending, or its dispatch running)? *)
 
 val enqueue : t -> int -> int -> bool
 (** [enqueue t h slot]: FIFO-append the message in pool slot [slot];
@@ -116,19 +116,21 @@ val advance : t -> int -> unit
 (** Drop handle [h]'s FIFO head and release its slot (after reading it
     via {!msg_index}).  Owner-shard only. *)
 
-val take : t -> int -> unit
+val take : t -> int -> bool
 (** Unlink handle [h]'s FIFO head into its in-service index, where it
     stays while the actor serves it; the server releases the slot.
-    Owner-shard only. *)
+    With the FIFO empty, clear the in-service index (the actor goes
+    idle) and return [false].  Owner-shard only. *)
 
 val in_service : t -> int -> int
-(** Pool slot of the message handle [h] took last. *)
+(** Pool slot of the message in service at handle [h], [-1] when the
+    actor is idle.  A killed node's slot stays set until its
+    service-done event. *)
 
 val kill : t -> int -> unit
-(** Node death: drop the queue, releasing its slots, and reset busy
-    (account queued requests first — see the shard barrier's churn
-    step).  A message in service keeps its slot until its service-done
-    event. *)
+(** Node death: drop the queue, releasing its slots (account queued
+    requests first — see the shard barrier's churn step).  A message in
+    service keeps its slot until its service-done event. *)
 
 (** The event queue of one shard: in-flight messages and engine events
     in one heap, keyed by (time, class, push sequence) — the stable
@@ -209,4 +211,36 @@ module Outbox : sig
     prev:int -> src:int -> unit
 
   val clear : ob -> unit
+end
+
+(** A growable log of int rows of one fixed width, stored row by row in
+    one array; growth doubles, so pushes after warm-up allocate nothing.
+    The shard's barrier-replayed logs, the hint exchange's digit buckets
+    and the driver's publish logs are all [Rows.t]. *)
+module Rows : sig
+  type t
+
+  val create : width:int -> t
+  (** @raise Invalid_argument if [width <= 0]. *)
+
+  val length : t -> int
+
+  val get : t -> int -> int -> int
+  (** [get r i k]: column [k] of row [i]. *)
+
+  (** [pushN] appends one row to a width-[N] log. *)
+
+  val push1 : t -> int -> unit
+  val push2 : t -> int -> int -> unit
+  val push3 : t -> int -> int -> int -> unit
+  val push4 : t -> int -> int -> int -> int -> unit
+
+  val swap_remove : t -> int -> unit
+  (** [swap_remove r i]: delete row [i], moving the last row into it. *)
+
+  val clear : t -> unit
+  (** Drop every row, keeping the storage. *)
+
+  val mem2 : t -> int -> int -> bool
+  (** [mem2 r x y]: does some row start with [x], [y]?  A linear scan. *)
 end

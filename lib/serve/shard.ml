@@ -18,6 +18,7 @@
 
 open Tapestry
 module Events = Mailbox.Events
+module Rows = Mailbox.Rows
 
 let shard_count = 64
 let shard_of h = h mod shard_count
@@ -28,9 +29,6 @@ let shard_of h = h mod shard_count
 let b1_cap = 32
 let b2_cap = 16
 let import_budget = 12
-
-(* A bucket row is a digest row: key, server handle, epoch snapshot. *)
-let row = 3
 
 (* Wall seconds of a serve run by phase, read with the caller's clock
    around whole phases only, never per message.  [run] fills the engine
@@ -53,10 +51,8 @@ type t = {
   window : float;
   mutable barriers : int;  (* barriers executed so far *)
   ledger : ledger;
-  b1_cnt : int array;  (* digit buckets: digest rows grouped by the *)
-  b1_rows : int array;  (* first 1 (b1) / 2 (b2) digits of the row's *)
-  b2_cnt : int array;  (* object root guid; (key, srv, epoch) *)
-  b2_rows : int array;  (* triples, rebuilt at every barrier *)
+  b1 : Rows.t array;  (* digit buckets, rebuilt at every barrier: digest *)
+  b2 : Rows.t array;  (* rows by the first 1 (b1) / 2 (b2) root-guid digits *)
 }
 
 let create ~net ~guids ~roots ~ttl ~latency ~service ~mailbox_cap ~seed
@@ -94,10 +90,10 @@ let create ~net ~guids ~roots ~ttl ~latency ~service ~mailbox_cap ~seed
         churn = 0.;
         collect = 0.;
       };
-    b1_cnt = Array.make (if coop then base else 0) 0;
-    b1_rows = Array.make (if coop then base * b1_cap * row else 0) 0;
-    b2_cnt = Array.make (if coop then base * base else 0) 0;
-    b2_rows = Array.make (if coop then base * base * b2_cap * row else 0) 0;
+    b1 = Array.init (if coop then base else 0) (fun _ -> Rows.create ~width:3);
+    b2 =
+      Array.init (if coop then base * base else 0) (fun _ ->
+          Rows.create ~width:3);
   }
 
 (* The ONLY binding that touches [Domain]: everything transitively
@@ -156,13 +152,13 @@ let flush_outboxes t ~barrier =
 let apply_repairs t =
   let net = t.sh.Actor.net in
   for s = 0 to shard_count - 1 do
-    let ctx = t.ctxs.(s) in
-    for i = 0 to ctx.Actor.dirty_len - 1 do
-      let h = ctx.Actor.dirty_h.(i) in
+    let r = t.ctxs.(s).Actor.repairs in
+    for i = 0 to Rows.length r - 1 do
+      let h = Rows.get r i 0 in
       Bytes.set t.sh.Actor.dirty h '\000';
       ignore (Delete.repair_owner net (Network.node_of_handle net h) : int)
     done;
-    ctx.Actor.dirty_len <- 0
+    Rows.clear r
   done
 
 (* Apply the windows' buffered cache intents sequentially, in shard
@@ -172,29 +168,27 @@ let apply_repairs t =
 let apply_cache_intents t =
   let c = t.sh.Actor.cache in
   for s = 0 to shard_count - 1 do
-    let ctx = t.ctxs.(s) in
-    for i = 0 to ctx.Actor.ep_len - 1 do
-      Obj_cache.bump_epoch c ~key:ctx.Actor.ep_key.(i)
-        ~srv:ctx.Actor.ep_srv.(i)
+    let r = t.ctxs.(s).Actor.bumps in
+    for i = 0 to Rows.length r - 1 do
+      Obj_cache.bump_epoch c ~key:(Rows.get r i 0) ~srv:(Rows.get r i 1)
     done;
-    ctx.Actor.ep_len <- 0
+    Rows.clear r
   done;
   for s = 0 to shard_count - 1 do
-    let ctx = t.ctxs.(s) in
-    for i = 0 to ctx.Actor.ev_len - 1 do
-      Obj_cache.evict c ~h:ctx.Actor.ev_h.(i) ~key:ctx.Actor.ev_key.(i)
-        ~server:ctx.Actor.ev_srv.(i)
+    let r = t.ctxs.(s).Actor.evicts in
+    for i = 0 to Rows.length r - 1 do
+      Obj_cache.evict c ~h:(Rows.get r i 0) ~key:(Rows.get r i 1)
+        ~server:(Rows.get r i 2)
     done;
-    ctx.Actor.ev_len <- 0
+    Rows.clear r
   done;
   for s = 0 to shard_count - 1 do
-    let ctx = t.ctxs.(s) in
-    for i = 0 to ctx.Actor.fi_len - 1 do
-      Obj_cache.insert c ~h:ctx.Actor.fi_h.(i)
-        ~key:ctx.Actor.fi_key.(i) ~server:ctx.Actor.fi_srv.(i)
-        ~epoch:ctx.Actor.fi_epoch.(i)
+    let r = t.ctxs.(s).Actor.fills in
+    for i = 0 to Rows.length r - 1 do
+      Obj_cache.insert c ~h:(Rows.get r i 0) ~key:(Rows.get r i 1)
+        ~server:(Rows.get r i 2) ~epoch:(Rows.get r i 3)
     done;
-    ctx.Actor.fi_len <- 0
+    Rows.clear r
   done
 
 (* Cooperative hint exchange (DESIGN.md section 11), running after
@@ -217,42 +211,25 @@ let apply_cache_intents t =
    The digests and want rings then restart empty.  Every read and
    write is sequential in shard order, so the exchange is
    bit-identical for any [--domains]. *)
-let bucket_add (cnt : int array) (rows : int array) cap b ~key ~srv ~epoch =
-  let n = cnt.(b) in
-  let o0 = b * cap * row in
-  let rec dup j =
-    j < n
-    && ((rows.(o0 + (j * row)) = key && rows.(o0 + (j * row) + 1) = srv)
-       || dup (j + 1))
-  in
-  if n < cap && not (dup 0) then begin
-    let o = o0 + (n * row) in
-    rows.(o) <- key;
-    rows.(o + 1) <- srv;
-    rows.(o + 2) <- epoch;
-    cnt.(b) <- n + 1
-  end
+let bucket_add b cap ~key ~srv ~epoch =
+  if Rows.length b < cap && not (Rows.mem2 b key srv) then
+    Rows.push3 b key srv epoch
 
 (* Offer node [h] the rows of bucket [b] while [budget] lasts; returns
    the budget left. *)
-let offer_bucket c (tl : Simnet.Stats.Tally.t) ~h (cnt : int array)
-    (rows : int array) cap b budget =
-  let n = cnt.(b) in
-  let o0 = b * cap * row in
+let offer_bucket c (tl : Simnet.Stats.Tally.t) ~h b budget =
+  let n = Rows.length b in
   let rec go j budget misses =
     if j >= n || budget <= 0 || misses >= 4 then budget
-    else begin
-      let o = o0 + (j * row) in
-      if
-        Obj_cache.import_hint c ~h ~key:rows.(o) ~server:rows.(o + 1)
-          ~epoch:rows.(o + 2)
-      then begin
-        tl.hint_fills <- tl.hint_fills + 1;
-        tl.fills <- tl.fills + 1;
-        go (j + 1) (budget - 1) 0
-      end
-      else go (j + 1) budget (misses + 1)
+    else if
+      Obj_cache.import_hint c ~h ~key:(Rows.get b j 0)
+        ~server:(Rows.get b j 1) ~epoch:(Rows.get b j 2)
+    then begin
+      tl.hint_fills <- tl.hint_fills + 1;
+      tl.fills <- tl.fills + 1;
+      go (j + 1) (budget - 1) 0
     end
+    else go (j + 1) budget (misses + 1)
   in
   go 0 budget 0
 
@@ -261,46 +238,41 @@ let apply_hint_digest t =
     let sh = t.sh in
     let c = sh.Actor.cache in
     let base = sh.Actor.base in
-    Array.fill t.b1_cnt 0 (Array.length t.b1_cnt) 0;
-    Array.fill t.b2_cnt 0 (Array.length t.b2_cnt) 0;
+    Array.iter Rows.clear t.b1;
+    Array.iter Rows.clear t.b2;
     for s = 0 to shard_count - 1 do
-      let ctx = t.ctxs.(s) in
-      for j = 0 to ctx.Actor.hd_len - 1 do
-        let key = ctx.Actor.hd_key.(j)
-        and srv = ctx.Actor.hd_srv.(j)
-        and epoch = ctx.Actor.hd_epoch.(j) in
+      let d = t.ctxs.(s).Actor.digest in
+      for j = 0 to Rows.length d - 1 do
+        let key = Rows.get d j 0
+        and srv = Rows.get d j 1
+        and epoch = Rows.get d j 2 in
         if Obj_cache.epoch_of c ~key ~srv = epoch then
           for r = 0 to sh.Actor.roots - 1 do
             let g = sh.Actor.guids.((key * sh.Actor.roots) + r) in
             let d0 = Node_id.digit g 0 and d1 = Node_id.digit g 1 in
-            bucket_add t.b1_cnt t.b1_rows b1_cap d0 ~key ~srv ~epoch;
-            bucket_add t.b2_cnt t.b2_rows b2_cap
-              ((d0 * base) + d1)
-              ~key ~srv ~epoch
+            bucket_add t.b1.(d0) b1_cap ~key ~srv ~epoch;
+            bucket_add t.b2.((d0 * base) + d1) b2_cap ~key ~srv ~epoch
           done
       done;
-      ctx.Actor.hd_len <- 0
+      Rows.clear d
     done;
     for s = 0 to shard_count - 1 do
       let ctx = t.ctxs.(s) in
-      for w = 0 to ctx.Actor.wt_len - 1 do
-        let h = ctx.Actor.wt_h.(w) in
+      let wants = ctx.Actor.wants in
+      for w = 0 to Rows.length wants - 1 do
+        let h = Rows.get wants w 0 in
         let node = Network.node_of_handle sh.Actor.net h in
         if Node.is_alive node && Obj_cache.has_empty_way c ~h then begin
           let v0 = Node_id.digit node.Node.id 0
           and v1 = Node_id.digit node.Node.id 1 in
           let left =
-            offer_bucket c ctx.Actor.tally ~h t.b2_cnt t.b2_rows b2_cap
-              ((v0 * base) + v1)
+            offer_bucket c ctx.Actor.tally ~h t.b2.((v0 * base) + v1)
               import_budget
           in
-          ignore
-            (offer_bucket c ctx.Actor.tally ~h t.b1_cnt t.b1_rows b1_cap v0
-               left
-              : int)
+          ignore (offer_bucket c ctx.Actor.tally ~h t.b1.(v0) left : int)
         end
       done;
-      ctx.Actor.wt_len <- 0
+      Rows.clear wants
     done;
     sh.Actor.win.(0) <- sh.Actor.win.(0) + 1
   end

@@ -40,15 +40,14 @@ type t = {
   window : float;
   mutable barriers : int;  (** barriers executed so far *)
   ledger : ledger;  (** this run's wall phases *)
-  b1_cnt : int array;
+  b1 : Mailbox.Rows.t array;
       (** digit buckets (coop only, else empty): digest rows grouped by
-          the first one ([b1]) / two ([b2]) digits of their object's
-          root guid, as (key, srv, epoch) triples rebuilt at every
-          barrier — the walk geometry says those are the nodes a
-          future climb for that object funnels through *)
-  b1_rows : int array;
-  b2_cnt : int array;
-  b2_rows : int array;
+          the first one ([b1], one bucket per digit) / two ([b2], one
+          per digit pair) digits of their object's root guid, as
+          (key, srv, epoch) rows rebuilt at every barrier — the walk
+          geometry says those are the nodes a future climb for that
+          object funnels through *)
+  b2 : Mailbox.Rows.t array;
 }
 
 val create :

@@ -246,7 +246,7 @@ let test_dead_entries geometry () =
   done;
   Alcotest.(check bool) "walks met dead entries" true (!met > 0);
   Alcotest.(check bool) "the actor's hook queued their owners" true
-    (ctx.Actor.dirty_len > 0)
+    (Serve.Mailbox.Rows.length ctx.Actor.repairs > 0)
 
 (* ---- writes ---- *)
 

@@ -4,7 +4,12 @@
      weights at 1e5 draws;
    - mailbox semantics: bounded overflow, FIFO order through
      msg_index/advance across pool-slot reuse, kill returning its slots,
-     growth, memory independent of the bound;
+     busy exactly while a message is in service, growth, memory
+     independent of the bound;
+   - Rows logs: push order across growth, swap_remove, mem2, clear, no
+     allocation after warm-up;
+   - a delivery to an idle actor starts its drain itself, and a
+     zero-service run, whose drains run inside deliveries, is pinned;
    - the serve engine is bit-identical for every domain count (the
      fixed-64-shard argument, mirroring test_scale_build);
    - a churned run quiesces to an audit-clean mesh;
@@ -106,16 +111,25 @@ let test_mailbox_bounded_fifo () =
   (* handle 0 was never touched *)
   Alcotest.(check int) "other queue untouched" 0 (Mailbox.length mb 0)
 
+(* Busy means a message is in service: the kill sweeps the queue and
+   leaves the in-service slot to its service-done event, which releases
+   it and finds the queue empty. *)
 let test_mailbox_kill () =
   let mb = Mailbox.create ~cap:4 ~handles:3 in
+  ignore (push_req mb 2 5 : bool);
   ignore (push_req mb 2 7 : bool);
   ignore (push_req mb 2 9 : bool);
-  Mailbox.set_busy mb 2 true;
-  Alcotest.(check bool) "busy" true (Mailbox.is_busy mb 2);
+  Alcotest.(check bool) "idle with a queue" false (Mailbox.is_busy mb 2);
+  Alcotest.(check bool) "head taken" true (Mailbox.take mb 2);
+  Alcotest.(check bool) "busy in service" true (Mailbox.is_busy mb 2);
   let high_water = mb.Mailbox.used in
   Mailbox.kill mb 2;
   Alcotest.(check int) "queue cleared" 0 (Mailbox.length mb 2);
-  Alcotest.(check bool) "busy reset" false (Mailbox.is_busy mb 2);
+  Alcotest.(check int) "in-service message kept" 5
+    mb.Mailbox.r_req.(Mailbox.in_service mb 2);
+  Mailbox.release mb (Mailbox.in_service mb 2);
+  Alcotest.(check bool) "empty queue: nothing taken" false (Mailbox.take mb 2);
+  Alcotest.(check bool) "idle after service" false (Mailbox.is_busy mb 2);
   (* the pool reuses the slots the kill returned *)
   Alcotest.(check bool) "reuse accepted" true (push_req mb 2 8);
   Alcotest.(check bool) "reuse accepted" true (push_req mb 2 10);
@@ -129,23 +143,24 @@ let test_mailbox_growth () =
     ignore (push_req mb h1 2 : bool);
     ignore (push_req mb h1 3 : bool);
     ignore (push_req mb h2 4 : bool);
-    Mailbox.take mb h2;
+    ignore (Mailbox.take mb h2 : bool);
     let served = Mailbox.in_service mb h2 in
     Mailbox.kill mb h1;
     ignore (push_req mb h1 5 : bool);
-    Mailbox.set_busy mb h1 true;
     Mailbox.ensure mb ~handles:(50 * stride);
     Alcotest.(check bool) "grew" true (mb.Mailbox.cells >= 50);
     Alcotest.(check int) "queue kept (h0)" 1 (head_req mb h0);
     Alcotest.(check int) "queue kept (h1)" 5 (head_req mb h1);
     Alcotest.(check int) "length kept" 1 (Mailbox.length mb h1);
-    Alcotest.(check bool) "busy kept" true (Mailbox.is_busy mb h1);
+    Alcotest.(check bool) "busy kept" true (Mailbox.is_busy mb h2);
+    Alcotest.(check bool) "idle kept" false (Mailbox.is_busy mb h1);
     Alcotest.(check int) "in-service slot kept" served
       (Mailbox.in_service mb h2);
     Alcotest.(check int) "in-service message kept" 4
       mb.Mailbox.r_req.(Mailbox.in_service mb h2);
     let last = 49 * stride in
     Alcotest.(check int) "new queue empty" 0 (Mailbox.length mb last);
+    Alcotest.(check bool) "new actor idle" false (Mailbox.is_busy mb last);
     Alcotest.(check bool) "new queue usable" true (push_req mb last 6);
     Alcotest.(check int) "new queue head" 6 (head_req mb last)
   in
@@ -154,6 +169,88 @@ let test_mailbox_growth () =
   let mb = Mailbox.create_strided ~stride:4 ~cap:4 ~handles:12 in
   Alcotest.(check int) "one cell per owned handle" 3 mb.Mailbox.cells;
   check_growth mb ~stride:4
+
+(* ---- Rows: fixed-width int logs ---- *)
+
+module Rows = Mailbox.Rows
+
+let push_row r w x =
+  match w with
+  | 1 -> Rows.push1 r x
+  | 2 -> Rows.push2 r x (x + 1)
+  | 3 -> Rows.push3 r x (x + 1) (x + 2)
+  | _ -> Rows.push4 r x (x + 1) (x + 2) (x + 3)
+
+(* Row [i] of a [push_row] log is (10 i, 10 i + 1, ...). *)
+let check_rows what r w n =
+  Alcotest.(check int) (what ^ ": length") n (Rows.length r);
+  for i = 0 to n - 1 do
+    for k = 0 to w - 1 do
+      Alcotest.(check int)
+        (Printf.sprintf "%s: row %d col %d" what i k)
+        ((10 * i) + k) (Rows.get r i k)
+    done
+  done
+
+let test_rows_push_order () =
+  (* the first growth holds 16 rows, so 40 rows cross two doublings *)
+  for w = 1 to 4 do
+    let r = Rows.create ~width:w in
+    for i = 0 to 39 do
+      push_row r w (10 * i)
+    done;
+    check_rows (Printf.sprintf "width %d" w) r w 40
+  done
+
+let test_rows_swap_remove () =
+  let r = Rows.create ~width:3 in
+  for i = 0 to 4 do
+    push_row r 3 (10 * i)
+  done;
+  Rows.swap_remove r 1;
+  Alcotest.(check int) "one row fewer" 4 (Rows.length r);
+  Alcotest.(check (list int)) "last row moved into the gap" [ 40; 41; 42 ]
+    (List.init 3 (Rows.get r 1));
+  Alcotest.(check (list int)) "other rows kept" [ 0; 20; 30 ]
+    [ Rows.get r 0 0; Rows.get r 2 0; Rows.get r 3 0 ];
+  Rows.swap_remove r 3;
+  Alcotest.(check int) "removing the last row" 3 (Rows.length r);
+  Alcotest.(check int) "row before it kept" 20 (Rows.get r 2 0)
+
+let test_rows_mem2_clear () =
+  let r = Rows.create ~width:3 in
+  Alcotest.(check bool) "empty log holds nothing" false (Rows.mem2 r 0 1);
+  push_row r 3 10;
+  push_row r 3 20;
+  Alcotest.(check bool) "first two columns match" true (Rows.mem2 r 20 21);
+  Alcotest.(check bool) "second column differs" false (Rows.mem2 r 20 20);
+  Alcotest.(check bool) "third column not compared" false (Rows.mem2 r 21 22);
+  Rows.clear r;
+  Alcotest.(check int) "cleared" 0 (Rows.length r);
+  Alcotest.(check bool) "cleared rows are gone" false (Rows.mem2 r 10 11);
+  push_row r 3 0;
+  check_rows "pushed after clear" r 3 1;
+  Alcotest.check_raises "width 0 refused"
+    (Invalid_argument "Mailbox.Rows.create: width must be positive") (fun () ->
+      ignore (Rows.create ~width:0 : Rows.t))
+
+let test_rows_no_alloc () =
+  let logs = Array.init 4 (fun k -> Rows.create ~width:(k + 1)) in
+  let fill () =
+    Array.iteri
+      (fun k r ->
+        Rows.clear r;
+        for i = 0 to 99 do
+          push_row r (k + 1) (10 * i)
+        done)
+      logs
+  in
+  fill ();
+  let w0 = Gc.minor_words () in
+  fill ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "pushes after warm-up allocate nothing" 0. words;
+  Array.iteri (fun k r -> check_rows "refilled" r (k + 1) 100) logs
 
 (* Nothing in a mailbox is sized by [cap]: the pool holds only messages
    in flight or queued, so 4096 handles cost the same at any bound. *)
@@ -332,6 +429,8 @@ let test_serve_churn_growth () =
   (* queue a message at a few handles so the FIFOs carry contents *)
   let probes = [ 0; 7; needed / 2; needed - 1 ] in
   List.iter (fun h -> ignore (push_req (mb_of h) h (1000 + h) : bool)) probes;
+  (* and take one into service: after the run every actor is idle *)
+  ignore (Mailbox.take (mb_of 7) 7 : bool);
   let queue_state h =
     let mb = mb_of h in
     ( Mailbox.length mb h,
@@ -340,8 +439,9 @@ let test_serve_churn_growth () =
   in
   let handles = List.init needed Fun.id in
   let before = List.map queue_state handles in
-  Alcotest.(check bool) "some actor served a message" true
-    (List.exists (fun (_, _, s) -> s >= 0) before);
+  Alcotest.(check bool) "the probe is in service" true
+    (Mailbox.is_busy (mb_of 7) 7
+    && List.exists (fun (_, _, s) -> s >= 0) before);
   Array.iter
     (fun mb ->
       let prev = mb.Mailbox.cells in
@@ -1341,6 +1441,76 @@ let test_killed_node_dead_letters () =
     (sum_ctx t (fun ctx -> ctx.Serve.Actor.chain_lost));
   check_released "after the kill" t
 
+(* A delivery that finds its actor idle starts the drain itself: no
+   drain-start event is pushed, the message goes straight into service
+   and the heap holds only its service-done event.  Once that event has
+   run and the queue is empty, the actor is idle again. *)
+let test_delivery_starts_drain () =
+  let net = build_net 256 42 in
+  let roots = net.Network.config.Config.root_set_size in
+  let g = Network.fresh_id net in
+  let guids = Array.init roots (fun r -> Network.salted net g r) in
+  let h = (Network.random_alive net).Node.handle in
+  let t =
+    Serve.Shard.create ~net ~guids ~roots ~ttl:1e6 ~latency:1e-5
+      ~service:0.05 ~mailbox_cap:64 ~seed:1 ~window:0.02
+      ~cache:(Obj_cache.create ~ways:0 ~nodes:net.Network.arena_len)
+      ~coop:false
+  in
+  let ctx = t.Serve.Shard.ctxs.(Serve.Shard.shard_of h) in
+  let q = ctx.Serve.Actor.q in
+  let mb = q.Events.mb in
+  let tag = Serve.Actor.open_req ctx in
+  Serve.Actor.send ctx ~time:0.005 ~h ~kind:Serve.Actor.op_locate ~req:tag
+    ~oi:0 ~level:0 ~prev:(-1) ~src:h;
+  Alcotest.(check bool) "idle before the delivery" false (Mailbox.is_busy mb h);
+  Serve.Actor.run_until ctx 0.005;
+  Alcotest.(check int) "one event pending" 1 q.Events.tlen;
+  Alcotest.(check int) "pushed: the message and its service-done, nothing else"
+    2 q.Events.seq;
+  let ev = q.Events.tp.(0) in
+  Alcotest.(check int) "the event is the actor's" h mb.Mailbox.r_h.(ev);
+  Alcotest.(check bool) "a service-done event" true
+    (mb.Mailbox.r_kind.(ev) < 0
+    && mb.Mailbox.r_kind.(ev) <> Serve.Actor.ev_inject);
+  Alcotest.(check (float 0.)) "due at the end of service" (0.005 +. 0.05)
+    (Events.peek_time q);
+  Alcotest.(check int) "the message is in service" tag
+    mb.Mailbox.r_req.(Mailbox.in_service mb h);
+  Alcotest.(check bool) "busy" true (Mailbox.is_busy mb h);
+  Serve.Actor.run_until ctx (Events.peek_time q);
+  Alcotest.(check int) "queue empty" 0 (Mailbox.length mb h);
+  Alcotest.(check bool) "idle after its service" false (Mailbox.is_busy mb h);
+  Alcotest.(check int) "nothing in service" (-1) (Mailbox.in_service mb h)
+
+(* With zero service the whole drain runs inside the delivery: no
+   message ever waits in a mailbox, so even a one-message bound drops
+   nothing.  The signature of a churned, cached run with hints is
+   pinned at one and two domains. *)
+let test_zero_service_pinned () =
+  let params =
+    {
+      serve_params with
+      Driver.service = 0.;
+      mailbox_cap = 1;
+      kill_rate = 100.;
+      join_rate = 50.;
+      cache_size = 16;
+      coop = true;
+    }
+  in
+  List.iter
+    (fun domains ->
+      let _, r = run_serve ~params ~domains () in
+      Alcotest.(check bool) "churned" true
+        (r.Driver.kills > 0 && r.Driver.joins > 0 && r.Driver.dead_letter > 0);
+      Alcotest.(check int) "nothing dropped" 0 r.Driver.dropped;
+      Alcotest.(check string)
+        (Printf.sprintf "signature pinned (domains %d)" domains)
+        "a6053fa440babe51e61f96d6b1f7cb51"
+        (Digest.to_hex (Digest.string (Driver.signature r))))
+    [ 1; 2 ]
+
 (* ---- wall ledger ---- *)
 
 (* The ledger's phases tile the run.  [now] and [clock] share one
@@ -1400,6 +1570,16 @@ let () =
           Alcotest.test_case "mailbox memory independent of cap" `Quick
             test_mailbox_bytes_independent_of_cap;
         ] );
+      ( "rows",
+        [
+          Alcotest.test_case "push order kept across doublings, widths 1-4"
+            `Quick test_rows_push_order;
+          Alcotest.test_case "swap_remove moves the last row into the gap"
+            `Quick test_rows_swap_remove;
+          Alcotest.test_case "mem2 and clear" `Quick test_rows_mem2_clear;
+          Alcotest.test_case "pushes after warm-up allocate nothing" `Quick
+            test_rows_no_alloc;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "bit-identical for any domain count" `Quick
@@ -1423,6 +1603,10 @@ let () =
           Alcotest.test_case
             "a killed node's messages are dead letters at every stage" `Quick
             test_killed_node_dead_letters;
+          Alcotest.test_case "a delivery to an idle actor starts its drain at once"
+            `Quick test_delivery_starts_drain;
+          Alcotest.test_case "zero-service churned run pinned" `Quick
+            test_zero_service_pinned;
         ] );
       ( "cache",
         [
