@@ -337,7 +337,8 @@ let mailbox_bytes (t : Shard.t) =
 
 (* Resident-size estimates of the run's state, from the [approx_bytes]
    estimators.  [Network.memory_footprint] bills an attached object
-   cache to the pointer bucket; the engine's cache is split out here. *)
+   cache to the pointer bucket; the engine's cache is split out here.
+   The GUID table is one word per (object, root) plus its header. *)
 let memory_ledger r =
   let sh = r.engine.Shard.sh in
   let net = sh.Actor.net in
@@ -351,6 +352,7 @@ let memory_ledger r =
     ("mailbox", mailbox_bytes r.engine);
     ("requests", Actor.request_bytes sh);
     ("index", fp.Network.index_bytes);
+    ("guids", (Array.length sh.Actor.guids + 1) * 8);
     ( "rest",
       fp.Network.node_bytes + fp.Network.directory_bytes
       + fp.Network.metric_bytes + fp.Network.scratch_bytes );

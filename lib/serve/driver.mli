@@ -90,8 +90,8 @@ val memory_ledger : result -> (string * int) list
     pointer stores, object cache, mailbox (every shard's message pool,
     per-handle FIFO cells, event heap and outbox), requests (the slot
     pools of the requests in flight, and the per-handle repair and
-    want marks), id index and
-    the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
+    want marks), id index, the GUID table ([objects * roots] IDs, one
+    word each) and the rest of the network ({!Tapestry.Network.memory_footprint}'s node,
     directory, metric and scratch buckets).  Deterministic: a function of
     the run's counters and sizes, not of the machine. *)
 

@@ -111,8 +111,6 @@ let[@alloc_ok] ensure t ~handles =
     t.cells <- nh
   end
 
-let capacity t = t.cap
-
 let pool_capacity t = Array.length t.r_h
 
 (* Footprint accounting: eight pool columns and four per-handle int

@@ -60,7 +60,10 @@ type t = {
 
 val create : cap:int -> handles:int -> t
 (** One store for handles [0 .. handles-1] ([stride] 1), each FIFO
-    bounded at [cap] queued messages.
+    bounded at [cap] queued messages.  [create], {!push}, {!msg_index}
+    and {!advance} are the probe API of the benchmark's mailbox
+    microbench ([perfbench/src/probe.ml]); the engine builds
+    {!create_strided} stores.
     @raise Invalid_argument if [cap <= 0]. *)
 
 val create_strided : stride:int -> cap:int -> handles:int -> t
@@ -74,9 +77,6 @@ val ensure : t -> handles:int -> unit
     (geometric, so amortized O(1) per handle).  Queues and in-service
     slots are kept.  Barrier only: never call while
     shard windows are running. *)
-
-val capacity : t -> int
-(** [cap]. *)
 
 val pool_capacity : t -> int
 (** Slots the pool columns currently hold (doubling growth). *)

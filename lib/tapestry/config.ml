@@ -37,6 +37,15 @@ let validate t =
   if t.base < 2 || not (is_power_of_two t.base) then
     Error "base must be a power of two >= 2"
   else if t.id_digits < 1 then Error "id_digits must be >= 1"
+  else if bits_of_base t.base > Node_id.field_bits t.id_digits then
+    (* an ID is one int: 56 bits shared by the digits, at most 5 each *)
+    Error
+      (Printf.sprintf
+         "base %d x %d digits does not fit one word: %d digits leave %d bits \
+          per digit (at most 5, and 56 in all), base %d needs %d"
+         t.base t.id_digits t.id_digits
+         (Node_id.field_bits t.id_digits)
+         t.base (bits_of_base t.base))
   else if t.redundancy < 1 then Error "redundancy must be >= 1"
   else if t.k_list < 1 then Error "k_list must be >= 1"
   else if t.root_set_size < 1 || t.root_set_size > Pointer_store.max_root_idx

@@ -38,6 +38,8 @@ val normalize : t -> t
 (** Recompute the derived [digit_bits] field from [base]. *)
 
 val validate : t -> (unit, string) result
+(** Rejects, among others, ID shapes that do not fit one word: [log2 base]
+    must not exceed {!Node_id.field_bits} [id_digits]. *)
 
 val table_capacity : ?floor:int -> t -> int
 (** Initial-capacity hint for population-keyed hashtables: [expected_nodes]

@@ -426,13 +426,12 @@ let tbl_bytes ~len ~binding_words =
 (* [@alloc_ok]: accounting, once per report. *)
 let[@alloc_ok] memory_footprint t =
   let cfg = t.config in
-  let id_words = 3 + cfg.Config.id_digits + 1 in
   let node_bytes = ref 0 and table_bytes = ref 0 and pointer_bytes = ref 0 in
   iter_registered t (fun (n : Node.t) ->
       let replicas = Node_id.Tbl.length n.replicas in
       node_bytes :=
         !node_bytes
-        + ((9 + id_words) * word)
+        + (9 * word)
         + tbl_bytes ~len:replicas ~binding_words:0;
       table_bytes := !table_bytes + Routing_table.approx_bytes n.table;
       pointer_bytes := !pointer_bytes + Pointer_store.approx_bytes n.pointers);
@@ -448,7 +447,7 @@ let[@alloc_ok] memory_footprint t =
     + ((Array.length t.names.ids + 1) * word)
     + ((Array.length t.alive_arr + 1) * word)
     + tbl_bytes ~len:(Node_id.Tbl.length t.salts)
-        ~binding_words:(1 + max 0 (cfg.Config.root_set_size - 1) * (1 + id_words))
+        ~binding_words:(1 + max 0 (cfg.Config.root_set_size - 1))
   in
   let index_bytes = Id_index.approx_bytes t.core_index in
   let metric_bytes = Simnet.Metric.approx_bytes t.metric in

@@ -37,8 +37,8 @@ type t = {
   mutable alive_len : int;  (** number of live entries in [alive_arr] *)
   alive_slot : int Node_id.Tbl.t;  (** node id -> its slot in [alive_arr] *)
   salts : Node_id.t array Node_id.Tbl.t;
-      (** memo for {!salted}: [Node_id.salt] allocates a fresh RNG and
-          digit array per call, so the redundant-roots publish/locate path
+      (** memo for {!salted}: [Node_id.salt] allocates a fresh RNG per
+          call, so the redundant-roots publish/locate path
           caches, per identifier, the row psi_1 .. psi_(R-1) *)
   scratch : Scratch.t;
       (** reusable generation-stamped buffers for the insertion hot path
@@ -178,12 +178,12 @@ val true_nearest_neighbor : t -> Node.t -> Node.t option
 (** {2 Resident-size accounting}
 
     Arithmetic estimates of heap residency by subsystem (word = 8 bytes;
-    shared [Node_id.t] values are counted once, with the node that owns
-    them).  Not GC truth — a budget gauge for the scale tier and the audit
+    a [Node_id.t] is one immediate word, billed in the field or cell
+    that holds it).  Not GC truth — a budget gauge for the scale tier and the audit
     footprint check; see DESIGN.md §8.8 for the model. *)
 
 type footprint = {
-  node_bytes : int;  (** node records, ids, replica sets *)
+  node_bytes : int;  (** node records and replica sets *)
   table_bytes : int;  (** packed routing tables + backpointer tables *)
   pointer_bytes : int;  (** per-node pointer stores *)
   directory_bytes : int;

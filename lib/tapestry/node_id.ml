@@ -1,24 +1,64 @@
-type t = { d : int array; h : int }
+(* One immediate int per ID.  Bits 0-5 hold the length [len]; the digits
+   sit above it, most significant digit highest, each in a field of
+   [widths.(len) = min 5 (56 / len)] bits.  Digit [i] therefore starts at
+   bit [6 + w * (len - 1 - i)], IDs of one length order as ints, and the
+   whole ID fits in 62 bits, so it is never negative. *)
+type t = int
 
 (* Digits use the 0-9 then a-v alphabet, covering radices up to 32. *)
 let alphabet = "0123456789abcdefghijklmnopqrstuv"
 
-let rec hash_from (d : int array) i acc =
-  if i >= Array.length d then acc land max_int
-  else hash_from d (i + 1) ((acc * 131) + d.(i) + 1)
+let len_bits = 6
+let len_mask = (1 lsl len_bits) - 1
+let max_len = 56
 
-let compute_hash d = hash_from d 0 5381
+(* Field width per length, a table so that [digit] and [hash] never
+   divide.  Length 0 has no field; its entry only keeps reads uniform. *)
+let widths =
+  Array.init (max_len + 1) (fun len -> if len = 0 then 5 else min 5 (max_len / len))
 
-(* [@alloc_ok] on the constructors and conversions below: an ID is a
-   value, so building, parsing or printing one allocates it.  The
-   comparisons and prefix scans further down allocate nothing. *)
-let[@alloc_ok] make d = { d; h = compute_hash d }
+let field_bits len = if len < 0 || len > max_len then 0 else widths.(len)
+
+let length t = t land len_mask
+
+(* The width of an ID of [len] digits, rejecting lengths that leave no
+   field. *)
+let width_of_len len =
+  let w = field_bits len in
+  if w = 0 then invalid_arg "Node_id: more than 56 digits do not fit one word";
+  w
+
+(* [acc] with digit [x] appended below its digits. *)
+let push ~w acc x =
+  if x lsr w <> 0 then
+    invalid_arg "Node_id: digit wider than its field (see Node_id.field_bits)";
+  (acc lsl w) lor x
+
+let finish acc len = (acc lsl len_bits) lor len
+
+let digit t i =
+  let len = length t in
+  if i < 0 || i >= len then invalid_arg "Node_id.digit: index out of bounds";
+  let w = widths.(len) in
+  (t lsr (len_bits + (w * (len - 1 - i)))) land ((1 lsl w) - 1)
+
+(* [@alloc_ok] on the constructors and conversions below: building an
+   array, a string or a salt's generator allocates.  The comparisons and
+   prefix scans further down allocate nothing. *)
+let[@alloc_ok] make d =
+  let len = Array.length d in
+  let w = width_of_len len in
+  finish (Array.fold_left (push ~w) 0 d) len
 
 let[@alloc_ok] random ~base ~len rng =
-  make (Array.init len (fun _ -> Simnet.Rng.int rng base))
+  let w = width_of_len len in
+  let acc = ref 0 in
+  for _ = 1 to len do
+    acc := push ~w !acc (Simnet.Rng.int rng base)
+  done;
+  finish !acc len
 
-let[@alloc_ok] to_string t =
-  String.init (Array.length t.d) (fun i -> alphabet.[t.d.(i)])
+let[@alloc_ok] to_string t = String.init (length t) (fun i -> alphabet.[digit t i])
 
 let[@alloc_ok] of_string ~base s =
   let parse c =
@@ -27,80 +67,93 @@ let[@alloc_ok] of_string ~base s =
     | Some v when v < base -> v
     | _ -> invalid_arg (Printf.sprintf "Node_id.of_string: bad digit %c" c)
   in
-  make (Array.init (String.length s) (fun i -> parse s.[i]))
+  let len = String.length s in
+  let w = width_of_len len in
+  finish (String.fold_left (fun acc c -> push ~w acc (parse c)) 0 s) len
 
-let length t = Array.length t.d
+let[@alloc_ok] digits t = Array.init (length t) (digit t)
 
-let digit t i = t.d.(i)
-
-let digits t = Array.copy t.d
+let equal = Int.equal
 
 (* The digit scans below are top-level recursions taking every operand as
-   an argument: a local [go] closing over the two arrays would allocate a
-   closure on every call, and these run several times per candidate in
-   every join. *)
-let rec digits_equal_from (a : int array) (b : int array) i =
-  i < 0 || (a.(i) = b.(i) && digits_equal_from a b (i - 1))
-
-let equal a b =
-  a.h = b.h
-  && Array.length a.d = Array.length b.d
-  && digits_equal_from a.d b.d (Array.length a.d - 1)
-
-let rec compare_from (a : int array) (b : int array) ~n ~la ~lb i =
+   an argument: a local [go] would allocate a closure on every call. *)
+let rec compare_from a b ~n ~la ~lb i =
   if i = n then Int.compare la lb
   else
-    match Int.compare a.(i) b.(i) with
+    match Int.compare (digit a i) (digit b i) with
     | 0 -> compare_from a b ~n ~la ~lb (i + 1)
     | c -> c
 
-(* Digit-by-digit, most significant first; shorter IDs order before their
-   extensions (same order Stdlib.compare gave on the digit arrays, but
-   explicit so no polymorphic comparison touches protocol values). *)
+(* Digit by digit, most significant first; shorter IDs order before
+   their extensions.  At equal lengths that is the order of the ints. *)
 let compare a b =
-  let la = Array.length a.d and lb = Array.length b.d in
-  compare_from a.d b.d ~n:(Int.min la lb) ~la ~lb 0
+  let la = length a and lb = length b in
+  if la = lb then Int.compare a b
+  else compare_from a b ~n:(Int.min la lb) ~la ~lb 0
 
-let hash t = t.h
+let rec hash_from t ~w ~m shift acc =
+  if shift < len_bits then acc land max_int
+  else hash_from t ~w ~m (shift - w) ((acc * 131) + ((t lsr shift) land m) + 1)
 
-let rec prefix_len_from (a : int array) (b : int array) ~n i =
-  if i < n && a.(i) = b.(i) then prefix_len_from a b ~n (i + 1) else i
+(* The polynomial the digit-array representation cached: 5381, then
+   [acc * 131 + digit + 1] per digit, most significant first.  Every
+   [Tbl] keeps the bucket and iteration order it had with that hash. *)
+let hash t =
+  let len = length t in
+  let w = widths.(len) in
+  hash_from t ~w ~m:((1 lsl w) - 1) (len_bits + (w * (len - 1))) 5381
+
+(* The first field of [x] from the top that is non-zero, or [len]. *)
+let rec first_nonzero x ~w ~len shift i =
+  if i = len || x lsr shift <> 0 then i
+  else first_nonzero x ~w ~len (shift - w) (i + 1)
+
+let rec prefix_len_from a b ~n i =
+  if i < n && digit a i = digit b i then prefix_len_from a b ~n (i + 1) else i
 
 let common_prefix_len a b =
-  prefix_len_from a.d b.d ~n:(Int.min (Array.length a.d) (Array.length b.d)) 0
+  let la = length a and lb = length b in
+  if la = lb then begin
+    let w = widths.(la) in
+    first_nonzero (a lxor b) ~w ~len:la (len_bits + (w * (la - 1))) 0
+  end
+  else prefix_len_from a b ~n:(Int.min la lb) 0
 
-let rec has_prefix_from (d : int array) (prefix : int array) ~len i =
-  i >= len || (d.(i) = prefix.(i) && has_prefix_from d prefix ~len (i + 1))
+let rec has_prefix_from t (prefix : int array) ~len i =
+  i >= len || (digit t i = prefix.(i) && has_prefix_from t prefix ~len (i + 1))
 
-let has_prefix t ~prefix ~len =
-  Array.length t.d >= len && has_prefix_from t.d prefix ~len 0
+let has_prefix t ~prefix ~len = length t >= len && has_prefix_from t prefix ~len 0
 
-let prefix t n = Array.sub t.d 0 n
+let[@alloc_ok] prefix t n = Array.init n (digit t)
 
 let[@alloc_ok] salt ~base t i =
   if i = 0 then t
   else begin
     (* Derive psi_i by mixing the salt index through a splitmix stream seeded
        from the digits; deterministic wherever it is evaluated (Property 3). *)
-    let seed = Array.fold_left (fun acc x -> (acc * 8191) + x + i) (i * 7919) t.d in
-    let rng = Simnet.Rng.create seed in
-    make (Array.init (Array.length t.d) (fun _ -> Simnet.Rng.int rng base))
+    let len = length t in
+    let seed = ref (i * 7919) in
+    for k = 0 to len - 1 do
+      seed := (!seed * 8191) + digit t k + i
+    done;
+    random ~base ~len (Simnet.Rng.create !seed)
   end
 
 let[@alloc_ok] to_int ~base t =
   (* Read digits most-significant first. *)
-  Array.fold_left (fun acc x -> (acc * base) + x) 0 t.d
+  let acc = ref 0 in
+  for k = 0 to length t - 1 do
+    acc := (!acc * base) + digit t k
+  done;
+  !acc
 
 let[@alloc_ok] of_int ~base ~len v =
-  let d = Array.make len 0 in
-  let rec go i v =
-    if i >= 0 then begin
-      d.(i) <- v mod base;
-      go (i - 1) (v / base)
-    end
+  let w = width_of_len len in
+  let rec go i v acc =
+    if i < 0 then acc
+    else go (i - 1) (v / base) (acc lor (push ~w 0 (v mod base) lsl (w * (len - 1 - i))))
   in
-  go (len - 1) v;
-  make d
+  finish (go (len - 1) v 0) len
 
 module Key = struct
   type nonrec t = t

@@ -2,8 +2,9 @@
    indices [0 .. len-1] of four parallel columns; removal is swap-remove
    (the last record moves into the hole).  Records of the same GUID are
    chained newest-first through [next] (-1 ends a chain).  No hash column:
-   a [Node_id.t] caches its own hash, and [Node_id.equal] compares it
-   first.  [heads] is an open-addressed GUID index (linear probing from [hash land mask], load at most 1/2,
+   a [Node_id.t] is one immediate int, so the GUID column is an int
+   column, [Node_id.equal] is one int compare and [Node_id.hash] reads
+   the digits out of the word.  [heads] is an open-addressed GUID index (linear probing from [hash land mask], load at most 1/2,
    backward-shift deletion): each occupied slot holds the index of its
    GUID's chain head, -1 marks an empty slot.  The GUID of a slot is that
    of its head record, so the index stores one int per slot and no keys.
@@ -56,8 +57,8 @@ let server c i = c.packed.(i) land server_mask
 let root_idx c i = c.packed.(i) lsr root_shift
 let previous c i = previous_of c.packed.(i)
 
-(* Fills the GUID column past [len] so removed records do not keep their
-   GUIDs alive. *)
+(* Fills the GUID column past [len].  An ID keeps nothing alive, so a
+   removed record's cell is left as it is. *)
 let no_guid = Node_id.make [||]
 
 (* [@alloc_ok]: the shared [empty], then once per node, on its first
@@ -175,7 +176,6 @@ let swap_remove c i =
     if head = last then c.heads.(s) <- i
     else c.next.(chain_pred c.next last head) <- i
   end;
-  c.guid.(last) <- no_guid;
   c.next.(last) <- -1;
   c.len <- last
 

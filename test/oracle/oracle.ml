@@ -8,6 +8,8 @@
    - [Insert.insert]: the Figure 7 pipeline on the two engines above plus
      the directory-based preliminary-table copy.
    - [Routing_table]: list-based slots.
+   - [Node_id_ref]: the digit-array identifiers (node_id_ref.ml), the
+     reference for the one-word [Node_id] in test_ids.
 
    Observable behavior — reached sets and order, tree edges, watch hits,
    insertion reports, final tables, total cost — is identical to the
@@ -20,6 +22,7 @@
    it read the packed tables of the mesh they walk. *)
 
 open Tapestry
+module Node_id_ref = Node_id_ref
 
 module Multicast = struct
   let run ?on_watch_hit ?watchlist net ~start ~prefix ~len ~apply :

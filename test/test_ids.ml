@@ -57,6 +57,120 @@ let test_id_collections () =
   Node_id.Tbl.replace tbl (id_of "aa") 2;
   Alcotest.(check int) "hashtbl dedupes equal ids" 1 (Node_id.Tbl.length tbl)
 
+(* --- Node_id against the digit-array reference --- *)
+
+module Ref = Oracle.Node_id_ref
+
+(* Bits a digit of radix [base] needs. *)
+let bits_for base =
+  let rec go b = if 1 lsl b >= base then b else go (b + 1) in
+  go 1
+
+(* The longest ID whose digit fields hold radix [base]. *)
+let max_len_for base =
+  let rec go l =
+    if l < 56 && Node_id.field_bits (l + 1) >= bits_for base then go (l + 1)
+    else l
+  in
+  go 0
+
+(* A radix in 2..32, then two digit strings that fit one word: [b] shares
+   a random prefix of [a] and usually has its length. *)
+let shape_gen =
+  QCheck.Gen.(
+    int_range 2 32 >>= fun base ->
+    let top = max_len_for base in
+    int_range 0 top >>= fun la ->
+    frequency [ (3, return la); (1, int_range 0 top) ] >>= fun lb ->
+    array_repeat la (int_bound (base - 1)) >>= fun a ->
+    array_repeat lb (int_bound (base - 1)) >>= fun b ->
+    int_range 0 (min la lb) >>= fun shared ->
+    Array.blit a 0 b 0 shared;
+    return (base, a, b))
+
+let print_shape (base, a, b) =
+  let ds d = String.concat "," (Array.to_list (Array.map string_of_int d)) in
+  Printf.sprintf "base %d a=[%s] b=[%s]" base (ds a) (ds b)
+
+let sign c = Int.compare c 0
+
+(* One ID of digits [d] on both sides: every observer agrees. *)
+let agree_one ~base d =
+  let t = Node_id.make d and r = Ref.make d in
+  let len = Array.length d in
+  let fail what = QCheck.Test.fail_reportf "%s differs" what in
+  if Node_id.length t <> len then fail "length";
+  Array.iteri (fun i x -> if Node_id.digit t i <> x then fail "digit") d;
+  if Node_id.digits t <> d then fail "digits";
+  if Node_id.hash t <> Ref.hash r then fail "hash";
+  for n = 0 to len do
+    if Node_id.prefix t n <> Ref.prefix r n then fail "prefix"
+  done;
+  let s = Node_id.to_string t in
+  if not (String.equal s (Ref.to_string r)) then fail "to_string";
+  if not (Node_id.equal (Node_id.of_string ~base s) t) then fail "of_string";
+  let v = Node_id.to_int ~base t in
+  if v <> Ref.to_int ~base r then fail "to_int";
+  if not (Node_id.equal (Node_id.of_int ~base ~len v) t) then fail "of_int";
+  for i = 0 to 3 do
+    if Node_id.digits (Node_id.salt ~base t i) <> Ref.digits (Ref.salt ~base r i)
+    then fail "salt"
+  done;
+  t
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"node_id matches the digit-array reference"
+    (QCheck.make ~print:print_shape shape_gen) (fun (base, a, b) ->
+      let ta = agree_one ~base a and tb = agree_one ~base b in
+      let ra = Ref.make a and rb = Ref.make b in
+      let fail what = QCheck.Test.fail_reportf "%s differs" what in
+      if Node_id.equal ta tb <> Ref.equal ra rb then fail "equal";
+      if sign (Node_id.compare ta tb) <> sign (Ref.compare ra rb) then
+        fail "compare";
+      if Node_id.common_prefix_len ta tb <> Ref.common_prefix_len ra rb then
+        fail "common_prefix_len";
+      for len = 0 to Array.length b do
+        if Node_id.has_prefix ta ~prefix:b ~len <> Ref.has_prefix ra ~prefix:b ~len
+        then fail "has_prefix"
+      done;
+      true)
+
+(* The digit polynomial, fixed: every Tbl's iteration order follows it. *)
+let test_id_hash_pinned () =
+  let pin s base v =
+    Alcotest.(check int) s v (Node_id.hash (Node_id.of_string ~base s))
+  in
+  pin "00000000" 16 915604160967704565;
+  pin "abc12345" 16 922280843484223693;
+  pin "vvvvvvvvvvv" 32 4184709567841268231
+
+let test_id_primitives_no_alloc () =
+  let ids = Array.init 64 (fun _ -> Node_id.random ~base:16 ~len:8 rng) in
+  let acc = ref 0 in
+  let sweep () =
+    for i = 0 to Array.length ids - 1 do
+      let a = ids.(i) and b = ids.((i * 7) land 63) in
+      acc :=
+        !acc + Node_id.digit a (i land 7) + Node_id.hash a
+        + Node_id.compare a b
+        + Node_id.common_prefix_len a b
+        + if Node_id.equal a b then 1 else 0
+    done
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "digit/equal/compare/hash/cpl allocate nothing"
+    0. words;
+  ignore (Sys.opaque_identity !acc)
+
+(* An ID is one immediate word: an array of them is its own block only. *)
+let test_id_one_word () =
+  let ids = Array.init 1000 (fun _ -> Node_id.random ~base:16 ~len:8 rng) in
+  Alcotest.(check int) "1000 GUIDs: header + 1000 words" 1001
+    (Obj.reachable_words (Obj.repr ids))
+
 (* --- Config --- *)
 
 let test_config_validate () =
@@ -64,7 +178,15 @@ let test_config_validate () =
   let bad = { Config.default with Config.base = 10 } in
   Alcotest.(check bool) "non-power-of-two rejected" true (Config.validate bad <> Ok ());
   let bad2 = { Config.default with Config.redundancy = 0 } in
-  Alcotest.(check bool) "zero redundancy rejected" true (Config.validate bad2 <> Ok ())
+  Alcotest.(check bool) "zero redundancy rejected" true (Config.validate bad2 <> Ok ());
+  let shape base id_digits = Config.validate { Config.default with Config.base; id_digits } in
+  Alcotest.(check (result unit string)) "base 16 x 15 does not fit one word"
+    (Error
+       "base 16 x 15 digits does not fit one word: 15 digits leave 3 bits per \
+        digit (at most 5, and 56 in all), base 16 needs 4")
+    (shape 16 15);
+  Alcotest.(check (result unit string)) "base 4 x 16 fits" (Ok ()) (shape 4 16);
+  Alcotest.(check (result unit string)) "base 32 x 6 fits" (Ok ()) (shape 32 6)
 
 let test_config_scaled_k () =
   let cfg = { Config.default with Config.k_list = 4 } in
@@ -532,6 +654,11 @@ let () =
           Alcotest.test_case "salt" `Quick test_id_salt;
           Alcotest.test_case "int roundtrip" `Quick test_id_int_roundtrip;
           Alcotest.test_case "collections" `Quick test_id_collections;
+          Alcotest.test_case "hash pinned" `Quick test_id_hash_pinned;
+          Alcotest.test_case "primitives allocate nothing" `Quick
+            test_id_primitives_no_alloc;
+          Alcotest.test_case "one word per ID" `Quick test_id_one_word;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "config",
         [
