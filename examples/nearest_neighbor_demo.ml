@@ -44,7 +44,7 @@ let () =
       incr total;
       match
         ( Nearest_neighbor.nearest_neighbor net ~from:node,
-          Network.true_nearest_neighbor net node )
+          Verify.true_nearest_neighbor net node )
       with
       | Some got, Some want ->
           if Node_id.equal got.Node.id want.Node.id then incr correct

@@ -69,6 +69,6 @@ let () =
 
   (* 6. Everything above holds by construction, not luck: check the paper's
      invariants over the final state. *)
-  assert (match Network.check_property1 net with [] -> true | _ :: _ -> false);
+  assert (match Verify.check_property1 net with [] -> true | _ :: _ -> false);
   assert (match Verify.check_property4 net with [] -> true | _ :: _ -> false);
   print_endline "invariants hold: Property 1 (consistency), Property 4 (pointer paths)"

@@ -366,6 +366,7 @@ let nn_k ?(seed = 42) mode =
       ~columns:
         [ "k"; "NN found"; "all levels exact"; "level lists exact"; "contacts/query" ]
   in
+  let core = Verify.core net in
   List.iter
     (fun k ->
       let nn_ok = ref 0 and all_exact = ref 0 in
@@ -378,7 +379,7 @@ let nn_k ?(seed = 42) mode =
         (* alpha = longest existing prefix: take it from the oracle *)
         let surrogate =
           Network.without_charging net (fun () ->
-              Network.surrogate_oracle net probe.Node.id)
+              Verify.surrogate_oracle net core probe.Node.id)
         in
         let max_level =
           Node_id.common_prefix_len probe.Node.id surrogate.Node.id
@@ -404,7 +405,7 @@ let nn_k ?(seed = 42) mode =
               current := next
             done);
         if !exact_here then incr all_exact;
-        (match (!current, Network.true_nearest_neighbor net probe) with
+        (match (!current, Verify.true_nearest_neighbor net probe) with
         | best :: _, Some truth when Node_id.equal best.Node.id truth.Node.id ->
             incr nn_ok
         | _ -> ())
@@ -447,7 +448,7 @@ let nn_k ?(seed = 42) mode =
         let probe = report.Insert.node in
         (match
            ( Nearest_neighbor.nearest_neighbor net2 ~from:probe,
-             Network.true_nearest_neighbor net2 probe )
+             Verify.true_nearest_neighbor net2 probe )
          with
         | Some a, Some b when Node_id.equal a.Node.id b.Node.id -> incr ok
         | _ -> ());
@@ -563,6 +564,7 @@ let surrogate ?(seed = 42) mode =
         [ "variant"; "unique root"; "matches oracle"; "mean surrogate hops";
           "p99 surrogate hops" ]
   in
+  let core = Verify.core net in
   List.iter
     (fun (name, variant) ->
       let unique = ref 0 and oracle_ok = ref 0 and hops = ref [] in
@@ -584,7 +586,7 @@ let surrogate ?(seed = 42) mode =
           incr unique;
           if
             Route.equal_variant variant Route.Native
-            && Node_id.equal first (Network.surrogate_oracle net guid).Node.id
+            && Node_id.equal first (Verify.surrogate_oracle net core guid).Node.id
           then incr oracle_ok
         end
       done;
@@ -734,7 +736,7 @@ let concurrent_insert ?(seed = 42) mode =
       Insert.push_staged events net ~addr ~delays:(jitter0, jitter1, jitter2)
     done;
     Simnet.Heap.drain events;
-    let v1 = Network.check_property1 net in
+    let v1 = Verify.check_property1 net in
     let guid =
       Node_id.random ~base:Config.default.Config.base
         ~len:Config.default.Config.id_digits net.Network.rng
@@ -953,9 +955,9 @@ let table_quality ?(seed = 42) ?(domains = 1) mode =
       let metric = Topology.generate Uniform_square ~n ~rng in
       let addrs = List.init n (fun i -> i) in
       let net, _ = Insert.build_incremental ~seed:(seed + 3) Config.default metric ~addrs in
-      let v1 = List.length (Network.check_property1 net) in
+      let v1 = List.length (Verify.check_property1 net) in
       let total = ref 0 and optimal = ref 0 in
-      Network.check_property2 net ~total ~optimal;
+      Verify.check_property2 net ~total ~optimal;
       (* mirror-id oracle network *)
       let oracle = Network.create ~seed:(seed + 3) Config.default metric in
       List.iter
@@ -972,7 +974,7 @@ let table_quality ?(seed = 42) ?(domains = 1) mode =
           incr nn_tot;
           match
             ( Nearest_neighbor.nearest_neighbor net ~from:nd,
-              Network.true_nearest_neighbor net nd )
+              Verify.true_nearest_neighbor net nd )
           with
           | Some a, Some b when Node_id.equal a.Node.id b.Node.id -> incr nn_ok
           | _ -> ())
@@ -1007,7 +1009,7 @@ let delete ?(seed = 42) mode =
       ~columns:[ "phase"; "nodes"; "P1 violations"; "P4 gaps"; "availability" ]
   in
   let snapshot phase =
-    let v1 = List.length (Network.check_property1 net) in
+    let v1 = List.length (Verify.check_property1 net) in
     let p4 = List.length (Verify.check_property4 net) in
     let avail = Verify.availability net ~guids ~samples:(pick mode ~quick:150 ~full:400) in
     Stats.Table.add_row t
@@ -1080,7 +1082,7 @@ let nn_vs_kr ?(seed = 42) mode =
     let probe = report.Insert.node in
     (match
        ( Nearest_neighbor.nearest_neighbor net ~from:probe,
-         Network.true_nearest_neighbor net probe )
+         Verify.true_nearest_neighbor net probe )
      with
     | Some a, Some b when Node_id.equal a.Node.id b.Node.id -> incr ok
     | _ -> ());
@@ -1105,11 +1107,12 @@ let nn_vs_kr ?(seed = 42) mode =
   let k = Config.scaled_k cfg ~n in
   let alive = Network.alive_nodes net in
   let ok = ref 0 and msgs = ref 0 and distd = ref 0. in
+  let core = Verify.core net in
   for q = 0 to queries - 1 do
     let probe = Node.create cfg ~id:(Network.fresh_id net) ~addr:(n + q) in
     let surrogate =
       Network.without_charging net (fun () ->
-          Network.surrogate_oracle net probe.Node.id)
+          Verify.surrogate_oracle net core probe.Node.id)
     in
     let max_level = Node_id.common_prefix_len probe.Node.id surrogate.Node.id in
     let seed_list =
@@ -1129,7 +1132,7 @@ let nn_vs_kr ?(seed = 42) mode =
               Nearest_neighbor.get_next_list ~update_tables:false net
                 ~new_node:probe ~level !current ~k
           done;
-          match (!current, Network.true_nearest_neighbor net probe) with
+          match (!current, Verify.true_nearest_neighbor net probe) with
           | best :: _, Some truth when Node_id.equal best.Node.id truth.Node.id ->
               incr ok
           | _ -> ())
@@ -1191,7 +1194,7 @@ let continual_optimization ?(seed = 42) mode =
   in
   let p2 () =
     let total = ref 0 and optimal = ref 0 in
-    Network.check_property2 net ~total ~optimal;
+    Verify.check_property2 net ~total ~optimal;
     float_of_int !optimal /. float_of_int (max 1 !total)
   in
   let t =
@@ -1394,7 +1397,7 @@ let async_recovery ?(seed = 42) mode =
            kill_at n)
       ~columns:[ "virtual time"; "availability"; "P1 violations at end" ]
   in
-  let v1_end = string_of_int (List.length (Network.check_property1 net)) in
+  let v1_end = string_of_int (List.length (Verify.check_property1 net)) in
   for b = 0 to buckets - 1 do
     Stats.Table.add_row t
       [ Printf.sprintf "[%.0f, %.0f)" (float_of_int b *. bucket_len)

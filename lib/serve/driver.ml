@@ -351,7 +351,6 @@ let memory_ledger r =
     ("cache", cache);
     ("mailbox", mailbox_bytes r.engine);
     ("requests", Actor.request_bytes sh);
-    ("index", fp.Network.index_bytes);
     ("guids", (Array.length sh.Actor.guids + 1) * 8);
     ( "rest",
       fp.Network.node_bytes + fp.Network.directory_bytes

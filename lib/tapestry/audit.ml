@@ -164,7 +164,7 @@ let contains_id entries target =
 (* Space sanity: the paper's Table 1 space bound is O(log² n) pointers per
    node, i.e. O(n log n) words beyond the fixed b·R·log_b(N) slot arrays
    every table carries.  The budget charges each node its empty-table cost
-   plus a per-node O(log n) allowance for entries/backpointers/trie growth,
+   plus a per-node O(log n) allowance for entries and backpointers,
    with 2x slack — generous enough never to trip on a healthy mesh at any
    n, tight enough to catch superlinear-per-node regressions (e.g. a
    backpointer leak). *)
@@ -178,8 +178,7 @@ let footprint_budget net =
     + (20 * cfg.Config.id_digits) + 80)
     * word
   in
-  let trie_chain = 2 * cfg.Config.id_digits * (cfg.Config.base + 8) * word in
-  let per_node_fixed = empty_table + trie_chain + 1024 in
+  let per_node_fixed = empty_table + 1024 in
   let log2n = log (float_of_int n) /. log 2. in
   let per_node_log = 512. *. log2n in
   int_of_float
@@ -196,34 +195,24 @@ let run net =
       (* Property 1: every hole of a core node is a certified hole — no
          core node extends (prefix, digit).  Mirrors the insertion-time
          obligation of Definition 1 / Theorem 5. *)
-      (* The network maintains the core trie incrementally; auditing reads
-         it rather than rebuilding, which also exercises its consistency. *)
-      let core_index = net.Network.core_index in
+      (* One sorted snapshot of the core IDs answers every hole's query
+         by binary search; the witness is the largest matching ID. *)
+      let core = Verify.core net in
       (* Worklists are handle iterations, not materialized lists: at
          10^5..10^6 nodes the audit passes allocate nothing per node. *)
       Network.iter_alive net (fun (n : Node.t) ->
-          if Node.is_core n then begin
-            let prefix = Node_id.digits n.Node.id in
+          if Node.is_core n then
             for level = 0 to cfg.Config.id_digits - 1 do
               for digit = 0 to cfg.Config.base - 1 do
-                if Routing_table.is_hole n.Node.table ~level ~digit then begin
-                  if
-                    Id_index.exists_extension core_index ~prefix ~len:level
-                      ~digit
-                  then begin
-                    let witness =
-                      Id_index.ids_with_prefix core_index ~prefix ~len:level
-                      |> List.find (fun id -> Node_id.digit id level = digit)
-                    in
-                    add
-                      (Uncertified_hole
-                         { node = n.Node.id; level; digit; witness })
-                  end
-                  else incr holes_certified
-                end
+                if Routing_table.is_hole n.Node.table ~level ~digit then
+                  match Verify.extension core n.Node.id ~level ~digit with
+                  | Some witness ->
+                      add
+                        (Uncertified_hole
+                           { node = n.Node.id; level; digit; witness })
+                  | None -> incr holes_certified
               done
-            done
-          end);
+            done);
       (* Per-slot structure for every alive node: entries belong to the
          slot, are ordered by distance (Property 2: closest is primary),
          point at live nodes, and are backpointed (Section 2.1). *)

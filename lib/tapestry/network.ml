@@ -2,7 +2,6 @@ type t = {
   config : Config.t;
   metric : Simnet.Metric.t;
   nodes : Node.t Node_id.Tbl.t;
-  core_index : Id_index.t;
   mutable arena : Node.t array;
   mutable arena_len : int;
   names : Routing_table.names;
@@ -30,7 +29,6 @@ let[@alloc_ok] create ?(seed = 42) config metric =
     config = Config.normalize config;
     metric;
     nodes = Node_id.Tbl.create cap;
-    core_index = Id_index.create ~base:config.base;
     arena = [||];
     arena_len = 0;
     names = { Routing_table.ids = [||] };
@@ -154,23 +152,19 @@ let register t (node : Node.t) =
     invalid_arg "Network.register: node is already dead";
   Node_id.Tbl.replace t.nodes node.id node;
   push_arena t node;
-  push_alive t node;
-  if Node.is_core node then Id_index.add t.core_index node.id
+  push_alive t node
 
 let mark_dead t (node : Node.t) =
   if Node.is_alive node then begin
-    if Node.is_core node then Id_index.remove t.core_index node.id;
     node.status <- Dead;
     remove_alive t node
   end
 
-(* --- status transitions (the only writers of the core index) --- *)
+(* --- status transitions --- *)
 
-let activate t (node : Node.t) =
+let activate _t (node : Node.t) =
   match node.status with
-  | Node.Inserting ->
-      node.status <- Node.Active;
-      if Node_id.Tbl.mem t.nodes node.id then Id_index.add t.core_index node.id
+  | Node.Inserting -> node.status <- Node.Active
   | Node.Active -> ()
   | Node.Leaving | Node.Dead ->
       invalid_arg "Network.activate: node already left the mesh"
@@ -178,8 +172,8 @@ let activate t (node : Node.t) =
 let begin_leaving _t (node : Node.t) =
   match node.status with
   | Node.Active ->
-      (* Leaving nodes stay core (they serve in-flight traffic, Section
-         5.1), so the core index is untouched. *)
+      (* Leaving nodes stay core: they serve in-flight traffic (Section
+         5.1). *)
       node.status <- Node.Leaving
   | Node.Inserting | Node.Leaving | Node.Dead ->
       invalid_arg "Network.begin_leaving: node is not active"
@@ -201,7 +195,7 @@ let iter_registered t f =
 
 (* Reset the soft state (pointer stores, replica sets, virtual clock,
    any attached object cache) while keeping the expensively built hard
-   state: routing tables, core index, metric, arena.  With [rng] restored
+   state: routing tables, metric, arena.  With [rng] restored
    by the caller to a matching snapshot, a deterministic campaign
    replayed on the cleared mesh is bit-identical to one on a fresh
    build — the serve bench reuses one n=65536 mesh across its rows this
@@ -219,10 +213,11 @@ let[@alloc_ok] clear_soft_state t =
   (match t.obj_cache with Some c -> Obj_cache.reset c | None -> ());
   t.obj_cache <- None
 
-(* [@alloc_ok]: the ID list is the contract; oracles and sweeps only. *)
+(* [@alloc_ok]: the list is the contract; repair sweeps and oracles only. *)
 let[@alloc_ok] core_nodes t =
-  Id_index.ids_with_prefix t.core_index ~prefix:[||] ~len:0
-  |> List.map (find_exn t)
+  let acc = ref [] in
+  iter_alive t (fun n -> if Node.is_core n then acc := n :: !acc);
+  List.sort (fun (a : Node.t) (b : Node.t) -> Node_id.compare b.id a.id) !acc
 
 let node_count t = t.alive_len
 
@@ -326,85 +321,6 @@ let[@alloc_ok] live_neighbours t (owner : Node.t) ~level =
   done;
   !acc
 
-(* --- verification oracles --- *)
-
-(* [@alloc_ok] on the three oracles below: tests and experiments only. *)
-let[@alloc_ok] check_property1 t =
-  let violations = ref [] in
-  List.iter
-    (fun (n : Node.t) ->
-      let prefix = Node_id.digits n.id in
-      for level = 0 to t.config.id_digits - 1 do
-        for digit = 0 to t.config.base - 1 do
-          if
-            Routing_table.is_hole n.table ~level ~digit
-            && Id_index.exists_extension t.core_index ~prefix ~len:level ~digit
-          then violations := (n, level, digit) :: !violations
-        done
-      done)
-    (core_nodes t);
-  !violations
-
-let[@alloc_ok] check_property2 t ~total ~optimal =
-  List.iter
-    (fun (n : Node.t) ->
-      let prefix = Node_id.digits n.id in
-      for level = 0 to t.config.id_digits - 1 do
-        for digit = 0 to t.config.base - 1 do
-          if digit <> Node_id.digit n.id level then begin
-            match Routing_table.primary n.table ~level ~digit with
-            | None -> ()
-            | Some prim ->
-                (* True closest (prefix, digit) node by brute force. *)
-                let cands = Id_index.ids_with_prefix t.core_index ~prefix ~len:level in
-                let cands =
-                  List.filter
-                    (fun id ->
-                      Node_id.digit id level = digit && not (Node_id.equal id n.id))
-                    cands
-                in
-                let best =
-                  List.fold_left
-                    (fun acc id ->
-                      let c = find_exn t id in
-                      let d = dist t n c in
-                      match acc with
-                      | None -> Some (id, d)
-                      | Some (_, bd) -> if d < bd then Some (id, d) else acc)
-                    None cands
-                in
-                (match best with
-                | None -> ()
-                | Some (best_id, best_d) ->
-                    incr total;
-                    let prim_d =
-                      match find t prim.Routing_table.id with
-                      | Some p -> dist t n p
-                      | None -> infinity
-                    in
-                    if Node_id.equal prim.Routing_table.id best_id || prim_d <= best_d
-                    then incr optimal)
-          end
-        done
-      done)
-    (core_nodes t);
-  ()
-
-let[@alloc_ok] true_nearest_neighbor t (node : Node.t) =
-  let best = ref None in
-  let best_d = ref infinity in
-  for i = 0 to t.alive_len - 1 do
-    let other = t.alive_arr.(i) in
-    if not (Node_id.equal other.id node.id) then begin
-      let d = dist t node other in
-      if d < !best_d then begin
-        best := Some other;
-        best_d := d
-      end
-    end
-  done;
-  !best
-
 (* --- resident-size accounting (estimates; see DESIGN.md §8.8) --- *)
 
 type footprint = {
@@ -412,7 +328,6 @@ type footprint = {
   table_bytes : int;
   pointer_bytes : int;
   directory_bytes : int;
-  index_bytes : int;
   metric_bytes : int;
   scratch_bytes : int;
   total_bytes : int;
@@ -449,49 +364,18 @@ let[@alloc_ok] memory_footprint t =
     + tbl_bytes ~len:(Node_id.Tbl.length t.salts)
         ~binding_words:(1 + max 0 (cfg.Config.root_set_size - 1))
   in
-  let index_bytes = Id_index.approx_bytes t.core_index in
   let metric_bytes = Simnet.Metric.approx_bytes t.metric in
   let scratch_bytes = Scratch.approx_bytes t.scratch in
   let total_bytes =
-    !node_bytes + !table_bytes + !pointer_bytes + directory_bytes + index_bytes
-    + metric_bytes + scratch_bytes
+    !node_bytes + !table_bytes + !pointer_bytes + directory_bytes + metric_bytes
+    + scratch_bytes
   in
   {
     node_bytes = !node_bytes;
     table_bytes = !table_bytes;
     pointer_bytes = !pointer_bytes;
     directory_bytes;
-    index_bytes;
     metric_bytes;
     scratch_bytes;
     total_bytes;
   }
-
-(* [@alloc_ok]: an oracle, tests and experiments only. *)
-let[@alloc_ok] surrogate_oracle t guid =
-  (* Digit-by-digit refinement with wrap-around among core nodes, answered
-     straight from the incrementally maintained core index; by Theorem 2
-     this is the unique root surrogate routing must reach. *)
-  if Id_index.size t.core_index = 0 then
-    invalid_arg "Network.surrogate_oracle: empty network";
-  let prefix = Array.make t.config.id_digits 0 in
-  let rec refine level =
-    if level = t.config.id_digits then
-      find_exn t (Node_id.make (Array.copy prefix))
-    else begin
-      let want = Node_id.digit guid level in
-      let rec scan tries =
-        if tries = t.config.base then
-          invalid_arg "Network.surrogate_oracle: no extension (corrupt index)"
-        else begin
-          let j = (want + tries) mod t.config.base in
-          if Id_index.exists_extension t.core_index ~prefix ~len:level ~digit:j
-          then j
-          else scan (tries + 1)
-        end
-      in
-      prefix.(level) <- scan 0;
-      refine (level + 1)
-    end
-  in
-  refine 0

@@ -4,14 +4,14 @@
     Protocol modules ({!Route}, {!Publish}, {!Insert}, ...) act on this
     container but make decisions only from per-node state (routing tables and
     pointer stores), charging every simulated message to the ambient
-    {!Simnet.Cost.t}.  Global views (the node directory, the core trie,
-    the dense alive array) are reserved for verification oracles, experiment
-    setup and the invariant checkers at the bottom of this interface.
+    {!Simnet.Cost.t}.  Global views (the node directory, the dense alive
+    array) are reserved for experiment setup, repair sweeps and the
+    verification oracles, which live in {!Verify} and take their own
+    snapshot of the core IDs when asked: the network holds only the
+    running mesh.
 
     Hot-path bookkeeping is incremental: the alive set is a dense
-    swap-remove array (O(1) sampling, O(alive) listing) and the core trie
-    [core_index] is maintained on every status transition, so
-    {!surrogate_oracle} and the property checkers never rebuild it. *)
+    swap-remove array (O(1) sampling, O(alive) listing). *)
 
 type t = {
   config : Config.t;
@@ -19,9 +19,7 @@ type t = {
           {!create}: derived fields are always consistent *)
   metric : Simnet.Metric.t;
   nodes : Node.t Node_id.Tbl.t;
-  core_index : Id_index.t;
-      (** oracle: trie over core ([Active]/[Leaving]) ids, maintained
-          incrementally by {!register}, {!activate} and {!mark_dead} *)
+      (** the directory: every registered node, dead ones included *)
   mutable arena : Node.t array;
       (** append-only node arena: [arena.(h)] is the node whose immutable
           handle is [h] (assigned at {!register}, kept through death).
@@ -62,8 +60,8 @@ val create : ?seed:int -> Config.t -> Simnet.Metric.t -> t
 
 val clear_soft_state : t -> unit
 (** Drop all soft state — pointer stores, replica sets, the virtual
-    clock, any attached object cache — while keeping routing tables,
-    the core index and the metric.  Together with restoring an [rng] snapshot
+    clock, any attached object cache — while keeping routing tables
+    and the metric.  Together with restoring an [rng] snapshot
     this lets a deterministic campaign replay on a reused mesh
     bit-identically to a fresh build (serve bench row reuse). *)
 
@@ -97,23 +95,20 @@ val salted : t -> Node_id.t -> int -> Node_id.t
 
 val register : t -> Node.t -> unit
 (** Add a node to the directory, the arena and the alive array (it is not
-    yet linked into anyone's routing table).  If the node is already core
-    ([Active]) it also enters [core_index].
+    yet linked into anyone's routing table).
     @raise Invalid_argument on duplicate id, bad addr or a dead node. *)
 
 val mark_dead : t -> Node.t -> unit
-(** Flip status to [Dead] and drop from [core_index] and the alive
-    array.  Routing-table cleanup is the protocols' business ({!Delete}). *)
+(** Flip status to [Dead] and drop from the alive array.  Routing-table cleanup is the protocols' business ({!Delete}). *)
 
 val activate : t -> Node.t -> unit
-(** [Inserting -> Active]: the node becomes core and (if registered) enters
-    [core_index].  No-op on an already-[Active] node.
+(** [Inserting -> Active]: the node becomes core.  No-op on an
+    already-[Active] node.
     @raise Invalid_argument on a [Leaving] or [Dead] node. *)
 
 val begin_leaving : t -> Node.t -> unit
 (** [Active -> Leaving]: announce voluntary departure.  Leaving nodes stay
-    core (they serve in-flight traffic, Section 5.1), so [core_index] is
-    untouched.  @raise Invalid_argument unless the node is [Active]. *)
+    core (they serve in-flight traffic, Section 5.1).  @raise Invalid_argument unless the node is [Active]. *)
 
 val alive_nodes : t -> Node.t list
 (** All alive nodes, O(alive); order is the dense-array order (insertion
@@ -127,7 +122,9 @@ val iter_registered : t -> (Node.t -> unit) -> unit
 (** Visit every registered node (alive or dead) in arena-handle order. *)
 
 val core_nodes : t -> Node.t list
-(** All core ([Active]/[Leaving]) nodes, in id (trie) order. *)
+(** All core ([Active]/[Leaving]) alive nodes, by descending ID: one sort
+    of the alive array's core nodes.  {!Delete.repair_all_holes} and
+    {!Optimizer} walk them in this order, which their results depend on. *)
 
 val node_count : t -> int
 (** Number of alive nodes, O(1). *)
@@ -162,19 +159,6 @@ val live_neighbours : t -> Node.t -> level:int -> Node.t list
     once, as an ID holds one cell per level.  In (digit, rank) order,
     which repair and maintenance results depend on. *)
 
-(** {2 Verification oracles (tests and experiments only)} *)
-
-val check_property1 : t -> (Node.t * int * int) list
-(** Violations of Property 1 (consistency): core nodes with an empty slot
-    for which a matching core node exists.  Empty list = consistent. *)
-
-val check_property2 : t -> total:int ref -> optimal:int ref -> unit
-(** Locality quality: over every non-empty slot of every core node, counts
-    slots whose primary is the true closest matching node. *)
-
-val true_nearest_neighbor : t -> Node.t -> Node.t option
-(** Brute-force closest other alive node (oracle for E3). *)
-
 (** {2 Resident-size accounting}
 
     Arithmetic estimates of heap residency by subsystem (word = 8 bytes;
@@ -188,19 +172,12 @@ type footprint = {
   pointer_bytes : int;  (** per-node pointer stores *)
   directory_bytes : int;
       (** directory/alive tables, arena, name column, salt cache *)
-  index_bytes : int;  (** the core id trie *)
   metric_bytes : int;  (** coordinates + spatial index (or matrix) *)
   scratch_bytes : int;  (** reusable insertion buffers *)
   total_bytes : int;
 }
 
 val memory_footprint : t -> footprint
-(** O(n) sweep over the arena plus an O(trie) walk; allocation-light.
+(** O(n) sweep over the arena; allocation-light.
     Used by the scale tier's bytes-per-node gauge and {!Audit}'s
     O(n log n) footprint sanity check. *)
-
-val surrogate_oracle : t -> Node_id.t -> Node.t
-(** The root {!Route.route_to_root} must find, computed from global
-    knowledge: successively refine by digit with wrap-around among core
-    nodes.  Answered from the incremental [core_index] — no rebuild.
-    Mirrors Tapestry-native surrogate semantics. *)

@@ -126,6 +126,18 @@ let has_prefix t ~prefix ~len = length t >= len && has_prefix_from t prefix ~len
 
 let[@alloc_ok] prefix t n = Array.init n (digit t)
 
+(* Bits [at] up hold the first [level] digits, then [digit]; below them
+   the later fields are all clear in the least ID and all set in the
+   greatest.  [@alloc_ok]: the pair. *)
+let[@alloc_ok] extensions t ~level ~digit =
+  let len = length t in
+  if level < 0 || level >= len then
+    invalid_arg "Node_id.extensions: level out of bounds";
+  let w = widths.(len) in
+  let at = len_bits + (w * (len - 1 - level)) in
+  let least = (push ~w (t lsr (at + w)) digit lsl at) lor len in
+  (least, least lor (((1 lsl at) - 1) land lnot len_mask))
+
 let[@alloc_ok] salt ~base t i =
   if i = 0 then t
   else begin

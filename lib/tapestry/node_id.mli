@@ -62,6 +62,13 @@ val has_prefix : t -> prefix:int array -> len:int -> bool
 val prefix : t -> int -> int array
 (** First [n] digits as a fresh array. *)
 
+val extensions : t -> level:int -> digit:int -> t * t
+(** The least and the greatest ID of [t]'s length whose first [level]
+    digits are [t]'s and whose digit [level] is [digit].  IDs of one
+    length order as ints, so those IDs are exactly the ones between the
+    two.  @raise Invalid_argument when [level] is outside
+    [0 .. length - 1] or [digit] is wider than its field. *)
+
 val salt : base:int -> t -> int -> t
 (** [salt ~base id i] deterministically maps [id] to the i-th member of its
     root set (Observation 2: a pseudo-random function from the GUID to

@@ -1,8 +1,9 @@
 (* Audit and Verify coverage: a healthy mesh audits clean, and each
    injected corruption (dropped backpointer, reordered slot, faked hole,
    expired pointer, evicted owner) is reported as exactly that violation.
-   Plus a regression that check_property4 finds a deliberately deleted
-   pointer. *)
+   A seeded churned schedule pins the audit's report of real
+   Property-1 holes.  Plus a regression that check_property4 finds a
+   deliberately deleted pointer. *)
 
 open Tapestry
 
@@ -270,7 +271,7 @@ let test_expired_pointer_detected () =
   in
   ignore (Publish.publish net ~server guid);
   check_clean "before corruption" (Audit.run net);
-  let root = Network.surrogate_oracle net guid in
+  let root = Verify.surrogate_oracle net (Verify.core net) guid in
   let ps = root.Node.pointers in
   let i =
     Pointer_store.find ps ~guid ~server:server.Node.handle ~root_idx:0
@@ -299,7 +300,7 @@ let test_property4_finds_deleted_pointer () =
   ignore (Publish.publish net ~server guid);
   Alcotest.(check int) "publish leaves no gaps" 0
     (List.length (Verify.check_property4 net));
-  let root = Network.surrogate_oracle net guid in
+  let root = Verify.surrogate_oracle net (Verify.core net) guid in
   Alcotest.(check bool) "pointer removed" true
     (Pointer_store.remove root.Node.pointers ~guid ~server:server.Node.handle
        ~root_idx:0);
@@ -312,6 +313,69 @@ let test_property4_finds_deleted_pointer () =
         (Node_id.equal gap.Verify.missing_at root.Node.id)
   | gaps ->
       Alcotest.failf "expected exactly one gap, got %d" (List.length gaps)
+
+(* A real Property-1 defect, not an injected one: a seeded n=32 mesh
+   takes 32 events in perfbench join-leave's order (join, voluntary
+   leave, join, silent failure, repeated), then join-leave's final
+   repair: every link to a dead node dropped through
+   [Delete.on_dead_repair], [Delete.repair_all_holes], and the dead
+   sources' backpointers dropped.  Some seeds leave two nodes that share
+   a prefix each missing from the other's table (ROADMAP items 1 and
+   20); the audit must name them, with the largest matching core ID as
+   the witness. *)
+let churned_small ~seed =
+  let n = 32 and events = 32 in
+  let rng = Simnet.Rng.create seed in
+  let metric =
+    Simnet.Topology.generate Simnet.Topology.Uniform_square ~n:(n + events) ~rng
+  in
+  let net, _ =
+    Static_build.build_streamed ~seed:(seed + 1) ~domains:1 Config.default metric ~n
+  in
+  let next_addr = ref n in
+  for e = 0 to events - 1 do
+    match e land 3 with
+    | 1 -> ignore (Delete.voluntary net (Network.random_alive net) : Delete.stats)
+    | 3 -> Delete.fail net (Network.random_alive net)
+    | _ ->
+        let gateway = Network.random_alive net in
+        ignore (Insert.insert net ~gateway ~addr:!next_addr : Insert.report);
+        incr next_addr
+  done;
+  Network.iter_alive net (fun owner ->
+      List.iter
+        (fun (d : Node.t) -> Delete.on_dead_repair net ~owner ~dead:d.Node.id)
+        (Delete.dead_neighbours net owner));
+  ignore (Delete.repair_all_holes net : int);
+  Network.iter_alive net (fun (nd : Node.t) ->
+      List.iter
+        (fun (level, src) ->
+          match Network.find net src with
+          | Some s when Node.is_alive s -> ()
+          | _ -> Routing_table.remove_backpointer nd.Node.table ~level src)
+        (Routing_table.all_backpointers nd.Node.table));
+  net
+
+(* Each violation as "node level digit witness" (level 0-based). *)
+let uncertified_holes report =
+  List.map
+    (function
+      | Audit.Uncertified_hole { node; level; digit; witness } ->
+          Printf.sprintf "%s %d %x %s" (Node_id.to_string node) level digit
+            (Node_id.to_string witness)
+      | v -> Audit.violation_code v)
+    report.Audit.violations
+
+let test_churned_uncertified_holes () =
+  let holes seed = uncertified_holes (Audit.run (churned_small ~seed)) in
+  Alcotest.(check (list string)) "seed 85"
+    [ "7338822d 1 f 7f306059"; "7f306059 1 3 7338822d" ]
+    (holes 85);
+  Alcotest.(check (list string)) "seed 279"
+    [
+      "7d64cbbf 1 0 70a48c77"; "7d64cbbf 2 0 7d0c2386"; "7d0c2386 2 6 7d64cbbf";
+    ]
+    (holes 279)
 
 let () =
   Alcotest.run "audit"
@@ -337,6 +401,11 @@ let () =
             test_duplicate_backpointer_detected;
           Alcotest.test_case "duplicate entry" `Quick
             test_duplicate_entry_detected;
+        ] );
+      ( "churned schedules",
+        [
+          Alcotest.test_case "n=32 join-leave holes pinned" `Quick
+            test_churned_uncertified_holes;
         ] );
       ( "verify regressions",
         [

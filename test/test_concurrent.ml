@@ -37,7 +37,7 @@ let test_concurrent_batch_keeps_p1 () =
   Simnet.Heap.drain events;
   Alcotest.(check int) "all joined" 110 (List.length (Network.alive_nodes net));
   Alcotest.(check int) "P1 after concurrent batch" 0
-    (List.length (Network.check_property1 net))
+    (List.length (Verify.check_property1 net))
 
 let test_same_hole_collision () =
   (* Engineer the Theorem 6 case 3 collision: two joiners that fill the very
@@ -46,7 +46,7 @@ let test_same_hole_collision () =
   let cfg = net.Network.config in
   (* find a prefix alpha of length 1 with nodes, and a digit j such that no
      (alpha, j) node exists; both new IDs start alpha . j *)
-  let index = net.Network.core_index in
+  let core = Verify.core net in
   let rec find_hole tries =
     if tries = 0 then Alcotest.fail "no engineered hole found"
     else begin
@@ -54,7 +54,8 @@ let test_same_hole_collision () =
       let prefix = Node_id.digits anchor.Node.id in
       let missing =
         List.filter
-          (fun j -> not (Id_index.exists_extension index ~prefix ~len:1 ~digit:j))
+          (fun j ->
+            Option.is_none (Verify.extension core anchor.Node.id ~level:1 ~digit:j))
           (List.init cfg.Config.base (fun j -> j))
       in
       match missing with
@@ -79,7 +80,7 @@ let test_same_hole_collision () =
   push_joiner events net ~addr:81 ~id:id_b ~delays:(0.1, 0.3, 0.4);
   Simnet.Heap.drain events;
   Alcotest.(check int) "P1 holds after same-hole collision" 0
-    (List.length (Network.check_property1 net));
+    (List.length (Verify.check_property1 net));
   (* in particular, A and B must know each other (they share prefix.(0), j) *)
   let a = Network.find_exn net id_a and b = Network.find_exn net id_b in
   let knows (x : Node.t) (y : Node.t) =
@@ -150,8 +151,8 @@ let test_sequentialized_equals_concurrent_p1 () =
     Insert.push_staged events net_con ~addr:(60 + i) ~delays
   done;
   Simnet.Heap.drain events;
-  Alcotest.(check int) "seq P1" 0 (List.length (Network.check_property1 net_seq));
-  Alcotest.(check int) "con P1" 0 (List.length (Network.check_property1 net_con));
+  Alcotest.(check int) "seq P1" 0 (List.length (Verify.check_property1 net_seq));
+  Alcotest.(check int) "con P1" 0 (List.length (Verify.check_property1 net_con));
   Alcotest.(check int) "same population" (Network.node_count net_seq)
     (Network.node_count net_con)
 

@@ -136,6 +136,7 @@ let test_locate geometry () =
   let root_of = Array.init objects (fun _ -> Rng.int rng roots) in
   (* the sync tier's answers, and an absolute check on the step: the
      unstopped walk ends at the globally computed surrogate root *)
+  let core = Verify.core net in
   let expected =
     Array.init objects (fun o ->
         let client = Network.node_of_handle net clients.(o) in
@@ -143,7 +144,7 @@ let test_locate geometry () =
         let info = Route.route_to_root net ~from:client salted in
         Alcotest.(check int)
           (Printf.sprintf "object %d: walk ends at the oracle root" o)
-          (Network.surrogate_oracle net salted).Node.handle
+          (Verify.surrogate_oracle net core salted).Node.handle
           info.Route.root.Node.handle;
         let res = Locate.locate ~root_idx:root_of.(o) net ~client base.(o) in
         match res.Locate.server with
@@ -312,6 +313,7 @@ let test_writes geometry () =
   let servers = Array.map (fun _ -> alive_handle sync rng) base in
   let all = List.init count Fun.id in
   let retracted = List.filter (fun o -> o mod 2 = 0) all in
+  let core = Verify.core sync in
   Array.iteri
     (fun o g ->
       let outcome =
@@ -321,7 +323,7 @@ let test_writes geometry () =
         (fun r (root : Node.t) ->
           let salted = Network.salted sync g r in
           Alcotest.(check int) "publish ends at the oracle root"
-            (Network.surrogate_oracle sync salted).Node.handle root.Node.handle)
+            (Verify.surrogate_oracle sync core salted).Node.handle root.Node.handle)
         outcome.Publish.roots)
     base;
   let published = snapshot sync base in

@@ -19,12 +19,12 @@ let random_guid net =
 let test_incremental_property1 () =
   let net, _ = build_dynamic ~n:150 () in
   Alcotest.(check int) "P1 after 150 joins" 0
-    (List.length (Network.check_property1 net))
+    (List.length (Verify.check_property1 net))
 
 let test_incremental_property2_quality () =
   let net, _ = build_dynamic ~n:150 () in
   let total = ref 0 and optimal = ref 0 in
-  Network.check_property2 net ~total ~optimal;
+  Verify.check_property2 net ~total ~optimal;
   let ratio = float_of_int !optimal /. float_of_int (max 1 !total) in
   Alcotest.(check bool)
     (Printf.sprintf "locality quality %.3f > 0.85" ratio)
@@ -38,7 +38,7 @@ let test_incremental_nearest_neighbors () =
       incr total;
       match
         ( Nearest_neighbor.nearest_neighbor net ~from:node,
-          Network.true_nearest_neighbor net node )
+          Verify.true_nearest_neighbor net node )
       with
       | Some a, Some b when Node_id.equal a.Node.id b.Node.id -> incr ok
       | _ -> ())
@@ -103,7 +103,7 @@ let test_join_via_any_gateway_same_root () =
   (* the surrogate is a function of the ID set, not of the gateway *)
   let net, _ = build_dynamic ~n:100 ~extra:2 () in
   let id = Network.fresh_id net in
-  let surrogate_oracle = Network.surrogate_oracle net id in
+  let surrogate_oracle = Verify.surrogate_oracle net (Verify.core net) id in
   let gw = Network.random_alive net in
   let r = Insert.insert ~id net ~gateway:gw ~addr:100 in
   Alcotest.(check bool) "surrogate is the oracle root" true
@@ -126,7 +126,7 @@ let test_get_next_list_matches_oracle () =
     |> List.filteri (fun i _ -> i < k)
     |> List.map snd
   in
-  let surrogate = Network.surrogate_oracle net probe.Node.id in
+  let surrogate = Verify.surrogate_oracle net (Verify.core net) probe.Node.id in
   let max_level = Node_id.common_prefix_len probe.Node.id surrogate.Node.id in
   let current = ref (oracle_list max_level) in
   for level = max_level - 1 downto 0 do
@@ -175,7 +175,7 @@ let test_voluntary_delete_keeps_invariants () =
     |> List.filteri (fun i _ -> i < 40)
   in
   List.iter (fun v -> ignore (Delete.voluntary net v)) victims;
-  Alcotest.(check int) "P1 after deletes" 0 (List.length (Network.check_property1 net));
+  Alcotest.(check int) "P1 after deletes" 0 (List.length (Verify.check_property1 net));
   List.iter
     (fun guid ->
       Alcotest.(check bool) "objects survive deletes" true
@@ -244,11 +244,11 @@ let test_repair_hole_certifies_absence () =
   let node = Network.random_alive net in
   (* find a genuine hole (a digit with no matching node anywhere) *)
   let holes = Routing_table.holes node.Node.table in
+  let core = Verify.core net in
   match
     List.find_opt
       (fun (level, digit) ->
-        let prefix = Node_id.digits node.Node.id in
-        not (Id_index.exists_extension net.Network.core_index ~prefix ~len:level ~digit))
+        Option.is_none (Verify.extension core node.Node.id ~level ~digit))
       holes
   with
   | Some (level, digit) ->
@@ -264,7 +264,7 @@ let test_repair_all_holes_after_failures () =
   List.iter (fun v -> Delete.fail net v) victims;
   ignore (Delete.repair_all_holes net);
   Alcotest.(check int) "P1 restored by anti-entropy" 0
-    (List.length (Network.check_property1 net))
+    (List.length (Verify.check_property1 net))
 
 let test_delete_last_but_one_node () =
   (* shrink a tiny network down to one node *)

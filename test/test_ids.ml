@@ -194,46 +194,6 @@ let test_config_scaled_k () =
     (Config.scaled_k cfg ~n:4096 > Config.scaled_k cfg ~n:16);
   Alcotest.(check bool) "floor respected" true (Config.scaled_k cfg ~n:2 >= 4)
 
-(* --- Id_index --- *)
-
-let test_index_basic () =
-  let t = Id_index.create ~base:16 in
-  List.iter (fun s -> Id_index.add t (id_of s)) [ "ab12"; "ab34"; "ac00"; "ff00" ];
-  Alcotest.(check int) "size" 4 (Id_index.size t);
-  Alcotest.(check bool) "mem" true (Id_index.mem t (id_of "ab12"));
-  Alcotest.(check bool) "not mem" false (Id_index.mem t (id_of "abff"));
-  let prefix = Node_id.digits (id_of "ab00") in
-  Alcotest.(check int) "count ab" 2 (Id_index.count_with_prefix t ~prefix ~len:2);
-  Alcotest.(check (list int)) "digits after a" [ 0xb; 0xc ]
-    (Id_index.digits_after t ~prefix ~len:1);
-  Alcotest.(check bool) "extension" true
-    (Id_index.exists_extension t ~prefix ~len:2 ~digit:1);
-  Alcotest.(check bool) "no extension" false
-    (Id_index.exists_extension t ~prefix ~len:2 ~digit:7)
-
-let test_index_remove () =
-  let t = Id_index.create ~base:16 in
-  Id_index.add t (id_of "ab12");
-  Id_index.add t (id_of "ab34");
-  Id_index.remove t (id_of "ab12");
-  Alcotest.(check int) "size" 1 (Id_index.size t);
-  Alcotest.(check bool) "gone" false (Id_index.mem t (id_of "ab12"));
-  Id_index.remove t (id_of "ab12");
-  Alcotest.(check int) "idempotent" 1 (Id_index.size t);
-  let prefix = Node_id.digits (id_of "ab12") in
-  Alcotest.(check bool) "branch pruned" false
-    (Id_index.exists_extension t ~prefix ~len:2 ~digit:1)
-
-let test_index_ids_with_prefix () =
-  let t = Id_index.create ~base:16 in
-  List.iter (fun s -> Id_index.add t (id_of s)) [ "ab12"; "ab34"; "cd00" ];
-  let prefix = Node_id.digits (id_of "ab00") in
-  let got =
-    Id_index.ids_with_prefix t ~prefix ~len:2 |> List.map Node_id.to_string
-    |> List.sort String.compare
-  in
-  Alcotest.(check (list string)) "enumeration" [ "ab12"; "ab34" ] got
-
 (* --- Routing_table --- *)
 
 let cfg4 = { Config.default with Config.id_digits = 4; redundancy = 2 }
@@ -664,12 +624,6 @@ let () =
         [
           Alcotest.test_case "validate" `Quick test_config_validate;
           Alcotest.test_case "scaled k" `Quick test_config_scaled_k;
-        ] );
-      ( "id_index",
-        [
-          Alcotest.test_case "basic" `Quick test_index_basic;
-          Alcotest.test_case "remove" `Quick test_index_remove;
-          Alcotest.test_case "prefix enumeration" `Quick test_index_ids_with_prefix;
         ] );
       ( "routing_table",
         [

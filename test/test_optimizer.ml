@@ -14,7 +14,7 @@ let build_on_drift ?(n = 100) ?(seed = 91) () =
 
 let p2_quality net =
   let total = ref 0 and optimal = ref 0 in
-  Network.check_property2 net ~total ~optimal;
+  Verify.check_property2 net ~total ~optimal;
   float_of_int !optimal /. float_of_int (max 1 !total)
 
 (* --- drift --- *)
@@ -108,7 +108,7 @@ let test_share_tables_restores_quality () =
   ignore (Optimizer.share_tables net);
   let q = p2_quality net in
   Alcotest.(check bool) (Printf.sprintf "gossip quality %.3f > 0.95" q) true (q > 0.95);
-  Alcotest.(check int) "consistency kept" 0 (List.length (Network.check_property1 net))
+  Alcotest.(check int) "consistency kept" 0 (List.length (Verify.check_property1 net))
 
 let test_full_rebuild_restores_quality () =
   let net, drift, rng = build_on_drift ~seed:97 () in
@@ -116,7 +116,7 @@ let test_full_rebuild_restores_quality () =
   ignore (Optimizer.full_rebuild net);
   let q = p2_quality net in
   Alcotest.(check bool) (Printf.sprintf "rebuild quality %.3f > 0.9" q) true (q > 0.9);
-  Alcotest.(check int) "consistency kept" 0 (List.length (Network.check_property1 net))
+  Alcotest.(check int) "consistency kept" 0 (List.length (Verify.check_property1 net))
 
 let test_rebuild_level_targets_one_level () =
   let net, drift, rng = build_on_drift ~seed:99 () in
@@ -124,7 +124,7 @@ let test_rebuild_level_targets_one_level () =
   let s = Optimizer.rebuild_level net ~level:0 in
   Alcotest.(check bool) "touches every core node" true
     (s.Optimizer.nodes_touched = List.length (Network.core_nodes net));
-  Alcotest.(check int) "consistency kept" 0 (List.length (Network.check_property1 net))
+  Alcotest.(check int) "consistency kept" 0 (List.length (Verify.check_property1 net))
 
 let test_optimizers_preserve_property4 () =
   let net, drift, rng = build_on_drift ~seed:101 () in

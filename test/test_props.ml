@@ -65,51 +65,96 @@ let prop_percentile_monotone =
     (fun xs ->
       Simnet.Stats.percentile xs 0.25 <= Simnet.Stats.percentile xs 0.75)
 
-(* --- Id_index vs reference model --- *)
+(* --- Core snapshot vs brute force --- *)
 
-let prop_index_models_set =
-  QCheck.Test.make ~count ~name:"id_index add/remove models a set"
-    QCheck.(list (pair QCheck.bool arb_id))
-    (fun ops ->
-      let t = Id_index.create ~base:16 in
-      let model = ref Node_id.Set.empty in
+(* Base 4 with 4 digits: up to 40 IDs in a namespace of 256 share
+   prefixes down to the full length and leave digits absent at every
+   level.  Each ID gets a status (inserting, active, leaving, dead), and
+   the snapshot must see the alive core ones only. *)
+let snap_cfg = { Config.default with Config.base = 4; id_digits = 4 }
+
+let snap_id_gen =
+  QCheck.Gen.(
+    map (fun d -> Node_id.make (Array.of_list d)) (list_size (return 4) (int_bound 3)))
+
+let snap_gen =
+  QCheck.Gen.(pair (list_size (int_range 0 40) (pair snap_id_gen (int_bound 3))) snap_id_gen)
+
+let print_snap (members, probe) =
+  Printf.sprintf "probe %s, members %s" (Node_id.to_string probe)
+    (String.concat " "
+       (List.map (fun (id, st) -> Printf.sprintf "%s/%d" (Node_id.to_string id) st) members))
+
+(* The largest core ID with [id]'s first [level] digits, then [digit]. *)
+let brute_extension core id ~level ~digit =
+  List.fold_left
+    (fun acc x ->
+      if Node_id.common_prefix_len x id >= level && Node_id.digit x level = digit then
+        match acc with Some y when Node_id.compare y x > 0 -> acc | _ -> Some x
+      else acc)
+    None core
+
+(* Refine digit by digit: the wanted digit if some candidate has it, else
+   the next present one, wrapping round the base. *)
+let brute_root core guid =
+  let base = snap_cfg.Config.base in
+  let rec refine level cands =
+    if level = Node_id.length guid then List.hd cands
+    else begin
+      let has j = List.exists (fun x -> Node_id.digit x level = j) cands in
+      let want = Node_id.digit guid level in
+      let j = List.find has (List.init base (fun k -> (want + k) mod base)) in
+      refine (level + 1) (List.filter (fun x -> Node_id.digit x level = j) cands)
+    end
+  in
+  refine 0 core
+
+let prop_core_snapshot =
+  QCheck.Test.make ~count:200 ~name:"core snapshot vs a brute-force filter"
+    (QCheck.make ~print:print_snap snap_gen)
+    (fun (members, probe) ->
+      let members = List.sort_uniq (fun (a, _) (b, _) -> Node_id.compare a b) members in
+      let n = max 1 (List.length members) in
+      let metric = Simnet.Metric.of_points (Array.init n (fun i -> (float_of_int i, 0.))) in
+      let net = Network.create snap_cfg metric in
+      List.iteri
+        (fun addr (id, st) ->
+          let node = Node.create snap_cfg ~id ~addr in
+          if st > 0 then node.Node.status <- Node.Active;
+          Network.register net node;
+          if st = 2 then Network.begin_leaving net node;
+          if st = 3 then Network.mark_dead net node)
+        members;
+      let core = List.filter_map (fun (id, st) -> if st = 1 || st = 2 then Some id else None) members in
+      let snap = Verify.core net in
+      let stems = probe :: List.map fst members in
+      let opt = Option.map Node_id.to_string in
       List.iter
-        (fun (add, id) ->
-          if add then begin
-            if not (Node_id.Set.mem id !model) then begin
-              Id_index.add t id;
-              model := Node_id.Set.add id !model
-            end
-          end
-          else begin
-            Id_index.remove t id;
-            model := Node_id.Set.remove id !model
-          end)
-        ops;
-      Id_index.size t = Node_id.Set.cardinal !model
-      && Node_id.Set.for_all (Id_index.mem t) !model)
-
-let prop_index_digits_after =
-  QCheck.Test.make ~count ~name:"digits_after matches brute force"
-    QCheck.(pair (list arb_id) arb_id)
-    (fun (ids, probe) ->
-      let ids = List.sort_uniq Node_id.compare ids in
-      let t = Id_index.create ~base:16 in
-      List.iter (Id_index.add t) ids;
-      let prefix = Node_id.digits probe in
-      List.for_all
-        (fun len ->
-          let got = Id_index.digits_after t ~prefix ~len in
-          let want =
-            List.filter_map
-              (fun id ->
-                if Node_id.has_prefix id ~prefix ~len then Some (Node_id.digit id len)
-                else None)
-              ids
-            |> List.sort_uniq Int.compare
-          in
-          got = want)
-        [ 0; 1; 2 ])
+        (fun stem ->
+          for level = 0 to snap_cfg.Config.id_digits - 1 do
+            for digit = 0 to snap_cfg.Config.base - 1 do
+              let got = Verify.extension snap stem ~level ~digit in
+              let want = brute_extension core stem ~level ~digit in
+              if not (Option.equal String.equal (opt got) (opt want)) then
+                QCheck.Test.fail_reportf "extension %s L%d digit %d: %s, want %s"
+                  (Node_id.to_string stem) level digit
+                  (Option.value ~default:"none" (opt got))
+                  (Option.value ~default:"none" (opt want))
+            done
+          done;
+          match core with
+          | [] -> (
+              match Verify.surrogate_oracle net snap stem with
+              | _ -> QCheck.Test.fail_report "empty snapshot answered a root"
+              | exception Invalid_argument _ -> ())
+          | _ :: _ ->
+              let got = (Verify.surrogate_oracle net snap stem).Node.id in
+              let want = brute_root core stem in
+              if not (Node_id.equal got want) then
+                QCheck.Test.fail_reportf "root of %s: %s, want %s"
+                  (Node_id.to_string stem) (Node_id.to_string got) (Node_id.to_string want))
+        stems;
+      true)
 
 (* --- Routing table keeps the R closest --- *)
 
@@ -245,7 +290,7 @@ let prop_incremental_p1 =
       let metric = Simnet.Topology.generate Simnet.Topology.Uniform_square ~n ~rng in
       let addrs = List.init n (fun i -> i) in
       let net, _ = Insert.build_incremental ~seed:(seed + 1) Config.default metric ~addrs in
-      match Network.check_property1 net with [] -> true | _ :: _ -> false)
+      match Verify.check_property1 net with [] -> true | _ :: _ -> false)
 
 let prop_unique_roots_random_nets =
   QCheck.Test.make ~count:12 ~name:"random networks give unique roots"
@@ -289,7 +334,7 @@ let prop_join_leave_p1 =
             if v.Node.status = Node.Active then ignore (Delete.voluntary net v)
           end)
         ops;
-      match Network.check_property1 net with [] -> true | _ :: _ -> false)
+      match Verify.check_property1 net with [] -> true | _ :: _ -> false)
 
 let prop_publish_locate_total =
   QCheck.Test.make ~count:10 ~name:"published objects are always locatable"
@@ -387,7 +432,7 @@ let () =
         List.map to_alcotest
           [
             prop_heap_sorts; prop_gini_bounded; prop_percentile_monotone;
-            prop_index_models_set; prop_index_digits_after; prop_table_keeps_r_closest;
+            prop_core_snapshot; prop_table_keeps_r_closest;
             prop_offer_order_free;
           ] );
       ( "network invariants",

@@ -17,9 +17,9 @@ let random_guid net =
 
 let test_static_build_properties () =
   let net = build () in
-  Alcotest.(check int) "P1 clean" 0 (List.length (Network.check_property1 net));
+  Alcotest.(check int) "P1 clean" 0 (List.length (Verify.check_property1 net));
   let total = ref 0 and optimal = ref 0 in
-  Network.check_property2 net ~total ~optimal;
+  Verify.check_property2 net ~total ~optimal;
   Alcotest.(check int) "P2 exact (oracle build)" !total !optimal
 
 let test_static_build_backpointer_symmetry () =
@@ -82,11 +82,12 @@ let test_unique_root_native_and_prr () =
 
 let test_native_root_matches_oracle () =
   let net = build ~n:150 () in
+  let core = Verify.core net in
   for _ = 1 to 60 do
     let guid = random_guid net in
     let from = Network.random_alive net in
     let root = (Route.route_to_root net ~from guid).Route.root in
-    let oracle = Network.surrogate_oracle net guid in
+    let oracle = Verify.surrogate_oracle net core guid in
     Alcotest.(check bool) "matches digit-refinement oracle" true
       (Node_id.equal root.Node.id oracle.Node.id)
   done
@@ -164,7 +165,7 @@ let test_multicast_watchlist_reports_fillers () =
   let prefix = Node_id.digits anchor.Node.id in
   (* watch every digit at level 1: recipients must report one filler per
      digit that actually has nodes, and none for genuine holes *)
-  let index = net.Network.core_index in
+  let core = Verify.core net in
   let hits = Array.make 16 0 in
   let wl = [| Array.make 16 true |] in
   (* only level-0 row watched here: level-1 certification needs prefix len 1;
@@ -177,7 +178,7 @@ let test_multicast_watchlist_reports_fillers () =
          hits.(digit) <- hits.(digit) + 1)
        ~watchlist:wl net ~start:anchor ~prefix ~len:1 ~apply:ignore);
   for d = 0 to 15 do
-    let exists = Id_index.exists_extension index ~prefix ~len:0 ~digit:d in
+    let exists = Option.is_some (Verify.extension core anchor.Node.id ~level:0 ~digit:d) in
     if exists then
       Alcotest.(check bool) (Printf.sprintf "digit %x reported" d) true (hits.(d) > 0)
     else Alcotest.(check int) (Printf.sprintf "digit %x silent" d) 0 hits.(d)

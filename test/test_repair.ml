@@ -174,7 +174,7 @@ let test_heartbeat_sweep () =
           if not (Node.is_alive (Network.node_of_handle net h)) then
             Alcotest.fail "stale entry survived the heartbeat sweep"));
   Alcotest.(check int) "second sweep finds none" 0 (sweep ());
-  Alcotest.(check int) "Property 1" 0 (List.length (Network.check_property1 net))
+  Alcotest.(check int) "Property 1" 0 (List.length (Verify.check_property1 net))
 
 let () =
   Alcotest.run "repair"

@@ -12,7 +12,7 @@ let build_with cfg ?(n = 80) ?(seed = 201) ?(kind = Simnet.Topology.Uniform_squa
 
 let exercise net =
   (* consistency + publish/locate + delete, in one sweep *)
-  Alcotest.(check int) "P1" 0 (List.length (Network.check_property1 net));
+  Alcotest.(check int) "P1" 0 (List.length (Verify.check_property1 net));
   let cfg = net.Network.config in
   let guids =
     List.init 10 (fun _ ->
@@ -35,7 +35,7 @@ let exercise net =
     |> List.find (fun (v : Node.t) -> Node_id.Tbl.length v.Node.replicas = 0)
   in
   ignore (Delete.voluntary net victim);
-  Alcotest.(check int) "P1 after delete" 0 (List.length (Network.check_property1 net))
+  Alcotest.(check int) "P1 after delete" 0 (List.length (Verify.check_property1 net))
 
 let test_base4 () =
   (* base 4: long IDs, deep tables *)
@@ -77,7 +77,7 @@ let test_adaptive_joins () =
     Alcotest.(check bool) "active" true (r.Insert.node.Node.status = Node.Active)
   done;
   Alcotest.(check int) "P1 after adaptive joins" 0
-    (List.length (Network.check_property1 net))
+    (List.length (Verify.check_property1 net))
 
 let test_bootstrap_pair () =
   (* the smallest dynamic network: one bootstrap + one join *)

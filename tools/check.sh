@@ -79,7 +79,7 @@ cd "$(dirname "$0")/.."
 #   what the stage covers
 smokes=(
   "--churn-smoke|20|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --kill-rate 20 --join-rate 20 --audit|dead_letter|-|5ea3fce963c72e361444bc0aab442d44|-|churn smoke (n=4096 serve, cache=32 coop, 20 kills + 20 joins per s, audit)"
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|37189864|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|33190912|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
   "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
   "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|-|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
   "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|-|scale smoke (n=32768 streamed build + JSON round-trip)"
