@@ -2,7 +2,7 @@ type t = {
   n : int;
   metric : Simnet.Metric.t;
   replicas : (int, int list) Hashtbl.t; (* guid key -> server addrs *)
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let create ~n metric = { n; metric; replicas = Hashtbl.create 64; cost = Simnet.Cost.make () }

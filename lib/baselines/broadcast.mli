@@ -8,7 +8,7 @@ type t
 
 val create : n:int -> Simnet.Metric.t -> t
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val publish : t -> server_addr:int -> guid_key:int -> unit
 (** Broadcasts the location to all [n] nodes. *)

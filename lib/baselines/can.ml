@@ -13,7 +13,7 @@ type t = {
   metric : Simnet.Metric.t;
   mutable members : node list;
   rng : Simnet.Rng.t;
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let create ?(seed = 42) ?(dims = 2) metric =

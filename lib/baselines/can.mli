@@ -15,7 +15,7 @@ type t
 val create : ?seed:int -> ?dims:int -> Simnet.Metric.t -> t
 (** [dims] defaults to 2 (the classic deployment). *)
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val bootstrap : t -> addr:int -> node
 (** First node: owns the whole space. *)

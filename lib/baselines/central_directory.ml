@@ -2,7 +2,7 @@ type t = {
   metric : Simnet.Metric.t;
   dir : int;
   entries : (int, int list) Hashtbl.t; (* guid key -> server addrs *)
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let create ?seed:_ ~directory_addr metric =

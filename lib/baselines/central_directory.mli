@@ -10,7 +10,7 @@ type t
 
 val create : ?seed:int -> directory_addr:int -> Simnet.Metric.t -> t
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val directory_addr : t -> int
 

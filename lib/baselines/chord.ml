@@ -16,7 +16,7 @@ type t = {
   mutable members : node list; (* oracle bookkeeping, not protocol state *)
   keys : (int, node) Hashtbl.t;
   rng : Simnet.Rng.t;
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let create ?(seed = 42) ~m ~succ_list metric =

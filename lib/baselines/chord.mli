@@ -15,7 +15,7 @@ type t
 val create : ?seed:int -> m:int -> succ_list:int -> Simnet.Metric.t -> t
 (** Ring modulo [2^m] ([m <= 30]); each node keeps [succ_list] successors. *)
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val bootstrap : t -> addr:int -> node
 (** First node of the ring. *)

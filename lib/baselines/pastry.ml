@@ -18,7 +18,7 @@ type t = {
   metric : Simnet.Metric.t;
   mutable members : node list;
   rng : Simnet.Rng.t;
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let create ?(seed = 42) ?(leaf_set = 8) (cfg : Config.t) metric =

@@ -18,7 +18,7 @@ val create : ?seed:int -> ?leaf_set:int -> Tapestry.Config.t -> Simnet.Metric.t 
 (** Digit parameters come from the Tapestry config ([base], [id_digits]);
     [leaf_set] is the total leaf-set size (default 8, half per side). *)
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val bootstrap : t -> addr:int -> node
 

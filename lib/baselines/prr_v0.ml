@@ -6,7 +6,7 @@ type t = {
   reps : int array array array; (* reps.(v).(i).(j) = closest member of S_{i,j} to v *)
   member_objects : (int, (int * int) list) Hashtbl.t array;
       (* per node: guid key -> (guid key, server addr) — objects of nodes pointing here *)
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let build ?(seed = 42) ?(c = 3) metric =

@@ -19,7 +19,7 @@ val build : ?seed:int -> ?c:int -> Simnet.Metric.t -> t
 (** Sample the sets and build every node's representative table.  [c] is the
     per-level trial multiplier (default 3). *)
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val levels : t -> int
 

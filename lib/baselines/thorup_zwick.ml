@@ -7,7 +7,7 @@ type t = {
   bunches : int list array; (* B(v) *)
   registry : (int, (int * int) list) Hashtbl.t array;
       (* per node: guid key -> (key, server addr) registrations *)
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
 }
 
 let build ?(seed = 42) ?k metric =

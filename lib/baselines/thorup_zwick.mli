@@ -20,7 +20,7 @@ type t
 val build : ?seed:int -> ?k:int -> Simnet.Metric.t -> t
 (** [k] levels (default [ceil(log2 n)], the paper's regime). *)
 
-val cost : t -> Simnet.Cost.t
+val cost : t -> Simnet.Cost.acc
 
 val k : t -> int
 

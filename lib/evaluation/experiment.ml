@@ -101,7 +101,7 @@ let table1 ?(seed = 42) ?(domains = 1) mode =
         let gw = Baselines.Chord.random_node ch in
         let before = Cost.snapshot (Baselines.Chord.cost ch) in
         ignore (Baselines.Chord.join ch ~gateway:gw ~addr);
-        let d = Cost.diff (Cost.snapshot (Baselines.Chord.cost ch)) before in
+        let d = Cost.diff (Baselines.Chord.cost ch) before in
         if addr > n / 2 then join_costs := float_of_int d.Cost.messages :: !join_costs
       done;
       Baselines.Chord.stabilize_all ch ~rounds:2;
@@ -139,7 +139,7 @@ let table1 ?(seed = 42) ?(domains = 1) mode =
         let gw = Baselines.Pastry.random_node pa in
         let before = Cost.snapshot (Baselines.Pastry.cost pa) in
         ignore (Baselines.Pastry.join pa ~gateway:gw ~addr);
-        let d = Cost.diff (Cost.snapshot (Baselines.Pastry.cost pa)) before in
+        let d = Cost.diff (Baselines.Pastry.cost pa) before in
         if addr > n / 2 then pastry_join := float_of_int d.Cost.messages :: !pastry_join
       done;
       let pastry_hops =
@@ -169,7 +169,7 @@ let table1 ?(seed = 42) ?(domains = 1) mode =
         let gw = Baselines.Can.random_node ca in
         let before = Cost.snapshot (Baselines.Can.cost ca) in
         ignore (Baselines.Can.join ca ~gateway:gw ~addr);
-        let d = Cost.diff (Cost.snapshot (Baselines.Can.cost ca)) before in
+        let d = Cost.diff (Baselines.Can.cost ca) before in
         if addr > n / 2 then can_join := float_of_int d.Cost.messages :: !can_join
       done;
       let can_hops =
@@ -285,7 +285,7 @@ let stretch ?(seed = 42) mode =
             | Some from ->
                 let before = Cost.snapshot (Baselines.Chord.cost ch) in
                 let res = Baselines.Chord.locate ch ~from ~guid_key:(chord_key_of q.obj) in
-                let d = Cost.diff (Cost.snapshot (Baselines.Chord.cost ch)) before in
+                let d = Cost.diff (Baselines.Chord.cost ch) before in
                 if Option.is_some res && opt > 1e-12 then Some (d.Cost.latency /. opt)
                 else None)
           queries
@@ -300,7 +300,7 @@ let stretch ?(seed = 42) mode =
             | Some from ->
                 let before = Cost.snapshot (Baselines.Pastry.cost pa) in
                 let res = Baselines.Pastry.locate pa ~from q.obj.Workload.guid in
-                let d = Cost.diff (Cost.snapshot (Baselines.Pastry.cost pa)) before in
+                let d = Cost.diff (Baselines.Pastry.cost pa) before in
                 if Option.is_some res && opt > 1e-12 then Some (d.Cost.latency /. opt)
                 else None)
           queries
@@ -316,7 +316,7 @@ let stretch ?(seed = 42) mode =
                 ~guid_key:(chord_key_of q.obj)
             in
             let d =
-              Cost.diff (Cost.snapshot (Baselines.Central_directory.cost dir)) before
+              Cost.diff (Baselines.Central_directory.cost dir) before
             in
             if Option.is_some res && opt > 1e-12 then Some (d.Cost.latency /. opt) else None)
           queries
@@ -788,7 +788,7 @@ let prr_v0 ?(seed = 42) ?(domains = 1) mode =
           match Baselines.Prr_v0.locate p ~client_addr:client ~guid_key:q with
           | Some s when s = server ->
               incr found;
-              let d = Cost.diff (Cost.snapshot (Baselines.Prr_v0.cost p)) before in
+              let d = Cost.diff (Baselines.Prr_v0.cost p) before in
               let opt = Metric.dist metric client server in
               if opt > 1e-12 then stretches := (d.Cost.latency /. opt) :: !stretches
           | _ -> ()
@@ -813,7 +813,7 @@ let prr_v0 ?(seed = 42) ?(domains = 1) mode =
           match Baselines.Thorup_zwick.locate tz ~client_addr:client ~guid_key:q with
           | Some s when s = server ->
               incr found;
-              let d = Cost.diff (Cost.snapshot (Baselines.Thorup_zwick.cost tz)) before in
+              let d = Cost.diff (Baselines.Thorup_zwick.cost tz) before in
               let opt = Metric.dist metric client server in
               if opt > 1e-12 then stretches := (d.Cost.latency /. opt) :: !stretches
           | _ -> ()

@@ -8,8 +8,8 @@
    with a service-done event, then executes the hop (pointer probe,
    deposit, removal, or replica check) and sends the follow-up message
    — so a request's hop sequence is real inter-actor traffic: [hop]
-   charges the shard's cost counters one message of the metric
-   distance and delivers it [latency * distance] virtual seconds later.
+   delivers it [latency * distance] virtual seconds later, the metric
+   distance of the link.
    A drain is two plain functions, [drain_head] and [serve_done], with
    no continuation or closure per message.
 
@@ -179,7 +179,6 @@ type ctx = {
   q : Events.q;  (* messages, service and injector events; the clock *)
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;  (* injector stream; dispatch never draws from it *)
-  cost : Cost.t;
   hist_v : Hist.h;  (* virtual-time latency of completed requests *)
   hist_w : Hist.h;  (* wall-time latency (info only, machine-dependent) *)
   mutable injected : int;
@@ -206,9 +205,9 @@ type ctx = {
          repair, slot unchanged; assigned once in [make_ctx] *)
   mutable best_h : int;
   sel_f : float array;
-      (* [| best distance; probe time |] for [sel]: float-array cells,
-         so writing them allocates nothing (a mutable float field of
-         this mixed record would box every write) *)
+      (* [| best distance |] for [sel]: a float-array cell, so writing
+         it allocates nothing (a mutable float field of this mixed
+         record would box every write) *)
   mutable cur : Node.t;  (* node whose dispatch is running *)
   mutable sel : Pointer_store.cols -> int -> unit;
       (* preallocated best-server folder; assigned once in [make_ctx] *)
@@ -266,7 +265,6 @@ let[@alloc_ok] make_shared ~net ~mbs ~shards ~guids ~roots ~ttl ~latency
 
 (* [ctx.sel_f] cells *)
 let sel_best_d = 0
-let sel_pred_now = 1
 
 (* [@alloc_ok]: footprint accounting, once per report.  The request
    slot pools and the per-handle repair and want marks. *)
@@ -302,7 +300,6 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       q = Events.create sh.mbs.(shard);
       out = Mailbox.Outbox.create ();
       rng;
-      cost = Cost.make ();
       hist_v = Hist.create ();
       hist_w = Hist.create ();
       injected = 0;
@@ -323,7 +320,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
       repairs = Rows.create ~width:1;
       dead = (fun _ _ -> false);
       best_h = -1;
-      sel_f = [| infinity; 0. |];
+      sel_f = [| infinity |];
       cur = Network.node_of_handle sh.net 0;
       sel = (fun _ _ -> ());
       tally = Simnet.Stats.Tally.create ();
@@ -336,7 +333,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
   in
   (ctx.sel <-
      (fun (c : Pointer_store.cols) i ->
-       if c.expires.(i) >= ctx.sel_f.(sel_pred_now) then begin
+       if c.expires.(i) >= ctx.q.Events.clock.(0) then begin
          let srv = Network.node_of_handle sh.net (Pointer_store.server c i) in
          if Node.is_alive srv then begin
            let d = Network.dist sh.net ctx.cur srv in
@@ -356,7 +353,7 @@ let[@alloc_ok] make_ctx sh ~shard ~rng =
    cross-shard targets are buffered in the outbox until the barrier.  A
    target killed at a later barrier makes the message a dead letter on
    delivery. *)
-let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
+let[@inline] send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
   if h mod ctx.sh.shards = ctx.shard then
     Events.push ctx.q ~time ~h ~kind ~req ~oi ~level ~prev ~src
   else Mailbox.Outbox.push ctx.out ~time ~h ~kind ~req ~oi ~level ~prev ~src
@@ -364,25 +361,26 @@ let send ctx ~time ~h ~kind ~req ~oi ~level ~prev ~src =
 (* Is the node at handle [h] alive?  Churn never revives a node or
    reuses its handle, so a node dead now was killed at a barrier after
    its message was sent, queued or taken into service. *)
-let alive sh h = Node.is_alive (Network.node_of_handle sh.net h)
+let[@inline] alive sh h = Node.is_alive (Network.node_of_handle sh.net h)
 
-(* One hop of distance [d] from [node] to handle [h]: charge the shard
-   cost and schedule delivery after the virtual link latency. *)
-let hop ctx (node : Node.t) ~now ~h ~kind ~req ~oi ~level ~prev ~src =
+(* One hop of distance [d] from [node] to handle [h]: schedule delivery
+   after the virtual link latency.  [Network.dist] inlines here, so [d]
+   stays unboxed. *)
+let hop ctx (node : Node.t) ~h ~kind ~req ~oi ~level ~prev ~src =
   let sh = ctx.sh in
   let d = Network.dist sh.net node (Network.node_of_handle sh.net h) in
-  Cost.send ctx.cost ~dist:d;
-  send ctx ~time:(now +. (sh.latency *. d)) ~h ~kind ~req ~oi ~level ~prev ~src
+  send ctx ~time:(ctx.q.Events.clock.(0) +. (sh.latency *. d)) ~h ~kind ~req ~oi
+    ~level ~prev ~src
 
 (* ---- request slots ---- *)
 
 (* A slot tag names the owner shard (low [tag_bits]) and the slot in
    its pool: the slot's segment and its cell there. *)
-let tag_seg sh tag =
+let[@inline] tag_seg sh tag =
   let owner = tag land ((1 lsl sh.tag_bits) - 1) in
   sh.slots.(owner).segs.(tag lsr (sh.tag_bits + slot_bits))
 
-let tag_cell sh tag = (tag lsr sh.tag_bits) land slot_mask
+let[@inline] tag_cell sh tag = (tag lsr sh.tag_bits) land slot_mask
 
 (* LOCATE hops are recorded for the fill unwind, and unpublish origins
    bump epochs, only with ways to fill. *)
@@ -438,7 +436,7 @@ let path_len sh tag = seg_plen (tag_seg sh tag) (tag_cell sh tag)
 let path_hop sh tag k = seg_hop (tag_seg sh tag) (tag_cell sh tag) k
 
 (* Record the request's next locate hop, if its path has room. *)
-let record_hop sh tag h =
+let[@inline] record_hop sh tag h =
   let g = tag_seg sh tag and i = tag_cell sh tag in
   let plen = seg_plen g i in
   if plen < path_cap then begin
@@ -473,11 +471,11 @@ let reclaim ctx =
   done;
   Rows.clear ctx.settled_owners
 
-let complete_ok ctx ~now ~req =
+let complete_ok ctx ~req =
   if req >= 0 then begin
     let sh = ctx.sh in
     let g = tag_seg sh req and i = tag_cell sh req in
-    Hist.add ctx.hist_v (now -. g.s_t0.(i));
+    Hist.add ctx.hist_v (ctx.q.Events.clock.(0) -. g.s_t0.(i));
     Hist.add ctx.hist_w (sh.wall.(0) -. g.s_w0.(i));
     settle ctx ~req g i;
     ctx.completed <- ctx.completed + 1
@@ -498,7 +496,7 @@ let fail_req ctx ~req cause =
 
 (* A message whose target died.  Only request-carrying losses are
    failure causes; a lost chain message fails no request. *)
-let count_dead_letter ctx ~req =
+let[@inline] count_dead_letter ctx ~req =
   if req >= 0 then fail_req ctx ~req Dead_letter
   else ctx.chain_lost <- ctx.chain_lost + 1
 
@@ -524,27 +522,26 @@ let log_want ctx (node : Node.t) =
 
 (* The next hop of [node]'s walk toward [oi]'s root, resolved [level]
    digits so far: one [Route.step] (-1 at the root). *)
-let step ctx (node : Node.t) ~oi ~level =
+let[@inline] step ctx (node : Node.t) ~oi ~level =
   Route.step ctx.sh.net ~skip:Route.no_skip ~dead:ctx.dead node
     ctx.sh.guids.(oi) ~level
 
 (* Pointer probe + surrogate climb, shared by LOCATE (after a cache miss)
    and LOCATE_NC.  [wl] is the walk level, [rc] the request's redirect
    count, re-packed into the outgoing level. *)
-let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
+let locate_climb ctx (node : Node.t) ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
   (* a usable pointer redirects the walk to the closest live server *)
-  ctx.sel_f.(sel_pred_now) <- now;
   ctx.cur <- node;
   ctx.best_h <- -1;
   ctx.sel_f.(sel_best_d) <- infinity;
   Pointer_store.iter_guid node.Node.pointers base_guid ~f:ctx.sel;
   if ctx.best_h >= 0 then
-    hop ctx node ~now ~h:ctx.best_h ~kind:op_fetch ~req ~oi ~level:rc
+    hop ctx node ~h:ctx.best_h ~kind:op_fetch ~req ~oi ~level:rc
       ~prev:(-1) ~src:ctx.best_h
   else begin
     let r = step ctx node ~oi ~level:wl in
     if r >= 0 then
-      hop ctx node ~now ~h:(Route.step_handle r)
+      hop ctx node ~h:(Route.step_handle r)
         ~kind:(if nc then op_locate_nc else op_locate)
         ~req ~oi
         ~level:(Route.step_level r lor (rc lsl rc_shift))
@@ -557,14 +554,14 @@ let locate_climb ctx (node : Node.t) ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc =
 (* The tail of a PUBLISH or UNPUBLISH hop, after its store write:
    forward the message with this node as the previous hop, or complete
    at the root. *)
-let walk_on ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~src =
+let walk_on ctx (node : Node.t) ~kind ~req ~oi ~level ~src =
   let r = step ctx node ~oi ~level in
   if r >= 0 then
-    hop ctx node ~now ~h:(Route.step_handle r) ~kind ~req ~oi
+    hop ctx node ~h:(Route.step_handle r) ~kind ~req ~oi
       ~level:(Route.step_level r) ~prev:node.Node.handle ~src
-  else complete_ok ctx ~now ~req
+  else complete_ok ctx ~req
 
-let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
+let rec dispatch ctx (node : Node.t) ~kind ~req ~oi ~level ~prev ~src =
   let sh = ctx.sh in
   let base_oi = oi - (oi mod sh.roots) in
   let base_guid = sh.guids.(base_oi) in
@@ -586,7 +583,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           ctx.tally.hint_hits <- ctx.tally.hint_hits + 1;
         log_digest ctx ~key ~srv ~epoch:(Obj_cache.probe_epoch c i)
       end;
-      hop ctx node ~now ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
+      hop ctx node ~h:srv ~kind:op_fetch ~req ~oi ~level:rc
         ~prev:node.Node.handle ~src:srv
     end
     else begin
@@ -600,12 +597,12 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
         ctx.tally.evicts <- ctx.tally.evicts + 1
       end;
       if sh.coop then log_want ctx node;
-      locate_climb ctx node ~now ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
+      locate_climb ctx node ~req ~oi ~wl ~rc ~src ~base_guid ~nc:false
     end
   end
   else if kind = op_fetch then begin
     if Node.stores_replica node base_guid then begin
-      complete_ok ctx ~now ~req;
+      complete_ok ctx ~req;
       (* unwind: offer this server to every recorded hop of the path.
          The epoch snapshot is taken NOW — a racing unpublish's bump is
          applied before fills at the barrier, so such a fill lands
@@ -638,7 +635,7 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
           ctx.tally.evicts <- ctx.tally.evicts + 1
         end;
         ctx.tally.recoveries <- ctx.tally.recoveries + 1;
-        dispatch ctx node ~now
+        dispatch ctx node
           ~kind:(if rc >= rc_max then op_locate_nc else op_locate)
           ~req ~oi ~level:(rc lsl rc_shift) ~prev:(-1) ~src
       end
@@ -649,8 +646,9 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     if prev < 0 then Node.add_replica node base_guid;
     ignore
       (Pointer_store.store node.Node.pointers ~guid:base_guid ~server:src
-         ~root_idx:(oi - base_oi) ~previous:prev ~expires:(now +. sh.ttl));
-    walk_on ctx node ~now ~kind ~req ~oi ~level ~src
+         ~root_idx:(oi - base_oi) ~previous:prev
+         ~expires:(ctx.q.Events.clock.(0) +. sh.ttl));
+    walk_on ctx node ~kind ~req ~oi ~level ~src
   end
   else if kind = op_unpublish then begin
     if prev < 0 then begin
@@ -665,12 +663,12 @@ let rec dispatch ctx (node : Node.t) ~now ~kind ~req ~oi ~level ~prev ~src =
     ignore
       (Pointer_store.remove node.Node.pointers ~guid:base_guid ~server:src
          ~root_idx:(oi - base_oi));
-    walk_on ctx node ~now ~kind ~req ~oi ~level ~src
+    walk_on ctx node ~kind ~req ~oi ~level ~src
   end
   else
     (* op_locate_nc: the cache-free climb; its FETCH carries the
        redirect count on, so the budget stays bounded *)
-    locate_climb ctx node ~now ~req ~oi ~wl:(level land level_mask)
+    locate_climb ctx node ~req ~oi ~wl:(level land level_mask)
       ~rc:(level lsr rc_shift) ~src ~base_guid ~nc:true
 
 (* The drain: FIFO over the mailbox, [service] virtual seconds per
@@ -701,10 +699,9 @@ and serve_done ctx h =
   let slot = Mailbox.in_service mb h in
   let req = mb.Mailbox.r_req.(slot) in
   if Node.is_alive node then
-    dispatch ctx node ~now:ctx.q.Events.clock.(0)
-      ~kind:mb.Mailbox.r_kind.(slot) ~req ~oi:mb.Mailbox.r_oi.(slot)
-      ~level:mb.Mailbox.r_level.(slot) ~prev:mb.Mailbox.r_prev.(slot)
-      ~src:mb.Mailbox.r_src.(slot)
+    dispatch ctx node ~kind:mb.Mailbox.r_kind.(slot) ~req
+      ~oi:mb.Mailbox.r_oi.(slot) ~level:mb.Mailbox.r_level.(slot)
+      ~prev:mb.Mailbox.r_prev.(slot) ~src:mb.Mailbox.r_src.(slot)
   else
     (* killed mid-service: the in-hand message is a dead letter *)
     count_dead_letter ctx ~req;

@@ -139,7 +139,7 @@ type shared = {
 }
 
 (** Per-shard private world: event heap (and clock), outbox,
-    RNG, cost and latency accounting, plus mutable scratch so the hot
+    RNG, latency accounting, plus mutable scratch so the hot
     dispatch path allocates nothing. *)
 type ctx = {
   sh : shared;
@@ -147,7 +147,6 @@ type ctx = {
   q : Mailbox.Events.q;
   out : Mailbox.Outbox.ob;
   rng : Simnet.Rng.t;
-  cost : Simnet.Cost.t;
   hist_v : Hist.h;
   hist_w : Hist.h;
   mutable injected : int;
@@ -184,9 +183,8 @@ type ctx = {
           alone *)
   mutable best_h : int;
   sel_f : float array;
-      (** [sel_f.(0)]: the best server's distance so far, [sel_f.(1)]:
-          the probe's time; float-array cells, so writes allocate
-          nothing *)
+      (** [sel_f.(0)]: the best server's distance so far; a float-array
+          cell, so writes allocate nothing *)
   mutable cur : Node.t;
   mutable sel : Pointer_store.cols -> int -> unit;
   tally : Simnet.Stats.Tally.t;  (** cache hit/miss/stale/... counters *)

@@ -118,9 +118,9 @@ let make_guids net ~objects ~roots =
 (* One chain per root; the request's slot tag rides chain 0, the
    others are fire-and-forget so replica/pointer state stays
    root-symmetric. *)
-let send_chains ctx ~roots ~now ~kind ~req ~obj ~srv_h =
+let send_chains (ctx : Actor.ctx) ~roots ~kind ~req ~obj ~srv_h =
   for r = 0 to roots - 1 do
-    Actor.send ctx ~time:now ~h:srv_h ~kind
+    Actor.send ctx ~time:ctx.Actor.q.Events.clock.(0) ~h:srv_h ~kind
       ~req:(if r = 0 then req else -1)
       ~oi:((obj * roots) + r)
       ~level:0 ~prev:(-1) ~src:srv_h
@@ -147,7 +147,7 @@ let inject_step params z log ~count ~mean_gap (ctx : Actor.ctx) =
     if u < params.p_publish then begin
       let srv = net.Network.alive_arr.(Rng.int rng net.Network.alive_len) in
       Rows.push2 log srv.Node.handle obj;
-      send_chains ctx ~roots ~now ~kind:Actor.op_publish ~req ~obj
+      send_chains ctx ~roots ~kind:Actor.op_publish ~req ~obj
         ~srv_h:srv.Node.handle
     end
     else if u < params.p_publish +. params.p_unpublish && Rows.length log > 0
@@ -155,7 +155,7 @@ let inject_step params z log ~count ~mean_gap (ctx : Actor.ctx) =
       let i = Rng.int rng (Rows.length log) in
       let srv_h = Rows.get log i 0 and obj' = Rows.get log i 1 in
       Rows.swap_remove log i;
-      send_chains ctx ~roots ~now ~kind:Actor.op_unpublish ~req ~obj:obj'
+      send_chains ctx ~roots ~kind:Actor.op_unpublish ~req ~obj:obj'
         ~srv_h
     end
     else begin

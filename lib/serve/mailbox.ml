@@ -140,7 +140,7 @@ let[@alloc_ok] grow_pool t =
   t.r_src <- gi t.r_src 0;
   t.r_next <- gi t.r_next (-1)
 
-let alloc t =
+let[@inline] alloc t =
   if t.free >= 0 then begin
     let s = t.free in
     t.free <- t.r_next.(s);
@@ -153,15 +153,15 @@ let alloc t =
     s
   end
 
-let release t slot =
+let[@inline] release t slot =
   t.r_next.(slot) <- t.free;
   t.free <- slot
 
 let length t h = t.len.(h / t.stride)
 
-let is_busy t h = t.serving.(h / t.stride) >= 0
+let[@inline] is_busy t h = t.serving.(h / t.stride) >= 0
 
-let enqueue t h slot =
+let[@inline] enqueue t h slot =
   let c = h / t.stride in
   if t.len.(c) >= t.cap then false
   else begin
@@ -190,7 +190,7 @@ let push t h ~kind ~req ~oi ~level ~prev ~src =
 let msg_index t h = t.head.(h / t.stride)
 
 (* Unlink handle [h]'s FIFO head and return its slot. *)
-let unlink t h =
+let[@inline] unlink t h =
   let c = h / t.stride in
   let s = t.head.(c) in
   t.head.(c) <- t.r_next.(s);
@@ -202,12 +202,12 @@ let advance t h = release t (unlink t h)
 
 (* Take handle [h]'s FIFO head into service; with the FIFO empty the
    actor goes idle instead and the answer is [false]. *)
-let take t h =
+let[@inline] take t h =
   let c = h / t.stride in
   t.serving.(c) <- (if t.len.(c) = 0 then -1 else unlink t h);
   t.serving.(c) >= 0
 
-let in_service t h = t.serving.(h / t.stride)
+let[@inline] in_service t h = t.serving.(h / t.stride)
 
 (* Empty a dead node's mailbox: queued messages are the caller's to
    account first (read them with [msg_index] and [advance]); any left go
@@ -268,7 +268,7 @@ module Events = struct
     let word = 8 in
     (11 * word) + (3 * (Array.length t.tt + 1) * word) + (2 * word)
 
-  let peek_time t = if t.tlen = 0 then infinity else t.tt.(0)
+  let[@inline] peek_time t = if t.tlen = 0 then infinity else t.tt.(0)
 
   (* [@alloc_ok]: amortized doubling, off the steady-state path. *)
   let[@alloc_ok] grow_heap t =
@@ -282,10 +282,10 @@ module Events = struct
     t.ts <- gf t.ts 0;
     t.tp <- gf t.tp 0
 
-  let before t i j =
+  let[@inline] before t i j =
     t.tt.(i) < t.tt.(j) || (t.tt.(i) = t.tt.(j) && t.ts.(i) < t.ts.(j))
 
-  let swap t i j =
+  let[@inline] swap t i j =
     let ft = t.tt.(i) in
     t.tt.(i) <- t.tt.(j);
     t.tt.(j) <- ft;
@@ -318,7 +318,7 @@ module Events = struct
 
   (* Take a pool slot for an event of [kind] to handle [h], then
      heap-insert it at [time] in class [cls]. *)
-  let insert t ~time ~cls ~kind ~h =
+  let[@inline] insert t ~time ~cls ~kind ~h =
     let mb = t.mb in
     let slot = alloc mb in
     mb.r_h.(slot) <- h;
@@ -333,9 +333,9 @@ module Events = struct
     sift_up t i;
     slot
 
-  let schedule t ~time ~kind ~h = ignore (insert t ~time ~cls:0 ~kind ~h : int)
+  let[@inline] schedule t ~time ~kind ~h = ignore (insert t ~time ~cls:0 ~kind ~h : int)
 
-  let push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
+  let[@inline] push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
     let slot = insert t ~time ~cls:message_class ~kind ~h in
     let mb = t.mb in
     mb.r_req.(slot) <- req;
@@ -344,7 +344,7 @@ module Events = struct
     mb.r_prev.(slot) <- prev;
     mb.r_src.(slot) <- src
 
-  let pop_into t =
+  let[@inline] pop_into t =
     if t.tlen = 0 then false
     else begin
       let mb = t.mb in
@@ -426,7 +426,7 @@ module Outbox = struct
     t.b_prev <- gi t.b_prev;
     t.b_src <- gi t.b_src
 
-  let push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
+  let[@inline] push t ~time ~h ~kind ~req ~oi ~level ~prev ~src =
     if t.blen >= Array.length t.b_h then grow t;
     let i = t.blen in
     t.b_time.(i) <- time;
@@ -457,7 +457,7 @@ module Rows = struct
 
   let length r = r.n
 
-  let get r i k = r.a.((i * r.width) + k)
+  let[@inline] get r i k = r.a.((i * r.width) + k)
 
   (* [@alloc_ok]: amortized doubling, off the steady-state path. *)
   let[@alloc_ok] grow r =
@@ -466,28 +466,28 @@ module Rows = struct
     r.a <- b
 
   (* Append a row and return its offset in [a]. *)
-  let next r =
+  let[@inline] next r =
     let o = r.n * r.width in
     if o + r.width > Array.length r.a then grow r;
     r.n <- r.n + 1;
     o
 
-  let push1 r x =
+  let[@inline] push1 r x =
     let o = next r in
     r.a.(o) <- x
 
-  let push2 r x y =
+  let[@inline] push2 r x y =
     let o = next r in
     r.a.(o) <- x;
     r.a.(o + 1) <- y
 
-  let push3 r x y z =
+  let[@inline] push3 r x y z =
     let o = next r in
     r.a.(o) <- x;
     r.a.(o + 1) <- y;
     r.a.(o + 2) <- z
 
-  let push4 r x y z u =
+  let[@inline] push4 r x y z u =
     let o = next r in
     r.a.(o) <- x;
     r.a.(o + 1) <- y;

@@ -1,30 +1,48 @@
-type t = { mutable messages : int; mutable hops : int; mutable latency : float }
+type t = { messages : int; hops : int; latency : float }
 
-let make () = { messages = 0; hops = 0; latency = 0. }
+(* A float-only record is stored flat, so [send] updates its cells in
+   place; an int field beside the latency would make it a mixed record,
+   whose float field boxes on every store. *)
+type acc = { mutable msgs : float; mutable hop : float; mutable lat : float }
 
-let zero t =
-  t.messages <- 0;
-  t.hops <- 0;
-  t.latency <- 0.
+(* [@alloc_ok]: one accumulator per network or baseline. *)
+let[@alloc_ok] make () = { msgs = 0.; hop = 0.; lat = 0. }
 
-let send t ~dist =
-  t.messages <- t.messages + 1;
-  t.hops <- t.hops + 1;
-  t.latency <- t.latency +. dist
+let zero a =
+  a.msgs <- 0.;
+  a.hop <- 0.;
+  a.lat <- 0.
 
-let message t ~dist =
-  t.messages <- t.messages + 1;
-  t.latency <- t.latency +. dist
+let[@inline] send a ~dist =
+  a.msgs <- a.msgs +. 1.;
+  a.hop <- a.hop +. 1.;
+  a.lat <- a.lat +. dist
 
-let add acc x =
-  acc.messages <- acc.messages + x.messages;
-  acc.hops <- acc.hops + x.hops;
-  acc.latency <- acc.latency +. x.latency
+let[@inline] message a ~dist =
+  a.msgs <- a.msgs +. 1.;
+  a.lat <- a.lat +. dist
 
-let snapshot t = { messages = t.messages; hops = t.hops; latency = t.latency }
+let add a x =
+  a.msgs <- a.msgs +. float_of_int x.messages;
+  a.hop <- a.hop +. float_of_int x.hops;
+  a.lat <- a.lat +. x.latency
 
-let diff a b =
-  { messages = a.messages - b.messages; hops = a.hops - b.hops; latency = a.latency -. b.latency }
+(* [@alloc_ok]: a reading is a record, taken per operation, not per
+   charge. *)
+let[@alloc_ok] snapshot a =
+  { messages = int_of_float a.msgs; hops = int_of_float a.hop; latency = a.lat }
 
-let pp ppf t =
+let[@alloc_ok] diff a b =
+  {
+    messages = int_of_float a.msgs - b.messages;
+    hops = int_of_float a.hop - b.hops;
+    latency = a.lat -. b.latency;
+  }
+
+let restore a s =
+  a.msgs <- float_of_int s.messages;
+  a.hop <- float_of_int s.hops;
+  a.lat <- s.latency
+
+let[@alloc_ok] pp ppf t =
   Format.fprintf ppf "msgs=%d hops=%d latency=%.3f" t.messages t.hops t.latency

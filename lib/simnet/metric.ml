@@ -9,12 +9,10 @@
    The index is packed CSR-style — one offsets array plus one flat
    point-index array — instead of an [int list array]: at 10^6 points the
    per-cell cons cells alone were ~24 MB and a cache miss per candidate.
-   Coordinates live in the same unboxed float arrays the [dist] closure
-   reads, so the index adds ~2 ints per point, nothing more. *)
+   Coordinates live in the same unboxed float arrays [dist] reads, so the
+   index adds ~2 ints per point, nothing more. *)
 
 type spatial = {
-  xs : float array;  (* shared with the [dist] closure, never copied *)
-  ys : float array;
   torus : float option;  (* [Some side]: coordinates wrap modulo [side] *)
   nx : int;
   ny : int;
@@ -27,14 +25,23 @@ type spatial = {
   cell_pts : int array;  (* point indices grouped by cell, ascending within *)
 }
 
-type t = {
-  size : int;
-  desc : string;
-  dist : int -> int -> float;
-  mutable spatial : spatial option;
-      (* mutable so the index can be rebuilt when its density assumption
-         goes stale ({!rescale_index}); queries never mutate it *)
+(* Point coordinates in unboxed float columns, read by [dist] and the
+   grid alike; the index is rebuilt in place ({!rescale_index}). *)
+type points = {
+  xs : float array;
+  ys : float array;
+  mutable grid : spatial option;
 }
+
+(* The distance kernel.  Every constructor the simulator's hot paths use
+   is a case of one match, so [dist] inlines to its use site and the
+   float it returns stays in a register; only [Fn] (the ring and the
+   drifting torus) is a closure call. *)
+type t =
+  | Plane of points
+  | Torus of { pts : points; side : float }
+  | Matrix of float array array
+  | Fn of { size : int; desc : string; f : int -> int -> float }
 
 (* --- grid construction --- *)
 
@@ -46,10 +53,11 @@ let cell_iy s y = clamp 0 (s.ny - 1) (int_of_float (floor ((y -. s.miny) /. s.ce
 
 (* Grid sized for ~[occupancy] points per cell; the default (1) matches the
    classic sqrt(n) x sqrt(n) layout. *)
-let ideal_per_axis ?(occupancy = 1.) n =
+let[@alloc_ok] ideal_per_axis ?(occupancy = 1.) n =
   max 1 (int_of_float (sqrt (float_of_int n /. max occupancy 1e-9)))
 
-let build_spatial ?torus ?per_axis ~xs ~ys () =
+(* [@alloc_ok]: once per metric or index rebuild. *)
+let[@alloc_ok] build_spatial ?torus ?per_axis ~xs ~ys () =
   let n = Array.length xs in
   if n = 0 then None
   else begin
@@ -75,8 +83,6 @@ let build_spatial ?torus ?per_axis ~xs ~ys () =
     let ncells = per_axis * per_axis in
     let s =
       {
-        xs;
-        ys;
         torus;
         nx = per_axis;
         ny = per_axis;
@@ -115,8 +121,9 @@ let build_spatial ?torus ?per_axis ~xs ~ys () =
 
 (* Cell indices along one axis covering the coordinate interval
    [c - r, c + r]; wraps on the torus, clamps on the plane.  The count is
-   capped at the axis size so no cell is visited twice. *)
-let axis_range ~torus ~lo:axis_min ~cellsz ~ncells c r =
+   capped at the axis size so no cell is visited twice.
+   [@alloc_ok]: ball queries are experiment-side, not per message. *)
+let[@alloc_ok] axis_range ~torus ~lo:axis_min ~cellsz ~ncells c r =
   let i0f = floor ((c -. r -. axis_min) /. cellsz) in
   let i1f = floor ((c +. r -. axis_min) /. cellsz) in
   match torus with
@@ -135,9 +142,10 @@ let axis_range ~torus ~lo:axis_min ~cellsz ~ncells c r =
 (* Visit every point index whose cell intersects the axis-aligned square of
    half-width [r] around point [p]: a superset of the ball of radius [r] in
    both the planar and wrapped metrics.  Cells are visited at most once
-   (axis ranges are duplicate-free), so each point is seen at most once. *)
-let iter_candidates s p r f =
-  let x = s.xs.(p) and y = s.ys.(p) in
+   (axis ranges are duplicate-free), so each point is seen at most once.
+   [@alloc_ok]: as [axis_range]. *)
+let[@alloc_ok] iter_candidates pts s p r f =
+  let x = pts.xs.(p) and y = pts.ys.(p) in
   let xrange =
     axis_range ~torus:s.torus ~lo:s.minx ~cellsz:s.cellw ~ncells:s.nx x r
   in
@@ -157,96 +165,108 @@ let iter_candidates s p r f =
 
 (* --- constructors --- *)
 
-let make ~size ~desc ~dist = { size; desc; dist; spatial = None }
+(* [@alloc_ok]: constructors run once per metric. *)
+let[@alloc_ok] make ~size ~desc ~dist = Fn { size; desc; f = dist }
 
-(* Coordinates live in flat float arrays (unboxed) rather than the tuple
-   array: [dist] sits under every hop charge, and four boxed-float derefs
-   per call show up.  Same subtractions in the same order — bit-identical
-   results. *)
-let of_points pts =
+let[@alloc_ok] of_points pts =
   let xs = Array.map fst pts and ys = Array.map snd pts in
-  let dist i j =
-    let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
-    sqrt ((dx *. dx) +. (dy *. dy))
-  in
-  {
-    size = Array.length pts;
-    desc = "euclidean-2d";
-    dist;
-    spatial = build_spatial ~xs ~ys ();
-  }
+  Plane { xs; ys; grid = build_spatial ~xs ~ys () }
 
-let of_points_torus ~side pts =
-  let wrap d =
-    let d = abs_float d in
-    min d (side -. d)
-  in
+let[@alloc_ok] of_points_torus ~side pts =
   let xs = Array.map fst pts and ys = Array.map snd pts in
-  let dist i j =
-    let dx = wrap (xs.(i) -. xs.(j)) and dy = wrap (ys.(i) -. ys.(j)) in
-    sqrt ((dx *. dx) +. (dy *. dy))
-  in
-  {
-    size = Array.length pts;
-    desc = "euclidean-torus";
-    dist;
-    spatial = build_spatial ~torus:side ~xs ~ys ();
-  }
+  Torus { pts = { xs; ys; grid = build_spatial ~torus:side ~xs ~ys () }; side }
 
-let of_matrix m =
-  let dist i j = m.(i).(j) in
-  { size = Array.length m; desc = "matrix"; dist; spatial = None }
+let[@alloc_ok] of_matrix m = Matrix m
 
-let size m = m.size
+let size = function
+  | Plane p | Torus { pts = p; _ } -> Array.length p.xs
+  | Matrix rows -> Array.length rows
+  | Fn { size; _ } -> size
 
-let desc m = m.desc
+let desc = function
+  | Plane _ -> "euclidean-2d"
+  | Torus _ -> "euclidean-torus"
+  | Matrix _ -> "matrix"
+  | Fn { desc; _ } -> desc
 
-let dist m i j = m.dist i j
+(* The shorter way round one axis of a [side]-wide torus.  The [if] is
+   Stdlib's [min] written for floats: the same answer, NaN included,
+   without the polymorphic compare. *)
+let[@inline] wrap side d =
+  let d = abs_float d in
+  let e = side -. d in
+  if d <= e then d else e
 
-let indexed m = Option.is_some m.spatial
+(* The kernel.  [@inline] carries the match to every call site, where the
+   result feeds a subtraction, a comparison or an unboxed float-array
+   cell, so no case but [Fn] boxes it.  Every pinned mesh, signature and
+   table depends on these bits: keep the subtractions in this order
+   (test_simnet checks them against the formulas written out). *)
+let[@inline] dist m i j =
+  match m with
+  | Plane { xs; ys; _ } ->
+      let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
+      sqrt ((dx *. dx) +. (dy *. dy))
+  | Torus { pts = { xs; ys; _ }; side } ->
+      let dx = wrap side (xs.(i) -. xs.(j)) and dy = wrap side (ys.(i) -. ys.(j)) in
+      sqrt ((dx *. dx) +. (dy *. dy))
+  | Matrix rows -> rows.(i).(j)
+  | Fn { f; _ } -> f i j
+
+let torus_side = function Torus { side; _ } -> Some side | _ -> None
+
+let indexed = function
+  | Plane { grid = Some _; _ } | Torus { pts = { grid = Some _; _ }; _ } -> true
+  | _ -> false
 
 (* --- index maintenance --- *)
 
-let index_granularity m =
-  match m.spatial with None -> None | Some s -> Some s.nx
+let index_granularity = function
+  | Plane { grid = Some s; _ } | Torus { pts = { grid = Some s; _ }; _ } -> Some s.nx
+  | _ -> None
 
-let set_index_granularity m ~per_axis =
-  match m.spatial with
-  | None -> ()
-  | Some s ->
-      m.spatial <- build_spatial ?torus:s.torus ~per_axis ~xs:s.xs ~ys:s.ys ()
+(* [@alloc_ok]: index rebuilds are experiment set-up. *)
+let[@alloc_ok] set_index_granularity m ~per_axis =
+  match m with
+  | Plane ({ grid = Some _; _ } as p)
+  | Torus { pts = { grid = Some _; _ } as p; _ } ->
+      p.grid <- build_spatial ?torus:(torus_side m) ~per_axis ~xs:p.xs ~ys:p.ys ()
+  | _ -> ()
 
-let rescale_index m =
-  match m.spatial with
-  | None -> false
-  | Some s ->
-      let ideal = ideal_per_axis m.size in
+let[@alloc_ok] rescale_index m =
+  match m with
+  | Plane ({ grid = Some s; _ } as p)
+  | Torus { pts = { grid = Some s; _ } as p; _ } ->
+      let ideal = ideal_per_axis (Array.length p.xs) in
       (* A 2x-off axis count means 4x-off cell occupancy: candidate scans
          degrade toward linear (too coarse) or cell walks dominate (too
          fine).  Within 2x the grid is fine — rebuilding on every call
          would thrash. *)
       if s.nx * 2 <= ideal || s.nx >= ideal * 2 then begin
-        m.spatial <-
-          build_spatial ?torus:s.torus ~per_axis:ideal ~xs:s.xs ~ys:s.ys ();
+        p.grid <-
+          build_spatial ?torus:(torus_side m) ~per_axis:ideal ~xs:p.xs ~ys:p.ys ();
         true
       end
       else false
+  | _ -> false
 
 (* --- brute-force oracles (also the fallback for non-point metrics) --- *)
 
-let ball_count_brute m p r =
+(* [@alloc_ok]: oracles and the fallback for unindexed metrics,
+   experiment-side. *)
+let[@alloc_ok] ball_count_brute m p r =
   let c = ref 0 in
-  for q = 0 to m.size - 1 do
-    if m.dist p q <= r then incr c
+  for q = 0 to size m - 1 do
+    if dist m p q <= r then incr c
   done;
   !c
 
-let nearest_other_brute m p =
+let[@alloc_ok] nearest_other_brute m p =
   let best = ref None in
   let best_d = ref infinity in
-  for q = 0 to m.size - 1 do
+  for q = 0 to size m - 1 do
     if q <> p then begin
-      let d = m.dist p q in
+      let d = dist m p q in
       if d < !best_d then begin
         best := Some q;
         best_d := d
@@ -257,29 +277,32 @@ let nearest_other_brute m p =
 
 (* --- grid-accelerated queries --- *)
 
-let ball_count m p r =
-  match m.spatial with
-  | None -> ball_count_brute m p r
-  | Some s ->
+(* [@alloc_ok]: the candidate walk's closure; experiment-side. *)
+let[@alloc_ok] ball_count m p r =
+  match m with
+  | Plane ({ grid = Some s; _ } as pts)
+  | Torus { pts = { grid = Some s; _ } as pts; _ } ->
       let c = ref 0 in
-      iter_candidates s p r (fun q -> if m.dist p q <= r then incr c);
+      iter_candidates pts s p r (fun q -> if dist m p q <= r then incr c);
       !c
+  | _ -> ball_count_brute m p r
 
 (* Radius-doubling around the grid cell size: once a ball is non-empty it
-   contains the true nearest point, so total work is O(|final ball|). *)
-let nearest_other m p =
-  match m.spatial with
-  | None -> nearest_other_brute m p
-  | Some s ->
-      if m.size <= 1 then None
+   contains the true nearest point, so total work is O(|final ball|).
+   [@alloc_ok]: as [ball_count]. *)
+let[@alloc_ok] nearest_other m p =
+  match m with
+  | Plane ({ grid = Some s; _ } as pts)
+  | Torus { pts = { grid = Some s; _ } as pts; _ } ->
+      if size m <= 1 then None
       else begin
         let pick r =
           (* lexicographic (distance, index) minimum = the brute scan's
              ascending-index strict-< tie-break *)
           let best = ref (-1) and best_d = ref infinity in
-          iter_candidates s p r (fun q ->
+          iter_candidates pts s p r (fun q ->
               if q <> p then begin
-                let d = m.dist p q in
+                let d = dist m p q in
                 if d <= r then
                   if d < !best_d || (d = !best_d && q < !best) then begin
                     best := q;
@@ -294,14 +317,17 @@ let nearest_other m p =
         in
         go (0.5 *. min s.cellw s.cellh)
       end
+  | _ -> nearest_other_brute m p
 
-let diameter m ~sample ~rng =
-  if m.size <= 1 then 0.
-  else if m.size <= 256 then begin
+(* [@alloc_ok]: experiment-side; [max] boxes its float arguments. *)
+let[@alloc_ok] diameter m ~sample ~rng =
+  let n = size m in
+  if n <= 1 then 0.
+  else if n <= 256 then begin
     let d = ref 0. in
-    for i = 0 to m.size - 1 do
-      for j = i + 1 to m.size - 1 do
-        d := max !d (m.dist i j)
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        d := max !d (dist m i j)
       done
     done;
     !d
@@ -309,23 +335,24 @@ let diameter m ~sample ~rng =
   else begin
     let d = ref 0. in
     for _ = 1 to sample do
-      let i = Rng.int rng m.size and j = Rng.int rng m.size in
-      d := max !d (m.dist i j)
+      let i = Rng.int rng n and j = Rng.int rng n in
+      d := max !d (dist m i j)
     done;
     !d
   end
 
-let expansion_estimate m ~samples ~rng =
+let[@alloc_ok] expansion_estimate m ~samples ~rng =
+  let n = size m in
   let worst = ref 1. in
   for _ = 1 to samples do
-    let p = Rng.int rng m.size in
-    let q = Rng.int rng m.size in
-    let r = m.dist p q in
+    let p = Rng.int rng n in
+    let q = Rng.int rng n in
+    let r = dist m p q in
     if r > 0. then begin
       let big = ball_count m p (2. *. r) in
       let small = ball_count m p r in
       (* Equation 1 exempts balls already covering the whole space. *)
-      if big < m.size && small > 0 then
+      if big < n && small > 0 then
         worst := max !worst (float_of_int big /. float_of_int small)
     end
   done;
@@ -333,18 +360,17 @@ let expansion_estimate m ~samples ~rng =
 
 let word = 8
 
-(* Resident-size estimate: coordinate arrays (shared with the dist
-   closure) plus the CSR index.  Matrix metrics count their full matrix. *)
-let approx_bytes m =
-  match m.spatial with
-  | None ->
-      if m.desc = "matrix" then
-        (* n rows of n unboxed floats plus the spine *)
-        (m.size * (m.size + 1) * word) + ((m.size + 1) * word) + (4 * word)
-      else 4 * word
-  | Some s ->
+(* Resident-size estimate: coordinate arrays (shared with [dist]) plus
+   the CSR index.  Matrix metrics count their full matrix. *)
+let approx_bytes = function
+  | Plane { xs; grid = Some s; _ } | Torus { pts = { xs; grid = Some s; _ }; _ } ->
       (4 * word)
-      + (2 * (Array.length s.xs + 1) * word)
+      + (2 * (Array.length xs + 1) * word)
       + ((Array.length s.cell_off + 1) * word)
       + ((Array.length s.cell_pts + 1) * word)
       + (13 * word)
+  | Matrix rows ->
+      let n = Array.length rows in
+      (* n rows of n unboxed floats plus the spine *)
+      (n * (n + 1) * word) + ((n + 1) * word) + (4 * word)
+  | Plane _ | Torus _ | Fn _ -> 4 * word

@@ -14,11 +14,17 @@
     including tie-breaks. *)
 
 type t
+(** One distance kernel: a plane or a torus over unboxed coordinate
+    columns, an explicit matrix, or a closure ({!make}).  {!dist} is one
+    match over them, inlined where it is called, so a point or matrix
+    distance reaches its use unboxed. *)
 
 val make : size:int -> desc:string -> dist:(int -> int -> float) -> t
 (** A metric over points [0 .. size-1]. [dist] must be symmetric, and zero
     exactly on the diagonal.  No spatial index (queries fall back to the
-    brute scans). *)
+    brute scans).  The one kernel case that is a closure call: kept for
+    metrics with no coordinate columns of their own (the ring) or whose
+    columns move ({!Drift}). *)
 
 val of_points : (float * float) array -> t
 (** Euclidean metric over points in the plane, with a grid index. *)
@@ -36,6 +42,10 @@ val size : t -> int
 val desc : t -> string
 
 val dist : t -> int -> int -> float
+(** The kernel, [@inline] in the implementation.  Point metrics compute
+    [sqrt (dx *. dx +. dy *. dy)] from the coordinate differences (each
+    wrapped to the shorter way round on the torus), matrices read
+    [m.(i).(j)]. *)
 
 val indexed : t -> bool
 (** Does this metric carry a spatial index (point-based constructors)? *)

@@ -229,7 +229,7 @@ module Hist = struct
      [m = 1.f / 2] and [e = E - 1022], so [(m - 0.5) * 2 * sub] is the
      top [sub_bits] bits of [f].  Subnormals have [E = 0], below [e_min],
      and land in bucket 0 as before.  No tuple, no boxed float. *)
-  let bucket_of v =
+  let[@inline] bucket_of v =
     if v <= 0. then 0
     else begin
       let bits = Int64.to_int (Int64.bits_of_float v) in
@@ -245,7 +245,7 @@ module Hist = struct
     let e = (b / sub) + e_min and si = b mod sub in
     Float.ldexp (0.5 +. (float_of_int si /. float_of_int (2 * sub))) e
 
-  let add t v =
+  let[@inline] add t v =
     let b = bucket_of v in
     t.counts.(b) <- t.counts.(b) + 1;
     t.total <- t.total + 1;

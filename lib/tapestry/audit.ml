@@ -156,10 +156,25 @@ let pp_report ppf r =
   List.iter (fun v -> Format.fprintf ppf "  %a@," pp_violation v) r.violations;
   Format.fprintf ppf "@]"
 
-let contains_id entries target =
-  List.exists
-    (fun (e : Routing_table.entry) -> Node_id.equal e.Routing_table.id target)
-    entries
+(* Does the slot, or the level's backpointer vector, name [target]?
+   Index loops over the packed accessors, comparing the IDs the list
+   views held, so the verdicts are the views' and nothing is allocated
+   per entry. *)
+let slot_holds table ~level ~digit target =
+  let rec go k =
+    k < Routing_table.slot_len table ~level ~digit
+    && (Node_id.equal (Routing_table.slot_id table ~level ~digit ~k) target
+       || go (k + 1))
+  in
+  go 0
+
+let backpointed table ~level target =
+  let rec go k =
+    k < Routing_table.backpointer_len table ~level
+    && (Node_id.equal (Routing_table.backpointer_id table ~level ~k) target
+       || go (k + 1))
+  in
+  go 0
 
 (* Space sanity: the paper's Table 1 space bound is O(log² n) pointers per
    node, i.e. O(n log n) words beyond the fixed b·R·log_b(N) slot arrays
@@ -260,11 +275,7 @@ let run net =
                     add (Stale_handle { node = owner; level; digit; entry = eid });
                   match Network.find net eid with
                   | Some target when Node.is_alive target ->
-                      if
-                        not
-                          (List.exists (Node_id.equal owner)
-                             (Routing_table.backpointers target.Node.table
-                                ~level))
+                      if not (backpointed target.Node.table ~level owner)
                       then
                         add
                           (Missing_backpointer
@@ -279,12 +290,8 @@ let run net =
             (* the owner fills its own digit slot at every level (create's
                invariant; routing and multicast rely on it) *)
             let own_digit = Node_id.digit owner level in
-            if
-              not
-                (contains_id
-                   (Routing_table.slot table ~level ~digit:own_digit)
-                   owner)
-            then add (Missing_owner { node = owner; level })
+            if not (slot_holds table ~level ~digit:own_digit owner) then
+              add (Missing_owner { node = owner; level })
           done);
       (* Backpointer reverse direction: every backpointer's source still
          holds the node and is recorded once per level — joins append
@@ -302,9 +309,8 @@ let run net =
               let holds =
                 match Network.find net src with
                 | Some a when Node.is_alive a ->
-                    contains_id
-                      (Routing_table.slot a.Node.table ~level
-                         ~digit:(Node_id.digit b.Node.id level))
+                    slot_holds a.Node.table ~level
+                      ~digit:(Node_id.digit b.Node.id level)
                       b.Node.id
                 | Some _ | None -> false
               in

@@ -12,7 +12,7 @@ type staged = {
   new_node : Node.t;
   surrogate : Node.t;
   shared : int;
-  acc : Simnet.Cost.t;
+  acc : Simnet.Cost.acc;
       (* this insertion's own charges, accumulated stage by stage: each
          stage runs under [Network.measure], so charges from other staged
          insertions interleaved at stage boundaries are never attributed

@@ -11,7 +11,7 @@ type t = {
   salts : Node_id.t array Node_id.Tbl.t;
   scratch : Scratch.t;
   mutable rng : Simnet.Rng.t;
-  cost : Simnet.Cost.t;
+  cost : Simnet.Cost.acc;
   mutable clock : float;
   mutable obj_cache : Obj_cache.t option;
 }
@@ -43,28 +43,28 @@ let[@alloc_ok] create ?(seed = 42) config metric =
     obj_cache = None;
   }
 
-let dist t (a : Node.t) (b : Node.t) = Simnet.Metric.dist t.metric a.addr b.addr
+(* [@inline] down from [Metric.dist]: a distance reaches the caller's
+   comparison, [Scratch.dist] cell or cost cell unboxed. *)
+let[@inline] dist t (a : Node.t) (b : Node.t) =
+  Simnet.Metric.dist t.metric a.addr b.addr
 
-let charge t a b = Simnet.Cost.send t.cost ~dist:(dist t a b)
+let[@inline] charge t a b = Simnet.Cost.send t.cost ~dist:(dist t a b)
 
-let charge_aside t a b = Simnet.Cost.message t.cost ~dist:(dist t a b)
+let[@inline] charge_aside t a b = Simnet.Cost.message t.cost ~dist:(dist t a b)
 
 (* [@alloc_ok]: experiment accounting around a whole operation; the
    snapshots and the result pair are its contract. *)
 let[@alloc_ok] measure t f =
   let before = Simnet.Cost.snapshot t.cost in
   let r = f () in
-  (r, Simnet.Cost.diff (Simnet.Cost.snapshot t.cost) before)
+  (r, Simnet.Cost.diff t.cost before)
 
 (* [@alloc_ok]: verification walks only; the finaliser closure is
    [Fun.protect]'s. *)
 let[@alloc_ok] without_charging t f =
   let s = Simnet.Cost.snapshot t.cost in
   Fun.protect
-    ~finally:(fun () ->
-      t.cost.Simnet.Cost.messages <- s.Simnet.Cost.messages;
-      t.cost.Simnet.Cost.hops <- s.Simnet.Cost.hops;
-      t.cost.Simnet.Cost.latency <- s.Simnet.Cost.latency)
+    ~finally:(fun () -> Simnet.Cost.restore t.cost s)
     f
 
 let find t id = Node_id.Tbl.find_opt t.nodes id

@@ -4,7 +4,7 @@
     Protocol modules ({!Route}, {!Publish}, {!Insert}, ...) act on this
     container but make decisions only from per-node state (routing tables and
     pointer stores), charging every simulated message to the ambient
-    {!Simnet.Cost.t}.  Global views (the node directory, the dense alive
+    {!Simnet.Cost.acc}.  Global views (the node directory, the dense alive
     array) are reserved for experiment setup, repair sweeps and the
     verification oracles, which live in {!Verify} and take their own
     snapshot of the core IDs when asked: the network holds only the
@@ -45,7 +45,7 @@ type t = {
   mutable rng : Simnet.Rng.t;
       (** mutable so a campaign runner can restore a {!Simnet.Rng.copy}
           snapshot when replaying on a reused mesh *)
-  cost : Simnet.Cost.t;  (** ambient accumulator charged by protocol code *)
+  cost : Simnet.Cost.acc;  (** ambient accumulator charged by protocol code *)
   mutable clock : float;  (** virtual time for soft-state expiry *)
   mutable obj_cache : Obj_cache.t option;
       (** the serve engine's per-node object-pointer caches (DESIGN.md §10),

@@ -36,7 +36,7 @@ let push ~w acc x =
 
 let finish acc len = (acc lsl len_bits) lor len
 
-let digit t i =
+let[@inline] digit t i =
   let len = length t in
   if i < 0 || i >= len then invalid_arg "Node_id.digit: index out of bounds";
   let w = widths.(len) in
@@ -111,7 +111,7 @@ let rec first_nonzero x ~w ~len shift i =
 let rec prefix_len_from a b ~n i =
   if i < n && digit a i = digit b i then prefix_len_from a b ~n (i + 1) else i
 
-let common_prefix_len a b =
+let[@inline] common_prefix_len a b =
   let la = length a and lb = length b in
   if la = lb then begin
     let w = widths.(la) in

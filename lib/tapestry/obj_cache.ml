@@ -31,11 +31,27 @@ type segment = {
   dk_fill : int array;  (* per line: fill attempts since reset *)
 }
 
+(* The (key, server) epoch table: packed pair ([pack_pair]) ->
+   retraction count, read on every cache hit, FETCH completion and
+   digest row.  Open addressing over two int columns, linear probing,
+   power-of-two capacity at most three quarters full (half full cost
+   serve-cold-churn 0.5 MB more peak RSS, for no throughput the
+   benchmark could see); [-1] marks an empty cell
+   (packed pairs are non-negative).  A lookup is one multiply and a few
+   int compares, with no polymorphic hash or compare.  Counts only grow
+   and [reset] empties the whole table, so there is no deletion, and
+   nothing iterates it, so its cell order is never observed. *)
+type epochs = {
+  mutable ek : int array;  (* packed pair, or -1 *)
+  mutable ev : int array;  (* its retraction count *)
+  mutable en : int;  (* pairs held *)
+}
+
 type t = {
   ways : int;
   mutable nodes : int;
   mutable segs : segment array;
-  ep_tbl : (int, int) Hashtbl.t;
+  ep : epochs;
   mutable guid_of : Node_id.t array;
   mutable keys : int;
   key_tbl : int Node_id.Tbl.t;
@@ -54,7 +70,7 @@ let pack_pair ~key ~srv = (key lsl srv_bits) lor srv
 (* A way's server handle and epoch snapshot in one int, the handle in
    the low 26 bits.  The key keeps a word of its own, so the probe's way
    scan is a plain compare. *)
-let srv_epoch ~server ~epoch =
+let[@inline] srv_epoch ~server ~epoch =
   if server lsr srv_bits <> 0 || epoch lsr (62 - srv_bits) <> 0 then
     invalid_arg "Obj_cache: server handle or epoch out of range";
   (epoch lsl srv_bits) lor server
@@ -98,7 +114,7 @@ let[@alloc_ok] create ~ways ~nodes =
       Array.init
         ((nodes + seg_mask) / seg_handles)
         (fun k -> make_segment ~ways (min seg_handles (nodes - (k * seg_handles))));
-    ep_tbl = Hashtbl.create 256;
+    ep = { ek = [||]; ev = [||]; en = 0 };
     guid_of = [||];
     keys = 0;
     key_tbl = Node_id.Tbl.create 256;
@@ -153,22 +169,63 @@ let[@alloc_ok] intern t guid =
       Node_id.Tbl.add t.key_tbl guid k;
       k
 
-let find_key t guid =
+let[@inline] find_key t guid =
   match Node_id.Tbl.find_opt t.key_tbl guid with Some k -> k | None -> -1
 
 let guid_of_key t k =
   if k < 0 || k >= t.keys then invalid_arg "Obj_cache.guid_of_key";
   t.guid_of.(k)
 
-(* [Not_found] is a constant exception: the miss path allocates
-   nothing, so this is safe on the probe hot path. *)
-let epoch_of t ~key ~srv =
-  try Hashtbl.find t.ep_tbl (pack_pair ~key ~srv) with Not_found -> 0
+(* Fibonacci multiply, the high half folded onto the low bits the cell
+   index takes, so a pair's key (above bit 26) moves them too. *)
+let[@inline] ep_hash k =
+  let h = k * 0x9E3779B97F4A7C1 in
+  h lxor (h lsr 32)
 
-(* [@alloc_ok]: unpublish-only (sync inline, serve at barriers). *)
-let[@alloc_ok] bump_epoch t ~key ~srv =
+(* The cell holding [k], or the empty cell where it would go. *)
+let rec ep_cell (ek : int array) k mask i =
+  let x = ek.(i) in
+  if x = k || x < 0 then i else ep_cell ek k mask ((i + 1) land mask)
+
+let epoch_of t ~key ~srv =
+  let e = t.ep in
+  if e.en = 0 then 0
+  else begin
+    let k = pack_pair ~key ~srv in
+    let mask = Array.length e.ek - 1 in
+    let i = ep_cell e.ek k mask (ep_hash k land mask) in
+    if e.ek.(i) = k then e.ev.(i) else 0
+  end
+
+(* [@alloc_ok]: doubling, at most log2 of the retractions ever issued. *)
+let[@alloc_ok] ep_grow e =
+  let ok = e.ek and ov = e.ev in
+  let cap = max 256 (2 * Array.length ok) in
+  let mask = cap - 1 in
+  e.ek <- Array.make cap (-1);
+  e.ev <- Array.make cap 0;
+  for j = 0 to Array.length ok - 1 do
+    let k = ok.(j) in
+    if k >= 0 then begin
+      let i = ep_cell e.ek k mask (ep_hash k land mask) in
+      e.ek.(i) <- k;
+      e.ev.(i) <- ov.(j)
+    end
+  done
+
+(* Unpublish-only (sync inline, serve at barriers). *)
+let bump_epoch t ~key ~srv =
+  let e = t.ep in
+  if 4 * (e.en + 1) > 3 * Array.length e.ek then ep_grow e;
   let k = pack_pair ~key ~srv in
-  Hashtbl.replace t.ep_tbl k (1 + (try Hashtbl.find t.ep_tbl k with Not_found -> 0))
+  let mask = Array.length e.ek - 1 in
+  let i = ep_cell e.ek k mask (ep_hash k land mask) in
+  if e.ek.(i) = k then e.ev.(i) <- e.ev.(i) + 1
+  else begin
+    e.ek.(i) <- k;
+    e.ev.(i) <- 1;
+    e.en <- e.en + 1
+  end
 
 (* Entry index of cell [j] of segment [k], as the probe returns it. *)
 let entry k j = (k lsl cell_bits) lor j
@@ -207,7 +264,7 @@ let rec scan_weak_hint (st : segment) j stop bi bh =
   else scan_weak_hint st (j + 1) stop bi bh
 
 (* An empty way has no sketch count and no flags. *)
-let clear_way (st : segment) j =
+let[@inline] clear_way (st : segment) j =
   st.e_key.(j) <- -1;
   Bytes.set_uint8 st.e_hits j 0;
   Bytes.set_uint8 st.e_flags j 0
@@ -236,15 +293,15 @@ let probe t ~h ~key =
     end
   end
 
-let probe_srv t i = (seg_of t i).e_srv_epoch.(cell_of i) land srv_mask
+let[@inline] probe_srv t i = (seg_of t i).e_srv_epoch.(cell_of i) land srv_mask
 
-let probe_epoch t i = (seg_of t i).e_srv_epoch.(cell_of i) lsr srv_bits
+let[@inline] probe_epoch t i = (seg_of t i).e_srv_epoch.(cell_of i) lsr srv_bits
 
-let probe_is_hint t i = flags (seg_of t i) (cell_of i) land flag_hint <> 0
+let[@inline] probe_is_hint t i = flags (seg_of t i) (cell_of i) land flag_hint <> 0
 
 (* Deterministic hash of a node handle and a key (doorkeeper bit
    selection): a multiplicative mix, no ambient randomness. *)
-let mix h key =
+let[@inline] mix h key =
   let x = (h * 0x9e3779b1) + (key * 0x85ebca77) + 0x165667b1 in
   let x = x lxor (x lsr 15) in
   (x * 0x27d4eb2f) land max_int
@@ -393,7 +450,9 @@ let[@alloc_ok] reset t =
       Bytes.fill st.dk 0 cells '\000';
       Array.fill st.dk_fill 0 (seg_lines st) 0)
     t.segs;
-  Hashtbl.reset t.ep_tbl
+  t.ep.ek <- [||];
+  t.ep.ev <- [||];
+  t.ep.en <- 0
 
 (* [@alloc_ok]: audit-only sweep, in handle order: every way of node
    [h]'s line before node [h + 1]'s. *)
@@ -432,6 +491,7 @@ let[@alloc_ok] approx_bytes t =
       + (8 * word) (* the segment record *))
     (arr t.segs) t.segs
   + (Array.length t.guid_of + 1) * word
-  + (Hashtbl.length t.ep_tbl * 4 * word) (* pair-epoch table, rough *)
+  + (let cap = Array.length t.ep.ek in
+     if cap = 0 then 0 else 2 * (cap + 1) * word (* pair-epoch columns *))
   + (t.keys * 3 * word) (* key table entries, rough *)
   + (16 * word)

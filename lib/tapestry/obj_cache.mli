@@ -76,13 +76,17 @@ type segment = private {
     the length of [hand]: all 64, except in the last segment of a
     cache created for a handle count that is not a multiple of 64). *)
 
+type epochs
+(** Retraction counts keyed by packed [(key, server-handle)] pairs: an
+    int-keyed open-addressing table, no polymorphic hash or compare. *)
+
 type t = private {
   ways : int;  (** associativity: entries per node; 0 = every probe misses *)
   mutable nodes : int;
       (** handles covered: every [h < nodes] has a line; always 0 for a
           zero-way cache *)
   mutable segs : segment array;
-  ep_tbl : (int, int) Hashtbl.t;
+  ep : epochs;
       (** retraction count per packed [(key, server-handle)] pair;
           absent = 0.  Written only on unpublish (sync: inline; serve:
           at barriers) — sparse, bounded by retractions ever issued *)

@@ -81,7 +81,7 @@ let[@alloc_ok] create () = { c = empty }
 
 let cols t = t.c
 
-let force t =
+let[@inline] force t =
   if Array.length t.c.heads = 0 then t.c <- columns ~cap:4 ~slots:8;
   t.c
 
@@ -95,7 +95,7 @@ let rec probe c guid mask s =
   else if Node_id.equal c.guid.(i) guid then s
   else probe c guid mask ((s + 1) land mask)
 
-let find_slot c guid =
+let[@inline] find_slot c guid =
   let mask = Array.length c.heads - 1 in
   probe c guid mask (Node_id.hash guid land mask)
 
@@ -196,7 +196,7 @@ let rec chain_find c k i =
 
 (* The record keyed [k] in the chain headed from slot [s] (if [s] is a
    hit), or -1. *)
-let chain_at c s k = if s < 0 then -1 else chain_find c k c.heads.(s)
+let[@inline] chain_at c s k = if s < 0 then -1 else chain_find c k c.heads.(s)
 
 (* ---- operations ---- *)
 
@@ -266,7 +266,7 @@ let store t ~guid ~server ~root_idx ~previous ~expires =
   end
 
 (* The empty store has no slots: every lookup below starts here. *)
-let head_of c guid =
+let[@inline] head_of c guid =
   if Array.length c.heads = 0 then -1
   else
     let s = find_slot c guid in

@@ -79,7 +79,7 @@ let[@alloc_ok] create (cfg : Config.t) ~owner =
   done;
   t
 
-let has_row t level = Array.length t.handles.(level) > 0
+let[@inline] has_row t level = Array.length t.handles.(level) > 0
 
 (* Index of slot [digit]'s length in a handles row. *)
 let len_at t digit = (t.base * t.redundancy) + digit
@@ -129,7 +129,7 @@ let allocated_rows t = rows_from t 0 0
 
 (* A row-less level's only entry is the owner's, so its slot length is the
    owner's [filled] bit and [k] can only be 0 there. *)
-let slot_len t ~level ~digit =
+let[@inline] slot_len t ~level ~digit =
   let hs = t.handles.(level) in
   if Array.length hs = 0 then (t.filled.(level) lsr digit) land 1
   else hs.(len_at t digit)
@@ -146,7 +146,7 @@ let ntz_table =
 
 let ntz x = ntz_table.((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
-let next_filled t ~level ~want ~tries =
+let[@inline] next_filled t ~level ~want ~tries =
   let base = t.base in
   if tries >= base then -1
   else begin
@@ -164,7 +164,7 @@ let next_filled t ~level ~want ~tries =
 (* [owner_handle] and [names] are written once, by [Network.register]
    before the node is reachable and outside any serve window, so serve
    windows read settled values here. *)
-let slot_handle t ~level ~digit ~k =
+let[@inline] slot_handle t ~level ~digit ~k =
   let hs = t.handles.(level) in
   if Array.length hs = 0 then (t.owner_handle [@race_ok])
   else hs.((digit * t.redundancy) + k)
@@ -172,13 +172,13 @@ let slot_handle t ~level ~digit ~k =
 (* The ID of the node with arena handle [h]: the owner's own, else the
    name column's (which keeps a dead node's ID, as the arena keeps its
    handle). *)
-let name t h =
+let[@inline] name t h =
   if h = (t.owner_handle [@race_ok]) then t.owner
   else (t.names.ids [@race_ok]).(h)
 
-let slot_id t ~level ~digit ~k = name t (slot_handle t ~level ~digit ~k)
+let[@inline] slot_id t ~level ~digit ~k = name t (slot_handle t ~level ~digit ~k)
 
-let slot_dist t ~level ~digit ~k =
+let[@inline] slot_dist t ~level ~digit ~k =
   let ds = t.dists.(level) in
   if Array.length ds = 0 then 0. else ds.((digit * t.redundancy) + k)
 

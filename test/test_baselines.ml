@@ -136,7 +136,7 @@ let test_central_directory_latency_floor () =
   Baselines.Central_directory.publish dir ~server_addr:2 ~guid_key:7;
   let before = Cost.snapshot (Baselines.Central_directory.cost dir) in
   ignore (Baselines.Central_directory.locate dir ~client_addr:1 ~guid_key:7);
-  let d = Cost.diff (Cost.snapshot (Baselines.Central_directory.cost dir)) before in
+  let d = Cost.diff (Baselines.Central_directory.cost dir) before in
   (* optimal is 0.0001; the directory forces ~2.0 of travel *)
   Alcotest.(check bool) "pays the diameter" true (d.Cost.latency > 1.5)
 
@@ -148,7 +148,7 @@ let test_broadcast () =
   let bc = Baselines.Broadcast.create ~n metric in
   let before = Cost.snapshot (Baselines.Broadcast.cost bc) in
   Baselines.Broadcast.publish bc ~server_addr:7 ~guid_key:3;
-  let d = Cost.diff (Cost.snapshot (Baselines.Broadcast.cost bc)) before in
+  let d = Cost.diff (Baselines.Broadcast.cost bc) before in
   Alcotest.(check int) "publish floods n-1 messages" (n - 1) d.Cost.messages;
   (match Baselines.Broadcast.locate bc ~client_addr:12 ~guid_key:3 with
   | Some addr -> Alcotest.(check int) "server" 7 addr
@@ -167,7 +167,7 @@ let test_broadcast_stretch_one () =
     (match Baselines.Broadcast.locate bc ~client_addr:client ~guid_key:1 with
     | Some _ -> ()
     | None -> Alcotest.fail "must find");
-    let d = Cost.diff (Cost.snapshot (Baselines.Broadcast.cost bc)) before in
+    let d = Cost.diff (Baselines.Broadcast.cost bc) before in
     let opt = min (Metric.dist metric client 3) (Metric.dist metric client 40) in
     Alcotest.(check (float 1e-9)) "exactly the optimal distance" opt d.Cost.latency
   done
@@ -226,7 +226,7 @@ let test_prr_v0_stretch_polylog_general_metric () =
       let before = Cost.snapshot (Baselines.Prr_v0.cost p) in
       match Baselines.Prr_v0.locate p ~client_addr:client ~guid_key:k with
       | Some _ ->
-          let d = Cost.diff (Cost.snapshot (Baselines.Prr_v0.cost p)) before in
+          let d = Cost.diff (Baselines.Prr_v0.cost p) before in
           stretches := (d.Cost.latency /. Metric.dist metric client server) :: !stretches
       | None -> ()
     end

@@ -134,6 +134,36 @@ let test_pair_epoch_staleness () =
   Alcotest.(check bool) "refill current again" true
     (Obj_cache.probe c ~h:0 ~key:5 >= 0)
 
+(* The epoch table against a map model: thousands of bumps over pairs
+   whose keys and server handles share low bits (so cells collide and
+   the table grows several times), every count read back, pairs never
+   bumped read 0, and [reset] forgets them all. *)
+let test_epoch_table_model () =
+  let c = mk ~ways:2 () in
+  let model = Hashtbl.create 64 in
+  let rng = Simnet.Rng.create 5 in
+  for _ = 1 to 6_000 do
+    let key = Simnet.Rng.int rng 600 * 1024 in
+    let srv = Simnet.Rng.int rng 8 * 4096 in
+    Obj_cache.bump_epoch c ~key ~srv;
+    Hashtbl.replace model (key, srv)
+      (1 + Option.value ~default:0 (Hashtbl.find_opt model (key, srv)))
+  done;
+  Hashtbl.iter
+    (fun (key, srv) n ->
+      if Obj_cache.epoch_of c ~key ~srv <> n then
+        Alcotest.failf "pair (%d, %d): epoch %d, model %d" key srv
+          (Obj_cache.epoch_of c ~key ~srv) n)
+    model;
+  Alcotest.(check int) "a pair never bumped" 0
+    (Obj_cache.epoch_of c ~key:1 ~srv:1);
+  Obj_cache.reset c;
+  Hashtbl.iter
+    (fun (key, srv) _ ->
+      if Obj_cache.epoch_of c ~key ~srv <> 0 then
+        Alcotest.failf "pair (%d, %d) survives reset" key srv)
+    model
+
 (* ---- cooperative hint imports ---- *)
 
 let test_hint_import () =
@@ -437,6 +467,8 @@ let () =
             test_clock_second_chance;
           Alcotest.test_case "epochs invalidate per (object, server) pair"
             `Quick test_pair_epoch_staleness;
+          Alcotest.test_case "epoch table matches a map model" `Quick
+            test_epoch_table_model;
         ] );
       ( "hints",
         [

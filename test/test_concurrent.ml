@@ -174,7 +174,7 @@ let test_interleaved_cost_attribution () =
   push_joiner events net ~addr:60 ~on_report ~delays:(0.0, 0.2, 0.5);
   push_joiner events net ~addr:61 ~on_report ~delays:(0.1, 0.3, 0.4);
   Simnet.Heap.drain events;
-  let total = Simnet.Cost.diff (Simnet.Cost.snapshot net.Network.cost) before in
+  let total = Simnet.Cost.diff net.Network.cost before in
   match List.rev !reports with
   | [ r1; r2 ] ->
       let c1 = r1.Insert.cost and c2 = r2.Insert.cost in

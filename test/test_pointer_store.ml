@@ -54,7 +54,7 @@ let mesh_digest net =
              Buffer.add_string b s;
              Buffer.add_char b ';');
       Buffer.add_char b '\n');
-  let c = net.Network.cost in
+  let c = Simnet.Cost.snapshot net.Network.cost in
   Printf.bprintf b "msgs=%d hops=%d latency=%h" c.Simnet.Cost.messages
     c.Simnet.Cost.hops c.Simnet.Cost.latency;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -70,7 +70,7 @@ let run_phases () =
         phase;
         slots = slot_digest net;
         backpointers = backpointer_digest net;
-        messages = net.Network.cost.Simnet.Cost.messages;
+        messages = (Simnet.Cost.snapshot net.Network.cost).Simnet.Cost.messages;
       }
       :: !observed
   in

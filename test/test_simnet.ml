@@ -141,6 +141,69 @@ let test_metric_torus_wrap () =
   let m = Metric.of_points_torus ~side:1.0 [| (0.05, 0.5); (0.95, 0.5) |] in
   check_float "wraps around" 0.1 (Metric.dist m 0 1)
 
+(* The per-constructor closures [Metric.dist] replaced, as they were:
+   the kernel must match them bit for bit, or every pinned mesh,
+   signature and experiment table would move. *)
+let closure_plane pts i j =
+  let xi, yi = pts.(i) and xj, yj = pts.(j) in
+  let dx = xi -. xj and dy = yi -. yj in
+  sqrt ((dx *. dx) +. (dy *. dy))
+
+let closure_torus ~side pts i j =
+  let wrap d =
+    let d = abs_float d in
+    min d (side -. d)
+  in
+  let xi, yi = pts.(i) and xj, yj = pts.(j) in
+  let dx = wrap (xi -. xj) and dy = wrap (yi -. yj) in
+  sqrt ((dx *. dx) +. (dy *. dy))
+
+(* Coordinates in [0, side): mostly uniform, often on a wrap edge (0,
+   the float below [side], half the side, a hair from either end). *)
+let gen_coord side =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float_bound_exclusive side);
+        ( 2,
+          oneofl
+            [ 0.; Float.pred side; side *. 0.5; Float.succ 0.; side -. 1e-9; 1e-9 ] );
+      ])
+
+let gen_kernel_case =
+  QCheck.Gen.(
+    let* side = oneof [ return 1.0; float_range 0.01 1000. ] in
+    let* n = int_range 1 24 in
+    let* pts = array_size (return n) (pair (gen_coord side) (gen_coord side)) in
+    return (side, pts))
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_kernel_bit_identical =
+  QCheck.Test.make ~count:500
+    ~name:"plane and torus dist equal the closure formulas bit for bit"
+    (QCheck.make
+       ~print:(fun (side, pts) ->
+         Printf.sprintf "side %h: %s" side
+           (String.concat " "
+              (Array.to_list
+                 (Array.map (fun (x, y) -> Printf.sprintf "(%h,%h)" x y) pts))))
+       gen_kernel_case)
+    (fun (side, pts) ->
+      let plane = Metric.of_points pts and torus = Metric.of_points_torus ~side pts in
+      let n = Array.length pts in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if
+            not
+              (bits_equal (Metric.dist plane i j) (closure_plane pts i j)
+              && bits_equal (Metric.dist torus i j) (closure_torus ~side pts i j))
+          then ok := false
+        done
+      done;
+      !ok)
+
 let test_metric_ball () =
   let m = Metric.of_points [| (0., 0.); (1., 0.); (2., 0.); (5., 0.) |] in
   Alcotest.(check int) "ball count" 3 (Metric.ball_count m 0 2.0);
@@ -291,15 +354,19 @@ let test_cost_accounting () =
   Cost.send c ~dist:2.0;
   Cost.send c ~dist:3.0;
   Cost.message c ~dist:1.0;
-  Alcotest.(check int) "messages" 3 c.Cost.messages;
-  Alcotest.(check int) "hops" 2 c.Cost.hops;
-  check_float "latency" 6.0 c.Cost.latency;
   let snap = Cost.snapshot c in
+  Alcotest.(check int) "messages" 3 snap.Cost.messages;
+  Alcotest.(check int) "hops" 2 snap.Cost.hops;
+  check_float "latency" 6.0 snap.Cost.latency;
   Cost.send c ~dist:1.0;
-  let d = Cost.diff (Cost.snapshot c) snap in
+  let d = Cost.diff c snap in
   Alcotest.(check int) "diff messages" 1 d.Cost.messages;
+  Cost.add c d;
+  Alcotest.(check int) "added messages" 5 (Cost.snapshot c).Cost.messages;
+  Cost.restore c snap;
+  Alcotest.(check int) "restored hops" 2 (Cost.snapshot c).Cost.hops;
   Cost.zero c;
-  Alcotest.(check int) "zeroed" 0 c.Cost.messages
+  Alcotest.(check int) "zeroed" 0 (Cost.snapshot c).Cost.messages
 
 (* --- Heap.drain: a timeline of timed closures --- *)
 
@@ -428,6 +495,7 @@ let () =
         [
           Alcotest.test_case "euclidean" `Quick test_metric_euclidean;
           Alcotest.test_case "torus wrap" `Quick test_metric_torus_wrap;
+          QCheck_alcotest.to_alcotest prop_kernel_bit_identical;
           Alcotest.test_case "ball" `Quick test_metric_ball;
           Alcotest.test_case "nearest other" `Quick test_metric_nearest_other;
           Alcotest.test_case "random-metric triangle" `Quick test_metric_triangle_random;

@@ -2,6 +2,9 @@
 # One-command repo health check: build, tests, syntactic lint, typed
 # lint, bench smoke, then the thresholded bench gate.
 #
+# The build stage also fails if any lib/ module is compiled with
+# -opaque (the dev profile's flag, which blocks cross-module inlining).
+#
 # Each stage fails with a distinct exit code so a caller (or CI log)
 # can attribute the failure without scraping output:
 #   10 build        11 tests          12 syntactic lint
@@ -79,7 +82,7 @@ cd "$(dirname "$0")/.."
 #   what the stage covers
 smokes=(
   "--churn-smoke|20|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --kill-rate 20 --join-rate 20 --audit|dead_letter|-|5ea3fce963c72e361444bc0aab442d44|-|churn smoke (n=4096 serve, cache=32 coop, 20 kills + 20 joins per s, audit)"
-  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|33190912|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
+  "--coop-smoke|19|serve --size 4096 --requests 100000 --cache-size 32 --coop 1 --audit|hint_fills|-|65fafcb271350fa25ec934b3c7baaab5|33193488|coop smoke (n=4096 serve, cache=32 coop, audit incl. hint coherence)"
   "--cache-smoke|18|serve --size 4096 --requests 100000 --cache-size 32 --audit|cache_hit_rate|-|fc218e366ea36a3e24557f7e5ac9edff|-|cache smoke (n=4096 serve, cache=32, audit incl. coherence)"
   "--serve-smoke|17|serve --size 4096 --requests 100000|-|BENCH_serve.json|28d0572310d6352cea100c04c8991dc8|-|serve smoke (n=4096, 1e5 Zipf requests + JSON round-trip)"
   "--scale-smoke|16|scale --sizes 32768 --objects 200 --queries 400|-|BENCH_scale.json|-|-|scale smoke (n=32768 streamed build + JSON round-trip)"
@@ -162,6 +165,19 @@ for row in "${smokes[@]}"; do
 done
 
 dune build || exit 10
+# The library tree must compile without -opaque (dune's dev-profile
+# flag), or no function is inlined across modules and every float a
+# cross-module call takes or returns is boxed.  The root dune-workspace
+# selects the release profile; a build that ignores it fails here.
+rules=$(dune rules -r @lib/default 2>/dev/null || true)
+native=$(grep -c 'ocamlopt' <<< "$rules" || true)
+opaque=$(grep -c -- '-opaque' <<< "$rules" || true)
+if [ "${native:-0}" -eq 0 ] || [ "${opaque:-0}" -ne 0 ]; then
+  echo "check: build: ${opaque:-0} lib/ compile rules pass -opaque" \
+    "(${native:-0} native rules); build with dune-workspace's release" \
+    "profile (DESIGN.md section 8.10)" >&2
+  exit 10
+fi
 dune runtest || exit 11
 dune build @lint-syntax || exit 12
 dune build @lint-typed || exit 13

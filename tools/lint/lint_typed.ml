@@ -32,7 +32,10 @@ let usage = "lint_typed [--allowlist FILE] CMT-ROOT..."
    every hop of every path, and the serve driver's placement runs it
    for every object.  The repair and optimization sweeps ([delete.ml],
    [optimizer.ml]) visit every node of the mesh, so their per-node
-   allocations are annotated with what they buy. *)
+   allocations are annotated with what they buy.  The distance kernel
+   ([metric.ml]) and the cost cells ([cost.ml]) sit under every hop
+   charge, nearest-neighbour candidate and link offer: they are inlined
+   into those callers, so an allocation there is paid at every use. *)
 let hot_path_sources =
   [
     "lib/tapestry/node_id.ml";
@@ -52,6 +55,8 @@ let hot_path_sources =
     "lib/serve/actor.ml";
     "lib/tapestry/obj_cache.ml";
     "lib/tapestry/publish.ml";
+    "lib/simnet/metric.ml";
+    "lib/simnet/cost.ml";
   ]
 
 let is_hot source =
